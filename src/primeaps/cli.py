@@ -18,8 +18,8 @@ import io
 import json
 import math
 import os
+import secrets
 import sys
-import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -216,7 +216,10 @@ def _clean(obj):
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    """Write to a fresh temporary file, then rename it over path. The file
+    is created with mode 0o666 less the umask, as a plain open() would."""
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -308,7 +311,7 @@ def _table_for(limit: int) -> sieve.FactorTable:
 
 def _run_sieve_stats(cfg: RunConfig, em: Emitter):
     N = cfg.N
-    table = _table_for(N)
+    table = _table_for(max([N, *(cfg.Q or [])]))
     ps = table.primes_up_to(N)
     theta = fsum_real(np.log(ps.astype(np.float64))) if ps.size else 0.0
     results = {
@@ -330,8 +333,13 @@ def _run_sieve_stats(cfg: RunConfig, em: Emitter):
 
 def _run_measure_build(cfg: RunConfig, em: Emitter):
     N = cfg.N
-    table = _table_for(cfg.m * N + cfg.b)
     params = _measure_params(cfg, N)
+    # the dyadic split sieves with primes up to 2^K: size the table for it
+    # now, so an out-of-range split fails before any output is written
+    limit = cfg.m * N + cfg.b
+    if cfg.p_exponent is not None:
+        limit = max(limit, 2 ** measures.dyadic_cutoff(N, params.A))
+    table = _table_for(limit)
     lam = measures.lambda_measure(params, table)
     em.measure("measure_lambda", lam)
     em.raw("measure_lambda.bin", measures.measure_to_bytes(lam))

@@ -1,10 +1,18 @@
 """Exponential sums, Z_N transforms, torus-grid L^p norms, Fejer kernels,
-and the trilinear 3AP form.
+the trilinear 3AP form, and exact set convolutions.
 
 Conventions. The wedge transform is f^(theta) = sum_n f(n) e(n*theta) over
 the ambient points of the measure. The Z_N transform is
 f~(r) = sum_x f(x) e(-rx/N), i.e. exactly numpy's FFT sign, so the bridge
 f~(r) = f^(-r/N) is an identity under the Z_N embedding of {1..N}.
+
+This module is the only place Z_N transforms are taken. `spectrum` computes
+a measure's transform once and caches it on the (read-only) measure, so a
+pipeline that reuses a, mu or beta pays one length-N FFT for each. Counts
+on integer sets never transform at the (often prime) length N:
+`set_convolution` forms the linear convolution at a power of two >= 2N-1,
+from which both the line count and the Z_N count (after folding mod N) are
+read. The torus-grid path (`wedge_grid` and the L^p ladders) is separate.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from .errors import (
     GridConvergenceWarning,
     ParameterError,
     PreconditionError,
+    StageError,
 )
 from .measures import Measure
 from .numutil import dist_to_int, e, fsum_complex
@@ -27,6 +36,7 @@ from .sieve import FactorTable
 
 REL_CONSISTENCY = 1e-3  # grid-doubling self-consistency contract (0.1%)
 MAX_OVERSAMPLE = 16  # escalation cap before warning
+INTEGRALITY_TOL = 0.25  # a rounded count this far from an integer is an error
 
 
 @dataclass(frozen=True)
@@ -64,9 +74,23 @@ def exp_sum(f: Measure, theta: float) -> complex:
     return fsum_complex(f.weights[idx] * e(pos * theta))
 
 
+def spectrum(f: Measure) -> np.ndarray:
+    """f~(r) = sum_x f(x) e(-rx/N) for r = 0..N-1, as a read-only array.
+
+    One FFT on first use, cached on f; the weights of a Measure are
+    read-only, so the cached coefficients cannot go stale.
+    """
+    coeffs = f._spectrum
+    if coeffs is None:
+        coeffs = np.fft.fft(f.zn_weights())
+        coeffs.setflags(write=False)
+        f._spectrum = coeffs
+    return coeffs
+
+
 def dft(f: Measure) -> Spectrum:
     """f~(r) = sum_x f(x) e(-rx/N) on Z_N (the {1..N} case is embedded)."""
-    return Spectrum(f.N, np.fft.fft(f.zn_weights()))
+    return Spectrum(f.N, spectrum(f))
 
 
 def idft(spec: Spectrum) -> np.ndarray:
@@ -132,18 +156,18 @@ def lp_norm_torus(f: Measure, p: float, grid: TorusGrid) -> float:
 def tau(theta: float, N: int) -> complex:
     """tau(theta) = N^(-1) sum_{n=1..N} e(n*theta).
 
-    Geometric closed form away from integers; direct series fallback when
-    e(theta) is within 1e-8 of 1.
+    Closed form e((N+1) v / 2) sin(pi N v) / (N sin(pi v)) with v the
+    signed distance from theta to the nearest integer. Unlike the geometric
+    form (e(N v) - 1) / (e(v) - 1), it has no cancellation near integers.
     """
     if N < 1:
         raise ParameterError(f"N must be >= 1, got {N}")
-    u = theta - math.floor(theta)
-    X = e(u)
-    if abs(X - 1.0) < 1e-8:
-        v = u if u <= 0.5 else u - 1.0
-        return complex(np.sum(e(np.arange(1, N + 1) * v))) / N
-    XN = e(math.fmod(N * u, 1.0))
-    return X * (XN - 1.0) / (X - 1.0) / N
+    v = theta - round(theta)
+    s = math.sin(math.pi * v)
+    if s == 0.0:
+        return 1.0 + 0.0j
+    ratio = math.sin(math.pi * math.fmod(N * v, 2.0)) / (N * s)
+    return complex(ratio * e(math.fmod((N + 1) * v / 2.0, 1.0)))
 
 
 def fejer(theta: float, N: int) -> float:
@@ -169,8 +193,7 @@ def mz_ratio(f: Measure, p: float, grid: TorusGrid) -> float:
     """
     if p < 1:
         raise ParameterError(f"p must be >= 1, got {p}")
-    coeffs = np.fft.fft(f.zn_weights())
-    num = float(np.sum(np.abs(coeffs) ** p))
+    num = float(np.sum(np.abs(spectrum(f)) ** p))
     den = f.N * lp_norm_torus(f, p, grid) ** p
     if den == 0.0:
         raise DegenerateInputError("zero measure has no mz ratio")
@@ -181,17 +204,49 @@ def triple_count(f: Measure, g: Measure, h: Measure) -> float:
     """sum over x, d in Z_N of f(x) g(x+d) h(x+2d), d=0 included.
 
     Spectral form N^(-1) sum_r f~(r) g~(-2r) h~(r); all three measures
-    must share N.
+    must share N. The spectra come from `spectrum`, so f = g = h costs one
+    transform.
     """
     if not (f.N == g.N == h.N):
         raise ParameterError("measures must share N")
     N = f.N
-    F = np.fft.fft(f.zn_weights())
-    G = np.fft.fft(g.zn_weights())
-    H = np.fft.fft(h.zn_weights())
+    F, G, H = spectrum(f), spectrum(g), spectrum(h)
     idx = (-2 * np.arange(N)) % N
     val = np.sum(F * H * G[idx]) / N
     return float(val.real)
+
+
+def set_convolution(S: np.ndarray, T: np.ndarray, N: int) -> np.ndarray:
+    """(1_S * 1_T)(k) = #{(s, t) in S x T : s + t = k} for k = 0..2N-2,
+    exactly, for integer sets S, T inside [0, N).
+
+    One zero-padded linear convolution with rfft/irfft at the power of two
+    P >= 2N-1, where no sum wraps around; T equal to S reuses S's transform.
+    Every value is rounded to an integer, and a value 0.25 or more away from
+    its integer raises StageError instead of being rounded away.
+    """
+    if N < 1:
+        raise ParameterError(f"N must be >= 1, got {N}")
+    L = 2 * N - 1
+    P = 1 << (L - 1).bit_length()
+
+    def transform(U: np.ndarray) -> np.ndarray:
+        u = np.zeros(P, dtype=np.float64)
+        u[U] = 1.0
+        return np.fft.rfft(u)
+
+    FS = transform(S)
+    FT = FS if np.array_equal(S, T) else transform(T)
+    conv = np.fft.irfft(FS * FT, P)[:L]
+    rounded = np.rint(conv)
+    residual = float(np.max(np.abs(conv - rounded)))
+    if residual >= INTEGRALITY_TOL:
+        raise StageError(
+            "integrality",
+            f"set convolution is {residual:.3g} from an integer "
+            f"(length {P}, tolerance {INTEGRALITY_TOL})",
+        )
+    return rounded.astype(np.int64)
 
 
 def majorant_ratio(

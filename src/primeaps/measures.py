@@ -40,7 +40,9 @@ class Measure:
     """A weighted function on {1..N} (base "one") or Z_N (base "zn").
 
     total is the compensated sum of all weights, computed once at
-    construction. Instances are treated as immutable.
+    construction. The weights are a read-only copy of the input, so an
+    instance is immutable and the Z_N spectrum that `fourier.spectrum`
+    caches in _spectrum cannot go stale.
     """
 
     N: int
@@ -48,9 +50,13 @@ class Measure:
     signed: bool = False
     base: str = BASE_ONE
     total: float = field(init=False)
+    _spectrum: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
+        self.weights = np.array(self.weights, dtype=np.float64)
+        self.weights.setflags(write=False)
         if self.weights.shape != (self.N,):
             raise ParameterError(
                 f"weights must have shape ({self.N},), got {self.weights.shape}"
@@ -307,14 +313,19 @@ def _sigma_gate(kind, q, params, table):
         return None
     if kind == KIND_ROUGH:
         Q = params.require_Q()
-        if Q == 1 or not sieve.is_smooth(q, Q, table):
+        if Q == 1:
             return None
     elif kind != KIND_PRIME:
         raise ParameterError(f"unknown kind {kind!r}")
-    mu = sieve.mobius(q, table)
-    if mu == 0:
-        return None
-    return q * mu / sieve.euler_phi(q, table)
+    # one factorization gives mu(q), phi(q) and Q-smoothness; this gate runs
+    # once per sigma_aq call, so a factorization per quantity is its main cost
+    factors = table.factorize(q)
+    if any(k > 1 for _, k in factors):
+        return None  # mu(q) = 0
+    if kind == KIND_ROUGH and factors and factors[-1][0] > Q:
+        return None  # q is not Q-smooth
+    mu = -1 if len(factors) % 2 else 1
+    return q * mu / math.prod(p - 1 for p, _ in factors)
 
 
 def sigma_aq(

@@ -4,9 +4,11 @@ the set-like sup chain, exact 3AP counting, and the closing inequality,
 plus the Behrend progression-free construction used as control input.
 
 Counts are ordered (x, d) pairs with d = 0 included in 'total'; the
-nontrivial count removes the diagonal. Wrapped counts live in Z_N;
-unwrapped (integer line) counts are computed exactly by embedding into
-Z_{2N+1}, where no wraparound triple can close.
+nontrivial count removes the diagonal. On integer sets both kinds are read
+from one exact linear convolution (1_A * 1_C)(k), since x, x+d, x+2d in
+A, B, C means x + z = 2y with y in B: the integer-line count sums it at
+k = 2y, the Z_N count sums it at k = 2y mod N after folding k mod N.
+Every Z_N transform goes through `fourier`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
     PreconditionError,
     StageError,
 )
-from .fourier import Spectrum, triple_count
+from .fourier import Spectrum, dft, idft, set_convolution, spectrum, triple_count
 from .measures import BASE_ZN, Measure
 from .numutil import fsum_real, loglog_clamped, rng_stream
 
@@ -153,6 +155,11 @@ class BohrSet:
     eps: float
     N: int
     members: np.ndarray = field(repr=False)
+    _beta: Measure | None = field(default=None, init=False, repr=False,
+                                  compare=False)
+
+    def __post_init__(self) -> None:
+        self.members.setflags(write=False)
 
     @property
     def k(self) -> int:
@@ -162,10 +169,12 @@ class BohrSet:
         return int(self.members.size)
 
     def beta(self) -> Measure:
-        """The normalized indicator beta = 1_B / |B| on Z_N."""
-        w = np.zeros(self.N, dtype=np.float64)
-        w[self.members] = 1.0 / self.members.size
-        return Measure(self.N, w, signed=False, base=BASE_ZN)
+        """The normalized indicator beta = 1_B / |B| on Z_N, built once."""
+        if self._beta is None:
+            w = np.zeros(self.N, dtype=np.float64)
+            w[self.members] = 1.0 / self.members.size
+            self._beta = Measure(self.N, w, signed=False, base=BASE_ZN)
+        return self._beta
 
 
 def bohr_set(R, eps: float, N: int) -> BohrSet:
@@ -192,9 +201,8 @@ def granularize(a: Measure, bohr: BohrSet) -> Measure:
     """
     if a.N != bohr.N:
         raise ParameterError(f"measure N={a.N} vs Bohr N={bohr.N}")
-    fa = np.fft.fft(a.zn_weights())
-    fb = np.fft.fft(bohr.beta().weights)
-    out = np.fft.ifft(fa * fb * fb).real
+    fb = spectrum(bohr.beta())
+    out = idft(Spectrum(a.N, spectrum(a) * fb * fb)).real
     if not a.signed:
         out = np.maximum(out, 0.0)
     return Measure(a.N, out, signed=a.signed, base=BASE_ZN)
@@ -209,7 +217,7 @@ class SetlikeReport:
             <=  N^-1 + 2 loglog(W) / (W |B|)            (chain_reference)
 
     with the set-like verdict sup a1 <= 2/N and the Bohr-dimension gate
-    eps^k >= 2 loglog(W)/W stamped alongside.
+    eps^k >= 2 loglog(W)/W stamped alongside. a1 itself is kept for reuse.
     """
 
     sup_a1: float
@@ -223,13 +231,13 @@ class SetlikeReport:
     step1_ok: bool
     step2_ok: bool
     gate_ok: bool | None
+    a1: Measure = field(repr=False)
 
 
 def mu_sup_offzero(mu: Measure, W: int | None = None):
     """sup and argmax of |mu~(r)| over r != 0, with the 2 loglog(W)/W
     reference when W is supplied."""
-    coeffs = np.fft.fft(mu.zn_weights())
-    mags = np.abs(coeffs)
+    mags = np.abs(spectrum(mu))
     mags[0] = -1.0
     argmax = int(np.argmax(mags))
     sup = float(mags[argmax])
@@ -247,14 +255,12 @@ def setlike_check(
     """Verify a <= mu pointwise, granularize, and evaluate the sup chain."""
     if a.N != mu.N or a.N != bohr.N:
         raise ParameterError("a, mu and the Bohr set must share N")
-    aw = a.zn_weights()
-    mw = mu.zn_weights()
-    if float(np.max(aw - mw)) > 1e-12:
+    if float(np.max(a.zn_weights() - mu.zn_weights())) > 1e-12:
         raise PreconditionError("a must be dominated by mu pointwise")
     a1 = granularize(a, bohr)
     sup_a1 = float(np.max(a1.weights))
-    mut = np.abs(np.fft.fft(mw))
-    bt2 = np.abs(np.fft.fft(bohr.beta().weights)) ** 2
+    mut = np.abs(spectrum(mu))
+    bt2 = np.abs(spectrum(bohr.beta())) ** 2
     chain_spectral = float(np.sum(mut * bt2)) / a.N
     mass = float(mut[0])
     sup_off = float(np.max(mut[1:])) if a.N > 1 else 0.0
@@ -278,6 +284,7 @@ def setlike_check(
         step1_ok=sup_a1 <= chain_spectral + slack,
         step2_ok=chain_spectral <= chain_sup + slack,
         gate_ok=gate_ok,
+        a1=a1,
     )
 
 
@@ -292,12 +299,6 @@ class Count3APs:
     wrapped: bool = True
 
 
-def _set_measure(S: np.ndarray, M: int) -> Measure:
-    w = np.zeros(M, dtype=np.float64)
-    w[S] = 1.0
-    return Measure(M, w, signed=False, base=BASE_ZN)
-
-
 def _int_set(x) -> np.ndarray:
     if isinstance(x, (set, frozenset)):
         x = sorted(x)
@@ -308,9 +309,12 @@ def count_3aps(a, b=None, c=None, N: int | None = None, wrap: bool = True) -> Co
     """Count ordered triples (x, x+d, x+2d) weighted by a, b, c.
 
     Measures: all three on a common Z_N; returns float total (d=0
-    included) and nontrivial part. Integer sets (with ambient N): exact
-    integer counts, plus the unordered triple count; wrap=False counts
-    integer-line progressions via the Z_{2N+1} embedding.
+    included) and nontrivial part. Integer sets in [0, N): exact integer
+    counts, plus the unordered triple count when a = b = c. Both come from
+    the exact linear convolution 1_a * 1_c (fourier.set_convolution, at a
+    power of two >= 2N-1) summed over y in b: at 2y for wrap=False
+    (progressions on the integer line), at 2y mod N after folding the
+    convolution mod N for wrap=True (progressions in Z_N).
     """
     if isinstance(a, Measure):
         b = a if b is None else b
@@ -330,18 +334,22 @@ def count_3aps(a, b=None, c=None, N: int | None = None, wrap: bool = True) -> Co
     for T in (Sb, Sc):
         if T.size and (T.min() < 0 or T.max() >= N):
             raise ParameterError(f"set elements must lie in [0, {N})")
-    M = N if wrap else 2 * N + 1
-    fa, fb, fc = (_set_measure(T, M) for T in (S, Sb, Sc))
-    total = int(round(triple_count(fa, fb, fc)))
+    conv = set_convolution(S, Sc, N)
+    if wrap:
+        folded = conv[:N].copy()
+        folded[: N - 1] += conv[N:]
+        total = int(folded[(2 * Sb) % N].sum())
+    else:
+        total = int(conv[2 * Sb].sum())
     common = np.intersect1d(np.intersect1d(S, Sb), Sc)
     trivial = int(common.size)
     nontrivial = total - trivial
     unordered = None
     if np.array_equal(S, Sb) and np.array_equal(S, Sc):
         self_paired = 0
-        if M % 2 == 0:
-            # (x, d=M/2) triples are their own reversal
-            shifted = (S + M // 2) % M
+        if wrap and N % 2 == 0:
+            # (x, d=N/2) triples are their own reversal
+            shifted = (S + N // 2) % N
             self_paired = int(np.intersect1d(S, shifted).size)
         unordered = (nontrivial - self_paired) // 2 + self_paired
     return Count3APs(
@@ -473,7 +481,7 @@ def final_inequality(
     if W is not None:
         gate_ok = eps**k >= 2.0 * loglog_clamped(W) / W
     if bohr is not None:
-        bt = np.fft.fft(bohr.beta().weights)
+        bt = spectrum(bohr.beta())
         R = bohr.R
         if R.size:
             br = bt[R % bohr.N]
@@ -662,8 +670,7 @@ def density_experiment(
         artifacts["mu"] = mu
         artifacts["a"] = a
     try:
-        coeffs = np.fft.fft(a.weights)
-        spec = Spectrum(wt.N, coeffs)
+        spec = dft(a)
         R = spectrum_threshold(spec, delta)
         sup_off, arg_off, ref_off = mu_sup_offzero(mu, W=wt.W)
         report["spectrum"] = {
@@ -706,14 +713,16 @@ def density_experiment(
         }
     except Exception as exc:
         raise StageError("granularize", str(exc)) from exc
+    a1 = sl.a1
+    if artifacts is not None:
+        artifacts["a1"] = a1
     try:
-        a1 = granularize(a, B)
-        if artifacts is not None:
-            artifacts["a1"] = a1
         t_a = count_3aps(a)
+        # a1 is transformed afresh here, not taken from a~ beta~^2, so the
+        # difference residual below stays an independent check
         t_a1 = count_3aps(a1)
-        bt = np.fft.fft(B.beta().weights)
-        at = coeffs
+        bt = spectrum(B.beta())
+        at = spec.coeffs
         idx = (-2 * np.arange(wt.N)) % wt.N
         spectral_diff = float(
             np.sum(at**2 * at[idx] * (1.0 - bt**4 * bt[idx] ** 2)).real / wt.N

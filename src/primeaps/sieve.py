@@ -174,8 +174,19 @@ def ramanujan_sum(q: int, a: int, table: FactorTable | None = None) -> complex:
     """
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")
-    t = np.arange(q, dtype=np.int64)
-    co = t[np.gcd(t, q) == 1] if q > 1 else t
+    # strike the multiples of each prime factor of q (trial division): the
+    # same residues as gcd(t, q) == 1, without a gcd per residue
+    coprime = np.ones(q, dtype=bool)
+    n, p = q, 2
+    while p * p <= n:
+        if n % p == 0:
+            coprime[::p] = False
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        coprime[::n] = False
+    co = np.flatnonzero(coprime)
     return complex(np.sum(e(a * co / q)))
 
 

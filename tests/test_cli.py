@@ -1,12 +1,14 @@
 import csv
 import hashlib
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from primeaps import cli, measures
+from primeaps import cli, measures, sieve
 from primeaps.cli import OUTPUT_DIR_ENV
 
 
@@ -212,3 +214,44 @@ def test_manifest_excludes_output_dir_from_hash(tmp_path):
     man2 = _run(["behrend", "--N", "8"], tmp_path / "elsewhere")
     assert man["deterministic_hash"] == man2["deterministic_hash"]
     assert man["timings"]["wall_seconds"] >= 0.0
+
+
+# --- table sizing and output files ---------------------------------------------
+
+def test_sieve_stats_q_beyond_n(tmp_path):
+    man = _run(["sieve-stats", "--N", "100", "--Q", "1000"], tmp_path)
+    assert man["results"]["pi_N"] == 25
+    table = sieve.build_factor_table(1000)
+    with (tmp_path / "sieve_stats.csv").open() as fh:
+        rows = [r for r in csv.DictReader(fh) if r["series"] == "mertens_product"]
+    assert [(int(r["x"]), float(r["value"])) for r in rows] == [
+        (1000, sieve.mertens_product(1000, 1, table))
+    ]
+
+
+def test_measure_build_default_p_runs(tmp_path):
+    man = _run(["measure-build", "--N", "1000", "--p", "2.5"], tmp_path)
+    assert man["effective"]["K"] == 19
+    assert man["effective"]["table_limit"] >= 2**19
+    assert man["results"]["reconstruction_max_err"] <= 1e-12
+
+
+def test_measure_build_out_of_range_split_writes_nothing(tmp_path, capsys):
+    rc = cli.main(["measure-build", "--N", "1000000", "--Q", "16", "--p", "2.5",
+                   "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "validation"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_files_follow_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        man = _run(["behrend", "--N", "8"], tmp_path)
+    finally:
+        os.umask(old)
+    for name in [o["path"] for o in man["outputs"]] + ["manifest.json"]:
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [o["path"] for o in man["outputs"]] + ["manifest.json"]
+    )

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primeaps.errors import DegenerateInputError, ParameterError, PreconditionError
+from primeaps.errors import (
+    DegenerateInputError,
+    ParameterError,
+    PreconditionError,
+    StageError,
+)
 from primeaps import fourier, measures, sieve
 from primeaps.fourier import Spectrum, TorusGrid
 from primeaps.measures import BASE_ZN, Measure
@@ -93,8 +98,9 @@ def test_tau_matches_direct_mean(theta, N):
 
 
 def test_tau_near_integer_branch():
-    # series branch engages for |e(theta) - 1| < 1e-8
-    for theta in (0.0, 1e-10, -1e-12, 1.0 - 1e-11, 2.0):
+    # no cancellation near integers, where e(theta) - 1 is tiny
+    for theta in (0.0, 1e-10, -1e-12, 1.0 - 1e-11, 2.0, 3.689853781556327e-09,
+                  -2e-8, 1.0 - 3e-9):
         direct = np.mean(np.exp(2j * np.pi * theta * np.arange(1, 501)))
         assert abs(fourier.tau(theta, 500) - direct) < 1e-10
     assert fourier.tau(0.0, 17) == pytest.approx(1.0)
@@ -195,6 +201,89 @@ def test_triple_count_needs_common_N():
     g = Measure(9, np.ones(9))
     with pytest.raises(ParameterError):
         fourier.triple_count(f, g, f)
+
+
+# --- cached spectra and set convolutions -------------------------------------
+
+def _count_ffts(monkeypatch, name="fft"):
+    calls = []
+    original = getattr(np.fft, name)
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_spectrum_is_cached_and_read_only(monkeypatch):
+    rng = np.random.default_rng(12)
+    f = _random_measure(101, rng)
+    calls = _count_ffts(monkeypatch)
+    first = fourier.spectrum(f)
+    assert fourier.spectrum(f) is first
+    assert fourier.dft(f).coeffs is first
+    assert calls == [101]
+    assert np.array_equal(first, np.fft.fft(f.zn_weights()))
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+
+
+def test_triple_count_transforms_a_shared_measure_once(monkeypatch):
+    rng = np.random.default_rng(13)
+    f, g = _random_measure(53, rng), _random_measure(53, rng)
+    calls = _count_ffts(monkeypatch)
+    fourier.triple_count(f, f, f)
+    assert calls == [53]
+    fourier.triple_count(f, g, f)
+    assert calls == [53, 53]
+
+
+def _brute_set_convolution(S, T, N):
+    out = np.zeros(2 * N - 1, dtype=np.int64)
+    for s in S:
+        for t in T:
+            out[s + t] += 1
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 2, 31, 33, 97, 513])
+def test_set_convolution_matches_brute(N):
+    # 31 and 97 are prime; 2N-1 = 65 and 1025 sit just above 64 and 1024
+    rng = np.random.default_rng(N)
+    S, T = (np.flatnonzero(rng.random(N) < 0.4) for _ in range(2))
+    assert np.array_equal(fourier.set_convolution(S, T, N),
+                          _brute_set_convolution(S, T, N))
+    assert np.array_equal(fourier.set_convolution(S, S, N),
+                          _brute_set_convolution(S, S, N))
+
+
+def test_set_convolution_runs_at_a_power_of_two(monkeypatch):
+    calls = _count_ffts(monkeypatch, "rfft")
+    S = np.array([0, 3, 5, 6, 12])
+    fourier.set_convolution(S, S, 513)
+    fourier.set_convolution(S, S[:3], 512)
+    assert calls == [2048, 1024, 1024]
+
+
+def test_set_convolution_integrality_guard(monkeypatch):
+    S = np.array([0, 1, 2, 4])
+    original = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft",
+                        lambda *a, **k: original(*a, **k) + 0.3)
+    with pytest.raises(StageError, match="integer"):
+        fourier.set_convolution(S, S, 8)
+    monkeypatch.setattr(np.fft, "irfft",
+                        lambda *a, **k: original(*a, **k) + 0.2)
+    assert fourier.set_convolution(S, S, 8).tolist() == \
+        _brute_set_convolution(S, S, 8).tolist()
+
+
+def test_set_convolution_needs_positive_N():
+    with pytest.raises(ParameterError):
+        fourier.set_convolution(np.array([], dtype=np.int64),
+                                np.array([], dtype=np.int64), 0)
 
 
 # --- ratio diagnostics -------------------------------------------------------

@@ -323,6 +323,15 @@ def test_zn_embedding_rolls():
     assert g.total == f.total
 
 
+def test_measure_weights_are_a_read_only_copy():
+    w = np.arange(5, dtype=np.float64)
+    f = Measure(5, w)
+    w[0] = 9.0
+    assert f.weights[0] == 0.0
+    with pytest.raises(ValueError):
+        f.weights[0] = 1.0
+
+
 @given(
     weights=st.lists(
         st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=1, max_size=64

@@ -325,6 +325,33 @@ def test_count_3aps_distinct_sets():
     assert c.unordered is None
 
 
+def _brute_line(S, Sb, Sc):
+    return sum(1 for x in S for y in Sb if 2 * y - x in Sc)
+
+
+# 97 is prime; 2N-1 = 65, 129 and 1025 sit just above a power of two
+@pytest.mark.parametrize("N", [97, 33, 65, 513])
+def test_count_3aps_padded_route_matches_brute(N):
+    rng = np.random.default_rng(N)
+    S, Sb, Sc = (
+        set(int(v) for v in rng.choice(N, size=N // 3, replace=False))
+        for _ in range(3)
+    )
+    args = [sorted(S), sorted(Sb), sorted(Sc)]
+    if N <= 100:
+        wrapped = roth.count_3aps(*args, N=N)
+        assert wrapped.total == _brute_wrapped(S, Sb, Sc, N)
+        assert wrapped.nontrivial == wrapped.total - len(S & Sb & Sc)
+        own = roth.count_3aps(sorted(S), N=N)
+        assert own.total == _brute_wrapped(S, S, S, N)
+    line = roth.count_3aps(*args, N=N, wrap=False)
+    assert line.total == _brute_line(S, Sb, Sc)
+    assert line.unordered is None
+    own = roth.count_3aps(sorted(S), N=N, wrap=False)
+    assert own.nontrivial == _brute_line_nontrivial(S)
+    assert own.unordered == own.nontrivial // 2
+
+
 def test_count_3aps_even_modulus_self_paired():
     c = roth.count_3aps({0, 2}, N=4)
     assert (c.total, c.nontrivial, c.unordered) == (4, 2, 2)
@@ -555,3 +582,33 @@ def test_density_experiment_stage_errors(small_table):
     with pytest.raises(StageError) as err:
         roth.density_experiment("unknown-source", 300, small_table)
     assert err.value.stage == "source"
+
+
+def test_density_experiment_transforms(small_table, monkeypatch):
+    # one granularization; prime-length transforms only for a, mu, beta and
+    # a1 (inverse and forward); set counts run at powers of two
+    grans = []
+    original = roth.granularize
+
+    def counted(a, bohr):
+        grans.append(a.N)
+        return original(a, bohr)
+
+    monkeypatch.setattr(roth, "granularize", counted)
+    lengths = []
+    for name in ("fft", "ifft", "rfft"):
+        fn = getattr(np.fft, name)
+
+        def traced(x, *args, fn=fn, **kwargs):
+            lengths.append(len(x))
+            return fn(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, traced)
+    stash = {}
+    rep = roth.density_experiment("random-subset-of-primes", 2000,
+                                  small_table, seed=1, artifacts=stash)
+    N = rep["w_trick"]["N"]
+    assert len(grans) == 1
+    assert lengths.count(N) == 5
+    assert all(n == N or n & (n - 1) == 0 for n in lengths)
+    assert stash["bohr"].beta() is stash["bohr"].beta()
