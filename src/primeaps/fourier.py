@@ -163,10 +163,15 @@ def tau(theta: float, N: int) -> complex:
     if N < 1:
         raise ParameterError(f"N must be >= 1, got {N}")
     v = theta - round(theta)
-    s = math.sin(math.pi * v)
-    if s == 0.0:
+    if v == 0.0:
         return 1.0 + 0.0j
-    ratio = math.sin(math.pi * math.fmod(N * v, 2.0)) / (N * s)
+    if abs(N * v) < 1e-9:
+        # the ratio is 1 - O((N v)^2), which rounds to 1.0; the sines would
+        # be subnormal for tiny v and lose their precision
+        ratio = 1.0
+    else:
+        s = math.sin(math.pi * v)
+        ratio = math.sin(math.pi * math.fmod(N * v, 2.0)) / (N * s)
     return complex(ratio * e(math.fmod((N + 1) * v / 2.0, 1.0)))
 
 
@@ -178,9 +183,11 @@ def fejer(theta: float, N: int) -> float:
     if N < 1:
         raise ParameterError(f"N must be >= 1, got {N}")
     u = dist_to_int(theta)
-    s = math.sin(math.pi * u)
-    if s == 0.0:
+    if N * u < 1e-9:
+        # K_N = N (1 - O((N u)^2)), which rounds to N; for tiny u the sines
+        # lose precision and s * s underflows to 0
         return float(N)
+    s = math.sin(math.pi * u)
     sN = math.sin(math.pi * math.fmod(N * u, 1.0))
     return (sN * sN) / (s * s) / N
 

@@ -11,6 +11,7 @@ every local density of that measure to 0.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -234,15 +235,6 @@ def piece_sup_norms(pieces: list[Measure]) -> list[PieceNorm]:
     return out
 
 
-def _rough_gate_table(limit: int, Q: int, table: sieve.FactorTable) -> np.ndarray:
-    """Boolean gate[v] = 'v is Q-rough' for 0 <= v <= limit (gate[0]=False)."""
-    table.check_range(limit)
-    v = np.arange(limit + 1)
-    spf = table.spf[v]
-    gate = (v == 1) | ((v >= 2) & (spf > Q))
-    return gate
-
-
 def gamma_rq(
     kind: str,
     r: int,
@@ -380,13 +372,26 @@ def sigma_aq_direct_all(
         Q = params.require_Q()
         if Q == 1:
             return np.zeros(q, dtype=complex)
-        gate = _rough_gate_table(m * q, Q, table)
+        table.check_range(m * q)
+        rough = (g == 1) | (table.spf[g] > Q)  # 1 <= g <= m*q
         val = rough_prefactor(Q, m, table) * sieve.mertens_product(Q, m * q, table)
-        gam = np.where(gate[g], val, 0.0)
+        gam = np.where(rough, val, 0.0)
     else:
         raise ParameterError(f"unknown kind {kind!r}")
-    phases = e(np.outer(np.arange(q), r) / q)
-    return phases @ gam
+    return _phase_matrix(q) @ gam
+
+
+@functools.lru_cache(maxsize=64)
+def _phase_matrix(q: int) -> np.ndarray:
+    """The q x q matrix e(a*r/q), read-only.
+
+    a*r is reduced mod q exactly, in integers, so q phases fill all q^2
+    entries. Cached: the direct sums are taken for a few small q at a time.
+    """
+    r = np.arange(q, dtype=np.int64)
+    phases = e(r / q)[np.outer(r, r) % q]
+    phases.setflags(write=False)
+    return phases
 
 
 @dataclass(frozen=True)

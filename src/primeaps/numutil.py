@@ -3,6 +3,7 @@ seeded per-stage random streams."""
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import math
 
@@ -16,9 +17,9 @@ def e(x):
     for arguments much larger than 1.
     """
     if isinstance(x, (int, float)):
-        # x % 1.0 is exactly x - floor(x); skipping the 0-d array round trip
-        # makes scalar calls ~4x cheaper with bit-identical results
-        return complex(np.exp(2j * np.pi * (x % 1.0)))
+        # x % 1.0 is exactly x - floor(x), and cmath.exp matches np.exp on a
+        # scalar bit for bit; skipping numpy makes scalar calls ~4x cheaper
+        return cmath.exp(2j * math.pi * (x % 1.0))
     arr = np.asarray(x, dtype=float)
     frac = arr - np.floor(arr)
     out = np.exp(2j * np.pi * frac)

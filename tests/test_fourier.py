@@ -100,10 +100,12 @@ def test_tau_matches_direct_mean(theta, N):
 def test_tau_near_integer_branch():
     # no cancellation near integers, where e(theta) - 1 is tiny
     for theta in (0.0, 1e-10, -1e-12, 1.0 - 1e-11, 2.0, 3.689853781556327e-09,
-                  -2e-8, 1.0 - 3e-9):
+                  -2e-8, 1.0 - 3e-9, 5e-324, -1e-170, 1e-160, 1e-300):
         direct = np.mean(np.exp(2j * np.pi * theta * np.arange(1, 501)))
         assert abs(fourier.tau(theta, 500) - direct) < 1e-10
     assert fourier.tau(0.0, 17) == pytest.approx(1.0)
+    # subnormal sines once gave tau(5e-324, 4) = 1.083
+    assert abs(fourier.tau(5e-324, 4) - 1.0) < 1e-15
 
 
 def test_fejer_is_normalized_tau_square():
@@ -112,6 +114,9 @@ def test_fejer_is_normalized_tau_square():
         expect = N * abs(fourier.tau(theta, N)) ** 2
         assert fourier.fejer(theta, N) == pytest.approx(expect, rel=1e-9)
     assert fourier.fejer(0.0, 40) == 40.0
+    # tiny theta: s * s once underflowed to 0 and raised ZeroDivisionError
+    for theta in (5e-324, 1e-170, 1e-160, -1e-300):
+        assert fourier.fejer(theta, 4) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_fejer_mean_is_one():
