@@ -39,6 +39,7 @@ from .errors import (
 from .numutil import fsum_real, rng_stream
 
 OUTPUT_DIR_ENV = "PRIMEAPS_OUTPUT_DIR"
+TABLE_BLOCK_ROWS = 1 << 16  # rows formatted per block by Emitter.table
 VALIDATION_ERRORS = (
     ConfigError,
     ParameterError,
@@ -215,19 +216,27 @@ def _clean(obj):
     return obj
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Write to a fresh temporary file, then rename it over path. The file
-    is created with mode 0o666 less the umask, as a plain open() would."""
+def _atomic_write(path: Path, chunks) -> tuple[str, int]:
+    """Write the byte chunks to a fresh temporary file, then rename it over
+    path; returns the sha256 hex digest and the size of what was written.
+    The chunks are hashed as they go, so no whole file is held in memory.
+    The file is created with mode 0o666 less the umask, as open() would."""
+    digest = hashlib.sha256()
+    size = 0
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
+                digest.update(chunk)
+                size += len(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return digest.hexdigest(), size
 
 
 def _fmt(v) -> str:
@@ -238,6 +247,75 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _json_cell(v) -> str:
+    """One table cell as json.dumps writes it at the depth of a row item."""
+    return json.dumps(_clean(v), sort_keys=True, indent=2).replace("\n", "\n      ")
+
+
+def _fast_cells(values: list, finite: bool):
+    """C-level reprs of a block that is all int or all float (and finite
+    when `finite`); None for any other block."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return map(int.__repr__, values)
+    if kinds == {float} and (not finite or all(map(math.isfinite, values))):
+        return map(float.__repr__, values)
+    return None
+
+
+def _blocks(columns: list, n: int):
+    """The columns as lists of Python values, TABLE_BLOCK_ROWS rows at a time."""
+    for lo in range(0, n, TABLE_BLOCK_ROWS):
+        hi = lo + TABLE_BLOCK_ROWS
+        yield [col[lo:hi].tolist() if isinstance(col, np.ndarray) else col[lo:hi]
+               for col in columns]
+
+
+def _csv_text(header: list[str], columns: list, n: int):
+    """The CSV text of a table, one block at a time. Blocks of numbers are
+    joined directly, since a number never needs quoting; any other block
+    goes through csv.writer, cell by cell through _fmt."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    yield buf.getvalue()
+    for block in _blocks(columns, n):
+        cells = [_fast_cells(values, finite=False) for values in block]
+        if None not in cells:
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+            continue
+        buf.seek(0)
+        buf.truncate()
+        writer.writerows(zip(*(map(_fmt, values) if fast is None else fast
+                               for values, fast in zip(block, cells))))
+        yield buf.getvalue()
+
+
+def _json_text(header: list[str], columns: list, n: int):
+    """The text of json.dumps({"columns": header, "rows": rows},
+    sort_keys=True, indent=2) + newline, one block of rows at a time."""
+    head = json.dumps(header, indent=2).replace("\n", "\n  ")
+    if n == 0:
+        yield '{\n  "columns": %s,\n  "rows": []\n}\n' % head
+        return
+    yield '{\n  "columns": %s,\n  "rows": [' % head
+    row = "\n    [\n      " + ",\n      ".join(["%s"] * len(columns)) + "\n    ]"
+    sep = ""
+    for block in _blocks(columns, n):
+        cells = []
+        for values in block:
+            fast = _fast_cells(values, finite=True)
+            cells.append(map(_json_cell, values) if fast is None else fast)
+        yield sep + ",".join(map(row.__mod__, zip(*cells)))
+        sep = ","
+    yield "\n  ]\n}\n"
+
+
+def _transpose(rows, width: int) -> list:
+    """The columns of a few rows; `width` empty columns if there are none."""
+    return list(zip(*rows)) or [()] * width
+
+
 class Emitter:
     """Writes output files atomically and records (path, sha256, bytes)."""
 
@@ -246,55 +324,47 @@ class Emitter:
         self.format = fmt
         self.outputs: list[dict] = []
 
-    def _record(self, name: str, data: bytes) -> None:
-        _atomic_write(self.outdir / name, data)
-        self.outputs.append({
-            "path": name,
-            "sha256": hashlib.sha256(data).hexdigest(),
-            "bytes": len(data),
-        })
+    def _record(self, name: str, chunks) -> None:
+        sha256, size = _atomic_write(self.outdir / name, chunks)
+        self.outputs.append({"path": name, "sha256": sha256, "bytes": size})
 
-    def table(self, stem: str, header: list[str], rows) -> None:
-        """Tabular output in the configured format (csv or json)."""
+    def table(self, stem: str, header: list[str], columns) -> None:
+        """Tabular output in the configured format (csv or json), from
+        equally long columns (numpy arrays, lists or tuples).
+
+        The bytes are those of formatting each row's cells with _fmt and
+        csv.writer, or with _clean and json.dumps(indent=2); the file is
+        formatted and written TABLE_BLOCK_ROWS rows at a time."""
+        columns = list(columns)
+        lengths = {len(c) for c in columns}
+        if len(lengths) > 1:
+            raise ValueError(f"{stem}: columns differ in length {sorted(lengths)}")
+        n = lengths.pop() if lengths else 0
         if self.format == "json":
-            payload = {"columns": header, "rows": [[_clean(v) for v in r] for r in rows]}
-            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-            self._record(stem + ".json", text.encode("utf-8"))
-            return
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-        self._record(stem + ".csv", buf.getvalue().encode("utf-8"))
+            self._record(stem + ".json", map(str.encode, _json_text(header, columns, n)))
+        else:
+            self._record(stem + ".csv", map(str.encode, _csv_text(header, columns, n)))
 
     def json_file(self, stem: str, obj) -> None:
         text = json.dumps(_clean(obj), sort_keys=True, indent=2) + "\n"
-        self._record(stem + ".json", text.encode("utf-8"))
+        self._record(stem + ".json", [text.encode("utf-8")])
 
     def raw(self, name: str, data: bytes) -> None:
-        self._record(name, data)
+        self._record(name, [data])
 
     def measure(self, stem: str, f: measures.Measure) -> None:
-        rows = zip(f.positions().tolist(), f.weights.tolist())
-        self.table(stem, ["index", "weight"], rows)
+        self.table(stem, ["index", "weight"], [f.positions(), f.weights])
 
 
 def emit_plotdata(emitter: Emitter, stem: str, rows) -> None:
     """Long-form (x, series, value) rows, sorted for bit-stable output."""
     ordered = sorted(rows, key=lambda r: (str(r[1]), float(r[0])))
-    emitter.table(stem, ["x", "series", "value"], ordered)
-
-
-def _spectrum_rows(spec: fourier.Spectrum):
-    for r, re_, im_ in fourier.spectrum_to_rows(spec):
-        yield r, re_, im_
+    emitter.table(stem, ["x", "series", "value"], _transpose(ordered, 3))
 
 
 def _scan_profile_rows(result: arcs.ScanResult):
     for row in result.profile:
-        yield (row.theta, row.re, row.im, row.abs, row.arc_kind,
-               "" if row.a is None else row.a, "" if row.q is None else row.q)
+        yield (row.theta, row.re, row.im, row.abs, row.arc_kind, row.a, row.q)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +427,7 @@ def _run_measure_build(cfg: RunConfig, em: Emitter):
         pieces, K = measures.dyadic_pieces(params, table)
         norms = measures.piece_sup_norms(pieces)
         em.table("dyadic_sup_norms", ["j", "sup", "reference"],
-                 [(n.j, n.sup, n.reference) for n in norms])
+                 _transpose([(n.j, n.sup, n.reference) for n in norms], 3))
         recon = np.zeros(N)
         for piece in pieces:
             recon += piece.weights
@@ -393,7 +463,8 @@ def _run_transform_scan(cfg: RunConfig, em: Emitter):
         em.table(
             f"transform_{tag}",
             ["theta", "re", "im", "abs"],
-            [(j / M, vals[j].real, vals[j].imag, mags[j]) for j in idx.tolist()],
+            [[j / M for j in idx.tolist()], vals[idx].real, vals[idx].imag,
+             mags[idx]],
         )
         off = mags.copy()
         off[0] = -1.0
@@ -430,7 +501,7 @@ def _run_arc_scan(cfg: RunConfig, em: Emitter):
         em.table(
             f"arc_scan_Q{Q}",
             ["theta", "re", "im", "abs", "arc_kind", "a", "q"],
-            _scan_profile_rows(scan),
+            _transpose(_scan_profile_rows(scan), 7),
         )
         results[str(Q)] = {
             "sup": scan.sup,
@@ -456,16 +527,18 @@ def _run_majorant(cfg: RunConfig, em: Emitter):
     for N in Ns:
         n_primes = int(table.primes_up_to(N).size)
         rng = rng_stream(cfg.seed, f"majorant-N{N}")
+        den = fourier.majorant_denominator(cfg.p_exponent, N, table, grid)
         ratios = []
         for d in range(cfg.draws):
             signs = rng.integers(0, 2, size=n_primes) * 2 - 1
             ratio = fourier.majorant_ratio(signs.astype(np.float64),
-                                           cfg.p_exponent, N, table, grid)
+                                           cfg.p_exponent, N, table, grid,
+                                           den=den)
             ratios.append(ratio)
             draw_rows.append((N, d, ratio))
         results[str(N)] = {"max_ratio": max(ratios), "draws": cfg.draws}
         sweep_rows.append((N, "max_ratio", max(ratios)))
-    em.table("majorant_draws", ["N", "draw", "ratio"], draw_rows)
+    em.table("majorant_draws", ["N", "draw", "ratio"], _transpose(draw_rows, 3))
     emit_plotdata(em, "majorant_sweep", sweep_rows)
     return {"table_limit": table.limit, "p": cfg.p_exponent}, results
 
@@ -490,7 +563,7 @@ def _run_restriction(cfg: RunConfig, em: Emitter):
             draw_rows.append((N, d, ratios[-1]))
         results[str(N)] = {"max_ratio": max(ratios), "support": support}
         rows.append((N, "max_ratio", max(ratios)))
-    em.table("restriction_draws", ["N", "draw", "ratio"], draw_rows)
+    em.table("restriction_draws", ["N", "draw", "ratio"], _transpose(draw_rows, 3))
     emit_plotdata(em, "restriction_sweep", rows)
     return {"table_limit": table.limit, "p": cfg.p_exponent}, results
 
@@ -511,7 +584,7 @@ def _run_mz_check(cfg: RunConfig, em: Emitter):
             draw_rows.append((N, d, ratios[-1]))
         results[str(N)] = {"max_ratio": max(ratios)}
         rows.append((N, "max_ratio", max(ratios)))
-    em.table("mz_draws", ["N", "draw", "ratio"], draw_rows)
+    em.table("mz_draws", ["N", "draw", "ratio"], _transpose(draw_rows, 3))
     emit_plotdata(em, "mz_sweep", rows)
     return {"p": cfg.p_exponent, "oversample": cfg.oversample}, results
 
@@ -519,23 +592,19 @@ def _run_mz_check(cfg: RunConfig, em: Emitter):
 def _run_roth_pipeline(cfg: RunConfig, em: Emitter):
     n = cfg.N
     W = cfg.W if cfg.W is not None else roth.default_w(n)
-    m = 1
-    for p in sieve.build_factor_table(max(W, 2) + 1).primes().tolist():
-        if p <= max(W, 2):
-            m *= p
-    table = _table_for(4 * n + m + 16)
+    table = _table_for(4 * n + roth.w_modulus(W) + 16)
     artifacts: dict = {}
     report = roth.density_experiment(
         cfg.source, n, table, seed=cfg.seed, delta=cfg.delta, eps=cfg.eps,
         W=cfg.W, constants=cfg.constants, artifacts=artifacts,
     )
     em.json_file("report", report)
-    em.table("set_A0", ["value"], [(v,) for v in artifacts["A0"].tolist()])
-    em.table("set_A", ["value"], [(v,) for v in artifacts["A"].tolist()])
-    em.table("bohr_members", ["value"],
-             [(v,) for v in artifacts["bohr"].members.tolist()])
+    em.table("set_A0", ["value"], [artifacts["A0"]])
+    em.table("set_A", ["value"], [artifacts["A"]])
+    em.table("bohr_members", ["value"], [artifacts["bohr"].members])
+    coeffs = artifacts["spectrum"].coeffs
     em.table("spectrum_a", ["r", "re", "im"],
-             _spectrum_rows(artifacts["spectrum"]))
+             [np.arange(coeffs.size), coeffs.real, coeffs.imag])
     em.measure("measure_mu", artifacts["mu"])
     em.measure("measure_a", artifacts["a"])
     em.measure("granular_a1", artifacts["a1"])
@@ -565,7 +634,7 @@ def _run_behrend(cfg: RunConfig, em: Emitter):
     rows = []
     for N in cfg.N:
         S = roth.behrend_set(N)
-        em.table(f"behrend_N{N}", ["value"], [(v,) for v in S.tolist()])
+        em.table(f"behrend_N{N}", ["value"], [S])
         size = int(S.size)
         fitted_c = -math.log(size / N) / math.sqrt(math.log(N)) if size < N else 0.0
         results[str(N)] = {"size": size, "fitted_c": fitted_c}
@@ -651,7 +720,7 @@ def run(cfg: RunConfig) -> RunManifest:
         timings={"wall_seconds": elapsed},
     )
     data = json.dumps(asdict(manifest), sort_keys=True, indent=2) + "\n"
-    _atomic_write(outdir / "manifest.json", data.encode("utf-8"))
+    _atomic_write(outdir / "manifest.json", [data.encode("utf-8")])
     return manifest
 
 

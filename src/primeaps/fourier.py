@@ -256,15 +256,30 @@ def set_convolution(S: np.ndarray, T: np.ndarray, N: int) -> np.ndarray:
     return rounded.astype(np.int64)
 
 
+def majorant_denominator(p: float, N: int, table: FactorTable, grid: TorusGrid) -> float:
+    """|| sum over primes n <= N of e(n theta) ||_p, the denominator of
+    every majorant_ratio at (p, N, grid)."""
+    if p < 1:
+        raise ParameterError(f"p must be >= 1, got {p}")
+    primes = table.primes_up_to(N)
+    if primes.size == 0:
+        raise DegenerateInputError(f"no primes <= {N}")
+    return _lp_norm_checked(primes, np.ones(primes.size, dtype=np.complex128),
+                            N, p, grid)
+
+
 def majorant_ratio(
     signs: np.ndarray,
     p: float,
     N: int,
     table: FactorTable,
     grid: TorusGrid,
+    den: float | None = None,
 ) -> float:
     """|| sum over primes n <= N of a_n e(n theta) ||_p divided by the same
-    norm with all a_n = 1. Requires |a_n| <= 1 (majorized coefficients)."""
+    norm with all a_n = 1. Requires |a_n| <= 1 (majorized coefficients).
+    `den`, when given, is majorant_denominator(p, N, table, grid), which a
+    caller drawing many coefficient vectors computes once."""
     if p < 1:
         raise ParameterError(f"p must be >= 1, got {p}")
     primes = table.primes_up_to(N)
@@ -278,7 +293,8 @@ def majorant_ratio(
     if float(np.max(np.abs(signs))) > 1.0 + 1e-12:
         raise PreconditionError("majorant coefficients must satisfy |a_n| <= 1")
     num = _lp_norm_checked(primes, signs, N, p, grid)
-    den = _lp_norm_checked(primes, np.ones_like(signs), N, p, grid)
+    if den is None:
+        den = majorant_denominator(p, N, table, grid)
     return num / den
 
 
@@ -310,10 +326,3 @@ def restriction_ratio(
     norm = _lp_norm_checked(lam.positions()[idx], fvals * wsup, lam.N, p, grid)
     return norm * lam.N ** (1.0 / p) / l2
 
-
-def spectrum_to_rows(spec: Spectrum) -> list[tuple[int, float, float]]:
-    """(r, re, im) rows for CSV export."""
-    return [
-        (int(r), float(c.real), float(c.imag))
-        for r, c in enumerate(spec.coeffs)
-    ]

@@ -466,32 +466,60 @@ def brun_truncated(
 # ---------------------------------------------------------------------------
 # serialization
 
-def save_measure_csv(measure: Measure, path) -> None:
-    """Write (index, weight) rows; index is n (base one) or x (base zn)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["index", "weight"])
-        for pos, w in zip(measure.positions(), measure.weights):
-            wr.writerow([int(pos), repr(float(w))])
-
-
 def load_measure_csv(path, signed: bool = False, base: str = BASE_ONE) -> Measure:
-    idx: list[int] = []
-    vals: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        if header[:2] != ["index", "weight"]:
-            raise ParameterError(f"unexpected CSV header {header!r}")
-        for row in rd:
-            idx.append(int(row[0]))
-            vals.append(float(row[1]))
-    N = len(vals)
-    w = np.zeros(N, dtype=np.float64)
+    """Read the (index, weight) CSV that `cli.Emitter.measure` writes.
+
+    N is the number of data rows, and every index of the ambient set (n =
+    1..N in base "one", x = 0..N-1 in base "zn") must appear exactly once.
+    A bad header, a short row, an unparsable number, an index out of range
+    or repeated (so another one is missing), a file that is not UTF-8 CSV,
+    or weights no measure holds (see _checked_measure) raise ParameterError.
+    """
+    if base not in (BASE_ONE, BASE_ZN):
+        raise ParameterError(f"unknown base {base!r}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ParameterError(f"unreadable measure CSV: {exc}") from exc
+    if not rows or rows[0][:2] != ["index", "weight"]:
+        raise ParameterError(f"unexpected CSV header {rows[0] if rows else None!r}")
+    N = len(rows) - 1
     off = 1 if base == BASE_ONE else 0
-    for i, v in zip(idx, vals):
-        w[i - off] = v
-    return Measure(N, w, signed=signed, base=base)
+    w = np.zeros(N, dtype=np.float64)
+    seen = np.zeros(N, dtype=bool)
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) < 2:
+            raise ParameterError(f"line {line}: expected index,weight, got {row!r}")
+        try:
+            i, v = int(row[0]), float(row[1])
+        except ValueError as exc:
+            raise ParameterError(f"line {line}: {exc}") from exc
+        k = i - off
+        if not 0 <= k < N:
+            raise ParameterError(
+                f"line {line}: index {i} outside {off}..{N - 1 + off} for {N} rows"
+            )
+        if seen[k]:
+            raise ParameterError(f"line {line}: index {i} repeats")
+        seen[k] = True
+        w[k] = v
+    # N rows, each index in range and none repeated: every index is present
+    return _checked_measure(N, w, signed, base)
+
+
+def _checked_measure(N: int, w: np.ndarray, signed: bool, base: str) -> Measure:
+    """Measure(N, w) for loaded weights; weights that no measure holds
+    (non-finite, negative when unsigned, or overflowing the total) raise
+    ParameterError."""
+    if not np.all(np.isfinite(w)):
+        raise ParameterError("non-finite weight")
+    if not signed and w.size and float(w.min()) < 0.0:
+        raise ParameterError("negative weight in an unsigned measure")
+    try:
+        return Measure(N, w, signed=signed, base=base)
+    except OverflowError as exc:
+        raise ParameterError(f"weights overflow their total: {exc}") from exc
 
 
 def measure_to_bytes(measure: Measure) -> bytes:
@@ -510,19 +538,24 @@ def save_measure_binary(measure: Measure, path) -> None:
 
 
 def measure_from_bytes(blob: bytes) -> Measure:
+    """Inverse of measure_to_bytes. A wrong magic, a truncated header, a
+    flag byte other than 0 or 1, a payload of the wrong size or weights no
+    measure holds (see _checked_measure) raise ParameterError."""
     head = len(_BINARY_MAGIC) + struct.calcsize("<QBB")
     if blob[: len(_BINARY_MAGIC)] != _BINARY_MAGIC:
         raise ParameterError("not a measure binary file")
+    if len(blob) < head:
+        raise ParameterError(f"truncated header: {len(blob)} of {head} bytes")
     N, signed, base_code = struct.unpack("<QBB", blob[len(_BINARY_MAGIC) : head])
-    w = np.frombuffer(blob[head:], dtype="<f8")
-    if w.size != N:
-        raise ParameterError(f"payload has {w.size} weights, header says {N}")
-    return Measure(
-        int(N),
-        w.astype(np.float64),
-        signed=bool(signed),
-        base=BASE_ONE if base_code == 0 else BASE_ZN,
-    )
+    if signed not in (0, 1) or base_code not in (0, 1):
+        raise ParameterError(
+            f"flag bytes must be 0 or 1, got signed={signed} base={base_code}"
+        )
+    payload = len(blob) - head
+    if payload != 8 * N:
+        raise ParameterError(f"payload has {payload} bytes, header says {N} weights")
+    w = np.frombuffer(blob[head:], dtype="<f8").astype(np.float64)
+    return _checked_measure(int(N), w, bool(signed), BASE_ZN if base_code else BASE_ONE)
 
 
 def load_measure_binary(path) -> Measure:

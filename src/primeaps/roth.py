@@ -62,6 +62,16 @@ def default_w(n: int) -> int:
     return max(1, math.floor(0.25 * math.log(math.log(n))))
 
 
+def w_modulus(W: int) -> int:
+    """m = the product of the primes <= max(W, 2); the W-trick always uses
+    p = 2, so m is even."""
+    m = 1
+    for p in range(2, max(W, 2) + 1):
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            m *= p
+    return m
+
+
 def w_trick(
     A0,
     table: sieve.FactorTable,
@@ -72,8 +82,8 @@ def w_trick(
     """Rescale A0 (a set of primes) into A = ((A0 cap [n]) - b)/m inside
     {1..floor(N/2)} with N the smallest prime in (2n/m, 4n/m].
 
-    m is the product of the primes <= max(W, 2) (the smallest W-trick
-    always uses p=2), b the residue class mod m maximizing the log-weighted
+    m = w_modulus(W) is the product of the primes <= max(W, 2), b the
+    residue class mod m maximizing the log-weighted
     count (ties to the smallest b). alpha is the lambda_{b,m,N} mass of A.
     """
     A0 = np.unique(np.asarray(A0, dtype=np.int64))
@@ -90,10 +100,7 @@ def w_trick(
         W = default_w(n)
     if W < 1:
         raise ParameterError(f"W must be >= 1, got {W}")
-    ps = table.primes_up_to(max(W, 2))
-    m = 1
-    for p in ps:
-        m *= int(p)
+    m = w_modulus(W)
     scores = np.zeros(m, dtype=np.float64)
     np.add.at(scores, A0 % m, np.log(A0))
     bs = np.arange(m)
@@ -310,11 +317,9 @@ def count_3aps(a, b=None, c=None, N: int | None = None, wrap: bool = True) -> Co
 
     Measures: all three on a common Z_N; returns float total (d=0
     included) and nontrivial part. Integer sets in [0, N): exact integer
-    counts, plus the unordered triple count when a = b = c. Both come from
-    the exact linear convolution 1_a * 1_c (fourier.set_convolution, at a
-    power of two >= 2N-1) summed over y in b: at 2y for wrap=False
-    (progressions on the integer line), at 2y mod N after folding the
-    convolution mod N for wrap=True (progressions in Z_N).
+    counts, plus the unordered triple count when a = b = c, from
+    `count_set_3aps`: wrap=True counts progressions in Z_N, wrap=False on
+    the integer line.
     """
     if isinstance(a, Measure):
         b = a if b is None else b
@@ -326,35 +331,39 @@ def count_3aps(a, b=None, c=None, N: int | None = None, wrap: bool = True) -> Co
         return Count3APs(total=total, nontrivial=total - diag, wrapped=True)
     if N is None:
         raise ParameterError("sets need the ambient N")
+    wrapped, line = count_set_3aps(a, b, c, N=N)
+    return wrapped if wrap else line
+
+
+def count_set_3aps(a, b=None, c=None, *, N: int) -> tuple[Count3APs, Count3APs]:
+    """The (Z_N, integer-line) 3AP counts of integer sets in [0, N), both
+    read from one exact linear convolution 1_a * 1_c (fourier.set_convolution,
+    at a power of two >= 2N-1) summed over y in b: at 2y for the line, at
+    2y mod N after folding the convolution mod N for Z_N.
+    """
     S = _int_set(a)
-    if S.size and (S.min() < 0 or S.max() >= N):
-        raise ParameterError(f"set elements must lie in [0, {N})")
     Sb = S if b is None else _int_set(b)
     Sc = S if c is None else _int_set(c)
-    for T in (Sb, Sc):
+    for T in (S, Sb, Sc):
         if T.size and (T.min() < 0 or T.max() >= N):
             raise ParameterError(f"set elements must lie in [0, {N})")
     conv = set_convolution(S, Sc, N)
-    if wrap:
-        folded = conv[:N].copy()
-        folded[: N - 1] += conv[N:]
-        total = int(folded[(2 * Sb) % N].sum())
-    else:
-        total = int(conv[2 * Sb].sum())
-    common = np.intersect1d(np.intersect1d(S, Sb), Sc)
-    trivial = int(common.size)
-    nontrivial = total - trivial
-    unordered = None
-    if np.array_equal(S, Sb) and np.array_equal(S, Sc):
-        self_paired = 0
-        if wrap and N % 2 == 0:
-            # (x, d=N/2) triples are their own reversal
-            shifted = (S + N // 2) % N
-            self_paired = int(np.intersect1d(S, shifted).size)
-        unordered = (nontrivial - self_paired) // 2 + self_paired
-    return Count3APs(
-        total=total, nontrivial=nontrivial, unordered=unordered, wrapped=wrap
-    )
+    folded = conv[:N].copy()
+    folded[: N - 1] += conv[N:]
+    trivial = int(np.intersect1d(np.intersect1d(S, Sb), Sc).size)
+    same = np.array_equal(S, Sb) and np.array_equal(S, Sc)
+    # in Z_N with N even, the (x, d=N/2) triples are their own reversal
+    self_paired = (int(np.intersect1d(S, (S + N // 2) % N).size)
+                   if same and N % 2 == 0 else 0)
+
+    def count(total: int, wrapped: bool, paired: int) -> Count3APs:
+        nontrivial = total - trivial
+        unordered = (nontrivial - paired) // 2 + paired if same else None
+        return Count3APs(total=total, nontrivial=nontrivial,
+                         unordered=unordered, wrapped=wrapped)
+
+    return (count(int(folded[(2 * Sb) % N].sum()), True, self_paired),
+            count(int(conv[2 * Sb].sum()), False, 0))
 
 
 def has_3ap_line(S) -> bool:
@@ -727,8 +736,7 @@ def density_experiment(
         spectral_diff = float(
             np.sum(at**2 * at[idx] * (1.0 - bt**4 * bt[idx] ** 2)).real / wt.N
         )
-        exact_wrapped = count_3aps(wt.A, N=wt.N, wrap=True)
-        exact_line = count_3aps(wt.A, N=wt.N, wrap=False)
+        exact_wrapped, exact_line = count_set_3aps(wt.A, N=wt.N)
         report["counts"] = {
             "triple_a": t_a.total,
             "triple_a_nontrivial": t_a.nontrivial,

@@ -255,3 +255,44 @@ def test_output_files_follow_umask(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [o["path"] for o in man["outputs"]] + ["manifest.json"]
     )
+
+
+def test_roth_pipeline_builds_one_factor_table(tmp_path, monkeypatch):
+    limits = []
+    original = sieve.build_factor_table
+
+    def counted(limit):
+        limits.append(limit)
+        return original(limit)
+
+    monkeypatch.setattr(sieve, "build_factor_table", counted)
+    man = _run(["roth-pipeline", "--N", "2000", "--W", "3"], tmp_path)
+    assert man["effective"]["m"] == 6
+    assert limits == [man["effective"]["table_limit"]] == [4 * 2000 + 6 + 16]
+
+
+def test_majorant_denominator_once_per_N(tmp_path, monkeypatch):
+    from primeaps import fourier
+
+    calls = []
+    original = fourier.majorant_denominator
+
+    def counted(p, N, table, grid):
+        calls.append(N)
+        return original(p, N, table, grid)
+
+    monkeypatch.setattr(fourier, "majorant_denominator", counted)
+    _run(["majorant", "--N", "256,300", "--draws", "4"], tmp_path)
+    assert calls == [256, 300]
+
+
+def test_tables_stream_in_blocks(tmp_path, monkeypatch):
+    # a block of 7 rows splits every table of the pipeline; the bytes
+    # must not depend on the block size
+    args = ["roth-pipeline", "--N", "2000"]
+    want = {fmt: _run(args + ["--format", fmt], tmp_path / f"{fmt}-default")
+            for fmt in ("csv", "json")}
+    monkeypatch.setattr(cli, "TABLE_BLOCK_ROWS", 7)
+    for fmt, man in want.items():
+        got = _run(args + ["--format", fmt], tmp_path / f"{fmt}-7")
+        assert got["outputs"] == man["outputs"]

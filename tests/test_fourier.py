@@ -318,6 +318,21 @@ def test_majorant_ratio_even_exponent_bounded(small_table):
         assert ratio <= 1.0 + 1e-9
 
 
+def test_majorant_denominator_is_bit_identical(small_table):
+    grid = TorusGrid(oversample=2)
+    rng = np.random.default_rng(5)
+    for N, p in ((500, 4.0), (1000, 2.5)):
+        n = small_table.primes_up_to(N).size
+        den = fourier.majorant_denominator(p, N, small_table, grid)
+        for _ in range(3):
+            signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
+            assert (fourier.majorant_ratio(signs, p, N, small_table, grid, den=den)
+                    == fourier.majorant_ratio(signs, p, N, small_table, grid))
+    with pytest.raises(DegenerateInputError):
+        fourier.majorant_denominator(4.0, 1, small_table, grid)
+    with pytest.raises(ParameterError):
+        fourier.majorant_denominator(0.5, 500, small_table, grid)
+
 def test_majorant_ratio_rejects_large_coeffs(small_table):
     n_primes = int(small_table.primes_up_to(100).size)
     bad = np.ones(n_primes)
@@ -342,9 +357,3 @@ def test_restriction_ratio_basic(small_table):
         fourier.restriction_ratio(np.zeros(support, dtype=complex), 2.5, lam,
                                   TorusGrid())
 
-
-def test_spectrum_to_rows():
-    f = Measure(4, np.array([1.0, 0.0, 0.0, 0.0]))
-    rows = fourier.spectrum_to_rows(fourier.dft(f))
-    assert [r[0] for r in rows] == [0, 1, 2, 3]
-    assert all(len(r) == 3 for r in rows)

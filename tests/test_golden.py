@@ -1,8 +1,11 @@
-"""Golden results: the manifest `results` block of each subcommand at one
-small fixed config, compared with the values recorded in golden_results.json.
+"""Golden results: each subcommand at one small fixed config, in csv and in
+json, compared with the values recorded in golden_results.json.
 
-Integers, booleans, strings and None must match exactly; floats to 1e-9
-relative. A change here is a deliberate, documented event: regenerate with
+For every case and format the file records the manifest `results` block,
+the `outputs` list (path, sha256, bytes) and the `deterministic_hash`.
+Results compare integers, booleans, strings and None exactly and floats to
+1e-9 relative; outputs and the hash compare exactly, so every byte written
+is pinned. A change here is a deliberate, documented event: regenerate with
 `PYTHONPATH=src python tests/test_golden.py` and say why in CHANGES.md.
 """
 
@@ -20,6 +23,7 @@ from primeaps import cli
 
 GOLDEN = Path(__file__).with_name("golden_results.json")
 REL_TOL = 1e-9
+FORMATS = ("csv", "json")
 
 CASES = {
     "sieve-stats": ["sieve-stats", "--N", "1000", "--Q", "4,16"],
@@ -38,11 +42,12 @@ CASES = {
 }
 
 
-def _results(args: list[str], outdir: Path) -> dict:
-    rc = cli.main(args + ["--output-dir", str(outdir)])
+def _record(args: list[str], fmt: str, outdir: Path) -> dict:
+    rc = cli.main(args + ["--format", fmt, "--output-dir", str(outdir)])
     if rc != 0:
-        raise RuntimeError(f"{args} exited {rc}")
-    return json.loads((outdir / "manifest.json").read_text())["results"]
+        raise RuntimeError(f"{args} --format {fmt} exited {rc}")
+    man = json.loads((outdir / "manifest.json").read_text())
+    return {key: man[key] for key in ("results", "outputs", "deterministic_hash")}
 
 
 def _compare(got, want, path: str) -> list[str]:
@@ -65,17 +70,34 @@ def _compare(got, want, path: str) -> list[str]:
     return []
 
 
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_results(name, tmp_path, monkeypatch):
+def test_golden_results(name, golden, tmp_path, monkeypatch):
     monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
-    want = json.loads(GOLDEN.read_text())[name]
-    got = _results(CASES[name], tmp_path)
+    want = golden[name]["csv"]["results"]
+    got = _record(CASES[name], "csv", tmp_path)["results"]
     assert _compare(got, want, name) == []
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_outputs(name, fmt, golden, tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    want = golden[name][fmt]
+    got = _record(CASES[name], fmt, tmp_path)
+    assert _compare(got["results"], want["results"], f"{name}/{fmt}") == []
+    assert got["outputs"] == want["outputs"]
+    assert got["deterministic_hash"] == want["deterministic_hash"]
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        golden = {name: _results(args, Path(tmp) / name)
+        golden = {name: {fmt: _record(args, fmt, Path(tmp) / name / fmt)
+                         for fmt in FORMATS}
                   for name, args in sorted(CASES.items())}
     GOLDEN.write_text(json.dumps(golden, sort_keys=True, indent=2) + "\n")
     sys.stdout.write(f"wrote {GOLDEN}\n")

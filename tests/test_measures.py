@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primeaps.errors import ParameterError, PreconditionError, TableRangeError
-from primeaps import measures, sieve
+from primeaps import cli, measures, sieve
 from primeaps.measures import KIND_PRIME, KIND_ROUGH, Measure, MeasureParams
 
 
@@ -346,11 +347,17 @@ def test_measure_total_is_fsum(weights):
 def test_measure_io_roundtrip(tmp_path, small_table):
     params = MeasureParams(b=1, m=2, N=200)
     lam = measures.lambda_measure(params, small_table)
-    csv_path = tmp_path / "m.csv"
-    measures.save_measure_csv(lam, csv_path)
-    back = measures.load_measure_csv(csv_path)
+    em = cli.Emitter(tmp_path, "csv")
+    em.measure("m", lam)
+    back = measures.load_measure_csv(tmp_path / "m.csv")
     assert np.array_equal(back.weights, lam.weights)
     assert back.N == lam.N
+
+    # base zn: the file holds x = 0..N-1
+    zn = lam.as_zn()
+    em.measure("m_zn", zn)
+    back_zn = measures.load_measure_csv(tmp_path / "m_zn.csv", base=measures.BASE_ZN)
+    assert np.array_equal(back_zn.weights, zn.weights)
 
     bin_path = tmp_path / "m.bin"
     measures.save_measure_binary(lam, bin_path)
@@ -363,3 +370,142 @@ def test_measure_io_roundtrip(tmp_path, small_table):
     assert measures.measure_from_bytes(blob).total == lam.total
     with pytest.raises(ParameterError):
         measures.measure_from_bytes(b"nope" + blob)
+
+
+_GOOD_CSV = "index,weight\n1,0.5\n2,0.0\n3,0.25\n"
+
+
+@pytest.mark.parametrize(
+    "text, base",
+    [
+        ("index,weight\n0,0.5\n1,0.0\n2,0.25\n", measures.BASE_ONE),  # 0 in base one
+        ("index,weight\n1,0.5\n2,0.0\n3,0.25\n", measures.BASE_ZN),  # N in base zn
+        ("index,weight\n1,0.5\n1,0.0\n3,0.25\n", measures.BASE_ONE),  # 1 twice
+        ("index,weight\n1,0.5\n3,0.25\n", measures.BASE_ONE),  # 2 missing
+        ("index,weight\n1,0.5\n2\n", measures.BASE_ONE),  # short row
+        ("index,weight\n1,0.5\n\n", measures.BASE_ONE),  # blank row
+        ("index,weight\n1,half\n", measures.BASE_ONE),  # weight does not parse
+        ("index,weight\n1.0,0.5\n", measures.BASE_ONE),  # index does not parse
+        ("index,weight\n1,-0.5\n", measures.BASE_ONE),  # negative, unsigned
+        ("index,weight\n1,inf\n", measures.BASE_ONE),  # non-finite
+        ("index,weight\n1,1e308\n2,1e308\n", measures.BASE_ONE),  # total overflows
+        ("n,w\n1,0.5\n", measures.BASE_ONE),  # header
+        ("", measures.BASE_ONE),  # no header
+        (_GOOD_CSV, "torus"),  # unknown base
+    ],
+)
+def test_load_measure_csv_rejects(tmp_path, text, base):
+    path = tmp_path / "m.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParameterError):
+        measures.load_measure_csv(path, base=base)
+
+
+def test_load_measure_csv_rejects_non_utf8(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"index,weight\n1,\xff\n")
+    with pytest.raises(ParameterError):
+        measures.load_measure_csv(path)
+
+
+def test_load_measure_csv_accepts_any_row_order(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("index,weight\n3,0.25\n1,0.5\n2,-1.0\n", encoding="utf-8")
+    f = measures.load_measure_csv(path, signed=True)
+    assert f.weights.tolist() == [0.5, -1.0, 0.25]
+
+
+def _blob(N=2, signed=0, base=0, weights=(0.5, 0.25)):
+    return (b"PMSR" + struct.pack("<QBB", N, signed, base)
+            + np.asarray(weights, dtype="<f8").tobytes())
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        b"PMSR",  # no header
+        _blob()[:13],  # header cut short
+        _blob(base=2),  # base byte
+        _blob(base=255),
+        _blob(signed=2),  # signed byte
+        _blob(N=3),  # payload shorter than N says
+        _blob()[:-3],  # payload not whole weights
+        _blob(weights=(0.5, -0.25)),  # negative, unsigned
+        _blob(weights=(0.5, float("nan"))),  # non-finite
+    ],
+)
+def test_measure_from_bytes_rejects(blob):
+    with pytest.raises(ParameterError):
+        measures.measure_from_bytes(blob)
+
+
+def test_measure_from_bytes_flags():
+    f = measures.measure_from_bytes(_blob(signed=1, base=1, weights=(0.5, -0.25)))
+    assert f.signed and f.base == measures.BASE_ZN
+    assert f.weights.tolist() == [0.5, -0.25]
+
+
+_csv_token = st.one_of(
+    st.integers(min_value=-3, max_value=8).map(str),
+    st.sampled_from(["0.5", "-1.5", "1e308", "nan", "inf", "", "x", " 2", "1_0",
+                     '"3"', "0x1"]),
+    st.text(max_size=4),
+)
+
+
+# dense rows 1..n in any order; they load in base one when the weights allow
+_csv_dense = st.lists(st.floats(-2, 2, allow_nan=False), max_size=6).flatmap(
+    lambda ws: st.permutations(range(len(ws))).map(
+        lambda perm: [[str(i + 1), repr(ws[i])] for i in perm]
+    )
+)
+
+
+@given(
+    header=st.sampled_from(["index,weight", "index,weight,extra", "weight,index", ""]),
+    rows=st.one_of(st.lists(st.lists(_csv_token, max_size=3), max_size=6), _csv_dense),
+    raw=st.one_of(st.none(), st.binary(max_size=40)),
+    signed=st.booleans(),
+    base=st.sampled_from([measures.BASE_ONE, measures.BASE_ZN]),
+)
+@settings(max_examples=300, deadline=None)
+def test_load_measure_csv_fuzz(tmp_path_factory, header, rows, raw, signed, base):
+    path = tmp_path_factory.mktemp("fuzz") / "m.csv"
+    if raw is None:
+        path.write_text(header + "\n" + "".join(",".join(r) + "\n" for r in rows),
+                        encoding="utf-8")
+    else:
+        path.write_bytes(header.encode() + b"\n" + raw)
+    try:
+        f = measures.load_measure_csv(path, signed=signed, base=base)
+    except ParameterError:
+        return
+    assert isinstance(f, Measure)
+    if raw is None:
+        assert f.N == len(rows)
+    assert np.all(np.isfinite(f.weights))
+
+
+@given(
+    data=st.one_of(
+        st.binary(max_size=40),
+        st.builds(
+            lambda N, s, b, tail: b"PMSR" + struct.pack("<QBB", N, s, b) + tail,
+            st.integers(min_value=0, max_value=4) | st.integers(0, 2**64 - 1),
+            st.integers(0, 255),
+            st.integers(0, 255),
+            st.binary(max_size=40),
+        ),
+        st.builds(lambda b, k: b[:k], st.just(b"PMSR" + bytes(10)),
+                  st.integers(0, 14)),
+    )
+)
+@settings(max_examples=400, deadline=None)
+def test_measure_from_bytes_fuzz(data):
+    try:
+        f = measures.measure_from_bytes(data)
+    except ParameterError:
+        return
+    assert isinstance(f, Measure)
+    assert len(data) == 14 + 8 * f.N
+    assert np.all(np.isfinite(f.weights))

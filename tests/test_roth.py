@@ -88,6 +88,16 @@ def test_w_trick_rejections(small_table):
         roth.w_trick([3, 5], small_table, W=0)
 
 
+def test_w_modulus_is_the_primorial(small_table):
+    for W in range(-2, 40):
+        want = 1
+        for p in small_table.primes_up_to(max(W, 2)).tolist():
+            want *= p
+        assert roth.w_modulus(W) == want
+    assert roth.w_modulus(1) == roth.w_modulus(2) == 2
+    assert roth.w_modulus(7) == 210
+
+
 # --- spectrum thresholding ---------------------------------------------------
 
 def test_spectrum_threshold_uniform():
@@ -352,6 +362,27 @@ def test_count_3aps_padded_route_matches_brute(N):
     assert own.unordered == own.nontrivial // 2
 
 
+
+@pytest.mark.parametrize("N", [8, 31, 64])
+def test_count_set_3aps_reads_both_counts_from_one_convolution(N, monkeypatch):
+    rng = np.random.default_rng(N + 1)
+    S = sorted(set(int(v) for v in rng.choice(N, size=N // 3, replace=False)))
+    calls = []
+    original = roth.set_convolution
+
+    def counted(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(roth, "set_convolution", counted)
+    wrapped, line = roth.count_set_3aps(S, N=N)
+    assert calls == [N]
+    assert wrapped == roth.count_3aps(S, N=N, wrap=True)
+    assert line == roth.count_3aps(S, N=N, wrap=False)
+    assert wrapped.wrapped and not line.wrapped
+    assert wrapped.total == _brute_wrapped(set(S), set(S), set(S), N)
+    assert line.nontrivial == _brute_line_nontrivial(set(S))
+
 def test_count_3aps_even_modulus_self_paired():
     c = roth.count_3aps({0, 2}, N=4)
     assert (c.total, c.nontrivial, c.unordered) == (4, 2, 2)
@@ -611,4 +642,6 @@ def test_density_experiment_transforms(small_table, monkeypatch):
     assert len(grans) == 1
     assert lengths.count(N) == 5
     assert all(n == N or n & (n - 1) == 0 for n in lengths)
+    # one rfft for the source's line count, one for both counts of A
+    assert sum(n != N for n in lengths) == 2
     assert stash["bohr"].beta() is stash["bohr"].beta()
