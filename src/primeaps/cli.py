@@ -49,20 +49,6 @@ VALIDATION_ERRORS = (
     DomainError,
 )
 
-SUBCOMMANDS = (
-    "sieve-stats",
-    "measure-build",
-    "transform-scan",
-    "arc-scan",
-    "majorant",
-    "restriction",
-    "mz-check",
-    "roth-pipeline",
-    "behrend",
-    "varnavides",
-)
-
-
 @dataclass
 class RunConfig:
     subcommand: str
@@ -122,77 +108,60 @@ def _json_dict(text: str) -> dict:
     return obj
 
 
+def _count(text: str) -> int:
+    """An integer >= 1 (an argparse type)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _counts(text: str) -> list[int]:
+    """One or more comma-separated integers, each >= 1 (an argparse type)."""
+    values = [_count(part) for part in text.split(",") if part != ""]
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one integer")
+    return values
+
+
+# argparse keywords of each flag, shared by every subcommand that takes it;
+# the checks on outside input live in the types
+_OPTIONS = {
+    "--N": {"type": _count, "help": "scale"},
+    "--seed": {"type": int},
+    "--output-dir": {},
+    "--format": {"choices": ("csv", "json")},
+    "--b": {"type": int},
+    "--m": {"type": int},
+    "--Q": {"type": _int_list},
+    "--p": {"dest": "p_exponent", "type": float,
+            "help": "exponent p (measure-build: enables the dyadic split)"},
+    "--oversample": {"type": int},
+    "--B-override": {"type": float},
+    "--draws": {"type": _count},
+    "--source": {"choices": roth.SOURCES},
+    "--delta": {"type": float},
+    "--eps": {"type": float},
+    "--W": {"type": int},
+    "--alpha": {"type": float},
+    "--constants": {"type": _json_dict},
+}
+# a subcommand's entry gives each of its flags a default, or one of these
+# keyword sets merged over _OPTIONS
+_REQUIRED = {"required": True}
+_N_LIST = {"required": True, "type": _counts, "help": "scales, comma-separated"}
+_COMMON = {"--seed": 0, "--output-dir": "primeaps-out", "--format": "csv"}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="primeaps", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    def common(sp, n_list=False):
-        if n_list:
-            sp.add_argument("--N", type=_int_list, required=True,
-                            help="scale(s), comma-separated")
-        else:
-            sp.add_argument("--N", type=int, required=True, help="scale")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--output-dir", dest="output_dir", default="primeaps-out")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        return sp
-
-    sp = common(subs.add_parser("sieve-stats"))
-    sp.add_argument("--Q", type=_int_list, default=None)
-
-    sp = common(subs.add_parser("measure-build"))
-    sp.add_argument("--b", type=int, default=1)
-    sp.add_argument("--m", type=int, default=1)
-    sp.add_argument("--Q", type=_int_list, default=None)
-    sp.add_argument("--p", dest="p_exponent", type=float, default=None,
-                    help="restriction exponent; enables the dyadic split")
-
-    sp = common(subs.add_parser("transform-scan"))
-    sp.add_argument("--b", type=int, default=1)
-    sp.add_argument("--m", type=int, default=1)
-    sp.add_argument("--Q", type=_int_list, default=None)
-    sp.add_argument("--p", dest="p_exponent", type=float, default=2.5)
-    sp.add_argument("--oversample", type=int, default=8)
-
-    sp = common(subs.add_parser("arc-scan"))
-    sp.add_argument("--b", type=int, default=1)
-    sp.add_argument("--m", type=int, default=1)
-    sp.add_argument("--Q", type=_int_list, required=True)
-    sp.add_argument("--p", dest="p_exponent", type=float, default=2.5)
-    sp.add_argument("--oversample", type=int, default=4)
-    sp.add_argument("--B-override", dest="B_override", type=float, default=None)
-
-    sp = common(subs.add_parser("majorant"), n_list=True)
-    sp.add_argument("--p", dest="p_exponent", type=float, default=4.0)
-    sp.add_argument("--draws", type=int, default=20)
-    sp.add_argument("--oversample", type=int, default=2)
-
-    sp = common(subs.add_parser("restriction"), n_list=True)
-    sp.add_argument("--b", type=int, default=1)
-    sp.add_argument("--m", type=int, default=1)
-    sp.add_argument("--p", dest="p_exponent", type=float, default=2.5)
-    sp.add_argument("--draws", type=int, default=20)
-    sp.add_argument("--oversample", type=int, default=2)
-
-    sp = common(subs.add_parser("mz-check"), n_list=True)
-    sp.add_argument("--p", dest="p_exponent", type=float, default=2.5)
-    sp.add_argument("--draws", type=int, default=20)
-    sp.add_argument("--oversample", type=int, default=2)
-
-    sp = common(subs.add_parser("roth-pipeline"))
-    sp.add_argument("--source", choices=roth.SOURCES, default="primes")
-    sp.add_argument("--delta", type=float, default=0.1)
-    sp.add_argument("--eps", type=float, default=0.1)
-    sp.add_argument("--W", type=int, default=None)
-    sp.add_argument("--constants", type=_json_dict, default=None)
-
-    common(subs.add_parser("behrend"), n_list=True)
-
-    sp = common(subs.add_parser("varnavides"))
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--constants", type=_json_dict, default=None)
-
+    for name, (_, options) in _COMMANDS.items():
+        sp = subs.add_parser(name)
+        for flag, spec in (options | _COMMON).items():
+            extra = spec if isinstance(spec, dict) else {"default": spec}
+            sp.add_argument(flag, **(_OPTIONS[flag] | extra))
     return parser
 
 
@@ -517,75 +486,75 @@ def _run_arc_scan(cfg: RunConfig, em: Emitter):
     return effective, results
 
 
-def _run_majorant(cfg: RunConfig, em: Emitter):
-    Ns = cfg.N
-    table = _table_for(max(Ns))
-    grid = fourier.TorusGrid(oversample=cfg.oversample)
+def _draw_sweep(cfg: RunConfig, em: Emitter, name: str, setup) -> dict:
+    """cfg.draws random ratios at each N of cfg.N, drawn from the stream
+    rng_stream(cfg.seed, f"{name}-N{N}"). setup(N) returns (draw, extra):
+    draw(rng) gives one ratio, extra the results kept beside max_ratio.
+    Writes {name}_draws and {name}_sweep; returns the results by N."""
     results = {}
     sweep_rows = []
     draw_rows = []
-    for N in Ns:
-        n_primes = int(table.primes_up_to(N).size)
-        rng = rng_stream(cfg.seed, f"majorant-N{N}")
-        den = fourier.majorant_denominator(cfg.p_exponent, N, table, grid)
-        ratios = []
-        for d in range(cfg.draws):
-            signs = rng.integers(0, 2, size=n_primes) * 2 - 1
-            ratio = fourier.majorant_ratio(signs.astype(np.float64),
-                                           cfg.p_exponent, N, table, grid,
-                                           den=den)
-            ratios.append(ratio)
-            draw_rows.append((N, d, ratio))
-        results[str(N)] = {"max_ratio": max(ratios), "draws": cfg.draws}
+    for N in cfg.N:
+        draw, extra = setup(N)
+        rng = rng_stream(cfg.seed, f"{name}-N{N}")
+        ratios = [draw(rng) for _ in range(cfg.draws)]
+        draw_rows.extend((N, d, ratio) for d, ratio in enumerate(ratios))
+        results[str(N)] = {"max_ratio": max(ratios), **extra}
         sweep_rows.append((N, "max_ratio", max(ratios)))
-    em.table("majorant_draws", ["N", "draw", "ratio"], _transpose(draw_rows, 3))
-    emit_plotdata(em, "majorant_sweep", sweep_rows)
+    em.table(f"{name}_draws", ["N", "draw", "ratio"], _transpose(draw_rows, 3))
+    emit_plotdata(em, f"{name}_sweep", sweep_rows)
+    return results
+
+
+def _run_majorant(cfg: RunConfig, em: Emitter):
+    table = _table_for(max(cfg.N))
+    grid = fourier.TorusGrid(oversample=cfg.oversample)
+
+    def setup(N):
+        n_primes = int(table.primes_up_to(N).size)
+        den = fourier.majorant_denominator(cfg.p_exponent, N, table, grid)
+
+        def draw(rng):
+            signs = rng.integers(0, 2, size=n_primes) * 2 - 1
+            return fourier.majorant_ratio(signs.astype(np.float64),
+                                          cfg.p_exponent, N, table, grid,
+                                          den=den)
+
+        return draw, {"draws": cfg.draws}
+
+    results = _draw_sweep(cfg, em, "majorant", setup)
     return {"table_limit": table.limit, "p": cfg.p_exponent}, results
 
 
 def _run_restriction(cfg: RunConfig, em: Emitter):
-    Ns = cfg.N
-    table = _table_for(cfg.m * max(Ns) + cfg.b)
+    table = _table_for(cfg.m * max(cfg.N) + cfg.b)
     grid = fourier.TorusGrid(oversample=cfg.oversample)
-    results = {}
-    rows = []
-    draw_rows = []
-    for N in Ns:
-        params = _measure_params(cfg, N)
-        lam = measures.lambda_measure(params, table)
+
+    def setup(N):
+        lam = measures.lambda_measure(_measure_params(cfg, N), table)
         support = int(np.count_nonzero(lam.weights))
-        rng = rng_stream(cfg.seed, f"restriction-N{N}")
-        ratios = []
-        for d in range(cfg.draws):
+
+        def draw(rng):
             fvals = rng.standard_normal(support) + 1j * rng.standard_normal(support)
-            ratios.append(fourier.restriction_ratio(fvals, cfg.p_exponent,
-                                                    lam, grid))
-            draw_rows.append((N, d, ratios[-1]))
-        results[str(N)] = {"max_ratio": max(ratios), "support": support}
-        rows.append((N, "max_ratio", max(ratios)))
-    em.table("restriction_draws", ["N", "draw", "ratio"], _transpose(draw_rows, 3))
-    emit_plotdata(em, "restriction_sweep", rows)
+            return fourier.restriction_ratio(fvals, cfg.p_exponent, lam, grid)
+
+        return draw, {"support": support}
+
+    results = _draw_sweep(cfg, em, "restriction", setup)
     return {"table_limit": table.limit, "p": cfg.p_exponent}, results
 
 
 def _run_mz_check(cfg: RunConfig, em: Emitter):
-    Ns = cfg.N
     grid = fourier.TorusGrid(oversample=cfg.oversample)
-    results = {}
-    rows = []
-    draw_rows = []
-    for N in Ns:
-        rng = rng_stream(cfg.seed, f"mz-N{N}")
-        ratios = []
-        for d in range(cfg.draws):
-            w = rng.standard_normal(N)
-            f = measures.Measure(N, w, signed=True)
-            ratios.append(fourier.mz_ratio(f, cfg.p_exponent, grid))
-            draw_rows.append((N, d, ratios[-1]))
-        results[str(N)] = {"max_ratio": max(ratios)}
-        rows.append((N, "max_ratio", max(ratios)))
-    em.table("mz_draws", ["N", "draw", "ratio"], _transpose(draw_rows, 3))
-    emit_plotdata(em, "mz_sweep", rows)
+
+    def setup(N):
+        def draw(rng):
+            f = measures.Measure(N, rng.standard_normal(N), signed=True)
+            return fourier.mz_ratio(f, cfg.p_exponent, grid)
+
+        return draw, {}
+
+    results = _draw_sweep(cfg, em, "mz", setup)
     return {"p": cfg.p_exponent, "oversample": cfg.oversample}, results
 
 
@@ -655,18 +624,34 @@ def _run_varnavides(cfg: RunConfig, em: Emitter):
     return {"C1": consts["C1"]}, _clean(results)
 
 
-_HANDLERS = {
-    "sieve-stats": _run_sieve_stats,
-    "measure-build": _run_measure_build,
-    "transform-scan": _run_transform_scan,
-    "arc-scan": _run_arc_scan,
-    "majorant": _run_majorant,
-    "restriction": _run_restriction,
-    "mz-check": _run_mz_check,
-    "roth-pipeline": _run_roth_pipeline,
-    "behrend": _run_behrend,
-    "varnavides": _run_varnavides,
+# subcommand -> (handler, its flags besides _COMMON)
+_COMMANDS = {
+    "sieve-stats": (_run_sieve_stats, {"--N": _REQUIRED, "--Q": None}),
+    "measure-build": (_run_measure_build, {
+        "--N": _REQUIRED, "--b": 1, "--m": 1, "--Q": None, "--p": None}),
+    "transform-scan": (_run_transform_scan, {
+        "--N": _REQUIRED, "--b": 1, "--m": 1, "--Q": None, "--p": 2.5,
+        "--oversample": 8}),
+    "arc-scan": (_run_arc_scan, {
+        "--N": _REQUIRED, "--b": 1, "--m": 1, "--Q": _REQUIRED, "--p": 2.5,
+        "--oversample": 4, "--B-override": None}),
+    "majorant": (_run_majorant, {
+        "--N": _N_LIST, "--p": 4.0, "--draws": 20, "--oversample": 2}),
+    "restriction": (_run_restriction, {
+        "--N": _N_LIST, "--b": 1, "--m": 1, "--p": 2.5, "--draws": 20,
+        "--oversample": 2}),
+    "mz-check": (_run_mz_check, {
+        "--N": _N_LIST, "--p": 2.5, "--draws": 20, "--oversample": 2}),
+    "roth-pipeline": (_run_roth_pipeline, {
+        "--N": _REQUIRED, "--source": "primes", "--delta": 0.1, "--eps": 0.1,
+        "--W": None, "--constants": None}),
+    "behrend": (_run_behrend, {"--N": _N_LIST}),
+    "varnavides": (_run_varnavides, {
+        "--N": _REQUIRED, "--alpha": _REQUIRED, "--constants": None}),
 }
+# run() looks each handler up here at call time, so a wrapper put into this
+# dict (bench/tracing.py installs one per entry) takes effect
+_HANDLERS = {name: handler for name, (handler, _) in _COMMANDS.items()}
 
 
 # ---------------------------------------------------------------------------

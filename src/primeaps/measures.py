@@ -196,16 +196,11 @@ def dyadic_pieces(
     lo = 1
     for j in range(1, K + 1):
         hi = 2**j
-        for p in table.primes_up_to(hi):
-            p = int(p)
-            if p <= lo or m % p == 0:
-                continue
+        ps = table.primes_up_to(hi)
+        ps = ps[(ps > lo) & (m % ps != 0)]
+        for p in ps.tolist():
             inv_mert /= 1.0 - 1.0 / p
-            if p <= cap:
-                r = (-b * pow(m, -1, p)) % p
-                first = r if r >= 1 else p
-                if first <= N:
-                    keep[first::p] = False
+        sieve.strike_divisible(keep, b, m, ps[ps <= cap])
         cur = np.where(keep[1:], inv_mert / N, 0.0)
         pieces.append(Measure(N, cur - prev, signed=True, base=BASE_ONE))
         prev = cur

@@ -13,6 +13,7 @@ Every Z_N transform goes through `fourier`.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -520,10 +521,12 @@ def final_inequality(
 # ---------------------------------------------------------------------------
 # Behrend construction
 
-def _greedy_free(N: int) -> list[int]:
+def _greedy_free(values) -> list[int]:
+    """Keep each value, in the given (ascending) order, that completes no
+    3AP with two values already kept."""
     out: list[int] = []
     forbidden: set[int] = set()
-    for x in range(1, N + 1):
+    for x in values:
         if x in forbidden:
             continue
         for a in out:
@@ -558,7 +561,7 @@ def behrend_set(N: int) -> np.ndarray:
     or the greedy progression-free fallback when that is larger."""
     if N < 8:
         raise ParameterError(f"N must be >= 8, got {N}")
-    best = np.asarray(_greedy_free(N), dtype=np.int64)
+    best = np.asarray(_greedy_free(range(1, N + 1)), dtype=np.int64)
     d = 3
     while d * d <= N:
         dim = 2
@@ -589,17 +592,19 @@ def _build_source(source: str, n: int, table, seed: int, subset_density: float):
         return ps[keep], ps
     if source == "behrend-in-primes":
         idx = behrend_set(int(ps.size))
-        cand = ps[idx - 1]
-        out: list[int] = []
-        forbidden: set[int] = set()
-        for x in cand.tolist():
-            if x in forbidden:
-                continue
-            for a in out:
-                forbidden.add(2 * x - a)
-            out.append(x)
-        return np.asarray(out, dtype=np.int64), ps
+        free = _greedy_free(ps[idx - 1].tolist())
+        return np.asarray(free, dtype=np.int64), ps
     raise ParameterError(f"unknown source {source!r}; pick one of {SOURCES}")
+
+
+@contextlib.contextmanager
+def _stage(name: str):
+    """Retag any failure inside the block as StageError(name), chained to
+    the original exception."""
+    try:
+        yield
+    except Exception as exc:  # noqa: BLE001 - retagged per stage
+        raise StageError(name, str(exc)) from exc
 
 
 def density_experiment(
@@ -616,12 +621,15 @@ def density_experiment(
 ) -> dict:
     """Run the full chain source -> W-trick -> measure -> spectrum -> Bohr
     -> granularize -> counts -> closing bounds and return a plain-JSON
-    report. Deterministic for a fixed seed.
+    report. Deterministic for a fixed seed. A failing stage raises
+    StageError tagged source, w-trick, measure, transform, bohr,
+    granularize, counts or bounds.
 
     Pass a dict as `artifacts` to receive the intermediate arrays (the
     rescaled set, measures, spectrum, Bohr members, granularized measure)
     for export; the report itself stays scalar-only.
     """
+    artifacts = {} if artifacts is None else artifacts
     report: dict = {
         "params": {
             "source": source,
@@ -634,7 +642,7 @@ def density_experiment(
             "subset_density": subset_density,
         }
     }
-    try:
+    with _stage("source"):
         A0, ps = _build_source(source, n, table, seed, subset_density)
         if A0.size == 0:
             raise DegenerateInputError("source selection is empty")
@@ -646,11 +654,8 @@ def density_experiment(
             "line_3aps_nontrivial": int(src_counts.nontrivial),
             "three_ap_free": bool(src_counts.nontrivial == 0),
         }
-    except Exception as exc:  # noqa: BLE001 - retagged per stage
-        raise StageError("source", str(exc)) from exc
-    if artifacts is not None:
         artifacts["A0"] = A0
-    try:
+    with _stage("w-trick"):
         wt = w_trick(A0, table, W=W, n=n, alpha0=report["source"]["alpha0"])
         report["w_trick"] = {
             "b": wt.b,
@@ -661,24 +666,18 @@ def density_experiment(
             "size_A": int(wt.A.size),
             "m_le_logN": wt.m_le_logN,
         }
-    except Exception as exc:
-        raise StageError("w-trick", str(exc)) from exc
-    if artifacts is not None:
         artifacts["A"] = wt.A
         artifacts["w_trick"] = wt
-    try:
+    with _stage("measure"):
         mparams = measures.MeasureParams(b=wt.b, m=wt.m, N=wt.N)
         mu = measures.lambda_measure(mparams, table).as_zn()
         aw = np.zeros(wt.N, dtype=np.float64)
         aw[wt.A % wt.N] = mu.weights[wt.A % wt.N]
         a = Measure(wt.N, aw, signed=False, base=BASE_ZN)
         report["measure"] = {"mass_mu": mu.total, "mass_a": a.total}
-    except Exception as exc:
-        raise StageError("measure", str(exc)) from exc
-    if artifacts is not None:
         artifacts["mu"] = mu
         artifacts["a"] = a
-    try:
+    with _stage("transform"):
         spec = dft(a)
         R = spectrum_threshold(spec, delta)
         sup_off, arg_off, ref_off = mu_sup_offzero(mu, W=wt.W)
@@ -690,12 +689,9 @@ def density_experiment(
             "mu_sup_argmax": arg_off,
             "mu_sup_reference": ref_off,
         }
-    except Exception as exc:
-        raise StageError("transform", str(exc)) from exc
-    if artifacts is not None:
         artifacts["spectrum"] = spec
         artifacts["R"] = R
-    try:
+    with _stage("bohr"):
         B = bohr_set(R, eps, wt.N)
         report["bohr"] = {
             "eps": eps,
@@ -704,11 +700,8 @@ def density_experiment(
             "size_floor": float(eps**B.k * wt.N),
             "size_ok": bool(len(B) >= eps**B.k * wt.N),
         }
-    except Exception as exc:
-        raise StageError("bohr", str(exc)) from exc
-    if artifacts is not None:
         artifacts["bohr"] = B
-    try:
+    with _stage("granularize"):
         sl = setlike_check(a, mu, B, W=wt.W)
         report["setlike"] = {
             "sup_a1": sl.sup_a1,
@@ -720,16 +713,12 @@ def density_experiment(
             "step2_ok": sl.step2_ok,
             "gate_ok": sl.gate_ok,
         }
-    except Exception as exc:
-        raise StageError("granularize", str(exc)) from exc
-    a1 = sl.a1
-    if artifacts is not None:
-        artifacts["a1"] = a1
-    try:
+        artifacts["a1"] = sl.a1
+    with _stage("counts"):
         t_a = count_3aps(a)
         # a1 is transformed afresh here, not taken from a~ beta~^2, so the
         # difference residual below stays an independent check
-        t_a1 = count_3aps(a1)
+        t_a1 = count_3aps(sl.a1)
         bt = spectrum(B.beta())
         at = spec.coeffs
         idx = (-2 * np.arange(wt.N)) % wt.N
@@ -749,9 +738,7 @@ def density_experiment(
             "A_3aps_line_nontrivial": int(exact_line.nontrivial),
             "A_3aps_unordered": int(exact_line.unordered or 0),
         }
-    except Exception as exc:
-        raise StageError("counts", str(exc)) from exc
-    try:
+    with _stage("bounds"):
         consts = report["params"]["constants"]
         vb = varnavides_bound(min(wt.alpha, 1.0), wt.N, C1=consts["C1"])
         fi = final_inequality(
@@ -773,8 +760,6 @@ def density_experiment(
             "bohr_linear_ok": fi.bohr_linear_ok,
             "bohr_cubic_ok": fi.bohr_cubic_ok,
         }
-    except Exception as exc:
-        raise StageError("bounds", str(exc)) from exc
     # the headline density threshold uses 5-fold iterated logs; it is out of
     # numeric range at any computable N and is carried as a formula only
     report["headline"] = {

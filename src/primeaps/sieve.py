@@ -76,6 +76,9 @@ class FactorTable:
         return self._primes
 
     def primes_up_to(self, q: int) -> np.ndarray:
+        """All primes <= q, ascending; q may not exceed the table limit."""
+        if q > self.limit:
+            raise TableRangeError(f"q={q} exceeds table limit {self.limit}")
         ps = self.primes()
         return ps[: np.searchsorted(ps, q, side="right")]
 
@@ -267,13 +270,20 @@ def rough_support(b: int, m: int, N: int, q: int, table: FactorTable) -> Support
         raise TableRangeError(f"need primes up to {cap}, table covers {table.limit}")
     keep = np.ones(N + 1, dtype=bool)
     keep[0] = False
-    for p in table.primes_up_to(cap):
-        p = int(p)
+    strike_divisible(keep, b, m, table.primes_up_to(cap))
+    members = np.flatnonzero(keep).astype(np.int64)
+    return SupportSet(N=N, members=members, kind="q-rough")
+
+
+def strike_divisible(keep: np.ndarray, b: int, m: int, primes) -> None:
+    """Clear keep[n] for every 1 <= n < keep.size with n*m + b divisible by
+    some p in primes; a p dividing m divides no n*m + b (gcd(b, m) = 1) and
+    is skipped. The one marking loop of the Q-rough sieve."""
+    N = keep.size - 1
+    for p in primes.tolist():
         if m % p == 0:
             continue
         r = (-b * pow(m, -1, p)) % p
         first = r if r >= 1 else p
         if first <= N:
             keep[first::p] = False
-    members = np.flatnonzero(keep).astype(np.int64)
-    return SupportSet(N=N, members=members, kind="q-rough")

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -180,6 +181,29 @@ def test_bad_flags_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["majorant", "--N", "256", "--draws", "0"],
+    ["majorant", "--N", "256", "--draws", "-1"],
+    ["restriction", "--N", "300", "--draws", "0"],
+    ["restriction", "--N", "300", "--draws", "-1"],
+    ["mz-check", "--N", "256", "--draws", "0"],
+    ["mz-check", "--N", "256", "--draws", "-1"],
+    ["majorant", "--N", ""],
+    ["behrend", "--N", "100,0"],
+    ["sieve-stats", "--N", "0"],
+], ids=" ".join)
+def test_out_of_range_counts_exit_2(args, tmp_path, capsys):
+    # rejected by the parser, before a handler reaches max([]) or divides
+    # by N, and before the output directory exists
+    out = tmp_path / "out"
+    rc = cli.main(args + ["--output-dir", str(out)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert "--" in err["message"]
+    assert not out.exists()
+
+
 def test_incoherent_params_exit_2(tmp_path, capsys):
     rc = cli.main(["measure-build", "--N", "100", "--b", "2", "--m", "4",
                    "--output-dir", str(tmp_path)])
@@ -296,3 +320,22 @@ def test_tables_stream_in_blocks(tmp_path, monkeypatch):
     for fmt, man in want.items():
         got = _run(args + ["--format", fmt], tmp_path / f"{fmt}-7")
         assert got["outputs"] == man["outputs"]
+
+
+# --- the dispatch the benchmark's tracer wraps ---------------------------------
+
+def test_run_dispatches_through_handlers(tmp_path, monkeypatch):
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert set(subs.choices) == set(cli._HANDLERS)
+    calls = []
+
+    def handler(cfg, em):
+        calls.append(cfg.N)
+        return {}, {"replaced": True}
+
+    monkeypatch.setitem(cli._HANDLERS, "behrend", handler)
+    man = _run(["behrend", "--N", "8"], tmp_path)
+    assert calls == [[8]]
+    assert man["results"] == {"replaced": True}

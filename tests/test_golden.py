@@ -1,5 +1,6 @@
-"""Golden results: each subcommand at one small fixed config, in csv and in
-json, compared with the values recorded in golden_results.json.
+"""Golden results: each subcommand at one small fixed config (roth-pipeline
+at two sources), in csv and in json, compared with the values recorded in
+golden_results.json.
 
 For every case and format the file records the manifest `results` block,
 the `outputs` list (path, sha256, bytes) and the `deterministic_hash`.
@@ -37,6 +38,8 @@ CASES = {
     "mz-check": ["mz-check", "--N", "256,257", "--draws", "3", "--seed", "1"],
     "roth-pipeline": ["roth-pipeline", "--N", "2000", "--source",
                       "random-subset-of-primes", "--seed", "1"],
+    "roth-pipeline-behrend": ["roth-pipeline", "--N", "2000", "--source",
+                              "behrend-in-primes", "--seed", "1"],
     "behrend": ["behrend", "--N", "100"],
     "varnavides": ["varnavides", "--N", "211", "--alpha", "0.9"],
 }

@@ -108,6 +108,16 @@ def test_dyadic_telescopes_exactly(table):
             assert piece.signed
             recon += piece.weights
         assert np.max(np.abs(recon - lam.weights)) <= 1e-12
+        # per level: psi_1 + ... + psi_j is lambda^(2^j), on its support
+        partial = np.zeros(N)
+        for j, piece in enumerate(pieces[:K], start=1):
+            partial += piece.weights
+            Q = 2**j
+            members = sieve.rough_support(b, m, N, Q, table).members
+            assert np.array_equal(np.flatnonzero(partial) + 1, members), (b, m, N, j)
+            lamq = measures.lambda_q_measure(
+                MeasureParams(b=b, m=m, N=N, Q=Q), table)
+            np.testing.assert_allclose(partial, lamq.weights, rtol=1e-12, atol=0)
 
 
 def test_dyadic_needs_table(small_table):

@@ -600,7 +600,7 @@ def test_density_experiment_artifacts(small_table):
     assert stash["a1"].N == stash["w_trick"].N
 
 
-def test_density_experiment_stage_errors(small_table):
+def test_density_experiment_bad_inputs_by_stage(small_table):
     with pytest.raises(StageError) as err:
         roth.density_experiment("primes", 1, small_table)
     assert err.value.stage == "source"
@@ -613,6 +613,37 @@ def test_density_experiment_stage_errors(small_table):
     with pytest.raises(StageError) as err:
         roth.density_experiment("unknown-source", 300, small_table)
     assert err.value.stage == "source"
+
+
+# stage tag, a callee only that stage calls, the artifacts the stage stores
+_STAGES = [
+    ("source", roth, "_build_source", {"A0"}),
+    ("w-trick", roth, "w_trick", {"A", "w_trick"}),
+    ("measure", measures, "lambda_measure", {"mu", "a"}),
+    ("transform", roth, "dft", {"spectrum", "R"}),
+    ("bohr", roth, "bohr_set", {"bohr"}),
+    ("granularize", roth, "setlike_check", {"a1"}),
+    ("counts", roth, "diagonal_cube_sum", set()),
+    ("bounds", roth, "final_inequality", set()),
+]
+
+
+@pytest.mark.parametrize("i", range(len(_STAGES)), ids=[s[0] for s in _STAGES])
+def test_density_experiment_stage_errors(i, small_table, monkeypatch):
+    stage, owner, callee, _ = _STAGES[i]
+    boom = RuntimeError(f"{callee} failed")
+
+    def fail(*args, **kwargs):
+        raise boom
+
+    monkeypatch.setattr(owner, callee, fail)
+    stash = {}
+    with pytest.raises(StageError) as err:
+        roth.density_experiment("primes", 300, small_table, artifacts=stash)
+    assert err.value.stage == stage
+    assert str(err.value) == f"[{stage}] {callee} failed"
+    assert err.value.__cause__ is boom
+    assert set(stash) == set().union(*(s[3] for s in _STAGES[:i]))
 
 
 def test_density_experiment_transforms(small_table, monkeypatch):

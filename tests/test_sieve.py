@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primeaps.errors import ConfigError, ParameterError, PreconditionError, TableRangeError
-from primeaps import sieve
+from primeaps import fourier, sieve
 
 
 def _trial_factorize(n):
@@ -59,6 +59,17 @@ def test_is_prime_matches_oracle(small_table):
 def test_primes_up_to(small_table):
     assert np.array_equal(small_table.primes_up_to(30), _simple_primes(30))
     assert small_table.primes_up_to(1).size == 0
+
+
+def test_primes_up_to_refuses_beyond_table():
+    # primes <= limit in place of primes <= q would feed a wrong count into
+    # the majorant denominator without an error
+    table = sieve.build_factor_table(100)
+    assert table.primes_up_to(100).size == 25
+    with pytest.raises(TableRangeError):
+        table.primes_up_to(1000)
+    with pytest.raises(TableRangeError):
+        fourier.majorant_denominator(4.0, 1000, table, fourier.TorusGrid())
 
 
 def test_check_range(small_table):
