@@ -36,7 +36,7 @@ from .measures import (
     lambda_q_measure,
     sigma_aq,
 )
-from .fourier import Spectrum, TorusGrid, dft, idft, lp_norm_torus, triple_count
+from .fourier import TorusGrid, idft, lp_norm_torus, spectrum, triple_count
 from .arcs import ArcParams, classify, dirichlet_approx, sup_diff_scan
 from .roth import (
     BohrSet,
@@ -72,9 +72,8 @@ __all__ = [
     "dyadic_pieces",
     "gamma_rq",
     "sigma_aq",
-    "Spectrum",
     "TorusGrid",
-    "dft",
+    "spectrum",
     "idft",
     "lp_norm_torus",
     "triple_count",

@@ -21,7 +21,7 @@ import os
 import secrets
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -71,19 +71,6 @@ class RunConfig:
     constants: dict | None = None
 
 
-@dataclass
-class RunManifest:
-    tool: str
-    version: str
-    subcommand: str
-    config: dict
-    effective: dict
-    results: dict
-    outputs: list[dict]
-    deterministic_hash: str = ""
-    timings: dict = field(default_factory=dict)
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of printing usage + SystemExit(2)."""
 
@@ -91,20 +78,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part != ""]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
-
-
 def _json_dict(text: str) -> dict:
+    """A JSON object (an argparse type)."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"constants must be a JSON object: {exc}") from exc
+        raise argparse.ArgumentTypeError(
+            f"constants must be a JSON object: {exc}") from exc
     if not isinstance(obj, dict):
-        raise ConfigError("constants must be a JSON object")
+        raise argparse.ArgumentTypeError("constants must be a JSON object")
     return obj
 
 
@@ -124,6 +106,22 @@ def _counts(text: str) -> list[int]:
     return values
 
 
+def _positive(text: str) -> float:
+    """A float > 0 (an argparse type)."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
+def _open_unit(text: str) -> float:
+    """A float in the open interval (0, 1) (an argparse type)."""
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
+    return value
+
+
 # argparse keywords of each flag, shared by every subcommand that takes it;
 # the checks on outside input live in the types
 _OPTIONS = {
@@ -133,16 +131,16 @@ _OPTIONS = {
     "--format": {"choices": ("csv", "json")},
     "--b": {"type": int},
     "--m": {"type": int},
-    "--Q": {"type": _int_list},
+    "--Q": {"type": _counts},
     "--p": {"dest": "p_exponent", "type": float,
             "help": "exponent p (measure-build: enables the dyadic split)"},
     "--oversample": {"type": int},
     "--B-override": {"type": float},
     "--draws": {"type": _count},
     "--source": {"choices": roth.SOURCES},
-    "--delta": {"type": float},
-    "--eps": {"type": float},
-    "--W": {"type": int},
+    "--delta": {"type": _positive},
+    "--eps": {"type": _open_unit},
+    "--W": {"type": _count},
     "--alpha": {"type": float},
     "--constants": {"type": _json_dict},
 }
@@ -183,6 +181,12 @@ def _clean(obj):
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     return obj
+
+
+def _json_bytes(obj) -> bytes:
+    """The encoding of every JSON file: json.dumps(sort_keys=True,
+    indent=2) of the _clean copy, plus a newline."""
+    return (json.dumps(_clean(obj), sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
 def _atomic_write(path: Path, chunks) -> tuple[str, int]:
@@ -286,15 +290,20 @@ def _transpose(rows, width: int) -> list:
 
 
 class Emitter:
-    """Writes output files atomically and records (path, sha256, bytes)."""
+    """Writes output files atomically into outdir, which the first write
+    creates, and records (path, sha256, bytes) of each output."""
 
     def __init__(self, outdir: Path, fmt: str):
         self.outdir = outdir
         self.format = fmt
         self.outputs: list[dict] = []
 
+    def _write(self, name: str, chunks) -> tuple[str, int]:
+        self.outdir.mkdir(parents=True, exist_ok=True)
+        return _atomic_write(self.outdir / name, chunks)
+
     def _record(self, name: str, chunks) -> None:
-        sha256, size = _atomic_write(self.outdir / name, chunks)
+        sha256, size = self._write(name, chunks)
         self.outputs.append({"path": name, "sha256": sha256, "bytes": size})
 
     def table(self, stem: str, header: list[str], columns) -> None:
@@ -315,8 +324,11 @@ class Emitter:
             self._record(stem + ".csv", map(str.encode, _csv_text(header, columns, n)))
 
     def json_file(self, stem: str, obj) -> None:
-        text = json.dumps(_clean(obj), sort_keys=True, indent=2) + "\n"
-        self._record(stem + ".json", [text.encode("utf-8")])
+        self._record(stem + ".json", [_json_bytes(obj)])
+
+    def manifest(self, obj) -> None:
+        """manifest.json, encoded as json_file does; it is not an output."""
+        self._write("manifest.json", [_json_bytes(obj)])
 
     def raw(self, name: str, data: bytes) -> None:
         self._record(name, [data])
@@ -571,7 +583,7 @@ def _run_roth_pipeline(cfg: RunConfig, em: Emitter):
     em.table("set_A0", ["value"], [artifacts["A0"]])
     em.table("set_A", ["value"], [artifacts["A"]])
     em.table("bohr_members", ["value"], [artifacts["bohr"].members])
-    coeffs = artifacts["spectrum"].coeffs
+    coeffs = artifacts["spectrum"]
     em.table("spectrum_a", ["r", "re", "im"],
              [np.arange(coeffs.size), coeffs.real, coeffs.imag])
     em.measure("measure_mu", artifacts["mu"])
@@ -616,8 +628,6 @@ def _run_behrend(cfg: RunConfig, em: Emitter):
 def _run_varnavides(cfg: RunConfig, em: Emitter):
     consts = dict(roth.DEFAULT_CONSTANTS)
     consts.update(cfg.constants or {})
-    if cfg.alpha is None:
-        raise ConfigError("--alpha is required")
     vb = roth.varnavides_bound(cfg.alpha, cfg.N, C1=consts["C1"])
     results = asdict(vb)
     em.json_file("varnavides", results)
@@ -665,47 +675,33 @@ def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def run(cfg: RunConfig) -> RunManifest:
-    """Execute one experiment; writes outputs and manifest.json."""
+def run(cfg: RunConfig) -> dict:
+    """Execute one experiment; writes its outputs and manifest.json, and
+    returns the manifest."""
     outdir = Path(os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     em = Emitter(outdir, cfg.format)
     t0 = time.perf_counter()
     effective, results = _HANDLERS[cfg.subcommand](cfg, em)
     elapsed = time.perf_counter() - t0
-    effective = _clean(dict(effective, output_dir=str(outdir)))
-    results = _clean(results)
-    base = {
+    config = _clean(asdict(cfg))
+    output_dir = config.pop("output_dir")
+    manifest = {
         "tool": "primeaps",
         "version": __version__,
         "subcommand": cfg.subcommand,
-        "config": _clean(asdict(cfg)),
-        "effective": effective,
-        "results": results,
+        "config": config,
+        "effective": _clean(effective),
+        "results": _clean(results),
         "outputs": em.outputs,
     }
-    # hash covers content, not file locations: identical experiments hash
-    # equal no matter where their outputs land
-    basis = dict(base)
-    basis["config"] = {k: v for k, v in base["config"].items() if k != "output_dir"}
-    basis["effective"] = {
-        k: v for k, v in base["effective"].items() if k != "output_dir"
-    }
-    canon = json.dumps(basis, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canon.encode("utf-8")).hexdigest()
-    manifest = RunManifest(
-        tool="primeaps",
-        version=__version__,
-        subcommand=cfg.subcommand,
-        config=base["config"],
-        effective=effective,
-        results=results,
-        outputs=em.outputs,
-        deterministic_hash=digest,
-        timings={"wall_seconds": elapsed},
-    )
-    data = json.dumps(asdict(manifest), sort_keys=True, indent=2) + "\n"
-    _atomic_write(outdir / "manifest.json", [data.encode("utf-8")])
+    # hashed before the output_dir entries go in: identical experiments
+    # hash equal no matter where their outputs land
+    canon = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+    manifest["deterministic_hash"] = hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    manifest["timings"] = {"wall_seconds": elapsed}
+    config["output_dir"] = output_dir
+    manifest["effective"]["output_dir"] = str(outdir)
+    em.manifest(manifest)
     return manifest
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,20 +53,6 @@ class TorusGrid:
         return self.oversample * N
 
 
-@dataclass
-class Spectrum:
-    """Z_N transform coefficients f~(0..N-1)."""
-
-    N: int
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if self.coeffs.shape != (self.N,):
-            raise ParameterError(
-                f"coeffs must have shape ({self.N},), got {self.coeffs.shape}"
-            )
-
-
 def exp_sum(f: Measure, theta: float) -> complex:
     """f^(theta) = sum over the support of f(n) e(n*theta), compensated."""
     idx = np.flatnonzero(f.weights)
@@ -88,14 +74,9 @@ def spectrum(f: Measure) -> np.ndarray:
     return coeffs
 
 
-def dft(f: Measure) -> Spectrum:
-    """f~(r) = sum_x f(x) e(-rx/N) on Z_N (the {1..N} case is embedded)."""
-    return Spectrum(f.N, spectrum(f))
-
-
-def idft(spec: Spectrum) -> np.ndarray:
-    """Inverse of dft; returns the Z_N weight array."""
-    return np.fft.ifft(spec.coeffs)
+def idft(coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of spectrum: the Z_N weights with transform coeffs."""
+    return np.fft.ifft(coeffs)
 
 
 def wedge_grid(positions: np.ndarray, values: np.ndarray, M: int) -> np.ndarray:

@@ -132,10 +132,10 @@ def lambda_measure(params: MeasureParams, table: sieve.FactorTable) -> Measure:
     """The log-weighted prime measure lambda_{b,m,N}; mass ~ 1."""
     supp = sieve.prime_shifted_support(params.b, params.m, params.N, table)
     w = np.zeros(params.N, dtype=np.float64)
-    if len(supp):
-        vals = params.m * supp.members + params.b
+    if supp.size:
+        vals = params.m * supp + params.b
         phi_m = sieve.euler_phi(params.m, table)
-        w[supp.members - 1] = phi_m * np.log(vals) / (params.m * params.N)
+        w[supp - 1] = phi_m * np.log(vals) / (params.m * params.N)
     return Measure(params.N, w, signed=False, base=BASE_ONE)
 
 
@@ -155,7 +155,7 @@ def lambda_q_measure(params: MeasureParams, table: sieve.FactorTable) -> Measure
         return Measure(params.N, np.zeros(params.N), signed=False, base=BASE_ONE)
     supp = sieve.rough_support(params.b, params.m, params.N, Q, table)
     w = np.zeros(params.N, dtype=np.float64)
-    w[supp.members - 1] = rough_prefactor(Q, params.m, table) / params.N
+    w[supp - 1] = rough_prefactor(Q, params.m, table) / params.N
     return Measure(params.N, w, signed=False, base=BASE_ONE)
 
 
@@ -518,18 +518,14 @@ def _checked_measure(N: int, w: np.ndarray, signed: bool, base: str) -> Measure:
 
 
 def measure_to_bytes(measure: Measure) -> bytes:
-    """Compact form: magic, N (uint64 LE), signed flag, base flag, then the
-    weights as little-endian float64."""
+    """The `PMSR` binary form: magic, N (uint64 LE), signed flag, base
+    flag, then the weights as little-endian float64. The CLI writes these
+    bytes atomically through `cli.Emitter.raw`."""
     base_code = 0 if measure.base == BASE_ONE else 1
     header = _BINARY_MAGIC + struct.pack(
         "<QBB", measure.N, int(measure.signed), base_code
     )
     return header + measure.weights.astype("<f8").tobytes()
-
-
-def save_measure_binary(measure: Measure, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(measure_to_bytes(measure))
 
 
 def measure_from_bytes(blob: bytes) -> Measure:

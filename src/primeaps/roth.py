@@ -26,7 +26,7 @@ from .errors import (
     PreconditionError,
     StageError,
 )
-from .fourier import Spectrum, dft, idft, set_convolution, spectrum, triple_count
+from .fourier import idft, set_convolution, spectrum, triple_count
 from .measures import BASE_ZN, Measure
 from .numutil import fsum_real, loglog_clamped, rng_stream
 
@@ -144,11 +144,12 @@ def w_trick(
 # ---------------------------------------------------------------------------
 # spectrum and Bohr sets
 
-def spectrum_threshold(spec: Spectrum, delta: float) -> np.ndarray:
-    """Frequencies r with |f~(r)| >= delta, ascending."""
+def spectrum_threshold(coeffs: np.ndarray, delta: float) -> np.ndarray:
+    """Frequencies r with |f~(r)| >= delta, ascending, from the
+    coefficients f~(0..N-1) that `spectrum` returns."""
     if not delta > 0:
         raise ParameterError(f"delta must be > 0, got {delta}")
-    return np.flatnonzero(np.abs(spec.coeffs) >= delta).astype(np.int64)
+    return np.flatnonzero(np.abs(coeffs) >= delta).astype(np.int64)
 
 
 @dataclass
@@ -210,7 +211,7 @@ def granularize(a: Measure, bohr: BohrSet) -> Measure:
     if a.N != bohr.N:
         raise ParameterError(f"measure N={a.N} vs Bohr N={bohr.N}")
     fb = spectrum(bohr.beta())
-    out = idft(Spectrum(a.N, spectrum(a) * fb * fb)).real
+    out = idft(spectrum(a) * fb * fb).real
     if not a.signed:
         out = np.maximum(out, 0.0)
     return Measure(a.N, out, signed=a.signed, base=BASE_ZN)
@@ -678,8 +679,8 @@ def density_experiment(
         artifacts["mu"] = mu
         artifacts["a"] = a
     with _stage("transform"):
-        spec = dft(a)
-        R = spectrum_threshold(spec, delta)
+        at = spectrum(a)
+        R = spectrum_threshold(at, delta)
         sup_off, arg_off, ref_off = mu_sup_offzero(mu, W=wt.W)
         report["spectrum"] = {
             "delta": delta,
@@ -689,7 +690,7 @@ def density_experiment(
             "mu_sup_argmax": arg_off,
             "mu_sup_reference": ref_off,
         }
-        artifacts["spectrum"] = spec
+        artifacts["spectrum"] = at
         artifacts["R"] = R
     with _stage("bohr"):
         B = bohr_set(R, eps, wt.N)
@@ -720,7 +721,6 @@ def density_experiment(
         # difference residual below stays an independent check
         t_a1 = count_3aps(sl.a1)
         bt = spectrum(B.beta())
-        at = spec.coeffs
         idx = (-2 * np.arange(wt.N)) % wt.N
         spectral_diff = float(
             np.sum(at**2 * at[idx] * (1.0 - bt**4 * bt[idx] ** 2)).real / wt.N

@@ -199,18 +199,6 @@ def ramanujan_sum(q: int, a: int, table: FactorTable | None = None) -> complex:
     return complex(np.sum(e(a * co / q)))
 
 
-@dataclass
-class SupportSet:
-    """A sorted subset of {1..N} carrying its defining kind."""
-
-    N: int
-    members: np.ndarray
-    kind: str
-
-    def __len__(self) -> int:
-        return int(self.members.size)
-
-
 def check_residue_pair(b: int, m: int) -> None:
     """Validate the (b, m) residue data: m >= 1, b >= 0, gcd(b, m) = 1.
 
@@ -238,8 +226,8 @@ def warn_if_large_modulus(m: int, N: int) -> bool:
     return ok
 
 
-def prime_shifted_support(b: int, m: int, N: int, table: FactorTable) -> SupportSet:
-    """{ n <= N : n*m + b is prime }."""
+def prime_shifted_support(b: int, m: int, N: int, table: FactorTable) -> np.ndarray:
+    """{ n <= N : n*m + b is prime }, as a sorted int64 array."""
     check_residue_pair(b, m)
     if N < 1:
         raise ParameterError(f"N must be >= 1, got {N}")
@@ -249,12 +237,12 @@ def prime_shifted_support(b: int, m: int, N: int, table: FactorTable) -> Support
         raise TableRangeError(
             f"need primality up to {int(values[-1])}, table covers {table.limit}"
         )
-    members = np.flatnonzero(table.is_prime(values)).astype(np.int64) + 1
-    return SupportSet(N=N, members=members, kind="prime-shifted")
+    return np.flatnonzero(table.is_prime(values)).astype(np.int64) + 1
 
 
-def rough_support(b: int, m: int, N: int, q: int, table: FactorTable) -> SupportSet:
-    """{ n <= N : every prime factor of n*m + b exceeds q }.
+def rough_support(b: int, m: int, N: int, q: int, table: FactorTable) -> np.ndarray:
+    """{ n <= N : every prime factor of n*m + b exceeds q }, as a sorted
+    int64 array.
 
     q=1 keeps all of {1..N} (no primes <= 1). Only primes up to
     min(q, m*N + b) can divide any n*m + b, so marking stops there.
@@ -271,8 +259,7 @@ def rough_support(b: int, m: int, N: int, q: int, table: FactorTable) -> Support
     keep = np.ones(N + 1, dtype=bool)
     keep[0] = False
     strike_divisible(keep, b, m, table.primes_up_to(cap))
-    members = np.flatnonzero(keep).astype(np.int64)
-    return SupportSet(N=N, members=members, kind="q-rough")
+    return np.flatnonzero(keep).astype(np.int64)
 
 
 def strike_divisible(keep: np.ndarray, b: int, m: int, primes) -> None:

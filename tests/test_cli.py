@@ -191,16 +191,51 @@ def test_bad_flags_exit_2(tmp_path, capsys):
     ["majorant", "--N", ""],
     ["behrend", "--N", "100,0"],
     ["sieve-stats", "--N", "0"],
+    ["arc-scan", "--N", "100", "--Q", ""],
+    ["measure-build", "--N", "100", "--Q", "0"],
+    ["roth-pipeline", "--N", "300", "--W", "0"],
+    ["roth-pipeline", "--N", "300", "--delta", "0"],
+    ["roth-pipeline", "--N", "300", "--eps", "1.5"],
 ], ids=" ".join)
 def test_out_of_range_counts_exit_2(args, tmp_path, capsys):
-    # rejected by the parser, before a handler reaches max([]) or divides
-    # by N, and before the output directory exists
+    # rejected by the parser, before a handler reaches max([]), divides by
+    # N or runs a pipeline stage, and before the output directory exists
     out = tmp_path / "out"
     rc = cli.main(args + ["--output-dir", str(out)])
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "validation"
     assert "--" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1]", "argument --constants: constants must be a JSON object"),
+    ("{1", "argument --constants: constants must be a JSON object: Expecting"),
+], ids=["not-an-object", "unparsable"])
+def test_constants_must_be_a_json_object(text, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli.main(["varnavides", "--N", "211", "--alpha", "0.5",
+                   "--constants", text, "--output-dir", str(out)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    assert err["message"].startswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["roth-pipeline", "--N", "2"],
+    ["transform-scan", "--N", "100", "--oversample", "1"],
+    ["measure-build", "--N", "100", "--b", "2", "--m", "4"],
+], ids=" ".join)
+def test_handler_rejection_leaves_no_output_dir(args, tmp_path, capsys):
+    # these pass the parser and fail inside their handler, before the
+    # first write, which is what creates the output directory
+    out = tmp_path / "out"
+    rc = cli.main(args + ["--output-dir", str(out)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "validation"
     assert not out.exists()
 
 
@@ -213,8 +248,14 @@ def test_incoherent_params_exit_2(tmp_path, capsys):
     assert err["type"] == "PreconditionError"
 
 
-def test_stage_error_exit_3(tmp_path, capsys):
-    rc = cli.main(["roth-pipeline", "--N", "300", "--delta", "0",
+def test_stage_error_exit_3(tmp_path, capsys, monkeypatch):
+    from primeaps import roth
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("spectrum_threshold failed")
+
+    monkeypatch.setattr(roth, "spectrum_threshold", fail)
+    rc = cli.main(["roth-pipeline", "--N", "300",
                    "--output-dir", str(tmp_path)])
     assert rc == 3
     err = json.loads(capsys.readouterr().err)

@@ -190,8 +190,8 @@ def test_prime_shifted_support_brute(small_table):
     oracle = set(_simple_primes(20_000).tolist())
     sup = sieve.prime_shifted_support(1, 2, 500, small_table)
     expect = [n for n in range(1, 501) if 2 * n + 1 in oracle]
-    assert sup.members.tolist() == expect
-    assert sup.kind == "prime-shifted"
+    assert sup.tolist() == expect
+    assert sup.dtype == np.int64
     assert len(sup) == len(expect)
 
 
@@ -210,5 +210,5 @@ def test_rough_support_brute(small_table):
             fac = [p for p, _ in _trial_factorize(v)] if v > 1 else []
             if all(p > q for p in fac):
                 expect.append(n)
-        assert sup.members.tolist() == expect, (b, m, q)
-        assert sup.kind == "q-rough"
+        assert sup.tolist() == expect, (b, m, q)
+        assert sup.dtype == np.int64
