@@ -12,7 +12,16 @@ pipeline that reuses a, mu or beta pays one length-N FFT for each. Counts
 on integer sets never transform at the (often prime) length N:
 `set_convolution` forms the linear convolution at a power of two >= 2N-1,
 from which both the line count and the Z_N count (after folding mod N) are
-read. The torus-grid path (`wedge_grid` and the L^p ladders) is separate.
+read.
+
+The torus-grid path is separate. `wedge_grid` evaluates f^ on the grid j/M
+with one length-M transform. The L^p norms come from one ladder,
+`_lp_norm_checked`, that never evaluates a grid twice: the first level,
+M = oversample * N, is one transform (an rfft for real coefficients, whose
+grid is Hermitian), and each doubling keeps the sum of |f^|^p over the M
+grid as the even samples of the 2M grid and adds the odd ones with one
+length-M transform of twisted coefficients. At even integer p the M-point
+rule is exact once M > (p/2) * span, and the ladder stops there.
 """
 
 from __future__ import annotations
@@ -79,14 +88,20 @@ def idft(coeffs: np.ndarray) -> np.ndarray:
     return np.fft.ifft(coeffs)
 
 
+def _scatter(positions: np.ndarray, values: np.ndarray, M: int) -> np.ndarray:
+    """The length-M coefficient array holding values at positions mod M."""
+    pad = np.zeros(M, dtype=values.dtype)
+    pad[positions % M] = values
+    return pad
+
+
 def wedge_grid(positions: np.ndarray, values: np.ndarray, M: int) -> np.ndarray:
     """Evaluate sum_n v_n e(n * j/M) for j = 0..M-1 via one length-M FFT.
 
     positions must be distinct mod M (true whenever they span fewer than M
     consecutive integers).
     """
-    pad = np.zeros(M, dtype=np.complex128)
-    pad[np.asarray(positions) % M] = values
+    pad = _scatter(np.asarray(positions), np.asarray(values, dtype=np.complex128), M)
     return M * np.fft.ifft(pad)
 
 
@@ -95,22 +110,55 @@ def measure_wedge_grid(f: Measure, M: int) -> np.ndarray:
     return wedge_grid(f.positions()[idx], f.weights[idx], M)
 
 
-def _lp_from_grid(positions, values, N: int, p: float, oversample: int) -> float:
-    vals = wedge_grid(positions, values, oversample * N)
-    return float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
+def _power_sum(pad: np.ndarray, p: float) -> float:
+    """sum over j = 0..M-1 of |sum_n pad_n e(nj/M)|^p, with M = len(pad).
+
+    Over a full period the sign of the phase only permutes j, so one forward
+    transform serves. A real pad has a Hermitian transform: its rfft holds
+    bins 0..M//2, and every bin but 0 and (for even M) M/2 stands for two.
+    """
+    real = not np.iscomplexobj(pad)
+    mags = np.abs(np.fft.rfft(pad) if real else np.fft.fft(pad))
+    mags **= p
+    if not real:
+        return float(np.sum(mags))
+    total = 2.0 * np.sum(mags) - mags[0]
+    if pad.size % 2 == 0:
+        total -= mags[-1]
+    return float(total)
 
 
 def _lp_norm_checked(positions, values, N, p, grid: TorusGrid) -> float:
-    """Torus L^p norm with the grid-doubling self-consistency ladder.
+    """Torus L^p norm (mean of |f^|^p over the grid j/M, to the power 1/p)
+    with the grid-doubling self-consistency ladder.
 
-    Doubles the oversample until two consecutive grids agree to 0.1%; if
-    the pair at oversample 16 still disagrees, a GridConvergenceWarning is
-    issued and the finest value returned.
+    The first level, M = oversample * N, takes one transform (an rfft when
+    the values are real). Each doubling keeps the sum of |f^|^p over the
+    M grid as the even samples of the 2M grid and adds only the odd ones,
+    f^((2j+1)/2M) = sum_n v_n e(n/2M) e(nj/M): one length-M transform of
+    the twisted values. The ladder doubles until two consecutive levels
+    agree to 0.1%; if the pair at oversample 16 still disagrees, a
+    GridConvergenceWarning is issued and the finer value returned.
+
+    For even integer p, |f^|^p is a trigonometric polynomial of degree at
+    most (p/2) * span, span = max - min of the positions, so the M-point
+    rule is exact once M > (p/2) * span: that level is returned without
+    doubling, and no warning can arise.
     """
+    positions = np.asarray(positions, dtype=np.int64)
+    values = np.asarray(values)
+    if np.iscomplexobj(values) and not np.any(values.imag):
+        values = values.real
+    span = int(np.ptp(positions)) if positions.size else 0
+    even = p % 2 == 0
     o = grid.oversample
-    cur = _lp_from_grid(positions, values, N, p, o)
-    while True:
-        nxt = _lp_from_grid(positions, values, N, p, 2 * o)
+    total = _power_sum(_scatter(positions, values, o * N), p)
+    cur = (total / (o * N)) ** (1.0 / p)
+    while not (even and o * N > p / 2 * span):
+        M = o * N
+        twisted = values * e(positions / (2 * M))  # the odd samples of 2M
+        total += _power_sum(_scatter(positions, twisted, M), p)
+        nxt = (total / (2 * M)) ** (1.0 / p)
         scale = max(abs(nxt), 1e-300)
         if abs(cur - nxt) / scale < REL_CONSISTENCY:
             return nxt
@@ -124,6 +172,7 @@ def _lp_norm_checked(positions, values, N, p, grid: TorusGrid) -> float:
             return nxt
         o *= 2
         cur = nxt
+    return cur
 
 
 def lp_norm_torus(f: Measure, p: float, grid: TorusGrid) -> float:

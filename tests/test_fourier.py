@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from primeaps.errors import (
     DegenerateInputError,
+    GridConvergenceWarning,
     ParameterError,
     PreconditionError,
     StageError,
@@ -161,6 +163,202 @@ def test_lp_norm_noninteger_p_stable():
     a = fourier.lp_norm_torus(f, 2.5, TorusGrid(oversample=2))
     b = fourier.lp_norm_torus(f, 2.5, TorusGrid(oversample=8))
     assert a == pytest.approx(b, rel=2e-3)
+
+
+# --- the L^p grid ladder against the two-grid ladder it replaced ---------
+#
+# The oracle is the earlier ladder, copied here so that it cannot move with
+# the program: each level evaluates the whole grid at oversample o and 2o
+# from scratch with a complex ifft, and the finer value of the first pair
+# that agrees to 0.1% is returned (the pair at oversample 16 at the latest).
+# It also returns the oversample of that finer grid.
+
+def _oracle_grid_lp(positions, values, N, p, oversample):
+    M = oversample * N
+    pad = np.zeros(M, dtype=np.complex128)
+    pad[np.asarray(positions) % M] = values
+    vals = M * np.fft.ifft(pad)
+    return float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
+
+
+def _oracle_ladder(positions, values, N, p, oversample):
+    o = oversample
+    cur = _oracle_grid_lp(positions, values, N, p, o)
+    while True:
+        nxt = _oracle_grid_lp(positions, values, N, p, 2 * o)
+        scale = max(abs(nxt), 1e-300)
+        if abs(cur - nxt) / scale < 1e-3 or o >= 16:
+            return nxt, 2 * o
+        o *= 2
+        cur = nxt
+
+
+def _counted(run):
+    """run() and the transforms it took, as (name, length) pairs."""
+    calls = []
+    originals = {name: getattr(np.fft, name) for name in ("fft", "rfft", "ifft")}
+
+    def counted(name):
+        def transform(a, *args, **kwargs):
+            calls.append((name, len(a)))
+            return originals[name](a, *args, **kwargs)
+        return transform
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in originals:
+            mp.setattr(np.fft, name, counted(name))
+        value = run()
+    return value, calls
+
+
+def _ladder(f, p, oversample):
+    """lp_norm_torus(f, p) and the transforms it took."""
+    return _counted(lambda: fourier.lp_norm_torus(
+        f, p, TorusGrid(oversample=oversample)))
+
+
+def _stop_oversample(calls, N):
+    # the first level is one transform at M = oversample * N; each doubling
+    # adds one transform at the length of the grid it doubles
+    if len(calls) == 1:
+        return calls[0][1] // N
+    return 2 * calls[-1][1] // N
+
+
+@pytest.mark.parametrize("oversample", [2, 4, 16])
+@pytest.mark.parametrize("p", [1.0, 2.5, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_lp_ladder_matches_two_grid_oracle(kind, p, oversample):
+    rng = np.random.default_rng(21)
+    N = 101
+    w = rng.standard_normal(N)
+    if kind == "complex":
+        w = w + 1j * rng.standard_normal(N)
+    positions = np.arange(1, N + 1)
+    want, _ = _oracle_ladder(positions, w, N, p, oversample)
+    got = fourier._lp_norm_checked(positions, w, N, p,
+                                   TorusGrid(oversample=oversample))
+    assert got == pytest.approx(want, rel=1e-12)
+    if kind == "real":
+        assert fourier.lp_norm_torus(Measure(N, w, signed=True), p,
+                                     TorusGrid(oversample=oversample)) == \
+            pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("phase", [1.0, (1.0 + 1.0j) / math.sqrt(2.0)])
+def test_lp_ladder_escalates_like_the_oracle(phase):
+    # |f^| has kinks at its zeros, so at p = 1 the grid sums converge
+    # slowly: the oracle stops at oversample 16, three doublings past 2
+    N = 7
+    positions = np.arange(1, N + 1)
+    w = np.array([1.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0]) * phase
+    want, stop = _oracle_ladder(positions, w, N, 1.0, 2)
+    assert stop == 16
+    got, calls = _counted(lambda: fourier._lp_norm_checked(
+        positions, w, N, 1.0, TorusGrid(oversample=2)))
+    first = "rfft" if phase == 1.0 else "fft"
+    assert calls == [(first, 14), ("fft", 14), ("fft", 28), ("fft", 56)]
+    assert _stop_oversample(calls, N) == stop
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_lp_ladder_warns_when_still_inconsistent_at_the_cap():
+    # the Dirichlet kernel at p = 1: oversamples 16 and 32 differ by 0.12%
+    N = 8
+    f = Measure(N, np.ones(N))
+    want, stop = _oracle_ladder(f.positions(), np.ones(N), N, 1.0, 2)
+    assert stop == 32
+    with pytest.warns(GridConvergenceWarning, match="oversample 16"):
+        got, calls = _ladder(f, 1.0, 2)
+    assert got == pytest.approx(want, rel=1e-12)
+    assert _stop_oversample(calls, N) == stop
+
+
+@pytest.mark.parametrize("p, oversample", [(2.0, 2), (4.0, 2), (6.0, 4)])
+def test_even_p_inside_the_exact_bound_takes_one_transform(p, oversample):
+    rng = np.random.default_rng(22)
+    N = 300
+    f = _random_measure(N, rng)
+    want, _ = _oracle_ladder(f.positions(), f.weights, N, p, oversample)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", GridConvergenceWarning)
+        got, calls = _ladder(f, p, oversample)
+    assert calls == [("rfft", oversample * N)]
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_even_p_outside_the_exact_bound_doubles_once():
+    # p = 6 at oversample 2: 2N <= 3 * span, so the first level is not
+    # exact; 4N > 3 * span makes the doubled level exact, and it is returned
+    rng = np.random.default_rng(23)
+    N = 300
+    f = _random_measure(N, rng)
+    got, calls = _ladder(f, 6.0, 2)
+    assert calls == [("rfft", 2 * N), ("fft", 2 * N)]
+    want, _ = _oracle_ladder(f.positions(), f.weights, N, 6.0, 4)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_even_p_at_the_exact_bound_is_not_exact():
+    # f^ = 1 + e(5 theta): |f^|^4 has frequencies up to 10 = (p/2) * span,
+    # which the 10-point rule aliases onto 0 (it gives 8, not the quadruple
+    # count 6); the doubled level is exact and is returned
+    positions = np.array([0, 5])
+    got, calls = _counted(lambda: fourier._lp_norm_checked(
+        positions, np.ones(2), 5, 4.0, TorusGrid(oversample=2)))
+    assert calls == [("rfft", 10), ("fft", 10)]
+    assert got ** 4 == pytest.approx(6.0, rel=1e-12)
+
+
+def test_majorant_takes_one_real_transform_per_ratio(small_table):
+    # the signs arrive as complex with zero imaginary part; the grid of real
+    # coefficients is Hermitian, so the first level is one rfft, and at
+    # p = 4 and 2N > 2 * span it is exact
+    N = 2000
+    grid = TorusGrid(oversample=2)
+    n = small_table.primes_up_to(N).size
+    signs = np.random.default_rng(24).integers(0, 2, size=n) * 2.0 - 1.0
+    den, calls = _counted(lambda: fourier.majorant_denominator(
+        4.0, N, small_table, grid))
+    assert calls == [("rfft", 2 * N)]
+    _, calls = _counted(lambda: fourier.majorant_ratio(
+        signs, 4.0, N, small_table, grid, den=den))
+    assert calls == [("rfft", 2 * N)]
+
+
+def _quadruple_count(positions, signs):
+    """sum_k c_k^2 for c the integer autoconvolution of the signs, which is
+    ||sum_n s_n e(n theta)||_4^4 exactly, as a Python int."""
+    P = 1 << (2 * int(positions.max()) + 1).bit_length()
+    pad = np.zeros(P)
+    pad[positions] = signs
+    F = np.fft.rfft(pad)
+    c = np.rint(np.fft.irfft(F * F, P)).astype(np.int64)
+    return sum(int(x) * int(x) for x in c.tolist())
+
+
+@pytest.mark.parametrize("N, oversample, drop_two", [
+    (1000, 2, False),
+    (1999, 3, False),  # odd grid length 3 * 1999: no Nyquist bin
+    (4096, 2, True),   # primes from 3 on: the span is even
+    (10007, 4, False),
+])
+def test_l4_norm_is_the_exact_quadruple_count(small_table, N, oversample,
+                                              drop_two):
+    primes = small_table.primes_up_to(N)
+    if drop_two:
+        primes = primes[1:]
+    span = int(primes[-1] - primes[0])
+    assert span % 2 == (0 if drop_two else 1)
+    rng = np.random.default_rng(N)
+    signs = (rng.integers(0, 2, size=primes.size) * 2 - 1).astype(np.float64)
+    w = np.zeros(N)
+    w[primes - 1] = signs
+    f = Measure(N, w, signed=True)
+    got, calls = _ladder(f, 4.0, oversample)
+    assert len(calls) == 1
+    want = _quadruple_count(primes, signs)
+    assert got ** 4 == pytest.approx(want, rel=1e-12)
 
 
 # --- trilinear form ----------------------------------------------------------
