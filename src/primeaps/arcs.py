@@ -47,10 +47,12 @@ class ArcParams:
     def __post_init__(self) -> None:
         if self.N < 3:
             raise ParameterError(f"N must be >= 3, got {self.N}")
-        if not self.p_exponent > 2:
-            raise ParameterError(f"p_exponent must be > 2, got {self.p_exponent}")
-        if self.b_override is not None and self.b_override <= 0:
-            raise ParameterError(f"b_override must be > 0, got {self.b_override}")
+        if not 2 < self.p_exponent < math.inf:
+            raise ParameterError(
+                f"p_exponent must lie in (2, inf), got {self.p_exponent}")
+        if self.b_override is not None and not 0 < self.b_override < math.inf:
+            raise ParameterError(
+                f"b_override must lie in (0, inf), got {self.b_override}")
 
     @property
     def A(self) -> float:
@@ -156,30 +158,33 @@ def major_prediction(
     return sig / q * tau(theta - a / q, mparams.N)
 
 
-@dataclass(frozen=True)
-class ProfileRow:
-    theta: float
-    re: float
-    im: float
-    abs: float
-    arc_kind: str
-    a: int
-    q: int
+def profile_indices(mags: np.ndarray, points: int) -> np.ndarray:
+    """The grid indices a profile samples: every max(1, M // points)-th of
+    the M = len(mags) indices, plus the argmax of mags when the stride
+    misses it, in ascending order."""
+    if points < 1:
+        raise ParameterError(f"points must be >= 1, got {points}")
+    stride = max(1, mags.size // points)
+    idx = np.arange(0, mags.size, stride, dtype=np.int64)
+    j_star = int(np.argmax(mags))
+    if j_star % stride:
+        idx = np.insert(idx, j_star // stride + 1, j_star)
+    return idx
 
 
 @dataclass
 class ScanResult:
     """Outcome of a sup-difference scan |lambda^ - lambda^{(Q)^}| over the
-    oversampled grid."""
+    oversampled grid. `profile` holds the columns theta, re, im, abs,
+    arc_kind, a and q of the classified profile, in table order."""
 
     sup: float
     argmax_theta: float
-    argmax_label: ArcLabel
     theta0_mass_diff: float
     reference: float
     Q: int
     oversample: int
-    profile: list[ProfileRow] = field(repr=False)
+    profile: dict[str, object] = field(repr=False)
     sup_major_profiled: float | None = None
     sup_minor_profiled: float | None = None
 
@@ -193,9 +198,10 @@ def sup_diff_scan(
 ) -> ScanResult:
     """Scan |lambda^(theta) - lambda^{(Q)^}(theta)| over theta = j/M.
 
-    Returns the grid sup with its classified argmax, the theta=0 mass
-    mismatch, the loglog(Q)/Q reference, and a decimated classified
-    profile (classification is done per profiled point, not for all M).
+    Returns the grid sup at its argmax, the theta=0 mass mismatch, the
+    loglog(Q)/Q reference, and the classified profile at
+    profile_indices(|diff|, profile_points) (classification is done per
+    profiled point, not for all M).
     """
     Q = mparams.require_Q()
     N = mparams.N
@@ -206,44 +212,26 @@ def sup_diff_scan(
     M = grid.points(N)
     diff = measure_wedge_grid(lam, M) - measure_wedge_grid(lamq, M)
     absdiff = np.abs(diff)
-    j_star = int(np.argmax(absdiff))
-    sup = float(absdiff[j_star])
-    stride = max(1, M // profile_points)
-    idx = np.arange(0, M, stride, dtype=np.int64)
-    if j_star not in idx:
-        idx = np.sort(np.append(idx, j_star))
-    rows: list[ProfileRow] = []
-    sup_major = None
-    sup_minor = None
-    for j in idx:
-        theta = j / M
-        lab = classify(theta, arc_params)
-        val = diff[j]
-        row = ProfileRow(
-            theta=theta,
-            re=float(val.real),
-            im=float(val.imag),
-            abs=float(absdiff[j]),
-            arc_kind=lab.kind,
-            a=lab.a,
-            q=lab.q,
-        )
-        rows.append(row)
-        if lab.kind == MAJOR:
-            sup_major = row.abs if sup_major is None else max(sup_major, row.abs)
-        else:
-            sup_minor = row.abs if sup_minor is None else max(sup_minor, row.abs)
+    idx = profile_indices(absdiff, profile_points)
+    mags = absdiff[idx]
+    # the first maximum of the profile is the first maximum of the grid
+    j_star = int(idx[np.argmax(mags)])
+    thetas = idx / M
+    labels = [classify(theta, arc_params) for theta in thetas.tolist()]
+    kinds = [lab.kind for lab in labels]
+    major = np.array(kinds) == MAJOR
     return ScanResult(
-        sup=sup,
+        sup=float(absdiff[j_star]),
         argmax_theta=j_star / M,
-        argmax_label=classify(j_star / M, arc_params),
         theta0_mass_diff=float(absdiff[0]),
         reference=loglog_clamped(Q) / Q,
         Q=Q,
         oversample=grid.oversample,
-        profile=rows,
-        sup_major_profiled=sup_major,
-        sup_minor_profiled=sup_minor,
+        profile={"theta": thetas, "re": diff[idx].real, "im": diff[idx].imag,
+                 "abs": mags, "arc_kind": kinds,
+                 "a": [lab.a for lab in labels], "q": [lab.q for lab in labels]},
+        sup_major_profiled=float(mags[major].max()) if major.any() else None,
+        sup_minor_profiled=float(mags[~major].max()) if not major.all() else None,
     )
 
 

@@ -78,8 +78,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _json_dict(text: str) -> dict:
-    """A JSON object (an argparse type)."""
+def _constants(text: str) -> dict:
+    """A JSON object mapping names of roth.DEFAULT_CONSTANTS to finite
+    numbers (an argparse type)."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -87,6 +88,16 @@ def _json_dict(text: str) -> dict:
             f"constants must be a JSON object: {exc}") from exc
     if not isinstance(obj, dict):
         raise argparse.ArgumentTypeError("constants must be a JSON object")
+    for name, value in obj.items():
+        if name not in roth.DEFAULT_CONSTANTS:
+            raise argparse.ArgumentTypeError(
+                f"unknown constant {name!r}, expected one of "
+                f"{sorted(roth.DEFAULT_CONSTANTS)}")
+        # bool is not a number here; abs(nan) and abs(inf) fail the bound,
+        # as does an int too large to become a float
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise argparse.ArgumentTypeError(
+                f"constant {name} must be a finite number, got {value!r}")
     return obj
 
 
@@ -106,9 +117,17 @@ def _counts(text: str) -> list[int]:
     return values
 
 
-def _positive(text: str) -> float:
-    """A float > 0 (an argparse type)."""
+def _finite(text: str) -> float:
+    """A finite float (an argparse type)."""
     value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """A finite float > 0 (an argparse type)."""
+    value = _finite(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return value
@@ -132,17 +151,17 @@ _OPTIONS = {
     "--b": {"type": int},
     "--m": {"type": int},
     "--Q": {"type": _counts},
-    "--p": {"dest": "p_exponent", "type": float,
+    "--p": {"dest": "p_exponent", "type": _finite,
             "help": "exponent p (measure-build: enables the dyadic split)"},
     "--oversample": {"type": int},
-    "--B-override": {"type": float},
+    "--B-override": {"type": _positive},
     "--draws": {"type": _count},
     "--source": {"choices": roth.SOURCES},
     "--delta": {"type": _positive},
     "--eps": {"type": _open_unit},
     "--W": {"type": _count},
     "--alpha": {"type": float},
-    "--constants": {"type": _json_dict},
+    "--constants": {"type": _constants},
 }
 # a subcommand's entry gives each of its flags a default, or one of these
 # keyword sets merged over _OPTIONS
@@ -343,11 +362,6 @@ def emit_plotdata(emitter: Emitter, stem: str, rows) -> None:
     emitter.table(stem, ["x", "series", "value"], _transpose(ordered, 3))
 
 
-def _scan_profile_rows(result: arcs.ScanResult):
-    for row in result.profile:
-        yield (row.theta, row.re, row.im, row.abs, row.arc_kind, row.a, row.q)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (effective, results)
 
@@ -435,24 +449,15 @@ def _run_transform_scan(cfg: RunConfig, em: Emitter):
         M = grid.points(N)
         vals = fourier.measure_wedge_grid(f, M)
         mags = np.abs(vals)
-        step = max(1, M // 4096)
-        idx = np.arange(0, M, step)
-        j_star = int(np.argmax(mags))
-        if j_star not in idx:
-            idx = np.sort(np.append(idx, j_star))
+        idx = arcs.profile_indices(mags, 4096)
         tag = "lambda" if Q is None else f"rough_Q{Q}"
-        em.table(
-            f"transform_{tag}",
-            ["theta", "re", "im", "abs"],
-            [[j / M for j in idx.tolist()], vals[idx].real, vals[idx].imag,
-             mags[idx]],
-        )
-        off = mags.copy()
-        off[0] = -1.0
+        em.table(f"transform_{tag}", ["theta", "re", "im", "abs"],
+                 [idx / M, vals[idx].real, vals[idx].imag, mags[idx]])
         results[tag] = {
             "mass": f.total,
-            "sup_offzero_grid": float(np.max(off)),
-            "l2_norm": fourier.lp_norm_torus(f, 2.0, grid),
+            "sup_offzero_grid": float(np.max(mags[1:])),
+            # Parseval; the p = 2 grid rule is exact, since M > span
+            "l2_norm": math.sqrt(fsum_real(f.weights**2)),
             "lp_norm": fourier.lp_norm_torus(f, cfg.p_exponent, grid),
         }
     return effective, results
@@ -479,11 +484,7 @@ def _run_arc_scan(cfg: RunConfig, em: Emitter):
     for Q in cfg.Q:
         params = _measure_params(cfg, N, Q=Q)
         scan = arcs.sup_diff_scan(params, grid, table, arc_params=aparams)
-        em.table(
-            f"arc_scan_Q{Q}",
-            ["theta", "re", "im", "abs", "arc_kind", "a", "q"],
-            _transpose(_scan_profile_rows(scan), 7),
-        )
+        em.table(f"arc_scan_Q{Q}", list(scan.profile), scan.profile.values())
         results[str(Q)] = {
             "sup": scan.sup,
             "argmax_theta": scan.argmax_theta,

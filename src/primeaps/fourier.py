@@ -143,8 +143,12 @@ def _lp_norm_checked(positions, values, N, p, grid: TorusGrid) -> float:
     For even integer p, |f^|^p is a trigonometric polynomial of degree at
     most (p/2) * span, span = max - min of the positions, so the M-point
     rule is exact once M > (p/2) * span: that level is returned without
-    doubling, and no warning can arise.
+    doubling, and no warning can arise. Every L^p norm and ratio of this
+    module comes here, so this is where p outside [1, inf), NaN included,
+    is refused.
     """
+    if not 1 <= p < math.inf:
+        raise ParameterError(f"p must lie in [1, inf), got {p}")
     positions = np.asarray(positions, dtype=np.int64)
     values = np.asarray(values)
     if np.iscomplexobj(values) and not np.any(values.imag):
@@ -177,8 +181,6 @@ def _lp_norm_checked(positions, values, N, p, grid: TorusGrid) -> float:
 
 def lp_norm_torus(f: Measure, p: float, grid: TorusGrid) -> float:
     """(integral over the torus of |f^|^p)^(1/p) by uniform-grid quadrature."""
-    if p < 1:
-        raise ParameterError(f"p must be >= 1, got {p}")
     idx = np.flatnonzero(f.weights)
     return _lp_norm_checked(f.positions()[idx], f.weights[idx], f.N, p, grid)
 
@@ -228,13 +230,10 @@ def mz_ratio(f: Measure, p: float, grid: TorusGrid) -> float:
     The discrete-to-continuous comparison behind the dual restriction
     estimates; equals 1 exactly at p=2 by Parseval on both sides.
     """
-    if p < 1:
-        raise ParameterError(f"p must be >= 1, got {p}")
-    num = float(np.sum(np.abs(spectrum(f)) ** p))
     den = f.N * lp_norm_torus(f, p, grid) ** p
     if den == 0.0:
         raise DegenerateInputError("zero measure has no mz ratio")
-    return num / den
+    return float(np.sum(np.abs(spectrum(f)) ** p)) / den
 
 
 def triple_count(f: Measure, g: Measure, h: Measure) -> float:
@@ -289,8 +288,6 @@ def set_convolution(S: np.ndarray, T: np.ndarray, N: int) -> np.ndarray:
 def majorant_denominator(p: float, N: int, table: FactorTable, grid: TorusGrid) -> float:
     """|| sum over primes n <= N of e(n theta) ||_p, the denominator of
     every majorant_ratio at (p, N, grid)."""
-    if p < 1:
-        raise ParameterError(f"p must be >= 1, got {p}")
     primes = table.primes_up_to(N)
     if primes.size == 0:
         raise DegenerateInputError(f"no primes <= {N}")
@@ -310,8 +307,6 @@ def majorant_ratio(
     norm with all a_n = 1. Requires |a_n| <= 1 (majorized coefficients).
     `den`, when given, is majorant_denominator(p, N, table, grid), which a
     caller drawing many coefficient vectors computes once."""
-    if p < 1:
-        raise ParameterError(f"p must be >= 1, got {p}")
     primes = table.primes_up_to(N)
     signs = np.asarray(signs, dtype=np.complex128)
     if signs.shape != primes.shape:

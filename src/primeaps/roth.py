@@ -53,7 +53,6 @@ class WTrickResult:
     alpha: float
     n_source: int
     m_le_logN: bool
-    alpha0: float | None = None
 
 
 def default_w(n: int) -> int:
@@ -78,7 +77,6 @@ def w_trick(
     table: sieve.FactorTable,
     W: int | None = None,
     n: int | None = None,
-    alpha0: float | None = None,
 ) -> WTrickResult:
     """Rescale A0 (a set of primes) into A = ((A0 cap [n]) - b)/m inside
     {1..floor(N/2)} with N the smallest prime in (2n/m, 4n/m].
@@ -126,8 +124,6 @@ def w_trick(
     vals = m * A + b
     phi_m = sieve.euler_phi(m, table)
     alpha = fsum_real(phi_m * np.log(vals) / (m * N)) if A.size else 0.0
-    if alpha0 is not None and not 0 < alpha0 <= 1:
-        raise ParameterError(f"alpha0 must be in (0, 1], got {alpha0}")
     return WTrickResult(
         A=A,
         b=b,
@@ -137,7 +133,6 @@ def w_trick(
         alpha=alpha,
         n_source=n,
         m_le_logN=(m <= math.log(N)),
-        alpha0=alpha0,
     )
 
 
@@ -657,7 +652,7 @@ def density_experiment(
         }
         artifacts["A0"] = A0
     with _stage("w-trick"):
-        wt = w_trick(A0, table, W=W, n=n, alpha0=report["source"]["alpha0"])
+        wt = w_trick(A0, table, W=W, n=n)
         report["w_trick"] = {
             "b": wt.b,
             "m": wt.m,

@@ -73,8 +73,12 @@ def test_arc_params_validation():
         ArcParams(N=2, p_exponent=4.0)
     with pytest.raises(ParameterError):
         ArcParams(N=100, p_exponent=2.0)
-    with pytest.raises(ParameterError):
-        ArcParams(N=100, p_exponent=4.0, b_override=0.0)
+    for b in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            ArcParams(N=100, p_exponent=4.0, b_override=b)
+    for p in (float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            ArcParams(N=100, p_exponent=p)
 
 
 def test_classify_agrees_with_own_approx():
@@ -160,6 +164,39 @@ def test_prime_transform_decays_off_zero(table):
 
 # --- sup-difference scan -----------------------------------------------------
 
+def test_profile_indices_stride_and_argmax():
+    mags = np.zeros(100)
+    # the stride grid alone when the argmax lies on it: no duplicate
+    mags[30] = 1.0
+    assert arcs.profile_indices(mags, 10).tolist() == list(range(0, 100, 10))
+    # an argmax off the stride goes in once, in ascending order
+    mags[37] = 2.0
+    idx = arcs.profile_indices(mags, 10)
+    assert idx.tolist() == sorted([*range(0, 100, 10), 37])
+    # the last index, past the final stride point
+    mags[99] = 3.0
+    assert arcs.profile_indices(mags, 10).tolist() == [*range(0, 100, 10), 99]
+    # stride M // points: 100 // 7 = 14
+    assert arcs.profile_indices(mags, 7).tolist() == [*range(0, 100, 14), 99]
+    # every index once when points >= M
+    for points in (100, 101, 10_000):
+        assert arcs.profile_indices(mags, points).tolist() == list(range(100))
+    with pytest.raises(ParameterError):
+        arcs.profile_indices(mags, 0)
+
+
+@pytest.mark.parametrize("M, points", [(7, 3), (64, 5), (1000, 64), (4096, 4096)])
+def test_profile_indices_matches_membership_rule(M, points):
+    rng = np.random.default_rng(M)
+    for _ in range(20):
+        mags = rng.random(M)
+        stride = max(1, M // points)
+        want = set(range(0, M, stride)) | {int(np.argmax(mags))}
+        idx = arcs.profile_indices(mags, points)
+        assert idx.tolist() == sorted(want)
+        assert idx.dtype == np.int64
+
+
 @pytest.mark.filterwarnings("ignore::primeaps.errors.DeskScaleWarning")
 def test_sup_diff_scan_profile_and_sup(small_table):
     mp = measures.MeasureParams(b=1, m=1, N=2000, Q=4, p_exponent=3.0)
@@ -176,21 +213,22 @@ def test_sup_diff_scan_profile_and_sup(small_table):
         abs(lam.total - lamq.total), abs=1e-12
     )
     # argmax is reachable from the profile and has the sup value
-    best = max(row.abs for row in res.profile)
+    prof = res.profile
+    assert list(prof) == ["theta", "re", "im", "abs", "arc_kind", "a", "q"]
+    assert len({len(col) for col in prof.values()}) == 1
+    best = max(prof["abs"])
     assert best == pytest.approx(res.sup, rel=1e-12)
-    assert len(res.profile) <= 64 + 2
-    for row in res.profile:
-        assert row.abs == pytest.approx(math.hypot(row.re, row.im), rel=1e-9)
-        assert row.arc_kind in (MAJOR, MINOR)
-    kinds = {row.arc_kind for row in res.profile}
-    if MAJOR in kinds:
-        assert res.sup_major_profiled == pytest.approx(
-            max(r.abs for r in res.profile if r.arc_kind == MAJOR)
-        )
-    if MINOR in kinds:
-        assert res.sup_minor_profiled == pytest.approx(
-            max(r.abs for r in res.profile if r.arc_kind == MINOR)
-        )
+    assert res.argmax_theta in prof["theta"]
+    assert len(prof["abs"]) <= 64 + 2
+    for re, im, mag, kind in zip(prof["re"], prof["im"], prof["abs"],
+                                 prof["arc_kind"]):
+        assert mag == pytest.approx(math.hypot(re, im), rel=1e-9)
+        assert kind in (MAJOR, MINOR)
+    major = np.array(prof["arc_kind"]) == MAJOR
+    if major.any():
+        assert res.sup_major_profiled == pytest.approx(max(prof["abs"][major]))
+    if not major.all():
+        assert res.sup_minor_profiled == pytest.approx(max(prof["abs"][~major]))
     # direct check of the reported sup at the argmax
     direct = fourier.exp_sum(lam, res.argmax_theta) - fourier.exp_sum(
         lamq, res.argmax_theta

@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import stat
 from pathlib import Path
@@ -107,6 +108,35 @@ def test_varnavides_results(tmp_path):
     assert json.loads((tmp_path / "varnavides.json").read_text())["M"] == 2
 
 
+def test_constants_accept_known_finite_numbers(tmp_path):
+    man = _run(["varnavides", "--N", "211", "--alpha", "0.9",
+                "--constants", '{"C1": 1, "C2": -0.5}'], tmp_path)
+    assert man["config"]["constants"] == {"C1": 1, "C2": -0.5}
+    assert man["effective"]["C1"] == 1
+
+
+def test_transform_scan_l2_norm_is_parseval(tmp_path):
+    # without --Q the scan covers lambda, with --Q each rough measure
+    N = 300
+    table = sieve.build_factor_table(N + 1)
+    cases = [([], "lambda", measures.lambda_measure(
+                 measures.MeasureParams(b=1, m=1, N=N), table)),
+             (["--Q", "16"], "rough_Q16", measures.lambda_q_measure(
+                 measures.MeasureParams(b=1, m=1, N=N, Q=16), table))]
+    for extra, tag, f in cases:
+        out = tmp_path / tag
+        man = _run(["transform-scan", "--N", str(N), "--oversample", "4", *extra],
+                   out)
+        got = man["results"][tag]
+        sum_sq = math.fsum((f.weights ** 2).tolist())
+        assert got["l2_norm"] ** 2 == pytest.approx(sum_sq, rel=1e-15, abs=0)
+        # M = 1200 <= 4096, so the profile holds every grid point
+        with (out / f"transform_{tag}.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        off = max(float(r["abs"]) for r in rows if float(r["theta"]) != 0.0)
+        assert off == got["sup_offzero_grid"]
+
+
 def test_sieve_stats(tmp_path):
     man = _run(["sieve-stats", "--N", "1000", "--Q", "4,16"], tmp_path)
     assert man["results"]["pi_N"] == 168
@@ -196,6 +226,12 @@ def test_bad_flags_exit_2(tmp_path, capsys):
     ["roth-pipeline", "--N", "300", "--W", "0"],
     ["roth-pipeline", "--N", "300", "--delta", "0"],
     ["roth-pipeline", "--N", "300", "--eps", "1.5"],
+    ["majorant", "--N", "100", "--p", "nan"],
+    ["transform-scan", "--N", "100", "--p", "inf"],
+    ["arc-scan", "--N", "100", "--Q", "4", "--B-override", "nan"],
+    ["arc-scan", "--N", "100", "--Q", "4", "--B-override", "-inf"],
+    ["roth-pipeline", "--N", "300", "--delta", "inf"],
+    ["roth-pipeline", "--N", "300", "--constants", '{"C2": "1"}'],
 ], ids=" ".join)
 def test_out_of_range_counts_exit_2(args, tmp_path, capsys):
     # rejected by the parser, before a handler reaches max([]), divides by
@@ -212,7 +248,17 @@ def test_out_of_range_counts_exit_2(args, tmp_path, capsys):
 @pytest.mark.parametrize("text, message", [
     ("[1]", "argument --constants: constants must be a JSON object"),
     ("{1", "argument --constants: constants must be a JSON object: Expecting"),
-], ids=["not-an-object", "unparsable"])
+    ('{"C2": "1"}', "argument --constants: constant C2 must be a finite number"),
+    ('{"C1": "x"}', "argument --constants: constant C1 must be a finite number"),
+    ('{"Cx": 1}', "argument --constants: unknown constant 'Cx'"),
+    ('{"C1": true}', "argument --constants: constant C1 must be a finite number"),
+    ('{"C1": null}', "argument --constants: constant C1 must be a finite number"),
+    ('{"C1": NaN}', "argument --constants: constant C1 must be a finite number"),
+    ('{"C1": -Infinity}', "argument --constants: constant C1 must be a finite number"),
+    ('{"C1": 1e400}', "argument --constants: constant C1 must be a finite number"),
+    ('{"C1": 1%s}' % ("0" * 400), "argument --constants: constant C1 must be a finite"),
+], ids=["not-an-object", "unparsable", "string-number", "string", "unknown-name",
+        "boolean", "null", "nan", "infinity", "overflowing-float", "huge-int"])
 def test_constants_must_be_a_json_object(text, message, tmp_path, capsys):
     out = tmp_path / "out"
     rc = cli.main(["varnavides", "--N", "211", "--alpha", "0.5",

@@ -157,6 +157,24 @@ def test_lp_norm_validation():
         TorusGrid(oversample=1)
 
 
+@pytest.mark.parametrize("p", [0.5, float("nan"), float("inf"), -float("inf")])
+def test_every_lp_entry_refuses_p_outside_1_inf(p, small_table):
+    # one guard in the ladder serves every norm and ratio; NaN compares
+    # false both ways, so a guard written as p < 1 would let it through
+    grid = TorusGrid(oversample=2)
+    f = Measure(10, np.ones(10))
+    signs = np.ones(small_table.primes_up_to(100).size)
+    calls = [
+        lambda: fourier.lp_norm_torus(f, p, grid),
+        lambda: fourier.mz_ratio(f, p, grid),
+        lambda: fourier.majorant_denominator(p, 100, small_table, grid),
+        lambda: fourier.majorant_ratio(signs, p, 100, small_table, grid),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match=r"\[1, inf\)"):
+            call()
+
+
 def test_lp_norm_noninteger_p_stable():
     rng = np.random.default_rng(8)
     f = _random_measure(60, rng)

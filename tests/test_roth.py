@@ -83,8 +83,6 @@ def test_w_trick_rejections(small_table):
     with pytest.raises(DegenerateInputError):
         roth.w_trick([2], small_table, W=1)  # 2 is not coprime to m=2
     with pytest.raises(ParameterError):
-        roth.w_trick([3, 5], small_table, alpha0=1.5)
-    with pytest.raises(ParameterError):
         roth.w_trick([3, 5], small_table, W=0)
 
 
