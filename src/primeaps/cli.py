@@ -110,11 +110,23 @@ def _count(text: str) -> int:
 
 
 def _counts(text: str) -> list[int]:
-    """One or more comma-separated integers, each >= 1 (an argparse type)."""
+    """One or more distinct comma-separated integers, each >= 1 (an
+    argparse type)."""
     values = [_count(part) for part in text.split(",") if part != ""]
     if not values:
         raise argparse.ArgumentTypeError("expected at least one integer")
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"repeated values {repeated}")
     return values
+
+
+def _natural(text: str) -> int:
+    """An integer >= 0 (an argparse type)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _finite(text: str) -> float:
@@ -145,7 +157,7 @@ def _open_unit(text: str) -> float:
 # the checks on outside input live in the types
 _OPTIONS = {
     "--N": {"type": _count, "help": "scale"},
-    "--seed": {"type": int},
+    "--seed": {"type": _natural},
     "--output-dir": {},
     "--format": {"choices": ("csv", "json")},
     "--b": {"type": int},
@@ -244,63 +256,175 @@ def _json_cell(v) -> str:
     return json.dumps(_clean(v), sort_keys=True, indent=2).replace("\n", "\n      ")
 
 
-def _fast_cells(values: list, finite: bool):
-    """C-level reprs of a block that is all int or all float (and finite
-    when `finite`); None for any other block."""
-    kinds = set(map(type, values))
-    if kinds == {int}:
-        return map(int.__repr__, values)
-    if kinds == {float} and (not finite or all(map(math.isfinite, values))):
-        return map(float.__repr__, values)
-    return None
+_ZERO_CELL = np.frombuffer(b"0.0", dtype=np.uint8)
+_TEN = np.uint64(10)
+
+
+def _int_cells(values: np.ndarray) -> np.ndarray:
+    """The decimal text of an int array as a (rows, width) uint8 matrix:
+    each row holds one value's ASCII sign and digits in order, with NUL
+    bytes as padding."""
+    if values.dtype.kind == "u":
+        mag, neg = values.astype(np.uint64), None
+    else:
+        signed = values.astype(np.int64)
+        neg = signed < 0
+        # |v| in uint64, which holds |-2**63| too
+        mag = signed.view(np.uint64)
+        np.negative(mag, out=mag, where=neg)
+    digits = len(str(int(mag.max())))
+    width = digits + int(neg is not None and bool(neg.any()))
+    # built one digit position per row, so every write is contiguous
+    out = np.zeros((width, mag.size), dtype=np.uint8)
+    rest = mag
+    for k in range(digits):
+        quot = rest // _TEN
+        digit = out[width - 1 - k]
+        np.subtract(rest, quot * _TEN, out=digit, casting="unsafe")
+        digit += 48
+        if k:
+            # blank unless the value has more than k digits
+            digit *= rest > 0
+        rest = quot
+    if width > digits:
+        out[0, neg] = ord("-")  # the NUL padding between goes with the rest
+    return out.T
+
+
+def _repr_cells(bits: np.ndarray) -> np.ndarray:
+    """float.__repr__ of float64 bit patterns as a (values, width) uint8
+    matrix, one value per row followed by NUL padding."""
+    text = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype="S")
+    return text.view(np.uint8).reshape(-1, text.itemsize)
+
+
+def _float_cells(values: np.ndarray) -> np.ndarray:
+    """The float.__repr__ text of a float64 array as a (rows, width) uint8
+    matrix, one value per row followed by NUL padding. A run of
+    bit-identical values is formatted once, and +0.0 is "0.0" without a
+    call."""
+    bits = values.view(np.uint64)
+    new = np.empty(values.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    zero = bits[starts] == 0
+    if zero.any():
+        # a column with +0.0 runs holds a measure on a sparse support, and
+        # such a measure often repeats one value across its runs (a rough
+        # measure's constant): format each distinct value once. A dense
+        # column rarely repeats, and the sort would cost more than it saves
+        distinct, which = np.unique(bits[starts[~zero]], return_inverse=True)
+        text = _repr_cells(distinct)
+        runs = np.zeros((starts.size, max(text.shape[1], _ZERO_CELL.size)), dtype=np.uint8)
+        runs[zero, :_ZERO_CELL.size] = _ZERO_CELL
+        runs[~zero, :text.shape[1]] = text[which]
+    else:
+        runs = _repr_cells(bits[starts])
+    if starts.size == values.size:
+        return runs
+    return np.take(runs, np.cumsum(new) - 1, axis=0)
+
+
+def _numeric(block: list, finite: bool) -> list | None:
+    """The block, with float arrays as contiguous float64, if every
+    column is an int or float array (with only finite floats when
+    `finite`); None for any other block."""
+    out = []
+    for values in block:
+        kind = values.dtype.kind if isinstance(values, np.ndarray) else None
+        if kind == "f":
+            values = np.ascontiguousarray(values, dtype=np.float64)
+            if finite and not np.isfinite(values).all():
+                return None
+        elif kind not in ("i", "u"):
+            return None
+        out.append(values)
+    return out
+
+
+def _numeric_rows(block: list, before: bytes, between: bytes, after: bytes,
+                  join: bytes = b"") -> bytes:
+    """The text of a _numeric block: each row is `before`, its cells
+    separated by `between`, then `after`, and rows are separated by `join`.
+
+    Every row is laid out in one uint8 matrix, each column of cells in a
+    slot as wide as its widest cell; the NUL padding of the slots is then
+    dropped, which leaves the rows' bytes in order. No Python object is
+    made per row."""
+    pieces = [before]
+    for i, values in enumerate(block):
+        if i:
+            pieces.append(between)
+        pieces.append(_float_cells(values) if values.dtype.kind == "f"
+                      else _int_cells(values))
+    pieces.append(after + join)
+    pieces = [np.frombuffer(p, dtype=np.uint8) if isinstance(p, bytes) else p
+              for p in pieces]
+    rows = np.empty((len(block[0]), sum(p.shape[-1] for p in pieces)), dtype=np.uint8)
+    pos = 0
+    for p in pieces:
+        rows[:, pos:pos + p.shape[-1]] = p
+        pos += p.shape[-1]
+    flat = rows.ravel()
+    text = flat[flat != 0]
+    return text[:text.size - len(join)].tobytes()
 
 
 def _blocks(columns: list, n: int):
-    """The columns as lists of Python values, TABLE_BLOCK_ROWS rows at a time."""
+    """The columns, TABLE_BLOCK_ROWS rows at a time."""
     for lo in range(0, n, TABLE_BLOCK_ROWS):
-        hi = lo + TABLE_BLOCK_ROWS
-        yield [col[lo:hi].tolist() if isinstance(col, np.ndarray) else col[lo:hi]
-               for col in columns]
+        yield [col[lo:lo + TABLE_BLOCK_ROWS] for col in columns]
+
+
+def _values(values) -> list:
+    """A block column as Python values, for the cell-by-cell writers."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
 
 
 def _csv_text(header: list[str], columns: list, n: int):
-    """The CSV text of a table, one block at a time. Blocks of numbers are
-    joined directly, since a number never needs quoting; any other block
-    goes through csv.writer, cell by cell through _fmt."""
+    """The CSV bytes of a table, one block at a time. A block of int and
+    float arrays goes through _numeric_rows, since a number never needs
+    quoting; any other block goes through csv.writer, cell by cell
+    through _fmt."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    yield buf.getvalue()
+    yield buf.getvalue().encode()
     for block in _blocks(columns, n):
-        cells = [_fast_cells(values, finite=False) for values in block]
-        if None not in cells:
-            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        numeric = _numeric(block, finite=False)
+        if numeric is not None:
+            yield _numeric_rows(numeric, b"", b",", b"\n")
             continue
         buf.seek(0)
         buf.truncate()
-        writer.writerows(zip(*(map(_fmt, values) if fast is None else fast
-                               for values, fast in zip(block, cells))))
-        yield buf.getvalue()
+        writer.writerows(zip(*(map(_fmt, _values(values)) for values in block)))
+        yield buf.getvalue().encode()
 
 
 def _json_text(header: list[str], columns: list, n: int):
-    """The text of json.dumps({"columns": header, "rows": rows},
-    sort_keys=True, indent=2) + newline, one block of rows at a time."""
+    """The bytes of json.dumps({"columns": header, "rows": rows},
+    sort_keys=True, indent=2) + newline, one block of rows at a time. A
+    block of int and finite float arrays goes through _numeric_rows; any
+    other block goes cell by cell through _json_cell."""
     head = json.dumps(header, indent=2).replace("\n", "\n  ")
     if n == 0:
-        yield '{\n  "columns": %s,\n  "rows": []\n}\n' % head
+        yield ('{\n  "columns": %s,\n  "rows": []\n}\n' % head).encode()
         return
-    yield '{\n  "columns": %s,\n  "rows": [' % head
+    yield ('{\n  "columns": %s,\n  "rows": [' % head).encode()
     row = "\n    [\n      " + ",\n      ".join(["%s"] * len(columns)) + "\n    ]"
-    sep = ""
+    sep = b""
     for block in _blocks(columns, n):
-        cells = []
-        for values in block:
-            fast = _fast_cells(values, finite=True)
-            cells.append(map(_json_cell, values) if fast is None else fast)
-        yield sep + ",".join(map(row.__mod__, zip(*cells)))
-        sep = ","
-    yield "\n  ]\n}\n"
+        numeric = _numeric(block, finite=True)
+        if numeric is not None:
+            text = _numeric_rows(numeric, b"\n    [\n      ", b",\n      ",
+                                 b"\n    ]", b",")
+        else:
+            cells = [map(_json_cell, _values(values)) for values in block]
+            text = ",".join(map(row.__mod__, zip(*cells))).encode()
+        yield sep + text
+        sep = b","
+    yield b"\n  ]\n}\n"
 
 
 def _transpose(rows, width: int) -> list:
@@ -338,9 +462,9 @@ class Emitter:
             raise ValueError(f"{stem}: columns differ in length {sorted(lengths)}")
         n = lengths.pop() if lengths else 0
         if self.format == "json":
-            self._record(stem + ".json", map(str.encode, _json_text(header, columns, n)))
+            self._record(stem + ".json", _json_text(header, columns, n))
         else:
-            self._record(stem + ".csv", map(str.encode, _csv_text(header, columns, n)))
+            self._record(stem + ".csv", _csv_text(header, columns, n))
 
     def json_file(self, stem: str, obj) -> None:
         self._record(stem + ".json", [_json_bytes(obj)])

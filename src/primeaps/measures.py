@@ -40,17 +40,15 @@ _BINARY_MAGIC = b"PMSR"
 class Measure:
     """A weighted function on {1..N} (base "one") or Z_N (base "zn").
 
-    total is the compensated sum of all weights, computed once at
-    construction. The weights are a read-only copy of the input, so an
-    instance is immutable and the Z_N spectrum that `fourier.spectrum`
-    caches in _spectrum cannot go stale.
+    The weights are a read-only copy of the input, so an instance is
+    immutable: neither `total`, summed on first read, nor the Z_N spectrum
+    that `fourier.spectrum` caches in _spectrum can go stale.
     """
 
     N: int
     weights: np.ndarray = field(repr=False)
     signed: bool = False
     base: str = BASE_ONE
-    total: float = field(init=False)
     _spectrum: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -66,7 +64,12 @@ class Measure:
             raise ParameterError(f"unknown base {self.base!r}")
         if not self.signed and self.weights.size and float(self.weights.min()) < 0.0:
             raise PreconditionError("unsigned measure has negative weights")
-        self.total = fsum_real(self.weights)
+
+    @functools.cached_property
+    def total(self) -> float:
+        """The compensated sum of all weights, summed on first read; it
+        raises OverflowError when the sum leaves the float range."""
+        return fsum_real(self.weights)
 
     def weight_at(self, n: int) -> float:
         if self.base == BASE_ONE:
@@ -511,10 +514,12 @@ def _checked_measure(N: int, w: np.ndarray, signed: bool, base: str) -> Measure:
         raise ParameterError("non-finite weight")
     if not signed and w.size and float(w.min()) < 0.0:
         raise ParameterError("negative weight in an unsigned measure")
+    measure = Measure(N, w, signed=signed, base=base)
     try:
-        return Measure(N, w, signed=signed, base=base)
+        measure.total  # summed here, so an overflow is a load error
     except OverflowError as exc:
         raise ParameterError(f"weights overflow their total: {exc}") from exc
+    return measure
 
 
 def measure_to_bytes(measure: Measure) -> bytes:

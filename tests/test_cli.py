@@ -232,6 +232,15 @@ def test_bad_flags_exit_2(tmp_path, capsys):
     ["arc-scan", "--N", "100", "--Q", "4", "--B-override", "-inf"],
     ["roth-pipeline", "--N", "300", "--delta", "inf"],
     ["roth-pipeline", "--N", "300", "--constants", '{"C2": "1"}'],
+    ["majorant", "--N", "100", "--seed", "-1", "--draws", "1"],
+    ["restriction", "--N", "100", "--seed", "-1", "--draws", "1"],
+    ["mz-check", "--N", "100", "--seed", "-1", "--draws", "1"],
+    ["roth-pipeline", "--N", "300", "--seed", "-3", "--source",
+     "random-subset-of-primes"],
+    ["measure-build", "--N", "100", "--Q", "4,4"],
+    ["arc-scan", "--N", "100", "--Q", "4,16,4"],
+    ["majorant", "--N", "100,100", "--draws", "2"],
+    ["behrend", "--N", "8,16,8"],
 ], ids=" ".join)
 def test_out_of_range_counts_exit_2(args, tmp_path, capsys):
     # rejected by the parser, before a handler reaches max([]), divides by
@@ -243,6 +252,17 @@ def test_out_of_range_counts_exit_2(args, tmp_path, capsys):
     assert err["error"] == "validation"
     assert "--" in err["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["majorant", "--N", "100", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    (["measure-build", "--N", "100", "--Q", "4,16,4,16"],
+     "argument --Q: repeated values [4, 16]"),
+    (["mz-check", "--N", "100,100"], "argument --N: repeated values [100]"),
+], ids=" ".join)
+def test_negative_seed_and_repeated_values_messages(args, message, tmp_path, capsys):
+    assert cli.main(args + ["--output-dir", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err)["message"] == message
 
 
 @pytest.mark.parametrize("text, message", [

@@ -107,6 +107,16 @@ CASES = {
                 (0.5, 0.25, 0.125)]),
     "float32-array": (["x"], [np.array([0.1, 1e30, -2.5], dtype=np.float32)]),
     "big-ints": (["n"], [[2**70, -(2**63), 0]]),
+    "int64-array-extremes": (["n"], [np.array([-(2**63), 2**63 - 1, 0, -1, 10, -10],
+                                              dtype=np.int64)]),
+    "uint64-array": (["n"], [np.array([2**64 - 1, 2**63, 0, 7], dtype=np.uint64)]),
+    "small-int-arrays": (["a", "b"], [np.array([-128, 127, 0], dtype=np.int8),
+                                      np.array([255, 0, 1], dtype=np.uint8)]),
+    "float-runs-array": (["i", "x"], [np.arange(8, dtype=np.int64),
+                                      np.array([0.0, 0.0, -0.0, 0.5, 0.5, 5e-324,
+                                                1e300, 1e300])]),
+    "strided-array": (["re", "im"], [np.array([1 + 2j, 0j, -3.5j]).real,
+                                     np.array([1 + 2j, 0j, -3.5j]).imag]),
     "unicode": (["s"], [["été", "→", "ok"]]),
 }
 
@@ -128,12 +138,59 @@ def test_table_block_edges(rows, fmt, tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", [BLOCK - 1, BLOCK, BLOCK + 1])
+def test_table_sparse_block_edges(rows, fmt, tmp_path):
+    # a measure-like column: mostly +0.0, with -0.0, one lone value and one
+    # constant whose run crosses the block boundary
+    weights = np.zeros(rows)
+    weights[BLOCK - 4:BLOCK + 3] = 0.1 / 3
+    weights[5] = -0.0
+    weights[6] = 7.5e-310
+    columns = [np.arange(1, rows + 1, dtype=np.int64), weights]
+    _assert_same(tmp_path, fmt, ["index", "weight"], columns)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_table_fallback_in_last_block_only(fmt, tmp_path):
     # the first block takes the fast path, the second falls back
     weights = np.linspace(0.0, 1.0, BLOCK + 2)
     weights[-1] = NAN
     labels = [7] * (BLOCK + 1) + [""]
     _assert_same(tmp_path, fmt, ["weight", "label"], [weights, labels])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_numeric_arrays_skip_the_cell_writers(fmt, tmp_path, monkeypatch):
+    # int and finite float arrays are written by the block kernel alone
+    def refuse(v):
+        raise AssertionError(f"cell writer called on {v!r}")
+
+    monkeypatch.setattr(cli, "_fmt", refuse)
+    monkeypatch.setattr(cli, "_json_cell", refuse)
+    columns = [np.arange(5, dtype=np.int64), np.array([0.0, 0.5, 0.5, -0.0, 1e-300]),
+               np.array([1.5, 2.5, 0.0, 0.0, 0.0], dtype=np.float32)]
+    _assert_same(tmp_path, fmt, ["a", "b", "c"], columns)
+
+
+def test_each_float_run_or_sparse_value_is_formatted_once(tmp_path, monkeypatch):
+    formatted = []
+    original = cli._repr_cells
+
+    def counted(bits):
+        formatted.append(bits.view(np.float64).tolist())
+        return original(bits)
+
+    monkeypatch.setattr(cli, "_repr_cells", counted)
+    # sparse: +0.0 between runs of one constant and of one lone value
+    sparse = np.array([0.0, 0.25, 0.25, 0.0, 0.25, 0.0, 0.0, 0.5, 0.25, -0.0])
+    _assert_same(tmp_path, "csv", ["x"], [sparse])
+    (values,) = formatted
+    assert sorted(map(repr, values)) == ["-0.0", "0.25", "0.5"]
+    # dense: one call per run of bit-identical values, repeats included
+    formatted.clear()
+    dense = np.array([1.5, 1.5, 2.5, 1.5, -0.0, -0.0])
+    _assert_same(tmp_path, "json", ["x"], [dense])
+    assert formatted == [[1.5, 2.5, 1.5, -0.0]]
 
 
 def test_table_accepts_a_one_shot_iterable_of_columns(tmp_path):
@@ -158,19 +215,55 @@ _cell = st.one_of(
 )
 
 
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                2.225073858507201e-308, 1e300, -1e-300, 1.7976931348623157e308,
+                0.1, 1.0, INF, -INF, NAN]
+
+# numpy column kinds: (dtype, cell strategy)
+_ARRAYS = {
+    "int64-array": (np.int64, st.one_of(
+        st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        st.sampled_from([0, -1, 9, -10, -(2**63), 2**63 - 1]))),
+    "uint64-array": (np.uint64, st.one_of(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.sampled_from([0, 2**63, 2**64 - 1]))),
+    "float64-array": (np.float64, st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from(_EDGE_FLOATS))),
+    "float32-array": (np.float32, st.one_of(
+        st.floats(width=32, allow_nan=True, allow_infinity=True),
+        st.sampled_from([0.0, -0.0, 1e-45, 3.4028234663852886e38, 0.1]))),
+}
+
+
+def _array_column(data, kind: str, rows: int) -> np.ndarray:
+    """A column of `rows` values drawn from a pool of a few, so that runs
+    of equal values and +0.0 next to -0.0 come up often."""
+    dtype, cell = _ARRAYS[kind]
+    pool = data.draw(st.lists(cell, min_size=1, max_size=4))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                               min_size=rows, max_size=rows))
+    return np.array([pool[i] for i in picks], dtype=dtype)
+
+
 @given(
     data=st.data(),
     width=st.integers(min_value=1, max_value=3),
     rows=st.integers(min_value=0, max_value=9),
     fmt=st.sampled_from(["csv", "json"]),
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_table_matches_oracle_small_blocks(data, width, rows, fmt, tmp_path_factory):
-    # a block of 2 rows makes every table cross block boundaries; each
-    # column is homogeneous or mixed, so fast and fallback blocks interleave
+    # a block of 2 rows makes every table cross block boundaries; list
+    # columns are homogeneous or mixed and numpy columns take the block
+    # kernel, so kernel and fallback blocks interleave (non-finite floats
+    # send a JSON block to the fallback)
     columns = []
     for _ in range(width):
-        kind = data.draw(st.sampled_from(["int", "float", "mixed"]))
+        kind = data.draw(st.sampled_from(["int", "float", "mixed", *_ARRAYS]))
+        if kind in _ARRAYS:
+            columns.append(_array_column(data, kind, rows))
+            continue
         cell = {"int": st.integers(min_value=-(2**40), max_value=2**40),
                 "float": st.floats(allow_nan=True, allow_infinity=True),
                 "mixed": _cell}[kind]

@@ -4,8 +4,9 @@ golden_results.json.
 
 For every case and format the file records the manifest `results` block,
 the `outputs` list (path, sha256, bytes) and the `deterministic_hash`.
-Results compare integers, booleans, strings and None exactly and floats to
-1e-9 relative; outputs and the hash compare exactly, so every byte written
+Everything compares exactly, floats included: the hash already pins the
+results byte for byte, and a tolerance would only let a stale recorded
+value stand next to a hash that disagrees with it. So every byte written
 is pinned. A change here is a deliberate, documented event: regenerate with
 `PYTHONPATH=src python tests/test_golden.py` and say why in CHANGES.md.
 """
@@ -13,7 +14,6 @@ is pinned. A change here is a deliberate, documented event: regenerate with
 from __future__ import annotations
 
 import json
-import math
 import sys
 import tempfile
 from pathlib import Path
@@ -23,7 +23,6 @@ import pytest
 from primeaps import cli
 
 GOLDEN = Path(__file__).with_name("golden_results.json")
-REL_TOL = 1e-9
 FORMATS = ("csv", "json")
 
 CASES = {
@@ -64,10 +63,6 @@ def _compare(got, want, path: str) -> list[str]:
             return [f"{path}: {got!r} != {want!r}"]
         return [e for i, (g, w) in enumerate(zip(got, want))
                 for e in _compare(g, w, f"{path}[{i}]")]
-    if isinstance(want, float) and type(got) in (int, float):
-        if math.isclose(got, want, rel_tol=REL_TOL, abs_tol=0.0):
-            return []
-        return [f"{path}: {got!r} != {want!r} (rel tol {REL_TOL})"]
     if type(got) is not type(want) or got != want:
         return [f"{path}: {got!r} != {want!r}"]
     return []

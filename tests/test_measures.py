@@ -354,6 +354,33 @@ def test_measure_total_is_fsum(weights):
     assert f.total == math.fsum(weights)
 
 
+def test_measure_total_is_summed_on_first_read_only(monkeypatch, small_table):
+    calls = []
+
+    def counted(values):
+        calls.append(len(values))
+        return math.fsum(values)
+
+    monkeypatch.setattr(measures, "fsum_real", counted)
+    params = MeasureParams(b=1, m=1, N=300, Q=16, p_exponent=3.0)
+    lam = measures.lambda_measure(params, small_table)
+    measures.lambda_q_measure(params, small_table)
+    pieces, _ = measures.dyadic_pieces(params, small_table)
+    assert calls == []
+    assert lam.total == math.fsum(lam.weights.tolist())
+    assert lam.total == lam.total
+    assert calls == [300]
+    assert pieces[-1].total == math.fsum(pieces[-1].weights.tolist())
+    assert calls == [300, 300]
+
+
+def test_measure_total_overflows_only_when_read():
+    f = Measure(2, [1e308, 1e308])
+    assert f.weights.tolist() == [1e308, 1e308]
+    with pytest.raises(OverflowError):
+        f.total
+
+
 def test_measure_io_roundtrip(tmp_path, small_table):
     params = MeasureParams(b=1, m=2, N=200)
     lam = measures.lambda_measure(params, small_table)
@@ -441,6 +468,7 @@ def _blob(N=2, signed=0, base=0, weights=(0.5, 0.25)):
         _blob()[:-3],  # payload not whole weights
         _blob(weights=(0.5, -0.25)),  # negative, unsigned
         _blob(weights=(0.5, float("nan"))),  # non-finite
+        _blob(weights=(1e308, 1e308)),  # total overflows
     ],
 )
 def test_measure_from_bytes_rejects(blob):
