@@ -15,9 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import measures
+from . import fourier, measures
 from .errors import DomainError, ParameterError
-from .fourier import TorusGrid, measure_wedge_grid, tau
+from .fourier import TorusGrid, tau
 from .numutil import dist_to_int, loglog_clamped
 from .sieve import FactorTable
 
@@ -85,17 +85,11 @@ class ArcParams:
 
 @dataclass(frozen=True)
 class ArcLabel:
+    """The arc of theta and its Dirichlet approximation a/q."""
+
     kind: str
-    approx: RationalApprox
-    degenerate: bool = False
-
-    @property
-    def a(self) -> int:
-        return self.approx.a
-
-    @property
-    def q(self) -> int:
-        return self.approx.q
+    a: int
+    q: int
 
 
 def _convergent_up_to(x: Fraction, qmax: int) -> Fraction:
@@ -136,7 +130,7 @@ def classify(theta: float, params: ArcParams) -> ArcLabel:
     """Label theta Major when its Dirichlet denominator is <= (log N)^B."""
     approx = dirichlet_approx(theta, params.Qmax)
     kind = MAJOR if approx.q <= params.q_cutoff else MINOR
-    return ArcLabel(kind=kind, approx=approx, degenerate=params.degenerate)
+    return ArcLabel(kind=kind, a=approx.a, q=approx.q)
 
 
 def major_prediction(
@@ -210,7 +204,7 @@ def sup_diff_scan(
     lam = measures.lambda_measure(mparams, table)
     lamq = measures.lambda_q_measure(mparams, table)
     M = grid.points(N)
-    diff = measure_wedge_grid(lam, M) - measure_wedge_grid(lamq, M)
+    diff = fourier.wedge_grid(lam, M) - fourier.wedge_grid(lamq, M)
     absdiff = np.abs(diff)
     idx = profile_indices(absdiff, profile_points)
     mags = absdiff[idx]
@@ -235,12 +229,11 @@ def sup_diff_scan(
     )
 
 
-def minor_bound_lambda(theta: float, q: int, N: int, m: int | None = None) -> float:
+def minor_bound_lambda(q: int, N: int) -> float:
     """(log N)^10 (q^(-1/2) + N^(-1/5) + N^(-1/2) q^(1/2)).
 
-    Pure formula with implicit constant 1; theta and m are part of the
-    contract shape (the bound holds for |theta - a/q| <= 1/q^2) but do
-    not enter the value.
+    Pure formula with implicit constant 1, for the theta with
+    |theta - a/q| <= 1/q^2.
     """
     if N < 3 or q < 1:
         raise ParameterError("need N >= 3 and q >= 1")
@@ -248,7 +241,7 @@ def minor_bound_lambda(theta: float, q: int, N: int, m: int | None = None) -> fl
     return lg**10 * (q**-0.5 + N**-0.2 + math.sqrt(q / N))
 
 
-def minor_bound_rough(theta: float, q: int, N: int, A: float) -> float:
+def minor_bound_rough(q: int, N: int, A: float) -> float:
     """(log N)^3 (q^(-1) + q/N + N^(-1/(8A)))."""
     if N < 3 or q < 1:
         raise ParameterError("need N >= 3 and q >= 1")

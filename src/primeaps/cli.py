@@ -571,7 +571,7 @@ def _run_transform_scan(cfg: RunConfig, em: Emitter):
         f = (measures.lambda_measure(params, table) if Q is None
              else measures.lambda_q_measure(params, table))
         M = grid.points(N)
-        vals = fourier.measure_wedge_grid(f, M)
+        vals = fourier.wedge_grid(f, M)
         mags = np.abs(vals)
         idx = arcs.profile_indices(mags, 4096)
         tag = "lambda" if Q is None else f"rough_Q{Q}"
@@ -738,8 +738,10 @@ def _run_roth_pipeline(cfg: RunConfig, em: Emitter):
 def _run_behrend(cfg: RunConfig, em: Emitter):
     results = {}
     rows = []
-    for N in cfg.N:
-        S = roth.behrend_set(N)
+    # every set is built before the first write, so an N the construction
+    # refuses leaves no output behind
+    sets = {N: roth.behrend_set(N) for N in cfg.N}
+    for N, S in sets.items():
         em.table(f"behrend_N{N}", ["value"], [S])
         size = int(S.size)
         fitted_c = -math.log(size / N) / math.sqrt(math.log(N)) if size < N else 0.0

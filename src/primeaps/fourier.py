@@ -40,7 +40,7 @@ from .errors import (
     StageError,
 )
 from .measures import Measure
-from .numutil import dist_to_int, e, fsum_complex
+from .numutil import dist_to_int, e, fsum_complex, fsum_real
 from .sieve import FactorTable
 
 REL_CONSISTENCY = 1e-3  # grid-doubling self-consistency contract (0.1%)
@@ -64,9 +64,8 @@ class TorusGrid:
 
 def exp_sum(f: Measure, theta: float) -> complex:
     """f^(theta) = sum over the support of f(n) e(n*theta), compensated."""
-    idx = np.flatnonzero(f.weights)
-    pos = f.positions()[idx]
-    return fsum_complex(f.weights[idx] * e(pos * theta))
+    pos, w = f.support()
+    return fsum_complex(w * e(pos * theta))
 
 
 def spectrum(f: Measure) -> np.ndarray:
@@ -95,19 +94,14 @@ def _scatter(positions: np.ndarray, values: np.ndarray, M: int) -> np.ndarray:
     return pad
 
 
-def wedge_grid(positions: np.ndarray, values: np.ndarray, M: int) -> np.ndarray:
-    """Evaluate sum_n v_n e(n * j/M) for j = 0..M-1 via one length-M FFT.
+def wedge_grid(f: Measure, M: int) -> np.ndarray:
+    """Evaluate f^(j/M) = sum_n f(n) e(n * j/M) for j = 0..M-1 via one
+    length-M FFT.
 
-    positions must be distinct mod M (true whenever they span fewer than M
-    consecutive integers).
+    The support points must be distinct mod M, which holds for M >= f.N.
     """
-    pad = _scatter(np.asarray(positions), np.asarray(values, dtype=np.complex128), M)
-    return M * np.fft.ifft(pad)
-
-
-def measure_wedge_grid(f: Measure, M: int) -> np.ndarray:
-    idx = np.flatnonzero(f.weights)
-    return wedge_grid(f.positions()[idx], f.weights[idx], M)
+    pos, w = f.support()
+    return M * np.fft.ifft(_scatter(pos, w.astype(np.complex128), M))
 
 
 def _power_sum(pad: np.ndarray, p: float) -> float:
@@ -181,8 +175,8 @@ def _lp_norm_checked(positions, values, N, p, grid: TorusGrid) -> float:
 
 def lp_norm_torus(f: Measure, p: float, grid: TorusGrid) -> float:
     """(integral over the torus of |f^|^p)^(1/p) by uniform-grid quadrature."""
-    idx = np.flatnonzero(f.weights)
-    return _lp_norm_checked(f.positions()[idx], f.weights[idx], f.N, p, grid)
+    pos, w = f.support()
+    return _lp_norm_checked(pos, w, f.N, p, grid)
 
 
 def tau(theta: float, N: int) -> complex:
@@ -336,18 +330,17 @@ def restriction_ratio(
     """
     if not p > 2:
         raise ParameterError(f"p must be > 2, got {p}")
-    idx = np.flatnonzero(lam.weights)
-    if idx.size == 0:
+    pos, wsup = lam.support()
+    if wsup.size == 0:
         raise DegenerateInputError("lambda has empty support")
     fvals = np.asarray(fvals, dtype=np.complex128)
-    if fvals.shape != idx.shape:
+    if fvals.shape != wsup.shape:
         raise ParameterError(
-            f"need one value per support point ({idx.size}), got {fvals.size}"
+            f"need one value per support point ({wsup.size}), got {fvals.size}"
         )
-    wsup = lam.weights[idx]
-    l2 = math.sqrt(math.fsum((np.abs(fvals) ** 2 * wsup).tolist()))
+    l2 = math.sqrt(fsum_real(np.abs(fvals) ** 2 * wsup))
     if l2 == 0.0:
         raise DegenerateInputError("f vanishes in L^2(d lambda)")
-    norm = _lp_norm_checked(lam.positions()[idx], fvals * wsup, lam.N, p, grid)
+    norm = _lp_norm_checked(pos, fvals * wsup, lam.N, p, grid)
     return norm * lam.N ** (1.0 / p) / l2
 

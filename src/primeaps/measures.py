@@ -90,6 +90,13 @@ class Measure:
             return np.arange(1, self.N + 1, dtype=np.int64)
         return np.arange(self.N, dtype=np.int64)
 
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """(positions, weights) of the nonzero weights, positions ascending
+        and given as ambient points like positions()."""
+        idx = np.flatnonzero(self.weights)
+        pos = idx + 1 if self.base == BASE_ONE else idx
+        return pos.astype(np.int64, copy=False), self.weights[idx]
+
     def as_zn(self) -> "Measure":
         if self.base == BASE_ZN:
             return self
@@ -116,8 +123,9 @@ class MeasureParams:
             raise ParameterError(f"N must be >= 1, got {self.N}")
         if self.Q is not None and self.Q < 1:
             raise ParameterError(f"Q must be >= 1, got {self.Q}")
-        if self.p_exponent is not None and not self.p_exponent > 2:
-            raise ParameterError(f"p_exponent must be > 2, got {self.p_exponent}")
+        if self.p_exponent is not None and not 2 < self.p_exponent < math.inf:
+            raise ParameterError(
+                f"p_exponent must lie in (2, inf), got {self.p_exponent}")
 
     @property
     def A(self) -> float:
@@ -185,11 +193,11 @@ def dyadic_pieces(
     A = params.A
     K = dyadic_cutoff(params.N, A)
     b, m, N = params.b, params.m, params.N
-    lam = lambda_measure(params, table)
     if 2**K > table.limit:
         raise TableRangeError(
             f"dyadic split needs primes up to 2^{K}={2**K}, table covers {table.limit}"
         )
+    lam = lambda_measure(params, table)
     cap = m * N + b
     keep = np.ones(N + 1, dtype=bool)
     keep[0] = False
@@ -324,22 +332,16 @@ def sigma_aq(
     q: int,
     params: MeasureParams,
     table: sieve.FactorTable,
-    method: str = "closed",
 ) -> complex:
-    """sigma_{a,q} = sum_r e(ar/q) gamma_{r,q}.
-
-    closed: q*mu(q)/phi(q) * e(-a*b*minv/q) when gcd(m,q)=1 (and, for the
-    rough kind, q is Q-smooth), else 0. minv is the inverse of m mod q.
-    direct: the literal sum over r of e(ar/q) * gamma_rq.
+    """sigma_{a,q} = sum_r e(ar/q) gamma_{r,q} in closed form:
+    q*mu(q)/phi(q) * e(-a*b*minv/q) when gcd(m,q)=1 (and, for the rough
+    kind, q is Q-smooth), else 0. minv is the inverse of m mod q. The
+    literal sum over r is the oracle sigma_aq_direct_all.
     """
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")
     if math.gcd(a, q) != 1:
         raise PreconditionError(f"gcd(a, q) must be 1, got gcd({a}, {q})")
-    if method == "direct":
-        return complex(sigma_aq_direct_all(kind, q, params, table)[a % q])
-    if method != "closed":
-        raise ParameterError(f"unknown method {method!r}")
     pref = _sigma_gate(kind, q, params, table)
     if pref is None:
         return 0.0 + 0.0j

@@ -38,9 +38,13 @@ def dist_to_int(x):
 
 
 def fsum_real(values) -> float:
-    """Exactly rounded sum of real values (compensated summation)."""
+    """Exactly rounded sum of real values (compensated summation).
+
+    Only the nonzero values are summed: a +-0.0 term adds nothing to
+    math.fsum, and most weights of a measure on a sparse support are 0.
+    """
     arr = np.asarray(values, dtype=float)
-    return math.fsum(arr.tolist())
+    return math.fsum(arr[arr != 0].tolist())
 
 
 def fsum_complex(values) -> complex:
@@ -49,13 +53,13 @@ def fsum_complex(values) -> complex:
     return complex(math.fsum(arr.real.tolist()), math.fsum(arr.imag.tolist()))
 
 
-def loglog_clamped(q: float, floor_below: float = 16.0) -> float:
-    """log log q, clamped at 1 for q below `floor_below`.
+def loglog_clamped(q: float) -> float:
+    """log log q, clamped at 1 (and taken as 1 for q below 16).
 
     The clamp keeps reciprocal reference quantities like loglog(Q)/Q finite
     and monotone at small Q, where the double log dips below 1 (or 0).
     """
-    if q < floor_below:
+    if q < 16.0:
         return 1.0
     return max(math.log(math.log(q)), 1.0)
 

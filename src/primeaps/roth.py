@@ -238,14 +238,20 @@ class SetlikeReport:
     a1: Measure = field(repr=False)
 
 
+def w_reference(W: int) -> float:
+    """2 loglog(W) / W: the W-trick's bound on sup_{r != 0} |mu~(r)|, and
+    the floor eps^k must clear in the Bohr-dimension gate."""
+    return 2.0 * loglog_clamped(W) / W
+
+
 def mu_sup_offzero(mu: Measure, W: int | None = None):
-    """sup and argmax of |mu~(r)| over r != 0, with the 2 loglog(W)/W
+    """sup and argmax of |mu~(r)| over r != 0, with the w_reference(W)
     reference when W is supplied."""
     mags = np.abs(spectrum(mu))
     mags[0] = -1.0
     argmax = int(np.argmax(mags))
     sup = float(mags[argmax])
-    reference = 2.0 * loglog_clamped(W) / W if W is not None else None
+    reference = w_reference(W) if W is not None else None
     return sup, argmax, reference
 
 
@@ -254,9 +260,9 @@ def setlike_check(
     mu: Measure,
     bohr: BohrSet,
     W: int | None = None,
-    slack: float = 1e-9,
 ) -> SetlikeReport:
-    """Verify a <= mu pointwise, granularize, and evaluate the sup chain."""
+    """Verify a <= mu pointwise, granularize, and evaluate the sup chain;
+    each comparison of the chain allows 1e-9 of float residue."""
     if a.N != mu.N or a.N != bohr.N:
         raise ParameterError("a, mu and the Bohr set must share N")
     if float(np.max(a.zn_weights() - mu.zn_weights())) > 1e-12:
@@ -273,9 +279,10 @@ def setlike_check(
     chain_reference = None
     gate_ok = None
     if W is not None:
-        ref = 2.0 * loglog_clamped(W) / W
+        ref = w_reference(W)
         chain_reference = 1.0 / a.N + ref / size
         gate_ok = bohr.eps**bohr.k >= ref
+    slack = 1e-9
     return SetlikeReport(
         sup_a1=sup_a1,
         chain_spectral=chain_spectral,
@@ -300,7 +307,6 @@ class Count3APs:
     total: float
     nontrivial: float
     unordered: int | None = None
-    wrapped: bool = True
 
 
 def _int_set(x) -> np.ndarray:
@@ -309,27 +315,17 @@ def _int_set(x) -> np.ndarray:
     return np.unique(np.asarray(x, dtype=np.int64))
 
 
-def count_3aps(a, b=None, c=None, N: int | None = None, wrap: bool = True) -> Count3APs:
-    """Count ordered triples (x, x+d, x+2d) weighted by a, b, c.
-
-    Measures: all three on a common Z_N; returns float total (d=0
-    included) and nontrivial part. Integer sets in [0, N): exact integer
-    counts, plus the unordered triple count when a = b = c, from
-    `count_set_3aps`: wrap=True counts progressions in Z_N, wrap=False on
-    the integer line.
+def count_3aps(a: Measure, b: Measure | None = None,
+               c: Measure | None = None) -> Count3APs:
+    """Count ordered triples (x, x+d, x+2d) in Z_N weighted by the measures
+    a, b, c (b and c default to a): the float total (d=0 included) and its
+    nontrivial part. Integer sets are counted by `count_set_3aps`.
     """
-    if isinstance(a, Measure):
-        b = a if b is None else b
-        c = a if c is None else c
-        if not wrap:
-            raise ParameterError("unwrapped counts are defined for sets only")
-        total = triple_count(a, b, c)
-        diag = fsum_real(a.zn_weights() * b.zn_weights() * c.zn_weights())
-        return Count3APs(total=total, nontrivial=total - diag, wrapped=True)
-    if N is None:
-        raise ParameterError("sets need the ambient N")
-    wrapped, line = count_set_3aps(a, b, c, N=N)
-    return wrapped if wrap else line
+    b = a if b is None else b
+    c = a if c is None else c
+    total = triple_count(a, b, c)
+    diag = fsum_real(a.zn_weights() * b.zn_weights() * c.zn_weights())
+    return Count3APs(total=total, nontrivial=total - diag)
 
 
 def count_set_3aps(a, b=None, c=None, *, N: int) -> tuple[Count3APs, Count3APs]:
@@ -353,14 +349,13 @@ def count_set_3aps(a, b=None, c=None, *, N: int) -> tuple[Count3APs, Count3APs]:
     self_paired = (int(np.intersect1d(S, (S + N // 2) % N).size)
                    if same and N % 2 == 0 else 0)
 
-    def count(total: int, wrapped: bool, paired: int) -> Count3APs:
+    def count(total: int, paired: int) -> Count3APs:
         nontrivial = total - trivial
         unordered = (nontrivial - paired) // 2 + paired if same else None
-        return Count3APs(total=total, nontrivial=nontrivial,
-                         unordered=unordered, wrapped=wrapped)
+        return Count3APs(total=total, nontrivial=nontrivial, unordered=unordered)
 
-    return (count(int(folded[(2 * Sb) % N].sum()), True, self_paired),
-            count(int(conv[2 * Sb].sum()), False, 0))
+    return (count(int(folded[(2 * Sb) % N].sum()), self_paired),
+            count(int(conv[2 * Sb].sum()), 0))
 
 
 def has_3ap_line(S) -> bool:
@@ -485,7 +480,7 @@ def final_inequality(
     lin = cub = None
     lin_ok = cub_ok = None
     if W is not None:
-        gate_ok = eps**k >= 2.0 * loglog_clamped(W) / W
+        gate_ok = eps**k >= w_reference(W)
     if bohr is not None:
         bt = spectrum(bohr.beta())
         R = bohr.R
@@ -531,9 +526,9 @@ def _greedy_free(values) -> list[int]:
     return out
 
 
-def _best_sphere(d: int, dim: int, N: int) -> np.ndarray:
+def _best_sphere(d: int, dim: int) -> np.ndarray:
     """Largest sphere {x = sum x_i d^i : x_i <= (d-1)//2, sum x_i^2 = rho}
-    shifted into {1..N}. Digit cap < d/2 rules out carries, the fixed
+    shifted into {1..d^dim}. Digit cap < d/2 rules out carries, the fixed
     square-sum rules out nontrivial progressions (strict convexity)."""
     xs = np.arange(d**dim, dtype=np.int64)
     half = (d - 1) // 2
@@ -562,7 +557,7 @@ def behrend_set(N: int) -> np.ndarray:
     while d * d <= N:
         dim = 2
         while d**dim <= N:
-            cand = _best_sphere(d, dim, N)
+            cand = _best_sphere(d, dim)
             if cand.size > best.size:
                 best = cand
             dim += 1
@@ -574,9 +569,10 @@ def behrend_set(N: int) -> np.ndarray:
 # full pipeline
 
 SOURCES = ("primes", "behrend-in-primes", "random-subset-of-primes")
+SUBSET_DENSITY = 0.5  # chance that random-subset-of-primes keeps each prime
 
 
-def _build_source(source: str, n: int, table, seed: int, subset_density: float):
+def _build_source(source: str, n: int, table, seed: int):
     ps = table.primes_up_to(n)
     if ps.size == 0:
         raise DegenerateInputError(f"no primes <= {n}")
@@ -584,7 +580,7 @@ def _build_source(source: str, n: int, table, seed: int, subset_density: float):
         return ps, ps
     if source == "random-subset-of-primes":
         rng = rng_stream(seed, "source")
-        keep = rng.random(ps.size) < subset_density
+        keep = rng.random(ps.size) < SUBSET_DENSITY
         return ps[keep], ps
     if source == "behrend-in-primes":
         idx = behrend_set(int(ps.size))
@@ -612,7 +608,6 @@ def density_experiment(
     eps: float = 0.1,
     W: int | None = None,
     constants: dict | None = None,
-    subset_density: float = 0.5,
     artifacts: dict | None = None,
 ) -> dict:
     """Run the full chain source -> W-trick -> measure -> spectrum -> Bohr
@@ -635,14 +630,14 @@ def density_experiment(
             "eps": eps,
             "W": W,
             "constants": dict(DEFAULT_CONSTANTS) | (constants or {}),
-            "subset_density": subset_density,
+            "subset_density": SUBSET_DENSITY,
         }
     }
     with _stage("source"):
-        A0, ps = _build_source(source, n, table, seed, subset_density)
+        A0, ps = _build_source(source, n, table, seed)
         if A0.size == 0:
             raise DegenerateInputError("source selection is empty")
-        src_counts = count_3aps(A0, N=int(A0.max()) + 1, wrap=False)
+        _, src_counts = count_set_3aps(A0, N=int(A0.max()) + 1)
         report["source"] = {
             "size": int(A0.size),
             "primes_below_n": int(ps.size),

@@ -175,11 +175,10 @@ def mertens_product(q: int, m: int, table: FactorTable) -> float:
     return prod
 
 
-def ramanujan_sum(q: int, a: int, table: FactorTable | None = None) -> complex:
+def ramanujan_sum(q: int, a: int) -> complex:
     """c_q(a) = sum over t mod q, gcd(t,q)=1, of e(at/q) by direct summation.
 
-    Equals mu(q) whenever gcd(a,q)=1; the table argument is accepted for
-    signature symmetry but the sum itself never needs it.
+    Equals mu(q) whenever gcd(a,q)=1.
     """
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")

@@ -88,7 +88,6 @@ def test_classify_agrees_with_own_approx():
         lab = arcs.classify(float(theta), params)
         expect = MAJOR if lab.q <= params.q_cutoff else MINOR
         assert lab.kind == expect
-        assert not lab.degenerate
         assert math.gcd(lab.a, lab.q) == 1 or lab.a == 0
 
 
@@ -98,7 +97,6 @@ def test_classify_degenerate_is_all_major():
     for theta in (0.1, 0.37, 0.5, 0.998):
         lab = arcs.classify(theta, params)
         assert lab.kind == MAJOR
-        assert lab.degenerate
 
 
 # --- major-arc prediction ----------------------------------------------------
@@ -252,16 +250,16 @@ def test_sup_diff_scan_oversample_stable(small_table):
 def test_minor_bound_formulas():
     N, q = 100_000, 50
     lg = math.log(N)
-    assert arcs.minor_bound_lambda(0.3, q, N) == pytest.approx(
+    assert arcs.minor_bound_lambda(q, N) == pytest.approx(
         lg**10 * (q**-0.5 + N**-0.2 + math.sqrt(q / N))
     )
-    assert arcs.minor_bound_rough(0.3, q, N, A=2.0) == pytest.approx(
+    assert arcs.minor_bound_rough(q, N, A=2.0) == pytest.approx(
         lg**3 * (1.0 / q + q / N + N ** (-1.0 / 16.0))
     )
     with pytest.raises(ParameterError):
-        arcs.minor_bound_lambda(0.3, 0, N)
+        arcs.minor_bound_lambda(0, N)
     with pytest.raises(ParameterError):
-        arcs.minor_bound_rough(0.3, q, N, A=0.0)
+        arcs.minor_bound_rough(q, N, A=0.0)
 
 
 def test_weyl_min_sum_matches_direct():

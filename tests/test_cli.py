@@ -294,6 +294,7 @@ def test_constants_must_be_a_json_object(text, message, tmp_path, capsys):
     ["roth-pipeline", "--N", "2"],
     ["transform-scan", "--N", "100", "--oversample", "1"],
     ["measure-build", "--N", "100", "--b", "2", "--m", "4"],
+    ["behrend", "--N", "100,5"],
 ], ids=" ".join)
 def test_handler_rejection_leaves_no_output_dir(args, tmp_path, capsys):
     # these pass the parser and fail inside their handler, before the

@@ -77,7 +77,7 @@ def test_wedge_grid_matches_exp_sum():
     rng = np.random.default_rng(6)
     f = _random_measure(37, rng)
     M = 128
-    vals = fourier.measure_wedge_grid(f, M)
+    vals = fourier.wedge_grid(f, M)
     for j in (0, 1, 17, 64, 127):
         assert abs(vals[j] - fourier.exp_sum(f, j / M)) < 1e-10
 

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from primeaps.errors import ParameterError, PreconditionError, TableRangeError
 from primeaps import cli, measures, sieve
+from primeaps.arcs import ArcParams
 from primeaps.measures import KIND_PRIME, KIND_ROUGH, Measure, MeasureParams
+from primeaps.numutil import fsum_real
 
 
 def _is_prime(n):
@@ -124,6 +126,16 @@ def test_dyadic_needs_table(small_table):
     params = MeasureParams(b=1, m=1, N=10_000, p_exponent=2.5)
     with pytest.raises(TableRangeError):
         measures.dyadic_pieces(params, small_table)
+
+
+def test_dyadic_checks_table_before_building_lambda(small_table, monkeypatch):
+    built = []
+    monkeypatch.setattr(measures, "lambda_measure",
+                        lambda *args: built.append(args))
+    params = MeasureParams(b=1, m=1, N=10_000, p_exponent=2.5)
+    with pytest.raises(TableRangeError):
+        measures.dyadic_pieces(params, small_table)
+    assert built == []
 
 
 def test_piece_sup_norms_shape(table):
@@ -322,6 +334,51 @@ def test_measure_params_validation():
     assert MeasureParams(b=1, m=1, N=100, p_exponent=4.0).A == 2.0
     with pytest.raises(ParameterError):
         MeasureParams(b=1, m=1, N=100).require_Q()
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5, math.inf, -math.inf, math.nan])
+def test_p_exponent_outside_open_interval_is_refused(p):
+    # both parameter sets take A = 4/(p-2), which p = inf would make 0
+    with pytest.raises(ParameterError):
+        MeasureParams(b=1, m=1, N=100, p_exponent=p)
+    with pytest.raises(ParameterError):
+        ArcParams(N=100, p_exponent=p)
+
+
+@pytest.mark.parametrize("base", [measures.BASE_ONE, measures.BASE_ZN])
+def test_support_is_the_nonzero_positions(base):
+    w = np.array([0.0, 2.0, 0.0, -0.0, 5.0, 1e-300])
+    f = Measure(6, w, base=base)
+    pos, weights = f.support()
+    keep = w != 0
+    assert pos.dtype == np.int64
+    assert pos.tolist() == f.positions()[keep].tolist()
+    assert weights.tolist() == w[keep].tolist()
+
+
+_SUM_TERMS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324]),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.floats(allow_nan=False),
+)
+
+
+def _fsum_outcome(fn, values):
+    try:
+        return repr(fn(values))
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+
+
+@given(st.lists(st.tuples(_SUM_TERMS, st.integers(min_value=1, max_value=6)),
+                max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_fsum_real_equals_fsum_of_every_term(runs):
+    # zero terms are skipped; that must not move the sum, its sign of zero,
+    # or which sums overflow or meet both infinities
+    values = [v for v, count in runs for _ in range(count)]
+    assert (_fsum_outcome(fsum_real, np.array(values, dtype=np.float64))
+            == _fsum_outcome(math.fsum, values))
 
 
 def test_zn_embedding_rolls():

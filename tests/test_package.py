@@ -72,3 +72,50 @@ def test_fft_checker_flags(source):
 def test_fft_checker_passes_other_fft_names():
     assert _fft_uses(ast.parse("import numpy as np\nfrom . import fourier\n"
                                "fourier.fft(x)\nnp.linalg.norm(x)")) == []
+
+
+def _unread_parameters(tree: ast.AST) -> list[str]:
+    """`function.parameter` for every parameter of a function or lambda
+    whose body never reads it; self and cls are exempt."""
+    dead = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        dead += [f"{name}.{p}" for p in params
+                 if p not in read and p not in ("self", "cls")]
+    return dead
+
+
+def test_every_parameter_is_read():
+    # a parameter nothing reads is an option that changes nothing, which
+    # every caller and test must still consider
+    found = {path.relative_to(SRC).as_posix():
+             _unread_parameters(ast.parse(path.read_text(), str(path)))
+             for path in sorted(SRC.rglob("*.py"))}
+    assert {name: dead for name, dead in found.items() if dead} == {}
+
+
+def test_parameter_checker_flags():
+    source = ("def f(a, b, *rest, c=1, **extra):\n"
+              "    b = 2\n"
+              "    return a\n"
+              "class K:\n"
+              "    def m(self, x):\n"
+              "        return lambda y: x\n")
+    assert sorted(_unread_parameters(ast.parse(source))) == [
+        "<lambda>.y", "f.b", "f.c", "f.extra", "f.rest"]
+
+
+def test_parameter_checker_passes_reads():
+    source = ("def f(a, *rest, c=1, **extra):\n"
+              "    def inner():\n"
+              "        return a + c\n"
+              "    return inner, rest, extra\n")
+    assert _unread_parameters(ast.parse(source)) == []

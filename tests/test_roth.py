@@ -295,8 +295,8 @@ def _brute_line_nontrivial(S):
 
 
 def test_count_3aps_worked_example():
-    c = roth.count_3aps({0, 1, 2}, N=7)
-    assert (c.total, c.nontrivial, c.unordered, c.wrapped) == (5, 2, 1, True)
+    c, _ = roth.count_set_3aps({0, 1, 2}, N=7)
+    assert (c.total, c.nontrivial, c.unordered) == (5, 2, 1)
 
 
 def test_count_3aps_wrapped_matches_brute():
@@ -304,7 +304,7 @@ def test_count_3aps_wrapped_matches_brute():
     for N in (7, 17, 101):
         for _ in range(8):
             S = set(int(v) for v in rng.choice(N, size=N // 3, replace=False))
-            c = roth.count_3aps(sorted(S), N=N)
+            c, _ = roth.count_set_3aps(sorted(S), N=N)
             assert c.total == _brute_wrapped(S, S, S, N)
             assert c.nontrivial == c.total - len(S)
 
@@ -315,8 +315,7 @@ def test_count_3aps_line_matches_brute():
         for _ in range(8):
             S = set(int(v) for v in rng.choice(N, size=max(3, N // 3),
                                                replace=False))
-            c = roth.count_3aps(sorted(S), N=N, wrap=False)
-            assert not c.wrapped
+            _, c = roth.count_set_3aps(sorted(S), N=N)
             assert c.nontrivial == _brute_line_nontrivial(S)
             assert c.total == c.nontrivial + len(S)
 
@@ -328,7 +327,7 @@ def test_count_3aps_distinct_sets():
         set(int(v) for v in rng.choice(N, size=10, replace=False))
         for _ in range(3)
     )
-    c = roth.count_3aps(sorted(S), sorted(Sb), sorted(Sc), N=N)
+    c, _ = roth.count_set_3aps(sorted(S), sorted(Sb), sorted(Sc), N=N)
     assert c.total == _brute_wrapped(S, Sb, Sc, N)
     assert c.unordered is None
 
@@ -346,16 +345,14 @@ def test_count_3aps_padded_route_matches_brute(N):
         for _ in range(3)
     )
     args = [sorted(S), sorted(Sb), sorted(Sc)]
+    wrapped, line = roth.count_set_3aps(*args, N=N)
+    own_wrapped, own = roth.count_set_3aps(sorted(S), N=N)
     if N <= 100:
-        wrapped = roth.count_3aps(*args, N=N)
         assert wrapped.total == _brute_wrapped(S, Sb, Sc, N)
         assert wrapped.nontrivial == wrapped.total - len(S & Sb & Sc)
-        own = roth.count_3aps(sorted(S), N=N)
-        assert own.total == _brute_wrapped(S, S, S, N)
-    line = roth.count_3aps(*args, N=N, wrap=False)
+        assert own_wrapped.total == _brute_wrapped(S, S, S, N)
     assert line.total == _brute_line(S, Sb, Sc)
     assert line.unordered is None
-    own = roth.count_3aps(sorted(S), N=N, wrap=False)
     assert own.nontrivial == _brute_line_nontrivial(S)
     assert own.unordered == own.nontrivial // 2
 
@@ -375,14 +372,11 @@ def test_count_set_3aps_reads_both_counts_from_one_convolution(N, monkeypatch):
     monkeypatch.setattr(roth, "set_convolution", counted)
     wrapped, line = roth.count_set_3aps(S, N=N)
     assert calls == [N]
-    assert wrapped == roth.count_3aps(S, N=N, wrap=True)
-    assert line == roth.count_3aps(S, N=N, wrap=False)
-    assert wrapped.wrapped and not line.wrapped
     assert wrapped.total == _brute_wrapped(set(S), set(S), set(S), N)
     assert line.nontrivial == _brute_line_nontrivial(set(S))
 
 def test_count_3aps_even_modulus_self_paired():
-    c = roth.count_3aps({0, 2}, N=4)
+    c, _ = roth.count_set_3aps({0, 2}, N=4)
     assert (c.total, c.nontrivial, c.unordered) == (4, 2, 2)
 
 
@@ -399,15 +393,13 @@ def test_count_3aps_measure_route():
     assert c.total == pytest.approx(brute, rel=1e-9)
     assert c.nontrivial == pytest.approx(brute - float(np.sum(w**3)), rel=1e-9)
     assert c.unordered is None
-    with pytest.raises(ParameterError):
-        roth.count_3aps(mu, wrap=False)
 
 
 def test_count_3aps_validation():
     with pytest.raises(ParameterError):
-        roth.count_3aps({1, 2})
+        roth.count_3aps(_uniform(7), _uniform(9))
     with pytest.raises(ParameterError):
-        roth.count_3aps({0, 9}, N=9)
+        roth.count_set_3aps({0, 9}, N=9)
 
 
 def test_has_3ap_line():
@@ -445,7 +437,7 @@ def test_varnavides_alpha_one():
     assert vb.M == 2
     assert vb.z_lower == pytest.approx(64**2 / 32.0)
     # the full interval certainly meets the 3AP lower bound
-    c = roth.count_3aps(list(range(64)), N=64, wrap=False)
+    _, c = roth.count_set_3aps(list(range(64)), N=64)
     assert c.nontrivial >= vb.z_lower
 
 
