@@ -2,16 +2,16 @@
 classification at the (log N)^B cutoff, closed-form major-arc predictions,
 empirical sup-difference scans, and the minor-arc bound formulas.
 
-All bound formulas are evaluated with implicit constant 1; tests compare
-them against measured quantities and report fitted constants rather than
-asserting the asymptotic inequalities.
+All bound formulas are evaluated with implicit constant 1. No CLI output
+reports them yet, and the tests check the formulas themselves (values,
+decay in their parameters, input validation), not a measured quantity
+against a bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -92,38 +92,63 @@ class ArcLabel:
     q: int
 
 
-def _convergent_up_to(x: Fraction, qmax: int) -> Fraction:
-    """Last continued-fraction convergent of x with denominator <= qmax."""
-    p0, q0 = 1, 0
-    p1, q1 = int(math.floor(x)), 1
-    frac = x - math.floor(x)
-    while frac != 0 and q1 <= qmax:
-        frac = 1 / frac
-        a = int(math.floor(frac))
-        frac -= a
+def _convergent_up_to(n: int, d: int, qmax: int) -> tuple[int, int]:
+    """Last continued-fraction convergent (a, q) of n/d (d >= 1) with
+    q <= qmax."""
+    a = n // d
+    p0, q0, p1, q1 = 1, 0, a, 1
+    r, s = n - a * d, d  # n/d - a = r/s, in [0, 1)
+    while r and q1 <= qmax:
+        a, r, s = s // r, s % r, r  # s/r = a + (s % r)/r
         p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
         if q1 > qmax:
-            return Fraction(p0, q0)
-    return Fraction(p1, q1)
+            return p0, q0
+    return p1, q1
+
+
+def _limit_denominator(n: int, d: int, qmax: int) -> tuple[int, int]:
+    """The fraction (a, q) closest to n/d (d >= 1, coprime) with q <= qmax,
+    as Fraction.limit_denominator finds it: the closer of the last
+    convergent and the last semiconvergent, the convergent on a tie."""
+    if d <= qmax:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    u, v = n, d
+    while True:
+        a = u // v
+        q2 = q0 + a * q1
+        if q2 > qmax:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        u, v = v, u - a * v
+    k = (qmax - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - n/d| <= |p2/q2 - n/d|, cleared of the denominators
+    if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1:
+        return p1, q1
+    return p2, q2
 
 
 def dirichlet_approx(theta: float, qmax: int) -> RationalApprox:
     """Best rational a/q with q <= qmax; always satisfies the Dirichlet
     guarantee |theta - a/q| <= 1/(q*qmax).
 
-    Uses the stdlib continued-fraction best approximation; in the rare
-    case the closest fraction misses the guarantee, the plain convergent
-    (which always satisfies it) is returned instead. Exact arithmetic.
+    Runs the stdlib continued-fraction best approximation on the exact
+    integer ratio n/d of theta; in the rare case the closest fraction misses
+    the guarantee, the plain convergent (which always satisfies it) is
+    returned instead. Exact integer arithmetic: the test is
+    |n*q - a*d| * qmax <= d, and err is |n*q - a*d| / (d*q), one correctly
+    rounded division.
     """
     if qmax < 1:
         raise ParameterError(f"qmax must be >= 1, got {qmax}")
-    x = Fraction(theta)
-    best = x.limit_denominator(qmax)
-    if abs(x - best) * best.denominator * qmax > 1:
-        best = _convergent_up_to(x, qmax)
-    return RationalApprox(
-        a=best.numerator, q=best.denominator, err=float(abs(x - best))
-    )
+    n, d = float(theta).as_integer_ratio()
+    a, q = _limit_denominator(n, d, qmax)
+    gap = abs(n * q - a * d)
+    if gap * qmax > d:
+        a, q = _convergent_up_to(n, d, qmax)
+        gap = abs(n * q - a * d)
+    return RationalApprox(a=a, q=q, err=gap / (d * q))
 
 
 def classify(theta: float, params: ArcParams) -> ArcLabel:
@@ -203,8 +228,11 @@ def sup_diff_scan(
         arc_params = ArcParams(N=N, p_exponent=mparams.p_exponent or 3.0)
     lam = measures.lambda_measure(mparams, table)
     lamq = measures.lambda_q_measure(mparams, table)
+    # both measures sit on {1..N}, so their difference is one signed measure
+    # and one grid
+    signed = measures.Measure(N, lam.weights - lamq.weights, signed=True)
     M = grid.points(N)
-    diff = fourier.wedge_grid(lam, M) - fourier.wedge_grid(lamq, M)
+    diff = fourier.wedge_grid(signed, M)
     absdiff = np.abs(diff)
     idx = profile_indices(absdiff, profile_points)
     mags = absdiff[idx]

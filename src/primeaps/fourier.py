@@ -15,13 +15,19 @@ from which both the line count and the Z_N count (after folding mod N) are
 read.
 
 The torus-grid path is separate. `wedge_grid` evaluates f^ on the grid j/M
-with one length-M transform. The L^p norms come from one ladder,
-`_lp_norm_checked`, that never evaluates a grid twice: the first level,
-M = oversample * N, is one transform (an rfft for real coefficients, whose
-grid is Hermitian), and each doubling keeps the sum of |f^|^p over the M
-grid as the even samples of the 2M grid and adds the odd ones with one
-length-M transform of twisted coefficients. At even integer p the M-point
-rule is exact once M > (p/2) * span, and the ladder stops there.
+with one length-M rfft, completed by Hermitian symmetry, since the weights
+of a measure are real. The L^p norms come from one ladder, `_lp_ladder`,
+over the levels M = oversample * N, 2M, 4M, ..., which stops once two
+consecutive levels agree. Real coefficients take one rfft per comparison:
+the grid of 2M points holds the M grid as its even bins, so each rfft gives
+the finer level and the coarser one is already known. Complex coefficients
+(only `restriction_ratio` has them) take one fft at M, and each doubling
+adds the odd samples of the 2M grid with one length-M fft of twisted
+coefficients. At even integer p the M-point rule is exact once
+M > (p/2) * span, and the ladder stops at the first exact level; when that
+is the first, it costs one transform of length M. `mz_ratio` reads its
+discrete sum over r/N off every (L/N)-th bin of the ladder's first grid of
+L points, so it takes no length-N transform of its own.
 """
 
 from __future__ import annotations
@@ -96,50 +102,77 @@ def _scatter(positions: np.ndarray, values: np.ndarray, M: int) -> np.ndarray:
 
 def wedge_grid(f: Measure, M: int) -> np.ndarray:
     """Evaluate f^(j/M) = sum_n f(n) e(n * j/M) for j = 0..M-1 via one
-    length-M FFT.
+    length-M rfft.
 
+    The weights are real, so f^(j/M) is the conjugate of rfft bin j for
+    j <= M//2, and the rest of the grid is Hermitian:
+    f^((M - j)/M) = conj f^(j/M), so |f^| ties exactly at mirrored points.
     The support points must be distinct mod M, which holds for M >= f.N.
     """
     pos, w = f.support()
-    return M * np.fft.ifft(_scatter(pos, w.astype(np.complex128), M))
+    half = np.fft.rfft(_scatter(pos, w, M))
+    vals = np.empty(M, dtype=np.complex128)
+    np.conjugate(half, out=vals[:half.size])
+    vals[half.size:] = half[(M + 1) // 2 - 1:0:-1]
+    return vals
 
 
-def _power_sum(pad: np.ndarray, p: float) -> float:
-    """sum over j = 0..M-1 of |sum_n pad_n e(nj/M)|^p, with M = len(pad).
-
-    Over a full period the sign of the phase only permutes j, so one forward
-    transform serves. A real pad has a Hermitian transform: its rfft holds
-    bins 0..M//2, and every bin but 0 and (for even M) M/2 stands for two.
-    """
-    real = not np.iscomplexobj(pad)
-    mags = np.abs(np.fft.rfft(pad) if real else np.fft.fft(pad))
+def _half_powers(pad: np.ndarray, p: float) -> np.ndarray:
+    """|sum_n pad_n e(-nk/L)|^p at the bins k = 0..L//2 of a real pad of
+    length L, from one rfft; the grid's other bins mirror these."""
+    mags = np.abs(np.fft.rfft(pad))
     mags **= p
-    if not real:
-        return float(np.sum(mags))
-    total = 2.0 * np.sum(mags) - mags[0]
-    if pad.size % 2 == 0:
-        total -= mags[-1]
+    return mags
+
+
+def _hermitian_sum(half: np.ndarray, L: int) -> float:
+    """The sum over the L bins of a Hermitian grid, given its bins
+    0..L//2: every bin but 0 and (for even L) L/2 stands for two."""
+    total = 2.0 * np.sum(half) - half[0]
+    if L % 2 == 0:
+        total -= half[-1]
     return float(total)
 
 
-def _lp_norm_checked(positions, values, N, p, grid: TorusGrid) -> float:
-    """Torus L^p norm (mean of |f^|^p over the grid j/M, to the power 1/p)
-    with the grid-doubling self-consistency ladder.
+def _complex_power_sum(pad: np.ndarray, p: float) -> float:
+    """sum over j = 0..M-1 of |sum_n pad_n e(nj/M)|^p, with M = len(pad).
 
-    The first level, M = oversample * N, takes one transform (an rfft when
-    the values are real). Each doubling keeps the sum of |f^|^p over the
-    M grid as the even samples of the 2M grid and adds only the odd ones,
-    f^((2j+1)/2M) = sum_n v_n e(n/2M) e(nj/M): one length-M transform of
-    the twisted values. The ladder doubles until two consecutive levels
-    agree to 0.1%; if the pair at oversample 16 still disagrees, a
-    GridConvergenceWarning is issued and the finer value returned.
+    Over a full period the sign of the phase only permutes j, so one forward
+    transform serves."""
+    mags = np.abs(np.fft.fft(pad))
+    mags **= p
+    return float(np.sum(mags))
+
+
+def _lp_ladder(positions, values, N, p, grid: TorusGrid):
+    """Torus L^p norm (mean of |f^|^p over the grid j/M, to the power 1/p)
+    with the grid-doubling self-consistency ladder, and the first grid it
+    took.
+
+    Levels run over M = oversample * N, 2M, 4M, ... The ladder doubles
+    until two consecutive levels agree to 0.1%; if the pair at oversample 16
+    still disagrees, a GridConvergenceWarning is issued and the finer value
+    returned.
+
+    Real values take one rfft per comparison: the grid of 2M points holds
+    the M grid as its even bins, so the first pair costs one rfft of
+    length 2M, and each doubling after it one rfft at the new finer length.
+    Complex values take one fft of length M for the first level, and each
+    doubling keeps the sum over the M grid as the even samples of the 2M
+    grid and adds the odd ones, f^((2j+1)/2M) = sum_n v_n e(n/2M) e(nj/M):
+    one length-M fft of the twisted values.
 
     For even integer p, |f^|^p is a trigonometric polynomial of degree at
     most (p/2) * span, span = max - min of the positions, so the M-point
-    rule is exact once M > (p/2) * span: that level is returned without
-    doubling, and no warning can arise. Every L^p norm and ratio of this
-    module comes here, so this is where p outside [1, inf), NaN included,
-    is refused.
+    rule is exact once M > (p/2) * span: the first such level is returned,
+    and when the first level is exact it is one transform of length M. Every
+    L^p norm and ratio of this module comes here, so this is where p
+    outside [1, inf), NaN included, is refused.
+
+    Returns the norm and, for real values, (powers, L): the first rfft the
+    ladder took, as |sum_n v_n e(-nk/L)|^p at its bins k = 0..L//2, with L
+    = oversample * N when that level is exact and 2 * oversample * N
+    otherwise. For complex values the second item is None.
     """
     if not 1 <= p < math.inf:
         raise ParameterError(f"p must lie in [1, inf), got {p}")
@@ -148,29 +181,53 @@ def _lp_norm_checked(positions, values, N, p, grid: TorusGrid) -> float:
     if np.iscomplexobj(values) and not np.any(values.imag):
         values = values.real
     span = int(np.ptp(positions)) if positions.size else 0
-    even = p % 2 == 0
+
+    def exact(M: int) -> bool:
+        return p % 2 == 0 and M > p / 2 * span
+
+    real = not np.iscomplexobj(values)
     o = grid.oversample
-    total = _power_sum(_scatter(positions, values, o * N), p)
-    cur = (total / (o * N)) ** (1.0 / p)
-    while not (even and o * N > p / 2 * span):
-        M = o * N
-        twisted = values * e(positions / (2 * M))  # the odd samples of 2M
-        total += _power_sum(_scatter(positions, twisted, M), p)
+    M = o * N
+    first = None
+    if real:
+        # L is the length of the latest rfft, M or 2M
+        L = M if exact(M) else 2 * M
+        half = _half_powers(_scatter(positions, values, L), p)
+        first = (half, L)
+        total = _hermitian_sum(half[::L // M], M)
+    else:
+        total = _complex_power_sum(_scatter(positions, values, M), p)
+    cur = (total / M) ** (1.0 / p)
+    while not exact(M):
+        if real:
+            if L == M:
+                L = 2 * M
+                half = _half_powers(_scatter(positions, values, L), p)
+            total = _hermitian_sum(half, L)
+        else:
+            twisted = values * e(positions / (2 * M))  # the odd samples of 2M
+            total += _complex_power_sum(_scatter(positions, twisted, M), p)
         nxt = (total / (2 * M)) ** (1.0 / p)
         scale = max(abs(nxt), 1e-300)
         if abs(cur - nxt) / scale < REL_CONSISTENCY:
-            return nxt
+            return nxt, first
         if o >= MAX_OVERSAMPLE:
             warnings.warn(
                 f"L^{p} grid norm not self-consistent at oversample {o} "
                 f"(rel diff {abs(cur - nxt) / scale:.2e})",
                 GridConvergenceWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
-            return nxt
+            return nxt, first
         o *= 2
+        M *= 2
         cur = nxt
-    return cur
+    return cur, first
+
+
+def _lp_norm_checked(positions, values, N, p, grid: TorusGrid) -> float:
+    """The norm of _lp_ladder."""
+    return _lp_ladder(positions, values, N, p, grid)[0]
 
 
 def lp_norm_torus(f: Measure, p: float, grid: TorusGrid) -> float:
@@ -222,12 +279,17 @@ def mz_ratio(f: Measure, p: float, grid: TorusGrid) -> float:
     """sum_r |f^(r/N)|^p divided by N * integral |f^(theta)|^p dtheta.
 
     The discrete-to-continuous comparison behind the dual restriction
-    estimates; equals 1 exactly at p=2 by Parseval on both sides.
+    estimates; equals 1 exactly at p=2 by Parseval on both sides. Both sums
+    come from one ladder: its first grid has L points, L a multiple of N,
+    and f~(r) = f^(-r/N) is its bin r * L/N, so the numerator is read off
+    every (L/N)-th bin (the weights are real, so |f~| is Hermitian).
     """
-    den = f.N * lp_norm_torus(f, p, grid) ** p
+    pos, w = f.support()
+    norm, (half, L) = _lp_ladder(pos, w, f.N, p, grid)
+    den = f.N * norm ** p
     if den == 0.0:
         raise DegenerateInputError("zero measure has no mz ratio")
-    return float(np.sum(np.abs(spectrum(f)) ** p)) / den
+    return _hermitian_sum(half[::L // f.N], f.N) / den
 
 
 def triple_count(f: Measure, g: Measure, h: Measure) -> float:

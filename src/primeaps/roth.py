@@ -25,6 +25,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
     StageError,
+    TableRangeError,
 )
 from .fourier import idft, set_convolution, spectrum, triple_count
 from .measures import BASE_ZN, Measure
@@ -64,11 +65,20 @@ def default_w(n: int) -> int:
 
 def w_modulus(W: int) -> int:
     """m = the product of the primes <= max(W, 2); the W-trick always uses
-    p = 2, so m is even."""
+    p = 2, so m is even.
+
+    Every W-trick modulus must fit the factor table, so the product stops
+    as soon as it passes sieve.MAX_TABLE_LIMIT (from W = 23 on) with a
+    TableRangeError that names W, before a huge W is trial-divided or a
+    huge product formatted."""
     m = 1
     for p in range(2, max(W, 2) + 1):
         if all(p % q for q in range(2, math.isqrt(p) + 1)):
             m *= p
+            if m > sieve.MAX_TABLE_LIMIT:
+                raise TableRangeError(
+                    f"W = {W}: the product of the primes <= {p} already "
+                    f"exceeds the factor-table limit {sieve.MAX_TABLE_LIMIT}")
     return m
 
 

@@ -38,6 +38,59 @@ def test_dirichlet_guarantee_property(theta, qmax):
     assert abs(Fraction(theta) - Fraction(r.a, r.q)) * r.q * qmax <= 1
 
 
+def _fraction_convergent_up_to(x: Fraction, qmax: int) -> Fraction:
+    p0, q0 = 1, 0
+    p1, q1 = int(math.floor(x)), 1
+    frac = x - math.floor(x)
+    while frac != 0 and q1 <= qmax:
+        frac = 1 / frac
+        a = int(math.floor(frac))
+        frac -= a
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+        if q1 > qmax:
+            return Fraction(p0, q0)
+    return Fraction(p1, q1)
+
+
+def _fraction_dirichlet(theta: float, qmax: int) -> tuple[int, int, float]:
+    """(a, q, err) of dirichlet_approx as computed with Fraction objects,
+    kept as the oracle of the integer version."""
+    x = Fraction(theta)
+    best = x.limit_denominator(qmax)
+    if abs(x - best) * best.denominator * qmax > 1:
+        best = _fraction_convergent_up_to(x, qmax)
+    return best.numerator, best.denominator, float(abs(x - best))
+
+
+def _near_tie(a: int, q: int, b: int, s: int, steps: int) -> float:
+    """The float nearest the midpoint of a/q and b/s, moved by steps ulps."""
+    theta = float((Fraction(a, q) + Fraction(b, s)) / 2)
+    for _ in range(abs(steps)):
+        theta = math.nextafter(theta, math.copysign(math.inf, steps))
+    return theta
+
+
+_THETAS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.builds(lambda n, k: n / 2**k, st.integers(-(2**40), 2**40),
+              st.integers(0, 60)),
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 0.25, 0.75]),
+    st.builds(_near_tie, st.integers(-50, 50), st.integers(1, 1000),
+              st.integers(-50, 50), st.integers(1, 1000), st.integers(-3, 3)),
+)
+
+
+@given(theta=_THETAS, qmax=st.one_of(st.integers(1, 10**6),
+                                     st.integers(1, 64)))
+@settings(max_examples=300, deadline=None)
+def test_dirichlet_approx_equals_the_fraction_oracle(theta, qmax):
+    r = arcs.dirichlet_approx(theta, qmax)
+    want = _fraction_dirichlet(theta, qmax)
+    assert (r.a, r.q, r.err) == want
+    assert type(r.a) is int and type(r.q) is int and type(r.err) is float
+
+
 def test_dirichlet_exact_rationals():
     r = arcs.dirichlet_approx(3.0 / 8.0, 10)
     assert (r.a, r.q, r.err) == (3, 8, 0.0)
@@ -232,6 +285,40 @@ def test_sup_diff_scan_profile_and_sup(small_table):
         lamq, res.argmax_theta
     )
     assert abs(direct) == pytest.approx(res.sup, rel=1e-9)
+
+
+def _complex_grid(f, M):
+    """f^(j/M) for j = 0..M-1 from one complex ifft (the oracle)."""
+    pad = np.zeros(M, dtype=np.complex128)
+    pad[f.positions() % M] = f.weights
+    return M * np.fft.ifft(pad)
+
+
+@pytest.mark.filterwarnings("ignore::primeaps.errors.DeskScaleWarning")
+@pytest.mark.parametrize("N, oversample", [(2000, 2), (1999, 3)])
+def test_sup_diff_scan_grid_is_the_difference_of_two_grids(
+        small_table, monkeypatch, N, oversample):
+    # one grid of the signed measure lambda - lambda_Q stands for the
+    # difference of the two measures' grids
+    grids = []
+    original = fourier.wedge_grid
+
+    def recorded(f, M):
+        grids.append(original(f, M))
+        return grids[-1]
+
+    monkeypatch.setattr(fourier, "wedge_grid", recorded)
+    mp = measures.MeasureParams(b=1, m=1, N=N, Q=16, p_exponent=3.0)
+    res = arcs.sup_diff_scan(mp, TorusGrid(oversample=oversample),
+                             small_table, profile_points=64)
+    M = oversample * N
+    assert [g.shape for g in grids] == [(M,)]
+    want = (_complex_grid(measures.lambda_measure(mp, small_table), M)
+            - _complex_grid(measures.lambda_q_measure(mp, small_table), M))
+    tol = 1e-12 * res.sup
+    assert float(np.max(np.abs(grids[0] - want))) <= tol
+    assert abs(res.sup - float(np.max(np.abs(want)))) <= tol
+    assert abs(res.theta0_mass_diff - abs(want[0])) <= tol
 
 
 @pytest.mark.filterwarnings("ignore::primeaps.errors.DeskScaleWarning")

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import stat
+import time
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +255,26 @@ def test_out_of_range_counts_exit_2(args, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("W", ["2000", "20000", "1000000007"])
+def test_w_past_the_factor_table_exits_2_at_once(W, tmp_path, capsys):
+    # the W-trick modulus, the product of the primes <= W, stops at the
+    # factor-table limit: no trial division up to W and no number of
+    # hundreds of digits in the message
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    rc = cli.main(["roth-pipeline", "--N", "300", "--W", W,
+                   "--output-dir", str(out)])
+    elapsed = time.perf_counter() - t0
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert elapsed < 1.0
+    assert len(err.encode("utf-8")) < 200
+    payload = json.loads(err)
+    assert payload["error"] == "validation"
+    assert payload["message"].startswith(f"W = {W}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, message", [
     (["majorant", "--N", "100", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
     (["measure-build", "--N", "100", "--Q", "4,16,4,16"],
@@ -416,6 +437,41 @@ def test_majorant_denominator_once_per_N(tmp_path, monkeypatch):
     monkeypatch.setattr(fourier, "majorant_denominator", counted)
     _run(["majorant", "--N", "256,300", "--draws", "4"], tmp_path)
     assert calls == [256, 300]
+
+
+def _transforms(args, outdir: Path) -> list[tuple[str, int]]:
+    """The (name, length) of every numpy.fft transform one run takes."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft"):
+            original = getattr(np.fft, name)
+
+            def counted(a, *rest, _name=name, _original=original, **kwargs):
+                calls.append((_name, len(a)))
+                return _original(a, *rest, **kwargs)
+
+            mp.setattr(np.fft, name, counted)
+        _run(args, outdir)
+    return calls
+
+
+@pytest.mark.parametrize("args, want", [
+    # per measure: one rfft for the grid, one at twice its length for the
+    # first comparison of the L^p ladder (p = 2.5, which agrees there)
+    (["transform-scan", "--N", "2000", "--Q", "16", "--oversample", "8"],
+     [("rfft", 16000), ("rfft", 32000)]),
+    # one rfft of lambda - lambda_Q per Q
+    (["arc-scan", "--N", "2000", "--Q", "16,256", "--B-override", "2",
+      "--oversample", "4"],
+     [("rfft", 8000)] * 2),
+    # per draw, one rfft for the ladder's first comparison, which also holds
+    # the sum over r/N; no length-N transform
+    (["mz-check", "--N", "1000,2000", "--draws", "2", "--oversample", "2"],
+     [("rfft", 4000)] * 2 + [("rfft", 8000)] * 2),
+], ids=["transform-scan", "arc-scan", "mz-check"])
+def test_torus_transform_budget(args, want, tmp_path):
+    # real coefficients never take a complex transform
+    assert _transforms(args, tmp_path) == want
 
 
 def test_tables_stream_in_blocks(tmp_path, monkeypatch):

@@ -82,6 +82,27 @@ def test_wedge_grid_matches_exp_sum():
         assert abs(vals[j] - fourier.exp_sum(f, j / M)) < 1e-10
 
 
+@pytest.mark.parametrize("M", [127, 128])
+def test_real_wedge_grid_matches_the_complex_grid(M):
+    # the oracle is the whole grid from one complex ifft, as wedge_grid
+    # took it before it read the grid of real weights off one rfft
+    rng = np.random.default_rng(6)
+    f = _random_measure(37, rng)
+    vals, calls = _counted(lambda: fourier.wedge_grid(f, M))
+    assert calls == [("rfft", M)]
+    pad = np.zeros(M, dtype=np.complex128)
+    pad[f.positions() % M] = f.weights
+    want = M * np.fft.ifft(pad)
+    tol = 1e-12 * float(np.max(np.abs(want)))
+    assert vals.shape == (M,)
+    assert float(np.max(np.abs(vals - want))) <= tol
+    for j in (0, 1, 17, M // 2, (M + 1) // 2, M - 1):
+        assert abs(vals[j] - fourier.exp_sum(f, j / M)) <= tol
+    # Hermitian bit for bit: |f^| ties at mirrored points
+    mags = np.abs(vals)
+    assert np.array_equal(mags[1:], mags[:0:-1])
+
+
 # --- tau and Fejer -----------------------------------------------------------
 
 @given(
@@ -236,11 +257,13 @@ def _ladder(f, p, oversample):
 
 
 def _stop_oversample(calls, N):
-    # the first level is one transform at M = oversample * N; each doubling
-    # adds one transform at the length of the grid it doubles
-    if len(calls) == 1:
-        return calls[0][1] // N
-    return 2 * calls[-1][1] // N
+    # real values: each rfft is taken at the length of the finest grid so
+    # far; complex values: the first level is one fft at M = oversample * N,
+    # and each doubling adds one fft at the length of the grid it doubles
+    name, length = calls[-1]
+    if name == "rfft" or len(calls) == 1:
+        return length // N
+    return 2 * length // N
 
 
 @pytest.mark.parametrize("oversample", [2, 4, 16])
@@ -274,8 +297,11 @@ def test_lp_ladder_escalates_like_the_oracle(phase):
     assert stop == 16
     got, calls = _counted(lambda: fourier._lp_norm_checked(
         positions, w, N, 1.0, TorusGrid(oversample=2)))
-    first = "rfft" if phase == 1.0 else "fft"
-    assert calls == [(first, 14), ("fft", 14), ("fft", 28), ("fft", 56)]
+    if phase == 1.0:
+        # one rfft per comparison, at the finer grid: 28 holds 14 and 28
+        assert calls == [("rfft", 28), ("rfft", 56), ("rfft", 112)]
+    else:
+        assert calls == [("fft", 14), ("fft", 14), ("fft", 28), ("fft", 56)]
     assert _stop_oversample(calls, N) == stop
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -307,12 +333,13 @@ def test_even_p_inside_the_exact_bound_takes_one_transform(p, oversample):
 
 def test_even_p_outside_the_exact_bound_doubles_once():
     # p = 6 at oversample 2: 2N <= 3 * span, so the first level is not
-    # exact; 4N > 3 * span makes the doubled level exact, and it is returned
+    # exact; 4N > 3 * span makes the doubled level exact, and it is
+    # returned. One rfft at 4N holds both levels, 2N as its even bins
     rng = np.random.default_rng(23)
     N = 300
     f = _random_measure(N, rng)
     got, calls = _ladder(f, 6.0, 2)
-    assert calls == [("rfft", 2 * N), ("fft", 2 * N)]
+    assert calls == [("rfft", 4 * N)]
     want, _ = _oracle_ladder(f.positions(), f.weights, N, 6.0, 4)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -320,11 +347,12 @@ def test_even_p_outside_the_exact_bound_doubles_once():
 def test_even_p_at_the_exact_bound_is_not_exact():
     # f^ = 1 + e(5 theta): |f^|^4 has frequencies up to 10 = (p/2) * span,
     # which the 10-point rule aliases onto 0 (it gives 8, not the quadruple
-    # count 6); the doubled level is exact and is returned
+    # count 6); the doubled level is exact and is returned, and one rfft
+    # at 20 holds both levels
     positions = np.array([0, 5])
     got, calls = _counted(lambda: fourier._lp_norm_checked(
         positions, np.ones(2), 5, 4.0, TorusGrid(oversample=2)))
-    assert calls == [("rfft", 10), ("fft", 10)]
+    assert calls == [("rfft", 20)]
     assert got ** 4 == pytest.approx(6.0, rel=1e-12)
 
 
@@ -510,6 +538,23 @@ def test_mz_ratio_is_one_at_p2():
         assert fourier.mz_ratio(f, 2.0, TorusGrid(oversample=2)) == pytest.approx(
             1.0, rel=1e-10
         )
+
+
+@pytest.mark.parametrize("oversample", [2, 3, 4])
+@pytest.mark.parametrize("N", [64, 65])
+@pytest.mark.parametrize("p", [2.5, 4.0, 6.0])
+def test_mz_numerator_is_the_spectrum_power_sum(p, N, oversample):
+    # the numerator is read off the ladder's own first grid (every
+    # oversample-th bin when that level is exact, else every
+    # 2 * oversample-th), with no length-N transform of its own
+    f = _random_measure(N, np.random.default_rng(N + oversample))
+    grid = TorusGrid(oversample=oversample)
+    ratio, calls = _counted(lambda: fourier.mz_ratio(f, p, grid))
+    assert [name for name, _ in calls] == ["rfft"] * len(calls)
+    assert all(length >= oversample * N for _, length in calls)
+    num = ratio * N * fourier.lp_norm_torus(f, p, grid) ** p
+    want = math.fsum((np.abs(fourier.spectrum(f)) ** p).tolist())
+    assert num == pytest.approx(want, rel=1e-12)
 
 
 def test_mz_ratio_zero_measure_raises():

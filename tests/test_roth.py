@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from primeaps import measures, roth
+from primeaps import measures, roth, sieve
 from primeaps.errors import (
     DegenerateInputError,
     ParameterError,
     PreconditionError,
     StageError,
+    TableRangeError,
 )
 from primeaps.fourier import spectrum
 from primeaps.measures import BASE_ZN, Measure
@@ -91,9 +92,23 @@ def test_w_modulus_is_the_primorial(small_table):
         want = 1
         for p in small_table.primes_up_to(max(W, 2)).tolist():
             want *= p
-        assert roth.w_modulus(W) == want
+        if want > sieve.MAX_TABLE_LIMIT:
+            # from W = 23 on the primorial exceeds the factor table
+            with pytest.raises(TableRangeError):
+                roth.w_modulus(W)
+        else:
+            assert roth.w_modulus(W) == want
     assert roth.w_modulus(1) == roth.w_modulus(2) == 2
     assert roth.w_modulus(7) == 210
+
+
+def test_w_modulus_stops_past_the_table_limit():
+    # 2 * 3 * ... * 19 = 9699690 fits the factor table, * 23 does not; a
+    # huge W is refused after the primes up to 23, naming W
+    assert roth.w_modulus(22) == 9699690
+    for W in (23, 2000, 10**12):
+        with pytest.raises(TableRangeError, match=f"^W = {W}: "):
+            roth.w_modulus(W)
 
 
 # --- spectrum thresholding ---------------------------------------------------
