@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -256,7 +257,6 @@ def _json_cell(v) -> str:
     return json.dumps(_clean(v), sort_keys=True, indent=2).replace("\n", "\n      ")
 
 
-_ZERO_CELL = np.frombuffer(b"0.0", dtype=np.uint8)
 _TEN = np.uint64(10)
 
 
@@ -291,36 +291,391 @@ def _int_cells(values: np.ndarray) -> np.ndarray:
     return out.T
 
 
+# ---------------------------------------------------------------------------
+# shortest float text
+#
+# float.__repr__ writes the shortest decimal that reads back as the same
+# float and, of several, the one closest to it, ties going to an even last
+# digit. _repr_cells finds those digits for a whole block at once by the
+# Schubfach method (R. Giulietti, "The Schubfach way to render doubles",
+# 2020). Write a finite v > 0 as c 2^q and let k be the largest integer with
+# 10^k no wider than the interval of reals that round to v. That interval
+# then holds at most one multiple of 10^(k+1): if it does, that one is the
+# shortest decimal. Otherwise the shortest decimals are the multiples of
+# 10^k in it, and the closer of the two around v is the answer.
+
+_M32 = 0xFFFFFFFF
+_M63 = (1 << 63) - 1
+_ASCII = 0x3030303030303030
+_POW10 = np.array([10 ** j for j in range(18)], dtype=np.uint64)
+# values per pass of _repr_words. 2^13 keeps each uint64 temporary at
+# 64 KiB; measured on 2 cores with numpy 2.4, chunks of 2^14 and more ran
+# 1.7 times as slow per value, and 2^12 paid 1.4 times as much in numpy's
+# per-call overhead
+_REPR_CHUNK = 1 << 13
+
+
+@functools.cache
+def _shortest_tables() -> dict:
+    """The constants of each float64 exponent field, computed exactly
+    from Python ints.
+
+    Row bexp is for v = c 2^q with q = max(bexp, 1) - 1075, and row
+    bexp + 2048 for v a power of two: from bexp = 2 on, the gap below such
+    a v is half the gap above, so its rounding interval is 3/4 2^q wide
+    rather than 2^q. With k the largest integer such that 10^k is at most
+    that width, a row holds:
+    - g = floor(10^-k 2^-r) + 1 in (2^125, 2^126), as g >> 63 and
+      g & (2^63 - 1), for the shift h = q + r + 127 with which x 2^q / 10^k
+      lies in [(x << h) (g - 1), (x << h) g) 2^-127;
+    - the offsets from 4v / 10^k to the ends of the interval, 2 2^q / 10^k
+      up and that or half of it down, times 2^63 and rounded down, as
+      integer part (mod 2^64) and 63-bit fraction;
+    - the 5^k and 2^(k-q) - 1 that an integer x must be divisible by for
+      x 2^q / 10^k to be an integer;
+    - h, whether v is irregular, and k + 1024, packed in bits 0-7, 8 and
+      16 on of one word.
+    Built on first use rather than at import, as the loop takes tens of
+    milliseconds."""
+    cols = {name: [] for name in ("g", "whole", "frac", "five", "two", "small")}
+    by_k = {}
+    for power in (0, 1):
+        for bexp in range(2048):
+            q = max(bexp, 1) - 1075
+            irregular = int(power and bexp > 1)
+            num, den = (3, 4) if irregular else (1, 1)
+            # log10 of the width from floats is off by under 1e-12, so its
+            # floor is k unless it lies that close to an integer: then k
+            # comes from comparing num/den 2^q with 10^j in ints
+            t = q * math.log10(2) + math.log10(num / den)
+            k = math.floor(t)
+            if min(t - k, k + 1 - t) < 1e-9:
+                k = max(j for j in (k - 1, k, k + 1)
+                        if num * 2 ** max(q, 0) * 10 ** max(-j, 0)
+                        >= den * 2 ** max(-q, 0) * 10 ** max(j, 0))
+            if k not in by_k:
+                p = 10 ** abs(k)
+                r = p.bit_length() - 126 if k <= 0 else -p.bit_length() - 125
+                g = (p << -r if r < 0 else p >> r) + 1 if k <= 0 else (1 << -r) // p + 1
+                assert 1 << 125 < g < 1 << 126
+                by_k[k] = (g, r, min(5 ** max(k, 0), (1 << 64) - 1))
+            g, r, five = by_k[k]
+            h = q + r + 127
+            # every x of _repr_words is < 2^55 + 3, so x << h < 2^63
+            assert 0 <= h <= 7
+            # 2 2^q / 10^k times 2^63 is the true g over 2^(63 - h), whose
+            # floor is that of floor(g) = g - 1
+            above = (g - 1) >> (63 - h)
+            ends = (-(above >> irregular), above)
+            cols["g"].append((g >> 63, g & _M63))
+            cols["whole"].append(tuple((e >> 63) & ((1 << 64) - 1) for e in ends))
+            cols["frac"].append(tuple(e & _M63 for e in ends))
+            cols["five"].append(five)
+            cols["two"].append(min((1 << max(k - q, 0)) - 1, (1 << 64) - 1))
+            cols["small"].append(h | irregular << 8 | (k + 1024) << 16)
+    tables = {name: np.array(col, dtype=np.uint64).T.copy() for name, col in cols.items()}
+    for table in tables.values():
+        table.flags.writeable = False  # one copy serves every caller
+    return tables
+
+
+def _word(text: str, end: int = -1) -> int:
+    """The bytes of text as a uint64, lowest byte first: from byte 0, or
+    ending at byte `end`."""
+    data = text.encode()
+    return int.from_bytes(data, "little") << 8 * max(end + 1 - len(data), 0)
+
+
+def _digit_groups() -> np.ndarray:
+    """n < 10^4 as 4 ASCII digits, lowest byte first, then (at n + 10^4)
+    with the zeros after its last nonzero digit as NUL."""
+    n = np.arange(10 ** 4, dtype=np.uint64)
+    full = np.zeros_like(n)
+    trimmed = np.zeros_like(n)
+    seen = np.zeros(n.size, dtype=bool)
+    for place in range(3, -1, -1):
+        digit = n // 10 ** (3 - place) % 10
+        seen |= digit != 0
+        full |= (digit + 0x30) << (8 * place)
+        trimmed |= (digit + 0x30) * seen << (8 * place)
+    return np.concatenate([full, trimmed])
+
+
+_GROUPS = _digit_groups()
+# a text's head, right-aligned in a word, by 10 (2 kind + (1 if negative))
+# + its leading digit: kinds 0 to 3 are "0.", that many zeros and the digit,
+# kind 4 the digit and a point, kind 5 the digit alone
+_HEAD = np.array([_word(sign + before + str(lead) + after, 7)
+                  for before, after in (("0.", ""), ("0.0", ""), ("0.00", ""),
+                                        ("0.000", ""), ("", "."), ("", ""))
+                  for sign in ("", "-") for lead in range(10)], dtype=np.uint64)
+# e-324 .. e+308 by exponent + 324, then none
+_EXPONENT = np.array([_word(f"e{e:+03d}") for e in range(-324, 309)] + [0],
+                     dtype=np.uint64)
+
+
+def _mulhi(a0, a1, b0, b1):
+    """The high 64 bits of the products a b of uint64 arrays, given as
+    their 32-bit halves a = a1 2^32 + a0 and b = b1 2^32 + b0."""
+    low = a0 * b0
+    low >>= 32
+    m1 = a0 * b1
+    m2 = a1 * b0
+    low += m1 & _M32
+    low += m2 & _M32
+    low >>= 32
+    m1 >>= 32
+    m2 >>= 32
+    high = a1 * b1
+    high += m1
+    high += m2
+    high += low
+    return high
+
+
+def _text_bits(w: np.ndarray) -> np.ndarray:
+    """8 times the number of bytes of each w (ASCII) up to its last nonzero
+    one, from the exponent of w as a float: a top byte below 0x80 keeps the
+    rounding from reaching the next byte."""
+    e = w.astype(np.float64).view(np.int64)
+    e >>= 52
+    e -= 1015
+    e &= -8
+    return np.maximum(e, 0, out=e)
+
+
+def _shortest_digits(bits: np.ndarray) -> tuple:
+    """The shortest, closest decimal of each float64 bit pattern as 17
+    digits d (an int in [10^16, 10^17), or 0 for +-0.0) and decpt, the
+    value's magnitude being 0.d 10^decpt; and the indices of the values
+    left to float.__repr__: nan, inf, and any value whose digits the error
+    bounds below leave open."""
+    t = _shortest_tables()
+    bexp = bits >> 52
+    bexp &= 0x7FF
+    c = bits & ((1 << 52) - 1)
+    # the table row: the exponent field, + 2048 for a power of two
+    row = (c == 0).astype(np.uint64)
+    row <<= 11
+    row |= bexp
+    row = row.view(np.int64)
+    c |= np.minimum(bexp, 1) << 52
+    # a zero is worked as 2^-1022, then given d = 0 and decpt = 1
+    zero = c == 0
+    c |= zero.astype(np.uint64) << 52
+    redo = np.flatnonzero(bexp == 0x7FF)
+    small = t["small"][row]
+    # 4v / 10^k as vb + f 2^-63, f < 2^63, from g's 63-bit halves: the
+    # exact value is at most 2^-64 below it and less than 2^-62 above (the
+    # +1 of g, the low bits dropped); every factor is < 2^63, so no sum
+    # overflows
+    cb = c << 2
+    x = cb << (small & 0xFF)
+    x0 = x & _M32
+    x1 = x >> 32
+    g1 = t["g"][0][row]
+    g0 = t["g"][1][row]
+    f = g1 * x
+    f >>= 1
+    f += _mulhi(g0 & _M32, g0 >> 32, x0, x1)
+    vb = _mulhi(g1 & _M32, g1 >> 32, x0, x1)
+    vb += f >> 63
+    f &= _M63
+    # the ends of the rounding interval, 4 (v -+ half a gap) / 10^k, one
+    # more rounded constant off: at most 1.5 2^-63 below their exact values
+    # and less than 3 2^-63 above
+    ends = [vb]
+    parts = [f]
+    for i in (0, 1):
+        part = f + t["frac"][i][row]
+        end = vb + t["whole"][i][row]
+        end += part >> 63
+        part &= _M63
+        ends.append(end)
+        parts.append(part)
+    # rounded to odd (floor | 1), each is ordered against even integers as
+    # its exact value is, unless it is within 4 2^-63 of an integer: then
+    # it is that integer exactly, or the value is left to float.__repr__
+    for i, (end, part) in enumerate(zip(ends, parts)):
+        at = np.flatnonzero(((part + 4) & _M63) < 8)
+        if at.size:
+            integer = end[at] + (part[at] > 1 << 62)
+        end |= 1
+        if at.size:
+            end[at] = integer
+            # the end's x in x 2^q / 10^k = x 2^(q-k) / 5^k: 4c, 4c - 2
+            # (4c - 1 if irregular) or 4c + 2
+            x = cb[at]
+            if i == 1:
+                x -= 2 - ((small[at] >> 8) & 1)
+            elif i == 2:
+                x += 2
+            exact = (x % t["five"][row[at]] == 0) & (x & t["two"][row[at]] == 0)
+            redo = np.union1d(redo, at[~exact])
+    vb, vbl, vbr = ends
+    # the one multiple of 10^(k+1) in the interval, else of the multiples
+    # s, s + 1 of 10^k around v the one in it, or the closer; an odd c
+    # leaves the ends out
+    s = vb >> 2
+    half = vb & ~np.uint64(3)
+    odd = c & 1
+    vbl += odd
+    vbr -= odd
+    take_s = vbl <= half
+    half += 2
+    take_s &= ((half + 2 > vbr) | (vb < half) | ((vb == half) & ((s & 1) == 0)))
+    digits = s + 1
+    digits -= take_s
+    s //= 10
+    s *= 40
+    upin = vbl <= s
+    s += 40
+    coarse = np.flatnonzero(upin != (s <= vbr))
+    if coarse.size:
+        digits[coarse] = (s[coarse] >> 2) - upin[coarse] * np.uint64(10)
+    # digits 10^k as 17 digits d, the value being 0.d 10^decpt
+    lo, hi = (len(str(int(d))) for d in (digits.min(), digits.max()))
+    decpt = np.full(digits.size, lo, dtype=np.int64)
+    for j in range(lo, min(hi, 17)):
+        decpt += digits >= _POW10[j]
+    digits *= _POW10[17 - decpt]
+    decpt += (small >> 16).view(np.int64) - 1024
+    if zero.any():
+        digits *= ~zero
+        decpt[zero] = 1
+    return digits, decpt, redo
+
+
+def _repr_words(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the repr text of each float64 bit pattern to its row of four
+    uint64 words in `out`, lowest byte first, and return the indices of
+    the values left to float.__repr__ (see _shortest_digits).
+
+    The text is one run of bytes: its head (sign, "0." and zeros below 1,
+    leading digit, a point after it) right-aligned in word 0, then the
+    other digits up to the last nonzero one and the exponent from word 1
+    on; every other byte is NUL, so that the NUL filter of _numeric_rows
+    meets few edges."""
+    digits, decpt, redo = _shortest_digits(bits)
+    # repr's form: d.ddde+XX when the point falls after more than 16
+    # digits or before 4 zeros, positional otherwise
+    sci = (decpt > 16) | (decpt < -3)
+    below1 = ~sci & (decpt < 1)
+    first = decpt == 1
+    # word 0: the head, right-aligned
+    lead = digits // 10 ** 16
+    digits -= lead * 10 ** 16
+    # words 1 and 2: the other 16 digits in groups of 4, each looked up as
+    # 4 ASCII bytes, or with its zeros as NUL from its last nonzero digit
+    # on if every later group is 0
+    groups = []
+    for scale in (10 ** 12, 10 ** 8, 10 ** 4):
+        group = digits // scale
+        digits -= group * scale
+        groups.append(group)
+    groups.append(digits)
+    last = np.ones(digits.size, dtype=bool)
+    for group in groups[::-1]:
+        trimmed = group + last * np.uint64(10 ** 4)
+        last &= group == 0
+        group[...] = _GROUPS[trimmed.view(np.int64)]
+    w1 = groups[0] | groups[1] << 32
+    w2 = groups[2] | groups[3] << 32
+    point = first | (sci & (w1 != 0))
+    # "5.0" keeps its "0"
+    w1 |= first * np.uint64(0x30)
+    kind = 5 - point - below1 * (5 + decpt)
+    kind *= 2
+    kind += (bits >> 63).view(np.int64)
+    kind *= 10
+    kind += lead.view(np.int64)
+    out[:, 0] = _HEAD[kind]
+    w3 = np.zeros_like(w1)
+    if sci.any():
+        exp = _EXPONENT[633 - sci * (310 - decpt)]
+        at = (_text_bits(w1) + _text_bits(w2)).view(np.uint64)
+        # shifts past 63 bits give 0, and so do the wrapped negative ones
+        w1 |= exp << at
+        w2 |= exp << (at - 64) | exp >> (64 - at)
+        w3 |= exp << (at - 128) | exp >> (128 - at)
+    deep = np.flatnonzero((decpt > 1) & ~sci)
+    if deep.size:
+        w1[deep], w2[deep], w3[deep] = _deep_point(w1[deep], w2[deep], decpt[deep])
+    out[:, 1] = w1
+    out[:, 2] = w2
+    out[:, 3] = w3
+    return redo
+
+
+def _deep_point(w1, w2, decpt) -> tuple:
+    """The digit words of positional values with decpt > 1, the point put
+    after digit decpt: the digits up to the one after it are kept, zeros
+    included, and the ones after it move up a byte, the last into a third
+    word."""
+    w1 |= (np.uint64(1) << (np.minimum(decpt, 8).astype(np.uint64) << 3)) - 1 & _ASCII
+    w2 |= (np.uint64(1) << (np.clip(decpt - 8, 0, 8).astype(np.uint64) << 3)) - 1 & _ASCII
+    low1 = (np.uint64(1) << (np.minimum(decpt - 1, 8).astype(np.uint64) << 3)) - 1
+    low2 = (np.uint64(1) << (np.clip(decpt - 9, 0, 8).astype(np.uint64) << 3)) - 1
+    dot = (decpt.astype(np.uint64) - 1) << 3
+    up1 = w1 & ~low1
+    up2 = w2 & ~low2
+    return ((w1 & low1) | up1 << 8 | np.uint64(0x2E) << dot,
+            (w2 & low2) | up2 << 8 | up1 >> 56 | np.uint64(0x2E) << (dot - 64),
+            up2 >> 56)
+
+
+def _repr_fallback(bits: np.ndarray) -> list:
+    """float.__repr__ of the float64 bit patterns _repr_words leaves open,
+    as bytes."""
+    return [float.__repr__(v).encode() for v in bits.view(np.float64).tolist()]
+
+
 def _repr_cells(bits: np.ndarray) -> np.ndarray:
     """float.__repr__ of float64 bit patterns as a (values, width) uint8
-    matrix, one value per row followed by NUL padding."""
-    text = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype="S")
-    return text.view(np.uint8).reshape(-1, text.itemsize)
+    matrix, one value per row: its text is one run of bytes in the row,
+    with NUL bytes before and after it.
+
+    The digits are the shortest and closest ones, found by the Schubfach
+    method in uint64 arithmetic (see above) _REPR_CHUNK values at a time,
+    and laid out as repr does: positional when the point falls after the
+    -3rd to the 16th digit, with ".0" on an integral value, otherwise
+    d.ddde+XX with at least two exponent digits. Every number that decides
+    the digits has an error bound; a value whose bound leaves them open
+    goes through float.__repr__ itself (_repr_fallback), as do nan and inf,
+    so the bytes are always repr's."""
+    n = bits.size
+    words = np.empty((n, 4), dtype="<u8")
+    redo = np.concatenate([
+        lo + _repr_words(bits[lo:lo + _REPR_CHUNK], words[lo:lo + _REPR_CHUNK])
+        for lo in range(0, n, _REPR_CHUNK)] or [np.zeros(0, dtype=np.int64)])
+    cells = words.view(np.uint8)
+    if not words[:, 3].any():
+        cells = cells[:, :24]
+    for i, text in zip(redo.tolist(), _repr_fallback(bits[redo])):
+        cells[i] = 0
+        cells[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return cells
 
 
 def _float_cells(values: np.ndarray) -> np.ndarray:
     """The float.__repr__ text of a float64 array as a (rows, width) uint8
-    matrix, one value per row followed by NUL padding. A run of
-    bit-identical values is formatted once, and +0.0 is "0.0" without a
-    call."""
+    matrix, one value per row as _repr_cells lays it out. A run of
+    bit-identical values is formatted once."""
     bits = values.view(np.uint64)
     new = np.empty(values.size, dtype=bool)
     new[:1] = True
     np.not_equal(bits[1:], bits[:-1], out=new[1:])
     starts = np.flatnonzero(new)
-    zero = bits[starts] == 0
-    if zero.any():
+    heads = bits[starts]
+    if (heads == 0).any():
         # a column with +0.0 runs holds a measure on a sparse support, and
         # such a measure often repeats one value across its runs (a rough
         # measure's constant): format each distinct value once. A dense
         # column rarely repeats, and the sort would cost more than it saves
-        distinct, which = np.unique(bits[starts[~zero]], return_inverse=True)
-        text = _repr_cells(distinct)
-        runs = np.zeros((starts.size, max(text.shape[1], _ZERO_CELL.size)), dtype=np.uint8)
-        runs[zero, :_ZERO_CELL.size] = _ZERO_CELL
-        runs[~zero, :text.shape[1]] = text[which]
+        distinct, which = np.unique(heads, return_inverse=True)
+        runs = _repr_cells(distinct)[which]
     else:
-        runs = _repr_cells(bits[starts])
+        runs = _repr_cells(heads)
     if starts.size == values.size:
         return runs
     return np.take(runs, np.cumsum(new) - 1, axis=0)
@@ -349,7 +704,7 @@ def _numeric_rows(block: list, before: bytes, between: bytes, after: bytes,
     separated by `between`, then `after`, and rows are separated by `join`.
 
     Every row is laid out in one uint8 matrix, each column of cells in a
-    slot as wide as its widest cell; the NUL padding of the slots is then
+    slot as wide as its cell matrix; the NUL padding in the slots is then
     dropped, which leaves the rows' bytes in order. No Python object is
     made per row."""
     pieces = [before]
@@ -698,7 +1053,15 @@ def _run_mz_check(cfg: RunConfig, em: Emitter):
 def _run_roth_pipeline(cfg: RunConfig, em: Emitter):
     n = cfg.N
     W = cfg.W if cfg.W is not None else roth.default_w(n)
-    table = _table_for(4 * n + roth.w_modulus(W) + 16)
+    m = roth.w_modulus(W)
+    # the W-trick takes the smallest prime in (2n/m, 4n/m]; by Bertrand's
+    # postulate there is one unless 4n/m < 2, which is a flag combination
+    # to refuse here rather than a failure of the w-trick stage
+    if m > 2 * n:
+        raise ParameterError(
+            f"W = {W}: m = {m}, the product of the primes <= {max(W, 2)}, "
+            f"leaves no prime in (2n/m, 4n/m] for n = {n}; it needs m <= 2n")
+    table = _table_for(4 * n + m + 16)
     artifacts: dict = {}
     report = roth.density_experiment(
         cfg.source, n, table, seed=cfg.seed, delta=cfg.delta, eps=cfg.eps,

@@ -313,6 +313,8 @@ def test_constants_must_be_a_json_object(text, message, tmp_path, capsys):
 
 @pytest.mark.parametrize("args", [
     ["roth-pipeline", "--N", "2"],
+    ["roth-pipeline", "--N", "300", "--W", "19"],
+    ["roth-pipeline", "--N", "300", "--W", "22"],
     ["transform-scan", "--N", "100", "--oversample", "1"],
     ["measure-build", "--N", "100", "--b", "2", "--m", "4"],
     ["behrend", "--N", "100,5"],
@@ -324,6 +326,20 @@ def test_handler_rejection_leaves_no_output_dir(args, tmp_path, capsys):
     rc = cli.main(args + ["--output-dir", str(out)])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "validation"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("W, m", [("11", 2310), ("19", 9699690), ("22", 9699690)])
+def test_w_modulus_past_2n_names_w_m_and_n(W, m, tmp_path, capsys):
+    # m > 2n leaves no prime in (2n/m, 4n/m] for the W-trick's N: a flag
+    # combination, refused before any stage runs
+    out = tmp_path / "out"
+    assert cli.main(["roth-pipeline", "--N", "300", "--W", W,
+                     "--output-dir", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation" and "stage" not in err
+    assert err["message"].startswith(f"W = {W}: m = {m}, ")
+    assert "n = 300" in err["message"]
     assert not out.exists()
 
 

@@ -5,7 +5,8 @@ replaced: each row's cells through `_fmt` and csv.writer, or through
 `_clean` and json.dumps(sort_keys=True, indent=2). Both are copied here so
 that the oracle cannot move with the program. Every case must give the
 same bytes in both formats, and the manifest entry must describe the file
-on disk.
+on disk. The float text kernel behind the numeric blocks is also checked
+value by value against float.__repr__ itself.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import hashlib
 import io
 import json
 import math
+import struct
+import sys
 
 import numpy as np
 import pytest
@@ -185,7 +188,7 @@ def test_each_float_run_or_sparse_value_is_formatted_once(tmp_path, monkeypatch)
     sparse = np.array([0.0, 0.25, 0.25, 0.0, 0.25, 0.0, 0.0, 0.5, 0.25, -0.0])
     _assert_same(tmp_path, "csv", ["x"], [sparse])
     (values,) = formatted
-    assert sorted(map(repr, values)) == ["-0.0", "0.25", "0.5"]
+    assert sorted(map(repr, values)) == ["-0.0", "0.0", "0.25", "0.5"]
     # dense: one call per run of bit-identical values, repeats included
     formatted.clear()
     dense = np.array([1.5, 1.5, 2.5, 1.5, -0.0, -0.0])
@@ -272,3 +275,97 @@ def test_table_matches_oracle_small_blocks(data, width, rows, fmt, tmp_path_fact
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "TABLE_BLOCK_ROWS", 2)
         _assert_same(tmp_path_factory.mktemp("t"), fmt, header, columns)
+
+
+# --- the float text kernel against float.__repr__ ----------------------------
+
+def _bits_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _float_bits(value: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", value))[0]
+
+
+def _kernel_texts(values) -> list[str]:
+    """The kernel's text of each value: the NUL-free bytes of its row."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    cells = cli._repr_cells(bits)
+    rows = np.zeros((cells.shape[0], cells.shape[1] + 1), dtype=np.uint8)
+    rows[:, :-1] = cells
+    rows[:, -1] = ord(",")
+    flat = rows.ravel()
+    return flat[flat != 0].tobytes().decode().split(",")[:-1]
+
+
+def _ulps_from(value: float, steps: int) -> float:
+    """The float `steps` bit patterns from a positive value, stopping at 0
+    and at inf."""
+    return _bits_float(min(max(_float_bits(value) + steps, 0), _float_bits(math.inf)))
+
+
+# values around the switch between positional and d.ddde+XX text
+_SWITCHES = [1e16, 9999999999999998.0, 1e-4, 1e-5, 1e15, 0.001]
+_EDGES = [0.0, -0.0, sys.float_info.max, -sys.float_info.max,
+          sys.float_info.min, -sys.float_info.min]
+
+
+def _kernel_cases(bits: int, steps: int) -> list[float]:
+    """A value of each class, picked by 64 random bits and moved `steps`
+    bit patterns where the class has neighbours."""
+    sign = -1.0 if bits >> 63 else 1.0
+    return [
+        # any 64 bits, nan and inf included
+        _bits_float(bits),
+        # a subnormal
+        sign * _bits_float(bits % (2**52 - 1) + 1),
+        # a power of two, whose gap below is half the gap above
+        sign * _ulps_from(math.ldexp(1.0, bits % 2098 - 1074), steps % 3 - 1),
+        # a power of ten and its neighbours within 3 ulps
+        sign * _ulps_from(float(f"1e{bits % 632 - 323}"), steps),
+        # around the switch between positional and exponent text
+        sign * _ulps_from(_SWITCHES[bits % len(_SWITCHES)], steps),
+        _EDGES[bits % len(_EDGES)],
+        # short decimals and short binary significands fall on the ends of
+        # rounding intervals and on ties between two shortest candidates
+        sign * float(f"{bits % 10**6}e{(bits >> 20) % 640 - 330}"),
+        sign * math.ldexp(bits % 2**21, (bits >> 21) % 2100 - 1100),
+    ]
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(-3, 3))
+@settings(max_examples=500, deadline=None)
+def test_kernel_text_is_float_repr(bits, steps):
+    # bit for bit, nan and inf included
+    values = _kernel_cases(bits, steps)
+    assert _kernel_texts(values) == [repr(v) for v in values]
+
+
+def test_kernel_text_is_float_repr_on_random_bits():
+    rng = np.random.default_rng(20240518)
+    bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False)
+    values = bits[(bits >> 52 & 0x7FF) != 0x7FF].view(np.float64)  # finite
+    texts = _kernel_texts(values)
+    wrong = [(repr(v), got) for v, got in zip(values.tolist(), texts) if repr(v) != got]
+    assert not wrong, f"{len(wrong)} texts differ from repr, e.g. {wrong[:5]}"
+
+
+def test_kernel_fallback_is_rare_on_fft_coefficients(monkeypatch):
+    # the digits of a transform come from the kernel: at most 1% of the
+    # values go through float.__repr__, and those still read as repr
+    left = []
+    original = cli._repr_fallback
+
+    def counted(bits):
+        left.extend(bits.view(np.float64).tolist())
+        return original(bits)
+
+    monkeypatch.setattr(cli, "_repr_fallback", counted)
+    rng = np.random.default_rng(7)
+    coeffs = np.fft.fft(rng.random(BLOCK) * (rng.random(BLOCK) < 0.5))
+    texts = {}
+    for part in (coeffs.real, coeffs.imag):
+        values = np.ascontiguousarray(part)
+        texts.update(zip(values.tolist(), _kernel_texts(values)))
+    assert len(left) <= 0.01 * 2 * BLOCK
+    assert [texts[v] for v in left] == [repr(v) for v in left]
