@@ -212,20 +212,18 @@ def sup_diff_scan(
     mparams: measures.MeasureParams,
     grid: TorusGrid,
     table: FactorTable,
-    arc_params: ArcParams | None = None,
+    arc_params: ArcParams,
     profile_points: int = 2048,
 ) -> ScanResult:
     """Scan |lambda^(theta) - lambda^{(Q)^}(theta)| over theta = j/M.
 
     Returns the grid sup at its argmax, the theta=0 mass mismatch, the
-    loglog(Q)/Q reference, and the classified profile at
-    profile_indices(|diff|, profile_points) (classification is done per
-    profiled point, not for all M).
+    loglog(Q)/Q reference, and the profile at
+    profile_indices(|diff|, profile_points), classified by arc_params
+    (classification is done per profiled point, not for all M).
     """
     Q = mparams.require_Q()
     N = mparams.N
-    if arc_params is None:
-        arc_params = ArcParams(N=N, p_exponent=mparams.p_exponent or 3.0)
     lam = measures.lambda_measure(mparams, table)
     lamq = measures.lambda_q_measure(mparams, table)
     # both measures sit on {1..N}, so their difference is one signed measure

@@ -22,7 +22,7 @@ import os
 import secrets
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,6 @@ from .errors import (
 )
 from .numutil import fsum_real, rng_stream
 
-OUTPUT_DIR_ENV = "PRIMEAPS_OUTPUT_DIR"
 TABLE_BLOCK_ROWS = 1 << 16  # rows formatted per block by Emitter.table
 VALIDATION_ERRORS = (
     ConfigError,
@@ -49,27 +48,6 @@ VALIDATION_ERRORS = (
     DegenerateInputError,
     DomainError,
 )
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    N: object = None
-    b: int = 1
-    m: int = 1
-    Q: list[int] | None = None
-    p_exponent: float = 2.5
-    W: int | None = None
-    delta: float = 0.1
-    eps: float = 0.1
-    oversample: int = 8
-    B_override: float | None = None
-    seed: int = 0
-    output_dir: str = "primeaps-out"
-    format: str = "csv"
-    source: str = "primes"
-    alpha: float | None = None
-    draws: int = 20
-    constants: dict | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -844,7 +822,8 @@ def emit_plotdata(emitter: Emitter, stem: str, rows) -> None:
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (effective, results)
 
-def _measure_params(cfg: RunConfig, N: int, Q: int | None = None) -> measures.MeasureParams:
+def _measure_params(cfg: argparse.Namespace, N: int,
+                    Q: int | None = None) -> measures.MeasureParams:
     return measures.MeasureParams(b=cfg.b, m=cfg.m, N=N, Q=Q,
                                   p_exponent=cfg.p_exponent)
 
@@ -853,7 +832,7 @@ def _table_for(limit: int) -> sieve.FactorTable:
     return sieve.build_factor_table(max(int(limit), 4))
 
 
-def _run_sieve_stats(cfg: RunConfig, em: Emitter):
+def _run_sieve_stats(cfg: argparse.Namespace, em: Emitter):
     N = cfg.N
     table = _table_for(max([N, *(cfg.Q or [])]))
     ps = table.primes_up_to(N)
@@ -875,7 +854,7 @@ def _run_sieve_stats(cfg: RunConfig, em: Emitter):
     return {"table_limit": table.limit}, results
 
 
-def _run_measure_build(cfg: RunConfig, em: Emitter):
+def _run_measure_build(cfg: argparse.Namespace, em: Emitter):
     N = cfg.N
     params = _measure_params(cfg, N)
     # the dyadic split sieves with primes up to 2^K: size the table for it
@@ -914,7 +893,7 @@ def _run_measure_build(cfg: RunConfig, em: Emitter):
     return effective, results
 
 
-def _run_transform_scan(cfg: RunConfig, em: Emitter):
+def _run_transform_scan(cfg: argparse.Namespace, em: Emitter):
     N = cfg.N
     table = _table_for(cfg.m * N + cfg.b)
     Qs = cfg.Q or [None]
@@ -942,7 +921,7 @@ def _run_transform_scan(cfg: RunConfig, em: Emitter):
     return effective, results
 
 
-def _run_arc_scan(cfg: RunConfig, em: Emitter):
+def _run_arc_scan(cfg: argparse.Namespace, em: Emitter):
     N = cfg.N
     table = _table_for(max(cfg.m * N + cfg.b, max(cfg.Q) + 1))
     grid = fourier.TorusGrid(oversample=cfg.oversample)
@@ -978,7 +957,7 @@ def _run_arc_scan(cfg: RunConfig, em: Emitter):
     return effective, results
 
 
-def _draw_sweep(cfg: RunConfig, em: Emitter, name: str, setup) -> dict:
+def _draw_sweep(cfg: argparse.Namespace, em: Emitter, name: str, setup) -> dict:
     """cfg.draws random ratios at each N of cfg.N, drawn from the stream
     rng_stream(cfg.seed, f"{name}-N{N}"). setup(N) returns (draw, extra):
     draw(rng) gives one ratio, extra the results kept beside max_ratio.
@@ -998,7 +977,7 @@ def _draw_sweep(cfg: RunConfig, em: Emitter, name: str, setup) -> dict:
     return results
 
 
-def _run_majorant(cfg: RunConfig, em: Emitter):
+def _run_majorant(cfg: argparse.Namespace, em: Emitter):
     table = _table_for(max(cfg.N))
     grid = fourier.TorusGrid(oversample=cfg.oversample)
 
@@ -1018,7 +997,7 @@ def _run_majorant(cfg: RunConfig, em: Emitter):
     return {"table_limit": table.limit, "p": cfg.p_exponent}, results
 
 
-def _run_restriction(cfg: RunConfig, em: Emitter):
+def _run_restriction(cfg: argparse.Namespace, em: Emitter):
     table = _table_for(cfg.m * max(cfg.N) + cfg.b)
     grid = fourier.TorusGrid(oversample=cfg.oversample)
 
@@ -1036,7 +1015,7 @@ def _run_restriction(cfg: RunConfig, em: Emitter):
     return {"table_limit": table.limit, "p": cfg.p_exponent}, results
 
 
-def _run_mz_check(cfg: RunConfig, em: Emitter):
+def _run_mz_check(cfg: argparse.Namespace, em: Emitter):
     grid = fourier.TorusGrid(oversample=cfg.oversample)
 
     def setup(N):
@@ -1050,7 +1029,7 @@ def _run_mz_check(cfg: RunConfig, em: Emitter):
     return {"p": cfg.p_exponent, "oversample": cfg.oversample}, results
 
 
-def _run_roth_pipeline(cfg: RunConfig, em: Emitter):
+def _run_roth_pipeline(cfg: argparse.Namespace, em: Emitter):
     n = cfg.N
     W = cfg.W if cfg.W is not None else roth.default_w(n)
     m = roth.w_modulus(W)
@@ -1098,7 +1077,7 @@ def _run_roth_pipeline(cfg: RunConfig, em: Emitter):
     return effective, results
 
 
-def _run_behrend(cfg: RunConfig, em: Emitter):
+def _run_behrend(cfg: argparse.Namespace, em: Emitter):
     results = {}
     rows = []
     # every set is built before the first write, so an N the construction
@@ -1115,13 +1094,12 @@ def _run_behrend(cfg: RunConfig, em: Emitter):
     return {}, results
 
 
-def _run_varnavides(cfg: RunConfig, em: Emitter):
-    consts = dict(roth.DEFAULT_CONSTANTS)
-    consts.update(cfg.constants or {})
-    vb = roth.varnavides_bound(cfg.alpha, cfg.N, C1=consts["C1"])
+def _run_varnavides(cfg: argparse.Namespace, em: Emitter):
+    C1 = roth.closing_constants(cfg.constants)["C1"]
+    vb = roth.varnavides_bound(cfg.alpha, cfg.N, C1=C1)
     results = asdict(vb)
     em.json_file("varnavides", results)
-    return {"C1": consts["C1"]}, _clean(results)
+    return {"C1": C1}, _clean(results)
 
 
 # subcommand -> (handler, its flags besides _COMMON)
@@ -1157,40 +1135,30 @@ _HANDLERS = {name: handler for name, (handler, _) in _COMMANDS.items()}
 # ---------------------------------------------------------------------------
 # driver
 
-def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=ns.subcommand)
-    for key, value in vars(ns).items():
-        if key != "subcommand" and hasattr(cfg, key):
-            setattr(cfg, key, value)
-    return cfg
+def run(cfg: argparse.Namespace) -> dict:
+    """Execute one experiment, given the parsed flags of its subcommand;
+    writes its outputs and manifest.json, and returns the manifest.
 
-
-def run(cfg: RunConfig) -> dict:
-    """Execute one experiment; writes its outputs and manifest.json, and
-    returns the manifest."""
-    outdir = Path(os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir)
-    em = Emitter(outdir, cfg.format)
+    The manifest's config holds the subcommand and its flags, all but
+    --output-dir: the manifest records no path, so identical experiments
+    write identical manifests wherever their outputs land. Its
+    deterministic_hash covers everything but the timings."""
+    em = Emitter(Path(cfg.output_dir), cfg.format)
     t0 = time.perf_counter()
     effective, results = _HANDLERS[cfg.subcommand](cfg, em)
     elapsed = time.perf_counter() - t0
-    config = _clean(asdict(cfg))
-    output_dir = config.pop("output_dir")
     manifest = {
         "tool": "primeaps",
         "version": __version__,
         "subcommand": cfg.subcommand,
-        "config": config,
+        "config": _clean({k: v for k, v in vars(cfg).items() if k != "output_dir"}),
         "effective": _clean(effective),
         "results": _clean(results),
         "outputs": em.outputs,
     }
-    # hashed before the output_dir entries go in: identical experiments
-    # hash equal no matter where their outputs land
     canon = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     manifest["deterministic_hash"] = hashlib.sha256(canon.encode("utf-8")).hexdigest()
     manifest["timings"] = {"wall_seconds": elapsed}
-    config["output_dir"] = output_dir
-    manifest["effective"]["output_dir"] = str(outdir)
     em.manifest(manifest)
     return manifest
 
@@ -1205,8 +1173,7 @@ def _emit_error(kind: str, exc: Exception, stage: str | None = None) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        cfg = _config_from_namespace(ns)
+        cfg = parser.parse_args(argv)
     except ConfigError as exc:
         _emit_error("validation", exc)
         return 2

@@ -41,6 +41,11 @@ DEFAULT_CONSTANTS = {
 }
 
 
+def closing_constants(overrides: dict | None) -> dict:
+    """DEFAULT_CONSTANTS with the given entries replaced."""
+    return DEFAULT_CONSTANTS | (overrides or {})
+
+
 # ---------------------------------------------------------------------------
 # W-trick
 
@@ -478,8 +483,7 @@ def final_inequality(
         raise ParameterError(f"delta must be > 0, got {delta}")
     if not 0 < eps < 1:
         raise ParameterError(f"eps must be in (0, 1), got {eps}")
-    c = dict(DEFAULT_CONSTANTS)
-    c.update(constants or {})
+    c = closing_constants(constants)
     L = max(math.log(1.0 / alpha), math.log(2.0))
     t1 = c["C_prime"] * N**-0.5
     t2 = 2.0**12 * eps**2 * delta**-2.5
@@ -639,7 +643,7 @@ def density_experiment(
             "delta": delta,
             "eps": eps,
             "W": W,
-            "constants": dict(DEFAULT_CONSTANTS) | (constants or {}),
+            "constants": closing_constants(constants),
             "subset_density": SUBSET_DENSITY,
         }
     }

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from primeaps import arcs, cli, fourier, measures, roth, sieve
-from primeaps.cli import OUTPUT_DIR_ENV
 from primeaps.fourier import TorusGrid
 from primeaps.measures import BASE_ZN, Measure
 
@@ -157,7 +156,8 @@ def test_c06_rough_approximation_trend(table):
     for Q in (4, 16, 64):
         mp = measures.MeasureParams(b=1, m=1, N=1_000_000, Q=Q)
         res = arcs.sup_diff_scan(
-            mp, TorusGrid(oversample=4), table, profile_points=256
+            mp, TorusGrid(oversample=4), table,
+            arcs.ArcParams(N=1_000_000, p_exponent=3.0), profile_points=256
         )
         sups.append(res.sup)
     elapsed = time.perf_counter() - t0
@@ -344,8 +344,7 @@ RERUN_CONFIGS = [
 ]
 
 
-def test_c15_reruns_are_deterministic(tmp_path, monkeypatch):
-    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+def test_c15_reruns_are_deterministic(tmp_path):
     mismatched = []
     for i, args in enumerate(RERUN_CONFIGS):
         manifests = []

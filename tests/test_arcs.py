@@ -252,7 +252,8 @@ def test_profile_indices_matches_membership_rule(M, points):
 def test_sup_diff_scan_profile_and_sup(small_table):
     mp = measures.MeasureParams(b=1, m=1, N=2000, Q=4, p_exponent=3.0)
     grid = TorusGrid(oversample=2)
-    res = arcs.sup_diff_scan(mp, grid, small_table, profile_points=64)
+    res = arcs.sup_diff_scan(mp, grid, small_table,
+                             ArcParams(N=2000, p_exponent=3.0), profile_points=64)
     assert res.Q == 4
     assert res.oversample == 2
     assert res.reference == pytest.approx(loglog_clamped(4) / 4)
@@ -309,8 +310,8 @@ def test_sup_diff_scan_grid_is_the_difference_of_two_grids(
 
     monkeypatch.setattr(fourier, "wedge_grid", recorded)
     mp = measures.MeasureParams(b=1, m=1, N=N, Q=16, p_exponent=3.0)
-    res = arcs.sup_diff_scan(mp, TorusGrid(oversample=oversample),
-                             small_table, profile_points=64)
+    res = arcs.sup_diff_scan(mp, TorusGrid(oversample=oversample), small_table,
+                             ArcParams(N=N, p_exponent=3.0), profile_points=64)
     M = oversample * N
     assert [g.shape for g in grids] == [(M,)]
     want = (_complex_grid(measures.lambda_measure(mp, small_table), M)
@@ -324,9 +325,10 @@ def test_sup_diff_scan_grid_is_the_difference_of_two_grids(
 @pytest.mark.filterwarnings("ignore::primeaps.errors.DeskScaleWarning")
 def test_sup_diff_scan_oversample_stable(small_table):
     mp = measures.MeasureParams(b=1, m=1, N=2000, Q=4, p_exponent=3.0)
-    s2 = arcs.sup_diff_scan(mp, TorusGrid(oversample=2), small_table,
+    ap = ArcParams(N=2000, p_exponent=3.0)
+    s2 = arcs.sup_diff_scan(mp, TorusGrid(oversample=2), small_table, ap,
                             profile_points=16)
-    s4 = arcs.sup_diff_scan(mp, TorusGrid(oversample=4), small_table,
+    s4 = arcs.sup_diff_scan(mp, TorusGrid(oversample=4), small_table, ap,
                             profile_points=16)
     assert s4.sup >= s2.sup * 0.999
     assert s4.sup == pytest.approx(s2.sup, rel=0.15)

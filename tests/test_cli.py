@@ -1,9 +1,9 @@
-import argparse
 import csv
 import hashlib
 import json
 import math
 import os
+import re
 import stat
 import time
 from pathlib import Path
@@ -12,12 +12,6 @@ import numpy as np
 import pytest
 
 from primeaps import cli, measures, sieve
-from primeaps.cli import OUTPUT_DIR_ENV
-
-
-@pytest.fixture(autouse=True)
-def _no_env_override(monkeypatch):
-    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
 
 
 def _manifest(outdir: Path) -> dict:
@@ -185,18 +179,6 @@ def test_majorant_seed_changes_hash(tmp_path):
     assert a["deterministic_hash"] != c["deterministic_hash"]
     for key, entry in a["results"].items():
         assert entry["max_ratio"] <= 1.0 + 1e-9
-
-
-def test_env_var_overrides_flag(tmp_path, monkeypatch):
-    envdir = tmp_path / "from-env"
-    monkeypatch.setenv(OUTPUT_DIR_ENV, str(envdir))
-    rc = cli.main(["behrend", "--N", "8",
-                   "--output-dir", str(tmp_path / "from-flag")])
-    assert rc == 0
-    assert (envdir / "manifest.json").exists()
-    assert not (tmp_path / "from-flag").exists()
-    man = _manifest(envdir)
-    assert man["effective"]["output_dir"] == str(envdir)
 
 
 # --- failure modes -----------------------------------------------------------
@@ -376,13 +358,42 @@ def test_unwritable_output_exit_4(tmp_path, capsys):
     assert err["error"] == "io"
 
 
-def test_manifest_excludes_output_dir_from_hash(tmp_path):
-    # config echo keeps the directory, the hash basis drops it
-    man = _run(["behrend", "--N", "8"], tmp_path / "somewhere")
-    assert man["config"]["output_dir"] == str(tmp_path / "somewhere")
-    man2 = _run(["behrend", "--N", "8"], tmp_path / "elsewhere")
-    assert man["deterministic_hash"] == man2["deterministic_hash"]
-    assert man["timings"]["wall_seconds"] >= 0.0
+def test_manifest_is_the_same_wherever_it_lands(tmp_path):
+    # the manifest records no path, so relocating the outputs, even to a
+    # path of another length, changes no byte of it but its timings
+    texts = []
+    for outdir in (tmp_path / "a", tmp_path / "somewhere" / "else"):
+        man = _run(["measure-build", "--N", "100", "--Q", "4"], outdir)
+        assert man["timings"]["wall_seconds"] >= 0.0
+        data = (outdir / "manifest.json").read_bytes()
+        assert str(tmp_path).encode() not in data
+        data, timings = re.subn(
+            rb'\n  "timings": \{\n    "wall_seconds": [^\n]*\n  \},', b"", data)
+        assert timings == 1
+        texts.append(data)
+    assert texts[0] == texts[1]
+
+
+# a small run of each subcommand
+SMALL_RUNS = {
+    "sieve-stats": ["--N", "10"],
+    "measure-build": ["--N", "10"],
+    "transform-scan": ["--N", "10"],
+    "arc-scan": ["--N", "10", "--Q", "4"],
+    "majorant": ["--N", "16", "--draws", "1"],
+    "restriction": ["--N", "16", "--draws", "1"],
+    "mz-check": ["--N", "16", "--draws", "1"],
+    "roth-pipeline": ["--N", "300"],
+    "behrend": ["--N", "8"],
+    "varnavides": ["--N", "211", "--alpha", "0.9"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(cli._HANDLERS))
+def test_manifest_config_is_the_subcommands_flags(name, flag_dests, tmp_path):
+    man = _run([name, *SMALL_RUNS[name]], tmp_path)
+    assert set(man["config"]) == {"subcommand"} | flag_dests[name] - {"output_dir"}
+    assert man["config"]["subcommand"] == name
 
 
 # --- table sizing and output files ---------------------------------------------
@@ -504,11 +515,8 @@ def test_tables_stream_in_blocks(tmp_path, monkeypatch):
 
 # --- the dispatch the benchmark's tracer wraps ---------------------------------
 
-def test_run_dispatches_through_handlers(tmp_path, monkeypatch):
-    parser = cli.build_parser()
-    subs = next(a for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction))
-    assert set(subs.choices) == set(cli._HANDLERS)
+def test_run_dispatches_through_handlers(flag_dests, tmp_path, monkeypatch):
+    assert set(flag_dests) == set(cli._HANDLERS)
     calls = []
 
     def handler(cfg, em):

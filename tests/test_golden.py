@@ -8,7 +8,9 @@ Everything compares exactly, floats included: the hash already pins the
 results byte for byte, and a tolerance would only let a stale recorded
 value stand next to a hash that disagrees with it. So every byte written
 is pinned. A change here is a deliberate, documented event: regenerate with
-`PYTHONPATH=src python tests/test_golden.py` and say why in CHANGES.md.
+`PYTHONPATH=src python tests/test_golden.py`, which prints each entry's old
+and new deterministic_hash and whether any output or result moved, and
+say why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -74,8 +76,7 @@ def golden() -> dict:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_results(name, golden, tmp_path, monkeypatch):
-    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+def test_golden_results(name, golden, tmp_path):
     want = golden[name]["csv"]["results"]
     got = _record(CASES[name], "csv", tmp_path)["results"]
     assert _compare(got, want, name) == []
@@ -83,8 +84,7 @@ def test_golden_results(name, golden, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_outputs(name, fmt, golden, tmp_path, monkeypatch):
-    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+def test_golden_outputs(name, fmt, golden, tmp_path):
     want = golden[name][fmt]
     got = _record(CASES[name], fmt, tmp_path)
     assert _compare(got["results"], want["results"], f"{name}/{fmt}") == []
@@ -93,9 +93,20 @@ def test_golden_outputs(name, fmt, golden, tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
+    recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         golden = {name: {fmt: _record(args, fmt, Path(tmp) / name / fmt)
                          for fmt in FORMATS}
                   for name, args in sorted(CASES.items())}
+    # one line per entry: the hash it had and has, and whether any output
+    # file or results value moved, which an announced hash change must not
+    for name, entries in golden.items():
+        for fmt, got in entries.items():
+            was = recorded.get(name, {}).get(fmt, {})
+            moved = [key for key in ("outputs", "results")
+                     if _compare(got[key], was.get(key), key)]
+            sys.stdout.write(f"{name}/{fmt}: {was.get('deterministic_hash')} -> "
+                             f"{got['deterministic_hash']}, "
+                             f"{' and '.join(moved) or 'no output or result'} moved\n")
     GOLDEN.write_text(json.dumps(golden, sort_keys=True, indent=2) + "\n")
     sys.stdout.write(f"wrote {GOLDEN}\n")

@@ -1,6 +1,7 @@
 """The package's public names: every entry of `primeaps.__all__` must
-resolve, or `from primeaps import *` fails on the stale one. And only
-`primeaps.fourier` may take transforms with numpy.fft."""
+resolve, or `from primeaps import *` fails on the stale one. Only
+`primeaps.fourier` may take transforms with numpy.fft, every parameter is
+read, and each CLI handler reads only its own subcommand's flags."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import primeaps
+from primeaps import cli
 
 
 def test_all_names_resolve():
@@ -119,3 +121,65 @@ def test_parameter_checker_passes_reads():
               "        return a + c\n"
               "    return inner, rest, extra\n")
     assert _unread_parameters(ast.parse(source)) == []
+
+
+def _cfg_reads(tree: ast.Module, function: str) -> set[str]:
+    """The attributes of the parameter cfg that a module-level function
+    reads or sets, in its body and its closures, and in the module-level
+    functions it passes cfg to, positionally or by keyword (under the name
+    of their parameter). Any other use of cfg shows as "<escapes>", since
+    what the callee reads is unseen."""
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    found, seen = set(), set()
+    todo = [(function, "cfg")]
+    while todo:
+        name, param = todo.pop()
+        if (name, param) in seen:
+            continue
+        seen.add((name, param))
+        uses = [node for node in ast.walk(functions[name])
+                if isinstance(node, ast.Name) and node.id == param]
+        known = set()
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Attribute) and node.value in uses:
+                found.add(node.attr)
+                known.add(node.value)
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) in functions):
+                callee = functions[node.func.id].args
+                passed = list(zip([a.arg for a in callee.posonlyargs + callee.args],
+                                  node.args))
+                passed += [(k.arg, k.value) for k in node.keywords]
+                for target, value in passed:
+                    if value in uses:
+                        todo.append((node.func.id, target))
+                        known.add(value)
+        if len(known) < len(uses):
+            found.add("<escapes>")
+    return found
+
+
+def test_handlers_read_only_their_own_flags(flag_dests):
+    # a handler's cfg is its subcommand's parsed flags and nothing else, so
+    # an attribute that is not one of them would fail at run time, and the
+    # manifest's config would not show what the run read
+    tree = ast.parse((SRC / "cli.py").read_text())
+    stray = {name: sorted(_cfg_reads(tree, handler.__name__) - flag_dests[name])
+             for name, (handler, _) in cli._COMMANDS.items()}
+    assert {name: attrs for name, attrs in stray.items() if attrs} == {}
+
+
+def test_cfg_reads_follow_closures_and_helpers():
+    source = ("def helper(em, conf):\n"
+              "    return conf.a\n"
+              "def handler(cfg, em):\n"
+              "    def inner():\n"
+              "        return cfg.b\n"
+              "    cfg.c = 1\n"
+              "    return helper(em, cfg), helper(em, conf=cfg), inner\n"
+              "def leaky(cfg, em):\n"
+              "    return str(cfg), vars(cfg)\n")
+    tree = ast.parse(source)
+    assert _cfg_reads(tree, "handler") == {"a", "b", "c"}
+    assert _cfg_reads(tree, "leaky") == {"<escapes>"}
