@@ -213,7 +213,7 @@ def sup_diff_scan(
     grid: TorusGrid,
     table: FactorTable,
     arc_params: ArcParams,
-    profile_points: int = 2048,
+    profile_points: int,
 ) -> ScanResult:
     """Scan |lambda^(theta) - lambda^{(Q)^}(theta)| over theta = j/M.
 

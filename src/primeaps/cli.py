@@ -645,11 +645,11 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     np.not_equal(bits[1:], bits[:-1], out=new[1:])
     starts = np.flatnonzero(new)
     heads = bits[starts]
-    if (heads == 0).any():
-        # a column with +0.0 runs holds a measure on a sparse support, and
-        # such a measure often repeats one value across its runs (a rough
-        # measure's constant): format each distinct value once. A dense
-        # column rarely repeats, and the sort would cost more than it saves
+    if 2 * heads.size <= values.size:
+        # a column of few runs holds a measure on a sparse support, and such
+        # a measure often repeats one value across its runs (a rough
+        # measure's constant): format each distinct value once. A column of
+        # many runs rarely repeats, and the sort would cost more than it saves
         distinct, which = np.unique(heads, return_inverse=True)
         runs = _repr_cells(distinct)[which]
     else:
@@ -898,19 +898,21 @@ def _run_transform_scan(cfg: argparse.Namespace, em: Emitter):
     table = _table_for(cfg.m * N + cfg.b)
     Qs = cfg.Q or [None]
     grid = fourier.TorusGrid(oversample=cfg.oversample)
-    effective = {"table_limit": table.limit, "grid_points": grid.points(N)}
+    M = grid.points(N)
+    effective = {"table_limit": table.limit, "grid_points": M}
     results = {}
+    profiles = {}
+    # every result is computed before the first write, so a p the L^p
+    # ladder refuses leaves no output behind
     for Q in Qs:
         params = _measure_params(cfg, N, Q=Q)
         f = (measures.lambda_measure(params, table) if Q is None
              else measures.lambda_q_measure(params, table))
-        M = grid.points(N)
         vals = fourier.wedge_grid(f, M)
         mags = np.abs(vals)
         idx = arcs.profile_indices(mags, 4096)
         tag = "lambda" if Q is None else f"rough_Q{Q}"
-        em.table(f"transform_{tag}", ["theta", "re", "im", "abs"],
-                 [idx / M, vals[idx].real, vals[idx].imag, mags[idx]])
+        profiles[tag] = [idx / M, vals[idx].real, vals[idx].imag, mags[idx]]
         results[tag] = {
             "mass": f.total,
             "sup_offzero_grid": float(np.max(mags[1:])),
@@ -918,6 +920,8 @@ def _run_transform_scan(cfg: argparse.Namespace, em: Emitter):
             "l2_norm": math.sqrt(fsum_real(f.weights**2)),
             "lp_norm": fourier.lp_norm_torus(f, cfg.p_exponent, grid),
         }
+    for tag, columns in profiles.items():
+        em.table(f"transform_{tag}", ["theta", "re", "im", "abs"], columns)
     return effective, results
 
 
@@ -941,7 +945,8 @@ def _run_arc_scan(cfg: argparse.Namespace, em: Emitter):
     summary_rows = []
     for Q in cfg.Q:
         params = _measure_params(cfg, N, Q=Q)
-        scan = arcs.sup_diff_scan(params, grid, table, arc_params=aparams)
+        scan = arcs.sup_diff_scan(params, grid, table, arc_params=aparams,
+                                  profile_points=2048)
         em.table(f"arc_scan_Q{Q}", list(scan.profile), scan.profile.values())
         results[str(Q)] = {
             "sup": scan.sup,

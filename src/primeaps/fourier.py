@@ -28,6 +28,12 @@ M > (p/2) * span, and the ladder stops at the first exact level; when that
 is the first, it costs one transform of length M. `mz_ratio` reads its
 discrete sum over r/N off every (L/N)-th bin of the ladder's first grid of
 L points, so it takes no length-N transform of its own.
+
+The ladder refuses, with ParameterError, a p outside [1, inf) and a p at
+which the grid mean of |f^|^p leaves the float range: infinite or NaN
+(|f^|^p overflows), or 0 while some coefficient is nonzero (every power
+underflows). A grid's oversample must lie in 2..MAX_OVERSAMPLE, the
+furthest the ladder escalates.
 """
 
 from __future__ import annotations
@@ -56,13 +62,16 @@ INTEGRALITY_TOL = 0.25  # a rounded count this far from an integer is an error
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """Uniform grid j/M on the torus with M = oversample * N."""
+    """Uniform grid j/M on the torus with M = oversample * N, for
+    oversample in 2..MAX_OVERSAMPLE: the L^p ladder escalates no further,
+    so a grid starting above it would skip the self-consistency check."""
 
-    oversample: int = 8
+    oversample: int
 
     def __post_init__(self) -> None:
-        if self.oversample < 2:
-            raise ParameterError(f"oversample must be >= 2, got {self.oversample}")
+        if not 2 <= self.oversample <= MAX_OVERSAMPLE:
+            raise ParameterError(f"oversample must be in 2..{MAX_OVERSAMPLE}, "
+                                 f"got {self.oversample}")
 
     def points(self, N: int) -> int:
         return self.oversample * N
@@ -119,18 +128,22 @@ def wedge_grid(f: Measure, M: int) -> np.ndarray:
 
 def _half_powers(pad: np.ndarray, p: float) -> np.ndarray:
     """|sum_n pad_n e(-nk/L)|^p at the bins k = 0..L//2 of a real pad of
-    length L, from one rfft; the grid's other bins mirror these."""
+    length L, from one rfft; the grid's other bins mirror these. An
+    overflow to inf is left to _lp_ladder to refuse."""
     mags = np.abs(np.fft.rfft(pad))
-    mags **= p
+    with np.errstate(over="ignore"):
+        mags **= p
     return mags
 
 
 def _hermitian_sum(half: np.ndarray, L: int) -> float:
     """The sum over the L bins of a Hermitian grid, given its bins
-    0..L//2: every bin but 0 and (for even L) L/2 stands for two."""
-    total = 2.0 * np.sum(half) - half[0]
-    if L % 2 == 0:
-        total -= half[-1]
+    0..L//2: every bin but 0 and (for even L) L/2 stands for two. Bins
+    of inf give inf or NaN, for _lp_ladder to refuse."""
+    with np.errstate(invalid="ignore"):
+        total = 2.0 * np.sum(half) - half[0]
+        if L % 2 == 0:
+            total -= half[-1]
     return float(total)
 
 
@@ -140,7 +153,8 @@ def _complex_power_sum(pad: np.ndarray, p: float) -> float:
     Over a full period the sign of the phase only permutes j, so one forward
     transform serves."""
     mags = np.abs(np.fft.fft(pad))
-    mags **= p
+    with np.errstate(over="ignore"):
+        mags **= p
     return float(np.sum(mags))
 
 
@@ -167,7 +181,9 @@ def _lp_ladder(positions, values, N, p, grid: TorusGrid):
     rule is exact once M > (p/2) * span: the first such level is returned,
     and when the first level is exact it is one transform of length M. Every
     L^p norm and ratio of this module comes here, so this is where p
-    outside [1, inf), NaN included, is refused.
+    outside [1, inf), NaN included, is refused, and so is a p at which the
+    grid mean of |f^|^p leaves the float range: infinite or NaN, or 0 for
+    nonzero values.
 
     Returns the norm and, for real values, (powers, L): the first rfft the
     ladder took, as |sum_n v_n e(-nk/L)|^p at its bins k = 0..L//2, with L
@@ -181,9 +197,18 @@ def _lp_ladder(positions, values, N, p, grid: TorusGrid):
     if np.iscomplexobj(values) and not np.any(values.imag):
         values = values.real
     span = int(np.ptp(positions)) if positions.size else 0
+    nonzero = bool(np.any(values))
 
     def exact(M: int) -> bool:
         return p % 2 == 0 and M > p / 2 * span
+
+    def mean(total: float, M: int) -> float:
+        value = total / M
+        if not math.isfinite(value) or (value == 0.0 and nonzero):
+            raise ParameterError(
+                f"p = {p} is out of float range at N = {N}: the mean of "
+                f"|f^|^p over the grid of {M} points is {value!r}")
+        return value
 
     real = not np.iscomplexobj(values)
     o = grid.oversample
@@ -197,7 +222,7 @@ def _lp_ladder(positions, values, N, p, grid: TorusGrid):
         total = _hermitian_sum(half[::L // M], M)
     else:
         total = _complex_power_sum(_scatter(positions, values, M), p)
-    cur = (total / M) ** (1.0 / p)
+    cur = mean(total, M) ** (1.0 / p)
     while not exact(M):
         if real:
             if L == M:
@@ -207,7 +232,7 @@ def _lp_ladder(positions, values, N, p, grid: TorusGrid):
         else:
             twisted = values * e(positions / (2 * M))  # the odd samples of 2M
             total += _complex_power_sum(_scatter(positions, twisted, M), p)
-        nxt = (total / (2 * M)) ** (1.0 / p)
+        nxt = mean(total, 2 * M) ** (1.0 / p)
         scale = max(abs(nxt), 1e-300)
         if abs(cur - nxt) / scale < REL_CONSISTENCY:
             return nxt, first
@@ -308,28 +333,23 @@ def triple_count(f: Measure, g: Measure, h: Measure) -> float:
     return float(val.real)
 
 
-def set_convolution(S: np.ndarray, T: np.ndarray, N: int) -> np.ndarray:
-    """(1_S * 1_T)(k) = #{(s, t) in S x T : s + t = k} for k = 0..2N-2,
-    exactly, for integer sets S, T inside [0, N).
+def set_convolution(S: np.ndarray, N: int) -> np.ndarray:
+    """(1_S * 1_S)(k) = #{(s, t) in S x S : s + t = k} for k = 0..2N-2,
+    exactly, for an integer set S inside [0, N).
 
     One zero-padded linear convolution with rfft/irfft at the power of two
-    P >= 2N-1, where no sum wraps around; T equal to S reuses S's transform.
-    Every value is rounded to an integer, and a value 0.25 or more away from
-    its integer raises StageError instead of being rounded away.
+    P >= 2N-1, where no sum wraps around. Every value is rounded to an
+    integer, and a value 0.25 or more away from its integer raises
+    StageError instead of being rounded away.
     """
     if N < 1:
         raise ParameterError(f"N must be >= 1, got {N}")
     L = 2 * N - 1
     P = 1 << (L - 1).bit_length()
-
-    def transform(U: np.ndarray) -> np.ndarray:
-        u = np.zeros(P, dtype=np.float64)
-        u[U] = 1.0
-        return np.fft.rfft(u)
-
-    FS = transform(S)
-    FT = FS if np.array_equal(S, T) else transform(T)
-    conv = np.fft.irfft(FS * FT, P)[:L]
+    u = np.zeros(P, dtype=np.float64)
+    u[S] = 1.0
+    FS = np.fft.rfft(u)
+    conv = np.fft.irfft(FS * FS, P)[:L]
     rounded = np.rint(conv)
     residual = float(np.max(np.abs(conv - rounded)))
     if residual >= INTEGRALITY_TOL:
@@ -357,12 +377,12 @@ def majorant_ratio(
     N: int,
     table: FactorTable,
     grid: TorusGrid,
-    den: float | None = None,
+    den: float,
 ) -> float:
     """|| sum over primes n <= N of a_n e(n theta) ||_p divided by the same
-    norm with all a_n = 1. Requires |a_n| <= 1 (majorized coefficients).
-    `den`, when given, is majorant_denominator(p, N, table, grid), which a
-    caller drawing many coefficient vectors computes once."""
+    norm with all a_n = 1, which is `den` = majorant_denominator(p, N,
+    table, grid): a caller drawing many coefficient vectors computes it
+    once. Requires |a_n| <= 1 (majorized coefficients)."""
     primes = table.primes_up_to(N)
     signs = np.asarray(signs, dtype=np.complex128)
     if signs.shape != primes.shape:
@@ -373,10 +393,7 @@ def majorant_ratio(
         raise DegenerateInputError(f"no primes <= {N}")
     if float(np.max(np.abs(signs))) > 1.0 + 1e-12:
         raise PreconditionError("majorant coefficients must satisfy |a_n| <= 1")
-    num = _lp_norm_checked(primes, signs, N, p, grid)
-    if den is None:
-        den = majorant_denominator(p, N, table, grid)
-    return num / den
+    return _lp_norm_checked(primes, signs, N, p, grid) / den
 
 
 def restriction_ratio(

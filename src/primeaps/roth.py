@@ -87,24 +87,18 @@ def w_modulus(W: int) -> int:
     return m
 
 
-def w_trick(
-    A0,
-    table: sieve.FactorTable,
-    W: int | None = None,
-    n: int | None = None,
-) -> WTrickResult:
+def w_trick(A0, table: sieve.FactorTable, W: int | None, n: int) -> WTrickResult:
     """Rescale A0 (a set of primes) into A = ((A0 cap [n]) - b)/m inside
     {1..floor(N/2)} with N the smallest prime in (2n/m, 4n/m].
 
-    m = w_modulus(W) is the product of the primes <= max(W, 2), b the
-    residue class mod m maximizing the log-weighted
-    count (ties to the smallest b). alpha is the lambda_{b,m,N} mass of A.
+    m = w_modulus(W) is the product of the primes <= max(W, 2), with W =
+    default_w(n) when W is None; b is the residue class mod m maximizing
+    the log-weighted count (ties to the smallest b). alpha is the
+    lambda_{b,m,N} mass of A.
     """
     A0 = np.unique(np.asarray(A0, dtype=np.int64))
     if A0.size == 0:
         raise DegenerateInputError("A0 is empty")
-    if n is None:
-        n = int(A0.max())
     A0 = A0[A0 <= n]
     if A0.size == 0:
         raise DegenerateInputError(f"A0 has no elements <= n={n}")
@@ -242,14 +236,14 @@ class SetlikeReport:
     sup_a1: float
     chain_spectral: float
     chain_sup: float
-    chain_reference: float | None
+    chain_reference: float
     mass_mu: float
     mu_sup_offzero: float
     bohr_size: int
     setlike: bool
     step1_ok: bool
     step2_ok: bool
-    gate_ok: bool | None
+    gate_ok: bool
     a1: Measure = field(repr=False)
 
 
@@ -259,23 +253,16 @@ def w_reference(W: int) -> float:
     return 2.0 * loglog_clamped(W) / W
 
 
-def mu_sup_offzero(mu: Measure, W: int | None = None):
-    """sup and argmax of |mu~(r)| over r != 0, with the w_reference(W)
-    reference when W is supplied."""
+def mu_sup_offzero(mu: Measure, W: int):
+    """sup and argmax of |mu~(r)| over r != 0, with its w_reference(W)
+    reference."""
     mags = np.abs(spectrum(mu))
     mags[0] = -1.0
     argmax = int(np.argmax(mags))
-    sup = float(mags[argmax])
-    reference = w_reference(W) if W is not None else None
-    return sup, argmax, reference
+    return float(mags[argmax]), argmax, w_reference(W)
 
 
-def setlike_check(
-    a: Measure,
-    mu: Measure,
-    bohr: BohrSet,
-    W: int | None = None,
-) -> SetlikeReport:
+def setlike_check(a: Measure, mu: Measure, bohr: BohrSet, W: int) -> SetlikeReport:
     """Verify a <= mu pointwise, granularize, and evaluate the sup chain;
     each comparison of the chain allows 1e-9 of float residue."""
     if a.N != mu.N or a.N != bohr.N:
@@ -291,25 +278,20 @@ def setlike_check(
     sup_off = float(np.max(mut[1:])) if a.N > 1 else 0.0
     size = len(bohr)
     chain_sup = mass / a.N + sup_off / size
-    chain_reference = None
-    gate_ok = None
-    if W is not None:
-        ref = w_reference(W)
-        chain_reference = 1.0 / a.N + ref / size
-        gate_ok = bohr.eps**bohr.k >= ref
+    ref = w_reference(W)
     slack = 1e-9
     return SetlikeReport(
         sup_a1=sup_a1,
         chain_spectral=chain_spectral,
         chain_sup=chain_sup,
-        chain_reference=chain_reference,
+        chain_reference=1.0 / a.N + ref / size,
         mass_mu=mass,
         mu_sup_offzero=sup_off,
         bohr_size=size,
         setlike=sup_a1 <= 2.0 / a.N + slack,
         step1_ok=sup_a1 <= chain_spectral + slack,
         step2_ok=chain_spectral <= chain_sup + slack,
-        gate_ok=gate_ok,
+        gate_ok=bohr.eps**bohr.k >= ref,
         a1=a1,
     )
 
@@ -330,47 +312,38 @@ def _int_set(x) -> np.ndarray:
     return np.unique(np.asarray(x, dtype=np.int64))
 
 
-def count_3aps(a: Measure, b: Measure | None = None,
-               c: Measure | None = None) -> Count3APs:
-    """Count ordered triples (x, x+d, x+2d) in Z_N weighted by the measures
-    a, b, c (b and c default to a): the float total (d=0 included) and its
-    nontrivial part. Integer sets are counted by `count_set_3aps`.
+def count_3aps(a: Measure) -> Count3APs:
+    """Count ordered triples (x, x+d, x+2d) in Z_N weighted by the measure
+    a: the float total (d=0 included) and its nontrivial part. Integer sets
+    are counted by `count_set_3aps`.
     """
-    b = a if b is None else b
-    c = a if c is None else c
-    total = triple_count(a, b, c)
-    diag = fsum_real(a.zn_weights() * b.zn_weights() * c.zn_weights())
-    return Count3APs(total=total, nontrivial=total - diag)
+    total = triple_count(a, a, a)
+    return Count3APs(total=total, nontrivial=total - diagonal_cube_sum(a))
 
 
-def count_set_3aps(a, b=None, c=None, *, N: int) -> tuple[Count3APs, Count3APs]:
-    """The (Z_N, integer-line) 3AP counts of integer sets in [0, N), both
-    read from one exact linear convolution 1_a * 1_c (fourier.set_convolution,
-    at a power of two >= 2N-1) summed over y in b: at 2y for the line, at
-    2y mod N after folding the convolution mod N for Z_N.
+def count_set_3aps(S, *, N: int) -> tuple[Count3APs, Count3APs]:
+    """The (Z_N, integer-line) 3AP counts of an integer set S in [0, N),
+    both read from one exact linear convolution 1_S * 1_S
+    (fourier.set_convolution, at a power of two >= 2N-1) summed over y in
+    S: at 2y for the line, at 2y mod N after folding the convolution mod N
+    for Z_N.
     """
-    S = _int_set(a)
-    Sb = S if b is None else _int_set(b)
-    Sc = S if c is None else _int_set(c)
-    for T in (S, Sb, Sc):
-        if T.size and (T.min() < 0 or T.max() >= N):
-            raise ParameterError(f"set elements must lie in [0, {N})")
-    conv = set_convolution(S, Sc, N)
+    S = _int_set(S)
+    if S.size and (S.min() < 0 or S.max() >= N):
+        raise ParameterError(f"set elements must lie in [0, {N})")
+    conv = set_convolution(S, N)
     folded = conv[:N].copy()
     folded[: N - 1] += conv[N:]
-    trivial = int(np.intersect1d(np.intersect1d(S, Sb), Sc).size)
-    same = np.array_equal(S, Sb) and np.array_equal(S, Sc)
     # in Z_N with N even, the (x, d=N/2) triples are their own reversal
-    self_paired = (int(np.intersect1d(S, (S + N // 2) % N).size)
-                   if same and N % 2 == 0 else 0)
+    self_paired = int(np.intersect1d(S, (S + N // 2) % N).size) if N % 2 == 0 else 0
 
     def count(total: int, paired: int) -> Count3APs:
-        nontrivial = total - trivial
-        unordered = (nontrivial - paired) // 2 + paired if same else None
+        nontrivial = total - S.size
+        unordered = (nontrivial - paired) // 2 + paired
         return Count3APs(total=total, nontrivial=nontrivial, unordered=unordered)
 
-    return (count(int(folded[(2 * Sb) % N].sum()), self_paired),
-            count(int(conv[2 * Sb].sum()), 0))
+    return (count(int(folded[(2 * S) % N].sum()), self_paired),
+            count(int(conv[2 * S].sum()), 0))
 
 
 def has_3ap_line(S) -> bool:
@@ -403,7 +376,7 @@ class VarnavidesBound:
     vacuous: bool
 
 
-def varnavides_bound(alpha: float, N: int, C1: float = 1.0) -> VarnavidesBound:
+def varnavides_bound(alpha: float, N: int, C1: float) -> VarnavidesBound:
     """Lower bound for sum_{x,d} a1(x) a1(x+d) a1(x+2d) when a1 is set-like
     with density alpha: progressions of length M = ceil(exp(C1 alpha^-2 L))
     give Z >= alpha N^2 / (8 M^2) three-term APs, each worth (alpha/2N)^3.
@@ -457,11 +430,11 @@ class FinalInequality:
     term_spectrum: float
     term_tail: float
     contradiction: bool
-    gate_ok: bool | None
-    bohr_defect_linear: float | None
-    bohr_defect_cubic: float | None
-    bohr_linear_ok: bool | None
-    bohr_cubic_ok: bool | None
+    gate_ok: bool
+    bohr_defect_linear: float
+    bohr_defect_cubic: float
+    bohr_linear_ok: bool
+    bohr_cubic_ok: bool
 
 
 def final_inequality(
@@ -471,12 +444,14 @@ def final_inequality(
     k: int,
     W: int,
     N: int,
-    constants: dict | None = None,
-    bohr: BohrSet | None = None,
+    constants: dict | None,
+    bohr: BohrSet,
 ) -> FinalInequality:
-    """Evaluate both sides of the closing inequality and, when a Bohr set
-    is supplied, the coefficient bounds |1 - beta~(r)| <= 16 eps^2 and
-    |1 - beta~(r)^4 beta~(-2r)^2| <= 2^12 eps^2 over its frequency set."""
+    """Evaluate both sides of the closing inequality, the Bohr-dimension
+    gate eps^k >= w_reference(W), and the coefficient bounds
+    |1 - beta~(r)| <= 16 eps^2 and |1 - beta~(r)^4 beta~(-2r)^2| <= 2^12 eps^2
+    over the Bohr set's frequency set (0 and met when it is empty).
+    `constants` overrides entries of DEFAULT_CONSTANTS."""
     if not 0 < alpha <= 1:
         raise ParameterError(f"alpha must be in (0, 1], got {alpha}")
     if not 0 < delta:
@@ -490,24 +465,18 @@ def final_inequality(
     t3 = c["C"] * math.sqrt(delta)
     lhs = t1 + t2 + t3
     rhs = math.exp(-c["C2"] * alpha**-2 * L)
-    gate_ok = None
-    lin = cub = None
-    lin_ok = cub_ok = None
-    if W is not None:
-        gate_ok = eps**k >= w_reference(W)
-    if bohr is not None:
+    R = bohr.R
+    if R.size:
         bt = spectrum(bohr.beta())
-        R = bohr.R
-        if R.size:
-            br = bt[R % bohr.N]
-            br2 = bt[(-2 * R) % bohr.N]
-            lin = float(np.max(np.abs(1.0 - br)))
-            cub = float(np.max(np.abs(1.0 - br**4 * br2**2)))
-            lin_ok = lin <= 16.0 * eps**2 + 1e-9
-            cub_ok = cub <= 2.0**12 * eps**2 + 1e-9
-        else:
-            lin = cub = 0.0
-            lin_ok = cub_ok = True
+        br = bt[R % bohr.N]
+        br2 = bt[(-2 * R) % bohr.N]
+        lin = float(np.max(np.abs(1.0 - br)))
+        cub = float(np.max(np.abs(1.0 - br**4 * br2**2)))
+        lin_ok = lin <= 16.0 * eps**2 + 1e-9
+        cub_ok = cub <= 2.0**12 * eps**2 + 1e-9
+    else:
+        lin = cub = 0.0
+        lin_ok = cub_ok = True
     return FinalInequality(
         lhs=lhs,
         rhs=rhs,
@@ -515,7 +484,7 @@ def final_inequality(
         term_spectrum=t2,
         term_tail=t3,
         contradiction=(lhs < rhs),
-        gate_ok=gate_ok,
+        gate_ok=eps**k >= w_reference(W),
         bohr_defect_linear=lin,
         bohr_defect_cubic=cub,
         bohr_linear_ok=lin_ok,
@@ -617,12 +586,13 @@ def density_experiment(
     source: str,
     n: int,
     table: sieve.FactorTable,
-    seed: int = 0,
-    delta: float = 0.1,
-    eps: float = 0.1,
-    W: int | None = None,
-    constants: dict | None = None,
-    artifacts: dict | None = None,
+    *,
+    seed: int,
+    delta: float,
+    eps: float,
+    W: int | None,
+    constants: dict | None,
+    artifacts: dict,
 ) -> dict:
     """Run the full chain source -> W-trick -> measure -> spectrum -> Bohr
     -> granularize -> counts -> closing bounds and return a plain-JSON
@@ -630,11 +600,11 @@ def density_experiment(
     StageError tagged source, w-trick, measure, transform, bohr,
     granularize, counts or bounds.
 
-    Pass a dict as `artifacts` to receive the intermediate arrays (the
-    rescaled set, measures, spectrum, Bohr members, granularized measure)
-    for export; the report itself stays scalar-only.
+    W = None takes default_w(n), and `constants` overrides entries of
+    DEFAULT_CONSTANTS. The intermediate arrays (the rescaled set, measures,
+    spectrum, Bohr members, granularized measure) go into the dict
+    `artifacts` for export; the report itself stays scalar-only.
     """
-    artifacts = {} if artifacts is None else artifacts
     report: dict = {
         "params": {
             "source": source,
@@ -740,7 +710,7 @@ def density_experiment(
             "diagonal_mu_cubed": diagonal_cube_sum(mu),
             "A_3aps_wrapped_nontrivial": int(exact_wrapped.nontrivial),
             "A_3aps_line_nontrivial": int(exact_line.nontrivial),
-            "A_3aps_unordered": int(exact_line.unordered or 0),
+            "A_3aps_unordered": exact_line.unordered,
         }
     with _stage("bounds"):
         consts = report["params"]["constants"]

@@ -122,11 +122,12 @@ def test_c04_even_exponent_majorant(small_table):
     rng = np.random.default_rng(4)
     n_primes = int(small_table.primes_up_to(10_000).size)
     worst = 0.0
+    grid = TorusGrid(oversample=2)
+    den = fourier.majorant_denominator(4.0, 10_000, small_table, grid)
     for _ in range(100):
         signs = (rng.integers(0, 2, size=n_primes) * 2 - 1).astype(np.float64)
-        ratio = fourier.majorant_ratio(
-            signs, 4.0, 10_000, small_table, TorusGrid(oversample=2)
-        )
+        ratio = fourier.majorant_ratio(signs, 4.0, 10_000, small_table, grid,
+                                       den=den)
         worst = max(worst, ratio)
     elapsed = time.perf_counter() - t0
     _verdict(
@@ -229,7 +230,7 @@ def test_c10_setlike_chain():
         k = int(rng.integers(1, 4))
         eps = float(rng.uniform(0.1, 0.3))
         B = roth.bohr_set(rng.integers(1, N, size=k), eps, N)
-        rep = roth.setlike_check(a, mu, B)
+        rep = roth.setlike_check(a, mu, B, W=4)
         if rep.sup_a1 > rep.chain_spectral + 1e-9:
             violations += 1
     _verdict("C10", violations == 0,

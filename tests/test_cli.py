@@ -300,6 +300,16 @@ def test_constants_must_be_a_json_object(text, message, tmp_path, capsys):
     ["transform-scan", "--N", "100", "--oversample", "1"],
     ["measure-build", "--N", "100", "--b", "2", "--m", "4"],
     ["behrend", "--N", "100,5"],
+    # |f^|^p leaves the float range: inf - inf in the grid sum, or every
+    # grid power underflowing to 0
+    ["majorant", "--N", "20000", "--p", "100", "--draws", "2"],
+    ["mz-check", "--N", "1000", "--p", "300", "--draws", "2"],
+    ["restriction", "--N", "2000", "--p", "1000", "--draws", "2"],
+    # the Q = 2 measure has mass 1 and passes; Q = 5 underflows after it
+    ["transform-scan", "--N", "100", "--Q", "2,5", "--p", "40000"],
+    # an oversample past fourier.MAX_OVERSAMPLE, once a MemoryError
+    ["transform-scan", "--N", "100", "--oversample", "100000000000"],
+    ["mz-check", "--N", "100", "--oversample", "3000000000000"],
 ], ids=" ".join)
 def test_handler_rejection_leaves_no_output_dir(args, tmp_path, capsys):
     # these pass the parser and fail inside their handler, before the

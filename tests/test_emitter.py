@@ -184,16 +184,34 @@ def test_each_float_run_or_sparse_value_is_formatted_once(tmp_path, monkeypatch)
         return original(bits)
 
     monkeypatch.setattr(cli, "_repr_cells", counted)
-    # sparse: +0.0 between runs of one constant and of one lone value
-    sparse = np.array([0.0, 0.25, 0.25, 0.0, 0.25, 0.0, 0.0, 0.5, 0.25, -0.0])
+    sorts = []
+    unique = np.unique
+
+    def counted_unique(*args, **kwargs):
+        sorts.append(args[0].size)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(cli.np, "unique", counted_unique)
+    # sparse: 8 runs in 16 values, +0.0 between runs of one constant and of
+    # one lone value; each distinct value is formatted once
+    sparse = np.array([0.0, 0.0, 0.0, 0.25, 0.25, 0.0, 0.0, 0.0,
+                       0.25, 0.5, 0.5, 0.0, -0.0, -0.0, 0.0, 0.0])
     _assert_same(tmp_path, "csv", ["x"], [sparse])
     (values,) = formatted
     assert sorted(map(repr, values)) == ["-0.0", "0.0", "0.25", "0.5"]
+    assert sorts == [8]
     # dense: one call per run of bit-identical values, repeats included
     formatted.clear()
     dense = np.array([1.5, 1.5, 2.5, 1.5, -0.0, -0.0])
     _assert_same(tmp_path, "json", ["x"], [dense])
     assert formatted == [[1.5, 2.5, 1.5, -0.0]]
+    # dense with a +0.0 run: more than half the values start a run, so
+    # there is no sort
+    formatted.clear()
+    dense = np.array([0.0, 1.5, 2.5, 2.5, 1.5, 3.0])
+    _assert_same(tmp_path, "csv", ["x"], [dense])
+    assert formatted == [[0.0, 1.5, 2.5, 1.5, 3.0]]
+    assert sorts == [8]
 
 
 def test_table_accepts_a_one_shot_iterable_of_columns(tmp_path):

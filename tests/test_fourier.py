@@ -173,9 +173,37 @@ def test_l4_norm_counts_additive_quadruples():
 def test_lp_norm_validation():
     f = Measure(10, np.ones(10))
     with pytest.raises(ParameterError):
-        fourier.lp_norm_torus(f, 0.5, TorusGrid())
+        fourier.lp_norm_torus(f, 0.5, TorusGrid(oversample=8))
     with pytest.raises(ParameterError):
         TorusGrid(oversample=1)
+    # the ladder escalates no further than MAX_OVERSAMPLE
+    assert TorusGrid(oversample=fourier.MAX_OVERSAMPLE).points(10) == 160
+    with pytest.raises(ParameterError, match=r"2\.\.16, got 17"):
+        TorusGrid(oversample=fourier.MAX_OVERSAMPLE + 1)
+
+
+def test_lp_ladder_refuses_p_out_of_float_range(small_table):
+    # |f^|^p overflows (inf - inf in the Hermitian sum, or inf in the complex
+    # one) or underflows to 0 on the whole grid: each would be a wrong norm
+    grid = TorusGrid(oversample=2)
+    big = Measure(10, np.full(10, 100.0))
+    small = Measure(10, np.full(10, 0.01))
+    signs = np.ones(small_table.primes_up_to(100).size)
+    calls = [
+        lambda: fourier.lp_norm_torus(big, 200.0, grid),
+        lambda: fourier.lp_norm_torus(small, 400.0, grid),
+        lambda: fourier.mz_ratio(big, 200.0, grid),
+        lambda: fourier.majorant_denominator(300.0, 100, small_table, grid),
+        lambda: fourier.majorant_ratio(signs, 300.0, 100, small_table, grid,
+                                       den=1.0),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match=r"p = \S+ is out of float "
+                           r"range at N = \d+: .* grid of \d+ points"):
+            call()
+    # a zero measure has a zero norm, not a refusal
+    assert fourier.lp_norm_torus(Measure(10, np.zeros(10), signed=True),
+                                 200.0, grid) == 0.0
 
 
 @pytest.mark.parametrize("p", [0.5, float("nan"), float("inf"), -float("inf")])
@@ -189,7 +217,7 @@ def test_every_lp_entry_refuses_p_outside_1_inf(p, small_table):
         lambda: fourier.lp_norm_torus(f, p, grid),
         lambda: fourier.mz_ratio(f, p, grid),
         lambda: fourier.majorant_denominator(p, 100, small_table, grid),
-        lambda: fourier.majorant_ratio(signs, p, 100, small_table, grid),
+        lambda: fourier.majorant_ratio(signs, p, 100, small_table, grid, den=1.0),
     ]
     for call in calls:
         with pytest.raises(ParameterError, match=r"\[1, inf\)"):
@@ -483,10 +511,10 @@ def test_triple_count_transforms_a_shared_measure_once(monkeypatch):
     assert calls == [53, 53]
 
 
-def _brute_set_convolution(S, T, N):
+def _brute_set_convolution(S, N):
     out = np.zeros(2 * N - 1, dtype=np.int64)
     for s in S:
-        for t in T:
+        for t in S:
             out[s + t] += 1
     return out
 
@@ -495,19 +523,17 @@ def _brute_set_convolution(S, T, N):
 def test_set_convolution_matches_brute(N):
     # 31 and 97 are prime; 2N-1 = 65 and 1025 sit just above 64 and 1024
     rng = np.random.default_rng(N)
-    S, T = (np.flatnonzero(rng.random(N) < 0.4) for _ in range(2))
-    assert np.array_equal(fourier.set_convolution(S, T, N),
-                          _brute_set_convolution(S, T, N))
-    assert np.array_equal(fourier.set_convolution(S, S, N),
-                          _brute_set_convolution(S, S, N))
+    S = np.flatnonzero(rng.random(N) < 0.4)
+    assert np.array_equal(fourier.set_convolution(S, N),
+                          _brute_set_convolution(S, N))
 
 
 def test_set_convolution_runs_at_a_power_of_two(monkeypatch):
     calls = _count_ffts(monkeypatch, "rfft")
     S = np.array([0, 3, 5, 6, 12])
-    fourier.set_convolution(S, S, 513)
-    fourier.set_convolution(S, S[:3], 512)
-    assert calls == [2048, 1024, 1024]
+    fourier.set_convolution(S, 513)
+    fourier.set_convolution(S[:3], 512)
+    assert calls == [2048, 1024]
 
 
 def test_set_convolution_integrality_guard(monkeypatch):
@@ -516,17 +542,16 @@ def test_set_convolution_integrality_guard(monkeypatch):
     monkeypatch.setattr(np.fft, "irfft",
                         lambda *a, **k: original(*a, **k) + 0.3)
     with pytest.raises(StageError, match="integer"):
-        fourier.set_convolution(S, S, 8)
+        fourier.set_convolution(S, 8)
     monkeypatch.setattr(np.fft, "irfft",
                         lambda *a, **k: original(*a, **k) + 0.2)
-    assert fourier.set_convolution(S, S, 8).tolist() == \
-        _brute_set_convolution(S, S, 8).tolist()
+    assert fourier.set_convolution(S, 8).tolist() == \
+        _brute_set_convolution(S, 8).tolist()
 
 
 def test_set_convolution_needs_positive_N():
     with pytest.raises(ParameterError):
-        fourier.set_convolution(np.array([], dtype=np.int64),
-                                np.array([], dtype=np.int64), 0)
+        fourier.set_convolution(np.array([], dtype=np.int64), 0)
 
 
 # --- ratio diagnostics -------------------------------------------------------
@@ -560,16 +585,18 @@ def test_mz_numerator_is_the_spectrum_power_sum(p, N, oversample):
 def test_mz_ratio_zero_measure_raises():
     f = Measure(10, np.zeros(10), signed=True)
     with pytest.raises(DegenerateInputError):
-        fourier.mz_ratio(f, 2.5, TorusGrid())
+        fourier.mz_ratio(f, 2.5, TorusGrid(oversample=8))
 
 
 def test_majorant_ratio_even_exponent_bounded(small_table):
     rng = np.random.default_rng(12)
     n_primes = int(small_table.primes_up_to(2000).size)
+    grid = TorusGrid(oversample=2)
+    den = fourier.majorant_denominator(4.0, 2000, small_table, grid)
     for _ in range(10):
         signs = (rng.integers(0, 2, size=n_primes) * 2 - 1).astype(np.float64)
-        ratio = fourier.majorant_ratio(signs, 4.0, 2000, small_table,
-                                       TorusGrid(oversample=2))
+        ratio = fourier.majorant_ratio(signs, 4.0, 2000, small_table, grid,
+                                       den=den)
         assert ratio <= 1.0 + 1e-9
 
 
@@ -581,8 +608,10 @@ def test_majorant_denominator_is_bit_identical(small_table):
         den = fourier.majorant_denominator(p, N, small_table, grid)
         for _ in range(3):
             signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
+            fresh = fourier.majorant_denominator(p, N, small_table, grid)
             assert (fourier.majorant_ratio(signs, p, N, small_table, grid, den=den)
-                    == fourier.majorant_ratio(signs, p, N, small_table, grid))
+                    == fourier.majorant_ratio(signs, p, N, small_table, grid,
+                                              den=fresh))
     with pytest.raises(DegenerateInputError):
         fourier.majorant_denominator(4.0, 1, small_table, grid)
     with pytest.raises(ParameterError):
@@ -593,7 +622,8 @@ def test_majorant_ratio_rejects_large_coeffs(small_table):
     bad = np.ones(n_primes)
     bad[0] = 1.5
     with pytest.raises(PreconditionError):
-        fourier.majorant_ratio(bad, 4.0, 100, small_table, TorusGrid())
+        fourier.majorant_ratio(bad, 4.0, 100, small_table,
+                               TorusGrid(oversample=8), den=1.0)
 
 
 def test_restriction_ratio_basic(small_table):
@@ -607,8 +637,8 @@ def test_restriction_ratio_basic(small_table):
     assert r1 == r2
     assert r1 > 0
     with pytest.raises(ParameterError):
-        fourier.restriction_ratio(fvals, 2.0, lam, TorusGrid())
+        fourier.restriction_ratio(fvals, 2.0, lam, TorusGrid(oversample=8))
     with pytest.raises(DegenerateInputError):
         fourier.restriction_ratio(np.zeros(support, dtype=complex), 2.5, lam,
-                                  TorusGrid())
+                                  TorusGrid(oversample=8))
 

@@ -1,7 +1,8 @@
 """The package's public names: every entry of `primeaps.__all__` must
 resolve, or `from primeaps import *` fails on the stale one. Only
 `primeaps.fourier` may take transforms with numpy.fft, every parameter is
-read, and each CLI handler reads only its own subcommand's flags."""
+read, every default is both used and overridden by the package's own
+calls, and each CLI handler reads only its own subcommand's flags."""
 
 import ast
 from pathlib import Path
@@ -121,6 +122,96 @@ def test_parameter_checker_passes_reads():
               "        return a + c\n"
               "    return inner, rest, extra\n")
     assert _unread_parameters(ast.parse(source)) == []
+
+
+def _functions(tree: ast.Module) -> list:
+    """(qualified name, node) of every def in a module, nested ones
+    included."""
+    found = []
+
+    def visit(node, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append((prefix + child.name, child))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def _default_usage(trees: dict[str, ast.Module]) -> dict[str, tuple[int, int]]:
+    """`module.function(param)` -> (k, n) for each defaulted parameter of a
+    def that n calls in the trees name, by bare or attribute name, of which
+    k pass it, positionally or by keyword. A call with *args or **kwargs
+    counts as passing what it may pass."""
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    usage = {}
+    for module, tree in trees.items():
+        for qualname, node in _functions(tree):
+            sites = calls.get(node.name, [])
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            if positional[:1] in (["self"], ["cls"]):
+                positional = positional[1:]
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for param in defaulted if sites else []:
+                i = positional.index(param) if param in positional else None
+                k = sum(1 for call in sites
+                        if any(kw.arg in (param, None) for kw in call.keywords)
+                        or (i is not None and (
+                            i < len(call.args)
+                            or any(isinstance(a, ast.Starred) for a in call.args))))
+                usage[f"{module}.{qualname}({param})"] = (k, len(sites))
+    return usage
+
+
+# the in-process entry point for tests; the console script calls main()
+_DEFAULT_EXCEPTIONS = {"cli.main(argv)"}
+
+
+def test_every_default_is_used_and_overridden():
+    # a default every call overrides is a second home of a value the caller
+    # declares; one no call overrides is an option nobody takes
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    usage = _default_usage(trees)
+    assert _DEFAULT_EXCEPTIONS <= set(usage)
+    offenders = [f"{name}: set by {k} of {n} src calls"
+                 for name, (k, n) in usage.items()
+                 if k in (0, n) and name not in _DEFAULT_EXCEPTIONS]
+    assert offenders == [], "make each required or drop it:\n" + "\n".join(offenders)
+
+
+def test_default_checker_counts_calls():
+    source = ("def f(a, b=1, *, c=None):\n"
+              "    return a, b, c\n"
+              "def g(x=0):\n"
+              "    return x\n"
+              "def unused(y=0):\n"
+              "    return y\n"
+              "class K:\n"
+              "    def m(self, u, v=2):\n"
+              "        return u, v\n"
+              "f(1)\n"
+              "f(1, 2, c=3)\n"
+              "mod.f(*args)\n"
+              "g(x=1)\n"
+              "g(**kw)\n"
+              "K().m(1)\n"
+              "obj.m(1, v=3)\n")
+    assert _default_usage({"mod": ast.parse(source)}) == {
+        "mod.f(b)": (2, 3), "mod.f(c)": (1, 3), "mod.g(x)": (2, 2),
+        "mod.K.m(v)": (1, 2)}
 
 
 def _cfg_reads(tree: ast.Module, function: str) -> set[str]:

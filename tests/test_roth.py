@@ -31,7 +31,7 @@ def test_default_w_values():
 
 
 def test_w_trick_three_primes(small_table):
-    res = roth.w_trick([3, 5, 7], small_table)
+    res = roth.w_trick([3, 5, 7], small_table, W=None, n=7)
     assert (res.b, res.m, res.N, res.W) == (1, 2, 11, 1)
     assert res.A.tolist() == [1, 2, 3]
     expect = math.fsum(math.log(v) / 22.0 for v in (3, 5, 7))
@@ -42,7 +42,7 @@ def test_w_trick_three_primes(small_table):
 
 def test_w_trick_primes_to_2000(small_table):
     ps = small_table.primes_up_to(2000)
-    res = roth.w_trick(ps, small_table)
+    res = roth.w_trick(ps, small_table, W=None, n=1999)
     assert (res.b, res.m, res.N, res.W) == (1, 2, 2003, 1)
     assert res.A.size == 302
     assert res.alpha == pytest.approx(0.4841, abs=5e-4)
@@ -51,7 +51,7 @@ def test_w_trick_primes_to_2000(small_table):
 def test_w_trick_set_invariants(small_table):
     ps = small_table.primes_up_to(1000)
     for W in (1, 3):
-        res = roth.w_trick(ps, small_table, W=W)
+        res = roth.w_trick(ps, small_table, W=W, n=997)
         assert small_table.is_prime(res.N)
         n = res.n_source
         assert 2 * n // res.m < res.N <= (4 * n) // res.m
@@ -76,15 +76,15 @@ def test_w_trick_set_invariants(small_table):
 
 def test_w_trick_rejections(small_table):
     with pytest.raises(DegenerateInputError):
-        roth.w_trick([], small_table)
+        roth.w_trick([], small_table, W=None, n=10)
     with pytest.raises(PreconditionError):
-        roth.w_trick([3, 4, 5], small_table)
+        roth.w_trick([3, 4, 5], small_table, W=None, n=5)
     with pytest.raises(DegenerateInputError):
-        roth.w_trick([101], small_table, n=50)
+        roth.w_trick([101], small_table, W=None, n=50)
     with pytest.raises(DegenerateInputError):
-        roth.w_trick([2], small_table, W=1)  # 2 is not coprime to m=2
+        roth.w_trick([2], small_table, W=1, n=2)  # 2 is not coprime to m=2
     with pytest.raises(ParameterError):
-        roth.w_trick([3, 5], small_table, W=0)
+        roth.w_trick([3, 5], small_table, W=0, n=5)
 
 
 def test_w_modulus_is_the_primorial(small_table):
@@ -230,9 +230,9 @@ def test_granularize_needs_common_N():
 # --- set-likeness chain ------------------------------------------------------
 
 def test_mu_sup_offzero_uniform_and_point():
-    sup, _, ref = roth.mu_sup_offzero(_uniform(40))
+    sup, _, ref = roth.mu_sup_offzero(_uniform(40), W=4)
     assert sup == pytest.approx(0.0, abs=1e-14)
-    assert ref is None
+    assert ref == roth.w_reference(4)
     w = np.zeros(40)
     w[3] = 1.0
     sup, argmax, ref = roth.mu_sup_offzero(
@@ -270,11 +270,13 @@ def test_setlike_chain_holds_on_random_instances():
         a = Measure(N, a_w, base=BASE_ZN)
         k = int(rng.integers(1, 3))
         B = roth.bohr_set(rng.integers(1, N, size=k), 0.2, N)
-        rep = roth.setlike_check(a, mu, B)
+        rep = roth.setlike_check(a, mu, B, W=4)
         assert rep.step1_ok
         assert rep.step2_ok
         assert rep.bohr_size == len(B)
-        assert rep.chain_reference is None and rep.gate_ok is None
+        # W=4 clamps loglog to 1: the reference is 2/W = 0.5
+        assert rep.chain_reference == pytest.approx(1.0 / N + 0.5 / len(B))
+        assert rep.gate_ok is (0.2**B.k >= 0.5)
 
 
 def test_setlike_rejects_undominated():
@@ -285,16 +287,16 @@ def test_setlike_rejects_undominated():
     a = Measure(N, w, base=BASE_ZN)
     B = roth.bohr_set([1], 0.2, N)
     with pytest.raises(PreconditionError):
-        roth.setlike_check(a, mu, B)
+        roth.setlike_check(a, mu, B, W=4)
 
 
 # --- 3AP counting ------------------------------------------------------------
 
-def _brute_wrapped(S, Sb, Sc, M):
+def _brute_wrapped(S, M):
     total = 0
     for x in range(M):
         for d in range(M):
-            if x in S and (x + d) % M in Sb and (x + 2 * d) % M in Sc:
+            if x in S and (x + d) % M in S and (x + 2 * d) % M in S:
                 total += 1
     return total
 
@@ -320,7 +322,7 @@ def test_count_3aps_wrapped_matches_brute():
         for _ in range(8):
             S = set(int(v) for v in rng.choice(N, size=N // 3, replace=False))
             c, _ = roth.count_set_3aps(sorted(S), N=N)
-            assert c.total == _brute_wrapped(S, S, S, N)
+            assert c.total == _brute_wrapped(S, N)
             assert c.nontrivial == c.total - len(S)
 
 
@@ -335,39 +337,14 @@ def test_count_3aps_line_matches_brute():
             assert c.total == c.nontrivial + len(S)
 
 
-def test_count_3aps_distinct_sets():
-    rng = np.random.default_rng(37)
-    N = 31
-    S, Sb, Sc = (
-        set(int(v) for v in rng.choice(N, size=10, replace=False))
-        for _ in range(3)
-    )
-    c, _ = roth.count_set_3aps(sorted(S), sorted(Sb), sorted(Sc), N=N)
-    assert c.total == _brute_wrapped(S, Sb, Sc, N)
-    assert c.unordered is None
-
-
-def _brute_line(S, Sb, Sc):
-    return sum(1 for x in S for y in Sb if 2 * y - x in Sc)
-
-
 # 97 is prime; 2N-1 = 65, 129 and 1025 sit just above a power of two
 @pytest.mark.parametrize("N", [97, 33, 65, 513])
 def test_count_3aps_padded_route_matches_brute(N):
     rng = np.random.default_rng(N)
-    S, Sb, Sc = (
-        set(int(v) for v in rng.choice(N, size=N // 3, replace=False))
-        for _ in range(3)
-    )
-    args = [sorted(S), sorted(Sb), sorted(Sc)]
-    wrapped, line = roth.count_set_3aps(*args, N=N)
+    S = set(int(v) for v in rng.choice(N, size=N // 3, replace=False))
     own_wrapped, own = roth.count_set_3aps(sorted(S), N=N)
     if N <= 100:
-        assert wrapped.total == _brute_wrapped(S, Sb, Sc, N)
-        assert wrapped.nontrivial == wrapped.total - len(S & Sb & Sc)
-        assert own_wrapped.total == _brute_wrapped(S, S, S, N)
-    assert line.total == _brute_line(S, Sb, Sc)
-    assert line.unordered is None
+        assert own_wrapped.total == _brute_wrapped(S, N)
     assert own.nontrivial == _brute_line_nontrivial(S)
     assert own.unordered == own.nontrivial // 2
 
@@ -387,7 +364,7 @@ def test_count_set_3aps_reads_both_counts_from_one_convolution(N, monkeypatch):
     monkeypatch.setattr(roth, "set_convolution", counted)
     wrapped, line = roth.count_set_3aps(S, N=N)
     assert calls == [N]
-    assert wrapped.total == _brute_wrapped(set(S), set(S), set(S), N)
+    assert wrapped.total == _brute_wrapped(set(S), N)
     assert line.nontrivial == _brute_line_nontrivial(set(S))
 
 def test_count_3aps_even_modulus_self_paired():
@@ -411,8 +388,6 @@ def test_count_3aps_measure_route():
 
 
 def test_count_3aps_validation():
-    with pytest.raises(ParameterError):
-        roth.count_3aps(_uniform(7), _uniform(9))
     with pytest.raises(ParameterError):
         roth.count_set_3aps({0, 9}, N=9)
 
@@ -447,7 +422,7 @@ def test_varnavides_frozen_example():
 
 
 def test_varnavides_alpha_one():
-    vb = roth.varnavides_bound(1.0, 64)
+    vb = roth.varnavides_bound(1.0, 64, C1=1.0)
     assert vb.clamped
     assert vb.M == 2
     assert vb.z_lower == pytest.approx(64**2 / 32.0)
@@ -457,17 +432,17 @@ def test_varnavides_alpha_one():
 
 
 def test_varnavides_overflow_and_vacuous():
-    vb = roth.varnavides_bound(0.05, 1000)
+    vb = roth.varnavides_bound(0.05, 1000, C1=1.0)
     assert math.isinf(vb.M)
     assert vb.z_lower == 0.0 and vb.bound == 0.0
     assert vb.vacuous and vb.C2_effective is None
-    vb = roth.varnavides_bound(0.3, 100)
+    vb = roth.varnavides_bound(0.3, 100, C1=1.0)
     assert math.isfinite(vb.M) and vb.vacuous
 
 
 def test_varnavides_huge_M_stays_finite():
     # M^2 exceeds float range here; the log route must not raise
-    vb = roth.varnavides_bound(1.0 / 12.0, 10**6)
+    vb = roth.varnavides_bound(1.0 / 12.0, 10**6, C1=1.0)
     assert not math.isinf(vb.M)
     assert vb.M > 1e150
     assert 0.0 <= vb.z_lower < 1e-250
@@ -477,15 +452,16 @@ def test_varnavides_huge_M_stays_finite():
 
 def test_varnavides_validation():
     with pytest.raises(ParameterError):
-        roth.varnavides_bound(0.0, 100)
+        roth.varnavides_bound(0.0, 100, C1=1.0)
     with pytest.raises(ParameterError):
-        roth.varnavides_bound(1.2, 100)
+        roth.varnavides_bound(1.2, 100, C1=1.0)
     with pytest.raises(ParameterError):
-        roth.varnavides_bound(0.5, 2)
+        roth.varnavides_bound(0.5, 2, C1=1.0)
 
 
 def test_final_inequality_formula():
-    fi = roth.final_inequality(0.5, 0.04, 0.01, 2, 10, 10_000)
+    fi = roth.final_inequality(0.5, 0.04, 0.01, 2, 10, 10_000, constants=None,
+                               bohr=roth.bohr_set([], 0.01, 10_000))
     e = math.exp
     assert fi.term_count_error == pytest.approx(10_000**-0.5)
     assert fi.term_spectrum == pytest.approx(4096 * 0.01**2 * 0.04**-2.5)
@@ -497,11 +473,12 @@ def test_final_inequality_formula():
     assert fi.contradiction is (fi.lhs < fi.rhs)
     # W=10 < 16 clamps: gate is eps^k >= 2/10
     assert fi.gate_ok is (0.01**2 >= 0.2)
-    assert fi.bohr_defect_linear is None
+    assert fi.bohr_defect_linear == 0.0 and fi.bohr_linear_ok
 
 
 def test_final_inequality_contradiction_flag():
-    kw = dict(alpha=1.0, delta=0.01, eps=1e-6, k=1, W=64, N=10**6)
+    kw = dict(alpha=1.0, delta=0.01, eps=1e-6, k=1, W=64, N=10**6,
+              bohr=roth.bohr_set([], 1e-6, 10**6))
     lo = roth.final_inequality(constants={"C2": 0.001}, **kw)
     assert lo.contradiction
     hi = roth.final_inequality(constants={"C2": 100.0}, **kw)
@@ -512,7 +489,7 @@ def test_final_inequality_bohr_defects():
     N = 1000
     eps = 0.15
     B = roth.bohr_set([1, 13], eps, N)
-    fi = roth.final_inequality(0.5, 0.1, eps, B.k, 32, N, bohr=B)
+    fi = roth.final_inequality(0.5, 0.1, eps, B.k, 32, N, constants=None, bohr=B)
     bt = np.fft.fft(B.beta().weights)
     lin = max(abs(1.0 - bt[r % N]) for r in B.R)
     assert fi.bohr_defect_linear == pytest.approx(lin, rel=1e-12)
@@ -520,17 +497,19 @@ def test_final_inequality_bohr_defects():
     assert fi.bohr_defect_linear <= 16 * eps**2 + 1e-9
     assert fi.bohr_defect_cubic <= 2**12 * eps**2 + 1e-9
     empty = roth.bohr_set([], 0.5, 100)
-    fi = roth.final_inequality(0.5, 0.1, 0.2, 0, 32, 100, bohr=empty)
+    fi = roth.final_inequality(0.5, 0.1, 0.2, 0, 32, 100, constants=None,
+                               bohr=empty)
     assert fi.bohr_defect_linear == 0.0 and fi.bohr_cubic_ok
 
 
 def test_final_inequality_validation():
+    kw = dict(constants=None, bohr=roth.bohr_set([], 0.5, 100))
     with pytest.raises(ParameterError):
-        roth.final_inequality(0.0, 0.1, 0.1, 1, 2, 100)
+        roth.final_inequality(0.0, 0.1, 0.1, 1, 2, 100, **kw)
     with pytest.raises(ParameterError):
-        roth.final_inequality(0.5, 0.0, 0.1, 1, 2, 100)
+        roth.final_inequality(0.5, 0.0, 0.1, 1, 2, 100, **kw)
     with pytest.raises(ParameterError):
-        roth.final_inequality(0.5, 0.1, 1.0, 1, 2, 100)
+        roth.final_inequality(0.5, 0.1, 1.0, 1, 2, 100, **kw)
 
 
 # --- progression-free construction ------------------------------------------
@@ -559,8 +538,13 @@ def _keys(report):
     return set(report.keys())
 
 
+# the roth-pipeline flag defaults
+_FLAGS = {"seed": 0, "delta": 0.1, "eps": 0.1, "W": None, "constants": None}
+
+
 def test_density_experiment_primes(small_table):
-    rep = roth.density_experiment("primes", 500, small_table)
+    rep = roth.density_experiment("primes", 500, small_table, artifacts={},
+                                  **_FLAGS)
     assert _keys(rep) >= {
         "params", "source", "w_trick", "measure", "spectrum", "bohr",
         "setlike", "counts", "bounds", "headline",
@@ -579,7 +563,8 @@ def test_density_experiment_primes(small_table):
 
 
 def test_density_experiment_behrend_source_is_free(small_table):
-    rep = roth.density_experiment("behrend-in-primes", 400, small_table)
+    rep = roth.density_experiment("behrend-in-primes", 400, small_table,
+                                  artifacts={}, **_FLAGS)
     assert rep["source"]["three_ap_free"] is True
     assert rep["source"]["line_3aps_nontrivial"] == 0
     assert 0 < rep["source"]["alpha0"] < 1
@@ -587,18 +572,18 @@ def test_density_experiment_behrend_source_is_free(small_table):
 
 def test_density_experiment_deterministic(small_table):
     a = roth.density_experiment("random-subset-of-primes", 400, small_table,
-                                seed=5)
+                                artifacts={}, **_FLAGS | {"seed": 5})
     b = roth.density_experiment("random-subset-of-primes", 400, small_table,
-                                seed=5)
+                                artifacts={}, **_FLAGS | {"seed": 5})
     c = roth.density_experiment("random-subset-of-primes", 400, small_table,
-                                seed=6)
+                                artifacts={}, **_FLAGS | {"seed": 6})
     assert a == b
     assert a["source"]["size"] != c["source"]["size"] or a != c
 
 
 def test_density_experiment_artifacts(small_table):
     stash = {}
-    roth.density_experiment("primes", 300, small_table, artifacts=stash)
+    roth.density_experiment("primes", 300, small_table, artifacts=stash, **_FLAGS)
     assert {"A0", "A", "w_trick", "mu", "a", "spectrum", "R", "bohr",
             "a1"} <= set(stash)
     assert isinstance(stash["mu"], Measure)
@@ -607,16 +592,19 @@ def test_density_experiment_artifacts(small_table):
 
 def test_density_experiment_bad_inputs_by_stage(small_table):
     with pytest.raises(StageError) as err:
-        roth.density_experiment("primes", 1, small_table)
+        roth.density_experiment("primes", 1, small_table, artifacts={}, **_FLAGS)
     assert err.value.stage == "source"
     with pytest.raises(StageError) as err:
-        roth.density_experiment("primes", 300, small_table, delta=0.0)
+        roth.density_experiment("primes", 300, small_table, artifacts={},
+                                **_FLAGS | {"delta": 0.0})
     assert err.value.stage == "transform"
     with pytest.raises(StageError) as err:
-        roth.density_experiment("primes", 300, small_table, eps=0.0)
+        roth.density_experiment("primes", 300, small_table, artifacts={},
+                                **_FLAGS | {"eps": 0.0})
     assert err.value.stage == "bohr"
     with pytest.raises(StageError) as err:
-        roth.density_experiment("unknown-source", 300, small_table)
+        roth.density_experiment("unknown-source", 300, small_table,
+                                artifacts={}, **_FLAGS)
     assert err.value.stage == "source"
 
 
@@ -644,7 +632,8 @@ def test_density_experiment_stage_errors(i, small_table, monkeypatch):
     monkeypatch.setattr(owner, callee, fail)
     stash = {}
     with pytest.raises(StageError) as err:
-        roth.density_experiment("primes", 300, small_table, artifacts=stash)
+        roth.density_experiment("primes", 300, small_table, artifacts=stash,
+                                **_FLAGS)
     assert err.value.stage == stage
     assert str(err.value) == f"[{stage}] {callee} failed"
     assert err.value.__cause__ is boom
@@ -673,7 +662,8 @@ def test_density_experiment_transforms(small_table, monkeypatch):
         monkeypatch.setattr(np.fft, name, traced)
     stash = {}
     rep = roth.density_experiment("random-subset-of-primes", 2000,
-                                  small_table, seed=1, artifacts=stash)
+                                  small_table, artifacts=stash,
+                                  **_FLAGS | {"seed": 1})
     N = rep["w_trick"]["N"]
     assert len(grans) == 1
     assert lengths.count(N) == 5

@@ -69,7 +69,7 @@ def test_primes_up_to_refuses_beyond_table():
     with pytest.raises(TableRangeError):
         table.primes_up_to(1000)
     with pytest.raises(TableRangeError):
-        fourier.majorant_denominator(4.0, 1000, table, fourier.TorusGrid())
+        fourier.majorant_denominator(4.0, 1000, table, fourier.TorusGrid(oversample=8))
 
 
 def test_check_range(small_table):
