@@ -2,6 +2,9 @@
 classification at the (log N)^B cutoff, closed-form major-arc predictions,
 empirical sup-difference scans, and the minor-arc bound formulas.
 
+ArcParams takes A = 4/(p-2) from measures.a_exponent; the rough cutoff Q
+is an argument of what reads it, with Q = None for lambda itself.
+
 All bound formulas are evaluated with implicit constant 1. No CLI output
 reports them yet, and the tests check the formulas themselves (values,
 decay in their parameters, input validation), not a measured quantity
@@ -34,7 +37,7 @@ class RationalApprox:
 
 @dataclass(frozen=True)
 class ArcParams:
-    """Arc geometry at scale N with exponent p: A = 4/(p-2), B = 2A + 20.
+    """Arc geometry at scale N with exponent p: A = a_exponent(p), B = 2A + 20.
 
     b_override replaces B for experiments; both values are stamped into
     results so overridden runs are recognizable.
@@ -47,16 +50,14 @@ class ArcParams:
     def __post_init__(self) -> None:
         if self.N < 3:
             raise ParameterError(f"N must be >= 3, got {self.N}")
-        if not 2 < self.p_exponent < math.inf:
-            raise ParameterError(
-                f"p_exponent must lie in (2, inf), got {self.p_exponent}")
+        measures.a_exponent(self.p_exponent)  # refuses p outside (2, inf)
         if self.b_override is not None and not 0 < self.b_override < math.inf:
             raise ParameterError(
                 f"b_override must lie in (0, inf), got {self.b_override}")
 
     @property
     def A(self) -> float:
-        return 4.0 / (self.p_exponent - 2.0)
+        return measures.a_exponent(self.p_exponent)
 
     @property
     def B_formula(self) -> float:
@@ -68,8 +69,12 @@ class ArcParams:
 
     @property
     def q_cutoff(self) -> float:
-        """Denominator cutoff (log N)^B separating major from minor."""
-        return math.log(self.N) ** self.B
+        """Denominator cutoff (log N)^B separating major from minor; inf
+        where it leaves the float range, which makes every theta major."""
+        try:
+            return math.log(self.N) ** self.B
+        except OverflowError:
+            return math.inf
 
     @property
     def Qmax(self) -> int:
@@ -159,21 +164,20 @@ def classify(theta: float, params: ArcParams) -> ArcLabel:
 
 
 def major_prediction(
-    kind: str,
     theta: float,
     label: ArcLabel,
     mparams: measures.MeasureParams,
+    Q: int | None,
     table: FactorTable,
 ) -> complex:
-    """Closed-form major-arc main term q^(-1) sigma_{a,q} tau(theta - a/q).
-
-    kind selects the measure family ("prime" or "rough"; rough needs Q in
-    mparams). Raises DomainError on minor-arc labels.
+    """Closed-form major-arc main term q^(-1) sigma_{a,q} tau(theta - a/q)
+    of lambda (Q = None) or lambda^{(Q)}. Raises DomainError on minor-arc
+    labels.
     """
     if label.kind != MAJOR:
         raise DomainError("major_prediction needs a major-arc label")
     a, q = label.a, label.q
-    sig = measures.sigma_aq(kind, a % q if q > 1 else 0, q, mparams, table)
+    sig = measures.sigma_aq(a % q if q > 1 else 0, q, mparams, Q, table)
     return sig / q * tau(theta - a / q, mparams.N)
 
 
@@ -210,6 +214,7 @@ class ScanResult:
 
 def sup_diff_scan(
     mparams: measures.MeasureParams,
+    Q: int,
     grid: TorusGrid,
     table: FactorTable,
     arc_params: ArcParams,
@@ -222,10 +227,9 @@ def sup_diff_scan(
     profile_indices(|diff|, profile_points), classified by arc_params
     (classification is done per profiled point, not for all M).
     """
-    Q = mparams.require_Q()
     N = mparams.N
     lam = measures.lambda_measure(mparams, table)
-    lamq = measures.lambda_q_measure(mparams, table)
+    lamq = measures.lambda_q_measure(mparams, Q, table)
     # both measures sit on {1..N}, so their difference is one signed measure
     # and one grid
     signed = measures.Measure(N, lam.weights - lamq.weights, signed=True)

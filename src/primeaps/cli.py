@@ -822,12 +822,6 @@ def emit_plotdata(emitter: Emitter, stem: str, rows) -> None:
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (effective, results)
 
-def _measure_params(cfg: argparse.Namespace, N: int,
-                    Q: int | None = None) -> measures.MeasureParams:
-    return measures.MeasureParams(b=cfg.b, m=cfg.m, N=N, Q=Q,
-                                  p_exponent=cfg.p_exponent)
-
-
 def _table_for(limit: int) -> sieve.FactorTable:
     return sieve.build_factor_table(max(int(limit), 4))
 
@@ -856,12 +850,12 @@ def _run_sieve_stats(cfg: argparse.Namespace, em: Emitter):
 
 def _run_measure_build(cfg: argparse.Namespace, em: Emitter):
     N = cfg.N
-    params = _measure_params(cfg, N)
-    # the dyadic split sieves with primes up to 2^K: size the table for it
-    # now, so an out-of-range split fails before any output is written
-    limit = cfg.m * N + cfg.b
+    params = measures.MeasureParams(b=cfg.b, m=cfg.m, N=N)
+    # size the table for every --Q and the dyadic split's 2^K now, so an
+    # out-of-range cutoff fails before any output is written
+    limit = max([cfg.m * N + cfg.b, *(cfg.Q or [])])
     if cfg.p_exponent is not None:
-        limit = max(limit, 2 ** measures.dyadic_cutoff(N, params.A))
+        limit = max(limit, 2 ** measures.dyadic_cutoff(N, cfg.p_exponent))
     table = _table_for(limit)
     lam = measures.lambda_measure(params, table)
     em.measure("measure_lambda", lam)
@@ -870,21 +864,20 @@ def _run_measure_build(cfg: argparse.Namespace, em: Emitter):
     effective = {"table_limit": table.limit}
     rough_totals = {}
     for Q in cfg.Q or []:
-        pq = _measure_params(cfg, N, Q=Q)
-        lamq = measures.lambda_q_measure(pq, table)
+        lamq = measures.lambda_q_measure(params, Q, table)
         em.measure(f"measure_rough_Q{Q}", lamq)
         rough_totals[str(Q)] = lamq.total
     if rough_totals:
         results["rough_totals"] = rough_totals
     if cfg.p_exponent is not None:
-        pieces, K = measures.dyadic_pieces(params, table)
+        pieces, K = measures.dyadic_pieces(params, lam, cfg.p_exponent, table)
         norms = measures.piece_sup_norms(pieces)
         em.table("dyadic_sup_norms", ["j", "sup", "reference"],
                  _transpose([(n.j, n.sup, n.reference) for n in norms], 3))
         recon = np.zeros(N)
         for piece in pieces:
             recon += piece.weights
-        effective["A"] = params.A
+        effective["A"] = measures.a_exponent(cfg.p_exponent)
         effective["K"] = K
         results["dyadic_pieces"] = len(pieces)
         results["reconstruction_max_err"] = float(
@@ -895,7 +888,8 @@ def _run_measure_build(cfg: argparse.Namespace, em: Emitter):
 
 def _run_transform_scan(cfg: argparse.Namespace, em: Emitter):
     N = cfg.N
-    table = _table_for(cfg.m * N + cfg.b)
+    table = _table_for(max([cfg.m * N + cfg.b, *(cfg.Q or [])]))
+    params = measures.MeasureParams(b=cfg.b, m=cfg.m, N=N)
     Qs = cfg.Q or [None]
     grid = fourier.TorusGrid(oversample=cfg.oversample)
     M = grid.points(N)
@@ -905,9 +899,8 @@ def _run_transform_scan(cfg: argparse.Namespace, em: Emitter):
     # every result is computed before the first write, so a p the L^p
     # ladder refuses leaves no output behind
     for Q in Qs:
-        params = _measure_params(cfg, N, Q=Q)
         f = (measures.lambda_measure(params, table) if Q is None
-             else measures.lambda_q_measure(params, table))
+             else measures.lambda_q_measure(params, Q, table))
         vals = fourier.wedge_grid(f, M)
         mags = np.abs(vals)
         idx = arcs.profile_indices(mags, 4096)
@@ -929,6 +922,7 @@ def _run_arc_scan(cfg: argparse.Namespace, em: Emitter):
     N = cfg.N
     table = _table_for(max(cfg.m * N + cfg.b, max(cfg.Q) + 1))
     grid = fourier.TorusGrid(oversample=cfg.oversample)
+    params = measures.MeasureParams(b=cfg.b, m=cfg.m, N=N)
     aparams = arcs.ArcParams(N=N, p_exponent=cfg.p_exponent,
                              b_override=cfg.B_override)
     effective = {
@@ -944,8 +938,7 @@ def _run_arc_scan(cfg: argparse.Namespace, em: Emitter):
     results = {}
     summary_rows = []
     for Q in cfg.Q:
-        params = _measure_params(cfg, N, Q=Q)
-        scan = arcs.sup_diff_scan(params, grid, table, arc_params=aparams,
+        scan = arcs.sup_diff_scan(params, Q, grid, table, arc_params=aparams,
                                   profile_points=2048)
         em.table(f"arc_scan_Q{Q}", list(scan.profile), scan.profile.values())
         results[str(Q)] = {
@@ -1007,7 +1000,8 @@ def _run_restriction(cfg: argparse.Namespace, em: Emitter):
     grid = fourier.TorusGrid(oversample=cfg.oversample)
 
     def setup(N):
-        lam = measures.lambda_measure(_measure_params(cfg, N), table)
+        lam = measures.lambda_measure(
+            measures.MeasureParams(b=cfg.b, m=cfg.m, N=N), table)
         support = int(np.count_nonzero(lam.weights))
 
         def draw(rng):

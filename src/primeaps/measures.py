@@ -4,8 +4,10 @@ closed form and direct summation.
 
 lambda_{b,m,N} puts weight phi(m) log(nm+b) / (mN) on each n <= N with
 nm+b prime; lambda^{(Q)} puts the Mertens-normalized uniform weight on the
-Q-rough support. Q=1 is the zero measure by convention, which also fixes
-every local density of that measure to 0.
+Q-rough support. MeasureParams is (b, m, N): the cutoff Q is an argument
+of what reads it, and a local density takes Q = None for lambda. Q=1 is
+the zero measure by convention, which also fixes every local density of
+that measure to 0. The exponent p > 2 enters only through A = a_exponent(p).
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ from .numutil import e, fsum_real
 
 BASE_ONE = "one"  # index i holds the weight of n = i + 1, ambient {1..N}
 BASE_ZN = "zn"  # index i holds the weight of the residue x = i, ambient Z_N
-
-KIND_PRIME = "prime"
-KIND_ROUGH = "rough"
 
 _BINARY_MAGIC = b"PMSR"
 
@@ -108,35 +107,32 @@ class Measure:
 
 @dataclass(frozen=True)
 class MeasureParams:
-    """Parameters shared by the measure family: residue b mod m, scale N,
-    rough cutoff Q, and the restriction exponent p that sets A = 4/(p-2)."""
+    """The measure lambda_{b,m,N}: residue b mod m (coprime) and scale N."""
 
     b: int
     m: int
     N: int
-    Q: int | None = None
-    p_exponent: float | None = None
 
     def __post_init__(self) -> None:
         sieve.check_residue_pair(self.b, self.m)
         if self.N < 1:
             raise ParameterError(f"N must be >= 1, got {self.N}")
-        if self.Q is not None and self.Q < 1:
-            raise ParameterError(f"Q must be >= 1, got {self.Q}")
-        if self.p_exponent is not None and not 2 < self.p_exponent < math.inf:
-            raise ParameterError(
-                f"p_exponent must lie in (2, inf), got {self.p_exponent}")
 
-    @property
-    def A(self) -> float:
-        if self.p_exponent is None:
-            raise ParameterError("p_exponent is not set")
-        return 4.0 / (self.p_exponent - 2.0)
 
-    def require_Q(self) -> int:
-        if self.Q is None:
-            raise ParameterError("Q is not set")
-        return self.Q
+def a_exponent(p: float) -> float:
+    """A = 4/(p-2), the power of log N that the restriction exponent p sets
+    for the dyadic split and the arc cutoff; p must lie in (2, inf)."""
+    if not 2 < p < math.inf:
+        raise ParameterError(f"p_exponent must lie in (2, inf), got {p}")
+    return 4.0 / (p - 2.0)
+
+
+def _zero_measure(Q: int) -> bool:
+    """True for the cutoff Q = 1, whose rough measure is the zero measure;
+    a Q below 1 raises ParameterError."""
+    if Q < 1:
+        raise ParameterError(f"Q must be >= 1, got {Q}")
+    return Q == 1
 
 
 def lambda_measure(params: MeasureParams, table: sieve.FactorTable) -> Measure:
@@ -155,14 +151,15 @@ def rough_prefactor(Q: int, m: int, table: sieve.FactorTable) -> float:
     return 1.0 / sieve.mertens_product(Q, m, table)
 
 
-def lambda_q_measure(params: MeasureParams, table: sieve.FactorTable) -> Measure:
+def lambda_q_measure(
+    params: MeasureParams, Q: int, table: sieve.FactorTable
+) -> Measure:
     """The Mertens-normalized uniform measure on the Q-rough support.
 
     Q=1 returns the zero measure (separate convention, not the vacuous
     all-of-{1..N} support).
     """
-    Q = params.require_Q()
-    if Q == 1:
+    if _zero_measure(Q):
         return Measure(params.N, np.zeros(params.N), signed=False, base=BASE_ONE)
     supp = sieve.rough_support(params.b, params.m, params.N, Q, table)
     w = np.zeros(params.N, dtype=np.float64)
@@ -170,11 +167,19 @@ def lambda_q_measure(params: MeasureParams, table: sieve.FactorTable) -> Measure
     return Measure(params.N, w, signed=False, base=BASE_ONE)
 
 
-def dyadic_cutoff(N: int, A: float) -> int:
-    """Smallest integer K with 2^K > (log N)^A / 10."""
+def dyadic_cutoff(N: int, p: float) -> int:
+    """Smallest integer K with 2^K > (log N)^A / 10, A = a_exponent(p).
+
+    Where (log N)^A leaves the float range, the split would need primes up
+    to 2^K past any factor table: TableRangeError."""
     if N < 3:
         raise ParameterError(f"N must be >= 3, got {N}")
-    x = math.log(N) ** A / 10.0
+    A = a_exponent(p)
+    try:
+        x = math.log(N) ** A / 10.0
+    except OverflowError:
+        raise TableRangeError(f"dyadic split at p = {p} (A = {A}) needs 2^K > "
+                              f"(log {N})^A / 10, past any factor table") from None
     K = 0
     while 2.0**K <= x:
         K += 1
@@ -182,22 +187,21 @@ def dyadic_cutoff(N: int, A: float) -> int:
 
 
 def dyadic_pieces(
-    params: MeasureParams, table: sieve.FactorTable
+    params: MeasureParams, lam: Measure, p: float, table: sieve.FactorTable
 ) -> tuple[list[Measure], int]:
-    """Split lambda into psi_1..psi_{K+1} with psi_j = lambda^{(2^j)} -
-    lambda^{(2^{j-1})} and psi_{K+1} = lambda - lambda^{(2^K)}.
+    """Split lam = lambda_measure(params, table) into psi_1..psi_{K+1} with
+    psi_j = lambda^{(2^j)} - lambda^{(2^{j-1})} and psi_{K+1} = lambda -
+    lambda^{(2^K)}, K = dyadic_cutoff(N, p).
 
     The pieces telescope back to lambda exactly (lambda^{(1)} = 0). The
     rough supports are sieved incrementally, one pass over primes <= 2^K.
     """
-    A = params.A
-    K = dyadic_cutoff(params.N, A)
     b, m, N = params.b, params.m, params.N
+    K = dyadic_cutoff(N, p)
     if 2**K > table.limit:
         raise TableRangeError(
             f"dyadic split needs primes up to 2^{K}={2**K}, table covers {table.limit}"
         )
-    lam = lambda_measure(params, table)
     cap = m * N + b
     keep = np.ones(N + 1, dtype=bool)
     keep[0] = False
@@ -242,16 +246,17 @@ def piece_sup_norms(pieces: list[Measure]) -> list[PieceNorm]:
 
 
 def gamma_rq(
-    kind: str,
     r: int,
     q: int,
     params: MeasureParams,
+    Q: int | None,
     table: sieve.FactorTable,
 ) -> float:
-    """Local density of the measure on the progression r mod q.
+    """Local density on the progression r mod q of lambda (Q = None) or of
+    lambda^{(Q)}.
 
-    prime kind: phi(m) q / phi(mq) when gcd(mr+b, mq) = 1, else 0.
-    rough kind: prod_{p<=Q, p∤m}(1-1/p)^(-1) * prod_{p<=Q, p∤mq}(1-1/p)
+    lambda: phi(m) q / phi(mq) when gcd(mr+b, mq) = 1, else 0.
+    lambda^{(Q)}: prod_{p<=Q, p∤m}(1-1/p)^(-1) * prod_{p<=Q, p∤mq}(1-1/p)
     when gcd(mr+b, mq) is Q-rough, else 0. Q=1 is the zero measure, so
     every gamma is 0 there.
     """
@@ -261,18 +266,13 @@ def gamma_rq(
         raise ParameterError(f"r={r} outside [0, {q})")
     b, m = params.b, params.m
     g = math.gcd(m * r + b, m * q)
-    if kind == KIND_PRIME:
+    if Q is None:
         if g != 1:
             return 0.0
         return sieve.euler_phi(m, table) * q / sieve.euler_phi(m * q, table)
-    if kind == KIND_ROUGH:
-        Q = params.require_Q()
-        if Q == 1:
-            return 0.0
-        if not sieve.is_rough(g, Q, table):
-            return 0.0
-        return rough_prefactor(Q, m, table) * sieve.mertens_product(Q, m * q, table)
-    raise ParameterError(f"unknown kind {kind!r}")
+    if _zero_measure(Q) or not sieve.is_rough(g, Q, table):
+        return 0.0
+    return rough_prefactor(Q, m, table) * sieve.mertens_product(Q, m * q, table)
 
 
 def empirical_gamma(
@@ -300,62 +300,43 @@ def empirical_gamma(
     return N / L * fsum_real(measure.weights[idx - 1])
 
 
-def _sigma_gate(kind, q, params, table):
-    """Common gate + magnitude for the closed-form sigma.
-
-    Returns None when sigma vanishes, else the real prefactor
-    q*mu(q)/phi(q).
-    """
-    m = params.m
-    if math.gcd(m, q) != 1:
-        return None
-    if kind == KIND_ROUGH:
-        Q = params.require_Q()
-        if Q == 1:
-            return None
-    elif kind != KIND_PRIME:
-        raise ParameterError(f"unknown kind {kind!r}")
-    # one factorization gives mu(q), phi(q) and Q-smoothness; this gate runs
-    # once per sigma_aq call, so a factorization per quantity is its main cost
-    factors = table.factorize(q)
-    if any(k > 1 for _, k in factors):
-        return None  # mu(q) = 0
-    if kind == KIND_ROUGH and factors and factors[-1][0] > Q:
-        return None  # q is not Q-smooth
-    mu = -1 if len(factors) % 2 else 1
-    return q * mu / math.prod(p - 1 for p, _ in factors)
-
-
 def sigma_aq(
-    kind: str,
     a: int,
     q: int,
     params: MeasureParams,
+    Q: int | None,
     table: sieve.FactorTable,
 ) -> complex:
-    """sigma_{a,q} = sum_r e(ar/q) gamma_{r,q} in closed form:
-    q*mu(q)/phi(q) * e(-a*b*minv/q) when gcd(m,q)=1 (and, for the rough
-    kind, q is Q-smooth), else 0. minv is the inverse of m mod q. The
-    literal sum over r is the oracle sigma_aq_direct_all.
+    """sigma_{a,q} = sum_r e(ar/q) gamma_{r,q} of lambda (Q = None) or of
+    lambda^{(Q)}, in closed form: q*mu(q)/phi(q) * e(-a*b*minv/q) when
+    gcd(m,q)=1 (and, for lambda^{(Q)}, Q > 1 and q is Q-smooth), else 0.
+    minv is the inverse of m mod q. The literal sum over r is the oracle
+    sigma_aq_direct_all.
     """
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")
     if math.gcd(a, q) != 1:
         raise PreconditionError(f"gcd(a, q) must be 1, got gcd({a}, {q})")
-    pref = _sigma_gate(kind, q, params, table)
-    if pref is None:
+    if (Q is not None and _zero_measure(Q)) or math.gcd(params.m, q) != 1:
         return 0.0 + 0.0j
+    factors = table.factorize(q)  # gives mu(q), phi(q) and Q-smoothness
+    if any(k > 1 for _, k in factors):
+        return 0.0 + 0.0j  # mu(q) = 0
+    if Q is not None and q > 1 and factors[-1][0] > Q:
+        return 0.0 + 0.0j  # q is not Q-smooth
+    mu = -1 if len(factors) % 2 else 1
     minv = pow(params.m % q, -1, q) if q > 1 else 0
-    return pref * e(-a * params.b * minv / q)
+    return q * mu / math.prod(p - 1 for p, _ in factors) * e(-a * params.b * minv / q)
 
 
 def sigma_aq_direct_all(
-    kind: str,
     q: int,
     params: MeasureParams,
+    Q: int | None,
     table: sieve.FactorTable,
 ) -> np.ndarray:
-    """Direct summation sigma_{a,q} for every residue a = 0..q-1 at once.
+    """Direct summation sigma_{a,q} of lambda (Q = None) or lambda^{(Q)}
+    for every residue a = 0..q-1 at once.
 
     Entries at a with gcd(a,q) > 1 are the same character sums evaluated
     formally; the closed form is stated for coprime a only.
@@ -365,19 +346,16 @@ def sigma_aq_direct_all(
     b, m = params.b, params.m
     r = np.arange(q, dtype=np.int64)
     g = np.gcd(m * r + b, m * q)
-    if kind == KIND_PRIME:
+    if Q is None:
         val = sieve.euler_phi(m, table) * q / sieve.euler_phi(m * q, table)
         gam = np.where(g == 1, val, 0.0)
-    elif kind == KIND_ROUGH:
-        Q = params.require_Q()
-        if Q == 1:
-            return np.zeros(q, dtype=complex)
+    elif _zero_measure(Q):
+        return np.zeros(q, dtype=complex)
+    else:
         table.check_range(m * q)
         rough = (g == 1) | (table.spf[g] > Q)  # 1 <= g <= m*q
         val = rough_prefactor(Q, m, table) * sieve.mertens_product(Q, m * q, table)
         gam = np.where(rough, val, 0.0)
-    else:
-        raise ParameterError(f"unknown kind {kind!r}")
     return _phase_matrix(q) @ gam
 
 

@@ -366,6 +366,23 @@ def diagonal_cube_sum(mu: Measure) -> float:
 # ---------------------------------------------------------------------------
 # closing bounds
 
+def _exp(x: float) -> float:
+    """math.exp(x), inf where it leaves the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _closing_exponent(c: float, alpha: float, L: float) -> float:
+    """c alpha^-2 L, the exponent of both closing bounds; +-inf, not an
+    OverflowError, where it leaves the float range."""
+    try:
+        return c * alpha**-2 * L
+    except OverflowError:  # alpha^-2 leaves the range; the product need not
+        return c * L / alpha / alpha if c else 0.0
+
+
 @dataclass(frozen=True)
 class VarnavidesBound:
     M: float
@@ -382,7 +399,8 @@ def varnavides_bound(alpha: float, N: int, C1: float) -> VarnavidesBound:
     give Z >= alpha N^2 / (8 M^2) three-term APs, each worth (alpha/2N)^3.
 
     L = log(1/alpha) clamped below at log 2 (flagged). vacuous marks
-    M >= N, where the subprogression argument has no room at this N.
+    M >= N, where the subprogression argument has no room at this N. An
+    exp(x) past the float range gives M = inf, one that underflows M = 1.
     """
     if not 0 < alpha <= 1:
         raise ParameterError(f"alpha must be in (0, 1], got {alpha}")
@@ -391,8 +409,8 @@ def varnavides_bound(alpha: float, N: int, C1: float) -> VarnavidesBound:
     raw_L = math.log(1.0 / alpha)
     clamped = raw_L < math.log(2.0)
     L = max(raw_L, math.log(2.0))
-    x = C1 * alpha**-2 * L
-    M = math.ceil(math.exp(x)) if x < 700 else math.inf
+    x = _closing_exponent(C1, alpha, L)
+    M = max(1, math.ceil(math.exp(x))) if x < 700 else math.inf
     if math.isinf(M):
         z_lower = 0.0
         bound = 0.0
@@ -451,7 +469,8 @@ def final_inequality(
     gate eps^k >= w_reference(W), and the coefficient bounds
     |1 - beta~(r)| <= 16 eps^2 and |1 - beta~(r)^4 beta~(-2r)^2| <= 2^12 eps^2
     over the Bohr set's frequency set (0 and met when it is empty).
-    `constants` overrides entries of DEFAULT_CONSTANTS."""
+    `constants` overrides entries of DEFAULT_CONSTANTS. A side past the
+    float range is inf."""
     if not 0 < alpha <= 1:
         raise ParameterError(f"alpha must be in (0, 1], got {alpha}")
     if not 0 < delta:
@@ -461,10 +480,13 @@ def final_inequality(
     c = closing_constants(constants)
     L = max(math.log(1.0 / alpha), math.log(2.0))
     t1 = c["C_prime"] * N**-0.5
-    t2 = 2.0**12 * eps**2 * delta**-2.5
+    try:
+        t2 = 2.0**12 * eps**2 * delta**-2.5
+    except OverflowError:  # delta^-2.5 leaves the float range
+        t2 = _exp(12.0 * math.log(2.0) + 2.0 * math.log(eps) - 2.5 * math.log(delta))
     t3 = c["C"] * math.sqrt(delta)
     lhs = t1 + t2 + t3
-    rhs = math.exp(-c["C2"] * alpha**-2 * L)
+    rhs = _exp(-_closing_exponent(c["C2"], alpha, L))
     R = bohr.R
     if R.size:
         bt = spectrum(bohr.beta())

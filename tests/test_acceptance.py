@@ -35,20 +35,19 @@ def test_c01_sigma_closed_matches_direct(small_table):
     for b, m in COPRIME_BM:
         pp = measures.MeasureParams(b=b, m=m, N=1000)
         for q in range(1, 61):
-            direct = measures.sigma_aq_direct_all("prime", q, pp, small_table)
+            direct = measures.sigma_aq_direct_all(q, pp, None, small_table)
             for a in cop[q]:
                 err = abs(
-                    measures.sigma_aq("prime", a, q, pp, small_table) - direct[a]
+                    measures.sigma_aq(a, q, pp, None, small_table) - direct[a]
                 )
                 worst = max(worst, err)
                 checked += 1
         for Q in range(1, 33):
-            pq = measures.MeasureParams(b=b, m=m, N=1000, Q=Q)
             for q in range(1, 61):
-                direct = measures.sigma_aq_direct_all("rough", q, pq, small_table)
+                direct = measures.sigma_aq_direct_all(q, pp, Q, small_table)
                 for a in cop[q]:
                     err = abs(
-                        measures.sigma_aq("rough", a, q, pq, small_table)
+                        measures.sigma_aq(a, q, pp, Q, small_table)
                         - direct[a]
                     )
                     worst = max(worst, err)
@@ -154,10 +153,10 @@ def test_c05_prime_measure_mass(table):
 def test_c06_rough_approximation_trend(table):
     t0 = time.perf_counter()
     sups = []
+    mp = measures.MeasureParams(b=1, m=1, N=1_000_000)
     for Q in (4, 16, 64):
-        mp = measures.MeasureParams(b=1, m=1, N=1_000_000, Q=Q)
         res = arcs.sup_diff_scan(
-            mp, TorusGrid(oversample=4), table,
+            mp, Q, TorusGrid(oversample=4), table,
             arcs.ArcParams(N=1_000_000, p_exponent=3.0), profile_points=256
         )
         sups.append(res.sup)
@@ -316,9 +315,9 @@ DYADIC_PARAMS = [
 def test_c14_dyadic_reconstruction(table):
     worst = 0.0
     for b, m, N, p in DYADIC_PARAMS:
-        params = measures.MeasureParams(b=b, m=m, N=N, p_exponent=p)
+        params = measures.MeasureParams(b=b, m=m, N=N)
         lam = measures.lambda_measure(params, table)
-        pieces, _ = measures.dyadic_pieces(params, table)
+        pieces, _ = measures.dyadic_pieces(params, lam, p, table)
         recon = np.zeros(N)
         for piece in pieces:
             recon += piece.weights

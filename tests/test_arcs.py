@@ -160,7 +160,7 @@ def test_major_prediction_rejects_minor():
     lab = arcs.classify(0.38, params)
     assert lab.kind == MINOR
     with pytest.raises(DomainError):
-        arcs.major_prediction("prime", 0.38, lab, mp, None)
+        arcs.major_prediction(0.38, lab, mp, None, None)
 
 
 def test_major_prediction_at_centers_is_sigma_over_q(small_table):
@@ -170,8 +170,8 @@ def test_major_prediction_at_centers_is_sigma_over_q(small_table):
         theta = a / q
         lab = arcs.classify(theta, params)
         assert (lab.a, lab.q) == (a, q)
-        pred = arcs.major_prediction("prime", theta, lab, mp, small_table)
-        sig = measures.sigma_aq("prime", a % q, q, mp, small_table)
+        pred = arcs.major_prediction(theta, lab, mp, None, small_table)
+        sig = measures.sigma_aq(a % q, q, mp, None, small_table)
         assert pred == pytest.approx(sig / q, abs=1e-12)
 
 
@@ -184,7 +184,7 @@ def test_major_prediction_tracks_prime_measure(small_table):
     for a, q in [(0, 1), (1, 2), (1, 3), (1, 4), (1, 6)]:
         theta = a / q
         lab = arcs.classify(theta, params)
-        pred = arcs.major_prediction("prime", theta, lab, mp, small_table)
+        pred = arcs.major_prediction(theta, lab, mp, None, small_table)
         emp = fourier.exp_sum(lam, theta)
         assert abs(pred - emp) < 0.05
 
@@ -195,8 +195,8 @@ def test_major_prediction_offsets_use_tau(small_table):
     delta = 1.0 / (16 * mp.N)
     lab = arcs.classify(delta, params)
     assert (lab.a, lab.q) == (0, 1)
-    pred = arcs.major_prediction("prime", delta, lab, mp, small_table)
-    sig = measures.sigma_aq("prime", 0, 1, mp, small_table)
+    pred = arcs.major_prediction(delta, lab, mp, None, small_table)
+    sig = measures.sigma_aq(0, 1, mp, None, small_table)
     assert pred == pytest.approx(sig * fourier.tau(delta, mp.N), abs=1e-12)
     lam = measures.lambda_measure(mp, small_table)
     assert abs(pred - fourier.exp_sum(lam, delta)) < 0.05
@@ -250,9 +250,9 @@ def test_profile_indices_matches_membership_rule(M, points):
 
 @pytest.mark.filterwarnings("ignore::primeaps.errors.DeskScaleWarning")
 def test_sup_diff_scan_profile_and_sup(small_table):
-    mp = measures.MeasureParams(b=1, m=1, N=2000, Q=4, p_exponent=3.0)
+    mp = measures.MeasureParams(b=1, m=1, N=2000)
     grid = TorusGrid(oversample=2)
-    res = arcs.sup_diff_scan(mp, grid, small_table,
+    res = arcs.sup_diff_scan(mp, 4, grid, small_table,
                              ArcParams(N=2000, p_exponent=3.0), profile_points=64)
     assert res.Q == 4
     assert res.oversample == 2
@@ -260,7 +260,7 @@ def test_sup_diff_scan_profile_and_sup(small_table):
     assert res.sup >= res.theta0_mass_diff >= 0
 
     lam = measures.lambda_measure(mp, small_table)
-    lamq = measures.lambda_q_measure(mp, small_table)
+    lamq = measures.lambda_q_measure(mp, 4, small_table)
     assert res.theta0_mass_diff == pytest.approx(
         abs(lam.total - lamq.total), abs=1e-12
     )
@@ -309,13 +309,13 @@ def test_sup_diff_scan_grid_is_the_difference_of_two_grids(
         return grids[-1]
 
     monkeypatch.setattr(fourier, "wedge_grid", recorded)
-    mp = measures.MeasureParams(b=1, m=1, N=N, Q=16, p_exponent=3.0)
-    res = arcs.sup_diff_scan(mp, TorusGrid(oversample=oversample), small_table,
+    mp = measures.MeasureParams(b=1, m=1, N=N)
+    res = arcs.sup_diff_scan(mp, 16, TorusGrid(oversample=oversample), small_table,
                              ArcParams(N=N, p_exponent=3.0), profile_points=64)
     M = oversample * N
     assert [g.shape for g in grids] == [(M,)]
     want = (_complex_grid(measures.lambda_measure(mp, small_table), M)
-            - _complex_grid(measures.lambda_q_measure(mp, small_table), M))
+            - _complex_grid(measures.lambda_q_measure(mp, 16, small_table), M))
     tol = 1e-12 * res.sup
     assert float(np.max(np.abs(grids[0] - want))) <= tol
     assert abs(res.sup - float(np.max(np.abs(want)))) <= tol
@@ -324,11 +324,11 @@ def test_sup_diff_scan_grid_is_the_difference_of_two_grids(
 
 @pytest.mark.filterwarnings("ignore::primeaps.errors.DeskScaleWarning")
 def test_sup_diff_scan_oversample_stable(small_table):
-    mp = measures.MeasureParams(b=1, m=1, N=2000, Q=4, p_exponent=3.0)
+    mp = measures.MeasureParams(b=1, m=1, N=2000)
     ap = ArcParams(N=2000, p_exponent=3.0)
-    s2 = arcs.sup_diff_scan(mp, TorusGrid(oversample=2), small_table, ap,
+    s2 = arcs.sup_diff_scan(mp, 4, TorusGrid(oversample=2), small_table, ap,
                             profile_points=16)
-    s4 = arcs.sup_diff_scan(mp, TorusGrid(oversample=4), small_table, ap,
+    s4 = arcs.sup_diff_scan(mp, 4, TorusGrid(oversample=4), small_table, ap,
                             profile_points=16)
     assert s4.sup >= s2.sup * 0.999
     assert s4.sup == pytest.approx(s2.sup, rel=0.15)

@@ -117,7 +117,7 @@ def test_transform_scan_l2_norm_is_parseval(tmp_path):
     cases = [([], "lambda", measures.lambda_measure(
                  measures.MeasureParams(b=1, m=1, N=N), table)),
              (["--Q", "16"], "rough_Q16", measures.lambda_q_measure(
-                 measures.MeasureParams(b=1, m=1, N=N, Q=16), table))]
+                 measures.MeasureParams(b=1, m=1, N=N), 16, table))]
     for extra, tag, f in cases:
         out = tmp_path / tag
         man = _run(["transform-scan", "--N", str(N), "--oversample", "4", *extra],
@@ -310,6 +310,13 @@ def test_constants_must_be_a_json_object(text, message, tmp_path, capsys):
     # an oversample past fourier.MAX_OVERSAMPLE, once a MemoryError
     ["transform-scan", "--N", "100", "--oversample", "100000000000"],
     ["mz-check", "--N", "100", "--oversample", "3000000000000"],
+    # a --Q past the factor-table limit 10^8
+    ["measure-build", "--N", "100", "--Q", "100000001"],
+    ["transform-scan", "--N", "100", "--Q", "100000001"],
+    # (log N)^A leaves the float range at A = 4/(p-2), about 4e4
+    ["measure-build", "--N", "1000", "--p", "2.0001"],
+    # the restriction ratio needs p > 2
+    ["restriction", "--N", "100", "--p", "2", "--draws", "2"],
 ], ids=" ".join)
 def test_handler_rejection_leaves_no_output_dir(args, tmp_path, capsys):
     # these pass the parser and fail inside their handler, before the
@@ -417,6 +424,59 @@ def test_sieve_stats_q_beyond_n(tmp_path):
     assert [(int(r["x"]), float(r["value"])) for r in rows] == [
         (1000, sieve.mertens_product(1000, 1, table))
     ]
+
+
+@pytest.mark.parametrize("name", ["measure-build", "transform-scan", "arc-scan"])
+def test_rough_q_beyond_the_measure_range(name, tmp_path):
+    # the table covers every --Q, past m*N + b too
+    man = _run([name, "--N", "100", "--Q", "1000"], tmp_path)
+    assert man["effective"]["table_limit"] >= 1000
+    stem = {"measure-build": "measure_rough_Q1000",
+            "transform-scan": "transform_rough_Q1000",
+            "arc-scan": "arc_scan_Q1000"}[name]
+    assert f"{stem}.csv" in {o["path"] for o in man["outputs"]}
+
+
+@pytest.mark.parametrize("p", ["2", "1.5"])
+def test_transform_scan_takes_any_p_the_ladder_takes(p, tmp_path):
+    man = _run(["transform-scan", "--N", "300", "--p", p], tmp_path)
+    got = man["results"]["lambda"]
+    if p == "2":
+        # p = 2 is the Parseval norm the scan reports beside it
+        assert got["lp_norm"] == pytest.approx(got["l2_norm"], rel=1e-12, abs=0)
+    else:
+        assert got["lp_norm"] > 0
+
+
+@pytest.mark.parametrize("extra", [["--p", "2.0000000001"], ["--B-override", "1e308"]],
+                         ids=" ".join)
+def test_arc_cutoff_past_the_float_range_is_inf(extra, tmp_path):
+    # (log N)^B overflows: every theta is major, with Qmax = 1
+    man = _run(["arc-scan", "--N", "100", "--Q", "5", *extra], tmp_path)
+    eff = man["effective"]
+    assert (eff["q_cutoff"], eff["Qmax"], eff["degenerate"]) == ("inf", 1, True)
+    with (tmp_path / "arc_scan_Q5.csv").open() as fh:
+        assert {r["arc_kind"] for r in csv.DictReader(fh)} == {"major"}
+
+
+@pytest.mark.parametrize("args, key, want", [
+    # alpha^-2 overflows: M = inf and the bound is vacuous
+    (["varnavides", "--N", "3", "--alpha", "1e-300"], "M", "inf"),
+    # exp(C1 alpha^-2 L) underflows: M = 1
+    (["varnavides", "--N", "300", "--alpha", "0.5", "--constants",
+      '{"C1": -1e308}'], "M", 1),
+    # delta^-2.5 overflows: the left side is inf
+    (["roth-pipeline", "--N", "300", "--delta", "1e-308"], "lhs", "inf"),
+    # exp(-C2 alpha^-2 L) overflows: the right side is inf
+    (["roth-pipeline", "--N", "300", "--constants", '{"C2": -1000}'], "rhs", "inf"),
+], ids=["tiny-alpha", "C1-underflow", "tiny-delta", "C2-overflow"])
+def test_closing_bounds_past_the_float_range(args, key, want, tmp_path):
+    _run(args, tmp_path)
+    if args[0] == "varnavides":
+        got = json.loads((tmp_path / "varnavides.json").read_text())
+    else:
+        got = json.loads((tmp_path / "report.json").read_text())["bounds"]
+    assert got[key] == want
 
 
 def test_measure_build_default_p_runs(tmp_path):

@@ -10,7 +10,9 @@ value stand next to a hash that disagrees with it. So every byte written
 is pinned. A change here is a deliberate, documented event: regenerate with
 `PYTHONPATH=src python tests/test_golden.py`, which prints each entry's old
 and new deterministic_hash and whether any output or result moved, and
-say why in CHANGES.md.
+say why in CHANGES.md. `PYTHONPATH=src python tests/test_golden.py --check`
+prints the same lines, writes nothing, and exits 1 if any hash, output or
+result moved.
 """
 
 from __future__ import annotations
@@ -93,6 +95,7 @@ def test_golden_outputs(name, fmt, golden, tmp_path):
 
 
 if __name__ == "__main__":
+    check = sys.argv[1:] == ["--check"]
     recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         golden = {name: {fmt: _record(args, fmt, Path(tmp) / name / fmt)
@@ -100,13 +103,18 @@ if __name__ == "__main__":
                   for name, args in sorted(CASES.items())}
     # one line per entry: the hash it had and has, and whether any output
     # file or results value moved, which an announced hash change must not
+    changed = False
     for name, entries in golden.items():
         for fmt, got in entries.items():
             was = recorded.get(name, {}).get(fmt, {})
             moved = [key for key in ("outputs", "results")
                      if _compare(got[key], was.get(key), key)]
+            changed |= bool(moved) or got["deterministic_hash"] != was.get(
+                "deterministic_hash")
             sys.stdout.write(f"{name}/{fmt}: {was.get('deterministic_hash')} -> "
                              f"{got['deterministic_hash']}, "
                              f"{' and '.join(moved) or 'no output or result'} moved\n")
+    if check:
+        sys.exit(1 if changed or set(recorded) != set(golden) else 0)
     GOLDEN.write_text(json.dumps(golden, sort_keys=True, indent=2) + "\n")
     sys.stdout.write(f"wrote {GOLDEN}\n")

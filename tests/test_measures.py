@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from primeaps.errors import ParameterError, PreconditionError, TableRangeError
 from primeaps import cli, measures, sieve
 from primeaps.arcs import ArcParams
-from primeaps.measures import KIND_PRIME, KIND_ROUGH, Measure, MeasureParams
+from primeaps.measures import Measure, MeasureParams
 from primeaps.numutil import fsum_real
 
 
@@ -58,8 +59,8 @@ def test_lambda_mass_near_one(table):
 
 
 def test_lambda_q_uniform_on_rough_support(small_table):
-    params = MeasureParams(b=1, m=2, N=500, Q=8)
-    lamq = measures.lambda_q_measure(params, small_table)
+    params = MeasureParams(b=1, m=2, N=500)
+    lamq = measures.lambda_q_measure(params, 8, small_table)
     pref = measures.rough_prefactor(8, 2, small_table)
     sup = sieve.rough_support(1, 2, 500, 8, small_table)
     expect = np.zeros(500)
@@ -68,8 +69,8 @@ def test_lambda_q_uniform_on_rough_support(small_table):
 
 
 def test_lambda_one_is_zero_measure(small_table):
-    params = MeasureParams(b=1, m=2, N=100, Q=1)
-    lamq = measures.lambda_q_measure(params, small_table)
+    params = MeasureParams(b=1, m=2, N=100)
+    lamq = measures.lambda_q_measure(params, 1, small_table)
     assert lamq.total == 0.0
     assert np.all(lamq.weights == 0.0)
 
@@ -78,16 +79,17 @@ def test_rough_mass_near_one(table):
     # the Mertens prefactor normalizes the rough counts; the error grows
     # with Q (Mertens + Chebyshev second-order terms), still small here
     for Q, tol in [(4, 0.001), (64, 0.01), (1024, 0.05)]:
-        params = MeasureParams(b=1, m=1, N=500_000, Q=Q)
-        lamq = measures.lambda_q_measure(params, table)
+        params = MeasureParams(b=1, m=1, N=500_000)
+        lamq = measures.lambda_q_measure(params, Q, table)
         assert lamq.total == pytest.approx(1.0, abs=tol)
 
 
 # --- dyadic decomposition ----------------------------------------------------
 
 def test_dyadic_cutoff_minimal():
+    # p = 2 + 4/A gives A = 4/(p-2) exactly at these A
     for N, A in [(1000, 2.0), (10**6, 4.0), (50, 1.0)]:
-        K = measures.dyadic_cutoff(N, A)
+        K = measures.dyadic_cutoff(N, 2.0 + 4.0 / A)
         x = math.log(N) ** A / 10.0
         assert 2.0**K > x
         assert K == 0 or 2.0 ** (K - 1) <= x
@@ -101,10 +103,10 @@ def test_dyadic_telescopes_exactly(table):
         (5, 6, 1_000, 6.0),
     ]
     for b, m, N, p in cases:
-        params = MeasureParams(b=b, m=m, N=N, p_exponent=p)
-        pieces, K = measures.dyadic_pieces(params, table)
-        assert len(pieces) == K + 1
+        params = MeasureParams(b=b, m=m, N=N)
         lam = measures.lambda_measure(params, table)
+        pieces, K = measures.dyadic_pieces(params, lam, p, table)
+        assert len(pieces) == K + 1
         recon = np.zeros(N)
         for piece in pieces:
             assert piece.signed
@@ -117,30 +119,37 @@ def test_dyadic_telescopes_exactly(table):
             Q = 2**j
             members = sieve.rough_support(b, m, N, Q, table)
             assert np.array_equal(np.flatnonzero(partial) + 1, members), (b, m, N, j)
-            lamq = measures.lambda_q_measure(
-                MeasureParams(b=b, m=m, N=N, Q=Q), table)
+            lamq = measures.lambda_q_measure(params, Q, table)
             np.testing.assert_allclose(partial, lamq.weights, rtol=1e-12, atol=0)
 
 
 def test_dyadic_needs_table(small_table):
-    params = MeasureParams(b=1, m=1, N=10_000, p_exponent=2.5)
+    params = MeasureParams(b=1, m=1, N=10_000)
+    lam = measures.lambda_measure(params, small_table)
     with pytest.raises(TableRangeError):
-        measures.dyadic_pieces(params, small_table)
+        measures.dyadic_pieces(params, lam, 2.5, small_table)
 
 
-def test_dyadic_checks_table_before_building_lambda(small_table, monkeypatch):
+def test_dyadic_checks_table_before_building_pieces(small_table, monkeypatch):
+    params = MeasureParams(b=1, m=1, N=10_000)
+    lam = measures.lambda_measure(params, small_table)
     built = []
-    monkeypatch.setattr(measures, "lambda_measure",
-                        lambda *args: built.append(args))
-    params = MeasureParams(b=1, m=1, N=10_000, p_exponent=2.5)
+    monkeypatch.setattr(measures, "Measure", lambda *args, **kw: built.append(args))
     with pytest.raises(TableRangeError):
-        measures.dyadic_pieces(params, small_table)
+        measures.dyadic_pieces(params, lam, 2.5, small_table)
     assert built == []
 
 
+def test_dyadic_cutoff_past_the_float_range_names_p():
+    # A = 4/(p-2) is about 4e4, and (log 1000)^A overflows
+    with pytest.raises(TableRangeError, match="p = 2.0001"):
+        measures.dyadic_cutoff(1000, 2.0001)
+
+
 def test_piece_sup_norms_shape(table):
-    params = MeasureParams(b=1, m=2, N=3_000, p_exponent=4.0)
-    pieces, K = measures.dyadic_pieces(params, table)
+    params = MeasureParams(b=1, m=2, N=3_000)
+    lam = measures.lambda_measure(params, table)
+    pieces, K = measures.dyadic_pieces(params, lam, 4.0, table)
     norms = measures.piece_sup_norms(pieces)
     assert [n.j for n in norms] == list(range(1, K + 2))
     for n in norms:
@@ -154,7 +163,7 @@ def test_gamma_prime_formula(small_table):
     params = MeasureParams(b=1, m=2, N=100)
     for q in (1, 2, 3, 10, 36):
         for r in range(q):
-            got = measures.gamma_rq(KIND_PRIME, r, q, params, small_table)
+            got = measures.gamma_rq(r, q, params, None, small_table)
             if math.gcd(2 * r + 1, 2 * q) == 1:
                 expect = (
                     sieve.euler_phi(2, small_table)
@@ -167,11 +176,11 @@ def test_gamma_prime_formula(small_table):
 
 
 def test_gamma_rough_formula(small_table):
-    params = MeasureParams(b=2, m=3, N=100, Q=8)
+    params = MeasureParams(b=2, m=3, N=100)
     pref = measures.rough_prefactor(8, 3, small_table)
     for q in (1, 2, 5, 12):
         for r in range(q):
-            got = measures.gamma_rq(KIND_ROUGH, r, q, params, small_table)
+            got = measures.gamma_rq(r, q, params, 8, small_table)
             g = math.gcd(3 * r + 2, 3 * q)
             if all(p > 8 for p in _prime_factors(g)):
                 expect = pref * sieve.mertens_product(8, 3 * q, small_table)
@@ -181,10 +190,10 @@ def test_gamma_rough_formula(small_table):
 
 
 def test_gamma_rough_zero_at_Q1(small_table):
-    params = MeasureParams(b=1, m=1, N=100, Q=1)
+    params = MeasureParams(b=1, m=1, N=100)
     for q in (1, 2, 5):
         for r in range(q):
-            assert measures.gamma_rq(KIND_ROUGH, r, q, params, small_table) == 0.0
+            assert measures.gamma_rq(r, q, params, 1, small_table) == 0.0
 
 
 @given(
@@ -198,9 +207,9 @@ def test_gamma_rough_zero_at_Q1(small_table):
 def test_gamma_bounded_by_q(small_table, q, r, b, m, Q):
     if math.gcd(b, m) != 1 or r >= q:
         return
-    params = MeasureParams(b=b, m=m, N=100, Q=Q)
-    for kind in (KIND_PRIME, KIND_ROUGH):
-        gam = measures.gamma_rq(kind, r, q, params, small_table)
+    params = MeasureParams(b=b, m=m, N=100)
+    for cutoff in (None, Q):
+        gam = measures.gamma_rq(r, q, params, cutoff, small_table)
         assert 0.0 <= gam <= q + 1e-12
 
 
@@ -208,7 +217,7 @@ def test_empirical_gamma_tracks_gamma(table):
     params = MeasureParams(b=1, m=1, N=1_000_000)
     lam = measures.lambda_measure(params, table)
     for r, q in [(1, 3), (2, 3), (2, 4), (1, 4), (3, 4)]:
-        gam = measures.gamma_rq(KIND_PRIME, r, q, params, table)
+        gam = measures.gamma_rq(r, q, params, None, table)
         emp = measures.empirical_gamma(lam, r, q)
         if gam == 0.0:
             # n+1 shares a factor with q along these residues: no mass
@@ -229,41 +238,41 @@ def test_empirical_gamma_validation(small_table):
 # --- sigma closed forms ------------------------------------------------------
 
 def test_sigma_closed_vs_direct_spot(small_table):
-    for kind in (KIND_PRIME, KIND_ROUGH):
+    for rough in (False, True):
         for b, m, q, Q in [(1, 1, 12, 8), (2, 3, 7, 4), (1, 6, 25, 32), (5, 2, 9, 16)]:
-            params = MeasureParams(b=b, m=m, N=200, Q=Q)
-            direct = measures.sigma_aq_direct_all(kind, q, params, small_table)
+            params = MeasureParams(b=b, m=m, N=200)
+            cutoff = Q if rough else None
+            direct = measures.sigma_aq_direct_all(q, params, cutoff, small_table)
             for a in range(q):
                 if math.gcd(a, q) != 1:
                     continue
-                closed = measures.sigma_aq(kind, a, q, params, small_table)
+                closed = measures.sigma_aq(a, q, params, cutoff, small_table)
                 assert abs(closed - direct[a]) < 1e-10
 
 
 def test_sigma_gates(small_table):
     # (m, q) sharing a factor kills the prime closed form
-    params = MeasureParams(b=1, m=2, N=100, Q=4)
-    assert measures.sigma_aq(KIND_PRIME, 1, 4, params, small_table) == 0
+    params = MeasureParams(b=1, m=2, N=100)
+    assert measures.sigma_aq(1, 4, params, None, small_table) == 0
     # mu(q) = 0 kills it too
-    assert measures.sigma_aq(KIND_PRIME, 1, 9, params, small_table) == 0
-    # rough kind needs q to be Q-smooth
-    assert measures.sigma_aq(KIND_ROUGH, 1, 5, params, small_table) == 0
-    assert measures.sigma_aq(KIND_ROUGH, 2, 3, params, small_table) != 0
+    assert measures.sigma_aq(1, 9, params, None, small_table) == 0
+    # the rough measure needs q to be Q-smooth
+    assert measures.sigma_aq(1, 5, params, 4, small_table) == 0
+    assert measures.sigma_aq(2, 3, params, 4, small_table) != 0
     # Q = 1 is the zero measure
-    p1 = MeasureParams(b=1, m=2, N=100, Q=1)
-    assert measures.sigma_aq(KIND_ROUGH, 2, 3, p1, small_table) == 0
+    assert measures.sigma_aq(2, 3, params, 1, small_table) == 0
 
 
 def test_sigma_requires_coprime_a(small_table):
     params = MeasureParams(b=1, m=1, N=100)
     with pytest.raises(PreconditionError):
-        measures.sigma_aq(KIND_PRIME, 2, 4, params, small_table)
+        measures.sigma_aq(2, 4, params, None, small_table)
 
 
 def test_sigma_q1_is_one(small_table):
     # q = 1: sigma = 1 for the prime measure (empty phase, mu(1)=phi(1)=1)
     params = MeasureParams(b=1, m=1, N=100)
-    assert measures.sigma_aq(KIND_PRIME, 0, 1, params, small_table) == pytest.approx(1.0)
+    assert measures.sigma_aq(0, 1, params, None, small_table) == pytest.approx(1.0)
 
 
 # --- Brun truncation ---------------------------------------------------------
@@ -322,25 +331,31 @@ def test_measure_validation():
         Measure(2, np.array([0.1, 0.2]), base="bad")
 
 
-def test_measure_params_validation():
+def test_measure_params_validation(small_table):
     with pytest.raises(PreconditionError):
         MeasureParams(b=2, m=4, N=100)
     with pytest.raises(ParameterError):
         MeasureParams(b=1, m=1, N=0)
+    assert [f.name for f in dataclasses.fields(MeasureParams)] == ["b", "m", "N"]
+    # a rough cutoff below 1 is refused wherever it enters
+    params = MeasureParams(b=1, m=1, N=100)
+    for call in (lambda: measures.lambda_q_measure(params, 0, small_table),
+                 lambda: measures.gamma_rq(0, 1, params, 0, small_table),
+                 lambda: measures.sigma_aq(0, 1, params, 0, small_table),
+                 lambda: measures.sigma_aq_direct_all(1, params, 0, small_table)):
+        with pytest.raises(ParameterError):
+            call()
     with pytest.raises(ParameterError):
-        MeasureParams(b=1, m=1, N=100, Q=0)
-    with pytest.raises(ParameterError):
-        MeasureParams(b=1, m=1, N=100, p_exponent=2.0)
-    assert MeasureParams(b=1, m=1, N=100, p_exponent=4.0).A == 2.0
-    with pytest.raises(ParameterError):
-        MeasureParams(b=1, m=1, N=100).require_Q()
+        measures.a_exponent(2.0)
+    assert measures.a_exponent(4.0) == 2.0
 
 
 @pytest.mark.parametrize("p", [2.0, 1.5, math.inf, -math.inf, math.nan])
 def test_p_exponent_outside_open_interval_is_refused(p):
-    # both parameter sets take A = 4/(p-2), which p = inf would make 0
+    # A = 4/(p-2), which p = inf would make 0, has one home, and the arc
+    # parameters take it from there
     with pytest.raises(ParameterError):
-        MeasureParams(b=1, m=1, N=100, p_exponent=p)
+        measures.a_exponent(p)
     with pytest.raises(ParameterError):
         ArcParams(N=100, p_exponent=p)
 
@@ -419,10 +434,10 @@ def test_measure_total_is_summed_on_first_read_only(monkeypatch, small_table):
         return math.fsum(values)
 
     monkeypatch.setattr(measures, "fsum_real", counted)
-    params = MeasureParams(b=1, m=1, N=300, Q=16, p_exponent=3.0)
+    params = MeasureParams(b=1, m=1, N=300)
     lam = measures.lambda_measure(params, small_table)
-    measures.lambda_q_measure(params, small_table)
-    pieces, _ = measures.dyadic_pieces(params, small_table)
+    measures.lambda_q_measure(params, 16, small_table)
+    pieces, _ = measures.dyadic_pieces(params, lam, 3.0, small_table)
     assert calls == []
     assert lam.total == math.fsum(lam.weights.tolist())
     assert lam.total == lam.total
