@@ -3,12 +3,16 @@ dense subsets of the primes contain three-term arithmetic progressions.
 
 Subpackages by role:
 
-- sieve: factor tables, multiplicative functions, rough/smooth supports
-- measures: prime and almost-prime measures, dyadic split, local densities
-- fourier: exponential sums, torus norms, trilinear 3AP counting
-- arcs: rational approximation, major/minor arc scans, minor-arc bounds
+- sieve: factor tables, Euler phi, Mertens products, prime/rough supports
+- measures: prime and almost-prime measures, dyadic split, PMSR round trip
+- fourier: Z_N spectra, torus grids and L^p norms, trilinear 3AP counting
+- arcs: rational approximation, arc classification, sup-difference scans
 - roth: W-trick, Bohr-set granularization, closing bounds, Behrend sets
 - cli: batch experiment runner with reproducible manifests
+
+The paper's closed forms and bounds that no subcommand runs (local
+densities, major-arc main terms, minor-arc and dyadic-piece bounds) and
+the direct-summation oracles live beside the tests, in tests/paper.py.
 """
 
 from __future__ import annotations
@@ -31,10 +35,8 @@ from .measures import (
     Measure,
     MeasureParams,
     dyadic_pieces,
-    gamma_rq,
     lambda_measure,
     lambda_q_measure,
-    sigma_aq,
 )
 from .fourier import TorusGrid, idft, lp_norm_torus, spectrum, triple_count
 from .arcs import ArcParams, classify, dirichlet_approx, sup_diff_scan
@@ -70,8 +72,6 @@ __all__ = [
     "lambda_measure",
     "lambda_q_measure",
     "dyadic_pieces",
-    "gamma_rq",
-    "sigma_aq",
     "TorusGrid",
     "spectrum",
     "idft",

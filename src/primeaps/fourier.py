@@ -1,5 +1,5 @@
-"""Exponential sums, Z_N transforms, torus-grid L^p norms, Fejer kernels,
-the trilinear 3AP form, and exact set convolutions.
+"""Z_N transforms, torus-grid L^p norms, the trilinear 3AP form, and exact
+set convolutions.
 
 Conventions. The wedge transform is f^(theta) = sum_n f(n) e(n*theta) over
 the ambient points of the measure. The Z_N transform is
@@ -52,7 +52,7 @@ from .errors import (
     StageError,
 )
 from .measures import Measure
-from .numutil import dist_to_int, e, fsum_complex, fsum_real
+from .numutil import e, fsum_real
 from .sieve import FactorTable
 
 REL_CONSISTENCY = 1e-3  # grid-doubling self-consistency contract (0.1%)
@@ -75,12 +75,6 @@ class TorusGrid:
 
     def points(self, N: int) -> int:
         return self.oversample * N
-
-
-def exp_sum(f: Measure, theta: float) -> complex:
-    """f^(theta) = sum over the support of f(n) e(n*theta), compensated."""
-    pos, w = f.support()
-    return fsum_complex(w * e(pos * theta))
 
 
 def spectrum(f: Measure) -> np.ndarray:
@@ -194,8 +188,6 @@ def _lp_ladder(positions, values, N, p, grid: TorusGrid):
         raise ParameterError(f"p must lie in [1, inf), got {p}")
     positions = np.asarray(positions, dtype=np.int64)
     values = np.asarray(values)
-    if np.iscomplexobj(values) and not np.any(values.imag):
-        values = values.real
     span = int(np.ptp(positions)) if positions.size else 0
     nonzero = bool(np.any(values))
 
@@ -259,45 +251,6 @@ def lp_norm_torus(f: Measure, p: float, grid: TorusGrid) -> float:
     """(integral over the torus of |f^|^p)^(1/p) by uniform-grid quadrature."""
     pos, w = f.support()
     return _lp_norm_checked(pos, w, f.N, p, grid)
-
-
-def tau(theta: float, N: int) -> complex:
-    """tau(theta) = N^(-1) sum_{n=1..N} e(n*theta).
-
-    Closed form e((N+1) v / 2) sin(pi N v) / (N sin(pi v)) with v the
-    signed distance from theta to the nearest integer. Unlike the geometric
-    form (e(N v) - 1) / (e(v) - 1), it has no cancellation near integers.
-    """
-    if N < 1:
-        raise ParameterError(f"N must be >= 1, got {N}")
-    v = theta - round(theta)
-    if v == 0.0:
-        return 1.0 + 0.0j
-    if abs(N * v) < 1e-9:
-        # the ratio is 1 - O((N v)^2), which rounds to 1.0; the sines would
-        # be subnormal for tiny v and lose their precision
-        ratio = 1.0
-    else:
-        s = math.sin(math.pi * v)
-        ratio = math.sin(math.pi * math.fmod(N * v, 2.0)) / (N * s)
-    return complex(ratio * e(math.fmod((N + 1) * v / 2.0, 1.0)))
-
-
-def fejer(theta: float, N: int) -> float:
-    """Fejer kernel K_N(theta) = N^(-1) (sin(pi N theta)/sin(pi theta))^2.
-
-    K_N(0) = N, K_N >= 0, and the torus integral is exactly 1.
-    """
-    if N < 1:
-        raise ParameterError(f"N must be >= 1, got {N}")
-    u = dist_to_int(theta)
-    if N * u < 1e-9:
-        # K_N = N (1 - O((N u)^2)), which rounds to N; for tiny u the sines
-        # lose precision and s * s underflows to 0
-        return float(N)
-    s = math.sin(math.pi * u)
-    sN = math.sin(math.pi * math.fmod(N * u, 1.0))
-    return (sN * sN) / (s * s) / N
 
 
 def mz_ratio(f: Measure, p: float, grid: TorusGrid) -> float:
@@ -367,8 +320,7 @@ def majorant_denominator(p: float, N: int, table: FactorTable, grid: TorusGrid) 
     primes = table.primes_up_to(N)
     if primes.size == 0:
         raise DegenerateInputError(f"no primes <= {N}")
-    return _lp_norm_checked(primes, np.ones(primes.size, dtype=np.complex128),
-                            N, p, grid)
+    return _lp_norm_checked(primes, np.ones(primes.size), N, p, grid)
 
 
 def majorant_ratio(
@@ -382,9 +334,9 @@ def majorant_ratio(
     """|| sum over primes n <= N of a_n e(n theta) ||_p divided by the same
     norm with all a_n = 1, which is `den` = majorant_denominator(p, N,
     table, grid): a caller drawing many coefficient vectors computes it
-    once. Requires |a_n| <= 1 (majorized coefficients)."""
+    once. Requires real a_n with |a_n| <= 1 (majorized coefficients)."""
     primes = table.primes_up_to(N)
-    signs = np.asarray(signs, dtype=np.complex128)
+    signs = np.asarray(signs, dtype=np.float64)
     if signs.shape != primes.shape:
         raise ParameterError(
             f"need one coefficient per prime <= {N} ({primes.size}), got {signs.size}"
@@ -422,4 +374,3 @@ def restriction_ratio(
         raise DegenerateInputError("f vanishes in L^2(d lambda)")
     norm = _lp_norm_checked(pos, fvals * wsup, lam.N, p, grid)
     return norm * lam.N ** (1.0 / p) / l2
-

@@ -1,13 +1,12 @@
 """Prime and almost-prime measures on {1..N}, their dyadic decomposition,
-and the local (mod q) densities with exponential-sum coefficients in both
-closed form and direct summation.
+and the two forms a measure is written in: the `PMSR` binary and the
+(index, weight) CSV, each with its reader.
 
 lambda_{b,m,N} puts weight phi(m) log(nm+b) / (mN) on each n <= N with
 nm+b prime; lambda^{(Q)} puts the Mertens-normalized uniform weight on the
 Q-rough support. MeasureParams is (b, m, N): the cutoff Q is an argument
-of what reads it, and a local density takes Q = None for lambda. Q=1 is
-the zero measure by convention, which also fixes every local density of
-that measure to 0. The exponent p > 2 enters only through A = a_exponent(p).
+of what reads it. Q=1 is the zero measure by convention. The exponent
+p > 2 enters only through A = a_exponent(p).
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .errors import (
     PreconditionError,
     TableRangeError,
 )
-from .numutil import e, fsum_real
+from .numutil import fsum_real
 
 BASE_ONE = "one"  # index i holds the weight of n = i + 1, ambient {1..N}
 BASE_ZN = "zn"  # index i holds the weight of the residue x = i, ambient Z_N
@@ -69,13 +68,6 @@ class Measure:
         """The compensated sum of all weights, summed on first read; it
         raises OverflowError when the sum leaves the float range."""
         return fsum_real(self.weights)
-
-    def weight_at(self, n: int) -> float:
-        if self.base == BASE_ONE:
-            if not 1 <= n <= self.N:
-                raise ParameterError(f"n={n} outside {{1..{self.N}}}")
-            return float(self.weights[n - 1])
-        return float(self.weights[n % self.N])
 
     def zn_weights(self) -> np.ndarray:
         """Weights reindexed by residue x = n mod N (the Z_N embedding)."""
@@ -170,19 +162,22 @@ def lambda_q_measure(
 def dyadic_cutoff(N: int, p: float) -> int:
     """Smallest integer K with 2^K > (log N)^A / 10, A = a_exponent(p).
 
-    Where (log N)^A leaves the float range, the split would need primes up
-    to 2^K past any factor table: TableRangeError."""
+    The split needs primes up to 2^K, so a 2^K above sieve.MAX_TABLE_LIMIT,
+    as where (log N)^A leaves the float range, is past any factor table:
+    TableRangeError, naming p and A."""
     if N < 3:
         raise ParameterError(f"N must be >= 3, got {N}")
     A = a_exponent(p)
     try:
         x = math.log(N) ** A / 10.0
     except OverflowError:
-        raise TableRangeError(f"dyadic split at p = {p} (A = {A}) needs 2^K > "
-                              f"(log {N})^A / 10, past any factor table") from None
+        x = math.inf
     K = 0
     while 2.0**K <= x:
         K += 1
+        if 2**K > sieve.MAX_TABLE_LIMIT:
+            raise TableRangeError(f"dyadic split at p = {p} (A = {A}) needs 2^K > "
+                                  f"(log {N})^A / 10, past any factor table")
     return K
 
 
@@ -243,202 +238,6 @@ def piece_sup_norms(pieces: list[Measure]) -> list[PieceNorm]:
         ref = (math.log(N) / N) if j == K + 1 else (j / N)
         out.append(PieceNorm(j=j, sup=psi.sup_norm(), reference=ref))
     return out
-
-
-def gamma_rq(
-    r: int,
-    q: int,
-    params: MeasureParams,
-    Q: int | None,
-    table: sieve.FactorTable,
-) -> float:
-    """Local density on the progression r mod q of lambda (Q = None) or of
-    lambda^{(Q)}.
-
-    lambda: phi(m) q / phi(mq) when gcd(mr+b, mq) = 1, else 0.
-    lambda^{(Q)}: prod_{p<=Q, p∤m}(1-1/p)^(-1) * prod_{p<=Q, p∤mq}(1-1/p)
-    when gcd(mr+b, mq) is Q-rough, else 0. Q=1 is the zero measure, so
-    every gamma is 0 there.
-    """
-    if q < 1:
-        raise ParameterError(f"q must be >= 1, got {q}")
-    if not 0 <= r < q:
-        raise ParameterError(f"r={r} outside [0, {q})")
-    b, m = params.b, params.m
-    g = math.gcd(m * r + b, m * q)
-    if Q is None:
-        if g != 1:
-            return 0.0
-        return sieve.euler_phi(m, table) * q / sieve.euler_phi(m * q, table)
-    if _zero_measure(Q) or not sieve.is_rough(g, Q, table):
-        return 0.0
-    return rough_prefactor(Q, m, table) * sieve.mertens_product(Q, m * q, table)
-
-
-def empirical_gamma(
-    measure: Measure, r: int, q: int, L: int | None = None
-) -> float:
-    """(N/L) * measure(X) over the progression X = {r, r+q, ..., r+(L-1)q}.
-
-    Default L = floor(N / (8q)). The progression must stay inside {1..N}.
-    """
-    if q < 1:
-        raise ParameterError(f"q must be >= 1, got {q}")
-    N = measure.N
-    if L is None:
-        L = N // (8 * q)
-    if L < 1:
-        raise ParameterError(f"L must be >= 1, got {L}")
-    last = r + (L - 1) * q
-    if r < 1 or last > N:
-        raise ParameterError(
-            f"progression [{r}, {last}] step {q} leaves {{1..{N}}}"
-        )
-    idx = np.arange(L, dtype=np.int64) * q + r
-    if measure.base == BASE_ZN:
-        return N / L * fsum_real(measure.weights[idx % N])
-    return N / L * fsum_real(measure.weights[idx - 1])
-
-
-def sigma_aq(
-    a: int,
-    q: int,
-    params: MeasureParams,
-    Q: int | None,
-    table: sieve.FactorTable,
-) -> complex:
-    """sigma_{a,q} = sum_r e(ar/q) gamma_{r,q} of lambda (Q = None) or of
-    lambda^{(Q)}, in closed form: q*mu(q)/phi(q) * e(-a*b*minv/q) when
-    gcd(m,q)=1 (and, for lambda^{(Q)}, Q > 1 and q is Q-smooth), else 0.
-    minv is the inverse of m mod q. The literal sum over r is the oracle
-    sigma_aq_direct_all.
-    """
-    if q < 1:
-        raise ParameterError(f"q must be >= 1, got {q}")
-    if math.gcd(a, q) != 1:
-        raise PreconditionError(f"gcd(a, q) must be 1, got gcd({a}, {q})")
-    if (Q is not None and _zero_measure(Q)) or math.gcd(params.m, q) != 1:
-        return 0.0 + 0.0j
-    factors = table.factorize(q)  # gives mu(q), phi(q) and Q-smoothness
-    if any(k > 1 for _, k in factors):
-        return 0.0 + 0.0j  # mu(q) = 0
-    if Q is not None and q > 1 and factors[-1][0] > Q:
-        return 0.0 + 0.0j  # q is not Q-smooth
-    mu = -1 if len(factors) % 2 else 1
-    minv = pow(params.m % q, -1, q) if q > 1 else 0
-    return q * mu / math.prod(p - 1 for p, _ in factors) * e(-a * params.b * minv / q)
-
-
-def sigma_aq_direct_all(
-    q: int,
-    params: MeasureParams,
-    Q: int | None,
-    table: sieve.FactorTable,
-) -> np.ndarray:
-    """Direct summation sigma_{a,q} of lambda (Q = None) or lambda^{(Q)}
-    for every residue a = 0..q-1 at once.
-
-    Entries at a with gcd(a,q) > 1 are the same character sums evaluated
-    formally; the closed form is stated for coprime a only.
-    """
-    if q < 1:
-        raise ParameterError(f"q must be >= 1, got {q}")
-    b, m = params.b, params.m
-    r = np.arange(q, dtype=np.int64)
-    g = np.gcd(m * r + b, m * q)
-    if Q is None:
-        val = sieve.euler_phi(m, table) * q / sieve.euler_phi(m * q, table)
-        gam = np.where(g == 1, val, 0.0)
-    elif _zero_measure(Q):
-        return np.zeros(q, dtype=complex)
-    else:
-        table.check_range(m * q)
-        rough = (g == 1) | (table.spf[g] > Q)  # 1 <= g <= m*q
-        val = rough_prefactor(Q, m, table) * sieve.mertens_product(Q, m * q, table)
-        gam = np.where(rough, val, 0.0)
-    return _phase_matrix(q) @ gam
-
-
-@functools.lru_cache(maxsize=64)
-def _phase_matrix(q: int) -> np.ndarray:
-    """The q x q matrix e(a*r/q), read-only.
-
-    a*r is reduced mod q exactly, in integers, so q phases fill all q^2
-    entries. Cached: the direct sums are taken for a few small q at a time.
-    """
-    r = np.arange(q, dtype=np.int64)
-    phases = e(r / q)[np.outer(r, r) % q]
-    phases.setflags(write=False)
-    return phases
-
-
-@dataclass(frozen=True)
-class BrunEstimate:
-    """Truncated inclusion-exclusion estimate of the Q-rough density on a
-    progression, with the completed product and the advertised tail bound."""
-
-    estimate: float
-    tail_bound: float
-    full_product: float
-    num_primes: int
-    depth: int
-    gated_zero: bool = False
-
-
-def default_brun_depth(N: int, A: float) -> int:
-    """t = max(1, floor(log N / (2 A log log N)))."""
-    if N < 3:
-        raise ParameterError(f"N must be >= 3, got {N}")
-    raw = math.log(N) / (2.0 * A * math.log(math.log(N)))
-    return max(1, math.floor(raw))
-
-
-def brun_truncated(
-    r: int,
-    q: int,
-    L: int,
-    Q: int,
-    t: int,
-    params: MeasureParams,
-    table: sieve.FactorTable,
-) -> BrunEstimate:
-    """Brun's truncated inclusion-exclusion for the density of Q-rough
-    values of m*x+b along x in {r, r+q, ..., r+(L-1)q}.
-
-    Primes p <= Q dividing q contribute epsilon_p = 0 (the event is fixed
-    along the progression); if such a p already divides gcd(mr+b, mq) the
-    density is exactly 0 and the estimate short-circuits. Depth t keeps
-    elementary symmetric sums up to order t; t >= #primes completes the
-    product. Guard: #primes <= 20 or t <= 6.
-    """
-    if t < 0:
-        raise ParameterError(f"t must be >= 0, got {t}")
-    if L < 1:
-        raise ParameterError(f"L must be >= 1, got {L}")
-    if Q < 1:
-        raise ParameterError(f"Q must be >= 1, got {Q}")
-    b, m = params.b, params.m
-    ps = [int(p) for p in table.primes_up_to(Q) if m % int(p) != 0]
-    k = len(ps)
-    if k > 20 and t > 6:
-        raise ParameterError(
-            f"refusing k={k} primes at depth t={t}; lower t or Q"
-        )
-    loglog = max(math.log(math.log(Q)), 0.0) if Q >= 3 else 0.0
-    tail = 2.0 * loglog**t / math.factorial(t)
-    if not sieve.is_rough(math.gcd(m * r + b, m * q), Q, table):
-        return BrunEstimate(0.0, tail, 0.0, k, t, gated_zero=True)
-    recips = [1.0 / p for p in ps if q % p != 0]
-    coeffs = np.zeros(t + 1, dtype=np.float64)
-    coeffs[0] = 1.0
-    for v in recips:
-        upper = min(t, len(recips))
-        for s in range(upper, 0, -1):
-            coeffs[s] += coeffs[s - 1] * v
-    signs = (-1.0) ** np.arange(t + 1)
-    estimate = fsum_real(signs * coeffs)
-    full = float(np.prod([1.0 - v for v in recips])) if recips else 1.0
-    return BrunEstimate(estimate, tail, full, k, t)
 
 
 # ---------------------------------------------------------------------------

@@ -28,15 +28,6 @@ def e(x):
     return out
 
 
-def dist_to_int(x):
-    """Distance to the nearest integer, the torus norm ||x||."""
-    arr = np.asarray(x, dtype=float)
-    d = np.abs(arr - np.round(arr))
-    if d.ndim == 0:
-        return float(d)
-    return d
-
-
 def fsum_real(values) -> float:
     """Exactly rounded sum of real values (compensated summation).
 
@@ -45,12 +36,6 @@ def fsum_real(values) -> float:
     """
     arr = np.asarray(values, dtype=float)
     return math.fsum(arr[arr != 0].tolist())
-
-
-def fsum_complex(values) -> complex:
-    """Compensated sum of complex values (real/imag parts separately)."""
-    arr = np.asarray(values, dtype=complex)
-    return complex(math.fsum(arr.real.tolist()), math.fsum(arr.imag.tolist()))
 
 
 def loglog_clamped(q: float) -> float:

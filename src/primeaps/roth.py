@@ -36,8 +36,6 @@ DEFAULT_CONSTANTS = {
     "C_prime": 1.0,
     "C1": 1.0,
     "C2": 1.0,
-    "C3": 1.0,
-    "C4": 1.0,
 }
 
 
@@ -195,8 +193,7 @@ def bohr_set(R, eps: float, N: int) -> BohrSet:
         raise ParameterError(f"eps must be in (0, 1), got {eps}")
     if N < 1:
         raise ParameterError(f"N must be >= 1, got {N}")
-    R = np.unique(np.asarray(R, dtype=np.int64)) % N
-    R = np.unique(R)
+    R = np.unique(np.asarray(R, dtype=np.int64) % N)
     x = np.arange(N, dtype=np.int64)
     keep = np.ones(N, dtype=bool)
     for r in R:
@@ -344,18 +341,6 @@ def count_set_3aps(S, *, N: int) -> tuple[Count3APs, Count3APs]:
 
     return (count(int(folded[(2 * S) % N].sum()), self_paired),
             count(int(conv[2 * S].sum()), 0))
-
-
-def has_3ap_line(S) -> bool:
-    """Brute-force: does S (integers) contain x, x+d, x+2d with d != 0?"""
-    vals = sorted(set(int(v) for v in S))
-    have = set(vals)
-    for i, x in enumerate(vals):
-        for z in vals[i + 2 :]:
-            if (x + z) % 2 == 0 and (x + z) // 2 in have:
-                if (x + z) // 2 != x and (x + z) // 2 != z:
-                    return True
-    return False
 
 
 def diagonal_cube_sum(mu: Measure) -> float:

@@ -1,10 +1,10 @@
-"""Arithmetic substrate: smallest-prime-factor table, multiplicative
-functions, Mertens products, Ramanujan sums, and the prime / rough support
-sets that the measures live on.
+"""Arithmetic substrate: smallest-prime-factor table, Euler's phi,
+Mertens products, and the prime / rough support sets that the measures
+live on.
 
 The table is a flat int32 array spf with spf[n] = smallest prime factor of
 n (spf[n] = n exactly when n is prime, 0 for n < 2). Everything downstream
-factors integers by chasing spf, so mu and phi are O(log n) per query.
+factors integers by chasing spf, so phi is O(log n) per query.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .errors import (
     PreconditionError,
     TableRangeError,
 )
-from .numutil import e
 
 MAX_TABLE_LIMIT = 10**8  # memory guard: int32 table, ~400 MB at the cap
 
@@ -82,14 +81,6 @@ class FactorTable:
         ps = self.primes()
         return ps[: np.searchsorted(ps, q, side="right")]
 
-    def smallest_prime_factor(self, n: int) -> int:
-        if not 2 <= n <= self.limit:
-            raise TableRangeError(f"n={n} outside table range [2, {self.limit}]")
-        return int(self.spf[n])
-
-    def largest_prime_factor(self, n: int) -> int:
-        return self.factorize(n)[-1][0] if n > 1 else 1
-
 
 def build_factor_table(limit: int) -> FactorTable:
     """Sieve the smallest-prime-factor table for 2..limit.
@@ -110,18 +101,6 @@ def build_factor_table(limit: int) -> FactorTable:
     return FactorTable(limit=limit, spf=spf)
 
 
-def mobius(n: int, table: FactorTable) -> int:
-    """Moebius function via the factor table."""
-    if n == 1:
-        return 1
-    mu = 1
-    for _, k in table.factorize(n):
-        if k > 1:
-            return 0
-        mu = -mu
-    return mu
-
-
 def euler_phi(n: int, table: FactorTable) -> int:
     """Euler totient via the factor table."""
     if n == 1:
@@ -130,30 +109,6 @@ def euler_phi(n: int, table: FactorTable) -> int:
     for p, k in table.factorize(n):
         phi *= (p - 1) * p ** (k - 1)
     return phi
-
-
-def is_rough(n: int, q: int, table: FactorTable) -> bool:
-    """True when every prime factor of n exceeds q (vacuously for n=1)."""
-    if n < 1:
-        raise ParameterError(f"n must be positive, got {n}")
-    if n == 1:
-        return True
-    return table.smallest_prime_factor(n) > q
-
-
-def is_smooth(n: int, q: int, table: FactorTable) -> bool:
-    """True when every prime factor of n is <= q.
-
-    Convention: there are no 1-smooth numbers (not even n=1); for q >= 2 the
-    condition is vacuous at n=1.
-    """
-    if n < 1:
-        raise ParameterError(f"n must be positive, got {n}")
-    if q < 2:
-        return False
-    if n == 1:
-        return True
-    return table.largest_prime_factor(n) <= q
 
 
 def mertens_product(q: int, m: int, table: FactorTable) -> float:
@@ -173,29 +128,6 @@ def mertens_product(q: int, m: int, table: FactorTable) -> float:
     prod = float(np.prod(1.0 - 1.0 / ps)) if ps.size else 1.0
     table._mertens[(q, m)] = prod
     return prod
-
-
-def ramanujan_sum(q: int, a: int) -> complex:
-    """c_q(a) = sum over t mod q, gcd(t,q)=1, of e(at/q) by direct summation.
-
-    Equals mu(q) whenever gcd(a,q)=1.
-    """
-    if q < 1:
-        raise ParameterError(f"q must be >= 1, got {q}")
-    # strike the multiples of each prime factor of q (trial division): the
-    # same residues as gcd(t, q) == 1, without a gcd per residue
-    coprime = np.ones(q, dtype=bool)
-    n, p = q, 2
-    while p * p <= n:
-        if n % p == 0:
-            coprime[::p] = False
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        coprime[::n] = False
-    co = np.flatnonzero(coprime)
-    return complex(np.sum(e(a * co / q)))
 
 
 def check_residue_pair(b: int, m: int) -> None:

@@ -16,6 +16,8 @@ from primeaps import arcs, cli, fourier, measures, roth, sieve
 from primeaps.fourier import TorusGrid
 from primeaps.measures import BASE_ZN, Measure
 
+import paper
+
 
 def _verdict(tag: str, ok: bool, detail: str) -> None:
     print(f"\n[{tag}] {'PASS' if ok else 'FAIL'} {detail}")
@@ -35,19 +37,19 @@ def test_c01_sigma_closed_matches_direct(small_table):
     for b, m in COPRIME_BM:
         pp = measures.MeasureParams(b=b, m=m, N=1000)
         for q in range(1, 61):
-            direct = measures.sigma_aq_direct_all(q, pp, None, small_table)
+            direct = paper.sigma_aq_direct_all(q, pp, None, small_table)
             for a in cop[q]:
                 err = abs(
-                    measures.sigma_aq(a, q, pp, None, small_table) - direct[a]
+                    paper.sigma_aq(a, q, pp, None, small_table) - direct[a]
                 )
                 worst = max(worst, err)
                 checked += 1
         for Q in range(1, 33):
             for q in range(1, 61):
-                direct = measures.sigma_aq_direct_all(q, pp, Q, small_table)
+                direct = paper.sigma_aq_direct_all(q, pp, Q, small_table)
                 for a in cop[q]:
                     err = abs(
-                        measures.sigma_aq(a, q, pp, Q, small_table)
+                        paper.sigma_aq(a, q, pp, Q, small_table)
                         - direct[a]
                     )
                     worst = max(worst, err)
@@ -66,12 +68,12 @@ def test_c02_ramanujan_equals_mobius(small_table):
     rng = np.random.default_rng(2024)
     worst = 0.0
     for q in range(1, 10_001):
-        mob = sieve.mobius(q, small_table)
+        mob = paper.mobius(q, small_table)
         for _ in range(5):
             a = int(rng.integers(1, q + 1))
             while math.gcd(a, q) != 1:
                 a = int(rng.integers(1, q + 1))
-            worst = max(worst, abs(sieve.ramanujan_sum(q, a) - mob))
+            worst = max(worst, abs(paper.ramanujan_sum(q, a) - mob))
     elapsed = time.perf_counter() - t0
     _verdict(
         "C02",
@@ -289,7 +291,7 @@ def test_c13_behrend_progression_free():
     for N in (100, 1000, 10_000):
         S = roth.behrend_set(N)
         sizes[N] = int(S.size)
-        free = free and not roth.has_3ap_line(S.tolist())
+        free = free and not paper.has_3ap_line(S.tolist())
     shown = ", ".join(f"N={n}:{s}" for n, s in sizes.items())
     _verdict(
         "C13",

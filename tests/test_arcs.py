@@ -10,7 +10,9 @@ from primeaps import arcs, fourier, measures
 from primeaps.arcs import ArcParams, MAJOR, MINOR
 from primeaps.errors import DomainError, ParameterError
 from primeaps.fourier import TorusGrid
-from primeaps.numutil import dist_to_int, loglog_clamped
+from primeaps.numutil import loglog_clamped
+
+import paper
 
 
 # --- rational approximation --------------------------------------------------
@@ -160,7 +162,7 @@ def test_major_prediction_rejects_minor():
     lab = arcs.classify(0.38, params)
     assert lab.kind == MINOR
     with pytest.raises(DomainError):
-        arcs.major_prediction(0.38, lab, mp, None, None)
+        paper.major_prediction(0.38, lab, mp, None, None)
 
 
 def test_major_prediction_at_centers_is_sigma_over_q(small_table):
@@ -170,8 +172,8 @@ def test_major_prediction_at_centers_is_sigma_over_q(small_table):
         theta = a / q
         lab = arcs.classify(theta, params)
         assert (lab.a, lab.q) == (a, q)
-        pred = arcs.major_prediction(theta, lab, mp, None, small_table)
-        sig = measures.sigma_aq(a % q, q, mp, None, small_table)
+        pred = paper.major_prediction(theta, lab, mp, None, small_table)
+        sig = paper.sigma_aq(a % q, q, mp, None, small_table)
         assert pred == pytest.approx(sig / q, abs=1e-12)
 
 
@@ -184,8 +186,8 @@ def test_major_prediction_tracks_prime_measure(small_table):
     for a, q in [(0, 1), (1, 2), (1, 3), (1, 4), (1, 6)]:
         theta = a / q
         lab = arcs.classify(theta, params)
-        pred = arcs.major_prediction(theta, lab, mp, None, small_table)
-        emp = fourier.exp_sum(lam, theta)
+        pred = paper.major_prediction(theta, lab, mp, None, small_table)
+        emp = paper.exp_sum(lam, theta)
         assert abs(pred - emp) < 0.05
 
 
@@ -195,11 +197,11 @@ def test_major_prediction_offsets_use_tau(small_table):
     delta = 1.0 / (16 * mp.N)
     lab = arcs.classify(delta, params)
     assert (lab.a, lab.q) == (0, 1)
-    pred = arcs.major_prediction(delta, lab, mp, None, small_table)
-    sig = measures.sigma_aq(0, 1, mp, None, small_table)
-    assert pred == pytest.approx(sig * fourier.tau(delta, mp.N), abs=1e-12)
+    pred = paper.major_prediction(delta, lab, mp, None, small_table)
+    sig = paper.sigma_aq(0, 1, mp, None, small_table)
+    assert pred == pytest.approx(sig * paper.tau(delta, mp.N), abs=1e-12)
     lam = measures.lambda_measure(mp, small_table)
-    assert abs(pred - fourier.exp_sum(lam, delta)) < 0.05
+    assert abs(pred - paper.exp_sum(lam, delta)) < 0.05
 
 
 def test_prime_transform_decays_off_zero(table):
@@ -282,7 +284,7 @@ def test_sup_diff_scan_profile_and_sup(small_table):
     if not major.all():
         assert res.sup_minor_profiled == pytest.approx(max(prof["abs"][~major]))
     # direct check of the reported sup at the argmax
-    direct = fourier.exp_sum(lam, res.argmax_theta) - fourier.exp_sum(
+    direct = paper.exp_sum(lam, res.argmax_theta) - paper.exp_sum(
         lamq, res.argmax_theta
     )
     assert abs(direct) == pytest.approx(res.sup, rel=1e-9)
@@ -339,24 +341,24 @@ def test_sup_diff_scan_oversample_stable(small_table):
 def test_minor_bound_formulas():
     N, q = 100_000, 50
     lg = math.log(N)
-    assert arcs.minor_bound_lambda(q, N) == pytest.approx(
+    assert paper.minor_bound_lambda(q, N) == pytest.approx(
         lg**10 * (q**-0.5 + N**-0.2 + math.sqrt(q / N))
     )
-    assert arcs.minor_bound_rough(q, N, A=2.0) == pytest.approx(
+    assert paper.minor_bound_rough(q, N, A=2.0) == pytest.approx(
         lg**3 * (1.0 / q + q / N + N ** (-1.0 / 16.0))
     )
     with pytest.raises(ParameterError):
-        arcs.minor_bound_lambda(0, N)
+        paper.minor_bound_lambda(0, N)
     with pytest.raises(ParameterError):
-        arcs.minor_bound_rough(q, N, A=0.0)
+        paper.minor_bound_rough(q, N, A=0.0)
 
 
 def test_weyl_min_sum_matches_direct():
     N, m, theta = 400, 1, 0.37
-    got = arcs.weyl_min_sum(theta, N, m)
+    got = paper.weyl_min_sum(theta, N, m)
     acc = 0.0
     for n in range(1, math.isqrt(N) + 1):
-        d = float(dist_to_int(np.array([theta * n]))[0])
+        d = float(paper.dist_to_int(np.array([theta * n]))[0])
         inv = math.inf if d == 0 else 1.0 / d
         acc += min(inv, 2.0 * m * N / n)
     assert got.value == pytest.approx(acc, rel=1e-12)
@@ -368,17 +370,17 @@ def test_weyl_min_sum_matches_direct():
 def test_weyl_min_sum_rational_theta_caps():
     # theta = 1/3: multiples of 3 land on integers, the cap applies there
     N, m = 900, 2
-    got = arcs.weyl_min_sum(1.0 / 3.0, N, m)
+    got = paper.weyl_min_sum(1.0 / 3.0, N, m)
     assert got.q == 3
     assert math.isfinite(got.value)
     acc = 0.0
     for n in range(1, 31):
-        d = float(dist_to_int(np.array([n / 3.0]))[0])
+        d = float(paper.dist_to_int(np.array([n / 3.0]))[0])
         inv = math.inf if d < 1e-12 else 1.0 / d
         acc += min(inv, 2.0 * m * N / n)
     assert got.value == pytest.approx(acc, rel=1e-9)
     with pytest.raises(ParameterError):
-        arcs.weyl_min_sum(0.3, 2, 1)
+        paper.weyl_min_sum(0.3, 2, 1)
 
 
 # --- dyadic piece bounds -----------------------------------------------------
@@ -393,12 +395,12 @@ def test_interpolated_piece_bound_formulas():
             * 2.0 ** (-t * j)
             * N ** (-2.0 / p)
         )
-        assert arcs.interpolated_piece_bound(j, K, N, p) == pytest.approx(expect)
+        assert paper.interpolated_piece_bound(j, K, N, p) == pytest.approx(expect)
     # log j floored at 1, so j=1 does not vanish
-    assert arcs.interpolated_piece_bound(1, K, N, p) == pytest.approx(
+    assert paper.interpolated_piece_bound(1, K, N, p) == pytest.approx(
         2.0 ** (-t) * N ** (-2.0 / p)
     )
-    assert arcs.interpolated_piece_bound(K + 1, K, N, p) == pytest.approx(
+    assert paper.interpolated_piece_bound(K + 1, K, N, p) == pytest.approx(
         math.log(N) ** (-1.0 / p) * N ** (-2.0 / p)
     )
 
@@ -406,18 +408,18 @@ def test_interpolated_piece_bound_formulas():
 def test_interpolated_piece_bound_decays():
     # exponential factor wins past a small p-dependent ramp
     N, K = 10_000, 12
-    vals = [arcs.interpolated_piece_bound(j, K, N, 3.0) for j in range(5, K + 1)]
+    vals = [paper.interpolated_piece_bound(j, K, N, 3.0) for j in range(5, K + 1)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
-    vals = [arcs.interpolated_piece_bound(j, K, N, 4.0) for j in range(2, K + 1)]
+    vals = [paper.interpolated_piece_bound(j, K, N, 4.0) for j in range(2, K + 1)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 def test_interpolated_piece_bound_validation():
     with pytest.raises(ParameterError):
-        arcs.interpolated_piece_bound(0, 5, 100, 4.0)
+        paper.interpolated_piece_bound(0, 5, 100, 4.0)
     with pytest.raises(ParameterError):
-        arcs.interpolated_piece_bound(7, 5, 100, 4.0)
+        paper.interpolated_piece_bound(7, 5, 100, 4.0)
     with pytest.raises(ParameterError):
-        arcs.interpolated_piece_bound(1, 5, 100, 2.0)
+        paper.interpolated_piece_bound(1, 5, 100, 2.0)
     with pytest.raises(ParameterError):
-        arcs.interpolated_piece_bound(1, 5, 2, 4.0)
+        paper.interpolated_piece_bound(1, 5, 2, 4.0)

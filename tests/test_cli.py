@@ -274,6 +274,8 @@ def test_negative_seed_and_repeated_values_messages(args, message, tmp_path, cap
     ('{"C2": "1"}', "argument --constants: constant C2 must be a finite number"),
     ('{"C1": "x"}', "argument --constants: constant C1 must be a finite number"),
     ('{"Cx": 1}', "argument --constants: unknown constant 'Cx'"),
+    # no computation reads a C3 or a C4, so there are none to set
+    ('{"C3": 1}', "argument --constants: unknown constant 'C3'"),
     ('{"C1": true}', "argument --constants: constant C1 must be a finite number"),
     ('{"C1": null}', "argument --constants: constant C1 must be a finite number"),
     ('{"C1": NaN}', "argument --constants: constant C1 must be a finite number"),
@@ -281,7 +283,8 @@ def test_negative_seed_and_repeated_values_messages(args, message, tmp_path, cap
     ('{"C1": 1e400}', "argument --constants: constant C1 must be a finite number"),
     ('{"C1": 1%s}' % ("0" * 400), "argument --constants: constant C1 must be a finite"),
 ], ids=["not-an-object", "unparsable", "string-number", "string", "unknown-name",
-        "boolean", "null", "nan", "infinity", "overflowing-float", "huge-int"])
+        "unread-name", "boolean", "null", "nan", "infinity", "overflowing-float",
+        "huge-int"])
 def test_constants_must_be_a_json_object(text, message, tmp_path, capsys):
     out = tmp_path / "out"
     rc = cli.main(["varnavides", "--N", "211", "--alpha", "0.5",
@@ -315,6 +318,9 @@ def test_constants_must_be_a_json_object(text, message, tmp_path, capsys):
     ["transform-scan", "--N", "100", "--Q", "100000001"],
     # (log N)^A leaves the float range at A = 4/(p-2), about 4e4
     ["measure-build", "--N", "1000", "--p", "2.0001"],
+    # (log N)^A / 10 is about 1.7e67 at A = 80: finite, but 2^K is past
+    # the factor-table limit
+    ["measure-build", "--N", "1000", "--p", "2.05"],
     # the restriction ratio needs p > 2
     ["restriction", "--N", "100", "--p", "2", "--draws", "2"],
 ], ids=" ".join)
@@ -324,7 +330,12 @@ def test_handler_rejection_leaves_no_output_dir(args, tmp_path, capsys):
     out = tmp_path / "out"
     rc = cli.main(args + ["--output-dir", str(out)])
     assert rc == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "validation"
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation"
+    # a message speaks of the flags, never of a huge number made from them
+    assert not re.search(r"\d{31}", err["message"])
+    if args[0] == "measure-build" and "--p" in args:
+        assert f"p = {args[args.index('--p') + 1]}" in err["message"]
     assert not out.exists()
 
 

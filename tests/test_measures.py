@@ -13,6 +13,8 @@ from primeaps.arcs import ArcParams
 from primeaps.measures import Measure, MeasureParams
 from primeaps.numutil import fsum_real
 
+import paper
+
 
 def _is_prime(n):
     if n < 2:
@@ -48,7 +50,7 @@ def test_lambda_weights_formula(small_table):
     for n in range(1, N + 1):
         v = m * n + b
         expect = phi_m * math.log(v) / (m * N) if _is_prime(v) else 0.0
-        assert lam.weight_at(n) == pytest.approx(expect, abs=1e-15)
+        assert lam.weights[n - 1] == pytest.approx(expect, abs=1e-15)
 
 
 def test_lambda_mass_near_one(table):
@@ -146,6 +148,25 @@ def test_dyadic_cutoff_past_the_float_range_names_p():
         measures.dyadic_cutoff(1000, 2.0001)
 
 
+def test_dyadic_cutoff_past_the_table_limit_names_p():
+    # (log 1000)^80 / 10 is finite, but the split would need primes up to a
+    # 2^K of 67 digits; 2^26 fits the table and 2^27 does not
+    with pytest.raises(TableRangeError, match="p = 2.05 .* past any factor table"):
+        measures.dyadic_cutoff(1000, 2.05)
+    for K in (26, 27):
+        # the p whose (log N)^A / 10 is just below 2^K
+        N = 10**6
+        A = math.log(10.0 * 2.0**K * (1 - 1e-9)) / math.log(math.log(N))
+        p = 2.0 + 4.0 / A
+        x = math.log(N) ** measures.a_exponent(p) / 10.0
+        assert 2.0 ** (K - 1) <= x < 2.0**K
+        if 2**K <= sieve.MAX_TABLE_LIMIT:
+            assert measures.dyadic_cutoff(N, p) == K
+        else:
+            with pytest.raises(TableRangeError, match=f"p = {p}"):
+                measures.dyadic_cutoff(N, p)
+
+
 def test_piece_sup_norms_shape(table):
     params = MeasureParams(b=1, m=2, N=3_000)
     lam = measures.lambda_measure(params, table)
@@ -163,7 +184,7 @@ def test_gamma_prime_formula(small_table):
     params = MeasureParams(b=1, m=2, N=100)
     for q in (1, 2, 3, 10, 36):
         for r in range(q):
-            got = measures.gamma_rq(r, q, params, None, small_table)
+            got = paper.gamma_rq(r, q, params, None, small_table)
             if math.gcd(2 * r + 1, 2 * q) == 1:
                 expect = (
                     sieve.euler_phi(2, small_table)
@@ -180,7 +201,7 @@ def test_gamma_rough_formula(small_table):
     pref = measures.rough_prefactor(8, 3, small_table)
     for q in (1, 2, 5, 12):
         for r in range(q):
-            got = measures.gamma_rq(r, q, params, 8, small_table)
+            got = paper.gamma_rq(r, q, params, 8, small_table)
             g = math.gcd(3 * r + 2, 3 * q)
             if all(p > 8 for p in _prime_factors(g)):
                 expect = pref * sieve.mertens_product(8, 3 * q, small_table)
@@ -193,7 +214,7 @@ def test_gamma_rough_zero_at_Q1(small_table):
     params = MeasureParams(b=1, m=1, N=100)
     for q in (1, 2, 5):
         for r in range(q):
-            assert measures.gamma_rq(r, q, params, 1, small_table) == 0.0
+            assert paper.gamma_rq(r, q, params, 1, small_table) == 0.0
 
 
 @given(
@@ -209,7 +230,7 @@ def test_gamma_bounded_by_q(small_table, q, r, b, m, Q):
         return
     params = MeasureParams(b=b, m=m, N=100)
     for cutoff in (None, Q):
-        gam = measures.gamma_rq(r, q, params, cutoff, small_table)
+        gam = paper.gamma_rq(r, q, params, cutoff, small_table)
         assert 0.0 <= gam <= q + 1e-12
 
 
@@ -217,8 +238,8 @@ def test_empirical_gamma_tracks_gamma(table):
     params = MeasureParams(b=1, m=1, N=1_000_000)
     lam = measures.lambda_measure(params, table)
     for r, q in [(1, 3), (2, 3), (2, 4), (1, 4), (3, 4)]:
-        gam = measures.gamma_rq(r, q, params, None, table)
-        emp = measures.empirical_gamma(lam, r, q)
+        gam = paper.gamma_rq(r, q, params, None, table)
+        emp = paper.empirical_gamma(lam, r, q)
         if gam == 0.0:
             # n+1 shares a factor with q along these residues: no mass
             assert emp < 0.01, (r, q, emp)
@@ -230,9 +251,9 @@ def test_empirical_gamma_validation(small_table):
     params = MeasureParams(b=1, m=2, N=100)
     lam = measures.lambda_measure(params, small_table)
     with pytest.raises(ParameterError):
-        measures.empirical_gamma(lam, 0, 5)
+        paper.empirical_gamma(lam, 0, 5)
     with pytest.raises(ParameterError):
-        measures.empirical_gamma(lam, 1, 5, L=30)
+        paper.empirical_gamma(lam, 1, 5, L=30)
 
 
 # --- sigma closed forms ------------------------------------------------------
@@ -242,44 +263,44 @@ def test_sigma_closed_vs_direct_spot(small_table):
         for b, m, q, Q in [(1, 1, 12, 8), (2, 3, 7, 4), (1, 6, 25, 32), (5, 2, 9, 16)]:
             params = MeasureParams(b=b, m=m, N=200)
             cutoff = Q if rough else None
-            direct = measures.sigma_aq_direct_all(q, params, cutoff, small_table)
+            direct = paper.sigma_aq_direct_all(q, params, cutoff, small_table)
             for a in range(q):
                 if math.gcd(a, q) != 1:
                     continue
-                closed = measures.sigma_aq(a, q, params, cutoff, small_table)
+                closed = paper.sigma_aq(a, q, params, cutoff, small_table)
                 assert abs(closed - direct[a]) < 1e-10
 
 
 def test_sigma_gates(small_table):
     # (m, q) sharing a factor kills the prime closed form
     params = MeasureParams(b=1, m=2, N=100)
-    assert measures.sigma_aq(1, 4, params, None, small_table) == 0
+    assert paper.sigma_aq(1, 4, params, None, small_table) == 0
     # mu(q) = 0 kills it too
-    assert measures.sigma_aq(1, 9, params, None, small_table) == 0
+    assert paper.sigma_aq(1, 9, params, None, small_table) == 0
     # the rough measure needs q to be Q-smooth
-    assert measures.sigma_aq(1, 5, params, 4, small_table) == 0
-    assert measures.sigma_aq(2, 3, params, 4, small_table) != 0
+    assert paper.sigma_aq(1, 5, params, 4, small_table) == 0
+    assert paper.sigma_aq(2, 3, params, 4, small_table) != 0
     # Q = 1 is the zero measure
-    assert measures.sigma_aq(2, 3, params, 1, small_table) == 0
+    assert paper.sigma_aq(2, 3, params, 1, small_table) == 0
 
 
 def test_sigma_requires_coprime_a(small_table):
     params = MeasureParams(b=1, m=1, N=100)
     with pytest.raises(PreconditionError):
-        measures.sigma_aq(2, 4, params, None, small_table)
+        paper.sigma_aq(2, 4, params, None, small_table)
 
 
 def test_sigma_q1_is_one(small_table):
     # q = 1: sigma = 1 for the prime measure (empty phase, mu(1)=phi(1)=1)
     params = MeasureParams(b=1, m=1, N=100)
-    assert measures.sigma_aq(0, 1, params, None, small_table) == pytest.approx(1.0)
+    assert paper.sigma_aq(0, 1, params, None, small_table) == pytest.approx(1.0)
 
 
 # --- Brun truncation ---------------------------------------------------------
 
 def test_brun_completes_to_product(small_table):
     params = MeasureParams(b=1, m=1, N=100)
-    est = measures.brun_truncated(0, 2, 10, 7, 3, params, small_table)
+    est = paper.brun_truncated(0, 2, 10, 7, 3, params, small_table)
     # t = number of primes <= 7 not dividing q: {3, 5, 7} -> exact
     assert est.estimate == pytest.approx(est.full_product, rel=1e-12)
     assert not est.gated_zero
@@ -287,9 +308,9 @@ def test_brun_completes_to_product(small_table):
 
 def test_brun_truncations_alternate(small_table):
     params = MeasureParams(b=1, m=1, N=100)
-    full = measures.brun_truncated(1, 1, 10, 13, 6, params, small_table).full_product
+    full = paper.brun_truncated(1, 1, 10, 13, 6, params, small_table).full_product
     for t in range(0, 6):
-        est = measures.brun_truncated(1, 1, 10, 13, t, params, small_table)
+        est = paper.brun_truncated(1, 1, 10, 13, t, params, small_table)
         if t % 2 == 0:
             assert est.estimate >= full - 1e-12
         else:
@@ -299,7 +320,7 @@ def test_brun_truncations_alternate(small_table):
 def test_brun_gated_zero(small_table):
     # m*r + b divisible by 3 <= Q: exact zero, flagged
     params = MeasureParams(b=1, m=1, N=100)
-    est = measures.brun_truncated(2, 3, 10, 7, 2, params, small_table)
+    est = paper.brun_truncated(2, 3, 10, 7, 2, params, small_table)
     assert est.gated_zero
     assert est.estimate == 0.0
 
@@ -307,16 +328,16 @@ def test_brun_gated_zero(small_table):
 def test_brun_depth_guard(small_table):
     params = MeasureParams(b=1, m=1, N=100)
     with pytest.raises(ParameterError):
-        measures.brun_truncated(1, 1, 10, 100, 7, params, small_table)
+        paper.brun_truncated(1, 1, 10, 100, 7, params, small_table)
     # deep k with shallow t is allowed
-    est = measures.brun_truncated(1, 1, 10, 100, 3, params, small_table)
+    est = paper.brun_truncated(1, 1, 10, 100, 3, params, small_table)
     assert est.num_primes == 25
 
 
 def test_default_brun_depth():
     N = 10**6
     raw = math.log(N) / (2 * 8.0 * math.log(math.log(N)))
-    assert measures.default_brun_depth(N, 8.0) == max(1, math.floor(raw))
+    assert paper.default_brun_depth(N, 8.0) == max(1, math.floor(raw))
 
 
 # --- Measure plumbing --------------------------------------------------------
@@ -340,9 +361,9 @@ def test_measure_params_validation(small_table):
     # a rough cutoff below 1 is refused wherever it enters
     params = MeasureParams(b=1, m=1, N=100)
     for call in (lambda: measures.lambda_q_measure(params, 0, small_table),
-                 lambda: measures.gamma_rq(0, 1, params, 0, small_table),
-                 lambda: measures.sigma_aq(0, 1, params, 0, small_table),
-                 lambda: measures.sigma_aq_direct_all(1, params, 0, small_table)):
+                 lambda: paper.gamma_rq(0, 1, params, 0, small_table),
+                 lambda: paper.sigma_aq(0, 1, params, 0, small_table),
+                 lambda: paper.sigma_aq_direct_all(1, params, 0, small_table)):
         with pytest.raises(ParameterError):
             call()
     with pytest.raises(ParameterError):

@@ -2,7 +2,8 @@
 resolve, or `from primeaps import *` fails on the stale one. Only
 `primeaps.fourier` may take transforms with numpy.fft, every parameter is
 read, every default is both used and overridden by the package's own
-calls, and each CLI handler reads only its own subcommand's flags."""
+calls, every def is reached from the CLI, and each CLI handler reads only
+its own subcommand's flags."""
 
 import ast
 from pathlib import Path
@@ -212,6 +213,131 @@ def test_default_checker_counts_calls():
     assert _default_usage({"mod": ast.parse(source)}) == {
         "mod.f(b)": (2, 3), "mod.f(c)": (1, 3), "mod.g(x)": (2, 2),
         "mod.K.m(v)": (1, 2)}
+
+
+def _defs(tree: ast.Module) -> list:
+    """(qualified name, node, class qualname or None) of every top-level
+    def and class of a module and of every def and class in a class body;
+    defs nested in a def are part of it."""
+    found = []
+
+    def visit(body, prefix: str, owner) -> None:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.append((prefix + node.name, node, owner))
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.", prefix + node.name)
+
+    visit(tree.body, "", None)
+    return found
+
+
+def _uses(nodes) -> set[str]:
+    """Every name the nodes read or write, as a Name or an Attribute."""
+    return {getattr(n, "id", None) or n.attr for node in nodes
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _own_nodes(node) -> list:
+    """A def whole, or a class without the defs and classes in its body
+    (its bases, decorators and class-level statements)."""
+    if not isinstance(node, ast.ClassDef):
+        return [node]
+    return [*node.bases, *node.keywords, *node.decorator_list,
+            *(s for s in node.body if not isinstance(
+                s, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))]
+
+
+def _unreached(trees: dict[str, ast.Module], roots: set[str]) -> dict[str, int]:
+    """`module.qualname` -> line count of each def or class that no root
+    reaches, by name.
+
+    A def or class is reached when its name appears, as a Name or an
+    Attribute, in a reached def or class, or in a module-level assignment
+    whose target a reached def or class uses; the dunder methods of a
+    reached class are reached too. Names are not resolved to modules, so
+    the rule over-approximates and never calls a used def unreached."""
+    defs = {f"{module}.{qualname}": (node, owner and f"{module}.{owner}")
+            for module, tree in trees.items()
+            for qualname, node, owner in _defs(tree)}
+    assigns = [(_uses(stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]),
+                stmt.value)
+               for tree in trees.values() for stmt in tree.body
+               if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value]
+    reached = set(roots)
+    used = _uses(n for name in roots for n in _own_nodes(defs[name][0]))
+    grew = True
+    while grew:
+        grew = False
+        for targets, value in assigns:
+            if targets & used and not _uses([value]) <= used:
+                used |= _uses([value])
+                grew = True
+        for name, (node, owner) in defs.items():
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            if name not in reached and (node.name in used
+                                        or (dunder and owner in reached)):
+                reached.add(name)
+                used |= _uses(_own_nodes(node))
+                grew = True
+    return {name: (node.end_lineno - min(
+                [node.lineno] + [d.lineno for d in node.decorator_list]) + 1)
+            for name, (node, _) in defs.items() if name not in reached}
+
+
+# the CLI, and the round-trip readers of the two measure formats it writes
+_ROOTS = {"cli.main", "measures.load_measure_csv", "measures.load_measure_binary",
+          "measures.measure_from_bytes"}
+# argparse calls it
+_UNREACHED_EXCEPTIONS = {"cli._Parser.error"}
+
+
+def test_every_def_is_reached_from_the_cli():
+    # src is the program: an oracle or a paper bound that no CLI path runs
+    # lives in tests/paper.py, and comes back only with its caller
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    unreached = _unreached(trees, _ROOTS)
+    assert _UNREACHED_EXCEPTIONS <= set(unreached)
+    offenders = [f"{name} ({n} lines)" for name, n in unreached.items()
+                 if name not in _UNREACHED_EXCEPTIONS]
+    assert offenders == [], ("reached by no CLI path; move to tests/paper.py "
+                             "or call it:\n" + "\n".join(offenders))
+
+
+def test_reachability_checker_follows_names():
+    source = ("import helpers\n"
+              "TABLE = {'a': handler}\n"
+              "UNUSED = {'b': orphan}\n"
+              "def main():\n"
+              "    return TABLE, helpers.attr_called(), Box()\n"
+              "def handler():\n"
+              "    def inner():\n"
+              "        return nested_only()\n"
+              "    return inner\n"
+              "def nested_only():\n"
+              "    pass\n"
+              "def attr_called():\n"
+              "    pass\n"
+              "def orphan():\n"
+              "    return attr_called()\n"
+              "@decorated\n"
+              "def lonely():\n"
+              "    pass\n"
+              "class Box:\n"
+              "    size = 1\n"
+              "    def __len__(self):\n"
+              "        return self.used()\n"
+              "    def used(self):\n"
+              "        pass\n"
+              "    def unused(self):\n"
+              "        return self.used()\n"
+              "class Unused:\n"
+              "    def __init__(self):\n"
+              "        pass\n")
+    assert _unreached({"mod": ast.parse(source)}, {"mod.main"}) == {
+        "mod.orphan": 2, "mod.lonely": 3, "mod.Box.unused": 2, "mod.Unused": 3,
+        "mod.Unused.__init__": 2}
 
 
 def _cfg_reads(tree: ast.Module, function: str) -> set[str]:

@@ -15,6 +15,8 @@ from primeaps.fourier import spectrum
 from primeaps.measures import BASE_ZN, Measure
 from primeaps.numutil import fsum_real, loglog_clamped
 
+import paper
+
 
 def _uniform(N):
     return Measure(N, np.full(N, 1.0 / N), signed=False, base=BASE_ZN)
@@ -393,11 +395,11 @@ def test_count_3aps_validation():
 
 
 def test_has_3ap_line():
-    assert roth.has_3ap_line({1, 2, 3})
-    assert roth.has_3ap_line({3, 7, 11})
-    assert not roth.has_3ap_line({1, 2, 4, 5})
-    assert not roth.has_3ap_line({4})
-    assert not roth.has_3ap_line(set())
+    assert paper.has_3ap_line({1, 2, 3})
+    assert paper.has_3ap_line({3, 7, 11})
+    assert not paper.has_3ap_line({1, 2, 4, 5})
+    assert not paper.has_3ap_line({4})
+    assert not paper.has_3ap_line(set())
 
 
 def test_diagonal_cube_sum(small_table):
@@ -526,7 +528,7 @@ def test_behrend_is_progression_free():
         S = roth.behrend_set(N)
         assert S.min() >= 1 and S.max() <= N
         assert np.unique(S).size == S.size
-        assert not roth.has_3ap_line(S.tolist())
+        assert not paper.has_3ap_line(S.tolist())
         assert S.size >= prev
         prev = S.size
     assert roth.behrend_set(100).size == 24

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from primeaps.errors import ConfigError, ParameterError, PreconditionError, TableRangeError
 from primeaps import fourier, sieve
 
+import paper
+
 
 def _trial_factorize(n):
     out = []
@@ -45,7 +47,7 @@ def test_spf_matches_trial_division(small_table):
     rng = np.random.default_rng(0)
     for n in rng.integers(2, 20_000, size=300).tolist():
         expect = _trial_factorize(n)[0][0]
-        assert small_table.smallest_prime_factor(n) == expect
+        assert small_table.spf[n] == expect
 
 
 def test_is_prime_matches_oracle(small_table):
@@ -98,7 +100,7 @@ def test_mobius_matches_oracle(small_table):
             expect = 0
         else:
             expect = (-1) ** len(fac)
-        assert sieve.mobius(n, small_table) == expect
+        assert paper.mobius(n, small_table) == expect
 
 
 def test_euler_phi_matches_oracle(small_table):
@@ -113,15 +115,15 @@ def test_rough_smooth_brute(small_table):
             fac = [p for p, _ in _trial_factorize(n)]
             rough = all(p > q for p in fac)
             smooth = q >= 2 and all(p <= q for p in fac)
-            assert sieve.is_rough(n, q, small_table) == rough
-            assert sieve.is_smooth(n, q, small_table) == smooth
+            assert paper.is_rough(n, q, small_table) == rough
+            assert paper.is_smooth(n, q, small_table) == smooth
 
 
 def test_no_one_smooth_numbers(small_table):
     # Q < 2 admits no smooth numbers, not even 1
-    assert not sieve.is_smooth(1, 1, small_table)
-    assert not sieve.is_smooth(6, 1, small_table)
-    assert sieve.is_rough(1, 50, small_table)
+    assert not paper.is_smooth(1, 1, small_table)
+    assert not paper.is_smooth(6, 1, small_table)
+    assert paper.is_rough(1, 50, small_table)
 
 
 def test_mertens_product_direct(small_table):
@@ -146,8 +148,8 @@ def test_ramanujan_mobius(small_table):
         a = int(rng.integers(0, q)) if q > 1 else 0
         while math.gcd(a, q) != 1:
             a = int(rng.integers(0, q))
-        got = sieve.ramanujan_sum(q, a)
-        assert abs(got - sieve.mobius(q, small_table)) < 1e-9
+        got = paper.ramanujan_sum(q, a)
+        assert abs(got - paper.mobius(q, small_table)) < 1e-9
 
 
 def test_ramanujan_general_formula(small_table):
@@ -156,16 +158,16 @@ def test_ramanujan_general_formula(small_table):
         for a in range(q):
             g = math.gcd(a, q) if a else q
             expect = (
-                sieve.mobius(q // g, small_table)
+                paper.mobius(q // g, small_table)
                 * sieve.euler_phi(q, small_table)
                 / sieve.euler_phi(q // g, small_table)
             )
-            assert abs(sieve.ramanujan_sum(q, a) - expect) < 1e-9
+            assert abs(paper.ramanujan_sum(q, a) - expect) < 1e-9
 
 
 def test_ramanujan_at_zero(small_table):
     for q in (1, 2, 7, 12):
-        assert abs(sieve.ramanujan_sum(q, 0) - sieve.euler_phi(q, small_table)) < 1e-9
+        assert abs(paper.ramanujan_sum(q, 0) - sieve.euler_phi(q, small_table)) < 1e-9
 
 
 def test_check_residue_pair():
