@@ -28,7 +28,6 @@ MINOR = "minor"
 class RationalApprox:
     a: int
     q: int
-    err: float
 
 
 @dataclass(frozen=True)
@@ -127,18 +126,15 @@ def dirichlet_approx(theta: float, qmax: int) -> RationalApprox:
     guarantee (for one in six theta and qmax drawn uniformly from [0, 1)
     and 1..10^6); the last convergent with q <= qmax, which always
     satisfies it and which the same walk ends on, is returned instead.
-    Exact integer arithmetic: the test is |n*q - a*d| * qmax <= d, and err
-    is |n*q - a*d| / (d*q), one correctly rounded division.
+    Exact integer arithmetic: the test is |n*q - a*d| * qmax <= d.
     """
     if qmax < 1:
         raise ParameterError(f"qmax must be >= 1, got {qmax}")
     n, d = float(theta).as_integer_ratio()
     (a, q), convergent = _limit_denominator(n, d, qmax)
-    gap = abs(n * q - a * d)
-    if gap * qmax > d:
+    if abs(n * q - a * d) * qmax > d:
         a, q = convergent
-        gap = abs(n * q - a * d)
-    return RationalApprox(a=a, q=q, err=gap / (d * q))
+    return RationalApprox(a=a, q=q)
 
 
 def classify(theta: float, params: ArcParams) -> ArcLabel:
@@ -172,8 +168,6 @@ class ScanResult:
     argmax_theta: float
     theta0_mass_diff: float
     reference: float
-    Q: int
-    oversample: int
     profile: dict[str, object] = field(repr=False)
     sup_major_profiled: float | None = None
     sup_minor_profiled: float | None = None
@@ -216,8 +210,6 @@ def sup_diff_scan(
         argmax_theta=j_star / M,
         theta0_mass_diff=float(absdiff[0]),
         reference=loglog_clamped(Q) / Q,
-        Q=Q,
-        oversample=grid.oversample,
         profile={"theta": thetas, "re": diff[idx].real, "im": diff[idx].imag,
                  "abs": mags, "arc_kind": kinds,
                  "a": [lab.a for lab in labels], "q": [lab.q for lab in labels]},

@@ -31,7 +31,6 @@ from . import __version__, arcs, fourier, measures, roth, sieve
 from .errors import (
     ConfigError,
     DegenerateInputError,
-    DomainError,
     ParameterError,
     PreconditionError,
     StageError,
@@ -46,7 +45,6 @@ VALIDATION_ERRORS = (
     PreconditionError,
     TableRangeError,
     DegenerateInputError,
-    DomainError,
 )
 
 
@@ -826,6 +824,24 @@ def _table_for(limit: int) -> sieve.FactorTable:
     return sieve.build_factor_table(max(int(limit), 4))
 
 
+def _measure_table(cfg: argparse.Namespace, N: int, Qs,
+                   *limits: int) -> sieve.FactorTable:
+    """The factor table of a measure handler: it covers the support values
+    up to m*N + b of measures at scale N, each rough cutoff in Qs (whose
+    Mertens product reads the primes up to Q), and any further limits. A
+    span or cutoff past sieve.MAX_TABLE_LIMIT is refused, naming its
+    flags, before any output is written."""
+    span = cfg.m * N + cfg.b
+    if span > sieve.MAX_TABLE_LIMIT:
+        raise TableRangeError(
+            f"--m {cfg.m} * --N {N} + --b {cfg.b} = {span} exceeds the "
+            f"factor-table limit {sieve.MAX_TABLE_LIMIT}")
+    if Qs and max(Qs) > sieve.MAX_TABLE_LIMIT:
+        raise TableRangeError(
+            f"--Q {max(Qs)} exceeds the factor-table limit {sieve.MAX_TABLE_LIMIT}")
+    return _table_for(max([span, *Qs, *limits]))
+
+
 def _run_sieve_stats(cfg: argparse.Namespace, em: Emitter):
     N = cfg.N
     table = _table_for(max([N, *(cfg.Q or [])]))
@@ -853,10 +869,9 @@ def _run_measure_build(cfg: argparse.Namespace, em: Emitter):
     params = measures.MeasureParams(b=cfg.b, m=cfg.m, N=N)
     # size the table for every --Q and the dyadic split's 2^K now, so an
     # out-of-range cutoff fails before any output is written
-    limit = max([cfg.m * N + cfg.b, *(cfg.Q or [])])
-    if cfg.p_exponent is not None:
-        limit = max(limit, 2 ** measures.dyadic_cutoff(N, cfg.p_exponent))
-    table = _table_for(limit)
+    split = ([2 ** measures.dyadic_cutoff(N, cfg.p_exponent)]
+             if cfg.p_exponent is not None else [])
+    table = _measure_table(cfg, N, cfg.Q or [], *split)
     lam = measures.lambda_measure(params, table)
     em.measure("measure_lambda", lam)
     em.raw("measure_lambda.bin", measures.measure_to_bytes(lam))
@@ -888,7 +903,7 @@ def _run_measure_build(cfg: argparse.Namespace, em: Emitter):
 
 def _run_transform_scan(cfg: argparse.Namespace, em: Emitter):
     N = cfg.N
-    table = _table_for(max([cfg.m * N + cfg.b, *(cfg.Q or [])]))
+    table = _measure_table(cfg, N, cfg.Q or [])
     params = measures.MeasureParams(b=cfg.b, m=cfg.m, N=N)
     Qs = cfg.Q or [None]
     grid = fourier.TorusGrid(oversample=cfg.oversample)
@@ -920,7 +935,7 @@ def _run_transform_scan(cfg: argparse.Namespace, em: Emitter):
 
 def _run_arc_scan(cfg: argparse.Namespace, em: Emitter):
     N = cfg.N
-    table = _table_for(max(cfg.m * N + cfg.b, max(cfg.Q) + 1))
+    table = _measure_table(cfg, N, cfg.Q)
     grid = fourier.TorusGrid(oversample=cfg.oversample)
     params = measures.MeasureParams(b=cfg.b, m=cfg.m, N=N)
     aparams = arcs.ArcParams(N=N, p_exponent=cfg.p_exponent,
@@ -996,7 +1011,7 @@ def _run_majorant(cfg: argparse.Namespace, em: Emitter):
 
 
 def _run_restriction(cfg: argparse.Namespace, em: Emitter):
-    table = _table_for(cfg.m * max(cfg.N) + cfg.b)
+    table = _measure_table(cfg, max(cfg.N), [])
     grid = fourier.TorusGrid(oversample=cfg.oversample)
 
     def setup(N):
@@ -1040,6 +1055,12 @@ def _run_roth_pipeline(cfg: argparse.Namespace, em: Emitter):
             f"W = {W}: m = {m}, the product of the primes <= {max(W, 2)}, "
             f"leaves no prime in (2n/m, 4n/m] for n = {n}; it needs m <= 2n")
     table = _table_for(4 * n + m + 16)
+    # behrend-in-primes runs behrend_set on the indices of the primes <= n
+    pi_n = int(table.primes_up_to(n).size)
+    if cfg.source == "behrend-in-primes" and pi_n < roth.BEHREND_MIN_N:
+        raise ParameterError(
+            f"--source behrend-in-primes needs at least {roth.BEHREND_MIN_N} "
+            f"primes <= n; n = {n} has {pi_n}")
     artifacts: dict = {}
     report = roth.density_experiment(
         cfg.source, n, table, seed=cfg.seed, delta=cfg.delta, eps=cfg.eps,

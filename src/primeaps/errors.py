@@ -26,10 +26,6 @@ class DegenerateInputError(ValueError):
     """Input is structurally empty or degenerate for the operation."""
 
 
-class DomainError(ValueError):
-    """Operation applied outside its domain (e.g. wrong arc kind)."""
-
-
 class StageError(RuntimeError):
     """A pipeline stage failed; message is tagged with the stage name."""
 

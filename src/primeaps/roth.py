@@ -55,7 +55,6 @@ class WTrickResult:
     N: int
     W: int
     alpha: float
-    n_source: int
     m_le_logN: bool
 
 
@@ -138,7 +137,6 @@ def w_trick(A0, table: sieve.FactorTable, W: int | None, n: int) -> WTrickResult
         N=N,
         W=W,
         alpha=alpha,
-        n_source=n,
         m_le_logN=(m <= math.log(N)),
     )
 
@@ -234,9 +232,6 @@ class SetlikeReport:
     chain_spectral: float
     chain_sup: float
     chain_reference: float
-    mass_mu: float
-    mu_sup_offzero: float
-    bohr_size: int
     setlike: bool
     step1_ok: bool
     step2_ok: bool
@@ -282,9 +277,6 @@ def setlike_check(a: Measure, mu: Measure, bohr: BohrSet, W: int) -> SetlikeRepo
         chain_spectral=chain_spectral,
         chain_sup=chain_sup,
         chain_reference=1.0 / a.N + ref / size,
-        mass_mu=mass,
-        mu_sup_offzero=sup_off,
-        bohr_size=size,
         setlike=sup_a1 <= 2.0 / a.N + slack,
         step1_ok=sup_a1 <= chain_spectral + slack,
         step2_ok=chain_spectral <= chain_sup + slack,
@@ -300,7 +292,6 @@ def setlike_check(a: Measure, mu: Measure, bohr: BohrSet, W: int) -> SetlikeRepo
 class Count3APs:
     total: float
     nontrivial: float
-    unordered: int | None = None
 
 
 def _int_set(x) -> np.ndarray:
@@ -331,16 +322,10 @@ def count_set_3aps(S, *, N: int) -> tuple[Count3APs, Count3APs]:
     conv = set_convolution(S, N)
     folded = conv[:N].copy()
     folded[: N - 1] += conv[N:]
-    # in Z_N with N even, the (x, d=N/2) triples are their own reversal
-    self_paired = int(np.intersect1d(S, (S + N // 2) % N).size) if N % 2 == 0 else 0
-
-    def count(total: int, paired: int) -> Count3APs:
-        nontrivial = total - S.size
-        unordered = (nontrivial - paired) // 2 + paired
-        return Count3APs(total=total, nontrivial=nontrivial, unordered=unordered)
-
-    return (count(int(folded[(2 * S) % N].sum()), self_paired),
-            count(int(conv[2 * S].sum()), 0))
+    wrapped = int(folded[(2 * S) % N].sum())
+    line = int(conv[2 * S].sum())
+    return (Count3APs(total=wrapped, nontrivial=wrapped - S.size),
+            Count3APs(total=line, nontrivial=line - S.size))
 
 
 def diagonal_cube_sum(mu: Measure) -> float:
@@ -429,11 +414,7 @@ class FinalInequality:
 
     lhs: float
     rhs: float
-    term_count_error: float
-    term_spectrum: float
-    term_tail: float
     contradiction: bool
-    gate_ok: bool
     bohr_defect_linear: float
     bohr_defect_cubic: float
     bohr_linear_ok: bool
@@ -444,16 +425,14 @@ def final_inequality(
     alpha: float,
     delta: float,
     eps: float,
-    k: int,
-    W: int,
     N: int,
     constants: dict | None,
     bohr: BohrSet,
 ) -> FinalInequality:
-    """Evaluate both sides of the closing inequality, the Bohr-dimension
-    gate eps^k >= w_reference(W), and the coefficient bounds
-    |1 - beta~(r)| <= 16 eps^2 and |1 - beta~(r)^4 beta~(-2r)^2| <= 2^12 eps^2
-    over the Bohr set's frequency set (0 and met when it is empty).
+    """Evaluate both sides of the closing inequality and the coefficient
+    bounds |1 - beta~(r)| <= 16 eps^2 and
+    |1 - beta~(r)^4 beta~(-2r)^2| <= 2^12 eps^2 over the Bohr set's
+    frequency set (0 and met when it is empty).
     `constants` overrides entries of DEFAULT_CONSTANTS. A side past the
     float range is inf."""
     if not 0 < alpha <= 1:
@@ -464,13 +443,12 @@ def final_inequality(
         raise ParameterError(f"eps must be in (0, 1), got {eps}")
     c = closing_constants(constants)
     L = max(math.log(1.0 / alpha), math.log(2.0))
-    t1 = c["C_prime"] * N**-0.5
     try:
-        t2 = 2.0**12 * eps**2 * delta**-2.5
+        spectral = 2.0**12 * eps**2 * delta**-2.5
     except OverflowError:  # delta^-2.5 leaves the float range
-        t2 = _exp(12.0 * math.log(2.0) + 2.0 * math.log(eps) - 2.5 * math.log(delta))
-    t3 = c["C"] * math.sqrt(delta)
-    lhs = t1 + t2 + t3
+        spectral = _exp(12.0 * math.log(2.0) + 2.0 * math.log(eps)
+                        - 2.5 * math.log(delta))
+    lhs = c["C_prime"] * N**-0.5 + spectral + c["C"] * math.sqrt(delta)
     rhs = _exp(-_closing_exponent(c["C2"], alpha, L))
     R = bohr.R
     if R.size:
@@ -487,11 +465,7 @@ def final_inequality(
     return FinalInequality(
         lhs=lhs,
         rhs=rhs,
-        term_count_error=t1,
-        term_spectrum=t2,
-        term_tail=t3,
         contradiction=(lhs < rhs),
-        gate_ok=eps**k >= w_reference(W),
         bohr_defect_linear=lin,
         bohr_defect_cubic=cub,
         bohr_linear_ok=lin_ok,
@@ -537,11 +511,14 @@ def _best_sphere(d: int, dim: int) -> np.ndarray:
     return xs[ok & (sq == rho)] + 1
 
 
+BEHREND_MIN_N = 8  # the smallest N behrend_set takes
+
+
 def behrend_set(N: int) -> np.ndarray:
     """A 3AP-free subset of {1..N}: the best digit-sphere construction,
     or the greedy progression-free fallback when that is larger."""
-    if N < 8:
-        raise ParameterError(f"N must be >= 8, got {N}")
+    if N < BEHREND_MIN_N:
+        raise ParameterError(f"N must be >= {BEHREND_MIN_N}, got {N}")
     best = np.asarray(_greedy_free(range(1, N + 1)), dtype=np.int64)
     d = 3
     while d * d <= N:
@@ -717,15 +694,14 @@ def density_experiment(
             "diagonal_mu_cubed": diagonal_cube_sum(mu),
             "A_3aps_wrapped_nontrivial": int(exact_wrapped.nontrivial),
             "A_3aps_line_nontrivial": int(exact_line.nontrivial),
-            "A_3aps_unordered": exact_line.unordered,
+            # on the line no triple is its own reversal
+            "A_3aps_unordered": exact_line.nontrivial // 2,
         }
     with _stage("bounds"):
         consts = report["params"]["constants"]
         vb = varnavides_bound(min(wt.alpha, 1.0), wt.N, C1=consts["C1"])
-        fi = final_inequality(
-            min(wt.alpha, 1.0), delta, eps, int(R.size), wt.W, wt.N,
-            constants=consts, bohr=B,
-        )
+        fi = final_inequality(min(wt.alpha, 1.0), delta, eps, wt.N,
+                              constants=consts, bohr=B)
         report["bounds"] = {
             "varnavides_M": vb.M if not math.isinf(vb.M) else "inf",
             "varnavides_z_lower": vb.z_lower,
@@ -735,7 +711,6 @@ def density_experiment(
             "lhs": fi.lhs,
             "rhs": fi.rhs,
             "contradiction": fi.contradiction,
-            "gate_ok": fi.gate_ok,
             "bohr_defect_linear": fi.bohr_defect_linear,
             "bohr_defect_cubic": fi.bohr_defect_cubic,
             "bohr_linear_ok": fi.bohr_linear_ok,

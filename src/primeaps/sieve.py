@@ -33,9 +33,6 @@ class FactorTable:
     limit: int
     spf: np.ndarray = field(repr=False)
     _primes: np.ndarray | None = field(default=None, init=False, repr=False)
-    # mertens_product values by (q, m): the local densities ask for the same
-    # few products once per residue class
-    _mertens: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def check_range(self, n) -> None:
         arr = np.asarray(n)
@@ -119,15 +116,10 @@ def mertens_product(q: int, m: int, table: FactorTable) -> float:
         raise ParameterError(f"m must be >= 1, got {m}")
     if q > table.limit:
         raise TableRangeError(f"q={q} exceeds table limit {table.limit}")
-    cached = table._mertens.get((q, m))
-    if cached is not None:
-        return cached
     ps = table.primes_up_to(q)
     if m > 1:
         ps = ps[m % ps != 0]
-    prod = float(np.prod(1.0 - 1.0 / ps)) if ps.size else 1.0
-    table._mertens[(q, m)] = prod
-    return prod
+    return float(np.prod(1.0 - 1.0 / ps)) if ps.size else 1.0
 
 
 def check_residue_pair(b: int, m: int) -> None:

@@ -26,7 +26,7 @@ import numpy as np
 
 from primeaps import sieve
 from primeaps.arcs import MAJOR, ArcLabel, dirichlet_approx
-from primeaps.errors import DomainError, ParameterError, PreconditionError
+from primeaps.errors import ParameterError, PreconditionError
 from primeaps.measures import (
     BASE_ZN,
     Measure,
@@ -36,6 +36,11 @@ from primeaps.measures import (
 )
 from primeaps.numutil import e, fsum_real
 from primeaps.sieve import FactorTable
+
+
+class DomainError(ValueError):
+    """Operation applied outside its domain (e.g. wrong arc kind)."""
+
 
 # ---------------------------------------------------------------------------
 # arithmetic

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from primeaps import arcs, fourier, measures
 from primeaps.arcs import ArcParams, MAJOR, MINOR
-from primeaps.errors import DomainError, ParameterError
+from primeaps.errors import ParameterError
 from primeaps.fourier import TorusGrid
 from primeaps.numutil import loglog_clamped
 
@@ -26,7 +26,6 @@ def test_dirichlet_guarantee_seeded_sweep():
             assert 1 <= r.q <= qmax
             err = abs(Fraction(float(theta)) - Fraction(r.a, r.q))
             assert err * r.q * qmax <= 1
-            assert math.isclose(r.err, float(err), rel_tol=0, abs_tol=1e-15)
 
 
 @given(
@@ -54,14 +53,14 @@ def _fraction_convergent_up_to(x: Fraction, qmax: int) -> Fraction:
     return Fraction(p1, q1)
 
 
-def _fraction_dirichlet(theta: float, qmax: int) -> tuple[int, int, float]:
-    """(a, q, err) of dirichlet_approx as computed with Fraction objects,
-    kept as the oracle of the integer version."""
+def _fraction_dirichlet(theta: float, qmax: int) -> tuple[int, int]:
+    """(a, q) of dirichlet_approx as computed with Fraction objects, kept
+    as the oracle of the integer version."""
     x = Fraction(theta)
     best = x.limit_denominator(qmax)
     if abs(x - best) * best.denominator * qmax > 1:
         best = _fraction_convergent_up_to(x, qmax)
-    return best.numerator, best.denominator, float(abs(x - best))
+    return best.numerator, best.denominator
 
 
 def _near_tie(a: int, q: int, b: int, s: int, steps: int) -> float:
@@ -89,15 +88,17 @@ _THETAS = st.one_of(
 def test_dirichlet_approx_equals_the_fraction_oracle(theta, qmax):
     r = arcs.dirichlet_approx(theta, qmax)
     want = _fraction_dirichlet(theta, qmax)
-    assert (r.a, r.q, r.err) == want
-    assert type(r.a) is int and type(r.q) is int and type(r.err) is float
+    assert (r.a, r.q) == want
+    assert type(r.a) is int and type(r.q) is int
+    # the Dirichlet guarantee |theta - a/q| <= 1/(q qmax), exactly
+    assert abs(Fraction(theta) - Fraction(r.a, r.q)) <= Fraction(1, r.q * qmax)
 
 
 def test_dirichlet_exact_rationals():
     r = arcs.dirichlet_approx(3.0 / 8.0, 10)
-    assert (r.a, r.q, r.err) == (3, 8, 0.0)
+    assert (r.a, r.q) == (3, 8) and Fraction(r.a, r.q) == Fraction(3.0 / 8.0)
     r = arcs.dirichlet_approx(0.0, 50)
-    assert (r.a, r.q, r.err) == (0, 1, 0.0)
+    assert (r.a, r.q) == (0, 1)
     r = arcs.dirichlet_approx(0.5, 1)
     assert r.q == 1 and abs(0.5 - r.a) <= 0.5
     with pytest.raises(ParameterError):
@@ -161,7 +162,7 @@ def test_major_prediction_rejects_minor():
     mp = measures.MeasureParams(b=1, m=1, N=100_000)
     lab = arcs.classify(0.38, params)
     assert lab.kind == MINOR
-    with pytest.raises(DomainError):
+    with pytest.raises(paper.DomainError):
         paper.major_prediction(0.38, lab, mp, None, None)
 
 
@@ -256,8 +257,6 @@ def test_sup_diff_scan_profile_and_sup(small_table):
     grid = TorusGrid(oversample=2)
     res = arcs.sup_diff_scan(mp, 4, grid, small_table,
                              ArcParams(N=2000, p_exponent=3.0), profile_points=64)
-    assert res.Q == 4
-    assert res.oversample == 2
     assert res.reference == pytest.approx(loglog_clamped(4) / 4)
     assert res.sup >= res.theta0_mass_diff >= 0
 
@@ -273,6 +272,12 @@ def test_sup_diff_scan_profile_and_sup(small_table):
     best = max(prof["abs"])
     assert best == pytest.approx(res.sup, rel=1e-12)
     assert res.argmax_theta in prof["theta"]
+    # the profile samples the grid of the given oversample
+    M = grid.points(2000)
+    diff = fourier.wedge_grid(
+        measures.Measure(2000, lam.weights - lamq.weights, signed=True), M)
+    assert prof["theta"].tolist() == (
+        arcs.profile_indices(np.abs(diff), 64) / M).tolist()
     assert len(prof["abs"]) <= 64 + 2
     for re, im, mag, kind in zip(prof["re"], prof["im"], prof["abs"],
                                  prof["arc_kind"]):

@@ -323,6 +323,8 @@ def test_constants_must_be_a_json_object(text, message, tmp_path, capsys):
     ["measure-build", "--N", "1000", "--p", "2.05"],
     # the restriction ratio needs p > 2
     ["restriction", "--N", "100", "--p", "2", "--draws", "2"],
+    # behrend-in-primes needs 8 primes <= n, and pi(18) = 7
+    ["roth-pipeline", "--N", "18", "--source", "behrend-in-primes"],
 ], ids=" ".join)
 def test_handler_rejection_leaves_no_output_dir(args, tmp_path, capsys):
     # these pass the parser and fail inside their handler, before the
@@ -336,6 +338,48 @@ def test_handler_rejection_leaves_no_output_dir(args, tmp_path, capsys):
     assert not re.search(r"\d{31}", err["message"])
     if args[0] == "measure-build" and "--p" in args:
         assert f"p = {args[args.index('--p') + 1]}" in err["message"]
+    assert not out.exists()
+
+
+def test_behrend_source_needs_eight_primes(tmp_path, capsys):
+    # refused before any stage runs, naming n, the source and the primes it
+    # needs; pi(19) = 8 runs
+    out = tmp_path / "out"
+    assert cli.main(["roth-pipeline", "--N", "18", "--source", "behrend-in-primes",
+                     "--output-dir", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation" and "stage" not in err
+    assert err["message"] == ("--source behrend-in-primes needs at least 8 "
+                              "primes <= n; n = 18 has 7")
+    assert not out.exists()
+    assert cli.main(["roth-pipeline", "--N", "19", "--source", "behrend-in-primes",
+                     "--output-dir", str(out)]) == 0
+
+
+_PAST_THE_TABLE = [
+    (["measure-build", "--N", "100", "--m", "1000000"],
+     "--m 1000000 * --N 100 + --b 1 = 100000001 exceeds"),
+    (["transform-scan", "--N", "100", "--m", "1000000", "--b", "3"],
+     "--m 1000000 * --N 100 + --b 3 = 100000003 exceeds"),
+    (["arc-scan", "--N", "100", "--m", "1000000", "--Q", "16"],
+     "--m 1000000 * --N 100 + --b 1 = 100000001 exceeds"),
+    (["arc-scan", "--N", "100", "--Q", "16,100000001"], "--Q 100000001 exceeds"),
+    (["restriction", "--N", "50,100", "--m", "1000000"],
+     "--m 1000000 * --N 100 + --b 1 = 100000001 exceeds"),
+]
+
+
+@pytest.mark.parametrize("args, message", _PAST_THE_TABLE,
+                         ids=[" ".join(args) for args, _ in _PAST_THE_TABLE])
+def test_measure_table_past_the_limit_names_its_flags(args, message, tmp_path,
+                                                      capsys):
+    # one table-size rule for the measure handlers: m*N + b and every --Q,
+    # refused before the first write
+    out = tmp_path / "out"
+    assert cli.main(args + ["--output-dir", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["type"]) == ("validation", "TableRangeError")
+    assert err["message"] == f"{message} the factor-table limit 100000000"
     assert not out.exists()
 
 

@@ -9,7 +9,8 @@ results byte for byte, and a tolerance would only let a stale recorded
 value stand next to a hash that disagrees with it. So every byte written
 is pinned. A change here is a deliberate, documented event: regenerate with
 `PYTHONPATH=src python tests/test_golden.py`, which prints each entry's old
-and new deterministic_hash and whether any output or result moved, and
+and new deterministic_hash and what moved: the paths of the outputs whose
+sha256 or size changed, and the `results` keys whose value changed; and
 say why in CHANGES.md. `PYTHONPATH=src python tests/test_golden.py --check`
 prints the same lines, writes nothing, and exits 1 if any hash, output or
 result moved.
@@ -72,6 +73,39 @@ def _compare(got, want, path: str) -> list[str]:
     return []
 
 
+def _moved(got: dict, was: dict) -> list[str]:
+    """What moved from the recorded entry `was` to `got`: the paths of the
+    outputs whose sha256 or size changed, or that came or went ("order" if
+    only their order changed), and the `results` keys whose value changed."""
+    moved = []
+    old = {o["path"]: o for o in was.get("outputs", [])}
+    new = {o["path"]: o for o in got["outputs"]}
+    paths = sorted(p for p in old.keys() | new.keys() if old.get(p) != new.get(p))
+    if paths or got["outputs"] != was.get("outputs"):
+        moved.append(f"outputs moved ({', '.join(paths) or 'order'})")
+    old, new = was.get("results", {}), got["results"]
+    keys = sorted(k for k in old.keys() | new.keys()
+                  if k not in old or k not in new or _compare(new[k], old[k], k))
+    if keys:
+        moved.append(f"results moved ({', '.join(keys)})")
+    return moved
+
+
+def test_moved_names_paths_and_keys():
+    was = {"outputs": [{"path": "a.csv", "sha256": "1", "bytes": 3},
+                       {"path": "b.csv", "sha256": "2", "bytes": 4}],
+           "results": {"x": 1, "y": {"z": 2.0}, "gone": 0}}
+    assert _moved(was, was) == []
+    got = {"outputs": [{"path": "a.csv", "sha256": "1", "bytes": 3},
+                       {"path": "b.csv", "sha256": "9", "bytes": 4},
+                       {"path": "c.csv", "sha256": "3", "bytes": 1}],
+           "results": {"x": 1, "y": {"z": 2.5}, "new": 0}}
+    assert _moved(got, was) == ["outputs moved (b.csv, c.csv)",
+                                "results moved (gone, new, y)"]
+    swapped = {"outputs": was["outputs"][::-1], "results": was["results"]}
+    assert _moved(swapped, was) == ["outputs moved (order)"]
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text())
@@ -101,19 +135,18 @@ if __name__ == "__main__":
         golden = {name: {fmt: _record(args, fmt, Path(tmp) / name / fmt)
                          for fmt in FORMATS}
                   for name, args in sorted(CASES.items())}
-    # one line per entry: the hash it had and has, and whether any output
-    # file or results value moved, which an announced hash change must not
+    # one line per entry: the hash it had and has, and which output files
+    # and results values moved, which an announced hash change must not
     changed = False
     for name, entries in golden.items():
         for fmt, got in entries.items():
             was = recorded.get(name, {}).get(fmt, {})
-            moved = [key for key in ("outputs", "results")
-                     if _compare(got[key], was.get(key), key)]
+            moved = _moved(got, was)
             changed |= bool(moved) or got["deterministic_hash"] != was.get(
                 "deterministic_hash")
             sys.stdout.write(f"{name}/{fmt}: {was.get('deterministic_hash')} -> "
                              f"{got['deterministic_hash']}, "
-                             f"{' and '.join(moved) or 'no output or result'} moved\n")
+                             f"{', '.join(moved) or 'no output or result moved'}\n")
     if check:
         sys.exit(1 if changed or set(recorded) != set(golden) else 0)
     GOLDEN.write_text(json.dumps(golden, sort_keys=True, indent=2) + "\n")

@@ -1,9 +1,8 @@
-"""The package's public names: every entry of `primeaps.__all__` must
-resolve, or `from primeaps import *` fails on the stale one. Only
-`primeaps.fourier` may take transforms with numpy.fft, every parameter is
-read, every default is both used and overridden by the package's own
-calls, every def is reached from the CLI, and each CLI handler reads only
-its own subcommand's flags."""
+"""The package's shape, checked on its source: only `primeaps.fourier`
+may take transforms with numpy.fft, every parameter is read, every default
+is both used and overridden by the package's own calls, every def is
+reached from the CLI and every field of a reached dataclass is read by
+reached code, and each CLI handler reads only its own subcommand's flags."""
 
 import ast
 from pathlib import Path
@@ -13,18 +12,14 @@ import pytest
 import primeaps
 from primeaps import cli
 
-
-def test_all_names_resolve():
-    missing = [name for name in primeaps.__all__ if not hasattr(primeaps, name)]
-    assert missing == []
-    assert len(set(primeaps.__all__)) == len(primeaps.__all__)
-    namespace = {}
-    exec("from primeaps import *", namespace)
-    assert set(primeaps.__all__) <= set(namespace)
-
-
 SRC = Path(primeaps.__file__).parent
 FFT_HOME = "fourier.py"
+
+
+def _src_trees() -> dict[str, ast.Module]:
+    """The parsed modules of src/primeaps, by module name."""
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(SRC.glob("*.py"))}
 
 
 def _fft_uses(tree: ast.AST) -> list[int]:
@@ -183,8 +178,7 @@ _DEFAULT_EXCEPTIONS = {"cli.main(argv)"}
 def test_every_default_is_used_and_overridden():
     # a default every call overrides is a second home of a value the caller
     # declares; one no call overrides is an option nobody takes
-    trees = {path.stem: ast.parse(path.read_text(), str(path))
-             for path in sorted(SRC.glob("*.py"))}
+    trees = _src_trees()
     usage = _default_usage(trees)
     assert _DEFAULT_EXCEPTIONS <= set(usage)
     offenders = [f"{name}: set by {k} of {n} src calls"
@@ -248,9 +242,9 @@ def _own_nodes(node) -> list:
                 s, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))]
 
 
-def _unreached(trees: dict[str, ast.Module], roots: set[str]) -> dict[str, int]:
-    """`module.qualname` -> line count of each def or class that no root
-    reaches, by name.
+def _reach(trees: dict[str, ast.Module], roots: set[str]) -> tuple[dict, set]:
+    """The defs and classes of the trees, as `module.qualname` -> (node,
+    owning class), and the names of those the roots reach by name.
 
     A def or class is reached when its name appears, as a Name or an
     Attribute, in a reached def or class, or in a module-level assignment
@@ -280,6 +274,13 @@ def _unreached(trees: dict[str, ast.Module], roots: set[str]) -> dict[str, int]:
                 reached.add(name)
                 used |= _uses(_own_nodes(node))
                 grew = True
+    return defs, reached
+
+
+def _unreached(trees: dict[str, ast.Module], roots: set[str]) -> dict[str, int]:
+    """`module.qualname` -> line count of each def or class that no root
+    reaches (see _reach)."""
+    defs, reached = _reach(trees, roots)
     return {name: (node.end_lineno - min(
                 [node.lineno] + [d.lineno for d in node.decorator_list]) + 1)
             for name, (node, _) in defs.items() if name not in reached}
@@ -295,8 +296,7 @@ _UNREACHED_EXCEPTIONS = {"cli._Parser.error"}
 def test_every_def_is_reached_from_the_cli():
     # src is the program: an oracle or a paper bound that no CLI path runs
     # lives in tests/paper.py, and comes back only with its caller
-    trees = {path.stem: ast.parse(path.read_text(), str(path))
-             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    trees = _src_trees()
     unreached = _unreached(trees, _ROOTS)
     assert _UNREACHED_EXCEPTIONS <= set(unreached)
     offenders = [f"{name} ({n} lines)" for name, n in unreached.items()
@@ -338,6 +338,78 @@ def test_reachability_checker_follows_names():
     assert _unreached({"mod": ast.parse(source)}, {"mod.main"}) == {
         "mod.orphan": 2, "mod.lonely": 3, "mod.Box.unused": 2, "mod.Unused": 3,
         "mod.Unused.__init__": 2}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether the class is decorated with dataclass, bare, called or as
+    an attribute of its module."""
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _unread_fields(trees: dict[str, ast.Module], roots: set[str]) -> list[str]:
+    """`module.Class.field` for each annotated field of a reached dataclass
+    whose name no reached def or class loads as an attribute (`x.field`).
+
+    Names are not resolved to classes, so a load of the same name on any
+    object counts as a read, and the rule never calls a read field unread."""
+    defs, reached = _reach(trees, roots)
+    loads = {n.attr for name in reached for node in _own_nodes(defs[name][0])
+             for n in ast.walk(node)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [f"{name}.{stmt.target.id}" for name in sorted(reached)
+            if isinstance(defs[name][0], ast.ClassDef) and _is_dataclass(defs[name][0])
+            for stmt in defs[name][0].body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in loads]
+
+
+# cli._run_varnavides writes it whole, through dataclasses.asdict
+_UNREAD_FIELD_EXCEPTIONS = {"roth.VarnavidesBound"}
+
+
+def test_every_field_is_read():
+    # a result field that no output reads is computed for nobody, and every
+    # reader of the class must still consider it
+    trees = _src_trees()
+    unread = _unread_fields(trees, _ROOTS)
+    owners = {name.rsplit(".", 1)[0] for name in unread}
+    assert _UNREAD_FIELD_EXCEPTIONS <= owners
+    offenders = [name for name in unread
+                 if name.rsplit(".", 1)[0] not in _UNREAD_FIELD_EXCEPTIONS]
+    assert offenders == [], ("no reached code reads these fields; drop them "
+                             "or read them:\n" + "\n".join(offenders))
+
+
+def test_field_checker_counts_attribute_loads():
+    source = ("import dataclasses\n"
+              "from dataclasses import dataclass, field\n"
+              "@dataclass\n"
+              "class Result:\n"
+              "    shown: int\n"
+              "    unread: int\n"
+              "    stored: int\n"
+              "    cached: dict = field(default_factory=dict)\n"
+              "    def __post_init__(self):\n"
+              "        self.stored = self.cached\n"
+              "@dataclasses.dataclass(frozen=True)\n"
+              "class Frozen:\n"
+              "    late: int\n"
+              "@dataclass\n"
+              "class Unused:\n"
+              "    never: int\n"
+              "class Plain:\n"
+              "    note: int\n"
+              "def main():\n"
+              "    r = Result(1, 2, 3)\n"
+              "    return r.shown, Frozen, Plain, unread\n"
+              "def orphan(r):\n"
+              "    return r.late, r.never\n")
+    assert _unread_fields({"mod": ast.parse(source)}, {"mod.main"}) == [
+        "mod.Frozen.late", "mod.Result.unread", "mod.Result.stored"]
 
 
 def _cfg_reads(tree: ast.Module, function: str) -> set[str]:

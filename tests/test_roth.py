@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primeaps import measures, roth, sieve
 from primeaps.errors import (
@@ -38,7 +41,8 @@ def test_w_trick_three_primes(small_table):
     assert res.A.tolist() == [1, 2, 3]
     expect = math.fsum(math.log(v) / 22.0 for v in (3, 5, 7))
     assert res.alpha == pytest.approx(expect, rel=1e-15)
-    assert res.n_source == 7
+    # the window (2n/m, 4n/m] comes from the source scale n = 7
+    assert 2 * 7 // res.m < res.N <= 4 * 7 // res.m
     assert res.m_le_logN
 
 
@@ -55,7 +59,7 @@ def test_w_trick_set_invariants(small_table):
     for W in (1, 3):
         res = roth.w_trick(ps, small_table, W=W, n=997)
         assert small_table.is_prime(res.N)
-        n = res.n_source
+        n = 997
         assert 2 * n // res.m < res.N <= (4 * n) // res.m
         assert math.gcd(res.b, res.m) == 1
         assert res.A.size > 0
@@ -254,8 +258,8 @@ def test_setlike_uniform_is_tight():
     assert rep.chain_spectral == pytest.approx(1.0 / N)
     assert rep.chain_sup == pytest.approx(1.0 / N)
     assert rep.chain_reference == pytest.approx(1.0 / N + (2.0 / 4) / len(B))
-    assert rep.mass_mu == pytest.approx(1.0)
-    assert rep.mu_sup_offzero == pytest.approx(0.0, abs=1e-12)
+    assert u.total == pytest.approx(1.0)
+    assert roth.mu_sup_offzero(u, W=4)[0] == pytest.approx(0.0, abs=1e-12)
     assert rep.setlike and rep.step1_ok and rep.step2_ok
     # W=4 < 16 clamps loglog to 1: gate is eps^k >= 2/W = 0.5
     assert rep.gate_ok is (0.1 >= 0.5)
@@ -275,7 +279,9 @@ def test_setlike_chain_holds_on_random_instances():
         rep = roth.setlike_check(a, mu, B, W=4)
         assert rep.step1_ok
         assert rep.step2_ok
-        assert rep.bohr_size == len(B)
+        # chain_sup = |mu~(0)| / N + sup_{r != 0} |mu~(r)| / |B|
+        assert rep.chain_sup == pytest.approx(
+            mu.total / N + roth.mu_sup_offzero(mu, W=4)[0] / len(B), rel=1e-12)
         # W=4 clamps loglog to 1: the reference is 2/W = 0.5
         assert rep.chain_reference == pytest.approx(1.0 / N + 0.5 / len(B))
         assert rep.gate_ok is (0.2**B.k >= 0.5)
@@ -313,9 +319,28 @@ def _brute_line_nontrivial(S):
     return total
 
 
+def _brute_line_unordered(S):
+    """The 3-element subsets {x < y < z} of S with x + z = 2y."""
+    return sum(1 for x in S for y in S if x < y and 2 * y - x in S)
+
+
+# N <= 300, and sets of sizes 0 to N
+@given(data=st.data(), N=st.integers(1, 300))
+@settings(max_examples=60, deadline=None)
+def test_line_count_halves_to_the_unordered_count(data, N):
+    # density_experiment reports A_3aps_unordered as the line's
+    # nontrivial // 2: on the line no progression is its own reversal
+    S = data.draw(st.sets(st.integers(0, N - 1)))
+    _, line = roth.count_set_3aps(sorted(S), N=N)
+    assert line.nontrivial % 2 == 0
+    assert line.nontrivial // 2 == _brute_line_unordered(S)
+
+
 def test_count_3aps_worked_example():
-    c, _ = roth.count_set_3aps({0, 1, 2}, N=7)
-    assert (c.total, c.nontrivial, c.unordered) == (5, 2, 1)
+    c, line = roth.count_set_3aps({0, 1, 2}, N=7)
+    assert (c.total, c.nontrivial) == (5, 2)
+    # one unordered progression, read off the line count
+    assert (line.nontrivial, line.nontrivial // 2) == (2, 1)
 
 
 def test_count_3aps_wrapped_matches_brute():
@@ -348,7 +373,8 @@ def test_count_3aps_padded_route_matches_brute(N):
     if N <= 100:
         assert own_wrapped.total == _brute_wrapped(S, N)
     assert own.nontrivial == _brute_line_nontrivial(S)
-    assert own.unordered == own.nontrivial // 2
+    assert own.nontrivial % 2 == 0
+    assert own.nontrivial // 2 == _brute_line_unordered(S)
 
 
 
@@ -371,7 +397,7 @@ def test_count_set_3aps_reads_both_counts_from_one_convolution(N, monkeypatch):
 
 def test_count_3aps_even_modulus_self_paired():
     c, _ = roth.count_set_3aps({0, 2}, N=4)
-    assert (c.total, c.nontrivial, c.unordered) == (4, 2, 2)
+    assert (c.total, c.nontrivial) == (4, 2)
 
 
 def test_count_3aps_measure_route():
@@ -386,7 +412,8 @@ def test_count_3aps_measure_route():
             brute += w[x] * w[(x + d) % N] * w[(x + 2 * d) % N]
     assert c.total == pytest.approx(brute, rel=1e-9)
     assert c.nontrivial == pytest.approx(brute - float(np.sum(w**3)), rel=1e-9)
-    assert c.unordered is None
+    # a count is its total and nontrivial part, nothing more
+    assert [f.name for f in dataclasses.fields(c)] == ["total", "nontrivial"]
 
 
 def test_count_3aps_validation():
@@ -462,24 +489,31 @@ def test_varnavides_validation():
 
 
 def test_final_inequality_formula():
-    fi = roth.final_inequality(0.5, 0.04, 0.01, 2, 10, 10_000, constants=None,
+    fi = roth.final_inequality(0.5, 0.04, 0.01, 10_000, constants=None,
                                bohr=roth.bohr_set([], 0.01, 10_000))
     e = math.exp
-    assert fi.term_count_error == pytest.approx(10_000**-0.5)
-    assert fi.term_spectrum == pytest.approx(4096 * 0.01**2 * 0.04**-2.5)
-    assert fi.term_tail == pytest.approx(math.sqrt(0.04))
-    assert fi.lhs == pytest.approx(
-        fi.term_count_error + fi.term_spectrum + fi.term_tail
-    )
+    # C' N^(-1/2) + 2^12 eps^2 delta^(-5/2) + C delta^(1/2), C = C' = 1
+    count_error = 10_000**-0.5
+    spectral = 4096 * 0.01**2 * 0.04**-2.5
+    tail = math.sqrt(0.04)
+    assert fi.lhs == pytest.approx(count_error + spectral + tail)
     assert fi.rhs == pytest.approx(e(-(0.5**-2) * math.log(2.0)))
     assert fi.contradiction is (fi.lhs < fi.rhs)
-    # W=10 < 16 clamps: gate is eps^k >= 2/10
-    assert fi.gate_ok is (0.01**2 >= 0.2)
     assert fi.bohr_defect_linear == 0.0 and fi.bohr_linear_ok
 
 
+@pytest.mark.parametrize("R, eps, W", [([1, 2], 0.01, 10), ([1], 0.5, 4)])
+def test_bohr_dimension_gate(R, eps, W):
+    # the gate eps^k >= w_reference(W) belongs to the set-like step; W < 16
+    # clamps loglog to 1, so it reads eps^k >= 2/W
+    u = _uniform(200)
+    B = roth.bohr_set(R, eps, 200)
+    rep = roth.setlike_check(u, u, B, W=W)
+    assert rep.gate_ok is (eps ** len(R) >= 2.0 / W)
+
+
 def test_final_inequality_contradiction_flag():
-    kw = dict(alpha=1.0, delta=0.01, eps=1e-6, k=1, W=64, N=10**6,
+    kw = dict(alpha=1.0, delta=0.01, eps=1e-6, N=10**6,
               bohr=roth.bohr_set([], 1e-6, 10**6))
     lo = roth.final_inequality(constants={"C2": 0.001}, **kw)
     assert lo.contradiction
@@ -491,7 +525,7 @@ def test_final_inequality_bohr_defects():
     N = 1000
     eps = 0.15
     B = roth.bohr_set([1, 13], eps, N)
-    fi = roth.final_inequality(0.5, 0.1, eps, B.k, 32, N, constants=None, bohr=B)
+    fi = roth.final_inequality(0.5, 0.1, eps, N, constants=None, bohr=B)
     bt = np.fft.fft(B.beta().weights)
     lin = max(abs(1.0 - bt[r % N]) for r in B.R)
     assert fi.bohr_defect_linear == pytest.approx(lin, rel=1e-12)
@@ -499,19 +533,18 @@ def test_final_inequality_bohr_defects():
     assert fi.bohr_defect_linear <= 16 * eps**2 + 1e-9
     assert fi.bohr_defect_cubic <= 2**12 * eps**2 + 1e-9
     empty = roth.bohr_set([], 0.5, 100)
-    fi = roth.final_inequality(0.5, 0.1, 0.2, 0, 32, 100, constants=None,
-                               bohr=empty)
+    fi = roth.final_inequality(0.5, 0.1, 0.2, 100, constants=None, bohr=empty)
     assert fi.bohr_defect_linear == 0.0 and fi.bohr_cubic_ok
 
 
 def test_final_inequality_validation():
     kw = dict(constants=None, bohr=roth.bohr_set([], 0.5, 100))
     with pytest.raises(ParameterError):
-        roth.final_inequality(0.0, 0.1, 0.1, 1, 2, 100, **kw)
+        roth.final_inequality(0.0, 0.1, 0.1, 100, **kw)
     with pytest.raises(ParameterError):
-        roth.final_inequality(0.5, 0.0, 0.1, 1, 2, 100, **kw)
+        roth.final_inequality(0.5, 0.0, 0.1, 100, **kw)
     with pytest.raises(ParameterError):
-        roth.final_inequality(0.5, 0.1, 1.0, 1, 2, 100, **kw)
+        roth.final_inequality(0.5, 0.1, 1.0, 100, **kw)
 
 
 # --- progression-free construction ------------------------------------------
