@@ -820,31 +820,37 @@ def emit_plotdata(emitter: Emitter, stem: str, rows) -> None:
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (effective, results)
 
-def _table_for(limit: int) -> sieve.FactorTable:
-    return sieve.build_factor_table(max(int(limit), 4))
+def _table_for(*limits: tuple[str, int]) -> sieve.FactorTable:
+    """The factor table up to the largest of `limits`, each a (what sets
+    it, value) pair: a value past sieve.MAX_TABLE_LIMIT is refused with a
+    TableRangeError that names the flags and values setting it, before
+    any stage runs or any output is written."""
+    for what, value in limits:
+        if value > sieve.MAX_TABLE_LIMIT:
+            raise TableRangeError(
+                f"{what} exceeds the factor-table limit {sieve.MAX_TABLE_LIMIT}")
+    return sieve.build_factor_table(max(4, *(value for _, value in limits)))
+
+
+def _cutoff_limit(Qs) -> list[tuple[str, int]]:
+    """The table limit of the rough cutoffs Qs, as a list of at most one
+    (flag, value) pair: a Mertens product reads the primes up to Q."""
+    return [(f"--Q {max(Qs)}", max(Qs))] if Qs else []
 
 
 def _measure_table(cfg: argparse.Namespace, N: int, Qs,
-                   *limits: int) -> sieve.FactorTable:
+                   *limits: tuple[str, int]) -> sieve.FactorTable:
     """The factor table of a measure handler: it covers the support values
-    up to m*N + b of measures at scale N, each rough cutoff in Qs (whose
-    Mertens product reads the primes up to Q), and any further limits. A
-    span or cutoff past sieve.MAX_TABLE_LIMIT is refused, naming its
-    flags, before any output is written."""
+    up to m*N + b of measures at scale N, each rough cutoff in Qs, and any
+    further limits."""
     span = cfg.m * N + cfg.b
-    if span > sieve.MAX_TABLE_LIMIT:
-        raise TableRangeError(
-            f"--m {cfg.m} * --N {N} + --b {cfg.b} = {span} exceeds the "
-            f"factor-table limit {sieve.MAX_TABLE_LIMIT}")
-    if Qs and max(Qs) > sieve.MAX_TABLE_LIMIT:
-        raise TableRangeError(
-            f"--Q {max(Qs)} exceeds the factor-table limit {sieve.MAX_TABLE_LIMIT}")
-    return _table_for(max([span, *Qs, *limits]))
+    return _table_for((f"--m {cfg.m} * --N {N} + --b {cfg.b} = {span}", span),
+                      *_cutoff_limit(Qs), *limits)
 
 
 def _run_sieve_stats(cfg: argparse.Namespace, em: Emitter):
     N = cfg.N
-    table = _table_for(max([N, *(cfg.Q or [])]))
+    table = _table_for((f"--N {N}", N), *_cutoff_limit(cfg.Q))
     ps = table.primes_up_to(N)
     theta = fsum_real(np.log(ps.astype(np.float64))) if ps.size else 0.0
     results = {
@@ -869,7 +875,8 @@ def _run_measure_build(cfg: argparse.Namespace, em: Emitter):
     params = measures.MeasureParams(b=cfg.b, m=cfg.m, N=N)
     # size the table for every --Q and the dyadic split's 2^K now, so an
     # out-of-range cutoff fails before any output is written
-    split = ([2 ** measures.dyadic_cutoff(N, cfg.p_exponent)]
+    split = ([(f"the dyadic split at --p {cfg.p_exponent}",
+               2 ** measures.dyadic_cutoff(N, cfg.p_exponent))]
              if cfg.p_exponent is not None else [])
     table = _measure_table(cfg, N, cfg.Q or [], *split)
     lam = measures.lambda_measure(params, table)
@@ -991,7 +998,7 @@ def _draw_sweep(cfg: argparse.Namespace, em: Emitter, name: str, setup) -> dict:
 
 
 def _run_majorant(cfg: argparse.Namespace, em: Emitter):
-    table = _table_for(max(cfg.N))
+    table = _table_for((f"--N {max(cfg.N)}", max(cfg.N)))
     grid = fourier.TorusGrid(oversample=cfg.oversample)
 
     def setup(N):
@@ -1054,7 +1061,11 @@ def _run_roth_pipeline(cfg: argparse.Namespace, em: Emitter):
         raise ParameterError(
             f"W = {W}: m = {m}, the product of the primes <= {max(W, 2)}, "
             f"leaves no prime in (2n/m, 4n/m] for n = {n}; it needs m <= 2n")
-    table = _table_for(4 * n + m + 16)
+    # the w-trick reads primes up to 4n/m and the measure values up to
+    # m N + b <= 4n + m
+    limit = 4 * n + m + 16
+    table = _table_for(
+        (f"4 * --N {n} + m + 16 = {limit} (m = {m} at --W {W})", limit))
     # behrend-in-primes runs behrend_set on the indices of the primes <= n
     pi_n = int(table.primes_up_to(n).size)
     if cfg.source == "behrend-in-primes" and pi_n < roth.BEHREND_MIN_N:

@@ -8,11 +8,16 @@ f~(r) = f^(-r/N) is an identity under the Z_N embedding of {1..N}.
 
 This module is the only place Z_N transforms are taken. `spectrum` computes
 a measure's transform once and caches it on the (read-only) measure, so a
-pipeline that reuses a, mu or beta pays one length-N FFT for each. Counts
-on integer sets never transform at the (often prime) length N:
-`set_convolution` forms the linear convolution at a power of two >= 2N-1,
-from which both the line count and the Z_N count (after folding mod N) are
-read.
+pipeline that reuses a, mu or beta pays one length-N FFT for each;
+`spectrum_pair` fills the caches of two real measures on one Z_N from a
+single complex FFT of f + i*g, split by Hermitian symmetry, so both spectra
+come out exactly Hermitian. Counts on integer sets never transform at the
+(often prime) length N: `set_convolution` forms the linear convolution at
+the power of two >= 2 max(S) + 1, from which both the line count and the
+Z_N count (after folding mod N) are read. `self_triple_count` counts the
+3APs of one real measure from the same padded self-convolution, at the
+power of two >= 2N - 1, folded mod N: it reads only the measure's weights,
+never a cached spectrum.
 
 The torus-grid path is separate. `wedge_grid` evaluates f^ on the grid j/M
 with one length-M rfft, completed by Hermitian symmetry, since the weights
@@ -89,6 +94,45 @@ def spectrum(f: Measure) -> np.ndarray:
         coeffs.setflags(write=False)
         f._spectrum = coeffs
     return coeffs
+
+
+def spectrum_pair(f: Measure, g: Measure) -> tuple[np.ndarray, np.ndarray]:
+    """(spectrum(f), spectrum(g)) for two measures on one Z_N from one
+    complex FFT, Z = fft(f + i g), split by Hermitian symmetry:
+
+        f~(r) = (Z(r) + conj Z(-r)) / 2,   g~(r) = (Z(r) - conj Z(-r)) / (2i).
+
+    Both caches are filled, and both spectra are exactly Hermitian,
+    f~(-r) = conj f~(r) bit for bit. The rounding error of each scales
+    with ||f||_1 + ||g||_1, so pair measures of like mass. When either
+    spectrum is already cached, each is taken by `spectrum` instead.
+    """
+    if f.N != g.N:
+        raise ParameterError(f"measures must share N, got {f.N} and {g.N}")
+    if f._spectrum is not None or g._spectrum is not None:
+        return spectrum(f), spectrum(g)
+    z = np.empty(f.N, dtype=np.complex128)
+    z.real = f.zn_weights()
+    z.imag = g.zn_weights()
+    Z = np.fft.fft(z)
+    del z
+    mirror = np.empty_like(Z)  # conj Z(-r)
+    mirror[0] = Z[0]
+    mirror[1:] = Z[:0:-1]
+    np.conjugate(mirror, out=mirror)
+    F = Z + mirror
+    F *= 0.5
+    # D = Z(r) - conj Z(-r) has D(-r) = -conj D(r) exactly, so G = D/(2i),
+    # formed part by part, is exactly Hermitian too
+    Z -= mirror
+    del mirror
+    G = np.empty_like(Z)
+    np.multiply(Z.imag, 0.5, out=G.real)
+    np.multiply(Z.real, -0.5, out=G.imag)
+    for m, coeffs in ((f, F), (g, G)):
+        coeffs.setflags(write=False)
+        m._spectrum = coeffs
+    return F, G
 
 
 def idft(coeffs: np.ndarray) -> np.ndarray:
@@ -286,32 +330,60 @@ def triple_count(f: Measure, g: Measure, h: Measure) -> float:
     return float(val.real)
 
 
+def _self_convolution(u: np.ndarray) -> np.ndarray:
+    """(u * u)(k) for k = 0..2n-2, the linear self-convolution of a real
+    vector u of length n, from one rfft and one irfft at the power of two
+    P >= 2n-1, where no sum wraps around."""
+    L = 2 * u.size - 1
+    P = 1 << (L - 1).bit_length()
+    FU = np.fft.rfft(u, P)
+    return np.fft.irfft(FU * FU, P)[:L]
+
+
 def set_convolution(S: np.ndarray, N: int) -> np.ndarray:
     """(1_S * 1_S)(k) = #{(s, t) in S x S : s + t = k} for k = 0..2N-2,
     exactly, for an integer set S inside [0, N).
 
-    One zero-padded linear convolution with rfft/irfft at the power of two
-    P >= 2N-1, where no sum wraps around. Every value is rounded to an
-    integer, and a value 0.25 or more away from its integer raises
-    StageError instead of being rounded away.
+    One zero-padded linear convolution (`_self_convolution`) of the
+    indicator of S on [0, max S], at the power of two P >= 2 max(S) + 1;
+    the values past 2 max(S) are 0, and an empty S takes no transform.
+    Every value is rounded to an integer, and a value 0.25 or more away
+    from its integer raises StageError instead of being rounded away.
     """
     if N < 1:
         raise ParameterError(f"N must be >= 1, got {N}")
-    L = 2 * N - 1
-    P = 1 << (L - 1).bit_length()
-    u = np.zeros(P, dtype=np.float64)
+    out = np.zeros(2 * N - 1, dtype=np.int64)
+    if len(S) == 0:
+        return out
+    u = np.zeros(int(np.max(S)) + 1, dtype=np.float64)
     u[S] = 1.0
-    FS = np.fft.rfft(u)
-    conv = np.fft.irfft(FS * FS, P)[:L]
+    conv = _self_convolution(u)
     rounded = np.rint(conv)
     residual = float(np.max(np.abs(conv - rounded)))
     if residual >= INTEGRALITY_TOL:
         raise StageError(
             "integrality",
             f"set convolution is {residual:.3g} from an integer "
-            f"(length {P}, tolerance {INTEGRALITY_TOL})",
+            f"(length {conv.size}, tolerance {INTEGRALITY_TOL})",
         )
-    return rounded.astype(np.int64)
+    out[:conv.size] = rounded
+    return out
+
+
+def self_triple_count(f: Measure) -> float:
+    """triple_count(f, f, f), d = 0 included, as
+    sum_y f(y) (f * f)(2y mod N): the Z_N self-convolution is the linear
+    one of f's weights (`_self_convolution`, at the power of two >= 2N-1)
+    folded mod N. It takes no length-N transform and reads only the
+    weights, never a cached spectrum, so it checks spectral counts
+    independently."""
+    N = f.N
+    w = f.zn_weights()
+    conv = _self_convolution(w)
+    folded = conv[:N].copy()
+    folded[:N - 1] += conv[N:]
+    twice = (2 * np.arange(N)) % N
+    return float(np.dot(w, folded[twice]))
 
 
 def majorant_denominator(p: float, N: int, table: FactorTable, grid: TorusGrid) -> float:

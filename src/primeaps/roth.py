@@ -27,7 +27,14 @@ from .errors import (
     StageError,
     TableRangeError,
 )
-from .fourier import idft, set_convolution, spectrum, triple_count
+from .fourier import (
+    idft,
+    self_triple_count,
+    set_convolution,
+    spectrum,
+    spectrum_pair,
+    triple_count,
+)
 from .measures import BASE_ZN, Measure
 from .numutil import fsum_real, loglog_clamped, rng_stream
 
@@ -157,7 +164,10 @@ class BohrSet:
     """B(R, eps) = { x in Z_N : ||x r / N|| <= eps for all r in R }.
 
     Contains 0, is symmetric, and has at least eps^k N elements. Membership
-    uses a 1e-12 slack toward inclusion so exact-boundary points stay in.
+    is decided in exact integers: N ||x r / N|| = min(d, N - d) with
+    d = x r mod N is an integer, so x is in B exactly when
+    min(d, N - d) <= floor(eps N) for every r, with floor(eps N) taken from
+    the exact value of the float eps. No slack is added either way.
     """
 
     R: np.ndarray
@@ -187,18 +197,39 @@ class BohrSet:
 
 
 def bohr_set(R, eps: float, N: int) -> BohrSet:
+    """B(R, eps) in Z_N, built from one progression and filtered.
+
+    For the first nonzero r, with g = gcd(r, N) and N' = N / g, the x with
+    ||x r / N|| <= eps are the lifts mod N of u t mod N', for
+    |t| <= floor(eps N') and u the inverse of r / g mod N'. The other r of
+    R only filter those candidates; 0 in R filters nothing. Members come
+    out ascending.
+    """
     if not 0 < eps < 1:
         raise ParameterError(f"eps must be in (0, 1), got {eps}")
     if N < 1:
         raise ParameterError(f"N must be >= 1, got {N}")
     R = np.unique(np.asarray(R, dtype=np.int64) % N)
-    x = np.arange(N, dtype=np.int64)
-    keep = np.ones(N, dtype=bool)
-    for r in R:
-        d = (x * int(r)) % N
-        dist = np.minimum(d, N - d) / N
-        keep &= dist <= eps + 1e-12
-    return BohrSet(R=R, eps=eps, N=N, members=np.flatnonzero(keep))
+    num, den = eps.as_integer_ratio()
+    T = N * num // den  # floor(eps N), exactly
+    nonzero = [int(r) for r in R if r]
+    if not nonzero:
+        return BohrSet(R=R, eps=eps, N=N, members=np.arange(N, dtype=np.int64))
+    r0 = nonzero[0]
+    g = math.gcd(r0, N)
+    Np = N // g
+    Tp = T // g  # floor(eps N'), as floor(floor(eps N) / g)
+    if 2 * Tp + 1 < Np:
+        t = np.arange(-Tp, Tp + 1, dtype=np.int64)  # distinct mod N'
+        base = (pow(r0 // g, -1, Np) * t) % Np
+    else:
+        base = np.arange(Np, dtype=np.int64)
+    x = (base[:, None] + Np * np.arange(g, dtype=np.int64)).ravel()
+    for r in nonzero[1:]:
+        d = (x * r) % N
+        x = x[np.minimum(d, N - d) <= T]
+    x.sort()
+    return BohrSet(R=R, eps=eps, N=N, members=x)
 
 
 def granularize(a: Measure, bohr: BohrSet) -> Measure:
@@ -312,9 +343,9 @@ def count_3aps(a: Measure) -> Count3APs:
 def count_set_3aps(S, *, N: int) -> tuple[Count3APs, Count3APs]:
     """The (Z_N, integer-line) 3AP counts of an integer set S in [0, N),
     both read from one exact linear convolution 1_S * 1_S
-    (fourier.set_convolution, at a power of two >= 2N-1) summed over y in
-    S: at 2y for the line, at 2y mod N after folding the convolution mod N
-    for Z_N.
+    (fourier.set_convolution, at the power of two >= 2 max(S) + 1) summed
+    over y in S: at 2y for the line, at 2y mod N after folding the
+    convolution mod N for Z_N.
     """
     S = _int_set(S)
     if S.size and (S.min() < 0 or S.max() >= N):
@@ -637,7 +668,8 @@ def density_experiment(
         artifacts["mu"] = mu
         artifacts["a"] = a
     with _stage("transform"):
-        at = spectrum(a)
+        # a <= mu pointwise, so the pair's two rounding scales match
+        at, _ = spectrum_pair(a, mu)
         R = spectrum_threshold(at, delta)
         sup_off, arg_off, ref_off = mu_sup_offzero(mu, W=wt.W)
         report["spectrum"] = {
@@ -675,9 +707,11 @@ def density_experiment(
         artifacts["a1"] = sl.a1
     with _stage("counts"):
         t_a = count_3aps(a)
-        # a1 is transformed afresh here, not taken from a~ beta~^2, so the
-        # difference residual below stays an independent check
-        t_a1 = count_3aps(sl.a1)
+        # a1's count reads its weights, not a~ beta~^2, so the difference
+        # residual below stays an independent check
+        a1_total = self_triple_count(sl.a1)
+        t_a1 = Count3APs(total=a1_total,
+                         nontrivial=a1_total - diagonal_cube_sum(sl.a1))
         bt = spectrum(B.beta())
         idx = (-2 * np.arange(wt.N)) % wt.N
         spectral_diff = float(

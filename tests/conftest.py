@@ -1,5 +1,6 @@
 import argparse
 
+import numpy as np
 import pytest
 
 from primeaps import cli
@@ -26,3 +27,32 @@ def flag_dests():
                 if isinstance(a, argparse._SubParsersAction))
     return {name: {a.dest for a in sp._actions if a.dest != "help"}
             for name, sp in subs.choices.items()}
+
+
+# the 1-D transform entry points of numpy.fft, as bench/tracing.py lists them
+_FFT_1D = ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft")
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """The (name, length) of every 1-D numpy.fft transform taken while the
+    test runs, in call order. The length is the transform's: `n` when it
+    is given, else the input's length, or 2 (m - 1) for irfft and hfft of
+    m bins, as bench/tracing.py reads it. Clear the list to record one
+    call on its own."""
+    calls = []
+
+    def record(name, original):
+        def transform(a, *args, **kwargs):
+            n = args[0] if args else kwargs.get("n")
+            if n is None:
+                axis = args[1] if len(args) > 1 else kwargs.get("axis", -1)
+                m = np.shape(a)[axis]
+                n = 2 * (m - 1) if name in ("irfft", "hfft") else m
+            calls.append((name, int(n)))
+            return original(a, *args, **kwargs)
+        return transform
+
+    for name in _FFT_1D:
+        monkeypatch.setattr(np.fft, name, record(name, getattr(np.fft, name)))
+    return calls

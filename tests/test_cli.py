@@ -366,6 +366,12 @@ _PAST_THE_TABLE = [
     (["arc-scan", "--N", "100", "--Q", "16,100000001"], "--Q 100000001 exceeds"),
     (["restriction", "--N", "50,100", "--m", "1000000"],
      "--m 1000000 * --N 100 + --b 1 = 100000001 exceeds"),
+    # the handlers that build no measure table name their flags too
+    (["sieve-stats", "--N", "100", "--Q", "100000001"], "--Q 100000001 exceeds"),
+    (["sieve-stats", "--N", "100000001"], "--N 100000001 exceeds"),
+    (["majorant", "--N", "100000001", "--draws", "1"], "--N 100000001 exceeds"),
+    (["roth-pipeline", "--N", "30000000"],
+     "4 * --N 30000000 + m + 16 = 120000018 (m = 2 at --W 1) exceeds"),
 ]
 
 
@@ -373,8 +379,8 @@ _PAST_THE_TABLE = [
                          ids=[" ".join(args) for args, _ in _PAST_THE_TABLE])
 def test_measure_table_past_the_limit_names_its_flags(args, message, tmp_path,
                                                       capsys):
-    # one table-size rule for the measure handlers: m*N + b and every --Q,
-    # refused before the first write
+    # one table-size rule for every handler: m*N + b, every --Q, --N, and
+    # the pipeline's 4n + m + 16, refused before the first write
     out = tmp_path / "out"
     assert cli.main(args + ["--output-dir", str(out)]) == 2
     err = json.loads(capsys.readouterr().err)
@@ -591,22 +597,6 @@ def test_majorant_denominator_once_per_N(tmp_path, monkeypatch):
     assert calls == [256, 300]
 
 
-def _transforms(args, outdir: Path) -> list[tuple[str, int]]:
-    """The (name, length) of every numpy.fft transform one run takes."""
-    calls = []
-    with pytest.MonkeyPatch.context() as mp:
-        for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft"):
-            original = getattr(np.fft, name)
-
-            def counted(a, *rest, _name=name, _original=original, **kwargs):
-                calls.append((_name, len(a)))
-                return _original(a, *rest, **kwargs)
-
-            mp.setattr(np.fft, name, counted)
-        _run(args, outdir)
-    return calls
-
-
 @pytest.mark.parametrize("args, want", [
     # per measure: one rfft for the grid, one at twice its length for the
     # first comparison of the L^p ladder (p = 2.5, which agrees there)
@@ -621,9 +611,10 @@ def _transforms(args, outdir: Path) -> list[tuple[str, int]]:
     (["mz-check", "--N", "1000,2000", "--draws", "2", "--oversample", "2"],
      [("rfft", 4000)] * 2 + [("rfft", 8000)] * 2),
 ], ids=["transform-scan", "arc-scan", "mz-check"])
-def test_torus_transform_budget(args, want, tmp_path):
+def test_torus_transform_budget(args, want, tmp_path, transforms):
     # real coefficients never take a complex transform
-    assert _transforms(args, tmp_path) == want
+    _run(args, tmp_path)
+    assert transforms == want
 
 
 def test_tables_stream_in_blocks(tmp_path, monkeypatch):

@@ -85,13 +85,13 @@ def test_wedge_grid_matches_exp_sum():
 
 
 @pytest.mark.parametrize("M", [127, 128])
-def test_real_wedge_grid_matches_the_complex_grid(M):
+def test_real_wedge_grid_matches_the_complex_grid(M, transforms):
     # the oracle is the whole grid from one complex ifft, as wedge_grid
     # took it before it read the grid of real weights off one rfft
     rng = np.random.default_rng(6)
     f = _random_measure(37, rng)
-    vals, calls = _counted(lambda: fourier.wedge_grid(f, M))
-    assert calls == [("rfft", M)]
+    vals = fourier.wedge_grid(f, M)
+    assert transforms == [("rfft", M)]
     pad = np.zeros(M, dtype=np.complex128)
     pad[f.positions() % M] = f.weights
     want = M * np.fft.ifft(pad)
@@ -262,30 +262,6 @@ def _oracle_ladder(positions, values, N, p, oversample):
         cur = nxt
 
 
-def _counted(run):
-    """run() and the transforms it took, as (name, length) pairs."""
-    calls = []
-    originals = {name: getattr(np.fft, name) for name in ("fft", "rfft", "ifft")}
-
-    def counted(name):
-        def transform(a, *args, **kwargs):
-            calls.append((name, len(a)))
-            return originals[name](a, *args, **kwargs)
-        return transform
-
-    with pytest.MonkeyPatch.context() as mp:
-        for name in originals:
-            mp.setattr(np.fft, name, counted(name))
-        value = run()
-    return value, calls
-
-
-def _ladder(f, p, oversample):
-    """lp_norm_torus(f, p) and the transforms it took."""
-    return _counted(lambda: fourier.lp_norm_torus(
-        f, p, TorusGrid(oversample=oversample)))
-
-
 def _stop_oversample(calls, N):
     # real values: each rfft is taken at the length of the finest grid so
     # far; complex values: the first level is one fft at M = oversample * N,
@@ -317,16 +293,16 @@ def test_lp_ladder_matches_two_grid_oracle(kind, p, oversample):
 
 
 @pytest.mark.parametrize("phase", [1.0, (1.0 + 1.0j) / math.sqrt(2.0)])
-def test_lp_ladder_escalates_like_the_oracle(phase):
+def test_lp_ladder_escalates_like_the_oracle(phase, transforms):
     # |f^| has kinks at its zeros, so at p = 1 the grid sums converge
     # slowly: the oracle stops at oversample 16, three doublings past 2
     N = 7
     positions = np.arange(1, N + 1)
     w = np.array([1.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0]) * phase
+    got = fourier._lp_norm_checked(positions, w, N, 1.0, TorusGrid(oversample=2))
+    calls = transforms.copy()
     want, stop = _oracle_ladder(positions, w, N, 1.0, 2)
     assert stop == 16
-    got, calls = _counted(lambda: fourier._lp_norm_checked(
-        positions, w, N, 1.0, TorusGrid(oversample=2)))
     if phase == 1.0:
         # one rfft per comparison, at the finer grid: 28 holds 14 and 28
         assert calls == [("rfft", 28), ("rfft", 56), ("rfft", 112)]
@@ -336,57 +312,59 @@ def test_lp_ladder_escalates_like_the_oracle(phase):
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_lp_ladder_warns_when_still_inconsistent_at_the_cap():
+def test_lp_ladder_warns_when_still_inconsistent_at_the_cap(transforms):
     # the Dirichlet kernel at p = 1: oversamples 16 and 32 differ by 0.12%
     N = 8
     f = Measure(N, np.ones(N))
+    with pytest.warns(GridConvergenceWarning, match="oversample 16"):
+        got = fourier.lp_norm_torus(f, 1.0, TorusGrid(oversample=2))
+    calls = transforms.copy()
     want, stop = _oracle_ladder(f.positions(), np.ones(N), N, 1.0, 2)
     assert stop == 32
-    with pytest.warns(GridConvergenceWarning, match="oversample 16"):
-        got, calls = _ladder(f, 1.0, 2)
     assert got == pytest.approx(want, rel=1e-12)
     assert _stop_oversample(calls, N) == stop
 
 
 @pytest.mark.parametrize("p, oversample", [(2.0, 2), (4.0, 2), (6.0, 4)])
-def test_even_p_inside_the_exact_bound_takes_one_transform(p, oversample):
+def test_even_p_inside_the_exact_bound_takes_one_transform(p, oversample,
+                                                           transforms):
     rng = np.random.default_rng(22)
     N = 300
     f = _random_measure(N, rng)
-    want, _ = _oracle_ladder(f.positions(), f.weights, N, p, oversample)
     with warnings.catch_warnings():
         warnings.simplefilter("error", GridConvergenceWarning)
-        got, calls = _ladder(f, p, oversample)
-    assert calls == [("rfft", oversample * N)]
+        got = fourier.lp_norm_torus(f, p, TorusGrid(oversample=oversample))
+    assert transforms == [("rfft", oversample * N)]
+    want, _ = _oracle_ladder(f.positions(), f.weights, N, p, oversample)
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_even_p_outside_the_exact_bound_doubles_once():
+def test_even_p_outside_the_exact_bound_doubles_once(transforms):
     # p = 6 at oversample 2: 2N <= 3 * span, so the first level is not
     # exact; 4N > 3 * span makes the doubled level exact, and it is
     # returned. One rfft at 4N holds both levels, 2N as its even bins
     rng = np.random.default_rng(23)
     N = 300
     f = _random_measure(N, rng)
-    got, calls = _ladder(f, 6.0, 2)
-    assert calls == [("rfft", 4 * N)]
+    got = fourier.lp_norm_torus(f, 6.0, TorusGrid(oversample=2))
+    assert transforms == [("rfft", 4 * N)]
     want, _ = _oracle_ladder(f.positions(), f.weights, N, 6.0, 4)
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_even_p_at_the_exact_bound_is_not_exact():
+def test_even_p_at_the_exact_bound_is_not_exact(transforms):
     # f^ = 1 + e(5 theta): |f^|^4 has frequencies up to 10 = (p/2) * span,
     # which the 10-point rule aliases onto 0 (it gives 8, not the quadruple
     # count 6); the doubled level is exact and is returned, and one rfft
     # at 20 holds both levels
     positions = np.array([0, 5])
-    got, calls = _counted(lambda: fourier._lp_norm_checked(
-        positions, np.ones(2), 5, 4.0, TorusGrid(oversample=2)))
-    assert calls == [("rfft", 20)]
+    got = fourier._lp_norm_checked(positions, np.ones(2), 5, 4.0,
+                                   TorusGrid(oversample=2))
+    assert transforms == [("rfft", 20)]
     assert got ** 4 == pytest.approx(6.0, rel=1e-12)
 
 
-def test_majorant_takes_one_real_transform_per_ratio(small_table):
+def test_majorant_takes_one_real_transform_per_ratio(small_table, transforms):
     # the signs arrive as complex with zero imaginary part; the grid of real
     # coefficients is Hermitian, so the first level is one rfft, and at
     # p = 4 and 2N > 2 * span it is exact
@@ -394,12 +372,10 @@ def test_majorant_takes_one_real_transform_per_ratio(small_table):
     grid = TorusGrid(oversample=2)
     n = small_table.primes_up_to(N).size
     signs = np.random.default_rng(24).integers(0, 2, size=n) * 2.0 - 1.0
-    den, calls = _counted(lambda: fourier.majorant_denominator(
-        4.0, N, small_table, grid))
-    assert calls == [("rfft", 2 * N)]
-    _, calls = _counted(lambda: fourier.majorant_ratio(
-        signs, 4.0, N, small_table, grid, den=den))
-    assert calls == [("rfft", 2 * N)]
+    den = fourier.majorant_denominator(4.0, N, small_table, grid)
+    assert transforms == [("rfft", 2 * N)]
+    fourier.majorant_ratio(signs, 4.0, N, small_table, grid, den=den)
+    assert transforms == [("rfft", 2 * N)] * 2
 
 
 def _quadruple_count(positions, signs):
@@ -420,7 +396,7 @@ def _quadruple_count(positions, signs):
     (10007, 4, False),
 ])
 def test_l4_norm_is_the_exact_quadruple_count(small_table, N, oversample,
-                                              drop_two):
+                                              drop_two, transforms):
     primes = small_table.primes_up_to(N)
     if drop_two:
         primes = primes[1:]
@@ -431,8 +407,8 @@ def test_l4_norm_is_the_exact_quadruple_count(small_table, N, oversample,
     w = np.zeros(N)
     w[primes - 1] = signs
     f = Measure(N, w, signed=True)
-    got, calls = _ladder(f, 4.0, oversample)
-    assert len(calls) == 1
+    got = fourier.lp_norm_torus(f, 4.0, TorusGrid(oversample=oversample))
+    assert len(transforms) == 1
     want = _quadruple_count(primes, signs)
     assert got ** 4 == pytest.approx(want, rel=1e-12)
 
@@ -479,38 +455,84 @@ def test_triple_count_needs_common_N():
 
 # --- cached spectra and set convolutions -------------------------------------
 
-def _count_ffts(monkeypatch, name="fft"):
-    calls = []
-    original = getattr(np.fft, name)
-
-    def counted(*args, **kwargs):
-        calls.append(len(args[0]))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, name, counted)
-    return calls
-
-
-def test_spectrum_is_cached_and_read_only(monkeypatch):
+def test_spectrum_is_cached_and_read_only(transforms):
     rng = np.random.default_rng(12)
     f = _random_measure(101, rng)
-    calls = _count_ffts(monkeypatch)
     first = fourier.spectrum(f)
     assert fourier.spectrum(f) is first
-    assert calls == [101]
+    assert transforms == [("fft", 101)]
     assert np.array_equal(first, np.fft.fft(f.zn_weights()))
     with pytest.raises(ValueError):
         first[0] = 0.0
 
 
-def test_triple_count_transforms_a_shared_measure_once(monkeypatch):
+def test_triple_count_transforms_a_shared_measure_once(transforms):
     rng = np.random.default_rng(13)
     f, g = _random_measure(53, rng), _random_measure(53, rng)
-    calls = _count_ffts(monkeypatch)
     fourier.triple_count(f, f, f)
-    assert calls == [53]
+    assert transforms == [("fft", 53)]
     fourier.triple_count(f, g, f)
-    assert calls == [53, 53]
+    assert transforms == [("fft", 53)] * 2
+
+
+def _direct_dft(w):
+    """w~(r) = sum_x w(x) e(-rx/N) by O(N^2) summation, each phase reduced
+    mod N before the exponential."""
+    N = w.size
+    k = np.outer(np.arange(N), np.arange(N)) % N
+    return np.exp(-2j * np.pi * k / N) @ w
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 16, 97, 101, 120, 128])
+@pytest.mark.parametrize("signed", [False, True])
+def test_spectrum_pair_matches_the_direct_dft(N, signed, transforms):
+    # one complex fft for both measures; each coefficient within
+    # 1e-13 (||f||_1 + ||g||_1) of the O(N^2) sum, at prime and composite N
+    rng = np.random.default_rng(N)
+    f, g = (Measure(N, _random_measure(N, rng, signed).weights, signed=signed,
+                    base=BASE_ZN) for _ in range(2))
+    F, G = fourier.spectrum_pair(f, g)
+    assert transforms == [("fft", N)]
+    assert fourier.spectrum(f) is F and fourier.spectrum(g) is G
+    assert not F.flags.writeable and not G.flags.writeable
+    tol = 1e-13 * float(np.sum(np.abs(f.weights)) + np.sum(np.abs(g.weights)))
+    assert float(np.max(np.abs(F - _direct_dft(f.weights)))) <= tol
+    assert float(np.max(np.abs(G - _direct_dft(g.weights)))) <= tol
+    # exactly Hermitian, bit for bit: |f~| ties at r and N - r
+    mirror = (-np.arange(N)) % N
+    assert np.array_equal(F[mirror], np.conj(F))
+    assert np.array_equal(G[mirror], np.conj(G))
+    assert F[0].imag == 0.0 and G[0].imag == 0.0
+
+
+def test_spectrum_pair_reuses_a_cached_spectrum(transforms):
+    rng = np.random.default_rng(14)
+    f, g = _random_measure(31, rng), _random_measure(31, rng)
+    F = fourier.spectrum(f)
+    assert fourier.spectrum_pair(f, g)[0] is F
+    assert transforms == [("fft", 31)] * 2
+    with pytest.raises(ParameterError):
+        fourier.spectrum_pair(f, _random_measure(32, rng))
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 17, 64, 101])
+def test_self_triple_count_matches_brute_and_spectral(N, transforms):
+    # the linear self-convolution at the power of two >= 2N - 1, folded mod
+    # N; within 1e-13 ||f||_1^3 (the trivial bound on the form) of both the
+    # O(N^2) enumeration and the spectral triple_count
+    rng = np.random.default_rng(N + 1)
+    for signed in (False, True):
+        f = Measure(N, _random_measure(N, rng, signed).weights, signed=signed,
+                    base=BASE_ZN)
+        transforms.clear()
+        got = fourier.self_triple_count(f)
+        P = 1 << (2 * N - 2).bit_length()
+        assert transforms == [("rfft", P), ("irfft", P)]
+        assert f._spectrum is None  # reads the weights, never a spectrum
+        tol = 1e-13 * float(np.sum(np.abs(f.weights))) ** 3
+        w = f.zn_weights()
+        assert abs(got - _brute_triple(w, w, w)) <= tol
+        assert abs(got - fourier.triple_count(f, f, f)) <= tol
 
 
 def _brute_set_convolution(S, N):
@@ -530,12 +552,30 @@ def test_set_convolution_matches_brute(N):
                           _brute_set_convolution(S, N))
 
 
-def test_set_convolution_runs_at_a_power_of_two(monkeypatch):
-    calls = _count_ffts(monkeypatch, "rfft")
+def test_set_convolution_runs_at_a_power_of_two(transforms):
+    # sized by the set, not by N: the power of two >= 2 max(S) + 1
     S = np.array([0, 3, 5, 6, 12])
-    fourier.set_convolution(S, 513)
-    fourier.set_convolution(S[:3], 512)
-    assert calls == [2048, 1024]
+    assert fourier.set_convolution(S, 513).size == 2 * 513 - 1
+    assert fourier.set_convolution(S[:3], 512).size == 2 * 512 - 1
+    assert transforms == [("rfft", 32), ("irfft", 32),
+                          ("rfft", 16), ("irfft", 16)]
+
+
+@pytest.mark.parametrize("S, N, lengths", [
+    ([], 5, []),            # empty: all zeros, no transform
+    ([], 1, []),
+    ([0], 1, [1]),          # N = 1
+    ([0], 4, [1]),          # S = {0}
+    ([0, 32], 33, [128]),   # max S = N - 1
+    ([32], 33, [128]),
+])
+def test_set_convolution_edges(S, N, lengths, transforms):
+    S = np.array(S, dtype=np.int64)
+    got = fourier.set_convolution(S, N)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _brute_set_convolution(S, N))
+    assert transforms == [(name, P) for P in lengths
+                          for name in ("rfft", "irfft")]
 
 
 def test_set_convolution_integrality_guard(monkeypatch):
@@ -570,15 +610,15 @@ def test_mz_ratio_is_one_at_p2():
 @pytest.mark.parametrize("oversample", [2, 3, 4])
 @pytest.mark.parametrize("N", [64, 65])
 @pytest.mark.parametrize("p", [2.5, 4.0, 6.0])
-def test_mz_numerator_is_the_spectrum_power_sum(p, N, oversample):
+def test_mz_numerator_is_the_spectrum_power_sum(p, N, oversample, transforms):
     # the numerator is read off the ladder's own first grid (every
     # oversample-th bin when that level is exact, else every
     # 2 * oversample-th), with no length-N transform of its own
     f = _random_measure(N, np.random.default_rng(N + oversample))
     grid = TorusGrid(oversample=oversample)
-    ratio, calls = _counted(lambda: fourier.mz_ratio(f, p, grid))
-    assert [name for name, _ in calls] == ["rfft"] * len(calls)
-    assert all(length >= oversample * N for _, length in calls)
+    ratio = fourier.mz_ratio(f, p, grid)
+    assert [name for name, _ in transforms] == ["rfft"] * len(transforms)
+    assert all(length >= oversample * N for _, length in transforms)
     num = ratio * N * fourier.lp_norm_torus(f, p, grid) ** p
     want = math.fsum((np.abs(fourier.spectrum(f)) ** p).tolist())
     assert num == pytest.approx(want, rel=1e-12)

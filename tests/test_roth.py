@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -170,6 +171,41 @@ def test_bohr_set_frequency_reduction():
     b = roth.bohr_set([101, 1], 0.1, 100)
     assert np.array_equal(a.members, b.members)
     assert b.k == 1
+
+
+def _bohr_by_definition(R, eps, N):
+    """{x in Z_N : ||x r / N|| <= eps for all r in R}, in exact rationals."""
+    e = Fraction(eps)
+    return [x for x in range(N)
+            if all(Fraction(min(x * r % N, N - x * r % N), N) <= e for r in R)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(N=st.integers(1, 500),
+       R=st.lists(st.integers(-1000, 1000), max_size=4),
+       with_zero=st.booleans(), repeat=st.booleans(),
+       eps=st.one_of(st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.7]),
+                     st.floats(1e-6, 0.999)),
+       j=st.one_of(st.none(), st.integers(1, 499)))
+def test_bohr_set_matches_the_definition(N, R, with_zero, repeat, eps, j):
+    # R with 0, duplicates, negatives and values >= N; composite N included.
+    # eps = j / N as a float puts points at distance exactly j / N, on
+    # whichever side of the boundary the float rounding of j / N falls
+    R = R + [0] * with_zero + R[:1] * repeat
+    if j is not None and N > 1:
+        eps = (1 + j % (N - 1)) / N
+    B = roth.bohr_set(R, eps, N)
+    assert B.members.tolist() == _bohr_by_definition(R, eps, N)
+    assert B.members.dtype == np.int64
+
+
+def test_bohr_set_boundary_is_exact():
+    # float 0.3 lies below 3/10, so ||3/10|| = 3/10 > eps: 3 is out, as is
+    # its mirror 7; a slack toward inclusion would let both in
+    assert Fraction(0.3) < Fraction(3, 10)
+    assert roth.bohr_set([1], 0.3, 10).members.tolist() == [0, 1, 2, 8, 9]
+    # past eps = 1/2 every x is in: ||x r / N|| <= 1/2 always
+    assert roth.bohr_set([1], 0.7, 10).members.tolist() == list(range(10))
 
 
 def test_bohr_set_validation():
@@ -675,9 +711,15 @@ def test_density_experiment_stage_errors(i, small_table, monkeypatch):
     assert set(stash) == set().union(*(s[3] for s in _STAGES[:i]))
 
 
-def test_density_experiment_transforms(small_table, monkeypatch):
-    # one granularization; prime-length transforms only for a, mu, beta and
-    # a1 (inverse and forward); set counts run at powers of two
+def _pow2_above(n: int) -> int:
+    """The smallest power of two >= n."""
+    return 1 << (n - 1).bit_length()
+
+
+def test_density_experiment_transforms(small_table, monkeypatch, transforms):
+    # one granularization; three transforms at the prime N: one complex
+    # fft for a and mu, beta's fft and the inverse of a~ beta~^2; every
+    # count runs at a power of two
     grans = []
     original = roth.granularize
 
@@ -686,23 +728,22 @@ def test_density_experiment_transforms(small_table, monkeypatch):
         return original(a, bohr)
 
     monkeypatch.setattr(roth, "granularize", counted)
-    lengths = []
-    for name in ("fft", "ifft", "rfft"):
-        fn = getattr(np.fft, name)
-
-        def traced(x, *args, fn=fn, **kwargs):
-            lengths.append(len(x))
-            return fn(x, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, traced)
     stash = {}
     rep = roth.density_experiment("random-subset-of-primes", 2000,
                                   small_table, artifacts=stash,
                                   **_FLAGS | {"seed": 1})
     N = rep["w_trick"]["N"]
     assert len(grans) == 1
-    assert lengths.count(N) == 5
-    assert all(n == N or n & (n - 1) == 0 for n in lengths)
-    # one rfft for the source's line count, one for both counts of A
-    assert sum(n != N for n in lengths) == 2
+    source = _pow2_above(2 * int(stash["A0"].max()) + 1)
+    counts_A = _pow2_above(2 * int(stash["A"].max()) + 1)
+    count_a1 = _pow2_above(2 * N - 1)
+    assert transforms == [
+        ("rfft", source), ("irfft", source),  # the source's line count
+        ("fft", N),                           # a and mu, as one pair
+        ("fft", N), ("ifft", N),              # beta, and a1 = a * beta * beta
+        ("rfft", count_a1), ("irfft", count_a1),  # a1's 3AP count
+        ("rfft", counts_A), ("irfft", counts_A),  # A's Z_N and line counts
+    ]
+    # A sits inside [1, N/2], so its counts run below a1's
+    assert counts_A < count_a1
     assert stash["bohr"].beta() is stash["bohr"].beta()
