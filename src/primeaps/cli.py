@@ -289,6 +289,11 @@ _POW10 = np.array([10 ** j for j in range(18)], dtype=np.uint64)
 # 1.7 times as slow per value, and 2^12 paid 1.4 times as much in numpy's
 # per-call overhead
 _REPR_CHUNK = 1 << 13
+# fewer distinct values than this go to float.__repr__ one by one, since
+# each _repr_words pass costs some 0.35 ms whatever its size; measured on
+# 2 cores with numpy 2.4 (min of 30), the kernel took 375 us at 192 values
+# and 370 us at 256, float.__repr__ 329 us and 442 us
+_REPR_KERNEL_MIN = 256
 
 
 @functools.cache
@@ -633,10 +638,20 @@ def _repr_cells(bits: np.ndarray) -> np.ndarray:
     return cells
 
 
+def _repr_text_cells(bits: np.ndarray) -> np.ndarray:
+    """_repr_fallback's text of each bit pattern, left-aligned in a row of
+    a (values, width) uint8 matrix and padded with NUL bytes (numpy's
+    fixed-width bytes)."""
+    texts = np.array(_repr_fallback(bits), dtype=bytes)
+    return texts.view(np.uint8).reshape(texts.size, texts.itemsize)
+
+
 def _float_cells(values: np.ndarray) -> np.ndarray:
     """The float.__repr__ text of a float64 array as a (rows, width) uint8
-    matrix, one value per row as _repr_cells lays it out. A run of
-    bit-identical values is formatted once."""
+    matrix, one value per row with NUL bytes around its text. A run of
+    bit-identical values is formatted once: by _repr_cells, or by
+    float.__repr__ itself (_repr_text_cells) when fewer than
+    _REPR_KERNEL_MIN are left to format."""
     bits = values.view(np.uint64)
     new = np.empty(values.size, dtype=bool)
     new[:1] = True
@@ -649,9 +664,14 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
         # measure's constant): format each distinct value once. A column of
         # many runs rarely repeats, and the sort would cost more than it saves
         distinct, which = np.unique(heads, return_inverse=True)
-        runs = _repr_cells(distinct)[which]
     else:
-        runs = _repr_cells(heads)
+        distinct, which = heads, None
+    if distinct.size < _REPR_KERNEL_MIN:
+        runs = _repr_text_cells(distinct)
+    else:
+        runs = _repr_cells(distinct)
+    if which is not None:
+        runs = runs[which]
     if starts.size == values.size:
         return runs
     return np.take(runs, np.cumsum(new) - 1, axis=0)

@@ -6,16 +6,21 @@ the ambient points of the measure. The Z_N transform is
 f~(r) = sum_x f(x) e(-rx/N), i.e. exactly numpy's FFT sign, so the bridge
 f~(r) = f^(-r/N) is an identity under the Z_N embedding of {1..N}.
 
-This module is the only place Z_N transforms are taken. `spectrum` computes
-a measure's transform once and caches it on the (read-only) measure, so a
-pipeline that reuses a, mu or beta pays one length-N FFT for each;
-`spectrum_pair` fills the caches of two real measures on one Z_N from a
-single complex FFT of f + i*g, split by Hermitian symmetry, so both spectra
-come out exactly Hermitian. Counts on integer sets never transform at the
-(often prime) length N: `set_convolution` forms the linear convolution at
-the power of two >= 2 max(S) + 1, from which both the line count and the
-Z_N count (after folding mod N) are read. `self_triple_count` counts the
-3APs of one real measure from the same padded self-convolution, at the
+This module is the only place Z_N transforms are taken, and none runs at
+the (often prime) length N itself. `spectrum` computes a measure's
+transform once and caches it on the (read-only) measure, so a pipeline
+that reuses a, mu or beta pays one transform for each. The weights are
+real, so only the half r <= N/2 is computed, by Bluestein's chirp
+convolution (L. Bluestein, "A linear filtering approach to the computation
+of the discrete Fourier transform", 1970) at a 5-smooth length L ~ 1.5 N;
+the rest is its exact conjugate mirror, so every spectrum is exactly
+Hermitian. `idft` inverts a Hermitian spectrum to real weights with one
+convolution of the same kind, reading only r <= N/2. Both use the chirp
+and kernel transform of `_chirp_plan`, built once per N. Counts on integer
+sets run at powers of two: `set_convolution` forms the linear convolution
+at the power of two >= 2 max(S) + 1, from which both the line count and
+the Z_N count (after folding mod N) are read. `self_triple_count` counts
+the 3APs of one real measure from the same padded self-convolution, at the
 power of two >= 2N - 1, folded mod N: it reads only the measure's weights,
 never a cached spectrum.
 
@@ -43,6 +48,7 @@ furthest the ladder escalates.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -82,62 +88,119 @@ class TorusGrid:
         return self.oversample * N
 
 
+def _smooth_length(n: int) -> int:
+    """The least 5-smooth integer >= n (1 for n <= 1)."""
+    best = 1 << max(n - 1, 0).bit_length()
+    five = 1
+    while five < best:
+        three = five
+        while three < best:
+            m = three
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            three *= 3
+        five *= 5
+    return best
+
+
+@functools.lru_cache(maxsize=1)
+def _chirp_plan(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The half-length Bluestein plan of Z_N: the chirp
+    cbar(n) = exp(-i pi n^2 / N) for n < N, and the transform of the
+    kernel V[k mod L] = conj cbar(|k|) for -(N-1) <= k <= R-1, with
+    R = N//2 + 1 and L the least 5-smooth integer >= N + R - 1, so that
+    no sum of a convolution with V wraps around onto r < R.
+
+    n^2 is reduced mod 2N in integers, so every phase is within one
+    rounding of its value. One plan is kept: a run transforms at one N.
+    """
+    R = N // 2 + 1
+    L = _smooth_length(N + R - 1)
+    n = np.arange(N, dtype=np.int64)
+    chirp = np.exp((-1j * math.pi / N) * (n * n % (2 * N)))
+    del n
+    kernel = np.zeros(L, dtype=np.complex128)
+    np.conjugate(chirp[:R], out=kernel[:R])
+    np.conjugate(chirp[:0:-1], out=kernel[L - N + 1:])
+    np.fft.fft(kernel, out=kernel)
+    chirp.setflags(write=False)
+    kernel.setflags(write=False)
+    return chirp, kernel
+
+
+def _chirp_convolution(u: np.ndarray, kernel: np.ndarray) -> None:
+    """Replace u by its cyclic convolution with the plan's kernel: one fft
+    and one ifft at the kernel's length, both in place."""
+    np.fft.fft(u, out=u)
+    u *= kernel
+    np.fft.ifft(u, out=u)
+
+
 def spectrum(f: Measure) -> np.ndarray:
     """f~(r) = sum_x f(x) e(-rx/N) for r = 0..N-1, as a read-only array.
 
-    One FFT on first use, cached on f; the weights of a Measure are
-    read-only, so the cached coefficients cannot go stale.
+    Computed on first use, cached on f; the weights of a Measure are
+    read-only, so the cached coefficients cannot go stale. The weights are
+    real, so only r <= N/2 are transformed, by Bluestein's identity
+    rx = (r^2 + x^2 - (r - x)^2) / 2:
+
+        f~(r) = cbar(r) sum_x (f(x) cbar(x)) c(r - x),   c = conj cbar,
+
+    one convolution with the kernel of `_chirp_plan` at its 5-smooth
+    length L ~ 1.5 N. f~(0), and f~(N/2) for even N, are made real, and
+    f~(N - r) = conj f~(r) is filled in, so the spectrum is exactly
+    Hermitian, bit for bit.
     """
     coeffs = f._spectrum
     if coeffs is None:
-        coeffs = np.fft.fft(f.zn_weights())
+        w = f.zn_weights()
+        N = w.size
+        R = N // 2 + 1
+        chirp, kernel = _chirp_plan(N)
+        u = np.zeros(kernel.size, dtype=np.complex128)
+        np.multiply(w, chirp, out=u[:N])
+        _chirp_convolution(u, kernel)
+        coeffs = np.empty(N, dtype=np.complex128)
+        np.multiply(u[:R], chirp[:R], out=coeffs[:R])
+        del u
+        coeffs[0] = coeffs[0].real
+        if N % 2 == 0:
+            coeffs[N // 2] = coeffs[N // 2].real
+        np.conjugate(coeffs[N - R:0:-1], out=coeffs[R:])
         coeffs.setflags(write=False)
         f._spectrum = coeffs
     return coeffs
 
 
-def spectrum_pair(f: Measure, g: Measure) -> tuple[np.ndarray, np.ndarray]:
-    """(spectrum(f), spectrum(g)) for two measures on one Z_N from one
-    complex FFT, Z = fft(f + i g), split by Hermitian symmetry:
-
-        f~(r) = (Z(r) + conj Z(-r)) / 2,   g~(r) = (Z(r) - conj Z(-r)) / (2i).
-
-    Both caches are filled, and both spectra are exactly Hermitian,
-    f~(-r) = conj f~(r) bit for bit. The rounding error of each scales
-    with ||f||_1 + ||g||_1, so pair measures of like mass. When either
-    spectrum is already cached, each is taken by `spectrum` instead.
-    """
-    if f.N != g.N:
-        raise ParameterError(f"measures must share N, got {f.N} and {g.N}")
-    if f._spectrum is not None or g._spectrum is not None:
-        return spectrum(f), spectrum(g)
-    z = np.empty(f.N, dtype=np.complex128)
-    z.real = f.zn_weights()
-    z.imag = g.zn_weights()
-    Z = np.fft.fft(z)
-    del z
-    mirror = np.empty_like(Z)  # conj Z(-r)
-    mirror[0] = Z[0]
-    mirror[1:] = Z[:0:-1]
-    np.conjugate(mirror, out=mirror)
-    F = Z + mirror
-    F *= 0.5
-    # D = Z(r) - conj Z(-r) has D(-r) = -conj D(r) exactly, so G = D/(2i),
-    # formed part by part, is exactly Hermitian too
-    Z -= mirror
-    del mirror
-    G = np.empty_like(Z)
-    np.multiply(Z.imag, 0.5, out=G.real)
-    np.multiply(Z.real, -0.5, out=G.imag)
-    for m, coeffs in ((f, F), (g, G)):
-        coeffs.setflags(write=False)
-        m._spectrum = coeffs
-    return F, G
-
-
 def idft(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of spectrum: the Z_N weights with transform coeffs."""
-    return np.fft.ifft(coeffs)
+    """Inverse of spectrum: the real Z_N weights whose transform is the
+    Hermitian coeffs, of which only r <= N/2 are read.
+
+    w(n) = Re sum_{r <= N/2} om(r) conj(coeffs(r)) e(-rn/N) / N, with
+    om = 1 at r = 0 (and at N/2 for even N) and 2 elsewhere: a forward
+    transform, by the same plan and kernel as `spectrum`. The kernel is
+    even, c(n - r) = c(r - n), so u(r) = om(r) conj(coeffs(r)) cbar(r) is
+    placed at -r mod L and output n read at -n mod L.
+    """
+    N = coeffs.size
+    R = N // 2 + 1
+    chirp, kernel = _chirp_plan(N)
+    L = kernel.size
+    half = np.conjugate(coeffs[:R])
+    half *= chirp[:R]
+    half[1:N - R + 1] *= 2.0
+    u = np.zeros(L, dtype=np.complex128)
+    u[0] = half[0]
+    u[L - R + 1:] = half[:0:-1]
+    del half
+    _chirp_convolution(u, kernel)
+    z = np.empty(N, dtype=np.complex128)
+    z[0] = u[0]
+    z[1:] = u[L - 1:L - N:-1]
+    del u
+    z *= chirp
+    return z.real / N
 
 
 def _scatter(positions: np.ndarray, values: np.ndarray, M: int) -> np.ndarray:

@@ -8,6 +8,8 @@ nontrivial count removes the diagonal. On integer sets both kinds are read
 from one exact linear convolution (1_A * 1_C)(k), since x, x+d, x+2d in
 A, B, C means x + z = 2y with y in B: the integer-line count sums it at
 k = 2y, the Z_N count sums it at k = 2y mod N after folding k mod N.
+A set that needs only its line count (the source) is counted on each
+parity class apart (`line_3aps`), since x + z = 2y forces x = z (mod 2).
 Every Z_N transform goes through `fourier`.
 """
 
@@ -32,7 +34,6 @@ from .fourier import (
     self_triple_count,
     set_convolution,
     spectrum,
-    spectrum_pair,
     triple_count,
 )
 from .measures import BASE_ZN, Measure
@@ -241,7 +242,7 @@ def granularize(a: Measure, bohr: BohrSet) -> Measure:
     if a.N != bohr.N:
         raise ParameterError(f"measure N={a.N} vs Bohr N={bohr.N}")
     fb = spectrum(bohr.beta())
-    out = idft(spectrum(a) * fb * fb).real
+    out = idft(spectrum(a) * fb * fb)
     if not a.signed:
         out = np.maximum(out, 0.0)
     return Measure(a.N, out, signed=a.signed, base=BASE_ZN)
@@ -338,6 +339,29 @@ def count_3aps(a: Measure) -> Count3APs:
     """
     total = triple_count(a, a, a)
     return Count3APs(total=total, nontrivial=total - diagonal_cube_sum(a))
+
+
+def line_3aps(S) -> Count3APs:
+    """The integer-line 3AP count of an integer set S of values >= 0,
+    counted on each parity class: x + z = 2y forces x = z (mod 2), so with
+    S_c = {(s - c) / 2 : s in S, s = c (mod 2)}, the pairs of class c
+    that meet at y are read off (1_{S_c} * 1_{S_c})(y - c). Each class
+    takes its own `set_convolution`, at the power of two
+    >= 2 max(S_c) + 1, about half the line of S.
+    """
+    S = _int_set(S)
+    if S.size and S.min() < 0:
+        raise ParameterError("set elements must be >= 0")
+    line = 0
+    for c in (0, 1):
+        half = (S[S % 2 == c] - c) // 2
+        if half.size == 0:
+            continue
+        top = int(half[-1])
+        conv = set_convolution(half, top + 1)
+        k = S - c
+        line += int(conv[k[(k >= 0) & (k <= 2 * top)]].sum())
+    return Count3APs(total=line, nontrivial=line - S.size)
 
 
 def count_set_3aps(S, *, N: int) -> tuple[Count3APs, Count3APs]:
@@ -636,7 +660,7 @@ def density_experiment(
         A0, ps = _build_source(source, n, table, seed)
         if A0.size == 0:
             raise DegenerateInputError("source selection is empty")
-        _, src_counts = count_set_3aps(A0, N=int(A0.max()) + 1)
+        src_counts = line_3aps(A0)
         report["source"] = {
             "size": int(A0.size),
             "primes_below_n": int(ps.size),
@@ -668,14 +692,16 @@ def density_experiment(
         artifacts["mu"] = mu
         artifacts["a"] = a
     with _stage("transform"):
-        # a <= mu pointwise, so the pair's two rounding scales match
-        at, _ = spectrum_pair(a, mu)
+        at = spectrum(a)
         R = spectrum_threshold(at, delta)
+        # how far the nearest |a~(r)| sits from the threshold
+        margin = float(np.min(np.abs(np.abs(at) - delta)))
         sup_off, arg_off, ref_off = mu_sup_offzero(mu, W=wt.W)
         report["spectrum"] = {
             "delta": delta,
             "k": int(R.size),
             "R_head": [int(r) for r in R[:32]],
+            "delta_margin": margin,
             "mu_sup_offzero": sup_off,
             "mu_sup_argmax": arg_off,
             "mu_sup_reference": ref_off,

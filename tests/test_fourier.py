@@ -455,13 +455,21 @@ def test_triple_count_needs_common_N():
 
 # --- cached spectra and set convolutions -------------------------------------
 
+def _plan_length(N):
+    """The length of the chirp convolution behind every Z_N transform."""
+    return fourier._chirp_plan(N)[1].size
+
+
 def test_spectrum_is_cached_and_read_only(transforms):
     rng = np.random.default_rng(12)
     f = _random_measure(101, rng)
+    fourier._chirp_plan.cache_clear()
     first = fourier.spectrum(f)
     assert fourier.spectrum(f) is first
-    assert transforms == [("fft", 101)]
-    assert np.array_equal(first, np.fft.fft(f.zn_weights()))
+    # the plan's kernel, then one convolution; N = 101 runs at L = 160
+    assert transforms == [("fft", 160)] * 2 + [("ifft", 160)]
+    again = fourier.spectrum(Measure(101, f.weights, signed=True))
+    assert np.array_equal(first, again)
     with pytest.raises(ValueError):
         first[0] = 0.0
 
@@ -469,10 +477,12 @@ def test_spectrum_is_cached_and_read_only(transforms):
 def test_triple_count_transforms_a_shared_measure_once(transforms):
     rng = np.random.default_rng(13)
     f, g = _random_measure(53, rng), _random_measure(53, rng)
+    fourier._chirp_plan.cache_clear()
     fourier.triple_count(f, f, f)
-    assert transforms == [("fft", 53)]
+    # N = 53 runs at L = 80, the least 5-smooth length >= 53 + 27 - 1
+    assert transforms == [("fft", 80), ("fft", 80), ("ifft", 80)]
     fourier.triple_count(f, g, f)
-    assert transforms == [("fft", 53)] * 2
+    assert transforms == [("fft", 80)] + [("fft", 80), ("ifft", 80)] * 2
 
 
 def _direct_dft(w):
@@ -483,36 +493,107 @@ def _direct_dft(w):
     return np.exp(-2j * np.pi * k / N) @ w
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 16, 97, 101, 120, 128])
+def _assert_hermitian(X):
+    """X(N - r) = conj X(r) bit for bit, X(0) real, X(N/2) real for even N."""
+    N = X.size
+    mirror = (-np.arange(N)) % N
+    assert np.array_equal(X[mirror], np.conj(X))
+    assert X[0].imag == 0.0
+    if N % 2 == 0:
+        assert X[N // 2].imag == 0.0
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 16, 97, 101, 120, 128])
 @pytest.mark.parametrize("signed", [False, True])
 def test_spectrum_pair_matches_the_direct_dft(N, signed, transforms):
-    # one complex fft for both measures; each coefficient within
-    # 1e-13 (||f||_1 + ||g||_1) of the O(N^2) sum, at prime and composite N
+    # two measures on one Z_N share one chirp plan, and each takes one
+    # convolution at its length; each coefficient within 1e-13 ||f||_1 of
+    # the O(N^2) sum, at prime and composite N
     rng = np.random.default_rng(N)
     f, g = (Measure(N, _random_measure(N, rng, signed).weights, signed=signed,
                     base=BASE_ZN) for _ in range(2))
-    F, G = fourier.spectrum_pair(f, g)
-    assert transforms == [("fft", N)]
+    fourier._chirp_plan.cache_clear()
+    F, G = fourier.spectrum(f), fourier.spectrum(g)
+    L = _plan_length(N)
+    assert transforms == [("fft", L)] + [("fft", L), ("ifft", L)] * 2
     assert fourier.spectrum(f) is F and fourier.spectrum(g) is G
     assert not F.flags.writeable and not G.flags.writeable
-    tol = 1e-13 * float(np.sum(np.abs(f.weights)) + np.sum(np.abs(g.weights)))
-    assert float(np.max(np.abs(F - _direct_dft(f.weights)))) <= tol
-    assert float(np.max(np.abs(G - _direct_dft(g.weights)))) <= tol
-    # exactly Hermitian, bit for bit: |f~| ties at r and N - r
-    mirror = (-np.arange(N)) % N
-    assert np.array_equal(F[mirror], np.conj(F))
-    assert np.array_equal(G[mirror], np.conj(G))
-    assert F[0].imag == 0.0 and G[0].imag == 0.0
+    for m, X in ((f, F), (g, G)):
+        tol = 1e-13 * float(np.sum(np.abs(m.weights)))
+        assert float(np.max(np.abs(X - _direct_dft(m.weights)))) <= tol
+        # exactly Hermitian, bit for bit: |f~| ties at r and N - r
+        _assert_hermitian(X)
 
 
 def test_spectrum_pair_reuses_a_cached_spectrum(transforms):
     rng = np.random.default_rng(14)
     f, g = _random_measure(31, rng), _random_measure(31, rng)
+    fourier._chirp_plan.cache_clear()
     F = fourier.spectrum(f)
-    assert fourier.spectrum_pair(f, g)[0] is F
-    assert transforms == [("fft", 31)] * 2
-    with pytest.raises(ParameterError):
-        fourier.spectrum_pair(f, _random_measure(32, rng))
+    assert fourier.spectrum(f) is F
+    fourier.spectrum(g)
+    # N = 31 runs at L = 48; one plan, one convolution per measure
+    assert transforms == [("fft", 48)] + [("fft", 48), ("ifft", 48)] * 2
+    # one plan is kept: another N replaces it, and coming back rebuilds it
+    transforms.clear()
+    fourier.spectrum(_random_measure(30, rng))
+    fourier.spectrum(_random_measure(31, rng))
+    assert transforms == [("fft", 45), ("fft", 45), ("ifft", 45),
+                          ("fft", 48), ("fft", 48), ("ifft", 48)]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 16, 97, 101, 120, 128])
+def test_idft_inverts_spectrum(N, transforms):
+    # the real weights back within 1e-13 ||f||_1 / N, from one convolution
+    # with the same plan: the inverse reads only r <= N/2
+    rng = np.random.default_rng(N + 7)
+    f = Measure(N, rng.standard_normal(N), signed=True, base=BASE_ZN)
+    X = fourier.spectrum(f)
+    transforms.clear()
+    back = fourier.idft(X)
+    L = _plan_length(N)
+    assert transforms == [("fft", L), ("ifft", L)]
+    assert back.dtype == np.float64 and back.shape == (N,)
+    tol = 1e-13 * float(np.sum(np.abs(f.weights))) / N
+    assert float(np.max(np.abs(back - f.weights))) <= tol
+    # the r > N/2 half is never read
+    upper = np.array(X)
+    upper[N // 2 + 1:] = np.nan
+    assert np.array_equal(fourier.idft(upper), back)
+
+
+def _five_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_chirp_plan_length_is_the_least_five_smooth():
+    # the plan's length at small N; its rule, _smooth_length, at large N
+    for N in (*range(1, 400), 2 ** 20 - 1, 2 ** 20 + 1, 1_000_003):
+        low = N + N // 2  # N + R - 1, R = N // 2 + 1
+        L = _plan_length(N) if N < 400 else fourier._smooth_length(low)
+        assert _five_smooth(L) and L >= low
+        if N < 400:
+            assert not any(_five_smooth(m) for m in range(low, L))
+    assert fourier._smooth_length(1_000_003 + 500_001) == 1_518_750
+
+
+@given(N=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
+       signed=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_spectrum_and_idft_match_numpy(N, seed, signed):
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(N)
+    if not signed:
+        w = np.abs(w)
+    f = Measure(N, w, signed=signed, base=BASE_ZN)
+    norm = float(np.sum(np.abs(w)))
+    X = fourier.spectrum(f)
+    assert float(np.max(np.abs(X - np.fft.fft(w)))) <= 1e-13 * norm
+    _assert_hermitian(X)
+    assert float(np.max(np.abs(fourier.idft(X) - w))) <= 1e-13 * norm / N
 
 
 @pytest.mark.parametrize("N", [1, 2, 7, 17, 64, 101])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primeaps import measures, roth, sieve
+from primeaps import fourier, measures, roth, sieve
 from primeaps.errors import (
     DegenerateInputError,
     ParameterError,
@@ -431,6 +431,50 @@ def test_count_set_3aps_reads_both_counts_from_one_convolution(N, monkeypatch):
     assert wrapped.total == _brute_wrapped(set(S), N)
     assert line.nontrivial == _brute_line_nontrivial(set(S))
 
+def _parity_sets():
+    """Sets of every parity shape: with 0, with 2, all odd, all even, mixed."""
+    rng = np.random.default_rng(41)
+    sets = [[], [0], [2], [1], [0, 2], [2, 3, 5, 7], [0, 1, 2], [1, 3, 5]]
+    for _ in range(6):
+        pool = rng.choice(200, size=int(rng.integers(1, 60)), replace=False)
+        sets += [sorted({0, *pool.tolist()}), sorted({2, *pool.tolist()}),
+                 sorted({2 * v + 1 for v in pool.tolist()}),
+                 sorted({2 * v for v in pool.tolist()}), sorted(pool.tolist())]
+    return sets
+
+
+def test_line_3aps_matches_brute_on_each_parity_shape():
+    for S in _parity_sets():
+        c = roth.line_3aps(S)
+        assert c.nontrivial == _brute_line_nontrivial(set(S))
+        assert c.total == c.nontrivial + len(S)
+        if S:
+            _, line = roth.count_set_3aps(S, N=max(S) + 1)
+            assert c == line
+
+
+def test_line_3aps_takes_one_convolution_per_parity_class(monkeypatch):
+    # each class is halved, (s - c) / 2, and sized by its own maximum
+    calls = []
+    original = roth.set_convolution
+
+    def counted(S, N):
+        calls.append(N)
+        return original(S, N)
+
+    monkeypatch.setattr(roth, "set_convolution", counted)
+    roth.line_3aps([3, 5, 7, 11, 13])
+    assert calls == [7]  # odd only: max (13 - 1) / 2 = 6
+    calls.clear()
+    roth.line_3aps([2, 3, 5, 8])
+    assert calls == [5, 3]  # evens {1, 4}, odds {1, 2}
+    calls.clear()
+    roth.line_3aps([])
+    assert calls == []
+    with pytest.raises(ParameterError):
+        roth.line_3aps([-1, 3])
+
+
 def test_count_3aps_even_modulus_self_paired():
     c, _ = roth.count_set_3aps({0, 2}, N=4)
     assert (c.total, c.nontrivial) == (4, 2)
@@ -661,6 +705,23 @@ def test_density_experiment_artifacts(small_table):
     assert stash["a1"].N == stash["w_trick"].N
 
 
+def test_delta_margin_is_zero_at_a_planted_threshold(small_table):
+    # min over r of | |a~(r)| - delta |: how far the set R is from moving
+    stash = {}
+    rep = roth.density_experiment("primes", 500, small_table, artifacts=stash,
+                                  **_FLAGS)
+    mags = np.abs(stash["spectrum"])
+    margin = rep["spectrum"]["delta_margin"]
+    assert margin == float(np.min(np.abs(mags - _FLAGS["delta"]))) > 0.0
+    r = int(np.argsort(mags)[-4])  # a frequency off zero, met by planting
+    assert r != 0
+    planted = {}
+    rep = roth.density_experiment("primes", 500, small_table, artifacts=planted,
+                                  **_FLAGS | {"delta": float(mags[r])})
+    assert rep["spectrum"]["delta_margin"] == 0.0
+    assert r in planted["R"].tolist()
+
+
 def test_density_experiment_bad_inputs_by_stage(small_table):
     with pytest.raises(StageError) as err:
         roth.density_experiment("primes", 1, small_table, artifacts={}, **_FLAGS)
@@ -717,9 +778,10 @@ def _pow2_above(n: int) -> int:
 
 
 def test_density_experiment_transforms(small_table, monkeypatch, transforms):
-    # one granularization; three transforms at the prime N: one complex
-    # fft for a and mu, beta's fft and the inverse of a~ beta~^2; every
-    # count runs at a power of two
+    # one granularization; no transform at the prime N: one chirp plan,
+    # then one convolution at its 5-smooth length L for each of a~, mu~,
+    # beta~ and the inverse of a~ beta~^2; every count runs at a power of
+    # two, the source's one parity class at a time
     grans = []
     original = roth.granularize
 
@@ -729,21 +791,33 @@ def test_density_experiment_transforms(small_table, monkeypatch, transforms):
 
     monkeypatch.setattr(roth, "granularize", counted)
     stash = {}
+    fourier._chirp_plan.cache_clear()
     rep = roth.density_experiment("random-subset-of-primes", 2000,
                                   small_table, artifacts=stash,
                                   **_FLAGS | {"seed": 1})
     N = rep["w_trick"]["N"]
     assert len(grans) == 1
-    source = _pow2_above(2 * int(stash["A0"].max()) + 1)
+    A0 = stash["A0"]
+    # the parity classes of the source, halved: (s - c) // 2 = s // 2
+    classes = [A0[A0 % 2 == c] // 2 for c in (0, 1)]
+    source = [_pow2_above(2 * int(h.max()) + 1) for h in classes if h.size]
     counts_A = _pow2_above(2 * int(stash["A"].max()) + 1)
     count_a1 = _pow2_above(2 * N - 1)
+    L = fourier._smooth_length(N + N // 2)
     assert transforms == [
-        ("rfft", source), ("irfft", source),  # the source's line count
-        ("fft", N),                           # a and mu, as one pair
-        ("fft", N), ("ifft", N),              # beta, and a1 = a * beta * beta
-        ("rfft", count_a1), ("irfft", count_a1),  # a1's 3AP count
-        ("rfft", counts_A), ("irfft", counts_A),  # A's Z_N and line counts
+        # the source's line count, one parity class at a time
+        *((name, P) for P in source for name in ("rfft", "irfft")),
+        ("fft", L),                                 # the chirp plan at N
+        ("fft", L), ("ifft", L),                    # a~
+        ("fft", L), ("ifft", L),                    # mu~
+        ("fft", L), ("ifft", L),                    # beta~
+        ("fft", L), ("ifft", L),                    # a1 = a * beta * beta
+        ("rfft", count_a1), ("irfft", count_a1),    # a1's 3AP count
+        ("rfft", counts_A), ("irfft", counts_A),    # A's Z_N and line counts
     ]
+    # 2 is in this source, so the even class is {1}; the odd class runs
+    # at half the power of two the whole line would take
+    assert source == [4, _pow2_above(2 * int(A0.max()) + 1) // 2]
     # A sits inside [1, N/2], so its counts run below a1's
     assert counts_A < count_a1
     assert stash["bohr"].beta() is stash["bohr"].beta()
