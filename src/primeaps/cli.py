@@ -6,7 +6,7 @@ compute failures 3, I/O failures 4, always with an error JSON on stderr.
 
 Determinism contract: a fixed config and seed reproduce every output file
 byte for byte; the manifest's deterministic_hash covers everything except
-wall-clock timings.
+its timings (wall time, page faults, peak RSS).
 """
 
 from __future__ import annotations
@@ -1101,9 +1101,12 @@ def _run_roth_pipeline(cfg: argparse.Namespace, em: Emitter):
     em.table("set_A0", ["value"], [artifacts["A0"]])
     em.table("set_A", ["value"], [artifacts["A"]])
     em.table("bohr_members", ["value"], [artifacts["bohr"].members])
+    # a is real and fourier.spectrum mirrors it exactly, a~(N - r) =
+    # conj a~(r), so the rows r <= N/2 hold the whole spectrum
     coeffs = artifacts["spectrum"]
+    half = coeffs[: coeffs.size // 2 + 1]
     em.table("spectrum_a", ["r", "re", "im"],
-             [np.arange(coeffs.size), coeffs.real, coeffs.imag])
+             [np.arange(half.size), half.real, half.imag])
     em.measure("measure_mu", artifacts["mu"])
     em.measure("measure_a", artifacts["a"])
     em.measure("granular_a1", artifacts["a1"])
@@ -1193,11 +1196,18 @@ def run(cfg: argparse.Namespace) -> dict:
     The manifest's config holds the subcommand and its flags, all but
     --output-dir: the manifest records no path, so identical experiments
     write identical manifests wherever their outputs land. Its
-    deterministic_hash covers everything but the timings."""
+    deterministic_hash covers everything but the timings: the wall time,
+    the minor page faults taken and the process's peak RSS (10^6 B)."""
+    import resource  # here, so that importing the CLI loads no more modules
+
     em = Emitter(Path(cfg.output_dir), cfg.format)
+    faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
     effective, results = _HANDLERS[cfg.subcommand](cfg, em)
     elapsed = time.perf_counter() - t0
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    # ru_maxrss is in bytes on macOS and in KiB elsewhere
+    rss_unit = 1 if sys.platform == "darwin" else 1024
     manifest = {
         "tool": "primeaps",
         "version": __version__,
@@ -1209,7 +1219,11 @@ def run(cfg: argparse.Namespace) -> dict:
     }
     canon = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     manifest["deterministic_hash"] = hashlib.sha256(canon.encode("utf-8")).hexdigest()
-    manifest["timings"] = {"wall_seconds": elapsed}
+    manifest["timings"] = {
+        "wall_seconds": elapsed,
+        "minor_faults": usage.ru_minflt - faults0,
+        "peak_rss_mb": usage.ru_maxrss * rss_unit / 1e6,
+    }
     em.manifest(manifest)
     return manifest
 

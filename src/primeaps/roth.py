@@ -776,10 +776,4 @@ def density_experiment(
             "bohr_linear_ok": fi.bohr_linear_ok,
             "bohr_cubic_ok": fi.bohr_cubic_ok,
         }
-    # the headline density threshold uses 5-fold iterated logs; it is out of
-    # numeric range at any computable N and is carried as a formula only
-    report["headline"] = {
-        "formula": "alpha >= C4 * sqrt(log5(N) / log4(N))",
-        "numeric": None,
-    }
     return report

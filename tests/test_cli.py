@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from primeaps import cli, measures, sieve
+from primeaps import cli, fourier, measures, sieve
 
 
 def _manifest(outdir: Path) -> dict:
@@ -153,6 +153,46 @@ def test_roth_pipeline_cli(tmp_path):
     with (tmp_path / "set_A.csv").open() as fh:
         rows = list(csv.reader(fh))
     assert len(rows) - 1 == report["w_trick"]["size_A"]
+
+
+def _spectrum_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The r column and the coefficients of a spectrum_a file, csv or json."""
+    if path.suffix == ".json":
+        doc = json.loads(path.read_text())
+        assert doc["columns"] == ["r", "re", "im"]
+        rows = doc["rows"]
+    else:
+        with path.open(newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["r", "re", "im"]
+    r = np.array([int(row[0]) for row in rows], dtype=np.int64)
+    coeffs = np.array([complex(float(row[1]), float(row[2])) for row in rows])
+    return r, coeffs
+
+
+def test_spectrum_a_half_is_lossless(tmp_path):
+    # spectrum_a holds r = 0..N//2 of a~; a is real, so the rest is
+    # a~(N - r) = conj a~(r), and the rebuilt spectrum is fourier.spectrum
+    # of the exported measure a, bit for bit
+    args = ["roth-pipeline", "--N", "2000", "--source",
+            "random-subset-of-primes", "--seed", "1"]
+    mans = {fmt: _run(args + ["--format", fmt], tmp_path / fmt)
+            for fmt in ("csv", "json")}
+    a = measures.load_measure_csv(tmp_path / "csv" / "measure_a.csv",
+                                  base=measures.BASE_ZN)
+    want = fourier.spectrum(a).view(np.uint64)
+    for fmt, man in mans.items():
+        N = man["effective"]["N"]
+        r, half = _spectrum_rows(tmp_path / fmt / f"spectrum_a.{fmt}")
+        assert np.array_equal(r, np.arange(N // 2 + 1))
+        k = np.arange(N)
+        j = np.minimum(k, N - k)
+        full = np.where(k <= N // 2, half[j], half[j].conj())
+        assert np.array_equal(full.view(np.uint64), want)
+        report = json.loads((tmp_path / fmt / "report.json").read_text())
+        R = np.flatnonzero(np.abs(full) >= man["config"]["delta"])
+        assert R.size == report["spectrum"]["k"]
+        assert R[:32].tolist() == report["spectrum"]["R_head"]
 
 
 # --- determinism -------------------------------------------------------------
@@ -446,10 +486,27 @@ def test_manifest_is_the_same_wherever_it_lands(tmp_path):
         data = (outdir / "manifest.json").read_bytes()
         assert str(tmp_path).encode() not in data
         data, timings = re.subn(
-            rb'\n  "timings": \{\n    "wall_seconds": [^\n]*\n  \},', b"", data)
+            rb'\n  "timings": \{\n(    [^\n]*\n)*  \},', b"", data)
         assert timings == 1
         texts.append(data)
     assert texts[0] == texts[1]
+
+
+def test_manifest_timings_are_outside_the_hash(tmp_path):
+    man = _run(["measure-build", "--N", "100", "--Q", "4"], tmp_path)
+    timings = man["timings"]
+    assert set(timings) == {"wall_seconds", "minor_faults", "peak_rss_mb"}
+    assert isinstance(timings["minor_faults"], int)
+    assert timings["minor_faults"] >= 0
+    # the process holds at least numpy, so its high-water mark is no less
+    # than a megabyte
+    assert timings["peak_rss_mb"] >= 1.0
+    # the hash is that of the manifest without its timings, so no page
+    # fault count or RSS can move it
+    rest = {k: v for k, v in man.items()
+            if k not in ("timings", "deterministic_hash")}
+    canon = json.dumps(rest, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canon.encode()).hexdigest() == man["deterministic_hash"]
 
 
 # a small run of each subcommand
