@@ -181,13 +181,16 @@ def idft(coeffs: np.ndarray) -> np.ndarray:
     om = 1 at r = 0 (and at N/2 for even N) and 2 elsewhere: a forward
     transform, by the same plan and kernel as `spectrum`. The kernel is
     even, c(n - r) = c(r - n), so u(r) = om(r) conj(coeffs(r)) cbar(r) is
-    placed at -r mod L and output n read at -n mod L.
+    placed at -r mod L and output n read at -n mod L. The reference to
+    coeffs is dropped once r <= N/2 are read, so a temporary passed in is
+    freed before the convolution's buffers are allocated.
     """
     N = coeffs.size
     R = N // 2 + 1
     chirp, kernel = _chirp_plan(N)
     L = kernel.size
     half = np.conjugate(coeffs[:R])
+    del coeffs
     half *= chirp[:R]
     half[1:N - R + 1] *= 2.0
     u = np.zeros(L, dtype=np.complex128)
@@ -389,7 +392,9 @@ def triple_count(f: Measure, g: Measure, h: Measure) -> float:
     N = f.N
     F, G, H = spectrum(f), spectrum(g), spectrum(h)
     idx = (-2 * np.arange(N)) % N
-    val = np.sum(F * H * G[idx]) / N
+    prod = F * H
+    prod *= G[idx]
+    val = np.sum(prod) / N
     return float(val.real)
 
 
@@ -400,7 +405,8 @@ def _self_convolution(u: np.ndarray) -> np.ndarray:
     L = 2 * u.size - 1
     P = 1 << (L - 1).bit_length()
     FU = np.fft.rfft(u, P)
-    return np.fft.irfft(FU * FU, P)[:L]
+    FU *= FU
+    return np.fft.irfft(FU, P)[:L]
 
 
 def set_convolution(S: np.ndarray, N: int) -> np.ndarray:
@@ -445,6 +451,7 @@ def self_triple_count(f: Measure) -> float:
     conv = _self_convolution(w)
     folded = conv[:N].copy()
     folded[:N - 1] += conv[N:]
+    del conv
     twice = (2 * np.arange(N)) % N
     return float(np.dot(w, folded[twice]))
 

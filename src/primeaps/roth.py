@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -244,7 +245,7 @@ def granularize(a: Measure, bohr: BohrSet) -> Measure:
     fb = spectrum(bohr.beta())
     out = idft(spectrum(a) * fb * fb)
     if not a.signed:
-        out = np.maximum(out, 0.0)
+        np.maximum(out, 0.0, out=out)
     return Measure(a.N, out, signed=a.signed, base=BASE_ZN)
 
 
@@ -631,7 +632,7 @@ def density_experiment(
     eps: float,
     W: int | None,
     constants: dict | None,
-    artifacts: dict,
+    keep: Callable[[str, object], None],
 ) -> dict:
     """Run the full chain source -> W-trick -> measure -> spectrum -> Bohr
     -> granularize -> counts -> closing bounds and return a plain-JSON
@@ -640,9 +641,14 @@ def density_experiment(
     granularize, counts or bounds.
 
     W = None takes default_w(n), and `constants` overrides entries of
-    DEFAULT_CONSTANTS. The intermediate arrays (the rescaled set, measures,
-    spectrum, Bohr members, granularized measure) go into the dict
-    `artifacts` for export; the report itself stays scalar-only.
+    DEFAULT_CONSTANTS. The report itself stays scalar-only. Each
+    intermediate goes to the callback keep(name, value) once its stage has
+    made it, in this order: "A0" (source), "A" (w-trick), "mu" and "a"
+    (measure), "spectrum" (transform), "bohr" (bohr) and "a1"
+    (granularize). No value changes after it is kept, so a caller may read
+    it while the later stages run (the CLI writes its tables meanwhile).
+    keep runs inside its stage: an error it raises is tagged with that
+    stage.
     """
     report: dict = {
         "params": {
@@ -668,7 +674,7 @@ def density_experiment(
             "line_3aps_nontrivial": int(src_counts.nontrivial),
             "three_ap_free": bool(src_counts.nontrivial == 0),
         }
-        artifacts["A0"] = A0
+        keep("A0", A0)
     with _stage("w-trick"):
         wt = w_trick(A0, table, W=W, n=n)
         report["w_trick"] = {
@@ -680,17 +686,17 @@ def density_experiment(
             "size_A": int(wt.A.size),
             "m_le_logN": wt.m_le_logN,
         }
-        artifacts["A"] = wt.A
-        artifacts["w_trick"] = wt
+        keep("A", wt.A)
     with _stage("measure"):
         mparams = measures.MeasureParams(b=wt.b, m=wt.m, N=wt.N)
         mu = measures.lambda_measure(mparams, table).as_zn()
         aw = np.zeros(wt.N, dtype=np.float64)
         aw[wt.A % wt.N] = mu.weights[wt.A % wt.N]
         a = Measure(wt.N, aw, signed=False, base=BASE_ZN)
+        del aw  # a holds its own copy
         report["measure"] = {"mass_mu": mu.total, "mass_a": a.total}
-        artifacts["mu"] = mu
-        artifacts["a"] = a
+        keep("mu", mu)
+        keep("a", a)
     with _stage("transform"):
         at = spectrum(a)
         R = spectrum_threshold(at, delta)
@@ -706,8 +712,7 @@ def density_experiment(
             "mu_sup_argmax": arg_off,
             "mu_sup_reference": ref_off,
         }
-        artifacts["spectrum"] = at
-        artifacts["R"] = R
+        keep("spectrum", at)
     with _stage("bohr"):
         B = bohr_set(R, eps, wt.N)
         report["bohr"] = {
@@ -717,7 +722,7 @@ def density_experiment(
             "size_floor": float(eps**B.k * wt.N),
             "size_ok": bool(len(B) >= eps**B.k * wt.N),
         }
-        artifacts["bohr"] = B
+        keep("bohr", B)
     with _stage("granularize"):
         sl = setlike_check(a, mu, B, W=wt.W)
         report["setlike"] = {
@@ -730,7 +735,7 @@ def density_experiment(
             "step2_ok": sl.step2_ok,
             "gate_ok": sl.gate_ok,
         }
-        artifacts["a1"] = sl.a1
+        keep("a1", sl.a1)
     with _stage("counts"):
         t_a = count_3aps(a)
         # a1's count reads its weights, not a~ beta~^2, so the difference
@@ -740,9 +745,16 @@ def density_experiment(
                          nontrivial=a1_total - diagonal_cube_sum(sl.a1))
         bt = spectrum(B.beta())
         idx = (-2 * np.arange(wt.N)) % wt.N
-        spectral_diff = float(
-            np.sum(at**2 * at[idx] * (1.0 - bt**4 * bt[idx] ** 2)).real / wt.N
-        )
+        # a~^2 a~(-2r) (1 - b~^4 b~(-2r)^2), its products taken in place
+        # in that order
+        terms = at**2
+        terms *= at[idx]
+        defect = bt**4
+        defect *= bt[idx] ** 2
+        np.subtract(1.0, defect, out=defect)
+        terms *= defect
+        spectral_diff = float(np.sum(terms).real / wt.N)
+        del terms, defect
         exact_wrapped, exact_line = count_set_3aps(wt.A, N=wt.N)
         report["counts"] = {
             "triple_a": t_a.total,

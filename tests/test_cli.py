@@ -5,6 +5,8 @@ import math
 import os
 import re
 import stat
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -476,6 +478,111 @@ def test_unwritable_output_exit_4(tmp_path, capsys):
     assert err["error"] == "io"
 
 
+# --- roth-pipeline's writer thread ---------------------------------------------
+
+_PIPELINE = ["roth-pipeline", "--N", "2000", "--source", "random-subset-of-primes",
+             "--seed", "1"]
+
+
+def test_pipeline_tables_are_written_while_later_stages_compute(tmp_path,
+                                                                 monkeypatch):
+    # the bounds stage waits for granular_a1, which the granularize stage
+    # kept: it appears only if a thread other than the compute writes it
+    from primeaps import roth
+
+    out = tmp_path / "out"
+    writers = []
+    table = cli.Emitter.table
+    original = roth.final_inequality
+
+    def recorded(self, stem, *args):
+        writers.append((stem, threading.current_thread().name))
+        return table(self, stem, *args)
+
+    def waiting(*args, **kwargs):
+        deadline = time.monotonic() + 30
+        while not (out / "granular_a1.csv").exists():
+            assert time.monotonic() < deadline, "no table was written meanwhile"
+            time.sleep(0.01)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli.Emitter, "table", recorded)
+    monkeypatch.setattr(roth, "final_inequality", waiting)
+    before = threading.active_count()
+    man = _run(_PIPELINE, out)
+    assert threading.active_count() == before
+    # every table on the one writer, in the order the stages keep them;
+    # report.json last, once the writer has drained
+    stems = ["set_A0", "set_A", "measure_mu", "measure_a", "spectrum_a",
+             "bohr_members", "granular_a1"]
+    assert writers == [(stem, "primeaps-writer") for stem in stems]
+    assert [o["path"] for o in man["outputs"]] == [
+        *(f"{stem}.csv" for stem in stems), "report.json"]
+
+
+def test_pipeline_stage_failure_after_writes_leaves_nothing(tmp_path, capsys,
+                                                            monkeypatch):
+    # by the bounds stage every table has been handed to the writer; the
+    # run still exits 3 with the stage's tag, and once the writer has
+    # drained its outputs and the directory it made are gone
+    from primeaps import roth
+
+    kept = []
+    original = roth.density_experiment
+
+    def counted(*args, keep, **kwargs):
+        def counting(name, value):
+            kept.append(name)
+            keep(name, value)
+        return original(*args, keep=counting, **kwargs)
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("final_inequality failed")
+
+    monkeypatch.setattr(roth, "density_experiment", counted)
+    monkeypatch.setattr(roth, "final_inequality", fail)
+    out = tmp_path / "nested" / "out"
+    before = threading.active_count()
+    rc = cli.main([*_PIPELINE, "--output-dir", str(out)])
+    assert threading.active_count() == before
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["stage"]) == ("compute", "bounds")
+    assert err["message"] == "[bounds] final_inequality failed"
+    assert len(kept) == 7
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_pipeline_writer_failure_exits_4_and_leaves_nothing(tmp_path, capsys):
+    # the writer cannot put spectrum_a.csv in place of a directory: an I/O
+    # failure of the run, not a stage's, and the tables written before it
+    # are removed; the directory the run did not make stays
+    (tmp_path / "spectrum_a.csv").mkdir()
+    before = threading.active_count()
+    rc = cli.main([*_PIPELINE, "--output-dir", str(tmp_path)])
+    assert threading.active_count() == before
+    assert rc == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "io" and "stage" not in err
+    assert err["type"] == "IsADirectoryError"
+    assert [p.name for p in tmp_path.iterdir()] == ["spectrum_a.csv"]
+    assert list((tmp_path / "spectrum_a.csv").iterdir()) == []
+
+
+def test_failed_run_keeps_an_existing_directory(tmp_path, capsys, monkeypatch):
+    # a failure removes only what the run wrote
+    from primeaps import roth
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("final_inequality failed")
+
+    monkeypatch.setattr(roth, "final_inequality", fail)
+    (tmp_path / "notes.txt").write_text("kept\n")
+    assert cli.main([*_PIPELINE, "--output-dir", str(tmp_path)]) == 3
+    assert json.loads(capsys.readouterr().err)["stage"] == "bounds"
+    assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+
+
 def test_manifest_is_the_same_wherever_it_lands(tmp_path):
     # the manifest records no path, so relocating the outputs, even to a
     # path of another length, changes no byte of it but its timings
@@ -676,13 +783,21 @@ def test_torus_transform_budget(args, want, tmp_path, transforms):
 
 def test_tables_stream_in_blocks(tmp_path, monkeypatch):
     # a block of 7 rows splits every table of the pipeline; the bytes
-    # must not depend on the block size
+    # must not depend on the block size, nor on how often the interpreter
+    # switches between the compute and the writer thread
     args = ["roth-pipeline", "--N", "2000"]
     want = {fmt: _run(args + ["--format", fmt], tmp_path / f"{fmt}-default")
             for fmt in ("csv", "json")}
     monkeypatch.setattr(cli, "TABLE_BLOCK_ROWS", 7)
+    interval = sys.getswitchinterval()
     for fmt, man in want.items():
         got = _run(args + ["--format", fmt], tmp_path / f"{fmt}-7")
+        assert got["outputs"] == man["outputs"]
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _run(args + ["--format", fmt], tmp_path / f"{fmt}-7-switching")
+        finally:
+            sys.setswitchinterval(interval)
         assert got["outputs"] == man["outputs"]
 
 

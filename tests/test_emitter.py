@@ -131,8 +131,13 @@ def test_table_matches_oracle(case, fmt, tmp_path):
     _assert_same(tmp_path, fmt, header, columns)
 
 
+# row counts one short of, at and one past the fourth block boundary, so
+# each table also joins several full blocks
+EDGES = [4 * BLOCK - 1, 4 * BLOCK, 4 * BLOCK + 1]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("rows", [BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("rows", EDGES)
 def test_table_block_edges(rows, fmt, tmp_path):
     rng = np.random.default_rng(rows)
     weights = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
@@ -141,12 +146,12 @@ def test_table_block_edges(rows, fmt, tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("rows", [BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("rows", EDGES)
 def test_table_sparse_block_edges(rows, fmt, tmp_path):
     # a measure-like column: mostly +0.0, with -0.0, one lone value and one
     # constant whose run crosses the block boundary
     weights = np.zeros(rows)
-    weights[BLOCK - 4:BLOCK + 3] = 0.1 / 3
+    weights[4 * BLOCK - 4:4 * BLOCK + 3] = 0.1 / 3
     weights[5] = -0.0
     weights[6] = 7.5e-310
     columns = [np.arange(1, rows + 1, dtype=np.int64), weights]

@@ -2,7 +2,8 @@
 may take transforms with numpy.fft, every parameter is read, every default
 is both used and overridden by the package's own calls, every def is
 reached from the CLI and every field of a reached dataclass is read by
-reached code, and each CLI handler reads only its own subcommand's flags."""
+reached code, each CLI handler reads only its own subcommand's flags, and
+no module reads the environment."""
 
 import ast
 from pathlib import Path
@@ -472,3 +473,74 @@ def test_cfg_reads_follow_closures_and_helpers():
     tree = ast.parse(source)
     assert _cfg_reads(tree, "handler") == {"a", "b", "c"}
     assert _cfg_reads(tree, "leaky") == {"<escapes>"}
+
+
+_ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _env_reads(tree: ast.AST) -> list[int]:
+    """Line numbers where a module reads the process environment: an
+    environ or getenv of os, as its attribute (under any name os is
+    imported as) or imported from it."""
+    os_names = {alias.asname or "os" for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                for alias in node.names if alias.name == "os"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(a.name in _ENV_NAMES for a in node.names):
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr in _ENV_NAMES
+              and isinstance(node.value, ast.Name) and node.value.id in os_names):
+            lines.append(node.lineno)
+    return lines
+
+
+def _defaulted_parameters(trees: dict[str, ast.Module]) -> set[str]:
+    """`module.function(param)` for every parameter with a default."""
+    found = set()
+    for module, tree in trees.items():
+        for qualname, node in _functions(tree):
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            found |= {f"{module}.{qualname}({param})" for param in defaulted}
+    return found
+
+
+# the defaulted parameters of src besides _DEFAULT_EXCEPTIONS
+_DEFAULTED = {"cli._word(end)", "cli._numeric_rows(join)", "cli._emit_error(stage)",
+              "measures.load_measure_csv(signed)", "measures.load_measure_csv(base)"}
+
+
+def test_no_switch_outside_the_flags():
+    # a run is set by its flags alone: no module reads the environment,
+    # and no defaulted parameter is added that could select another path
+    found = {path.relative_to(SRC).as_posix():
+             _env_reads(ast.parse(path.read_text(), str(path)))
+             for path in sorted(SRC.rglob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert _defaulted_parameters(_src_trees()) - _DEFAULT_EXCEPTIONS == _DEFAULTED
+
+
+@pytest.mark.parametrize("source", [
+    "import os\nos.environ.get('X')",
+    "import os\nos.getenv('X')",
+    "import os as system\nsystem.environ['X']",
+    "from os import environ",
+    "from os import getenv as read",
+    "import os\nos.environb",
+])
+def test_env_checker_flags(source):
+    assert _env_reads(ast.parse(source)) != []
+
+
+def test_env_checker_passes_other_names():
+    source = ("import os\n"
+              "os.path.join('a', 'b')\n"
+              "environ = {}\n"
+              "environ.get('X')\n"
+              "from os import path\n")
+    assert _env_reads(ast.parse(source)) == []

@@ -657,8 +657,12 @@ def _keys(report):
 _FLAGS = {"seed": 0, "delta": 0.1, "eps": 0.1, "W": None, "constants": None}
 
 
+def _ignore(name, value):
+    """A keep callback of density_experiment that keeps nothing."""
+
+
 def test_density_experiment_primes(small_table):
-    rep = roth.density_experiment("primes", 500, small_table, artifacts={},
+    rep = roth.density_experiment("primes", 500, small_table, keep=_ignore,
                                   **_FLAGS)
     # every block is computed; none is a cited formula
     assert _keys(rep) == {
@@ -676,7 +680,7 @@ def test_density_experiment_primes(small_table):
 
 def test_density_experiment_behrend_source_is_free(small_table):
     rep = roth.density_experiment("behrend-in-primes", 400, small_table,
-                                  artifacts={}, **_FLAGS)
+                                  keep=_ignore, **_FLAGS)
     assert rep["source"]["three_ap_free"] is True
     assert rep["source"]["line_3aps_nontrivial"] == 0
     assert 0 < rep["source"]["alpha0"] < 1
@@ -684,65 +688,69 @@ def test_density_experiment_behrend_source_is_free(small_table):
 
 def test_density_experiment_deterministic(small_table):
     a = roth.density_experiment("random-subset-of-primes", 400, small_table,
-                                artifacts={}, **_FLAGS | {"seed": 5})
+                                keep=_ignore, **_FLAGS | {"seed": 5})
     b = roth.density_experiment("random-subset-of-primes", 400, small_table,
-                                artifacts={}, **_FLAGS | {"seed": 5})
+                                keep=_ignore, **_FLAGS | {"seed": 5})
     c = roth.density_experiment("random-subset-of-primes", 400, small_table,
-                                artifacts={}, **_FLAGS | {"seed": 6})
+                                keep=_ignore, **_FLAGS | {"seed": 6})
     assert a == b
     assert a["source"]["size"] != c["source"]["size"] or a != c
 
 
 def test_density_experiment_artifacts(small_table):
-    stash = {}
-    roth.density_experiment("primes", 300, small_table, artifacts=stash, **_FLAGS)
-    assert {"A0", "A", "w_trick", "mu", "a", "spectrum", "R", "bohr",
-            "a1"} <= set(stash)
+    # each intermediate is kept once, as soon as its stage has made it
+    kept = []
+    rep = roth.density_experiment("primes", 300, small_table,
+                                  keep=lambda name, value: kept.append((name, value)),
+                                  **_FLAGS)
+    assert [name for name, _ in kept] == ["A0", "A", "mu", "a", "spectrum",
+                                          "bohr", "a1"]
+    stash = dict(kept)
     assert isinstance(stash["mu"], Measure)
-    assert stash["a1"].N == stash["w_trick"].N
+    assert stash["a1"].N == rep["w_trick"]["N"]
 
 
 def test_delta_margin_is_zero_at_a_planted_threshold(small_table):
     # min over r of | |a~(r)| - delta |: how far the set R is from moving
     stash = {}
-    rep = roth.density_experiment("primes", 500, small_table, artifacts=stash,
-                                  **_FLAGS)
+    rep = roth.density_experiment("primes", 500, small_table,
+                                  keep=stash.__setitem__, **_FLAGS)
     mags = np.abs(stash["spectrum"])
     margin = rep["spectrum"]["delta_margin"]
     assert margin == float(np.min(np.abs(mags - _FLAGS["delta"]))) > 0.0
     r = int(np.argsort(mags)[-4])  # a frequency off zero, met by planting
     assert r != 0
-    planted = {}
-    rep = roth.density_experiment("primes", 500, small_table, artifacts=planted,
+    rep = roth.density_experiment("primes", 500, small_table, keep=_ignore,
                                   **_FLAGS | {"delta": float(mags[r])})
     assert rep["spectrum"]["delta_margin"] == 0.0
-    assert r in planted["R"].tolist()
+    # R = {|a~| >= delta} takes r, and its mirror N - r, at delta = |a~(r)|
+    assert rep["spectrum"]["k"] == int(np.count_nonzero(mags >= mags[r]))
 
 
 def test_density_experiment_bad_inputs_by_stage(small_table):
     with pytest.raises(StageError) as err:
-        roth.density_experiment("primes", 1, small_table, artifacts={}, **_FLAGS)
+        roth.density_experiment("primes", 1, small_table, keep=_ignore, **_FLAGS)
     assert err.value.stage == "source"
     with pytest.raises(StageError) as err:
-        roth.density_experiment("primes", 300, small_table, artifacts={},
+        roth.density_experiment("primes", 300, small_table, keep=_ignore,
                                 **_FLAGS | {"delta": 0.0})
     assert err.value.stage == "transform"
     with pytest.raises(StageError) as err:
-        roth.density_experiment("primes", 300, small_table, artifacts={},
+        roth.density_experiment("primes", 300, small_table, keep=_ignore,
                                 **_FLAGS | {"eps": 0.0})
     assert err.value.stage == "bohr"
     with pytest.raises(StageError) as err:
         roth.density_experiment("unknown-source", 300, small_table,
-                                artifacts={}, **_FLAGS)
+                                keep=_ignore, **_FLAGS)
     assert err.value.stage == "source"
 
 
-# stage tag, a callee only that stage calls, the artifacts the stage stores
+# stage tag, a callee only that stage calls, the values the stage keeps
 _STAGES = [
     ("source", roth, "_build_source", {"A0"}),
-    ("w-trick", roth, "w_trick", {"A", "w_trick"}),
+    ("w-trick", roth, "w_trick", {"A"}),
     ("measure", measures, "lambda_measure", {"mu", "a"}),
-    ("transform", roth, "spectrum_threshold", {"spectrum", "R"}),
+    ("transform", roth, "spectrum_threshold", {"spectrum"}),
     ("bohr", roth, "bohr_set", {"bohr"}),
     ("granularize", roth, "setlike_check", {"a1"}),
     ("counts", roth, "diagonal_cube_sum", set()),
@@ -761,8 +769,8 @@ def test_density_experiment_stage_errors(i, small_table, monkeypatch):
     monkeypatch.setattr(owner, callee, fail)
     stash = {}
     with pytest.raises(StageError) as err:
-        roth.density_experiment("primes", 300, small_table, artifacts=stash,
-                                **_FLAGS)
+        roth.density_experiment("primes", 300, small_table,
+                                keep=stash.__setitem__, **_FLAGS)
     assert err.value.stage == stage
     assert str(err.value) == f"[{stage}] {callee} failed"
     assert err.value.__cause__ is boom
@@ -790,7 +798,7 @@ def test_density_experiment_transforms(small_table, monkeypatch, transforms):
     stash = {}
     fourier._chirp_plan.cache_clear()
     rep = roth.density_experiment("random-subset-of-primes", 2000,
-                                  small_table, artifacts=stash,
+                                  small_table, keep=stash.__setitem__,
                                   **_FLAGS | {"seed": 1})
     N = rep["w_trick"]["N"]
     assert len(grans) == 1
