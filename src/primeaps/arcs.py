@@ -18,7 +18,7 @@ from . import fourier, measures
 from .errors import ParameterError
 from .fourier import TorusGrid
 from .numutil import loglog_clamped
-from .sieve import FactorTable
+from .sieve import PrimeTable
 
 MAJOR = "major"
 MINOR = "minor"
@@ -177,7 +177,7 @@ def sup_diff_scan(
     mparams: measures.MeasureParams,
     Q: int,
     grid: TorusGrid,
-    table: FactorTable,
+    table: PrimeTable,
     arc_params: ArcParams,
     profile_points: int,
 ) -> ScanResult:

@@ -211,11 +211,12 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(_clean(obj), sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
-def _atomic_write(path: Path, chunks) -> tuple[str, int]:
-    """Write the byte chunks to a fresh temporary file, then rename it over
-    path; returns the sha256 hex digest and the size of what was written.
-    The chunks are hashed as they go, so no whole file is held in memory.
-    The file is created with mode 0o666 less the umask, as open() would."""
+def _staged_write(path: Path, chunks) -> tuple[Path, str, int]:
+    """Write the byte chunks to a fresh temporary file beside path, to be
+    renamed over it later; returns the temporary path, the sha256 hex
+    digest and the size of what was written. The chunks are hashed as they
+    go, so no whole file is held in memory. The file is created with mode
+    0o666 less the umask, as open() would."""
     digest = hashlib.sha256()
     size = 0
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
@@ -226,12 +227,11 @@ def _atomic_write(path: Path, chunks) -> tuple[str, int]:
                 fh.write(chunk)
                 digest.update(chunk)
                 size += len(chunk)
-        os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return digest.hexdigest(), size
+    return tmp, digest.hexdigest(), size
 
 
 def _fmt(v) -> str:
@@ -798,14 +798,21 @@ def _transpose(rows, width: int) -> list:
 
 
 class Emitter:
-    """Writes output files atomically into outdir, which the first write
-    creates, and records (path, sha256, bytes) of each output."""
+    """Writes output files into outdir, which the first write creates, and
+    records (path, sha256, bytes) of each output.
+
+    Each output is written and hashed under a temporary name; commit
+    renames them all into place, in the order written, and manifest.json
+    comes last. Until commit, a directory that holds an earlier run's files
+    keeps them as they were."""
 
     def __init__(self, outdir: Path, fmt: str):
         self.outdir = outdir
         self.format = fmt
         self.outputs: list[dict] = []
         self._made: list[Path] | None = None  # directories the first write made
+        self._staged: list[tuple[Path, Path]] = []  # (temporary, final) paths
+        self._placed: list[Path] = []  # the outputs commit has renamed
 
     def _write(self, name: str, chunks) -> tuple[str, int]:
         if self._made is None:
@@ -813,14 +820,28 @@ class Emitter:
                        if not d.exists()]
             self.outdir.mkdir(parents=True, exist_ok=True)
             self._made = missing
-        return _atomic_write(self.outdir / name, chunks)
+        path = self.outdir / name
+        tmp, sha256, size = _staged_write(path, chunks)
+        self._staged.append((tmp, path))
+        return sha256, size
+
+    def commit(self) -> None:
+        """Rename every staged file over its final name, in the order
+        written."""
+        for tmp, path in self._staged:
+            os.replace(tmp, path)
+            self._placed.append(path)
+        self._staged.clear()
 
     def discard(self) -> None:
-        """Delete every output written so far and then each directory the
+        """Delete every staged file and every output commit has renamed
+        (a failed commit leaves some of each), then each directory the
         first write made, deepest first, while it is empty."""
-        for entry in self.outputs:
+        for path in [tmp for tmp, _ in self._staged] + self._placed:
             with contextlib.suppress(OSError):
-                (self.outdir / entry["path"]).unlink()
+                path.unlink()
+        self._staged.clear()
+        self._placed.clear()
         self.outputs.clear()
         for directory in self._made or []:
             try:
@@ -853,8 +874,10 @@ class Emitter:
         self._record(stem + ".json", [_json_bytes(obj)])
 
     def manifest(self, obj) -> None:
-        """manifest.json, encoded as json_file does; it is not an output."""
+        """manifest.json, encoded as json_file does (it is not an output),
+        staged last and committed with the outputs, so it lands last."""
         self._write("manifest.json", [_json_bytes(obj)])
+        self.commit()
 
     def raw(self, name: str, data: bytes) -> None:
         self._record(name, [data])
@@ -872,8 +895,8 @@ def emit_plotdata(emitter: Emitter, stem: str, rows) -> None:
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (effective, results)
 
-def _table_for(*limits: tuple[str, int]) -> sieve.FactorTable:
-    """The factor table up to the largest of `limits`, each a (what sets
+def _table_for(*limits: tuple[str, int]) -> sieve.PrimeTable:
+    """The prime table up to the largest of `limits`, each a (what sets
     it, value) pair: a value past sieve.MAX_TABLE_LIMIT is refused with a
     TableRangeError that names the flags and values setting it, before
     any stage runs or any output is written."""
@@ -891,8 +914,8 @@ def _cutoff_limit(Qs) -> list[tuple[str, int]]:
 
 
 def _measure_table(cfg: argparse.Namespace, N: int, Qs,
-                   *limits: tuple[str, int]) -> sieve.FactorTable:
-    """The factor table of a measure handler: it covers the support values
+                   *limits: tuple[str, int]) -> sieve.PrimeTable:
+    """The prime table of a measure handler: it covers the support values
     up to m*N + b of measures at scale N, each rough cutoff in Qs, and any
     further limits."""
     span = cfg.m * N + cfg.b
@@ -1127,8 +1150,11 @@ def _run_roth_pipeline(cfg: argparse.Namespace, em: Emitter):
     import queue  # here, so that importing the CLI loads no more modules
     import threading
 
-    n = cfg.N
-    W = cfg.W if cfg.W is not None else roth.default_w(n)
+    n, W = cfg.N, cfg.W
+    # every W-trick modulus is even and 2 is the one prime below 3, so an
+    # n < 3 leaves the W-trick no prime coprime to m: a flag to refuse here
+    if n < 3:
+        raise ParameterError(f"--N must be >= 3, got {n}")
     m = roth.w_modulus(W)
     # the W-trick takes the smallest prime in (2n/m, 4n/m]; by Bertrand's
     # postulate there is one unless 4n/m < 2, which is a flag combination
@@ -1242,7 +1268,7 @@ _COMMANDS = {
         "--N": _N_LIST, "--p": 2.5, "--draws": 20, "--oversample": 2}),
     "roth-pipeline": (_run_roth_pipeline, {
         "--N": _REQUIRED, "--source": "primes", "--delta": 0.1, "--eps": 0.1,
-        "--W": None, "--constants": None}),
+        "--W": 2, "--constants": None}),
     "behrend": (_run_behrend, {"--N": _N_LIST}),
     "varnavides": (_run_varnavides, {
         "--N": _REQUIRED, "--alpha": _REQUIRED, "--constants": None}),
@@ -1271,30 +1297,30 @@ def run(cfg: argparse.Namespace) -> dict:
     t0 = time.perf_counter()
     try:
         effective, results = _HANDLERS[cfg.subcommand](cfg, em)
+        elapsed = time.perf_counter() - t0
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        # ru_maxrss is in bytes on macOS and in KiB elsewhere
+        rss_unit = 1 if sys.platform == "darwin" else 1024
+        manifest = {
+            "tool": "primeaps",
+            "version": __version__,
+            "subcommand": cfg.subcommand,
+            "config": _clean({k: v for k, v in vars(cfg).items() if k != "output_dir"}),
+            "effective": _clean(effective),
+            "results": _clean(results),
+            "outputs": em.outputs,
+        }
+        canon = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+        manifest["deterministic_hash"] = hashlib.sha256(canon.encode("utf-8")).hexdigest()
+        manifest["timings"] = {
+            "wall_seconds": elapsed,
+            "minor_faults": usage.ru_minflt - faults0,
+            "peak_rss_mb": usage.ru_maxrss * rss_unit / 1e6,
+        }
+        em.manifest(manifest)
     except BaseException:
         em.discard()  # a failed run leaves none of its files
         raise
-    elapsed = time.perf_counter() - t0
-    usage = resource.getrusage(resource.RUSAGE_SELF)
-    # ru_maxrss is in bytes on macOS and in KiB elsewhere
-    rss_unit = 1 if sys.platform == "darwin" else 1024
-    manifest = {
-        "tool": "primeaps",
-        "version": __version__,
-        "subcommand": cfg.subcommand,
-        "config": _clean({k: v for k, v in vars(cfg).items() if k != "output_dir"}),
-        "effective": _clean(effective),
-        "results": _clean(results),
-        "outputs": em.outputs,
-    }
-    canon = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
-    manifest["deterministic_hash"] = hashlib.sha256(canon.encode("utf-8")).hexdigest()
-    manifest["timings"] = {
-        "wall_seconds": elapsed,
-        "minor_faults": usage.ru_minflt - faults0,
-        "peak_rss_mb": usage.ru_maxrss * rss_unit / 1e6,
-    }
-    em.manifest(manifest)
     return manifest
 
 

@@ -64,7 +64,7 @@ from .errors import (
 )
 from .measures import Measure
 from .numutil import e, fsum_real
-from .sieve import FactorTable
+from .sieve import PrimeTable
 
 REL_CONSISTENCY = 1e-3  # grid-doubling self-consistency contract (0.1%)
 MAX_OVERSAMPLE = 16  # escalation cap before warning
@@ -456,7 +456,7 @@ def self_triple_count(f: Measure) -> float:
     return float(np.dot(w, folded[twice]))
 
 
-def majorant_denominator(p: float, N: int, table: FactorTable, grid: TorusGrid) -> float:
+def majorant_denominator(p: float, N: int, table: PrimeTable, grid: TorusGrid) -> float:
     """|| sum over primes n <= N of e(n theta) ||_p, the denominator of
     every majorant_ratio at (p, N, grid)."""
     primes = table.primes_up_to(N)
@@ -469,7 +469,7 @@ def majorant_ratio(
     signs: np.ndarray,
     p: float,
     N: int,
-    table: FactorTable,
+    table: PrimeTable,
     grid: TorusGrid,
     den: float,
 ) -> float:

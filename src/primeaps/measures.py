@@ -127,24 +127,24 @@ def _zero_measure(Q: int) -> bool:
     return Q == 1
 
 
-def lambda_measure(params: MeasureParams, table: sieve.FactorTable) -> Measure:
+def lambda_measure(params: MeasureParams, table: sieve.PrimeTable) -> Measure:
     """The log-weighted prime measure lambda_{b,m,N}; mass ~ 1."""
     supp = sieve.prime_shifted_support(params.b, params.m, params.N, table)
     w = np.zeros(params.N, dtype=np.float64)
     if supp.size:
         vals = params.m * supp + params.b
-        phi_m = sieve.euler_phi(params.m, table)
+        phi_m = sieve.euler_phi(params.m)
         w[supp - 1] = phi_m * np.log(vals) / (params.m * params.N)
     return Measure(params.N, w, signed=False, base=BASE_ONE)
 
 
-def rough_prefactor(Q: int, m: int, table: sieve.FactorTable) -> float:
+def rough_prefactor(Q: int, m: int, table: sieve.PrimeTable) -> float:
     """prod over p <= Q, p not dividing m, of (1 - 1/p)^(-1)."""
     return 1.0 / sieve.mertens_product(Q, m, table)
 
 
 def lambda_q_measure(
-    params: MeasureParams, Q: int, table: sieve.FactorTable
+    params: MeasureParams, Q: int, table: sieve.PrimeTable
 ) -> Measure:
     """The Mertens-normalized uniform measure on the Q-rough support.
 
@@ -163,7 +163,7 @@ def dyadic_cutoff(N: int, p: float) -> int:
     """Smallest integer K with 2^K > (log N)^A / 10, A = a_exponent(p).
 
     The split needs primes up to 2^K, so a 2^K above sieve.MAX_TABLE_LIMIT,
-    as where (log N)^A leaves the float range, is past any factor table:
+    as where (log N)^A leaves the float range, is past any prime table:
     TableRangeError, naming p and A."""
     if N < 3:
         raise ParameterError(f"N must be >= 3, got {N}")
@@ -182,7 +182,7 @@ def dyadic_cutoff(N: int, p: float) -> int:
 
 
 def dyadic_pieces(
-    params: MeasureParams, lam: Measure, p: float, table: sieve.FactorTable
+    params: MeasureParams, lam: Measure, p: float, table: sieve.PrimeTable
 ) -> tuple[list[Measure], int]:
     """Split lam = lambda_measure(params, table) into psi_1..psi_{K+1} with
     psi_j = lambda^{(2^j)} - lambda^{(2^{j-1})} and psi_{K+1} = lambda -

@@ -67,18 +67,11 @@ class WTrickResult:
     m_le_logN: bool
 
 
-def default_w(n: int) -> int:
-    """W = max(1, floor(log log n / 4))."""
-    if n < 3:
-        raise ParameterError(f"n must be >= 3, got {n}")
-    return max(1, math.floor(0.25 * math.log(math.log(n))))
-
-
 def w_modulus(W: int) -> int:
     """m = the product of the primes <= max(W, 2); the W-trick always uses
     p = 2, so m is even.
 
-    Every W-trick modulus must fit the factor table, so the product stops
+    Every W-trick modulus must fit the prime table, so the product stops
     as soon as it passes sieve.MAX_TABLE_LIMIT (from W = 23 on) with a
     TableRangeError that names W, before a huge W is trial-divided or a
     huge product formatted."""
@@ -93,14 +86,13 @@ def w_modulus(W: int) -> int:
     return m
 
 
-def w_trick(A0, table: sieve.FactorTable, W: int | None, n: int) -> WTrickResult:
+def w_trick(A0, table: sieve.PrimeTable, W: int, n: int) -> WTrickResult:
     """Rescale A0 (a set of primes) into A = ((A0 cap [n]) - b)/m inside
     {1..floor(N/2)} with N the smallest prime in (2n/m, 4n/m].
 
-    m = w_modulus(W) is the product of the primes <= max(W, 2), with W =
-    default_w(n) when W is None; b is the residue class mod m maximizing
-    the log-weighted count (ties to the smallest b). alpha is the
-    lambda_{b,m,N} mass of A.
+    m = w_modulus(W) is the product of the primes <= max(W, 2); b is the
+    residue class mod m maximizing the log-weighted count (ties to the
+    smallest b). alpha is the lambda_{b,m,N} mass of A.
     """
     A0 = np.unique(np.asarray(A0, dtype=np.int64))
     if A0.size == 0:
@@ -110,8 +102,6 @@ def w_trick(A0, table: sieve.FactorTable, W: int | None, n: int) -> WTrickResult
         raise DegenerateInputError(f"A0 has no elements <= n={n}")
     if not np.all(table.is_prime(A0)):
         raise PreconditionError("A0 must consist of primes")
-    if W is None:
-        W = default_w(n)
     if W < 1:
         raise ParameterError(f"W must be >= 1, got {W}")
     m = w_modulus(W)
@@ -137,7 +127,7 @@ def w_trick(A0, table: sieve.FactorTable, W: int | None, n: int) -> WTrickResult
     A = (sel - b) // m
     A = A[(A >= 1) & (A <= N // 2)]
     vals = m * A + b
-    phi_m = sieve.euler_phi(m, table)
+    phi_m = sieve.euler_phi(m)
     alpha = fsum_real(phi_m * np.log(vals) / (m * N)) if A.size else 0.0
     return WTrickResult(
         A=A,
@@ -625,12 +615,12 @@ def _stage(name: str):
 def density_experiment(
     source: str,
     n: int,
-    table: sieve.FactorTable,
+    table: sieve.PrimeTable,
     *,
     seed: int,
     delta: float,
     eps: float,
-    W: int | None,
+    W: int,
     constants: dict | None,
     keep: Callable[[str, object], None],
 ) -> dict:
@@ -640,8 +630,8 @@ def density_experiment(
     StageError tagged source, w-trick, measure, transform, bohr,
     granularize, counts or bounds.
 
-    W = None takes default_w(n), and `constants` overrides entries of
-    DEFAULT_CONSTANTS. The report itself stays scalar-only. Each
+    W selects the W-trick's modulus (w_modulus), and `constants` overrides
+    entries of DEFAULT_CONSTANTS. The report itself stays scalar-only. Each
     intermediate goes to the callback keep(name, value) once its stage has
     made it, in this order: "A0" (source), "A" (w-trick), "mu" and "a"
     (measure), "spectrum" (transform), "bohr" (bohr) and "a1"

@@ -1,10 +1,10 @@
-"""Arithmetic substrate: smallest-prime-factor table, Euler's phi,
-Mertens products, and the prime / rough support sets that the measures
-live on.
+"""Arithmetic substrate: the prime table, Euler's phi, Mertens products,
+and the prime / rough support sets that the measures live on.
 
-The table is a flat int32 array spf with spf[n] = smallest prime factor of
-n (spf[n] = n exactly when n is prime, 0 for n < 2). Everything downstream
-factors integers by chasing spf, so phi is O(log n) per query.
+The program reads two arithmetic facts: whether n*m + b is prime (the
+measure lambda_{b,m,N}, the W-trick's N, the rough sieve's primes) and
+phi(m) of one modulus. So the table is one boolean per integer, prime[n]
+for 0 <= n <= limit, and phi is trial division.
 """
 
 from __future__ import annotations
@@ -23,15 +23,15 @@ from .errors import (
     TableRangeError,
 )
 
-MAX_TABLE_LIMIT = 10**8  # memory guard: int32 table, ~400 MB at the cap
+MAX_TABLE_LIMIT = 10**8  # memory guard: 1 byte per integer, ~100 MB at the cap
 
 
 @dataclass
-class FactorTable:
-    """Smallest-prime-factor table covering 2..limit."""
+class PrimeTable:
+    """Primality of 0..limit: prime[n] is True exactly when n is prime."""
 
     limit: int
-    spf: np.ndarray = field(repr=False)
+    prime: np.ndarray = field(repr=False)
     _primes: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def check_range(self, n) -> None:
@@ -45,30 +45,15 @@ class FactorTable:
         """Vectorized primality lookup; n may be a scalar or array."""
         arr = np.asarray(n)
         self.check_range(arr)
-        out = (arr >= 2) & (self.spf[arr] == arr)
+        out = self.prime[arr]
         if out.ndim == 0:
             return bool(out)
-        return out
-
-    def factorize(self, n: int) -> list[tuple[int, int]]:
-        """Prime factorization of n as (p, exponent) pairs, p ascending."""
-        if not 1 <= n <= self.limit:
-            raise TableRangeError(f"n={n} outside table range [1, {self.limit}]")
-        out: list[tuple[int, int]] = []
-        while n > 1:
-            p = int(self.spf[n])
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            out.append((p, k))
         return out
 
     def primes(self) -> np.ndarray:
         """All primes <= limit, ascending (cached)."""
         if self._primes is None:
-            idx = np.arange(2, self.limit + 1, dtype=np.int32)
-            self._primes = np.flatnonzero(self.spf[2:] == idx).astype(np.int64) + 2
+            self._primes = np.flatnonzero(self.prime).astype(np.int64)
         return self._primes
 
     def primes_up_to(self, q: int) -> np.ndarray:
@@ -79,36 +64,41 @@ class FactorTable:
         return ps[: np.searchsorted(ps, q, side="right")]
 
 
-def build_factor_table(limit: int) -> FactorTable:
-    """Sieve the smallest-prime-factor table for 2..limit.
+def build_factor_table(limit: int) -> PrimeTable:
+    """Sieve the prime table for 0..limit (Eratosthenes by numpy slicing).
 
-    Vectorized Eratosthenes variant: each composite gets marked first by its
-    smallest prime (primes ascend and marking starts at p*p), so the table
-    is identical to the classical linear sieve's.
+    The even numbers past 2 are struck at once; each odd prime p <= sqrt
+    (limit) then strikes its odd multiples from p*p on, step 2p, since its
+    smaller multiples carry a smaller prime factor.
     """
     if not 2 <= limit <= MAX_TABLE_LIMIT:
         raise ConfigError(f"limit must be in [2, {MAX_TABLE_LIMIT}], got {limit}")
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            seg = spf[p * p :: p]
-            seg[seg == 0] = p
-    rest = np.flatnonzero(spf[2:] == 0).astype(np.int64) + 2
-    spf[rest] = rest
-    return FactorTable(limit=limit, spf=spf)
+    prime = np.ones(limit + 1, dtype=bool)
+    prime[:2] = False
+    prime[4::2] = False
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if prime[p]:
+            prime[p * p :: 2 * p] = False
+    return PrimeTable(limit=limit, prime=prime)
 
 
-def euler_phi(n: int, table: FactorTable) -> int:
-    """Euler totient via the factor table."""
-    if n == 1:
-        return 1
-    phi = 1
-    for p, k in table.factorize(n):
-        phi *= (p - 1) * p ** (k - 1)
+def euler_phi(n: int) -> int:
+    """Euler totient by trial division, at most sqrt(n) steps: 10^4 for a
+    modulus up to MAX_TABLE_LIMIT; n >= 1."""
+    phi = n
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            phi -= phi // p
+        p += 1
+    if n > 1:
+        phi -= phi // n
     return phi
 
 
-def mertens_product(q: int, m: int, table: FactorTable) -> float:
+def mertens_product(q: int, m: int, table: PrimeTable) -> float:
     """prod over primes p <= q, p not dividing m, of (1 - 1/p)."""
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")
@@ -149,7 +139,7 @@ def warn_if_large_modulus(m: int, N: int) -> bool:
     return ok
 
 
-def prime_shifted_support(b: int, m: int, N: int, table: FactorTable) -> np.ndarray:
+def prime_shifted_support(b: int, m: int, N: int, table: PrimeTable) -> np.ndarray:
     """{ n <= N : n*m + b is prime }, as a sorted int64 array."""
     check_residue_pair(b, m)
     if N < 1:
@@ -163,7 +153,7 @@ def prime_shifted_support(b: int, m: int, N: int, table: FactorTable) -> np.ndar
     return np.flatnonzero(table.is_prime(values)).astype(np.int64) + 1
 
 
-def rough_support(b: int, m: int, N: int, q: int, table: FactorTable) -> np.ndarray:
+def rough_support(b: int, m: int, N: int, q: int, table: PrimeTable) -> np.ndarray:
     """{ n <= N : every prime factor of n*m + b exceeds q }, as a sorted
     int64 array.
 

@@ -6,6 +6,8 @@ import pytest
 from primeaps import cli
 from primeaps.sieve import build_factor_table
 
+import paper
+
 # covers m*N + b up to m=6, N=1e6 used by the heaviest checks
 TABLE_LIMIT = 6_000_010
 
@@ -18,6 +20,13 @@ def table():
 @pytest.fixture(scope="session")
 def small_table():
     return build_factor_table(20_000)
+
+
+@pytest.fixture(scope="session")
+def spf_table():
+    """The smallest-prime-factor oracle over the small table's range, for
+    the paper.* oracles; calls into primeaps take table or small_table."""
+    return paper.build_spf_table(20_000)
 
 
 @pytest.fixture(scope="session")

@@ -3,8 +3,8 @@ that the tests hold the program to.
 
 None of these runs on a CLI path, so none of them lives in `primeaps`:
 tests/test_package.py::test_every_def_is_reached_from_the_cli keeps it so.
-Here are the arithmetic oracles (Moebius, Ramanujan sums, rough and smooth
-numbers), the local densities gamma_{r,q} and sigma_{a,q} in closed form
+Here are the arithmetic oracles (the smallest-prime-factor table and its
+factorizations, Moebius, Ramanujan sums, rough and smooth numbers), the local densities gamma_{r,q} and sigma_{a,q} in closed form
 and by direct summation, Brun's truncated inclusion-exclusion, the
 exponential sum f^(theta) by compensated summation, the kernels tau and
 Fejer, the major-arc main term q^(-1) sigma_{a,q} tau(theta - a/q), the
@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from primeaps import sieve
 from primeaps.arcs import MAJOR, ArcLabel, dirichlet_approx
-from primeaps.errors import ParameterError, PreconditionError
+from primeaps.errors import ConfigError, ParameterError, PreconditionError, TableRangeError
 from primeaps.measures import (
     BASE_ZN,
     Measure,
@@ -35,7 +35,6 @@ from primeaps.measures import (
     rough_prefactor,
 )
 from primeaps.numutil import e, fsum_real
-from primeaps.sieve import FactorTable
 
 
 class DomainError(ValueError):
@@ -44,6 +43,80 @@ class DomainError(ValueError):
 
 # ---------------------------------------------------------------------------
 # arithmetic
+
+
+@dataclass
+class FactorTable:
+    """Smallest-prime-factor table covering 2..limit: the oracle that the
+    program's sieve.PrimeTable is held to, and the factorizations that
+    mobius, is_rough, is_smooth and the sigma oracles read."""
+
+    limit: int
+    spf: np.ndarray = field(repr=False)
+    _primes: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def check_range(self, n) -> None:
+        arr = np.asarray(n)
+        if arr.size and (int(arr.min()) < 0 or int(arr.max()) > self.limit):
+            raise TableRangeError(
+                f"value outside table range [0, {self.limit}]"
+            )
+
+    def is_prime(self, n):
+        """Vectorized primality lookup; n may be a scalar or array."""
+        arr = np.asarray(n)
+        self.check_range(arr)
+        out = (arr >= 2) & (self.spf[arr] == arr)
+        if out.ndim == 0:
+            return bool(out)
+        return out
+
+    def factorize(self, n: int) -> list[tuple[int, int]]:
+        """Prime factorization of n as (p, exponent) pairs, p ascending."""
+        if not 1 <= n <= self.limit:
+            raise TableRangeError(f"n={n} outside table range [1, {self.limit}]")
+        out: list[tuple[int, int]] = []
+        while n > 1:
+            p = int(self.spf[n])
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            out.append((p, k))
+        return out
+
+    def primes(self) -> np.ndarray:
+        """All primes <= limit, ascending (cached)."""
+        if self._primes is None:
+            idx = np.arange(2, self.limit + 1, dtype=np.int32)
+            self._primes = np.flatnonzero(self.spf[2:] == idx).astype(np.int64) + 2
+        return self._primes
+
+    def primes_up_to(self, q: int) -> np.ndarray:
+        """All primes <= q, ascending; q may not exceed the table limit."""
+        if q > self.limit:
+            raise TableRangeError(f"q={q} exceeds table limit {self.limit}")
+        ps = self.primes()
+        return ps[: np.searchsorted(ps, q, side="right")]
+
+
+def build_spf_table(limit: int) -> FactorTable:
+    """Sieve the smallest-prime-factor table for 2..limit.
+
+    Vectorized Eratosthenes variant: each composite gets marked first by its
+    smallest prime (primes ascend and marking starts at p*p), so the table
+    is identical to the classical linear sieve's.
+    """
+    if not 2 <= limit <= sieve.MAX_TABLE_LIMIT:
+        raise ConfigError(f"limit must be in [2, {sieve.MAX_TABLE_LIMIT}], got {limit}")
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            seg = spf[p * p :: p]
+            seg[seg == 0] = p
+    rest = np.flatnonzero(spf[2:] == 0).astype(np.int64) + 2
+    spf[rest] = rest
+    return FactorTable(limit=limit, spf=spf)
 
 
 def mobius(n: int, table: FactorTable) -> int:
@@ -129,7 +202,7 @@ def gamma_rq(
     q: int,
     params: MeasureParams,
     Q: int | None,
-    table: sieve.FactorTable,
+    table: FactorTable,
 ) -> float:
     """Local density on the progression r mod q of lambda (Q = None) or of
     lambda^{(Q)}.
@@ -148,7 +221,7 @@ def gamma_rq(
     if Q is None:
         if g != 1:
             return 0.0
-        return sieve.euler_phi(m, table) * q / sieve.euler_phi(m * q, table)
+        return sieve.euler_phi(m) * q / sieve.euler_phi(m * q)
     if _zero_measure(Q) or not is_rough(g, Q, table):
         return 0.0
     return rough_prefactor(Q, m, table) * sieve.mertens_product(Q, m * q, table)
@@ -184,7 +257,7 @@ def sigma_aq(
     q: int,
     params: MeasureParams,
     Q: int | None,
-    table: sieve.FactorTable,
+    table: FactorTable,
 ) -> complex:
     """sigma_{a,q} = sum_r e(ar/q) gamma_{r,q} of lambda (Q = None) or of
     lambda^{(Q)}, in closed form: q*mu(q)/phi(q) * e(-a*b*minv/q) when
@@ -212,7 +285,7 @@ def sigma_aq_direct_all(
     q: int,
     params: MeasureParams,
     Q: int | None,
-    table: sieve.FactorTable,
+    table: FactorTable,
 ) -> np.ndarray:
     """Direct summation sigma_{a,q} of lambda (Q = None) or lambda^{(Q)}
     for every residue a = 0..q-1 at once.
@@ -226,7 +299,7 @@ def sigma_aq_direct_all(
     r = np.arange(q, dtype=np.int64)
     g = np.gcd(m * r + b, m * q)
     if Q is None:
-        val = sieve.euler_phi(m, table) * q / sieve.euler_phi(m * q, table)
+        val = sieve.euler_phi(m) * q / sieve.euler_phi(m * q)
         gam = np.where(g == 1, val, 0.0)
     elif _zero_measure(Q):
         return np.zeros(q, dtype=complex)
@@ -279,7 +352,7 @@ def brun_truncated(
     Q: int,
     t: int,
     params: MeasureParams,
-    table: sieve.FactorTable,
+    table: FactorTable,
 ) -> BrunEstimate:
     """Brun's truncated inclusion-exclusion for the density of Q-rough
     values of m*x+b along x in {r, r+q, ..., r+(L-1)q}.

@@ -29,7 +29,7 @@ COPRIME_BM = [
 ]
 
 
-def test_c01_sigma_closed_matches_direct(small_table):
+def test_c01_sigma_closed_matches_direct(spf_table):
     t0 = time.perf_counter()
     cop = {q: [a for a in range(q) if math.gcd(a, q) == 1] for q in range(1, 61)}
     worst = 0.0
@@ -37,19 +37,19 @@ def test_c01_sigma_closed_matches_direct(small_table):
     for b, m in COPRIME_BM:
         pp = measures.MeasureParams(b=b, m=m, N=1000)
         for q in range(1, 61):
-            direct = paper.sigma_aq_direct_all(q, pp, None, small_table)
+            direct = paper.sigma_aq_direct_all(q, pp, None, spf_table)
             for a in cop[q]:
                 err = abs(
-                    paper.sigma_aq(a, q, pp, None, small_table) - direct[a]
+                    paper.sigma_aq(a, q, pp, None, spf_table) - direct[a]
                 )
                 worst = max(worst, err)
                 checked += 1
         for Q in range(1, 33):
             for q in range(1, 61):
-                direct = paper.sigma_aq_direct_all(q, pp, Q, small_table)
+                direct = paper.sigma_aq_direct_all(q, pp, Q, spf_table)
                 for a in cop[q]:
                     err = abs(
-                        paper.sigma_aq(a, q, pp, Q, small_table)
+                        paper.sigma_aq(a, q, pp, Q, spf_table)
                         - direct[a]
                     )
                     worst = max(worst, err)
@@ -63,12 +63,12 @@ def test_c01_sigma_closed_matches_direct(small_table):
     )
 
 
-def test_c02_ramanujan_equals_mobius(small_table):
+def test_c02_ramanujan_equals_mobius(spf_table):
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
     worst = 0.0
     for q in range(1, 10_001):
-        mob = paper.mobius(q, small_table)
+        mob = paper.mobius(q, spf_table)
         for _ in range(5):
             a = int(rng.integers(1, q + 1))
             while math.gcd(a, q) != 1:

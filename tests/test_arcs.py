@@ -166,19 +166,19 @@ def test_major_prediction_rejects_minor():
         paper.major_prediction(0.38, lab, mp, None, None)
 
 
-def test_major_prediction_at_centers_is_sigma_over_q(small_table):
+def test_major_prediction_at_centers_is_sigma_over_q(spf_table):
     mp = measures.MeasureParams(b=1, m=1, N=10_000)
     params = ArcParams(N=10_000, p_exponent=4.0, b_override=3.0)
     for a, q in [(0, 1), (1, 2), (1, 3), (2, 3), (1, 6), (5, 6)]:
         theta = a / q
         lab = arcs.classify(theta, params)
         assert (lab.a, lab.q) == (a, q)
-        pred = paper.major_prediction(theta, lab, mp, None, small_table)
-        sig = paper.sigma_aq(a % q, q, mp, None, small_table)
+        pred = paper.major_prediction(theta, lab, mp, None, spf_table)
+        sig = paper.sigma_aq(a % q, q, mp, None, spf_table)
         assert pred == pytest.approx(sig / q, abs=1e-12)
 
 
-def test_major_prediction_tracks_prime_measure(small_table):
+def test_major_prediction_tracks_prime_measure(small_table, spf_table):
     # at arc centers the prediction should land within the desk-scale
     # error of the true exponential sum
     mp = measures.MeasureParams(b=1, m=1, N=10_000)
@@ -187,19 +187,19 @@ def test_major_prediction_tracks_prime_measure(small_table):
     for a, q in [(0, 1), (1, 2), (1, 3), (1, 4), (1, 6)]:
         theta = a / q
         lab = arcs.classify(theta, params)
-        pred = paper.major_prediction(theta, lab, mp, None, small_table)
+        pred = paper.major_prediction(theta, lab, mp, None, spf_table)
         emp = paper.exp_sum(lam, theta)
         assert abs(pred - emp) < 0.05
 
 
-def test_major_prediction_offsets_use_tau(small_table):
+def test_major_prediction_offsets_use_tau(small_table, spf_table):
     mp = measures.MeasureParams(b=1, m=1, N=10_000)
     params = ArcParams(N=10_000, p_exponent=4.0, b_override=3.0)
     delta = 1.0 / (16 * mp.N)
     lab = arcs.classify(delta, params)
     assert (lab.a, lab.q) == (0, 1)
-    pred = paper.major_prediction(delta, lab, mp, None, small_table)
-    sig = paper.sigma_aq(0, 1, mp, None, small_table)
+    pred = paper.major_prediction(delta, lab, mp, None, spf_table)
+    sig = paper.sigma_aq(0, 1, mp, None, spf_table)
     assert pred == pytest.approx(sig * paper.tau(delta, mp.N), abs=1e-12)
     lam = measures.lambda_measure(mp, small_table)
     assert abs(pred - paper.exp_sum(lam, delta)) < 0.05

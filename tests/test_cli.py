@@ -413,7 +413,7 @@ _PAST_THE_TABLE = [
     (["sieve-stats", "--N", "100000001"], "--N 100000001 exceeds"),
     (["majorant", "--N", "100000001", "--draws", "1"], "--N 100000001 exceeds"),
     (["roth-pipeline", "--N", "30000000"],
-     "4 * --N 30000000 + m + 16 = 120000018 (m = 2 at --W 1) exceeds"),
+     "4 * --N 30000000 + m + 16 = 120000018 (m = 2 at --W 2) exceeds"),
 ]
 
 
@@ -443,6 +443,20 @@ def test_w_modulus_past_2n_names_w_m_and_n(W, m, tmp_path, capsys):
     assert err["message"].startswith(f"W = {W}: m = {m}, ")
     assert "n = 300" in err["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_pipeline_n_below_3_names_the_flag(n, tmp_path, capsys):
+    # 2 is the one prime below 3 and divides every W-trick modulus: refused
+    # before any stage runs, at any --W
+    out = tmp_path / "out"
+    for W in ("1", "2", "3"):
+        assert cli.main(["roth-pipeline", "--N", n, "--W", W,
+                         "--output-dir", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation" and "stage" not in err
+        assert err["message"] == f"--N must be >= 3, got {n}"
+        assert not out.exists()
 
 
 def test_incoherent_params_exit_2(tmp_path, capsys):
@@ -486,8 +500,9 @@ _PIPELINE = ["roth-pipeline", "--N", "2000", "--source", "random-subset-of-prime
 
 def test_pipeline_tables_are_written_while_later_stages_compute(tmp_path,
                                                                  monkeypatch):
-    # the bounds stage waits for granular_a1, which the granularize stage
-    # kept: it appears only if a thread other than the compute writes it
+    # the bounds stage waits for granular_a1's staged file, which the
+    # granularize stage kept: it appears only if a thread other than the
+    # compute writes it
     from primeaps import roth
 
     out = tmp_path / "out"
@@ -500,8 +515,9 @@ def test_pipeline_tables_are_written_while_later_stages_compute(tmp_path,
         return table(self, stem, *args)
 
     def waiting(*args, **kwargs):
+        # granular_a1 is staged under a temporary name until the run ends
         deadline = time.monotonic() + 30
-        while not (out / "granular_a1.csv").exists():
+        while not any(out.glob("granular_a1.csv.*.tmp")):
             assert time.monotonic() < deadline, "no table was written meanwhile"
             time.sleep(0.01)
         return original(*args, **kwargs)
@@ -554,9 +570,10 @@ def test_pipeline_stage_failure_after_writes_leaves_nothing(tmp_path, capsys,
 
 
 def test_pipeline_writer_failure_exits_4_and_leaves_nothing(tmp_path, capsys):
-    # the writer cannot put spectrum_a.csv in place of a directory: an I/O
-    # failure of the run, not a stage's, and the tables written before it
-    # are removed; the directory the run did not make stays
+    # the run cannot put spectrum_a.csv in place of a directory when it
+    # renames its staged outputs: an I/O failure of the run, not a stage's,
+    # and the tables renamed before it are removed; the directory the run
+    # did not make stays
     (tmp_path / "spectrum_a.csv").mkdir()
     before = threading.active_count()
     rc = cli.main([*_PIPELINE, "--output-dir", str(tmp_path)])
@@ -581,6 +598,34 @@ def test_failed_run_keeps_an_existing_directory(tmp_path, capsys, monkeypatch):
     assert cli.main([*_PIPELINE, "--output-dir", str(tmp_path)]) == 3
     assert json.loads(capsys.readouterr().err)["stage"] == "bounds"
     assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+
+
+def _tree(directory: Path) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in directory.iterdir()}
+
+
+def test_failed_rerun_leaves_the_earlier_run_as_it_was(tmp_path, capsys,
+                                                       monkeypatch):
+    # every output is staged under a temporary name and renamed only once
+    # the handler has returned, so a later run that fails in its last stage,
+    # after all its tables were written, leaves the earlier run's files,
+    # manifest.json included, byte for byte
+    from primeaps import roth
+
+    man = _run(["roth-pipeline", "--N", "2000"], tmp_path)
+    before = _tree(tmp_path)
+    assert set(before) == {o["path"] for o in man["outputs"]} | {"manifest.json"}
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("final_inequality failed")
+
+    monkeypatch.setattr(roth, "final_inequality", fail)
+    assert cli.main(["roth-pipeline", "--N", "2000",
+                     "--output-dir", str(tmp_path)]) == 3
+    assert json.loads(capsys.readouterr().err)["stage"] == "bounds"
+    assert _tree(tmp_path) == before
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_manifest_is_the_same_wherever_it_lands(tmp_path):

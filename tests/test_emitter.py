@@ -69,6 +69,7 @@ def _oracle(fmt: str, header: list[str], columns) -> bytes:
 def _emit(tmp_path, fmt: str, header: list[str], columns) -> bytes:
     em = cli.Emitter(tmp_path, fmt)
     em.table("t", header, columns)
+    em.commit()
     (out,) = em.outputs
     data = (tmp_path / out["path"]).read_bytes()
     assert out["path"] == f"t.{fmt}"
@@ -263,6 +264,7 @@ def test_table_accepts_a_one_shot_iterable_of_columns(tmp_path):
     columns = [np.arange(5), [0.5] * 5]
     em = cli.Emitter(tmp_path, "csv")
     em.table("t", ["a", "b"], iter(columns))
+    em.commit()
     assert (tmp_path / "t.csv").read_bytes() == _oracle("csv", ["a", "b"], columns)
 
 

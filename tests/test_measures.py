@@ -46,7 +46,7 @@ def test_lambda_weights_formula(small_table):
     b, m, N = 2, 3, 400
     params = MeasureParams(b=b, m=m, N=N)
     lam = measures.lambda_measure(params, small_table)
-    phi_m = sieve.euler_phi(m, small_table)
+    phi_m = sieve.euler_phi(m)
     for n in range(1, N + 1):
         v = m * n + b
         expect = phi_m * math.log(v) / (m * N) if _is_prime(v) else 0.0
@@ -180,28 +180,28 @@ def test_piece_sup_norms_shape(table):
 
 # --- local densities ---------------------------------------------------------
 
-def test_gamma_prime_formula(small_table):
+def test_gamma_prime_formula(spf_table):
     params = MeasureParams(b=1, m=2, N=100)
     for q in (1, 2, 3, 10, 36):
         for r in range(q):
-            got = paper.gamma_rq(r, q, params, None, small_table)
+            got = paper.gamma_rq(r, q, params, None, spf_table)
             if math.gcd(2 * r + 1, 2 * q) == 1:
                 expect = (
-                    sieve.euler_phi(2, small_table)
+                    sieve.euler_phi(2)
                     * q
-                    / sieve.euler_phi(2 * q, small_table)
+                    / sieve.euler_phi(2 * q)
                 )
             else:
                 expect = 0.0
             assert got == pytest.approx(expect, rel=1e-14)
 
 
-def test_gamma_rough_formula(small_table):
+def test_gamma_rough_formula(small_table, spf_table):
     params = MeasureParams(b=2, m=3, N=100)
     pref = measures.rough_prefactor(8, 3, small_table)
     for q in (1, 2, 5, 12):
         for r in range(q):
-            got = paper.gamma_rq(r, q, params, 8, small_table)
+            got = paper.gamma_rq(r, q, params, 8, spf_table)
             g = math.gcd(3 * r + 2, 3 * q)
             if all(p > 8 for p in _prime_factors(g)):
                 expect = pref * sieve.mertens_product(8, 3 * q, small_table)
@@ -210,11 +210,11 @@ def test_gamma_rough_formula(small_table):
             assert got == pytest.approx(expect, rel=1e-14), (q, r)
 
 
-def test_gamma_rough_zero_at_Q1(small_table):
+def test_gamma_rough_zero_at_Q1(spf_table):
     params = MeasureParams(b=1, m=1, N=100)
     for q in (1, 2, 5):
         for r in range(q):
-            assert paper.gamma_rq(r, q, params, 1, small_table) == 0.0
+            assert paper.gamma_rq(r, q, params, 1, spf_table) == 0.0
 
 
 @given(
@@ -225,20 +225,20 @@ def test_gamma_rough_zero_at_Q1(small_table):
     Q=st.integers(min_value=1, max_value=32),
 )
 @settings(max_examples=150, deadline=None)
-def test_gamma_bounded_by_q(small_table, q, r, b, m, Q):
+def test_gamma_bounded_by_q(spf_table, q, r, b, m, Q):
     if math.gcd(b, m) != 1 or r >= q:
         return
     params = MeasureParams(b=b, m=m, N=100)
     for cutoff in (None, Q):
-        gam = paper.gamma_rq(r, q, params, cutoff, small_table)
+        gam = paper.gamma_rq(r, q, params, cutoff, spf_table)
         assert 0.0 <= gam <= q + 1e-12
 
 
-def test_empirical_gamma_tracks_gamma(table):
+def test_empirical_gamma_tracks_gamma(table, spf_table):
     params = MeasureParams(b=1, m=1, N=1_000_000)
     lam = measures.lambda_measure(params, table)
     for r, q in [(1, 3), (2, 3), (2, 4), (1, 4), (3, 4)]:
-        gam = paper.gamma_rq(r, q, params, None, table)
+        gam = paper.gamma_rq(r, q, params, None, spf_table)
         emp = paper.empirical_gamma(lam, r, q)
         if gam == 0.0:
             # n+1 shares a factor with q along these residues: no mass
@@ -258,79 +258,79 @@ def test_empirical_gamma_validation(small_table):
 
 # --- sigma closed forms ------------------------------------------------------
 
-def test_sigma_closed_vs_direct_spot(small_table):
+def test_sigma_closed_vs_direct_spot(spf_table):
     for rough in (False, True):
         for b, m, q, Q in [(1, 1, 12, 8), (2, 3, 7, 4), (1, 6, 25, 32), (5, 2, 9, 16)]:
             params = MeasureParams(b=b, m=m, N=200)
             cutoff = Q if rough else None
-            direct = paper.sigma_aq_direct_all(q, params, cutoff, small_table)
+            direct = paper.sigma_aq_direct_all(q, params, cutoff, spf_table)
             for a in range(q):
                 if math.gcd(a, q) != 1:
                     continue
-                closed = paper.sigma_aq(a, q, params, cutoff, small_table)
+                closed = paper.sigma_aq(a, q, params, cutoff, spf_table)
                 assert abs(closed - direct[a]) < 1e-10
 
 
-def test_sigma_gates(small_table):
+def test_sigma_gates(spf_table):
     # (m, q) sharing a factor kills the prime closed form
     params = MeasureParams(b=1, m=2, N=100)
-    assert paper.sigma_aq(1, 4, params, None, small_table) == 0
+    assert paper.sigma_aq(1, 4, params, None, spf_table) == 0
     # mu(q) = 0 kills it too
-    assert paper.sigma_aq(1, 9, params, None, small_table) == 0
+    assert paper.sigma_aq(1, 9, params, None, spf_table) == 0
     # the rough measure needs q to be Q-smooth
-    assert paper.sigma_aq(1, 5, params, 4, small_table) == 0
-    assert paper.sigma_aq(2, 3, params, 4, small_table) != 0
+    assert paper.sigma_aq(1, 5, params, 4, spf_table) == 0
+    assert paper.sigma_aq(2, 3, params, 4, spf_table) != 0
     # Q = 1 is the zero measure
-    assert paper.sigma_aq(2, 3, params, 1, small_table) == 0
+    assert paper.sigma_aq(2, 3, params, 1, spf_table) == 0
 
 
-def test_sigma_requires_coprime_a(small_table):
+def test_sigma_requires_coprime_a(spf_table):
     params = MeasureParams(b=1, m=1, N=100)
     with pytest.raises(PreconditionError):
-        paper.sigma_aq(2, 4, params, None, small_table)
+        paper.sigma_aq(2, 4, params, None, spf_table)
 
 
-def test_sigma_q1_is_one(small_table):
+def test_sigma_q1_is_one(spf_table):
     # q = 1: sigma = 1 for the prime measure (empty phase, mu(1)=phi(1)=1)
     params = MeasureParams(b=1, m=1, N=100)
-    assert paper.sigma_aq(0, 1, params, None, small_table) == pytest.approx(1.0)
+    assert paper.sigma_aq(0, 1, params, None, spf_table) == pytest.approx(1.0)
 
 
 # --- Brun truncation ---------------------------------------------------------
 
-def test_brun_completes_to_product(small_table):
+def test_brun_completes_to_product(spf_table):
     params = MeasureParams(b=1, m=1, N=100)
-    est = paper.brun_truncated(0, 2, 10, 7, 3, params, small_table)
+    est = paper.brun_truncated(0, 2, 10, 7, 3, params, spf_table)
     # t = number of primes <= 7 not dividing q: {3, 5, 7} -> exact
     assert est.estimate == pytest.approx(est.full_product, rel=1e-12)
     assert not est.gated_zero
 
 
-def test_brun_truncations_alternate(small_table):
+def test_brun_truncations_alternate(spf_table):
     params = MeasureParams(b=1, m=1, N=100)
-    full = paper.brun_truncated(1, 1, 10, 13, 6, params, small_table).full_product
+    full = paper.brun_truncated(1, 1, 10, 13, 6, params, spf_table).full_product
     for t in range(0, 6):
-        est = paper.brun_truncated(1, 1, 10, 13, t, params, small_table)
+        est = paper.brun_truncated(1, 1, 10, 13, t, params, spf_table)
         if t % 2 == 0:
             assert est.estimate >= full - 1e-12
         else:
             assert est.estimate <= full + 1e-12
 
 
-def test_brun_gated_zero(small_table):
+def test_brun_gated_zero(spf_table):
     # m*r + b divisible by 3 <= Q: exact zero, flagged
     params = MeasureParams(b=1, m=1, N=100)
-    est = paper.brun_truncated(2, 3, 10, 7, 2, params, small_table)
+    est = paper.brun_truncated(2, 3, 10, 7, 2, params, spf_table)
     assert est.gated_zero
     assert est.estimate == 0.0
 
 
-def test_brun_depth_guard(small_table):
+def test_brun_depth_guard(spf_table):
     params = MeasureParams(b=1, m=1, N=100)
     with pytest.raises(ParameterError):
-        paper.brun_truncated(1, 1, 10, 100, 7, params, small_table)
+        paper.brun_truncated(1, 1, 10, 100, 7, params, spf_table)
     # deep k with shallow t is allowed
-    est = paper.brun_truncated(1, 1, 10, 100, 3, params, small_table)
+    est = paper.brun_truncated(1, 1, 10, 100, 3, params, spf_table)
     assert est.num_primes == 25
 
 
@@ -352,7 +352,7 @@ def test_measure_validation():
         Measure(2, np.array([0.1, 0.2]), base="bad")
 
 
-def test_measure_params_validation(small_table):
+def test_measure_params_validation(small_table, spf_table):
     with pytest.raises(PreconditionError):
         MeasureParams(b=2, m=4, N=100)
     with pytest.raises(ParameterError):
@@ -361,9 +361,9 @@ def test_measure_params_validation(small_table):
     # a rough cutoff below 1 is refused wherever it enters
     params = MeasureParams(b=1, m=1, N=100)
     for call in (lambda: measures.lambda_q_measure(params, 0, small_table),
-                 lambda: paper.gamma_rq(0, 1, params, 0, small_table),
-                 lambda: paper.sigma_aq(0, 1, params, 0, small_table),
-                 lambda: paper.sigma_aq_direct_all(1, params, 0, small_table)):
+                 lambda: paper.gamma_rq(0, 1, params, 0, spf_table),
+                 lambda: paper.sigma_aq(0, 1, params, 0, spf_table),
+                 lambda: paper.sigma_aq_direct_all(1, params, 0, spf_table)):
         with pytest.raises(ParameterError):
             call()
     with pytest.raises(ParameterError):
@@ -479,6 +479,7 @@ def test_measure_io_roundtrip(tmp_path, small_table):
     lam = measures.lambda_measure(params, small_table)
     em = cli.Emitter(tmp_path, "csv")
     em.measure("m", lam)
+    em.commit()
     back = measures.load_measure_csv(tmp_path / "m.csv")
     assert np.array_equal(back.weights, lam.weights)
     assert back.N == lam.N
@@ -486,10 +487,12 @@ def test_measure_io_roundtrip(tmp_path, small_table):
     # base zn: the file holds x = 0..N-1
     zn = lam.as_zn()
     em.measure("m_zn", zn)
+    em.commit()
     back_zn = measures.load_measure_csv(tmp_path / "m_zn.csv", base=measures.BASE_ZN)
     assert np.array_equal(back_zn.weights, zn.weights)
 
     em.raw("m.bin", measures.measure_to_bytes(lam))
+    em.commit()
     back2 = measures.load_measure_binary(tmp_path / "m.bin")
     assert np.array_equal(back2.weights, lam.weights)
     assert back2.base == lam.base

@@ -28,17 +28,9 @@ def _uniform(N):
 
 # --- W-trick -----------------------------------------------------------------
 
-def test_default_w_values():
-    assert roth.default_w(3) == 1
-    assert roth.default_w(10**6) == 1
-    assert roth.default_w(10**1300) == 2
-    with pytest.raises(ParameterError):
-        roth.default_w(2)
-
-
 def test_w_trick_three_primes(small_table):
-    res = roth.w_trick([3, 5, 7], small_table, W=None, n=7)
-    assert (res.b, res.m, res.N, res.W) == (1, 2, 11, 1)
+    res = roth.w_trick([3, 5, 7], small_table, W=2, n=7)
+    assert (res.b, res.m, res.N, res.W) == (1, 2, 11, 2)
     assert res.A.tolist() == [1, 2, 3]
     expect = math.fsum(math.log(v) / 22.0 for v in (3, 5, 7))
     assert res.alpha == pytest.approx(expect, rel=1e-15)
@@ -49,8 +41,8 @@ def test_w_trick_three_primes(small_table):
 
 def test_w_trick_primes_to_2000(small_table):
     ps = small_table.primes_up_to(2000)
-    res = roth.w_trick(ps, small_table, W=None, n=1999)
-    assert (res.b, res.m, res.N, res.W) == (1, 2, 2003, 1)
+    res = roth.w_trick(ps, small_table, W=2, n=1999)
+    assert (res.b, res.m, res.N, res.W) == (1, 2, 2003, 2)
     assert res.A.size == 302
     assert res.alpha == pytest.approx(0.4841, abs=5e-4)
 
@@ -83,11 +75,11 @@ def test_w_trick_set_invariants(small_table):
 
 def test_w_trick_rejections(small_table):
     with pytest.raises(DegenerateInputError):
-        roth.w_trick([], small_table, W=None, n=10)
+        roth.w_trick([], small_table, W=2, n=10)
     with pytest.raises(PreconditionError):
-        roth.w_trick([3, 4, 5], small_table, W=None, n=5)
+        roth.w_trick([3, 4, 5], small_table, W=2, n=5)
     with pytest.raises(DegenerateInputError):
-        roth.w_trick([101], small_table, W=None, n=50)
+        roth.w_trick([101], small_table, W=2, n=50)
     with pytest.raises(DegenerateInputError):
         roth.w_trick([2], small_table, W=1, n=2)  # 2 is not coprime to m=2
     with pytest.raises(ParameterError):
@@ -654,7 +646,7 @@ def _keys(report):
 
 
 # the roth-pipeline flag defaults
-_FLAGS = {"seed": 0, "delta": 0.1, "eps": 0.1, "W": None, "constants": None}
+_FLAGS = {"seed": 0, "delta": 0.1, "eps": 0.1, "W": 2, "constants": None}
 
 
 def _ignore(name, value):

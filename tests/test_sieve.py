@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,17 +38,80 @@ def _simple_primes(limit):
 
 
 def test_build_table_range_errors():
-    with pytest.raises(ConfigError):
-        sieve.build_factor_table(1)
-    with pytest.raises(ConfigError):
-        sieve.build_factor_table(2 * 10**8)
+    for limit in (1, 10**8 + 1, 2 * 10**8):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"limit must be in [2, 100000000], got {limit}")):
+            sieve.build_factor_table(limit)
+    assert sieve.build_factor_table(2).primes().tolist() == [2]
 
 
-def test_spf_matches_trial_division(small_table):
+def test_spf_matches_trial_division(spf_table):
+    # the oracle the prime table is held to
     rng = np.random.default_rng(0)
     for n in rng.integers(2, 20_000, size=300).tolist():
         expect = _trial_factorize(n)[0][0]
-        assert small_table.spf[n] == expect
+        assert spf_table.spf[n] == expect
+
+
+@pytest.fixture(scope="module")
+def spf_1e6():
+    return paper.build_spf_table(10**6)
+
+
+def _edge_limits(oracle: paper.FactorTable) -> list[int]:
+    # 2, 3, 4, and p^2 - 1, p^2, p^2 + 1 for every prime with p^2 <= 10^6:
+    # the edges of the strike loop's range, which stops at isqrt(limit)
+    ps = oracle.primes_up_to(math.isqrt(oracle.limit)).tolist()
+    squares = [p * p + d for p in ps for d in (-1, 0, 1)]
+    return [2, 3, 4] + [v for v in squares if v <= oracle.limit]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_prime_table_matches_spf_oracle(spf_1e6, data):
+    limit = data.draw(st.one_of(st.integers(min_value=2, max_value=spf_1e6.limit),
+                                st.sampled_from(_edge_limits(spf_1e6))),
+                      label="limit")
+    table = sieve.build_factor_table(limit)
+    truth = spf_1e6.is_prime(np.arange(limit + 1))
+    assert table.limit == limit
+    assert np.array_equal(table.is_prime(np.arange(limit + 1)), truth)
+    assert np.array_equal(table.primes(), np.flatnonzero(truth))
+    # scalar lookups at the edges, and at a drawn point
+    r = math.isqrt(limit)
+    points = {2, limit, limit - 1, r * r, r * r - 1, r * r + 1,
+              data.draw(st.integers(min_value=0, max_value=limit), label="n")}
+    for n in sorted(v for v in points if 0 <= v <= limit):
+        got = table.is_prime(n)
+        assert type(got) is bool and got == bool(truth[n]), n
+    q = data.draw(st.integers(min_value=0, max_value=limit), label="q")
+    for cut in (q, limit):
+        assert np.array_equal(table.primes_up_to(cut), spf_1e6.primes_up_to(cut))
+    with pytest.raises(TableRangeError):
+        table.is_prime(limit + 1)
+    with pytest.raises(TableRangeError):
+        table.is_prime(np.array([2, -1]))
+    with pytest.raises(TableRangeError):
+        table.primes_up_to(limit + 1)
+
+
+def _phi_by_factorization(n: int, oracle: paper.FactorTable) -> int:
+    return math.prod((p - 1) * p ** (k - 1) for p, k in oracle.factorize(n))
+
+
+def test_euler_phi_matches_factorization(spf_1e6):
+    for n in range(1, 10**5 + 1):
+        assert sieve.euler_phi(n) == _phi_by_factorization(n, spf_1e6), n
+
+
+def test_euler_phi_of_every_w_trick_modulus():
+    from primeaps import roth
+
+    moduli = sorted({roth.w_modulus(W) for W in range(1, 23)})
+    assert moduli[-1] == 9_699_690  # 2 * 3 * ... * 19, from W = 19 to 22
+    oracle = paper.build_spf_table(moduli[-1])
+    for m in moduli:
+        assert sieve.euler_phi(m) == _phi_by_factorization(m, oracle), m
 
 
 def test_is_prime_matches_oracle(small_table):
@@ -82,10 +146,10 @@ def test_check_range(small_table):
 
 @given(n=st.integers(min_value=2, max_value=20_000))
 @settings(max_examples=200, deadline=None)
-def test_factorize_reconstructs(small_table, n):
+def test_factorize_reconstructs(small_table, spf_table, n):
     prod = 1
     last_p = 1
-    for p, e in small_table.factorize(n):
+    for p, e in spf_table.factorize(n):
         assert small_table.is_prime(p)
         assert p > last_p
         last_p = p
@@ -93,37 +157,37 @@ def test_factorize_reconstructs(small_table, n):
     assert prod == n
 
 
-def test_mobius_matches_oracle(small_table):
+def test_mobius_matches_oracle(spf_table):
     for n in range(1, 500):
         fac = _trial_factorize(n)
         if any(e > 1 for _, e in fac):
             expect = 0
         else:
             expect = (-1) ** len(fac)
-        assert paper.mobius(n, small_table) == expect
+        assert paper.mobius(n, spf_table) == expect
 
 
-def test_euler_phi_matches_oracle(small_table):
+def test_euler_phi_matches_oracle():
     for n in range(1, 300):
         expect = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-        assert sieve.euler_phi(n, small_table) == expect
+        assert sieve.euler_phi(n) == expect
 
 
-def test_rough_smooth_brute(small_table):
+def test_rough_smooth_brute(spf_table):
     for n in range(1, 200):
         for q in (1, 2, 3, 7, 50):
             fac = [p for p, _ in _trial_factorize(n)]
             rough = all(p > q for p in fac)
             smooth = q >= 2 and all(p <= q for p in fac)
-            assert paper.is_rough(n, q, small_table) == rough
-            assert paper.is_smooth(n, q, small_table) == smooth
+            assert paper.is_rough(n, q, spf_table) == rough
+            assert paper.is_smooth(n, q, spf_table) == smooth
 
 
-def test_no_one_smooth_numbers(small_table):
+def test_no_one_smooth_numbers(spf_table):
     # Q < 2 admits no smooth numbers, not even 1
-    assert not paper.is_smooth(1, 1, small_table)
-    assert not paper.is_smooth(6, 1, small_table)
-    assert paper.is_rough(1, 50, small_table)
+    assert not paper.is_smooth(1, 1, spf_table)
+    assert not paper.is_smooth(6, 1, spf_table)
+    assert paper.is_rough(1, 50, spf_table)
 
 
 def test_mertens_product_direct(small_table):
@@ -142,32 +206,32 @@ def test_mertens_product_validation(small_table):
         sieve.mertens_product(30_000, 1, small_table)
 
 
-def test_ramanujan_mobius(small_table):
+def test_ramanujan_mobius(spf_table):
     rng = np.random.default_rng(1)
     for q in range(1, 400):
         a = int(rng.integers(0, q)) if q > 1 else 0
         while math.gcd(a, q) != 1:
             a = int(rng.integers(0, q))
         got = paper.ramanujan_sum(q, a)
-        assert abs(got - paper.mobius(q, small_table)) < 1e-9
+        assert abs(got - paper.mobius(q, spf_table)) < 1e-9
 
 
-def test_ramanujan_general_formula(small_table):
+def test_ramanujan_general_formula(spf_table):
     # c_q(a) = mu(q/g) phi(q) / phi(q/g), g = gcd(a, q)
     for q in (12, 30, 36, 49, 100):
         for a in range(q):
             g = math.gcd(a, q) if a else q
             expect = (
-                paper.mobius(q // g, small_table)
-                * sieve.euler_phi(q, small_table)
-                / sieve.euler_phi(q // g, small_table)
+                paper.mobius(q // g, spf_table)
+                * sieve.euler_phi(q)
+                / sieve.euler_phi(q // g)
             )
             assert abs(paper.ramanujan_sum(q, a) - expect) < 1e-9
 
 
-def test_ramanujan_at_zero(small_table):
+def test_ramanujan_at_zero():
     for q in (1, 2, 7, 12):
-        assert abs(paper.ramanujan_sum(q, 0) - sieve.euler_phi(q, small_table)) < 1e-9
+        assert abs(paper.ramanujan_sum(q, 0) - sieve.euler_phi(q)) < 1e-9
 
 
 def test_check_residue_pair():
