@@ -4,8 +4,9 @@ dense subsets of the primes contain three-term arithmetic progressions.
 Modules by role (the package exports modules, not names: import
 `primeaps.cli`, `primeaps.roth` and so on):
 
-- sieve: the prime table, Euler phi, Mertens products, prime/rough supports
-- measures: prime and almost-prime measures, dyadic split, PMSR round trip
+- sieve: arithmetic only: the prime table, Euler phi, Mertens products
+- measures: prime and almost-prime measures and their supports, dyadic
+  split, PMSR round trip
 - fourier: Z_N spectra, torus grids and L^p norms, trilinear 3AP counting
 - arcs: rational approximation, arc classification, sup-difference scans
 - roth: W-trick, Bohr-set granularization, closing bounds, Behrend sets

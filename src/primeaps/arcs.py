@@ -175,13 +175,16 @@ class ScanResult:
 
 def sup_diff_scan(
     mparams: measures.MeasureParams,
+    lam: measures.Measure,
     Q: int,
     grid: TorusGrid,
     table: PrimeTable,
     arc_params: ArcParams,
     profile_points: int,
 ) -> ScanResult:
-    """Scan |lambda^(theta) - lambda^{(Q)^}(theta)| over theta = j/M.
+    """Scan |lambda^(theta) - lambda^{(Q)^}(theta)| over theta = j/M, with
+    lam = lambda_measure(mparams, table) built once by the caller for all
+    its Q.
 
     Returns the grid sup at its argmax, the theta=0 mass mismatch, the
     loglog(Q)/Q reference, and the profile at
@@ -189,7 +192,6 @@ def sup_diff_scan(
     (classification is done per profiled point, not for all M).
     """
     N = mparams.N
-    lam = measures.lambda_measure(mparams, table)
     lamq = measures.lambda_q_measure(mparams, Q, table)
     # both measures sit on {1..N}, so their difference is one signed measure
     # and one grid

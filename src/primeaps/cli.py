@@ -303,11 +303,6 @@ _POW10 = np.array([10 ** j for j in range(18)], dtype=np.uint64)
 # 1.7 times as slow per value, and 2^12 paid 1.4 times as much in numpy's
 # per-call overhead
 _REPR_CHUNK = 1 << 13
-# fewer distinct values than this go to float.__repr__ one by one, since
-# each _repr_words pass costs some 0.35 ms whatever its size; measured on
-# 2 cores with numpy 2.4 (min of 30), the kernel took 375 us at 192 values
-# and 370 us at 256, float.__repr__ 329 us and 442 us
-_REPR_KERNEL_MIN = 256
 
 
 @functools.cache
@@ -652,20 +647,10 @@ def _repr_cells(bits: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _repr_text_cells(bits: np.ndarray) -> np.ndarray:
-    """_repr_fallback's text of each bit pattern, left-aligned in a row of
-    a (values, width) uint8 matrix and padded with NUL bytes (numpy's
-    fixed-width bytes)."""
-    texts = np.array(_repr_fallback(bits), dtype=bytes)
-    return texts.view(np.uint8).reshape(texts.size, texts.itemsize)
-
-
 def _float_cells(values: np.ndarray) -> np.ndarray:
     """The float.__repr__ text of a float64 array as a (rows, width) uint8
     matrix, one value per row with NUL bytes around its text. A run of
-    bit-identical values is formatted once: by _repr_cells, or by
-    float.__repr__ itself (_repr_text_cells) when fewer than
-    _REPR_KERNEL_MIN are left to format."""
+    bit-identical values is formatted once, by _repr_cells."""
     bits = values.view(np.uint64)
     new = np.empty(values.size, dtype=bool)
     new[:1] = True
@@ -680,10 +665,7 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
         distinct, which = np.unique(heads, return_inverse=True)
     else:
         distinct, which = heads, None
-    if distinct.size < _REPR_KERNEL_MIN:
-        runs = _repr_text_cells(distinct)
-    else:
-        runs = _repr_cells(distinct)
+    runs = _repr_cells(distinct)
     if which is not None:
         runs = runs[which]
     if starts.size == values.size:
@@ -992,9 +974,6 @@ def _run_transform_scan(cfg: argparse.Namespace, em: Emitter):
     M = grid.points(N)
     effective = {"table_limit": table.limit, "grid_points": M}
     results = {}
-    profiles = {}
-    # every result is computed before the first write, so a p the L^p
-    # ladder refuses leaves no output behind
     for Q in Qs:
         f = (measures.lambda_measure(params, table) if Q is None
              else measures.lambda_q_measure(params, Q, table))
@@ -1002,7 +981,8 @@ def _run_transform_scan(cfg: argparse.Namespace, em: Emitter):
         mags = np.abs(vals)
         idx = arcs.profile_indices(mags, 4096)
         tag = "lambda" if Q is None else f"rough_Q{Q}"
-        profiles[tag] = [idx / M, vals[idx].real, vals[idx].imag, mags[idx]]
+        em.table(f"transform_{tag}", ["theta", "re", "im", "abs"],
+                 [idx / M, vals[idx].real, vals[idx].imag, mags[idx]])
         results[tag] = {
             "mass": f.total,
             "sup_offzero_grid": float(np.max(mags[1:])),
@@ -1010,8 +990,6 @@ def _run_transform_scan(cfg: argparse.Namespace, em: Emitter):
             "l2_norm": math.sqrt(fsum_real(f.weights**2)),
             "lp_norm": fourier.lp_norm_torus(f, cfg.p_exponent, grid),
         }
-    for tag, columns in profiles.items():
-        em.table(f"transform_{tag}", ["theta", "re", "im", "abs"], columns)
     return effective, results
 
 
@@ -1034,8 +1012,9 @@ def _run_arc_scan(cfg: argparse.Namespace, em: Emitter):
     }
     results = {}
     summary_rows = []
+    lam = measures.lambda_measure(params, table)
     for Q in cfg.Q:
-        scan = arcs.sup_diff_scan(params, Q, grid, table, arc_params=aparams,
+        scan = arcs.sup_diff_scan(params, lam, Q, grid, table, arc_params=aparams,
                                   profile_points=2048)
         em.table(f"arc_scan_Q{Q}", list(scan.profile), scan.profile.values())
         results[str(Q)] = {
@@ -1226,10 +1205,8 @@ def _run_roth_pipeline(cfg: argparse.Namespace, em: Emitter):
 def _run_behrend(cfg: argparse.Namespace, em: Emitter):
     results = {}
     rows = []
-    # every set is built before the first write, so an N the construction
-    # refuses leaves no output behind
-    sets = {N: roth.behrend_set(N) for N in cfg.N}
-    for N, S in sets.items():
+    for N in cfg.N:
+        S = roth.behrend_set(N)
         em.table(f"behrend_N{N}", ["value"], [S])
         size = int(S.size)
         fitted_c = -math.log(size / N) / math.sqrt(math.log(N)) if size < N else 0.0

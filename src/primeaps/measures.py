@@ -1,6 +1,6 @@
-"""Prime and almost-prime measures on {1..N}, their dyadic decomposition,
-and the two forms a measure is written in: the `PMSR` binary and the
-(index, weight) CSV, each with its reader.
+"""Prime and almost-prime measures on {1..N}, the supports they live on,
+their dyadic decomposition, and the two forms a measure is written in:
+the `PMSR` binary and the (index, weight) CSV, each with its reader.
 
 lambda_{b,m,N} puts weight phi(m) log(nm+b) / (mN) on each n <= N with
 nm+b prime; lambda^{(Q)} puts the Mertens-normalized uniform weight on the
@@ -15,6 +15,7 @@ import csv
 import functools
 import math
 import struct
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ import numpy as np
 from . import sieve
 from .errors import (
     DegenerateInputError,
+    DeskScaleWarning,
     ParameterError,
     PreconditionError,
     TableRangeError,
@@ -97,18 +99,84 @@ class Measure:
         return float(np.max(np.abs(self.weights))) if self.N else 0.0
 
 
+def check_residue_pair(b: int, m: int) -> None:
+    """Validate the (b, m) residue data: m >= 1, b >= 0, gcd(b, m) = 1.
+
+    b larger than m is allowed; the support values nm + b just shift and
+    every mod-m quantity reduces b anyway.
+    """
+    if m < 1:
+        raise PreconditionError(f"m must be >= 1, got {m}")
+    if b < 0:
+        raise PreconditionError(f"b must be >= 0, got {b}")
+    if math.gcd(b, m) != 1:
+        raise PreconditionError(f"gcd(b, m) must be 1, got gcd({b}, {m})")
+
+
 @dataclass(frozen=True)
 class MeasureParams:
-    """The measure lambda_{b,m,N}: residue b mod m (coprime) and scale N."""
+    """The measure lambda_{b,m,N}: residue b mod m (coprime) and scale N.
+    Construction is the one check of (b, m, N); what takes the params
+    reads them as they are."""
 
     b: int
     m: int
     N: int
 
     def __post_init__(self) -> None:
-        sieve.check_residue_pair(self.b, self.m)
+        check_residue_pair(self.b, self.m)
         if self.N < 1:
             raise ParameterError(f"N must be >= 1, got {self.N}")
+
+
+def warn_if_large_modulus(m: int, N: int) -> bool:
+    """Warn (not error) when m exceeds log N; returns True when it holds.
+    Called by the measure builders, so the warning names their caller."""
+    ok = m <= math.log(N) if N >= 3 else m == 1
+    if not ok:
+        warnings.warn(
+            f"m={m} exceeds log N = {math.log(N):.3f}; asymptotic error terms "
+            "are not meaningful at this scale",
+            DeskScaleWarning,
+            stacklevel=3,
+        )
+    return ok
+
+
+def prime_shifted_support(params: MeasureParams, table: sieve.PrimeTable) -> np.ndarray:
+    """{ n <= N : n*m + b is prime }, as a sorted int64 array; a value
+    n*m + b past the table's limit raises TableRangeError."""
+    values = params.m * np.arange(1, params.N + 1, dtype=np.int64) + params.b
+    return np.flatnonzero(table.is_prime(values)).astype(np.int64) + 1
+
+
+def rough_support(params: MeasureParams, Q: int, table: sieve.PrimeTable) -> np.ndarray:
+    """{ n <= N : every prime factor of n*m + b exceeds Q }, as a sorted
+    int64 array.
+
+    Q=1 keeps all of {1..N} (no primes <= 1). Only primes up to
+    min(Q, m*N + b) can divide any n*m + b, so marking stops there; a
+    bound past the table's limit raises TableRangeError.
+    """
+    keep = np.ones(params.N + 1, dtype=bool)
+    keep[0] = False
+    cap = min(Q, params.m * params.N + params.b)
+    strike_divisible(keep, params.b, params.m, table.primes_up_to(cap))
+    return np.flatnonzero(keep).astype(np.int64)
+
+
+def strike_divisible(keep: np.ndarray, b: int, m: int, primes) -> None:
+    """Clear keep[n] for every 1 <= n < keep.size with n*m + b divisible by
+    some p in primes; a p dividing m divides no n*m + b (gcd(b, m) = 1) and
+    is skipped. The one marking loop of the Q-rough sieve."""
+    N = keep.size - 1
+    for p in primes.tolist():
+        if m % p == 0:
+            continue
+        r = (-b * pow(m, -1, p)) % p
+        first = r if r >= 1 else p
+        if first <= N:
+            keep[first::p] = False
 
 
 def a_exponent(p: float) -> float:
@@ -128,8 +196,11 @@ def _zero_measure(Q: int) -> bool:
 
 
 def lambda_measure(params: MeasureParams, table: sieve.PrimeTable) -> Measure:
-    """The log-weighted prime measure lambda_{b,m,N}; mass ~ 1."""
-    supp = sieve.prime_shifted_support(params.b, params.m, params.N, table)
+    """The log-weighted prime measure lambda_{b,m,N}; mass ~ 1. The one
+    home of its weight: the W-trick's density alpha of A is the mass of
+    this measure on A."""
+    warn_if_large_modulus(params.m, params.N)
+    supp = prime_shifted_support(params, table)
     w = np.zeros(params.N, dtype=np.float64)
     if supp.size:
         vals = params.m * supp + params.b
@@ -153,7 +224,8 @@ def lambda_q_measure(
     """
     if _zero_measure(Q):
         return Measure(params.N, np.zeros(params.N), signed=False, base=BASE_ONE)
-    supp = sieve.rough_support(params.b, params.m, params.N, Q, table)
+    warn_if_large_modulus(params.m, params.N)
+    supp = rough_support(params, Q, table)
     w = np.zeros(params.N, dtype=np.float64)
     w[supp - 1] = rough_prefactor(Q, params.m, table) / params.N
     return Measure(params.N, w, signed=False, base=BASE_ONE)
@@ -210,7 +282,7 @@ def dyadic_pieces(
         ps = ps[(ps > lo) & (m % ps != 0)]
         for p in ps.tolist():
             inv_mert /= 1.0 - 1.0 / p
-        sieve.strike_divisible(keep, b, m, ps[ps <= cap])
+        strike_divisible(keep, b, m, ps[ps <= cap])
         cur = np.where(keep[1:], inv_mert / N, 0.0)
         pieces.append(Measure(N, cur - prev, signed=True, base=BASE_ONE))
         prev = cur

@@ -63,7 +63,6 @@ class WTrickResult:
     m: int
     N: int
     W: int
-    alpha: float
     m_le_logN: bool
 
 
@@ -92,7 +91,8 @@ def w_trick(A0, table: sieve.PrimeTable, W: int, n: int) -> WTrickResult:
 
     m = w_modulus(W) is the product of the primes <= max(W, 2); b is the
     residue class mod m maximizing the log-weighted count (ties to the
-    smallest b). alpha is the lambda_{b,m,N} mass of A.
+    smallest b). The density alpha of A is its lambda_{b,m,N} mass, read
+    off the measure (density_experiment's measure stage).
     """
     A0 = np.unique(np.asarray(A0, dtype=np.int64))
     if A0.size == 0:
@@ -126,16 +126,12 @@ def w_trick(A0, table: sieve.PrimeTable, W: int, n: int) -> WTrickResult:
     sel = A0[A0 % m == b]
     A = (sel - b) // m
     A = A[(A >= 1) & (A <= N // 2)]
-    vals = m * A + b
-    phi_m = sieve.euler_phi(m)
-    alpha = fsum_real(phi_m * np.log(vals) / (m * N)) if A.size else 0.0
     return WTrickResult(
         A=A,
         b=b,
         m=m,
         N=N,
         W=W,
-        alpha=alpha,
         m_le_logN=(m <= math.log(N)),
     )
 
@@ -672,7 +668,6 @@ def density_experiment(
             "m": wt.m,
             "N": wt.N,
             "W": wt.W,
-            "alpha": wt.alpha,
             "size_A": int(wt.A.size),
             "m_le_logN": wt.m_le_logN,
         }
@@ -685,6 +680,7 @@ def density_experiment(
         a = Measure(wt.N, aw, signed=False, base=BASE_ZN)
         del aw  # a holds its own copy
         report["measure"] = {"mass_mu": mu.total, "mass_a": a.total}
+        report["w_trick"]["alpha"] = a.total
         keep("mu", mu)
         keep("a", a)
     with _stage("transform"):
@@ -761,8 +757,9 @@ def density_experiment(
         }
     with _stage("bounds"):
         consts = report["params"]["constants"]
-        vb = varnavides_bound(min(wt.alpha, 1.0), wt.N, C1=consts["C1"])
-        fi = final_inequality(min(wt.alpha, 1.0), delta, eps, wt.N,
+        alpha = min(report["w_trick"]["alpha"], 1.0)
+        vb = varnavides_bound(alpha, wt.N, C1=consts["C1"])
+        fi = final_inequality(alpha, delta, eps, wt.N,
                               constants=consts, bohr=B)
         report["bounds"] = {
             "varnavides_M": vb.M if not math.isinf(vb.M) else "inf",

@@ -156,9 +156,10 @@ def test_c06_rough_approximation_trend(table):
     t0 = time.perf_counter()
     sups = []
     mp = measures.MeasureParams(b=1, m=1, N=1_000_000)
+    lam = measures.lambda_measure(mp, table)
     for Q in (4, 16, 64):
         res = arcs.sup_diff_scan(
-            mp, Q, TorusGrid(oversample=4), table,
+            mp, lam, Q, TorusGrid(oversample=4), table,
             arcs.ArcParams(N=1_000_000, p_exponent=3.0), profile_points=256
         )
         sups.append(res.sup)

@@ -255,12 +255,12 @@ def test_profile_indices_matches_membership_rule(M, points):
 def test_sup_diff_scan_profile_and_sup(small_table):
     mp = measures.MeasureParams(b=1, m=1, N=2000)
     grid = TorusGrid(oversample=2)
-    res = arcs.sup_diff_scan(mp, 4, grid, small_table,
+    lam = measures.lambda_measure(mp, small_table)
+    res = arcs.sup_diff_scan(mp, lam, 4, grid, small_table,
                              ArcParams(N=2000, p_exponent=3.0), profile_points=64)
     assert res.reference == pytest.approx(loglog_clamped(4) / 4)
     assert res.sup >= res.theta0_mass_diff >= 0
 
-    lam = measures.lambda_measure(mp, small_table)
     lamq = measures.lambda_q_measure(mp, 4, small_table)
     assert res.theta0_mass_diff == pytest.approx(
         abs(lam.total - lamq.total), abs=1e-12
@@ -317,7 +317,8 @@ def test_sup_diff_scan_grid_is_the_difference_of_two_grids(
 
     monkeypatch.setattr(fourier, "wedge_grid", recorded)
     mp = measures.MeasureParams(b=1, m=1, N=N)
-    res = arcs.sup_diff_scan(mp, 16, TorusGrid(oversample=oversample), small_table,
+    res = arcs.sup_diff_scan(mp, measures.lambda_measure(mp, small_table), 16,
+                             TorusGrid(oversample=oversample), small_table,
                              ArcParams(N=N, p_exponent=3.0), profile_points=64)
     M = oversample * N
     assert [g.shape for g in grids] == [(M,)]
@@ -333,9 +334,10 @@ def test_sup_diff_scan_grid_is_the_difference_of_two_grids(
 def test_sup_diff_scan_oversample_stable(small_table):
     mp = measures.MeasureParams(b=1, m=1, N=2000)
     ap = ArcParams(N=2000, p_exponent=3.0)
-    s2 = arcs.sup_diff_scan(mp, 4, TorusGrid(oversample=2), small_table, ap,
+    lam = measures.lambda_measure(mp, small_table)
+    s2 = arcs.sup_diff_scan(mp, lam, 4, TorusGrid(oversample=2), small_table, ap,
                             profile_points=16)
-    s4 = arcs.sup_diff_scan(mp, 4, TorusGrid(oversample=4), small_table, ap,
+    s4 = arcs.sup_diff_scan(mp, lam, 4, TorusGrid(oversample=4), small_table, ap,
                             profile_points=16)
     assert s4.sup >= s2.sup * 0.999
     assert s4.sup == pytest.approx(s2.sup, rel=0.15)

@@ -369,8 +369,8 @@ def test_constants_must_be_a_json_object(text, message, tmp_path, capsys):
     ["roth-pipeline", "--N", "18", "--source", "behrend-in-primes"],
 ], ids=" ".join)
 def test_handler_rejection_leaves_no_output_dir(args, tmp_path, capsys):
-    # these pass the parser and fail inside their handler, before the
-    # first write, which is what creates the output directory
+    # these pass the parser and fail inside their handler: a failed run
+    # keeps none of its files, nor the directory its first write made
     out = tmp_path / "out"
     rc = cli.main(args + ["--output-dir", str(out)])
     assert rc == 2
@@ -705,6 +705,19 @@ def test_rough_q_beyond_the_measure_range(name, tmp_path):
             "transform-scan": "transform_rough_Q1000",
             "arc-scan": "arc_scan_Q1000"}[name]
     assert f"{stem}.csv" in {o["path"] for o in man["outputs"]}
+
+
+def test_arc_scan_builds_lambda_once(tmp_path, monkeypatch):
+    # one lambda serves every --Q; each cutoff builds its own rough measure
+    built = []
+    for name in ("lambda_measure", "lambda_q_measure"):
+        def counted(*args, name=name, original=getattr(measures, name)):
+            built.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(measures, name, counted)
+    _run(["arc-scan", "--N", "300", "--Q", "4,16,64"], tmp_path)
+    assert built == ["lambda_measure"] + ["lambda_q_measure"] * 3
 
 
 @pytest.mark.parametrize("p", ["2", "1.5"])

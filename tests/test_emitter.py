@@ -181,16 +181,17 @@ def test_numeric_arrays_skip_the_cell_writers(fmt, tmp_path, monkeypatch):
     _assert_same(tmp_path, fmt, ["a", "b", "c"], columns)
 
 
-def _assert_formatted_once(route, tmp_path, monkeypatch):
-    """Each run, or each distinct value of a sparse column, reaches the
-    formatter `route` once."""
+def test_each_float_run_or_sparse_value_is_formatted_once(tmp_path, monkeypatch):
+    # each run, or each distinct value of a sparse column, reaches the
+    # kernel once
     formatted = []
-    for name in ("_repr_cells", "_repr_text_cells"):
-        def counted(bits, name=name, original=getattr(cli, name)):
-            formatted.append((name, bits.view(np.float64).tolist()))
-            return original(bits)
+    original = cli._repr_cells
 
-        monkeypatch.setattr(cli, name, counted)
+    def counted(bits):
+        formatted.append(bits.view(np.float64).tolist())
+        return original(bits)
+
+    monkeypatch.setattr(cli, "_repr_cells", counted)
     sorts = []
     unique = np.unique
 
@@ -204,60 +205,21 @@ def _assert_formatted_once(route, tmp_path, monkeypatch):
     sparse = np.array([0.0, 0.0, 0.0, 0.25, 0.25, 0.0, 0.0, 0.0,
                        0.25, 0.5, 0.5, 0.0, -0.0, -0.0, 0.0, 0.0])
     _assert_same(tmp_path, "csv", ["x"], [sparse])
-    ((name, values),) = formatted
-    assert name == route
+    (values,) = formatted
     assert sorted(map(repr, values)) == ["-0.0", "0.0", "0.25", "0.5"]
     assert sorts == [8]
     # dense: one call per run of bit-identical values, repeats included
     formatted.clear()
     dense = np.array([1.5, 1.5, 2.5, 1.5, -0.0, -0.0])
     _assert_same(tmp_path, "json", ["x"], [dense])
-    assert formatted == [(route, [1.5, 2.5, 1.5, -0.0])]
+    assert formatted == [[1.5, 2.5, 1.5, -0.0]]
     # dense with a +0.0 run: more than half the values start a run, so
     # there is no sort
     formatted.clear()
     dense = np.array([0.0, 1.5, 2.5, 2.5, 1.5, 3.0])
     _assert_same(tmp_path, "csv", ["x"], [dense])
-    assert formatted == [(route, [0.0, 1.5, 2.5, 1.5, 3.0])]
+    assert formatted == [[0.0, 1.5, 2.5, 1.5, 3.0]]
     assert sorts == [8]
-
-
-def test_each_float_run_or_sparse_value_is_formatted_once(tmp_path, monkeypatch):
-    # below _REPR_KERNEL_MIN distinct values a block goes to float.__repr__
-    _assert_formatted_once("_repr_text_cells", tmp_path, monkeypatch)
-
-
-def test_each_float_run_or_sparse_value_is_formatted_once_by_the_kernel(
-        tmp_path, monkeypatch):
-    # a minimum of 1 sends every block to the kernel
-    monkeypatch.setattr(cli, "_REPR_KERNEL_MIN", 1)
-    _assert_formatted_once("_repr_cells", tmp_path, monkeypatch)
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_few_distinct_values_skip_the_kernel(fmt, tmp_path, monkeypatch):
-    # the kernel costs a fixed ~0.35 ms a call: a block of fewer distinct
-    # values than _REPR_KERNEL_MIN goes to float.__repr__, counted after
-    # the dedup of repeats, with the same bytes either way
-    calls = []
-    original = cli._repr_cells
-
-    def counted(bits):
-        calls.append(bits.size)
-        return original(bits)
-
-    monkeypatch.setattr(cli, "_repr_cells", counted)
-    least = cli._REPR_KERNEL_MIN
-    rng = np.random.default_rng(21)
-    pool = rng.standard_normal(least) * 10.0 ** rng.integers(-20, 20, least)
-    # runs of 2, and each value in two runs: 2 (least - 1) run starts in
-    # 4 (least - 1) values take the dedup, which leaves least - 1
-    runs = np.repeat(np.tile(pool[:least - 1], 2), 2)
-    _assert_same(tmp_path, fmt, ["x"], [runs])
-    _assert_same(tmp_path, fmt, ["x"], [pool[:least - 1]])
-    assert calls == []
-    _assert_same(tmp_path, fmt, ["x"], [pool])
-    assert calls == [least]
 
 
 def test_table_accepts_a_one_shot_iterable_of_columns(tmp_path):
@@ -339,10 +301,6 @@ def test_table_matches_oracle_small_blocks(data, width, rows, fmt, tmp_path_fact
     header = [f"c{i}" for i in range(width)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "TABLE_BLOCK_ROWS", 2)
-        # blocks this small go to float.__repr__; a minimum of 1 sends them
-        # to the kernel, so both cell layouts meet the block writer
-        mp.setattr(cli, "_REPR_KERNEL_MIN",
-                   data.draw(st.sampled_from([1, cli._REPR_KERNEL_MIN])))
         _assert_same(tmp_path_factory.mktemp("t"), fmt, header, columns)
 
 

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primeaps.errors import ParameterError, PreconditionError, TableRangeError
+from primeaps.errors import (
+    DeskScaleWarning,
+    ParameterError,
+    PreconditionError,
+    TableRangeError,
+)
 from primeaps import cli, measures, sieve
 from primeaps.arcs import ArcParams
 from primeaps.measures import Measure, MeasureParams
@@ -64,10 +69,20 @@ def test_lambda_q_uniform_on_rough_support(small_table):
     params = MeasureParams(b=1, m=2, N=500)
     lamq = measures.lambda_q_measure(params, 8, small_table)
     pref = measures.rough_prefactor(8, 2, small_table)
-    sup = sieve.rough_support(1, 2, 500, 8, small_table)
+    sup = measures.rough_support(params, 8, small_table)
     expect = np.zeros(500)
     expect[sup - 1] = pref / 500.0
     assert np.allclose(lamq.weights, expect, rtol=0, atol=1e-15)
+
+
+def test_desk_scale_warning_names_the_caller(small_table):
+    # m = 30 > log 500: the warning points at the line that built the
+    # measure, here this file, not inside the library
+    params = MeasureParams(b=1, m=30, N=500)
+    with pytest.warns(DeskScaleWarning) as caught:
+        measures.lambda_measure(params, small_table)
+        measures.lambda_q_measure(params, 8, small_table)
+    assert [w.filename for w in caught] == [__file__, __file__]
 
 
 def test_lambda_one_is_zero_measure(small_table):
@@ -119,7 +134,7 @@ def test_dyadic_telescopes_exactly(table):
         for j, piece in enumerate(pieces[:K], start=1):
             partial += piece.weights
             Q = 2**j
-            members = sieve.rough_support(b, m, N, Q, table)
+            members = measures.rough_support(params, Q, table)
             assert np.array_equal(np.flatnonzero(partial) + 1, members), (b, m, N, j)
             lamq = measures.lambda_q_measure(params, Q, table)
             np.testing.assert_allclose(partial, lamq.weights, rtol=1e-12, atol=0)

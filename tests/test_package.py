@@ -413,6 +413,59 @@ def test_field_checker_counts_attribute_loads():
         "mod.Frozen.late", "mod.Result.unread", "mod.Result.stored"]
 
 
+def _readers(trees: dict[str, ast.Module], name: str) -> set[str]:
+    """`module.qualname` of each def that reads `name`, as a Name or an
+    Attribute (a def counts what its nested defs read), and `module` for a
+    read outside any def."""
+    found = set()
+    for module, tree in trees.items():
+        found |= {f"{module}.{qualname}" for qualname, node in _functions(tree)
+                  if name in _uses([node])}
+        if any(name in _uses([stmt]) for stmt in tree.body if not isinstance(
+                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))):
+            found.add(module)
+    return found
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    """Each dotted part of every module a module imports, and every name it
+    imports from one (`from . import measures` gives "measures")."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {part for a in node.names for part in a.name.split(".")}
+        elif isinstance(node, ast.ImportFrom):
+            found |= set((node.module or "").split(".")) - {""}
+            found |= {a.name for a in node.names}
+    return found
+
+
+def test_the_measure_owns_its_weight():
+    # lambda_{b,m,N}'s weight phi(m) log(nm + b) / (mN) has one home, the
+    # measure, so the W-trick's alpha is read off it, not summed again;
+    # and sieve is the arithmetic under the measures, never above them
+    trees = _src_trees()
+    assert _readers(trees, "euler_phi") == {"measures.lambda_measure"}
+    assert "measures" not in _imported_names(trees["sieve"])
+
+
+def test_reader_and_import_checkers():
+    source = ("import numpy.linalg\n"
+              "from . import measures as m\n"
+              "from .errors import Oops\n"
+              "PHI = sieve.euler_phi\n"
+              "def outer():\n"
+              "    def inner():\n"
+              "        return euler_phi(6)\n"
+              "    return inner\n"
+              "def other():\n"
+              "    return phi(6)\n")
+    tree = ast.parse(source)
+    assert _readers({"mod": tree}, "euler_phi") == {
+        "mod", "mod.outer", "mod.outer.inner"}
+    assert _imported_names(tree) == {"numpy", "linalg", "measures", "errors", "Oops"}
+
+
 def _cfg_reads(tree: ast.Module, function: str) -> set[str]:
     """The attributes of the parameter cfg that a module-level function
     reads or sets, in its body and its closures, and in the module-level

@@ -28,26 +28,42 @@ def _uniform(N):
 
 # --- W-trick -----------------------------------------------------------------
 
-def test_w_trick_three_primes(small_table):
+def _report_alpha(res, A0, table, W, n, monkeypatch):
+    """The alpha of density_experiment's w_trick block, run on the source
+    A0 at scale n, whose W-trick must be `res`: the lambda_{b,m,N} mass of
+    A, read off the measure stage."""
+    monkeypatch.setattr(roth, "_build_source", lambda source, n, table, seed: (
+        np.asarray(A0, dtype=np.int64), table.primes_up_to(n)))
+    block = roth.density_experiment("primes", n, table, keep=_ignore,
+                                    **_FLAGS | {"W": W})["w_trick"]
+    assert (block["b"], block["m"], block["N"], block["size_A"]) == (
+        res.b, res.m, res.N, res.A.size)
+    return block["alpha"]
+
+
+def test_w_trick_three_primes(small_table, monkeypatch):
     res = roth.w_trick([3, 5, 7], small_table, W=2, n=7)
     assert (res.b, res.m, res.N, res.W) == (1, 2, 11, 2)
     assert res.A.tolist() == [1, 2, 3]
     expect = math.fsum(math.log(v) / 22.0 for v in (3, 5, 7))
-    assert res.alpha == pytest.approx(expect, rel=1e-15)
+    alpha = _report_alpha(res, [3, 5, 7], small_table, 2, 7, monkeypatch)
+    assert alpha == pytest.approx(expect, rel=1e-15)
     # the window (2n/m, 4n/m] comes from the source scale n = 7
     assert 2 * 7 // res.m < res.N <= 4 * 7 // res.m
     assert res.m_le_logN
 
 
-def test_w_trick_primes_to_2000(small_table):
+def test_w_trick_primes_to_2000(small_table, monkeypatch):
     ps = small_table.primes_up_to(2000)
     res = roth.w_trick(ps, small_table, W=2, n=1999)
     assert (res.b, res.m, res.N, res.W) == (1, 2, 2003, 2)
     assert res.A.size == 302
-    assert res.alpha == pytest.approx(0.4841, abs=5e-4)
+    alpha = _report_alpha(res, ps, small_table, 2, 1999, monkeypatch)
+    assert alpha == pytest.approx(0.4841, abs=5e-4)
 
 
-def test_w_trick_set_invariants(small_table):
+@pytest.mark.filterwarnings("ignore::primeaps.errors.DeskScaleWarning")
+def test_w_trick_set_invariants(small_table, monkeypatch):
     ps = small_table.primes_up_to(1000)
     for W in (1, 3):
         res = roth.w_trick(ps, small_table, W=W, n=997)
@@ -70,7 +86,8 @@ def test_w_trick_set_invariants(small_table):
         expect = math.fsum(
             phi_m * math.log(int(v)) / (res.m * res.N) for v in vals
         )
-        assert res.alpha == pytest.approx(expect, rel=1e-12)
+        alpha = _report_alpha(res, ps, small_table, W, n, monkeypatch)
+        assert alpha == pytest.approx(expect, rel=1e-12)
 
 
 def test_w_trick_rejections(small_table):
@@ -668,6 +685,24 @@ def test_density_experiment_primes(small_table):
     assert rep["counts"]["difference_residual"] <= 1e-8
     assert rep["counts"]["A_3aps_line_nontrivial"] > 0
     assert rep["bounds"]["contradiction"] is False
+
+
+@pytest.mark.filterwarnings("ignore::primeaps.errors.DeskScaleWarning")
+@pytest.mark.parametrize("source", roth.SOURCES)
+def test_w_trick_alpha_is_the_mass_of_a(source, small_table):
+    # alpha has one home, the measure: the w_trick block's alpha is the
+    # measure stage's mass of a, bit for bit, and the direct sum of the
+    # weight phi(m) log(m a + b) / (m N) over A
+    for W in (1, 2, 3, 5):
+        stash = {}
+        rep = roth.density_experiment(source, 2000, small_table,
+                                      keep=stash.__setitem__, **_FLAGS | {"W": W})
+        wt = rep["w_trick"]
+        assert wt["alpha"] == rep["measure"]["mass_a"], (source, W)
+        phi_m = sieve.euler_phi(wt["m"])
+        expect = math.fsum(phi_m * math.log(wt["m"] * int(x) + wt["b"])
+                           / (wt["m"] * wt["N"]) for x in stash["A"])
+        assert wt["alpha"] == pytest.approx(expect, rel=1e-12), (source, W)
 
 
 def test_density_experiment_behrend_source_is_free(small_table):

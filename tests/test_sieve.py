@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primeaps.errors import ConfigError, ParameterError, PreconditionError, TableRangeError
-from primeaps import fourier, sieve
+from primeaps import fourier, measures, sieve
+from primeaps.measures import MeasureParams
 
 import paper
 
@@ -234,27 +235,30 @@ def test_ramanujan_at_zero():
         assert abs(paper.ramanujan_sum(q, 0) - sieve.euler_phi(q)) < 1e-9
 
 
+# the supports the measures live on, built in measures from the prime
+# table and held to brute-force primality and factorization here
+
 def test_check_residue_pair():
-    sieve.check_residue_pair(1, 1)
-    sieve.check_residue_pair(0, 1)
-    sieve.check_residue_pair(5, 2)
+    measures.check_residue_pair(1, 1)
+    measures.check_residue_pair(0, 1)
+    measures.check_residue_pair(5, 2)
     with pytest.raises(PreconditionError):
-        sieve.check_residue_pair(2, 4)
+        measures.check_residue_pair(2, 4)
     with pytest.raises(PreconditionError):
-        sieve.check_residue_pair(-1, 3)
+        measures.check_residue_pair(-1, 3)
     with pytest.raises(PreconditionError):
-        sieve.check_residue_pair(1, 0)
+        measures.check_residue_pair(1, 0)
 
 
 def test_warn_if_large_modulus():
     with pytest.warns(UserWarning):
-        assert not sieve.warn_if_large_modulus(30, 1000)
-    assert sieve.warn_if_large_modulus(6, 1000)
+        assert not measures.warn_if_large_modulus(30, 1000)
+    assert measures.warn_if_large_modulus(6, 1000)
 
 
 def test_prime_shifted_support_brute(small_table):
     oracle = set(_simple_primes(20_000).tolist())
-    sup = sieve.prime_shifted_support(1, 2, 500, small_table)
+    sup = measures.prime_shifted_support(MeasureParams(1, 2, 500), small_table)
     expect = [n for n in range(1, 501) if 2 * n + 1 in oracle]
     assert sup.tolist() == expect
     assert sup.dtype == np.int64
@@ -263,13 +267,12 @@ def test_prime_shifted_support_brute(small_table):
 
 def test_prime_shifted_support_range(small_table):
     with pytest.raises(TableRangeError):
-        sieve.prime_shifted_support(1, 2, 15_000, small_table)
+        measures.prime_shifted_support(MeasureParams(1, 2, 15_000), small_table)
 
 
-@pytest.mark.filterwarnings("ignore::primeaps.errors.DeskScaleWarning")
 def test_rough_support_brute(small_table):
     for b, m, q in [(1, 2, 7), (2, 3, 5), (0, 1, 11), (1, 6, 4), (1, 1, 1)]:
-        sup = sieve.rough_support(b, m, 300, q, small_table)
+        sup = measures.rough_support(MeasureParams(b, m, 300), q, small_table)
         expect = []
         for n in range(1, 301):
             v = m * n + b
