@@ -222,6 +222,38 @@ def test_each_float_run_or_sparse_value_is_formatted_once(tmp_path, monkeypatch)
     assert sorts == [8]
 
 
+def test_each_float_run_or_sparse_value_is_formatted_once_by_the_kernel(
+        tmp_path, monkeypatch):
+    # however few distinct values a block holds, the kernel formats them
+    # itself: one _repr_cells call per float column, and no value of these
+    # handed on to float.__repr__
+    calls = []
+    original = cli._repr_cells
+
+    def counted(bits):
+        calls.append(bits.view(np.float64).tolist())
+        return original(bits)
+
+    fallback = []
+    repr_fallback = cli._repr_fallback
+
+    def counted_fallback(bits):
+        fallback.extend(bits.view(np.float64).tolist())
+        return repr_fallback(bits)
+
+    monkeypatch.setattr(cli, "_repr_cells", counted)
+    monkeypatch.setattr(cli, "_repr_fallback", counted_fallback)
+    for fmt in ("csv", "json"):
+        calls.clear()
+        # one value in one run, two values each in a run of its own, and
+        # two values in three runs (sparse, so deduplicated in bit order)
+        _assert_same(tmp_path, fmt, ["a", "b", "c"],
+                     [np.full(6, 0.1), np.array([0.5, 0.0, 0.5, 0.0, 0.5, 0.0]),
+                      np.array([-2.5, -2.5, 1e-7, 1e-7, 1e-7, -2.5])])
+        assert calls == [[0.1], [0.5, 0.0, 0.5, 0.0, 0.5, 0.0], [1e-7, -2.5]]
+    assert fallback == []
+
+
 def test_table_accepts_a_one_shot_iterable_of_columns(tmp_path):
     columns = [np.arange(5), [0.5] * 5]
     em = cli.Emitter(tmp_path, "csv")
