@@ -296,7 +296,6 @@ def _int_cells(values: np.ndarray) -> np.ndarray:
 
 _M32 = 0xFFFFFFFF
 _M63 = (1 << 63) - 1
-_ASCII = 0x3030303030303030
 _POW10 = np.array([10 ** j for j in range(18)], dtype=np.uint64)
 # values per pass of _repr_words. 2^13 keeps each uint64 temporary at
 # 64 KiB; measured on 2 cores with numpy 2.4, chunks of 2^14 and more ran
@@ -310,59 +309,35 @@ def _shortest_tables() -> dict:
     """The constants of each float64 exponent field, computed exactly
     from Python ints.
 
-    Row bexp is for v = c 2^q with q = max(bexp, 1) - 1075, and row
-    bexp + 2048 for v a power of two: from bexp = 2 on, the gap below such
-    a v is half the gap above, so its rounding interval is 3/4 2^q wide
-    rather than 2^q. With k the largest integer such that 10^k is at most
-    that width, a row holds:
+    Row bexp is for v = c 2^q with q = max(bexp, 1) - 1075, whose rounding
+    interval is 2^q wide (a power of two from bexp = 2 on has a narrower
+    gap below it; _shortest_digits leaves those to float.__repr__). With k
+    the largest integer such that 10^k <= 2^q, a row holds:
     - g = floor(10^-k 2^-r) + 1 in (2^125, 2^126), as g >> 63 and
       g & (2^63 - 1), for the shift h = q + r + 127 with which x 2^q / 10^k
       lies in [(x << h) (g - 1), (x << h) g) 2^-127;
-    - the offsets from 4v / 10^k to the ends of the interval, 2 2^q / 10^k
-      up and that or half of it down, times 2^63 and rounded down, as
-      integer part (mod 2^64) and 63-bit fraction;
-    - the 5^k and 2^(k-q) - 1 that an integer x must be divisible by for
-      x 2^q / 10^k to be an integer;
-    - h, whether v is irregular, and k + 1024, packed in bits 0-7, 8 and
-      16 on of one word.
-    Built on first use rather than at import, as the loop takes tens of
+    - the offset 2 2^q / 10^k from 4v / 10^k to either end of the interval,
+      times 2^63 and rounded down, as integer part and 63-bit fraction;
+    - h and k + 1024, packed in bits 0-7 and 8 on of one word.
+    Built on first use rather than at import, as the loop takes about ten
     milliseconds."""
-    cols = {name: [] for name in ("g", "whole", "frac", "five", "two", "small")}
-    by_k = {}
-    for power in (0, 1):
-        for bexp in range(2048):
-            q = max(bexp, 1) - 1075
-            irregular = int(power and bexp > 1)
-            num, den = (3, 4) if irregular else (1, 1)
-            # log10 of the width from floats is off by under 1e-12, so its
-            # floor is k unless it lies that close to an integer: then k
-            # comes from comparing num/den 2^q with 10^j in ints
-            t = q * math.log10(2) + math.log10(num / den)
-            k = math.floor(t)
-            if min(t - k, k + 1 - t) < 1e-9:
-                k = max(j for j in (k - 1, k, k + 1)
-                        if num * 2 ** max(q, 0) * 10 ** max(-j, 0)
-                        >= den * 2 ** max(-q, 0) * 10 ** max(j, 0))
-            if k not in by_k:
-                p = 10 ** abs(k)
-                r = p.bit_length() - 126 if k <= 0 else -p.bit_length() - 125
-                g = (p << -r if r < 0 else p >> r) + 1 if k <= 0 else (1 << -r) // p + 1
-                assert 1 << 125 < g < 1 << 126
-                by_k[k] = (g, r, min(5 ** max(k, 0), (1 << 64) - 1))
-            g, r, five = by_k[k]
-            h = q + r + 127
-            # every x of _repr_words is < 2^55 + 3, so x << h < 2^63
-            assert 0 <= h <= 7
-            # 2 2^q / 10^k times 2^63 is the true g over 2^(63 - h), whose
-            # floor is that of floor(g) = g - 1
-            above = (g - 1) >> (63 - h)
-            ends = (-(above >> irregular), above)
-            cols["g"].append((g >> 63, g & _M63))
-            cols["whole"].append(tuple((e >> 63) & ((1 << 64) - 1) for e in ends))
-            cols["frac"].append(tuple(e & _M63 for e in ends))
-            cols["five"].append(five)
-            cols["two"].append(min((1 << max(k - q, 0)) - 1, (1 << 64) - 1))
-            cols["small"].append(h | irregular << 8 | (k + 1024) << 16)
+    cols = {name: [] for name in ("g", "gap", "small")}
+    for bexp in range(2048):
+        q = max(bexp, 1) - 1075
+        k = len(str(2 ** q)) - 1 if q >= 0 else -len(str(2 ** -q))
+        p = 10 ** abs(k)
+        r = p.bit_length() - 126 if k <= 0 else -p.bit_length() - 125
+        g = (p << -r if r < 0 else p >> r) + 1 if k <= 0 else (1 << -r) // p + 1
+        assert 1 << 125 < g < 1 << 126
+        h = q + r + 127
+        # every x of _repr_words is < 2^55 + 3, so x << h < 2^63
+        assert 0 <= h <= 7
+        # 2 2^q / 10^k times 2^63 is the true g over 2^(63 - h), whose
+        # floor is that of floor(g) = g - 1
+        gap = (g - 1) >> (63 - h)
+        cols["g"].append((g >> 63, g & _M63))
+        cols["gap"].append((gap >> 63, gap & _M63))
+        cols["small"].append(h | (k + 1024) << 8)
     tables = {name: np.array(col, dtype=np.uint64).T.copy() for name, col in cols.items()}
     for table in tables.values():
         table.flags.writeable = False  # one copy serves every caller
@@ -437,30 +412,29 @@ def _text_bits(w: np.ndarray) -> np.ndarray:
 def _shortest_digits(bits: np.ndarray) -> tuple:
     """The shortest, closest decimal of each float64 bit pattern as 17
     digits d (an int in [10^16, 10^17), or 0 for +-0.0) and decpt, the
-    value's magnitude being 0.d 10^decpt; and the indices of the values
-    left to float.__repr__: nan, inf, and any value whose digits the error
-    bounds below leave open."""
+    value's magnitude being 0.d 10^decpt; and a mask of the values left to
+    float.__repr__: nan, inf, powers of two from 2^-1021 on (their
+    rounding interval is not the table's), and any value whose digits the
+    error bounds below leave open."""
     t = _shortest_tables()
     bexp = bits >> 52
     bexp &= 0x7FF
     c = bits & ((1 << 52) - 1)
-    # the table row: the exponent field, + 2048 for a power of two
-    row = (c == 0).astype(np.uint64)
-    row <<= 11
-    row |= bexp
-    row = row.view(np.int64)
+    left = c == 0
+    left &= bexp > 1
+    left |= bexp == 0x7FF
+    row = bexp.view(np.int64)
     c |= np.minimum(bexp, 1) << 52
     # a zero is worked as 2^-1022, then given d = 0 and decpt = 1
     zero = c == 0
     c |= zero.astype(np.uint64) << 52
-    redo = np.flatnonzero(bexp == 0x7FF)
     small = t["small"][row]
     # 4v / 10^k as vb + f 2^-63, f < 2^63, from g's 63-bit halves: the
     # exact value is at most 2^-64 below it and less than 2^-62 above (the
     # +1 of g, the low bits dropped); every factor is < 2^63, so no sum
     # overflows
-    cb = c << 2
-    x = cb << (small & 0xFF)
+    x = c << 2
+    x <<= small & 0xFF
     x0 = x & _M32
     x1 = x >> 32
     g1 = t["g"][0][row]
@@ -474,35 +448,24 @@ def _shortest_digits(bits: np.ndarray) -> tuple:
     # the ends of the rounding interval, 4 (v -+ half a gap) / 10^k, one
     # more rounded constant off: at most 1.5 2^-63 below their exact values
     # and less than 3 2^-63 above
-    ends = [vb]
-    parts = [f]
-    for i in (0, 1):
-        part = f + t["frac"][i][row]
-        end = vb + t["whole"][i][row]
-        end += part >> 63
-        part &= _M63
-        ends.append(end)
-        parts.append(part)
+    gap1 = t["gap"][0][row]
+    gap0 = t["gap"][1][row]
+    fl = f - gap0
+    vbl = vb - gap1
+    vbl -= fl >> 63
+    fl &= _M63
+    fr = f + gap0
+    vbr = vb + gap1
+    vbr += fr >> 63
+    fr &= _M63
     # rounded to odd (floor | 1), each is ordered against even integers as
     # its exact value is, unless it is within 4 2^-63 of an integer: then
-    # it is that integer exactly, or the value is left to float.__repr__
-    for i, (end, part) in enumerate(zip(ends, parts)):
-        at = np.flatnonzero(((part + 4) & _M63) < 8)
-        if at.size:
-            integer = end[at] + (part[at] > 1 << 62)
+    # the value is left to float.__repr__
+    for end, part in ((vb, f), (vbl, fl), (vbr, fr)):
+        part += 4
+        part &= _M63
+        left |= part < 8
         end |= 1
-        if at.size:
-            end[at] = integer
-            # the end's x in x 2^q / 10^k = x 2^(q-k) / 5^k: 4c, 4c - 2
-            # (4c - 1 if irregular) or 4c + 2
-            x = cb[at]
-            if i == 1:
-                x -= 2 - ((small[at] >> 8) & 1)
-            elif i == 2:
-                x += 2
-            exact = (x % t["five"][row[at]] == 0) & (x & t["two"][row[at]] == 0)
-            redo = np.union1d(redo, at[~exact])
-    vb, vbl, vbr = ends
     # the one multiple of 10^(k+1) in the interval, else of the multiples
     # s, s + 1 of 10^k around v the one in it, or the closer; an odd c
     # leaves the ends out
@@ -529,27 +492,29 @@ def _shortest_digits(bits: np.ndarray) -> tuple:
     for j in range(lo, min(hi, 17)):
         decpt += digits >= _POW10[j]
     digits *= _POW10[17 - decpt]
-    decpt += (small >> 16).view(np.int64) - 1024
+    decpt += (small >> 8).view(np.int64) - 1024
     if zero.any():
         digits *= ~zero
         decpt[zero] = 1
-    return digits, decpt, redo
+    return digits, decpt, left
 
 
 def _repr_words(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the repr text of each float64 bit pattern to its row of four
     uint64 words in `out`, lowest byte first, and return the indices of
-    the values left to float.__repr__ (see _shortest_digits).
+    the values left to float.__repr__: those of _shortest_digits, and the
+    positional ones with more than one digit before the point (|v| >= 10).
 
     The text is one run of bytes: its head (sign, "0." and zeros below 1,
     leading digit, a point after it) right-aligned in word 0, then the
     other digits up to the last nonzero one and the exponent from word 1
     on; every other byte is NUL, so that the NUL filter of _numeric_rows
     meets few edges."""
-    digits, decpt, redo = _shortest_digits(bits)
+    digits, decpt, left = _shortest_digits(bits)
     # repr's form: d.ddde+XX when the point falls after more than 16
     # digits or before 4 zeros, positional otherwise
     sci = (decpt > 16) | (decpt < -3)
+    left |= (decpt > 1) & ~sci
     below1 = ~sci & (decpt < 1)
     first = decpt == 1
     # word 0: the head, right-aligned
@@ -588,30 +553,10 @@ def _repr_words(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
         w1 |= exp << at
         w2 |= exp << (at - 64) | exp >> (64 - at)
         w3 |= exp << (at - 128) | exp >> (128 - at)
-    deep = np.flatnonzero((decpt > 1) & ~sci)
-    if deep.size:
-        w1[deep], w2[deep], w3[deep] = _deep_point(w1[deep], w2[deep], decpt[deep])
     out[:, 1] = w1
     out[:, 2] = w2
     out[:, 3] = w3
-    return redo
-
-
-def _deep_point(w1, w2, decpt) -> tuple:
-    """The digit words of positional values with decpt > 1, the point put
-    after digit decpt: the digits up to the one after it are kept, zeros
-    included, and the ones after it move up a byte, the last into a third
-    word."""
-    w1 |= (np.uint64(1) << (np.minimum(decpt, 8).astype(np.uint64) << 3)) - 1 & _ASCII
-    w2 |= (np.uint64(1) << (np.clip(decpt - 8, 0, 8).astype(np.uint64) << 3)) - 1 & _ASCII
-    low1 = (np.uint64(1) << (np.minimum(decpt - 1, 8).astype(np.uint64) << 3)) - 1
-    low2 = (np.uint64(1) << (np.clip(decpt - 9, 0, 8).astype(np.uint64) << 3)) - 1
-    dot = (decpt.astype(np.uint64) - 1) << 3
-    up1 = w1 & ~low1
-    up2 = w2 & ~low2
-    return ((w1 & low1) | up1 << 8 | np.uint64(0x2E) << dot,
-            (w2 & low2) | up2 << 8 | up1 >> 56 | np.uint64(0x2E) << (dot - 64),
-            up2 >> 56)
+    return np.flatnonzero(left)
 
 
 def _repr_fallback(bits: np.ndarray) -> list:
@@ -627,11 +572,13 @@ def _repr_cells(bits: np.ndarray) -> np.ndarray:
 
     The digits are the shortest and closest ones, found by the Schubfach
     method in uint64 arithmetic (see above) _REPR_CHUNK values at a time,
-    and laid out as repr does: positional when the point falls after the
-    -3rd to the 16th digit, with ".0" on an integral value, otherwise
-    d.ddde+XX with at least two exponent digits. Every number that decides
-    the digits has an error bound; a value whose bound leaves them open
-    goes through float.__repr__ itself (_repr_fallback), as do nan and inf,
+    and laid out as repr does: d.ddde+XX with at least two exponent digits
+    when the point falls before the -3rd or after the 16th digit, otherwise
+    positional, with ".0" on an integral value. The kernel writes the
+    values of |v| < 10 and the d.ddde+XX ones. Every number that decides
+    the digits has an error bound. The rest goes through float.__repr__
+    itself (_repr_fallback): nan and inf, positional |v| >= 10, powers of
+    two from 2^-1021 on, and any value whose bound leaves its digits open,
     so the bytes are always repr's."""
     n = bits.size
     words = np.empty((n, 4), dtype="<u8")

@@ -3,29 +3,19 @@ seeded per-stage random streams."""
 
 from __future__ import annotations
 
-import cmath
 import hashlib
 import math
 
 import numpy as np
 
 
-def e(x):
-    """e(x) = exp(2*pi*i*x) with x reduced mod 1 before evaluation.
-
-    Works on scalars and arrays. The mod-1 reduction keeps phases accurate
-    for arguments much larger than 1.
+def e(x: np.ndarray) -> np.ndarray:
+    """e(x) = exp(2*pi*i*x) of an array, with x reduced mod 1 before
+    evaluation. The mod-1 reduction keeps phases accurate for arguments
+    much larger than 1.
     """
-    if isinstance(x, (int, float)):
-        # x % 1.0 is exactly x - floor(x), and cmath.exp matches np.exp on a
-        # scalar bit for bit; skipping numpy makes scalar calls ~4x cheaper
-        return cmath.exp(2j * math.pi * (x % 1.0))
-    arr = np.asarray(x, dtype=float)
-    frac = arr - np.floor(arr)
-    out = np.exp(2j * np.pi * frac)
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    frac = x - np.floor(x)
+    return np.exp(2j * np.pi * frac)
 
 
 def fsum_real(values) -> float:

@@ -18,6 +18,7 @@ validation), not a measured quantity against a bound.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -278,7 +279,7 @@ def sigma_aq(
         return 0.0 + 0.0j  # q is not Q-smooth
     mu = -1 if len(factors) % 2 else 1
     minv = pow(params.m % q, -1, q) if q > 1 else 0
-    return q * mu / math.prod(p - 1 for p, _ in factors) * e(-a * params.b * minv / q)
+    return q * mu / math.prod(p - 1 for p, _ in factors) * e_scalar(-a * params.b * minv / q)
 
 
 def sigma_aq_direct_all(
@@ -397,6 +398,13 @@ def brun_truncated(
 # exponential sums and kernels
 
 
+def e_scalar(x: float) -> complex:
+    """e(x) = exp(2*pi*i*x) of one float, with x reduced mod 1 first: the
+    scalar form of numutil.e. x % 1.0 is exactly x - floor(x), and
+    cmath.exp matches np.exp on a scalar bit for bit."""
+    return cmath.exp(2j * math.pi * (x % 1.0))
+
+
 def exp_sum(f: Measure, theta: float) -> complex:
     """f^(theta) = sum over the support of f(n) e(n*theta), compensated."""
     pos, w = f.support()
@@ -422,7 +430,7 @@ def tau(theta: float, N: int) -> complex:
     else:
         s = math.sin(math.pi * v)
         ratio = math.sin(math.pi * math.fmod(N * v, 2.0)) / (N * s)
-    return complex(ratio * e(math.fmod((N + 1) * v / 2.0, 1.0)))
+    return complex(ratio * e_scalar(math.fmod((N + 1) * v / 2.0, 1.0)))
 
 
 def fejer(theta: float, N: int) -> float:

@@ -6,9 +6,11 @@ Draws `count` uniformly random 64-bit patterns, reads them as float64 and
 formats them with `primeaps.cli._repr_cells` in blocks of
 `cli.TABLE_BLOCK_ROWS`, as the table writer does. Prints the number of
 values whose text differs from float.__repr__ (it must be 0) and the share
-of values the kernel left to float.__repr__: all of them, and the finite
-nonzero ones, which the kernel's error bounds left open. Needs the standard
-library and numpy only; the name keeps pytest from collecting it.
+of values the kernel left to float.__repr__, by class: nan and inf,
+positional text with |v| >= 10, powers of two from 2^-1021 on, and the
+rest, whose rounding interval has an end too near an integer for the
+kernel's error bounds. Needs the standard library and numpy only; the name
+keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -51,10 +53,23 @@ def sweep(count: int, seed: int) -> dict:
     finally:
         cli._repr_fallback = fallback
     left = np.concatenate(left) if left else np.zeros(0, dtype=np.uint64)
-    values = left.view(np.float64)
-    open_finite = int(np.count_nonzero(np.isfinite(values) & (values != 0)))
     return {"count": count, "mismatches": mismatches, "examples": examples[:10],
-            "fallback": int(left.size), "fallback_open": open_finite}
+            "fallback": int(left.size), **fallback_classes(left)}
+
+
+def fallback_classes(bits: np.ndarray) -> dict:
+    """How many of the float64 bit patterns fall in each fallback class;
+    a value is counted in the first class that holds it."""
+    values = np.abs(bits.view(np.float64))
+    bexp = (bits >> 52) & 0x7FF
+    nonfinite = bexp == 0x7FF
+    # repr is positional from 1e-4 up to, not including, 1e16
+    wide = ~nonfinite & (values >= 10) & (values < 1e16)
+    power = ~nonfinite & ~wide & ((bits & ((1 << 52) - 1)) == 0) & (bexp > 1)
+    rest = ~(nonfinite | wide | power)
+    return {name: int(np.count_nonzero(mask)) for name, mask in
+            (("nan/inf", nonfinite), ("positional >= 10", wide),
+             ("power of two", power), ("open end", rest))}
 
 
 def main() -> None:
@@ -70,9 +85,9 @@ def main() -> None:
     print(f"mismatches: {result['mismatches']}")
     for want, got in result["examples"]:
         print(f"  repr {want}  kernel {got}")
-    print(f"fallback: {result['fallback']} ({result['fallback'] / count:.3%}); "
-          f"finite nonzero ones left open by the error bounds: "
-          f"{result['fallback_open']} ({result['fallback_open'] / count:.4%})")
+    print(f"fallback: {result['fallback']} ({result['fallback'] / count:.3%})")
+    for name in ("nan/inf", "positional >= 10", "power of two", "open end"):
+        print(f"  {name}: {result[name]} ({result[name] / count:.4%})")
 
 
 if __name__ == "__main__":

@@ -248,9 +248,9 @@ def test_each_float_run_or_sparse_value_is_formatted_once_by_the_kernel(
         # one value in one run, two values each in a run of its own, and
         # two values in three runs (sparse, so deduplicated in bit order)
         _assert_same(tmp_path, fmt, ["a", "b", "c"],
-                     [np.full(6, 0.1), np.array([0.5, 0.0, 0.5, 0.0, 0.5, 0.0]),
-                      np.array([-2.5, -2.5, 1e-7, 1e-7, 1e-7, -2.5])])
-        assert calls == [[0.1], [0.5, 0.0, 0.5, 0.0, 0.5, 0.0], [1e-7, -2.5]]
+                     [np.full(6, 0.1), np.array([0.3, 0.0, 0.3, 0.0, 0.3, 0.0]),
+                      np.array([-2.7, -2.7, 1e-7, 1e-7, 1e-7, -2.7])])
+        assert calls == [[0.1], [0.3, 0.0, 0.3, 0.0, 0.3, 0.0], [1e-7, -2.7]]
     assert fallback == []
 
 
@@ -410,8 +410,9 @@ def test_kernel_text_is_float_repr_on_random_bits():
 
 
 def test_kernel_fallback_is_rare_on_fft_coefficients(monkeypatch):
-    # the digits of a transform come from the kernel: at most 1% of the
-    # values go through float.__repr__, and those still read as repr
+    # the digits of a transform scaled as fourier.spectrum's (|v| <= 1)
+    # come from the kernel: at most 1% of the values go through
+    # float.__repr__, and those still read as repr
     left = []
     original = cli._repr_fallback
 
@@ -421,10 +422,31 @@ def test_kernel_fallback_is_rare_on_fft_coefficients(monkeypatch):
 
     monkeypatch.setattr(cli, "_repr_fallback", counted)
     rng = np.random.default_rng(7)
-    coeffs = np.fft.fft(rng.random(BLOCK) * (rng.random(BLOCK) < 0.5))
+    weights = rng.random(BLOCK) * (rng.random(BLOCK) < 0.5)
+    coeffs = np.fft.fft(weights) / weights.sum()
     texts = {}
     for part in (coeffs.real, coeffs.imag):
         values = np.ascontiguousarray(part)
         texts.update(zip(values.tolist(), _kernel_texts(values)))
     assert len(left) <= 0.01 * 2 * BLOCK
     assert [texts[v] for v in left] == [repr(v) for v in left]
+
+
+def test_kernel_leaves_wide_positional_powers_of_two_and_exact_ends_to_repr(
+        monkeypatch):
+    # positional |v| >= 10, powers of two from 2^-1021 on and values with an
+    # interval end on an integer go to float.__repr__; the smallest normal
+    # power of two, short decimals, the exponent form and the zeros do not
+    left = []
+    original = cli._repr_fallback
+
+    def counted(bits):
+        left.extend(bits.view(np.float64).tolist())
+        return original(bits)
+
+    monkeypatch.setattr(cli, "_repr_fallback", counted)
+    fallback = [12.0, 1.5, 3.0, 0.25, math.ldexp(1.0, -1021)]
+    kernel = [math.ldexp(1.0, -1022), 0.3, 1e-5, 0.0, -0.0]
+    values = fallback + kernel
+    assert _kernel_texts(values) == [repr(v) for v in values]
+    assert left == fallback

@@ -128,6 +128,30 @@ def test_golden_outputs(name, fmt, golden, tmp_path):
     assert got["deterministic_hash"] == want["deterministic_hash"]
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", ["measure-build", "roth-pipeline",
+                                  "roth-pipeline-behrend", "transform-scan"])
+def test_program_tables_stay_on_the_float_kernel(name, fmt, tmp_path, monkeypatch):
+    # the float text kernel writes the program's own values: at most 1% of
+    # those it is given go on to float.__repr__
+    formatted, left = [], []
+    cells, fallback = cli._repr_cells, cli._repr_fallback
+
+    def counted_cells(bits):
+        formatted.append(bits.size)
+        return cells(bits)
+
+    def counted_fallback(bits):
+        left.append(bits.size)
+        return fallback(bits)
+
+    monkeypatch.setattr(cli, "_repr_cells", counted_cells)
+    monkeypatch.setattr(cli, "_repr_fallback", counted_fallback)
+    _record(CASES[name], fmt, tmp_path)
+    assert sum(formatted) > 0
+    assert sum(left) <= 0.01 * sum(formatted)
+
+
 if __name__ == "__main__":
     check = sys.argv[1:] == ["--check"]
     recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
