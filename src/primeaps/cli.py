@@ -42,6 +42,7 @@ from .errors import (
     PreconditionError,
     StageError,
     TableRangeError,
+    shown,
 )
 from .numutil import fsum_real, rng_stream
 
@@ -832,14 +833,14 @@ def _table_for(*limits: tuple[str, int]) -> sieve.PrimeTable:
     for what, value in limits:
         if value > sieve.MAX_TABLE_LIMIT:
             raise TableRangeError(
-                f"{what} exceeds the factor-table limit {sieve.MAX_TABLE_LIMIT}")
+                f"{what} exceeds the prime-table limit {sieve.MAX_TABLE_LIMIT}")
     return sieve.build_factor_table(max(4, *(value for _, value in limits)))
 
 
 def _cutoff_limit(Qs) -> list[tuple[str, int]]:
     """The table limit of the rough cutoffs Qs, as a list of at most one
     (flag, value) pair: a Mertens product reads the primes up to Q."""
-    return [(f"--Q {max(Qs)}", max(Qs))] if Qs else []
+    return [(f"--Q {shown(max(Qs))}", max(Qs))] if Qs else []
 
 
 def _measure_table(cfg: argparse.Namespace, N: int, Qs,
@@ -848,13 +849,14 @@ def _measure_table(cfg: argparse.Namespace, N: int, Qs,
     up to m*N + b of measures at scale N, each rough cutoff in Qs, and any
     further limits."""
     span = cfg.m * N + cfg.b
-    return _table_for((f"--m {cfg.m} * --N {N} + --b {cfg.b} = {span}", span),
+    return _table_for((f"--m {shown(cfg.m)} * --N {shown(N)} + --b {shown(cfg.b)} "
+                       f"= {shown(span)}", span),
                       *_cutoff_limit(Qs), *limits)
 
 
 def _run_sieve_stats(cfg: argparse.Namespace, em: Emitter):
     N = cfg.N
-    table = _table_for((f"--N {N}", N), *_cutoff_limit(cfg.Q))
+    table = _table_for((f"--N {shown(N)}", N), *_cutoff_limit(cfg.Q))
     ps = table.primes_up_to(N)
     theta = fsum_real(np.log(ps.astype(np.float64))) if ps.size else 0.0
     results = {
@@ -999,7 +1001,7 @@ def _draw_sweep(cfg: argparse.Namespace, em: Emitter, name: str, setup) -> dict:
 
 
 def _run_majorant(cfg: argparse.Namespace, em: Emitter):
-    table = _table_for((f"--N {max(cfg.N)}", max(cfg.N)))
+    table = _table_for((f"--N {shown(max(cfg.N))}", max(cfg.N)))
     grid = fourier.TorusGrid(oversample=cfg.oversample)
 
     def setup(N):
@@ -1093,7 +1095,8 @@ def _run_roth_pipeline(cfg: argparse.Namespace, em: Emitter):
     # m N + b <= 4n + m
     limit = 4 * n + m + 16
     table = _table_for(
-        (f"4 * --N {n} + m + 16 = {limit} (m = {m} at --W {W})", limit))
+        (f"4 * --N {shown(n)} + m + 16 = {shown(limit)} (m = {m} at --W {W})",
+         limit))
     # behrend-in-primes runs behrend_set on the indices of the primes <= n
     pi_n = int(table.primes_up_to(n).size)
     if cfg.source == "behrend-in-primes" and pi_n < roth.BEHREND_MIN_N:
@@ -1150,13 +1153,18 @@ def _run_roth_pipeline(cfg: argparse.Namespace, em: Emitter):
 
 
 def _run_behrend(cfg: argparse.Namespace, em: Emitter):
+    # every --N is checked before the first table is written
+    for N in cfg.N:
+        if not roth.BEHREND_MIN_N <= N <= roth.BEHREND_MAX_N:
+            raise ParameterError(f"--N must be in [{roth.BEHREND_MIN_N}, "
+                                 f"{roth.BEHREND_MAX_N}], got {shown(N)}")
     results = {}
     rows = []
     for N in cfg.N:
         S = roth.behrend_set(N)
         em.table(f"behrend_N{N}", ["value"], [S])
         size = int(S.size)
-        fitted_c = -math.log(size / N) / math.sqrt(math.log(N)) if size < N else 0.0
+        fitted_c = -math.log(size / N) / math.sqrt(math.log(N))
         results[str(N)] = {"size": size, "fitted_c": fitted_c}
         rows.append((N, "size", size))
         rows.append((N, "fitted_c", fitted_c))

@@ -1,9 +1,19 @@
-"""Exception and warning types shared across the package.
+"""Exception and warning types shared across the package, and how their
+messages write an integer.
 
 All validation-style failures derive from ValueError so the CLI can map
 them uniformly to the bad-input exit code; compute-stage failures are
 wrapped in StageError and carry the stage tag.
 """
+
+
+def shown(value: int) -> str:
+    """An integer as a message writes it: in full below 10^30, to three
+    digits past that (1.23e+40), so no message carries a huge number."""
+    if value < 10**30:
+        return str(value)
+    from decimal import Decimal  # here, so that importing loads no more modules
+    return f"{Decimal(value):.2e}"
 
 
 class ConfigError(ValueError):

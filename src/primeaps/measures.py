@@ -249,7 +249,8 @@ def dyadic_cutoff(N: int, p: float) -> int:
         K += 1
         if 2**K > sieve.MAX_TABLE_LIMIT:
             raise TableRangeError(f"dyadic split at p = {p} (A = {A}) needs 2^K > "
-                                  f"(log {N})^A / 10, past any factor table")
+                                  f"(log {N})^A / 10, past the prime-table limit "
+                                  f"{sieve.MAX_TABLE_LIMIT}")
     return K
 
 

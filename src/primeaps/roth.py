@@ -1,7 +1,7 @@
 """Bohr-set granularization pipeline: the W-trick rescaling of a dense set
 of primes, large-spectrum Bohr sets, the convolution smoothing a -> a*b*b,
 the set-like sup chain, exact 3AP counting, and the closing inequality,
-plus the Behrend progression-free construction used as control input.
+plus the base-3 progression-free set used as control input.
 
 Counts are ordered (x, d) pairs with d = 0 included in 'total'; the
 nontrivial count removes the diagonal. On integer sets both kinds are read
@@ -29,6 +29,7 @@ from .errors import (
     PreconditionError,
     StageError,
     TableRangeError,
+    shown,
 )
 from .fourier import (
     idft,
@@ -80,8 +81,8 @@ def w_modulus(W: int) -> int:
             m *= p
             if m > sieve.MAX_TABLE_LIMIT:
                 raise TableRangeError(
-                    f"W = {W}: the product of the primes <= {p} already "
-                    f"exceeds the factor-table limit {sieve.MAX_TABLE_LIMIT}")
+                    f"W = {shown(W)}: the product of the primes <= {p} already "
+                    f"exceeds the prime-table limit {sieve.MAX_TABLE_LIMIT}")
     return m
 
 
@@ -516,7 +517,7 @@ def final_inequality(
 
 
 # ---------------------------------------------------------------------------
-# Behrend construction
+# progression-free sets
 
 def _greedy_free(values) -> list[int]:
     """Keep each value, in the given (ascending) order, that completes no
@@ -532,46 +533,25 @@ def _greedy_free(values) -> list[int]:
     return out
 
 
-def _best_sphere(d: int, dim: int) -> np.ndarray:
-    """Largest sphere {x = sum x_i d^i : x_i <= (d-1)//2, sum x_i^2 = rho}
-    shifted into {1..d^dim}. Digit cap < d/2 rules out carries, the fixed
-    square-sum rules out nontrivial progressions (strict convexity)."""
-    xs = np.arange(d**dim, dtype=np.int64)
-    half = (d - 1) // 2
-    tmp = xs.copy()
-    ok = np.ones(xs.size, dtype=bool)
-    sq = np.zeros(xs.size, dtype=np.int64)
-    for _ in range(dim):
-        digit = tmp % d
-        ok &= digit <= half
-        sq += digit * digit
-        tmp //= d
-    sq_ok = sq[ok]
-    if sq_ok.size == 0:
-        return np.empty(0, dtype=np.int64)
-    rho = int(np.argmax(np.bincount(sq_ok)))
-    return xs[ok & (sq == rho)] + 1
-
-
 BEHREND_MIN_N = 8  # the smallest N behrend_set takes
+BEHREND_MAX_N = 10**8  # the largest; up to it no digit sphere is larger
 
 
 def behrend_set(N: int) -> np.ndarray:
-    """A 3AP-free subset of {1..N}: the best digit-sphere construction,
-    or the greedy progression-free fallback when that is larger."""
-    if N < BEHREND_MIN_N:
-        raise ParameterError(f"N must be >= {BEHREND_MIN_N}, got {N}")
-    best = np.asarray(_greedy_free(range(1, N + 1)), dtype=np.int64)
-    d = 3
-    while d * d <= N:
-        dim = 2
-        while d**dim <= N:
-            cand = _best_sphere(d, dim)
-            if cand.size > best.size:
-                best = cand
-            dim += 1
-        d += 1
-    return np.sort(best)
+    """1 + {n < N : no base-3 digit of n is 2}, ascending: the greedy
+    3AP-free set on 1..N (Odlyzko-Stanley); x + z = 2y adds such digits
+    without carries. At N = 3^k it has 2^k values, so behrend's fitted_c,
+    -log(|S|/N)/sqrt(log N), is (1 - log 2/log 3) sqrt(log N) there. Up to
+    BEHREND_MAX_N no Behrend digit sphere with d^dim <= N is larger."""
+    if not BEHREND_MIN_N <= N <= BEHREND_MAX_N:
+        raise ParameterError(
+            f"N must be in [{BEHREND_MIN_N}, {BEHREND_MAX_N}], got {shown(N)}")
+    n = np.zeros(1, dtype=np.int64)
+    power = 1
+    while power < N:
+        n = np.concatenate((n, n + power))
+        power *= 3
+    return n[:np.searchsorted(n, N)] + 1
 
 
 # ---------------------------------------------------------------------------

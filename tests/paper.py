@@ -9,7 +9,8 @@ and by direct summation, Brun's truncated inclusion-exclusion, the
 exponential sum f^(theta) by compensated summation, the kernels tau and
 Fejer, the major-arc main term q^(-1) sigma_{a,q} tau(theta - a/q), the
 minor-arc bounds and the Weyl min-sum, the interpolated L^p bound of each
-dyadic piece, and a brute-force 3AP test.
+dyadic piece, a brute-force 3AP test, and the greedy progression-free
+pass and Behrend digit-sphere search that the base-3 set is held to.
 
 All bound formulas are evaluated with implicit constant 1; the tests check
 the formulas themselves (values, decay in their parameters, input
@@ -36,6 +37,7 @@ from primeaps.measures import (
     rough_prefactor,
 )
 from primeaps.numutil import e, fsum_real
+from primeaps.roth import BEHREND_MIN_N
 
 
 class DomainError(ValueError):
@@ -555,3 +557,58 @@ def has_3ap_line(S) -> bool:
                 if (x + z) // 2 != x and (x + z) // 2 != z:
                     return True
     return False
+
+
+def greedy_free(values) -> list[int]:
+    """Keep each value, in the given (ascending) order, that completes no
+    3AP with two values already kept."""
+    out: list[int] = []
+    forbidden: set[int] = set()
+    for x in values:
+        if x in forbidden:
+            continue
+        for a in out:
+            forbidden.add(2 * x - a)
+        out.append(x)
+    return out
+
+
+@functools.cache  # behrend_search and the sphere-count test share it; both only read it
+def best_sphere(d: int, dim: int) -> np.ndarray:
+    """Largest sphere {x = sum x_i d^i : x_i <= (d-1)//2, sum x_i^2 = rho}
+    shifted into {1..d^dim}. Digit cap < d/2 rules out carries, the fixed
+    square-sum rules out nontrivial progressions (strict convexity)."""
+    xs = np.arange(d**dim, dtype=np.int64)
+    half = (d - 1) // 2
+    tmp = xs.copy()
+    ok = np.ones(xs.size, dtype=bool)
+    sq = np.zeros(xs.size, dtype=np.int64)
+    for _ in range(dim):
+        digit = tmp % d
+        ok &= digit <= half
+        sq += digit * digit
+        tmp //= d
+    sq_ok = sq[ok]
+    if sq_ok.size == 0:
+        return np.empty(0, dtype=np.int64)
+    rho = int(np.argmax(np.bincount(sq_ok)))
+    return xs[ok & (sq == rho)] + 1
+
+
+def behrend_search(N: int) -> np.ndarray:
+    """A 3AP-free subset of {1..N}: the best digit-sphere construction,
+    or the greedy progression-free fallback when that is larger (the
+    search that roth.behrend_set's closed form replaced)."""
+    if N < BEHREND_MIN_N:
+        raise ParameterError(f"N must be >= {BEHREND_MIN_N}, got {N}")
+    best = np.asarray(greedy_free(range(1, N + 1)), dtype=np.int64)
+    d = 3
+    while d * d <= N:
+        dim = 2
+        while d**dim <= N:
+            cand = best_sphere(d, dim)
+            if cand.size > best.size:
+                best = cand
+            dim += 1
+        d += 1
+    return np.sort(best)

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from primeaps import cli, fourier, measures, sieve
+from primeaps import cli, fourier, measures, roth, sieve
+from primeaps.errors import shown
 
 
 def _manifest(outdir: Path) -> dict:
@@ -24,6 +25,10 @@ def _run(args, outdir: Path) -> dict:
     rc = cli.main(args + ["--output-dir", str(outdir)])
     assert rc == 0
     return _manifest(outdir)
+
+
+# a flag value of 41 digits
+_BIG = "12345678901234567890123456789012345678901"
 
 
 # --- happy paths -------------------------------------------------------------
@@ -91,6 +96,39 @@ def test_behrend_plotdata_sorted(tmp_path):
     assert rows[0] == ["x", "series", "value"]
     keys = [(r[1], float(r[0])) for r in rows[1:]]
     assert keys == sorted(keys)
+
+
+def test_behrend_fitted_c_at_powers_of_3(tmp_path):
+    # at N = 3^k the set has 2^k values, so fitted_c = -log(|S|/N)/sqrt(log N)
+    # is (1 - log 2/log 3) sqrt(log N): it grows with N
+    Ns = [3**k for k in range(2, 17)]
+    man = _run(["behrend", "--N", ",".join(map(str, Ns))], tmp_path)
+    for k, N in enumerate(Ns, start=2):
+        got = man["results"][str(N)]
+        assert got["size"] == 2**k
+        assert got["fitted_c"] == pytest.approx(
+            (1 - math.log(2) / math.log(3)) * math.sqrt(math.log(N)), rel=1e-12)
+
+
+def test_behrend_n_runs_up_to_its_cap(tmp_path, capsys):
+    # roth.BEHREND_MAX_N runs; one more exits 2 naming --N, with no output
+    # of the --N before it
+    out = tmp_path / "out"
+    assert cli.main(["behrend", "--N", "100,100000001", "--output-dir", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == "--N must be in [8, 100000000], got 100000001"
+    assert not out.exists()
+    man = _run(["behrend", "--N", str(roth.BEHREND_MAX_N)], out)
+    assert man["results"][str(roth.BEHREND_MAX_N)]["size"] == 2**17
+
+
+def test_shown_writes_huge_integers_to_three_digits():
+    assert shown(-5) == "-5"
+    assert shown(10**30 - 1) == "9" * 30
+    assert shown(10**30) == "1.00e+30"
+    assert shown(int(_BIG)) == "1.23e+40"
+    # past the 4,300 digits that str() of an int allows
+    assert shown(7 * 10**5000) == "7.00e+5000"
 
 
 def test_varnavides_results(tmp_path):
@@ -282,7 +320,7 @@ def test_out_of_range_counts_exit_2(args, tmp_path, capsys):
 @pytest.mark.parametrize("W", ["2000", "20000", "1000000007"])
 def test_w_past_the_factor_table_exits_2_at_once(W, tmp_path, capsys):
     # the W-trick modulus, the product of the primes <= W, stops at the
-    # factor-table limit: no trial division up to W and no number of
+    # prime-table limit: no trial division up to W and no number of
     # hundreds of digits in the message
     out = tmp_path / "out"
     t0 = time.perf_counter()
@@ -355,13 +393,25 @@ def test_constants_must_be_a_json_object(text, message, tmp_path, capsys):
     # an oversample past fourier.MAX_OVERSAMPLE, once a MemoryError
     ["transform-scan", "--N", "100", "--oversample", "100000000000"],
     ["mz-check", "--N", "100", "--oversample", "3000000000000"],
-    # a --Q past the factor-table limit 10^8
+    # a --Q past the prime-table limit 10^8
     ["measure-build", "--N", "100", "--Q", "100000001"],
     ["transform-scan", "--N", "100", "--Q", "100000001"],
+    # a flag of 41 digits past the limit, named without its digits
+    ["sieve-stats", "--N", _BIG],
+    ["measure-build", "--N", _BIG],
+    ["roth-pipeline", "--N", _BIG],
+    ["majorant", "--N", _BIG, "--draws", "1"],
+    ["measure-build", "--N", "100", "--Q", _BIG],
+    ["transform-scan", "--N", "100", "--Q", _BIG],
+    ["arc-scan", "--N", "100", "--Q", _BIG],
+    ["roth-pipeline", "--N", "300", "--W", _BIG],
+    # behrend --N past roth.BEHREND_MAX_N, checked before the first table
+    ["behrend", "--N", "100,100000001"],
+    ["behrend", "--N", _BIG],
     # (log N)^A leaves the float range at A = 4/(p-2), about 4e4
     ["measure-build", "--N", "1000", "--p", "2.0001"],
     # (log N)^A / 10 is about 1.7e67 at A = 80: finite, but 2^K is past
-    # the factor-table limit
+    # the prime-table limit
     ["measure-build", "--N", "1000", "--p", "2.05"],
     # the restriction ratio needs p > 2
     ["restriction", "--N", "100", "--p", "2", "--draws", "2"],
@@ -380,6 +430,8 @@ def test_handler_rejection_leaves_no_output_dir(args, tmp_path, capsys):
     assert not re.search(r"\d{31}", err["message"])
     if args[0] == "measure-build" and "--p" in args:
         assert f"p = {args[args.index('--p') + 1]}" in err["message"]
+    if args[0] == "behrend":
+        assert err["message"].startswith("--N ")
     assert not out.exists()
 
 
@@ -414,6 +466,10 @@ _PAST_THE_TABLE = [
     (["majorant", "--N", "100000001", "--draws", "1"], "--N 100000001 exceeds"),
     (["roth-pipeline", "--N", "30000000"],
      "4 * --N 30000000 + m + 16 = 120000018 (m = 2 at --W 2) exceeds"),
+    # a value of more than 30 digits is written to three
+    (["sieve-stats", "--N", _BIG], "--N 1.23e+40 exceeds"),
+    (["measure-build", "--N", "100", "--m", _BIG],
+     "--m 1.23e+40 * --N 100 + --b 1 = 1.23e+42 exceeds"),
 ]
 
 
@@ -427,7 +483,7 @@ def test_measure_table_past_the_limit_names_its_flags(args, message, tmp_path,
     assert cli.main(args + ["--output-dir", str(out)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert (err["error"], err["type"]) == ("validation", "TableRangeError")
-    assert err["message"] == f"{message} the factor-table limit 100000000"
+    assert err["message"] == f"{message} the prime-table limit 100000000"
     assert not out.exists()
 
 

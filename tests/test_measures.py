@@ -166,7 +166,7 @@ def test_dyadic_cutoff_past_the_float_range_names_p():
 def test_dyadic_cutoff_past_the_table_limit_names_p():
     # (log 1000)^80 / 10 is finite, but the split would need primes up to a
     # 2^K of 67 digits; 2^26 fits the table and 2^27 does not
-    with pytest.raises(TableRangeError, match="p = 2.05 .* past any factor table"):
+    with pytest.raises(TableRangeError, match="p = 2.05 .* past the prime-table limit"):
         measures.dyadic_cutoff(1000, 2.05)
     for K in (26, 27):
         # the p whose (log N)^A / 10 is just below 2^K

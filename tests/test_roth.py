@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
@@ -109,7 +110,7 @@ def test_w_modulus_is_the_primorial(small_table):
         for p in small_table.primes_up_to(max(W, 2)).tolist():
             want *= p
         if want > sieve.MAX_TABLE_LIMIT:
-            # from W = 23 on the primorial exceeds the factor table
+            # from W = 23 on the primorial exceeds the prime table
             with pytest.raises(TableRangeError):
                 roth.w_modulus(W)
         else:
@@ -119,11 +120,13 @@ def test_w_modulus_is_the_primorial(small_table):
 
 
 def test_w_modulus_stops_past_the_table_limit():
-    # 2 * 3 * ... * 19 = 9699690 fits the factor table, * 23 does not; a
-    # huge W is refused after the primes up to 23, naming W
+    # 2 * 3 * ... * 19 = 9699690 fits the prime table, * 23 does not; a
+    # huge W is refused after the primes up to 23, naming W, to three
+    # digits past 30
     assert roth.w_modulus(22) == 9699690
-    for W in (23, 2000, 10**12):
-        with pytest.raises(TableRangeError, match=f"^W = {W}: "):
+    for W, text in ((23, "23"), (2000, "2000"), (10**12, "1000000000000"),
+                    (10**40, r"1\.00e\+40")):
+        with pytest.raises(TableRangeError, match=f"^W = {text}: .* prime-table"):
             roth.w_modulus(W)
 
 
@@ -644,16 +647,71 @@ def test_behrend_smallest_case():
         roth.behrend_set(7)
 
 
-def test_behrend_is_progression_free():
+def test_behrend_set_is_every_prefix_of_the_greedy_pass():
+    # one greedy pass over 1..3*10^4; the closed form at each N is its
+    # values <= N, across the digit counts 3^2..3^9
+    greedy = np.asarray(paper.greedy_free(range(1, 30_001)), dtype=np.int64)
+    wrong = [N for N in range(roth.BEHREND_MIN_N, 30_001) if not np.array_equal(
+        roth.behrend_set(N), greedy[:np.searchsorted(greedy, N, side="right")])]
+    assert wrong == []
+
+
+def test_behrend_set_is_the_search_result_and_progression_free():
+    # the search the closed form replaced (the greedy pass and every digit
+    # sphere with d^dim <= N) gives the same set; the set lies in 1..N,
+    # holds no value twice and no 3AP, and grows with N
     prev = 0
-    for N in (100, 1000):
+    for N in (8, 100, 1000, 2_999, 3_000, 10_000, 78_498):
         S = roth.behrend_set(N)
+        assert np.array_equal(S, paper.behrend_search(N)), N
         assert S.min() >= 1 and S.max() <= N
         assert np.unique(S).size == S.size
-        assert not paper.has_3ap_line(S.tolist())
+        if N <= 10_000:
+            assert not paper.has_3ap_line(S.tolist())
         assert S.size >= prev
         prev = S.size
     assert roth.behrend_set(100).size == 24
+    assert roth.behrend_set(roth.BEHREND_MAX_N).size == 2**17
+    with pytest.raises(ParameterError):
+        roth.behrend_set(roth.BEHREND_MAX_N + 1)
+
+
+def _largest_sphere(d, dim):
+    """The size of the largest digit sphere {x_i <= h, sum x_i^2 = rho} in
+    base d with dim digits, h = (d-1)//2: the largest coefficient of
+    (sum_{x <= h} z^(x^2))^dim, read off the (h+1)^dim digit vectors, with
+    no array of d^dim integers."""
+    squares = np.arange((d - 1) // 2 + 1) ** 2
+    sums = functools.reduce(np.add.outer, [squares] * dim)
+    return int(np.bincount(sums.ravel()).max())
+
+
+def test_no_digit_sphere_beats_the_base_3_set_up_to_the_cap():
+    # the closed form stands for the search up to BEHREND_MAX_N: at every
+    # (d, dim) with d^dim <= the cap the sphere has at most as many points
+    # as the base-3 set at N = d^dim, a count that grows with N, and the
+    # search took a sphere only when it was strictly larger. For a fixed
+    # rho the first dim - 1 digits fix the last, so (h+1)^(dim-1) bounds
+    # the sphere; where that bound is not below the count, take the count
+    # of the largest sphere exactly
+    base3 = roth.behrend_set(roth.BEHREND_MAX_N)
+    exact = []
+    d = 3
+    while d * d <= roth.BEHREND_MAX_N:
+        dim = 2
+        while d**dim <= roth.BEHREND_MAX_N:
+            have = int(np.searchsorted(base3, d**dim, side="right"))
+            if ((d - 1) // 2 + 1) ** (dim - 1) >= have:
+                exact.append((d, dim))
+                assert _largest_sphere(d, dim) <= have, (d, dim)
+            dim += 1
+        d += 1
+    assert 0 < len(exact) < 20
+    # the count is the oracle's sphere size wherever it can be built
+    for d in range(3, 317):
+        for dim in range(2, 11):
+            if d**dim <= 10**5:
+                assert _largest_sphere(d, dim) == paper.best_sphere(d, dim).size
 
 
 # --- full pipeline -----------------------------------------------------------
