@@ -93,84 +93,84 @@ def _constants(text: str) -> dict:
     return obj
 
 
-def _count(text: str) -> int:
-    """An integer >= 1 (an argparse type)."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _end(value) -> str:
+    """An end or a value of a _Range as its messages write it."""
+    return shown(value) if isinstance(value, int) else repr(value)
 
 
-def _counts(text: str) -> list[int]:
-    """One or more distinct comma-separated integers, each >= 1 (an
+class _Range:
+    """A number of `kind` (int or float) between the ends lo and hi, each
+    kept or dropped as its bracket in `brackets` ("[]", "[)", "(]" or
+    "()") says, an infinite end dropped (an argparse type). nan is in no
+    range, so a float range with open infinite ends takes the finite
+    floats."""
+
+    def __init__(self, kind, brackets: str, lo, hi):
+        self.kind, self.brackets, self.lo, self.hi = kind, brackets, lo, hi
+
+    def __str__(self) -> str:
+        return f"{self.brackets[0]}{_end(self.lo)}, {_end(self.hi)}{self.brackets[1]}"
+
+    def __call__(self, text: str):
+        try:
+            value = self.kind(text)
+        except ValueError:
+            value = None
+        if value is not None and (
+                (value >= self.lo if self.brackets[0] == "[" else value > self.lo)
+                and (value <= self.hi if self.brackets[1] == "]" else value < self.hi)):
+            return value
+        got = repr(text) if value is None else _end(value)
+        raise argparse.ArgumentTypeError(
+            f"must be {self.kind.__name__} in {self}, got {got}")
+
+
+class _RangeList(_Range):
+    """One or more distinct comma-separated values, each in the range (an
     argparse type)."""
-    values = [_count(part) for part in text.split(",") if part != ""]
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
-    repeated = sorted({v for v in values if values.count(v) > 1})
-    if repeated:
-        raise argparse.ArgumentTypeError(f"repeated values {repeated}")
-    return values
+
+    def __call__(self, text: str) -> list:
+        one = super().__call__
+        values = [one(part) for part in text.split(",") if part != ""]
+        if not values:
+            raise argparse.ArgumentTypeError("expected at least one integer")
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise argparse.ArgumentTypeError(
+                f"repeated values [{', '.join(map(_end, repeated))}]")
+        return values
 
 
-def _natural(text: str) -> int:
-    """An integer >= 0 (an argparse type)."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _finite(text: str) -> float:
-    """A finite float (an argparse type)."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
-    return value
-
-
-def _positive(text: str) -> float:
-    """A finite float > 0 (an argparse type)."""
-    value = _finite(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
-
-
-def _open_unit(text: str) -> float:
-    """A float in the open interval (0, 1) (an argparse type)."""
-    value = float(text)
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value}")
-    return value
-
-
-# argparse keywords of each flag, shared by every subcommand that takes it;
-# the checks on outside input live in the types
+# argparse keywords of each flag, shared by every subcommand that takes it.
+# Each type holds the flag's own range; a check that combines flags stays
+# in its handler, and a flag with no range here is checked by the library
+# (--b and --m by MeasureParams, --oversample by TorusGrid, --alpha by
+# varnavides_bound)
 _OPTIONS = {
-    "--N": {"type": _count, "help": "scale"},
-    "--seed": {"type": _natural},
+    "--N": {"type": _Range(int, "[)", 1, math.inf), "help": "scale"},
+    "--seed": {"type": _Range(int, "[)", 0, math.inf)},
     "--output-dir": {},
     "--format": {"choices": ("csv", "json")},
     "--b": {"type": int},
     "--m": {"type": int},
-    "--Q": {"type": _counts},
-    "--p": {"dest": "p_exponent", "type": _finite,
+    # a Mertens product reads the primes up to each Q
+    "--Q": {"type": _RangeList(int, "[]", 1, sieve.MAX_TABLE_LIMIT)},
+    "--p": {"dest": "p_exponent", "type": _Range(float, "()", -math.inf, math.inf),
             "help": "exponent p (measure-build: enables the dyadic split)"},
     "--oversample": {"type": int},
-    "--B-override": {"type": _positive},
-    "--draws": {"type": _count},
+    "--B-override": {"type": _Range(float, "()", 0, math.inf)},
+    "--draws": {"type": _Range(int, "[)", 1, math.inf)},
     "--source": {"choices": roth.SOURCES},
-    "--delta": {"type": _positive},
-    "--eps": {"type": _open_unit},
-    "--W": {"type": _count},
+    "--delta": {"type": _Range(float, "()", 0, math.inf)},
+    "--eps": {"type": _Range(float, "()", 0, 1)},
+    "--W": {"type": _Range(int, "[)", 1, math.inf)},
     "--alpha": {"type": float},
     "--constants": {"type": _constants},
 }
 # a subcommand's entry gives each of its flags a default, or one of these
 # keyword sets merged over _OPTIONS
 _REQUIRED = {"required": True}
-_N_LIST = {"required": True, "type": _counts, "help": "scales, comma-separated"}
+_N_LIST = {"required": True, "help": "scales, comma-separated"}
 _COMMON = {"--seed": 0, "--output-dir": "primeaps-out", "--format": "csv"}
 
 
@@ -825,22 +825,18 @@ def emit_plotdata(emitter: Emitter, stem: str, rows) -> None:
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (effective, results)
 
-def _table_for(*limits: tuple[str, int]) -> sieve.PrimeTable:
-    """The prime table up to the largest of `limits`, each a (what sets
-    it, value) pair: a value past sieve.MAX_TABLE_LIMIT is refused with a
-    TableRangeError that names the flags and values setting it, before
-    any stage runs or any output is written."""
+def _table_for(sizes, *limits: tuple[str, int]) -> sieve.PrimeTable:
+    """The prime table up to the largest of `sizes`, values that their
+    flags' ranges keep within sieve.MAX_TABLE_LIMIT, and of `limits`, each
+    a (what sets it, value) pair for a value that flags set together: one
+    past the limit is refused with a TableRangeError that names the flags
+    and values setting it, before any stage runs or any output is
+    written."""
     for what, value in limits:
         if value > sieve.MAX_TABLE_LIMIT:
             raise TableRangeError(
                 f"{what} exceeds the prime-table limit {sieve.MAX_TABLE_LIMIT}")
-    return sieve.build_factor_table(max(4, *(value for _, value in limits)))
-
-
-def _cutoff_limit(Qs) -> list[tuple[str, int]]:
-    """The table limit of the rough cutoffs Qs, as a list of at most one
-    (flag, value) pair: a Mertens product reads the primes up to Q."""
-    return [(f"--Q {shown(max(Qs))}", max(Qs))] if Qs else []
+    return sieve.build_factor_table(max(4, *sizes, *(value for _, value in limits)))
 
 
 def _measure_table(cfg: argparse.Namespace, N: int, Qs,
@@ -849,14 +845,13 @@ def _measure_table(cfg: argparse.Namespace, N: int, Qs,
     up to m*N + b of measures at scale N, each rough cutoff in Qs, and any
     further limits."""
     span = cfg.m * N + cfg.b
-    return _table_for((f"--m {shown(cfg.m)} * --N {shown(N)} + --b {shown(cfg.b)} "
-                       f"= {shown(span)}", span),
-                      *_cutoff_limit(Qs), *limits)
+    return _table_for(Qs, (f"--m {shown(cfg.m)} * --N {shown(N)} + --b {shown(cfg.b)} "
+                           f"= {shown(span)}", span), *limits)
 
 
 def _run_sieve_stats(cfg: argparse.Namespace, em: Emitter):
     N = cfg.N
-    table = _table_for((f"--N {shown(N)}", N), *_cutoff_limit(cfg.Q))
+    table = _table_for([N, *(cfg.Q or [])])
     ps = table.primes_up_to(N)
     theta = fsum_real(np.log(ps.astype(np.float64))) if ps.size else 0.0
     results = {
@@ -1001,7 +996,7 @@ def _draw_sweep(cfg: argparse.Namespace, em: Emitter, name: str, setup) -> dict:
 
 
 def _run_majorant(cfg: argparse.Namespace, em: Emitter):
-    table = _table_for((f"--N {shown(max(cfg.N))}", max(cfg.N)))
+    table = _table_for(cfg.N)
     grid = fourier.TorusGrid(oversample=cfg.oversample)
 
     def setup(N):
@@ -1079,10 +1074,6 @@ def _run_roth_pipeline(cfg: argparse.Namespace, em: Emitter):
     import threading
 
     n, W = cfg.N, cfg.W
-    # every W-trick modulus is even and 2 is the one prime below 3, so an
-    # n < 3 leaves the W-trick no prime coprime to m: a flag to refuse here
-    if n < 3:
-        raise ParameterError(f"--N must be >= 3, got {n}")
     m = roth.w_modulus(W)
     # the W-trick takes the smallest prime in (2n/m, 4n/m]; by Bertrand's
     # postulate there is one unless 4n/m < 2, which is a flag combination
@@ -1095,8 +1086,8 @@ def _run_roth_pipeline(cfg: argparse.Namespace, em: Emitter):
     # m N + b <= 4n + m
     limit = 4 * n + m + 16
     table = _table_for(
-        (f"4 * --N {shown(n)} + m + 16 = {shown(limit)} (m = {m} at --W {W})",
-         limit))
+        [], (f"4 * --N {shown(n)} + m + 16 = {shown(limit)} (m = {m} at --W {W})",
+             limit))
     # behrend-in-primes runs behrend_set on the indices of the primes <= n
     pi_n = int(table.primes_up_to(n).size)
     if cfg.source == "behrend-in-primes" and pi_n < roth.BEHREND_MIN_N:
@@ -1153,11 +1144,6 @@ def _run_roth_pipeline(cfg: argparse.Namespace, em: Emitter):
 
 
 def _run_behrend(cfg: argparse.Namespace, em: Emitter):
-    # every --N is checked before the first table is written
-    for N in cfg.N:
-        if not roth.BEHREND_MIN_N <= N <= roth.BEHREND_MAX_N:
-            raise ParameterError(f"--N must be in [{roth.BEHREND_MIN_N}, "
-                                 f"{roth.BEHREND_MAX_N}], got {shown(N)}")
     results = {}
     rows = []
     for N in cfg.N:
@@ -1182,7 +1168,9 @@ def _run_varnavides(cfg: argparse.Namespace, em: Emitter):
 
 # subcommand -> (handler, its flags besides _COMMON)
 _COMMANDS = {
-    "sieve-stats": (_run_sieve_stats, {"--N": _REQUIRED, "--Q": None}),
+    "sieve-stats": (_run_sieve_stats, {
+        "--N": _REQUIRED | {"type": _Range(int, "[]", 1, sieve.MAX_TABLE_LIMIT)},
+        "--Q": None}),
     "measure-build": (_run_measure_build, {
         "--N": _REQUIRED, "--b": 1, "--m": 1, "--Q": None, "--p": None}),
     "transform-scan": (_run_transform_scan, {
@@ -1192,18 +1180,29 @@ _COMMANDS = {
         "--N": _REQUIRED, "--b": 1, "--m": 1, "--Q": _REQUIRED, "--p": 2.5,
         "--oversample": 4, "--B-override": None}),
     "majorant": (_run_majorant, {
-        "--N": _N_LIST, "--p": 4.0, "--draws": 20, "--oversample": 2}),
+        "--N": _N_LIST | {"type": _RangeList(int, "[]", 1, sieve.MAX_TABLE_LIMIT)},
+        "--p": 4.0, "--draws": 20, "--oversample": 2}),
     "restriction": (_run_restriction, {
-        "--N": _N_LIST, "--b": 1, "--m": 1, "--p": 2.5, "--draws": 20,
-        "--oversample": 2}),
+        "--N": _N_LIST | {"type": _RangeList(int, "[)", 1, math.inf)},
+        "--b": 1, "--m": 1, "--p": 2.5, "--draws": 20, "--oversample": 2}),
+    # mz-check builds no table, but each draw holds N floats: its --N
+    # stops at the prime table's cap
     "mz-check": (_run_mz_check, {
-        "--N": _N_LIST, "--p": 2.5, "--draws": 20, "--oversample": 2}),
+        "--N": _N_LIST | {"type": _RangeList(int, "[]", 1, sieve.MAX_TABLE_LIMIT)},
+        "--p": 2.5, "--draws": 20, "--oversample": 2}),
+    # every W-trick modulus is even and 2 is the one prime below 3, so an
+    # n < 3 leaves the W-trick no prime coprime to m
     "roth-pipeline": (_run_roth_pipeline, {
-        "--N": _REQUIRED, "--source": "primes", "--delta": 0.1, "--eps": 0.1,
-        "--W": 2, "--constants": None}),
-    "behrend": (_run_behrend, {"--N": _N_LIST}),
+        "--N": _REQUIRED | {"type": _Range(int, "[)", 3, math.inf)},
+        "--source": "primes", "--delta": 0.1, "--eps": 0.1, "--W": 2,
+        "--constants": None}),
+    "behrend": (_run_behrend, {"--N": _N_LIST | {"type": _RangeList(
+        int, "[]", roth.BEHREND_MIN_N, roth.BEHREND_MAX_N)}}),
+    # varnavides_bound takes 8.0 * N**3 as a float, which overflows once N
+    # passes (1.798e308)^(1/3) = 5.64e102
     "varnavides": (_run_varnavides, {
-        "--N": _REQUIRED, "--alpha": _REQUIRED, "--constants": None}),
+        "--N": _REQUIRED | {"type": _Range(int, "[]", 3, 10**102)},
+        "--alpha": _REQUIRED, "--constants": None}),
 }
 # run() looks each handler up here at call time, so a wrapper put into this
 # dict (bench/tracing.py installs one per entry) takes effect

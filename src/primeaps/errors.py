@@ -8,9 +8,10 @@ wrapped in StageError and carry the stage tag.
 
 
 def shown(value: int) -> str:
-    """An integer as a message writes it: in full below 10^30, to three
-    digits past that (1.23e+40), so no message carries a huge number."""
-    if value < 10**30:
+    """An integer as a message writes it: in full when |value| < 10^30, to
+    three digits past that (1.23e+40, -1.23e+40), so no message carries a
+    huge number."""
+    if abs(value) < 10**30:
         return str(value)
     from decimal import Decimal  # here, so that importing loads no more modules
     return f"{Decimal(value):.2e}"

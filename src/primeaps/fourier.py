@@ -61,6 +61,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
     StageError,
+    shown,
 )
 from .measures import Measure
 from .numutil import e, fsum_real
@@ -82,7 +83,7 @@ class TorusGrid:
     def __post_init__(self) -> None:
         if not 2 <= self.oversample <= MAX_OVERSAMPLE:
             raise ParameterError(f"oversample must be in 2..{MAX_OVERSAMPLE}, "
-                                 f"got {self.oversample}")
+                                 f"got {shown(self.oversample)}")
 
     def points(self, N: int) -> int:
         return self.oversample * N

@@ -27,6 +27,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
     TableRangeError,
+    shown,
 )
 from .numutil import fsum_real
 
@@ -106,11 +107,12 @@ def check_residue_pair(b: int, m: int) -> None:
     every mod-m quantity reduces b anyway.
     """
     if m < 1:
-        raise PreconditionError(f"m must be >= 1, got {m}")
+        raise PreconditionError(f"m must be >= 1, got {shown(m)}")
     if b < 0:
-        raise PreconditionError(f"b must be >= 0, got {b}")
+        raise PreconditionError(f"b must be >= 0, got {shown(b)}")
     if math.gcd(b, m) != 1:
-        raise PreconditionError(f"gcd(b, m) must be 1, got gcd({b}, {m})")
+        raise PreconditionError(
+            f"gcd(b, m) must be 1, got gcd({shown(b)}, {shown(m)})")
 
 
 @dataclass(frozen=True)

@@ -116,7 +116,7 @@ def test_behrend_n_runs_up_to_its_cap(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["behrend", "--N", "100,100000001", "--output-dir", str(out)]) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["message"] == "--N must be in [8, 100000000], got 100000001"
+    assert err["message"] == "argument --N: must be int in [8, 100000000], got 100000001"
     assert not out.exists()
     man = _run(["behrend", "--N", str(roth.BEHREND_MAX_N)], out)
     assert man["results"][str(roth.BEHREND_MAX_N)]["size"] == 2**17
@@ -127,6 +127,8 @@ def test_shown_writes_huge_integers_to_three_digits():
     assert shown(10**30 - 1) == "9" * 30
     assert shown(10**30) == "1.00e+30"
     assert shown(int(_BIG)) == "1.23e+40"
+    assert shown(-(10**30 - 1)) == "-" + "9" * 30
+    assert shown(-int(_BIG)) == "-1.23e+40"
     # past the 4,300 digits that str() of an int allows
     assert shown(7 * 10**5000) == "7.00e+5000"
 
@@ -289,6 +291,8 @@ def test_bad_flags_exit_2(tmp_path, capsys):
     ["roth-pipeline", "--N", "300", "--W", "0"],
     ["roth-pipeline", "--N", "300", "--delta", "0"],
     ["roth-pipeline", "--N", "300", "--eps", "1.5"],
+    # the Bohr set's eps is in (0, 1): 1 itself is refused
+    ["roth-pipeline", "--N", "300", "--eps", "1"],
     ["majorant", "--N", "100", "--p", "nan"],
     ["transform-scan", "--N", "100", "--p", "inf"],
     ["arc-scan", "--N", "100", "--Q", "4", "--B-override", "nan"],
@@ -338,7 +342,8 @@ def test_w_past_the_factor_table_exits_2_at_once(W, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["majorant", "--N", "100", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    (["majorant", "--N", "100", "--seed", "-1"],
+     "argument --seed: must be int in [0, inf), got -1"),
     (["measure-build", "--N", "100", "--Q", "4,16,4,16"],
      "argument --Q: repeated values [4, 16]"),
     (["mz-check", "--N", "100,100"], "argument --N: repeated values [100]"),
@@ -408,6 +413,16 @@ def test_constants_must_be_a_json_object(text, message, tmp_path, capsys):
     # behrend --N past roth.BEHREND_MAX_N, checked before the first table
     ["behrend", "--N", "100,100000001"],
     ["behrend", "--N", _BIG],
+    # a scale past its declared range: mz-check's draws would hold --N
+    # floats each, and varnavides' N**3 would leave the float range
+    ["mz-check", "--N", _BIG],
+    ["varnavides", "--N", str(10**103), "--alpha", "0.5"],
+    # a value of 41 digits that the library refuses, or the parser
+    ["majorant", "--N", "100", "--oversample", _BIG],
+    ["measure-build", "--N", "100", "--m", "-" + _BIG],
+    ["measure-build", "--N", "100", "--b", "-" + _BIG],
+    ["majorant", "--N", "100", "--seed", "-" + _BIG],
+    ["restriction", "--N", f"{_BIG},{_BIG}"],
     # (log N)^A leaves the float range at A = 4/(p-2), about 4e4
     ["measure-build", "--N", "1000", "--p", "2.0001"],
     # (log N)^A / 10 is about 1.7e67 at A = 80: finite, but 2^K is past
@@ -419,8 +434,9 @@ def test_constants_must_be_a_json_object(text, message, tmp_path, capsys):
     ["roth-pipeline", "--N", "18", "--source", "behrend-in-primes"],
 ], ids=" ".join)
 def test_handler_rejection_leaves_no_output_dir(args, tmp_path, capsys):
-    # these pass the parser and fail inside their handler: a failed run
-    # keeps none of its files, nor the directory its first write made
+    # these fail in their flag's declared range, inside their handler or in
+    # the library: a failed run keeps none of its files, nor the directory
+    # its first write made
     out = tmp_path / "out"
     rc = cli.main(args + ["--output-dir", str(out)])
     assert rc == 2
@@ -431,7 +447,7 @@ def test_handler_rejection_leaves_no_output_dir(args, tmp_path, capsys):
     if args[0] == "measure-build" and "--p" in args:
         assert f"p = {args[args.index('--p') + 1]}" in err["message"]
     if args[0] == "behrend":
-        assert err["message"].startswith("--N ")
+        assert err["message"].startswith("argument --N: ")
     assert not out.exists()
 
 
@@ -450,40 +466,48 @@ def test_behrend_source_needs_eight_primes(tmp_path, capsys):
                      "--output-dir", str(out)]) == 0
 
 
+_LIMIT = " exceeds the prime-table limit 100000000"
 _PAST_THE_TABLE = [
     (["measure-build", "--N", "100", "--m", "1000000"],
-     "--m 1000000 * --N 100 + --b 1 = 100000001 exceeds"),
+     "TableRangeError", "--m 1000000 * --N 100 + --b 1 = 100000001" + _LIMIT),
     (["transform-scan", "--N", "100", "--m", "1000000", "--b", "3"],
-     "--m 1000000 * --N 100 + --b 3 = 100000003 exceeds"),
+     "TableRangeError", "--m 1000000 * --N 100 + --b 3 = 100000003" + _LIMIT),
     (["arc-scan", "--N", "100", "--m", "1000000", "--Q", "16"],
-     "--m 1000000 * --N 100 + --b 1 = 100000001 exceeds"),
-    (["arc-scan", "--N", "100", "--Q", "16,100000001"], "--Q 100000001 exceeds"),
+     "TableRangeError", "--m 1000000 * --N 100 + --b 1 = 100000001" + _LIMIT),
+    # a single flag's value past the limit is refused by its declared range
+    (["arc-scan", "--N", "100", "--Q", "16,100000001"],
+     "ConfigError", "argument --Q: must be int in [1, 100000000], got 100000001"),
     (["restriction", "--N", "50,100", "--m", "1000000"],
-     "--m 1000000 * --N 100 + --b 1 = 100000001 exceeds"),
-    # the handlers that build no measure table name their flags too
-    (["sieve-stats", "--N", "100", "--Q", "100000001"], "--Q 100000001 exceeds"),
-    (["sieve-stats", "--N", "100000001"], "--N 100000001 exceeds"),
-    (["majorant", "--N", "100000001", "--draws", "1"], "--N 100000001 exceeds"),
+     "TableRangeError", "--m 1000000 * --N 100 + --b 1 = 100000001" + _LIMIT),
+    (["sieve-stats", "--N", "100", "--Q", "100000001"],
+     "ConfigError", "argument --Q: must be int in [1, 100000000], got 100000001"),
+    (["sieve-stats", "--N", "100000001"],
+     "ConfigError", "argument --N: must be int in [1, 100000000], got 100000001"),
+    (["majorant", "--N", "100000001", "--draws", "1"],
+     "ConfigError", "argument --N: must be int in [1, 100000000], got 100000001"),
     (["roth-pipeline", "--N", "30000000"],
-     "4 * --N 30000000 + m + 16 = 120000018 (m = 2 at --W 2) exceeds"),
+     "TableRangeError",
+     "4 * --N 30000000 + m + 16 = 120000018 (m = 2 at --W 2)" + _LIMIT),
     # a value of more than 30 digits is written to three
-    (["sieve-stats", "--N", _BIG], "--N 1.23e+40 exceeds"),
+    (["sieve-stats", "--N", _BIG],
+     "ConfigError", "argument --N: must be int in [1, 100000000], got 1.23e+40"),
     (["measure-build", "--N", "100", "--m", _BIG],
-     "--m 1.23e+40 * --N 100 + --b 1 = 1.23e+42 exceeds"),
+     "TableRangeError", "--m 1.23e+40 * --N 100 + --b 1 = 1.23e+42" + _LIMIT),
 ]
 
 
-@pytest.mark.parametrize("args, message", _PAST_THE_TABLE,
-                         ids=[" ".join(args) for args, _ in _PAST_THE_TABLE])
-def test_measure_table_past_the_limit_names_its_flags(args, message, tmp_path,
+@pytest.mark.parametrize("args, kind, message", _PAST_THE_TABLE,
+                         ids=[" ".join(args) for args, _, _ in _PAST_THE_TABLE])
+def test_measure_table_past_the_limit_names_its_flags(args, kind, message, tmp_path,
                                                       capsys):
-    # one table-size rule for every handler: m*N + b, every --Q, --N, and
-    # the pipeline's 4n + m + 16, refused before the first write
+    # one table-size rule for every handler: m*N + b, the pipeline's
+    # 4n + m + 16, and the ranges of --N and every --Q, refused before the
+    # first write
     out = tmp_path / "out"
     assert cli.main(args + ["--output-dir", str(out)]) == 2
     err = json.loads(capsys.readouterr().err)
-    assert (err["error"], err["type"]) == ("validation", "TableRangeError")
-    assert err["message"] == f"{message} the prime-table limit 100000000"
+    assert (err["error"], err["type"]) == ("validation", kind)
+    assert err["message"] == message
     assert not out.exists()
 
 
@@ -511,7 +535,7 @@ def test_pipeline_n_below_3_names_the_flag(n, tmp_path, capsys):
                          "--output-dir", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation" and "stage" not in err
-        assert err["message"] == f"--N must be >= 3, got {n}"
+        assert err["message"] == f"argument --N: must be int in [3, inf), got {n}"
         assert not out.exists()
 
 
@@ -737,6 +761,86 @@ def test_manifest_config_is_the_subcommands_flags(name, flag_dests, tmp_path):
     man = _run([name, *SMALL_RUNS[name]], tmp_path)
     assert set(man["config"]) == {"subcommand"} | flag_dests[name] - {"output_dir"}
     assert man["config"]["subcommand"] == name
+
+
+# --- declared flag ranges ------------------------------------------------------
+
+def _declared_ranges() -> list:
+    """(subcommand, flag, range) of every flag whose argparse type is a
+    cli._Range, a list's included, merged from cli._OPTIONS and
+    cli._COMMANDS as build_parser merges them."""
+    found = []
+    for name, (_, options) in cli._COMMANDS.items():
+        for flag, spec in (options | cli._COMMON).items():
+            extra = spec if isinstance(spec, dict) else {}
+            kind = (cli._OPTIONS[flag] | extra).get("type")
+            if isinstance(kind, cli._Range):
+                found.append((name, flag, kind))
+    return found
+
+
+_RANGES = _declared_ranges()
+
+
+def _edges(rng) -> tuple[list, list]:
+    """The values a range takes at each finite end (the end if kept, else
+    the next value inside), and the texts of values it refuses: the value
+    just past each finite end, a 41-digit value past one, and nan and
+    +-inf for a float."""
+    def step(value, toward):
+        if rng.kind is int:
+            return value + toward
+        return math.nextafter(value, toward * math.inf)
+
+    inside, outside = [], []
+    for end, kept, away in ((rng.lo, rng.brackets[0] == "[", -1),
+                            (rng.hi, rng.brackets[1] == "]", 1)):
+        if abs(end) < math.inf:
+            inside.append(end if kept else step(end, -away))
+            outside.append(repr(step(end, away) if kept else end))
+            if abs(end) < int(_BIG):
+                outside.append(_BIG if away > 0 else "-" + _BIG)
+    if rng.kind is float:
+        outside += ["nan", "inf", "-inf"]
+    return inside, outside
+
+
+@pytest.mark.parametrize("name, flag, rng", _RANGES,
+                         ids=[f"{name} {flag}" for name, flag, _ in _RANGES])
+def test_every_declared_range_holds_at_its_edges(name, flag, rng, tmp_path, capsys):
+    # each finite end of a flag's range is taken, and every value past one
+    # exits 2 at the parser, naming the flag and no huge number, with no
+    # output directory
+    inside, outside = _edges(rng)
+    listed = isinstance(rng, cli._RangeList)
+    for value in inside:
+        assert rng(repr(value)) == ([value] if listed else value)
+    assert outside
+    out = tmp_path / "out"
+    for text in outside:
+        assert cli.main([name, *SMALL_RUNS[name], flag, text,
+                         "--output-dir", str(out)]) == 2, text
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert (payload["error"], payload["type"]) == ("validation", "ConfigError")
+        assert payload["message"].startswith(f"argument {flag}: "), text
+        assert not re.search(r"\d{31}", payload["message"]), text
+        assert not out.exists()
+
+
+def test_readme_lists_every_declared_range():
+    # the README's table of ranges is the declarations, row for row
+    cells = {}
+    for name, flag, rng in _RANGES:
+        kind = rng.kind.__name__
+        if isinstance(rng, cli._RangeList):
+            kind = f"list of {kind}"
+        cells.setdefault(name, []).append(f"`{flag}` {kind} in {rng}")
+    table = "\n".join(["| subcommand | declared ranges |", "|---|---|",
+                       *(f"| `{name}` | {'; '.join(row)} |" for name, row in cells.items())])
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert table in readme, table
 
 
 # --- table sizing and output files ---------------------------------------------

@@ -2,8 +2,9 @@
 may take transforms with numpy.fft, every parameter is read, every default
 is both used and overridden by the package's own calls, every def is
 reached from the CLI and every field of a reached dataclass is read by
-reached code, each CLI handler reads only its own subcommand's flags, and
-no module reads the environment."""
+reached code, each CLI handler reads only its own subcommand's flags, only
+the declared range types refuse a flag's value, and no module reads the
+environment."""
 
 import ast
 from pathlib import Path
@@ -526,6 +527,53 @@ def test_cfg_reads_follow_closures_and_helpers():
     tree = ast.parse(source)
     assert _cfg_reads(tree, "handler") == {"a", "b", "c"}
     assert _cfg_reads(tree, "leaky") == {"<escapes>"}
+
+
+def _raisers(tree: ast.Module, name: str) -> set[str]:
+    """The qualname of each def whose own body (not a nested def's) raises
+    `name`, called or not, as a Name or an Attribute; "<module>" for a
+    raise outside any def."""
+    found = set()
+
+    def visit(node, prefix: str, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if name in (getattr(exc, "id", None), getattr(exc, "attr", None)):
+                    found.add(owner)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{prefix}{child.name}.", prefix + child.name)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", owner)
+            else:
+                visit(child, prefix, owner)
+
+    visit(tree, "", "<module>")
+    return found
+
+
+def test_only_the_range_types_refuse_a_flag():
+    # a flag's own range has one home, its cli._Range in _OPTIONS or
+    # _COMMANDS: no other argparse type refuses a value; --constants is a
+    # JSON object, not a number
+    assert _raisers(_src_trees()["cli"], "ArgumentTypeError") == {
+        "_Range.__call__", "_RangeList.__call__", "_constants"}
+
+
+def test_raiser_checker_finds_the_innermost_def():
+    source = ("import argparse\n"
+              "def plain(text):\n"
+              "    raise argparse.ArgumentTypeError('no')\n"
+              "class Kind:\n"
+              "    def __call__(self, text):\n"
+              "        def inner():\n"
+              "            raise ArgumentTypeError\n"
+              "        return inner\n"
+              "def other():\n"
+              "    raise ValueError('x')\n"
+              "raise argparse.ArgumentTypeError('top')\n")
+    assert _raisers(ast.parse(source), "ArgumentTypeError") == {
+        "plain", "Kind.__call__.inner", "<module>"}
 
 
 _ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
