@@ -120,7 +120,12 @@ class _Range:
                 (value >= self.lo if self.brackets[0] == "[" else value > self.lo)
                 and (value <= self.hi if self.brackets[1] == "]" else value < self.hi)):
             return value
-        got = repr(text) if value is None else _end(value)
+        if value is not None:
+            got = _end(value)
+        elif len(text) <= 30:
+            got = repr(text)
+        else:  # a malformed text is cut, so no long run of digits is echoed
+            got = f"{text[:30]!r}... ({len(text)} characters)"
         raise argparse.ArgumentTypeError(
             f"must be {self.kind.__name__} in {self}, got {got}")
 
@@ -159,7 +164,8 @@ _OPTIONS = {
             "help": "exponent p (measure-build: enables the dyadic split)"},
     "--oversample": {"type": int},
     "--B-override": {"type": _Range(float, "()", 0, math.inf)},
-    "--draws": {"type": _Range(int, "[)", 1, math.inf)},
+    # each draw is an L^p ladder, so an unbounded count runs until killed
+    "--draws": {"type": _Range(int, "[]", 1, 10**5)},
     "--source": {"choices": roth.SOURCES},
     "--delta": {"type": _Range(float, "()", 0, math.inf)},
     "--eps": {"type": _Range(float, "()", 0, 1)},
@@ -876,9 +882,10 @@ def _run_measure_build(cfg: argparse.Namespace, em: Emitter):
     params = measures.MeasureParams(b=cfg.b, m=cfg.m, N=N)
     # size the table for every --Q and the dyadic split's 2^K now, so an
     # out-of-range cutoff fails before any output is written
-    split = ([(f"the dyadic split at --p {cfg.p_exponent}",
-               2 ** measures.dyadic_cutoff(N, cfg.p_exponent))]
-             if cfg.p_exponent is not None else [])
+    K = (measures.dyadic_cutoff(N, cfg.p_exponent)
+         if cfg.p_exponent is not None else None)
+    split = ([(f"the dyadic split at --p {cfg.p_exponent}", 2 ** K)]
+             if K is not None else [])
     table = _measure_table(cfg, N, cfg.Q or [], *split)
     lam = measures.lambda_measure(params, table)
     em.measure("measure_lambda", lam)
@@ -892,17 +899,22 @@ def _run_measure_build(cfg: argparse.Namespace, em: Emitter):
         rough_totals[str(Q)] = lamq.total
     if rough_totals:
         results["rough_totals"] = rough_totals
-    if cfg.p_exponent is not None:
-        pieces, K = measures.dyadic_pieces(params, lam, cfg.p_exponent, table)
-        norms = measures.piece_sup_norms(pieces)
+    if K is not None:
+        # each piece is added into recon and measured as it comes, then
+        # dropped, so the split holds one piece at a time
+        recon = np.zeros(N)
+        norms = []
+
+        def take(j: int, psi: measures.Measure) -> None:
+            np.add(recon, psi.weights, out=recon)
+            norms.append(measures.piece_sup_norm(j, K, psi))
+
+        measures.dyadic_pieces(params, lam, cfg.p_exponent, table, take)
         em.table("dyadic_sup_norms", ["j", "sup", "reference"],
                  _transpose([(n.j, n.sup, n.reference) for n in norms], 3))
-        recon = np.zeros(N)
-        for piece in pieces:
-            recon += piece.weights
         effective["A"] = measures.a_exponent(cfg.p_exponent)
         effective["K"] = K
-        results["dyadic_pieces"] = len(pieces)
+        results["dyadic_pieces"] = len(norms)
         results["reconstruction_max_err"] = float(
             np.max(np.abs(recon - lam.weights))
         )
@@ -927,9 +939,12 @@ def _run_transform_scan(cfg: argparse.Namespace, em: Emitter):
         tag = "lambda" if Q is None else f"rough_Q{Q}"
         em.table(f"transform_{tag}", ["theta", "re", "im", "abs"],
                  [idx / M, vals[idx].real, vals[idx].imag, mags[idx]])
+        sup_offzero = float(np.max(mags[1:]))
+        # the grid is read; free it before the L^p ladder takes its own
+        del vals, mags
         results[tag] = {
             "mass": f.total,
-            "sup_offzero_grid": float(np.max(mags[1:])),
+            "sup_offzero_grid": sup_offzero,
             # Parseval; the p = 2 grid rule is exact, since M > span
             "l2_norm": math.sqrt(fsum_real(f.weights**2)),
             "lp_norm": fourier.lp_norm_torus(f, cfg.p_exponent, grid),

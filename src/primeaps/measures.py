@@ -16,13 +16,13 @@ import functools
 import math
 import struct
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import sieve
 from .errors import (
-    DegenerateInputError,
     DeskScaleWarning,
     ParameterError,
     PreconditionError,
@@ -257,12 +257,15 @@ def dyadic_cutoff(N: int, p: float) -> int:
 
 
 def dyadic_pieces(
-    params: MeasureParams, lam: Measure, p: float, table: sieve.PrimeTable
-) -> tuple[list[Measure], int]:
+    params: MeasureParams, lam: Measure, p: float, table: sieve.PrimeTable,
+    take: Callable[[int, Measure], None],
+) -> int:
     """Split lam = lambda_measure(params, table) into psi_1..psi_{K+1} with
     psi_j = lambda^{(2^j)} - lambda^{(2^{j-1})} and psi_{K+1} = lambda -
-    lambda^{(2^K)}, K = dyadic_cutoff(N, p).
+    lambda^{(2^K)}, K = dyadic_cutoff(N, p), and return K.
 
+    Each piece goes to take(j, psi_j) as soon as it is made, in order of j,
+    and none is kept, so the split holds one piece at a time whatever K is.
     The pieces telescope back to lambda exactly (lambda^{(1)} = 0). The
     rough supports are sieved incrementally, one pass over primes <= 2^K.
     """
@@ -277,7 +280,6 @@ def dyadic_pieces(
     keep[0] = False
     inv_mert = 1.0
     prev = np.zeros(N, dtype=np.float64)
-    pieces: list[Measure] = []
     lo = 1
     for j in range(1, K + 1):
         hi = 2**j
@@ -287,11 +289,11 @@ def dyadic_pieces(
             inv_mert /= 1.0 - 1.0 / p
         strike_divisible(keep, b, m, ps[ps <= cap])
         cur = np.where(keep[1:], inv_mert / N, 0.0)
-        pieces.append(Measure(N, cur - prev, signed=True, base=BASE_ONE))
+        take(j, Measure(N, cur - prev, signed=True, base=BASE_ONE))
         prev = cur
         lo = hi
-    pieces.append(Measure(N, lam.weights - prev, signed=True, base=BASE_ONE))
-    return pieces, K
+    take(K + 1, Measure(N, lam.weights - prev, signed=True, base=BASE_ONE))
+    return K
 
 
 @dataclass(frozen=True)
@@ -301,18 +303,13 @@ class PieceNorm:
     reference: float
 
 
-def piece_sup_norms(pieces: list[Measure]) -> list[PieceNorm]:
-    """Sup norm of each dyadic piece next to its reference scale:
-    j/N for j <= K and log(N)/N for the tail piece."""
-    if not pieces:
-        raise DegenerateInputError("no pieces")
-    N = pieces[0].N
-    K = len(pieces) - 1
-    out = []
-    for j, psi in enumerate(pieces, start=1):
-        ref = (math.log(N) / N) if j == K + 1 else (j / N)
-        out.append(PieceNorm(j=j, sup=psi.sup_norm(), reference=ref))
-    return out
+def piece_sup_norm(j: int, K: int, psi: Measure) -> PieceNorm:
+    """Sup norm of the dyadic piece psi = psi_j of a split at cutoff K next
+    to its reference scale: j/N for j <= K and log(N)/N for the tail piece
+    j = K + 1."""
+    N = psi.N
+    ref = (math.log(N) / N) if j == K + 1 else (j / N)
+    return PieceNorm(j=j, sup=psi.sup_norm(), reference=ref)
 
 
 # ---------------------------------------------------------------------------

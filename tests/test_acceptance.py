@@ -320,7 +320,8 @@ def test_c14_dyadic_reconstruction(table):
     for b, m, N, p in DYADIC_PARAMS:
         params = measures.MeasureParams(b=b, m=m, N=N)
         lam = measures.lambda_measure(params, table)
-        pieces, _ = measures.dyadic_pieces(params, lam, p, table)
+        pieces = []
+        measures.dyadic_pieces(params, lam, p, table, lambda j, psi: pieces.append(psi))
         recon = np.zeros(N)
         for piece in pieces:
             recon += piece.weights

@@ -8,6 +8,7 @@ import stat
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -829,6 +830,24 @@ def test_every_declared_range_holds_at_its_edges(name, flag, rng, tmp_path, caps
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, cut", [
+    # int() refuses more than 4,300 digits, float() a text with a letter
+    (["sieve-stats", "--N", "1" * 5000], "1" * 5000),
+    (["arc-scan", "--N", "10", "--Q", "4," + "7" * 5000], "7" * 5000),
+    (["roth-pipeline", "--N", "300", "--delta", "2" * 5000 + "x"], "2" * 5000 + "x"),
+], ids=["sieve-stats --N", "arc-scan --Q", "roth-pipeline --delta"])
+def test_a_malformed_value_is_echoed_cut(argv, cut, tmp_path, capsys):
+    # the message keeps 30 characters of a text that is not a number of
+    # the flag's kind, and its length
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--output-dir", str(out)]) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message.endswith(f", got {cut[:30]!r}... ({len(cut)} characters)")
+    assert message.startswith(f"argument {argv[-2]}: ")
+    assert not re.search(r"\d{31}", message)
+    assert not out.exists()
+
+
 def test_readme_lists_every_declared_range():
     # the README's table of ranges is the declarations, row for row
     cells = {}
@@ -935,6 +954,55 @@ def test_measure_build_out_of_range_split_writes_nothing(tmp_path, capsys):
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "validation"
     assert list(tmp_path.iterdir()) == []
+
+
+def _traced_peak(call) -> int:
+    """The most bytes allocated at once while call() runs, as tracemalloc
+    sees them (numpy reports its arrays to it)."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dyadic_split_holds_one_piece_at_a_time(tmp_path, monkeypatch):
+    # at N = 5*10^4, --p 3 splits lambda into K + 1 = 12 pieces and --p 6
+    # into 2; the split's peak, the handler's use of each piece included,
+    # may differ by less than one piece of N floats
+    N = 50_000
+    original = measures.dyadic_pieces
+    peaks = {}
+
+    def traced(params, lam, p, table, take):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        K = original(params, lam, p, table, take)
+        peaks[K] = tracemalloc.get_traced_memory()[1] - base
+        return K
+
+    monkeypatch.setattr(measures, "dyadic_pieces", traced)
+    for p in ("3", "6"):
+        _traced_peak(lambda: _run(["measure-build", "--N", str(N), "--p", p],
+                                  tmp_path / p))
+    assert sorted(peaks) == [1, 11]
+    assert peaks[11] < peaks[1] + 8 * N
+
+
+def test_transform_scan_frees_its_grid_before_the_ladder(tmp_path):
+    # the run's peak is the L^p ladder's own (at oversample 8, one rfft of
+    # 16N points) plus less than the smaller grid array, mags, of 8N
+    # floats; the grid vals holds 8N complex values
+    N = 20_000
+    args = ["transform-scan", "--N", str(N), "--oversample", "8", "--p", "2.5"]
+    _run(args, tmp_path / "first")  # what a process builds once is built
+    lam = measures.lambda_measure(measures.MeasureParams(b=1, m=1, N=N),
+                                  sieve.build_factor_table(N + 1))
+    grid = fourier.TorusGrid(oversample=8)
+    ladder = _traced_peak(lambda: fourier.lp_norm_torus(lam, 2.5, grid))
+    run = _traced_peak(lambda: _run(args, tmp_path / "traced"))
+    assert run < ladder + 8 * 8 * N, (run / (8 * N), ladder / (8 * N))
 
 
 def test_output_files_follow_umask(tmp_path):

@@ -122,7 +122,9 @@ def test_dyadic_telescopes_exactly(table):
     for b, m, N, p in cases:
         params = MeasureParams(b=b, m=m, N=N)
         lam = measures.lambda_measure(params, table)
-        pieces, K = measures.dyadic_pieces(params, lam, p, table)
+        pieces = []
+        K = measures.dyadic_pieces(params, lam, p, table,
+                                   lambda j, psi: pieces.append(psi))
         assert len(pieces) == K + 1
         recon = np.zeros(N)
         for piece in pieces:
@@ -140,11 +142,15 @@ def test_dyadic_telescopes_exactly(table):
             np.testing.assert_allclose(partial, lamq.weights, rtol=1e-12, atol=0)
 
 
+def _refuse_pieces(j, psi):
+    raise AssertionError(f"piece {j} made before the table check")
+
+
 def test_dyadic_needs_table(small_table):
     params = MeasureParams(b=1, m=1, N=10_000)
     lam = measures.lambda_measure(params, small_table)
     with pytest.raises(TableRangeError):
-        measures.dyadic_pieces(params, lam, 2.5, small_table)
+        measures.dyadic_pieces(params, lam, 2.5, small_table, _refuse_pieces)
 
 
 def test_dyadic_checks_table_before_building_pieces(small_table, monkeypatch):
@@ -153,7 +159,7 @@ def test_dyadic_checks_table_before_building_pieces(small_table, monkeypatch):
     built = []
     monkeypatch.setattr(measures, "Measure", lambda *args, **kw: built.append(args))
     with pytest.raises(TableRangeError):
-        measures.dyadic_pieces(params, lam, 2.5, small_table)
+        measures.dyadic_pieces(params, lam, 2.5, small_table, _refuse_pieces)
     assert built == []
 
 
@@ -185,12 +191,17 @@ def test_dyadic_cutoff_past_the_table_limit_names_p():
 def test_piece_sup_norms_shape(table):
     params = MeasureParams(b=1, m=2, N=3_000)
     lam = measures.lambda_measure(params, table)
-    pieces, K = measures.dyadic_pieces(params, lam, 4.0, table)
-    norms = measures.piece_sup_norms(pieces)
+    K = measures.dyadic_cutoff(params.N, 4.0)
+    norms = []
+    assert measures.dyadic_pieces(
+        params, lam, 4.0, table,
+        lambda j, psi: norms.append(measures.piece_sup_norm(j, K, psi))) == K
     assert [n.j for n in norms] == list(range(1, K + 2))
     for n in norms:
         assert n.sup >= 0.0
         assert n.reference > 0.0
+    assert norms[-1].reference == math.log(params.N) / params.N
+    assert [n.reference for n in norms[:-1]] == [j / params.N for j in range(1, K + 1)]
 
 
 # --- local densities ---------------------------------------------------------
@@ -473,7 +484,9 @@ def test_measure_total_is_summed_on_first_read_only(monkeypatch, small_table):
     params = MeasureParams(b=1, m=1, N=300)
     lam = measures.lambda_measure(params, small_table)
     measures.lambda_q_measure(params, 16, small_table)
-    pieces, _ = measures.dyadic_pieces(params, lam, 3.0, small_table)
+    pieces = []
+    measures.dyadic_pieces(params, lam, 3.0, small_table,
+                           lambda j, psi: pieces.append(psi))
     assert calls == []
     assert lam.total == math.fsum(lam.weights.tolist())
     assert lam.total == lam.total
