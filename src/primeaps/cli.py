@@ -219,21 +219,22 @@ def _json_bytes(obj) -> bytes:
 
 
 def _staged_write(path: Path, chunks) -> tuple[Path, str, int]:
-    """Write the byte chunks to a fresh temporary file beside path, to be
-    renamed over it later; returns the temporary path, the sha256 hex
-    digest and the size of what was written. The chunks are hashed as they
-    go, so no whole file is held in memory. The file is created with mode
-    0o666 less the umask, as open() would."""
+    """Write the chunks (bytes, or contiguous uint8 arrays, taken as their
+    buffers) to a fresh temporary file beside path, to be renamed over it
+    later; returns the temporary path, the sha256 hex digest and the size
+    of what was written. The chunks are hashed as they go, so no whole file
+    is held in memory. The file is created with mode 0o666 less the umask,
+    as open() would."""
     digest = hashlib.sha256()
     size = 0
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
+            for chunk in map(memoryview, chunks):
                 fh.write(chunk)
                 digest.update(chunk)
-                size += len(chunk)
+                size += chunk.nbytes
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -515,7 +516,7 @@ def _repr_words(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     The text is one run of bytes: its head (sign, "0." and zeros below 1,
     leading digit, a point after it) right-aligned in word 0, then the
     other digits up to the last nonzero one and the exponent from word 1
-    on; every other byte is NUL, so that the NUL filter of _numeric_rows
+    on; every other byte is NUL, so that the NUL filter of _NumericRows
     meets few edges."""
     digits, decpt, left = _shortest_digits(bits)
     # repr's form: d.ddde+XX when the point falls after more than 16
@@ -575,7 +576,9 @@ def _repr_fallback(bits: np.ndarray) -> list:
 def _repr_cells(bits: np.ndarray) -> np.ndarray:
     """float.__repr__ of float64 bit patterns as a (values, width) uint8
     matrix, one value per row: its text is one run of bytes in the row,
-    with NUL bytes before and after it.
+    with NUL bytes before and after it. The matrix keeps only the columns
+    from the first to the last one that some value's text reaches, so no
+    column is NUL in every row.
 
     The digits are the shortest and closest ones, found by the Schubfach
     method in uint64 arithmetic (see above) _REPR_CHUNK values at a time,
@@ -593,18 +596,23 @@ def _repr_cells(bits: np.ndarray) -> np.ndarray:
         lo + _repr_words(bits[lo:lo + _REPR_CHUNK], words[lo:lo + _REPR_CHUNK])
         for lo in range(0, n, _REPR_CHUNK)] or [np.zeros(0, dtype=np.int64)])
     cells = words.view(np.uint8)
-    if not words[:, 3].any():
-        cells = cells[:, :24]
     for i, text in zip(redo.tolist(), _repr_fallback(bits[redo])):
         cells[i] = 0
         cells[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    used = np.flatnonzero(np.bitwise_or.reduce(words, axis=0).view(np.uint8))
+    if used.size:
+        cells = cells[:, used[0]:used[-1] + 1]
     return cells
 
 
-def _float_cells(values: np.ndarray) -> np.ndarray:
+def _float_cells(values: np.ndarray, memo: dict) -> np.ndarray:
     """The float.__repr__ text of a float64 array as a (rows, width) uint8
     matrix, one value per row with NUL bytes around its text. A run of
-    bit-identical values is formatted once, by _repr_cells."""
+    bit-identical values is formatted once, by _repr_cells.
+
+    memo carries a sparse column's distinct values and their cells from
+    one block of the column to the next, so a block with the same distinct
+    values as the last formatted one formats none."""
     bits = values.view(np.uint64)
     new = np.empty(values.size, dtype=bool)
     new[:1] = True
@@ -617,11 +625,11 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
         # measure's constant): format each distinct value once. A column of
         # many runs rarely repeats, and the sort would cost more than it saves
         distinct, which = np.unique(heads, return_inverse=True)
+        if "distinct" not in memo or not np.array_equal(memo["distinct"], distinct):
+            memo["distinct"], memo["cells"] = distinct, _repr_cells(distinct)
+        runs = memo["cells"][which]
     else:
-        distinct, which = heads, None
-    runs = _repr_cells(distinct)
-    if which is not None:
-        runs = runs[which]
+        runs = _repr_cells(heads)
     if starts.size == values.size:
         return runs
     return np.take(runs, np.cumsum(new) - 1, axis=0)
@@ -644,32 +652,58 @@ def _numeric(block: list, finite: bool) -> list | None:
     return out
 
 
-def _numeric_rows(block: list, before: bytes, between: bytes, after: bytes,
-                  join: bytes = b"") -> bytes:
-    """The text of a _numeric block: each row is `before`, its cells
-    separated by `between`, then `after`, and rows are separated by `join`.
+class _NumericRows:
+    """The text of one table's _numeric blocks, as a uint8 array per block:
+    each row is `before`, its cells separated by `between`, then `after`,
+    and rows are separated by `join`.
 
-    Every row is laid out in one uint8 matrix, each column of cells in a
-    slot as wide as its cell matrix; the NUL padding in the slots is then
-    dropped, which leaves the rows' bytes in order. No Python object is
-    made per row."""
-    pieces = [before]
-    for i, values in enumerate(block):
-        if i:
-            pieces.append(between)
-        pieces.append(_float_cells(values) if values.dtype.kind == "f"
-                      else _int_cells(values))
-    pieces.append(after + join)
-    pieces = [np.frombuffer(p, dtype=np.uint8) if isinstance(p, bytes) else p
-              for p in pieces]
-    rows = np.empty((len(block[0]), sum(p.shape[-1] for p in pieces)), dtype=np.uint8)
-    pos = 0
-    for p in pieces:
-        rows[:, pos:pos + p.shape[-1]] = p
-        pos += p.shape[-1]
-    flat = rows.ravel()
-    text = flat[flat != 0]
-    return text[:text.size - len(join)].tobytes()
+    The rows are laid out in one uint8 matrix, the scaffold, each column
+    of cells in a slot as wide as its cell matrix; the NUL padding in the
+    slots is then dropped, which leaves the rows' bytes in order. No Python
+    object is made per row. The scaffold is made, with its literals, for
+    the table's first numeric block and sized by it; a later block, never
+    longer, writes only its cell slots, and the scaffold is made again only
+    when a column's cell width changes. Each float column keeps its
+    _float_cells memo from block to block."""
+
+    def __init__(self, width: int, before: bytes, between: bytes, after: bytes,
+                 join: bytes):
+        self._literals = [np.frombuffer(text, dtype=np.uint8)
+                          for text in (before, *[between] * (width - 1), after + join)]
+        self._join = len(join)
+        self._memos = [{} for _ in range(width)]
+        self._rows = np.empty((0, 0), dtype=np.uint8)
+        self._widths: list[int] = []  # no block's, so the first block lays
+        self._slots: list[slice] = []
+
+    def _lay(self, n: int, widths: list[int]) -> None:
+        """A scaffold of n rows with the literals in place, for cells of
+        the given widths."""
+        rows = np.empty((n, sum(widths) + sum(map(len, self._literals))),
+                        dtype=np.uint8)
+        self._slots = []
+        pos = 0
+        for literal, width in zip(self._literals, widths):
+            rows[:, pos:pos + literal.size] = literal
+            pos += literal.size
+            self._slots.append(slice(pos, pos + width))
+            pos += width
+        rows[:, pos:] = self._literals[-1]
+        self._rows, self._widths = rows, widths
+
+    def __call__(self, block: list) -> np.ndarray:
+        cells = [_float_cells(values, memo) if values.dtype.kind == "f"
+                 else _int_cells(values) for values, memo in zip(block, self._memos)]
+        widths = [c.shape[1] for c in cells]
+        n = len(block[0])
+        if widths != self._widths:
+            self._lay(n, widths)
+        rows = self._rows[:n]
+        for slot, c in zip(self._slots, cells):
+            rows[:, slot] = c
+        flat = rows.ravel()
+        text = flat[flat != 0]
+        return text[:text.size - self._join]
 
 
 def _blocks(columns: list, n: int):
@@ -685,17 +719,18 @@ def _values(values) -> list:
 
 def _csv_text(header: list[str], columns: list, n: int):
     """The CSV bytes of a table, one block at a time. A block of int and
-    float arrays goes through _numeric_rows, since a number never needs
-    quoting; any other block goes through csv.writer, cell by cell
-    through _fmt."""
+    float arrays goes through the table's _NumericRows, since a number
+    never needs quoting; any other block goes through csv.writer, cell by
+    cell through _fmt."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     yield buf.getvalue().encode()
+    numeric_rows = _NumericRows(len(columns), b"", b",", b"\n", b"")
     for block in _blocks(columns, n):
         numeric = _numeric(block, finite=False)
         if numeric is not None:
-            yield _numeric_rows(numeric, b"", b",", b"\n")
+            yield numeric_rows(numeric)
             continue
         buf.seek(0)
         buf.truncate()
@@ -706,25 +741,26 @@ def _csv_text(header: list[str], columns: list, n: int):
 def _json_text(header: list[str], columns: list, n: int):
     """The bytes of json.dumps({"columns": header, "rows": rows},
     sort_keys=True, indent=2) + newline, one block of rows at a time. A
-    block of int and finite float arrays goes through _numeric_rows; any
-    other block goes cell by cell through _json_cell."""
+    block of int and finite float arrays goes through the table's
+    _NumericRows; any other block goes cell by cell through _json_cell.
+    The "," between two blocks goes out as a chunk of its own."""
     head = json.dumps(header, indent=2).replace("\n", "\n  ")
     if n == 0:
         yield ('{\n  "columns": %s,\n  "rows": []\n}\n' % head).encode()
         return
     yield ('{\n  "columns": %s,\n  "rows": [' % head).encode()
     row = "\n    [\n      " + ",\n      ".join(["%s"] * len(columns)) + "\n    ]"
-    sep = b""
-    for block in _blocks(columns, n):
+    numeric_rows = _NumericRows(len(columns), b"\n    [\n      ", b",\n      ",
+                                b"\n    ]", b",")
+    for i, block in enumerate(_blocks(columns, n)):
+        if i:
+            yield b","
         numeric = _numeric(block, finite=True)
         if numeric is not None:
-            text = _numeric_rows(numeric, b"\n    [\n      ", b",\n      ",
-                                 b"\n    ]", b",")
+            yield numeric_rows(numeric)
         else:
             cells = [map(_json_cell, _values(values)) for values in block]
-            text = ",".join(map(row.__mod__, zip(*cells))).encode()
-        yield sep + text
-        sep = b","
+            yield ",".join(map(row.__mod__, zip(*cells))).encode()
     yield b"\n  ]\n}\n"
 
 

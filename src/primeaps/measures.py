@@ -41,9 +41,12 @@ _BINARY_MAGIC = b"PMSR"
 class Measure:
     """A weighted function on {1..N} (base "one") or Z_N (base "zn").
 
-    The weights are a read-only copy of the input, so an instance is
-    immutable: neither `total`, summed on first read, nor the Z_N spectrum
-    that `fourier.spectrum` caches in _spectrum can go stale.
+    The weights are read-only, so an instance is immutable: neither
+    `total`, summed on first read, nor the Z_N spectrum that
+    `fourier.spectrum` caches in _spectrum can go stale. A C-contiguous
+    float64 array that owns its data is taken as it is and set read-only
+    in place, so its caller writes to it no more; anything else (a view, a
+    list, another dtype) is copied.
     """
 
     N: int
@@ -55,16 +58,18 @@ class Measure:
     )
 
     def __post_init__(self) -> None:
-        self.weights = np.array(self.weights, dtype=np.float64)
-        self.weights.setflags(write=False)
-        if self.weights.shape != (self.N,):
-            raise ParameterError(
-                f"weights must have shape ({self.N},), got {self.weights.shape}"
-            )
+        w = self.weights
+        if not (isinstance(w, np.ndarray) and w.dtype == np.float64
+                and w.flags.owndata and w.flags.c_contiguous):
+            w = np.array(w, dtype=np.float64)
+        if w.shape != (self.N,):
+            raise ParameterError(f"weights must have shape ({self.N},), got {w.shape}")
         if self.base not in (BASE_ONE, BASE_ZN):
             raise ParameterError(f"unknown base {self.base!r}")
-        if not self.signed and self.weights.size and float(self.weights.min()) < 0.0:
+        if not self.signed and w.size and float(w.min()) < 0.0:
             raise PreconditionError("unsigned measure has negative weights")
+        w.setflags(write=False)
+        self.weights = w
 
     @functools.cached_property
     def total(self) -> float:
@@ -76,7 +81,9 @@ class Measure:
         """Weights reindexed by residue x = n mod N (the Z_N embedding)."""
         if self.base == BASE_ZN:
             return self.weights
-        return np.roll(self.weights, 1)
+        # along axis 0, roll returns an array of its own, which as_zn's
+        # Measure takes without a copy
+        return np.roll(self.weights, 1, axis=0)
 
     def positions(self) -> np.ndarray:
         """The ambient point n (or residue x) held at each array index."""
@@ -97,7 +104,11 @@ class Measure:
         return Measure(self.N, self.zn_weights(), signed=self.signed, base=BASE_ZN)
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.weights))) if self.N else 0.0
+        """max |w|, read off the largest and the smallest weight, with no
+        |w| array; + 0.0 turns the -0.0 of an all-zero measure into 0.0."""
+        if not self.N:
+            return 0.0
+        return float(max(self.weights.max(), -self.weights.min())) + 0.0
 
 
 def check_residue_pair(b: int, m: int) -> None:

@@ -658,7 +658,7 @@ def density_experiment(
         aw = np.zeros(wt.N, dtype=np.float64)
         aw[wt.A % wt.N] = mu.weights[wt.A % wt.N]
         a = Measure(wt.N, aw, signed=False, base=BASE_ZN)
-        del aw  # a holds its own copy
+        del aw  # a owns the array now, read-only
         report["measure"] = {"mass_mu": mu.total, "mass_a": a.total}
         report["w_trick"]["alpha"] = a.total
         keep("mu", mu)

@@ -254,6 +254,57 @@ def test_each_float_run_or_sparse_value_is_formatted_once_by_the_kernel(
     assert fallback == []
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scaffold_and_sparse_memo_follow_each_block(fmt, tmp_path, monkeypatch):
+    # 4-row blocks. The int cells widen from 9 to 10 digits at block 2, the
+    # dense float cells widen at block 3 and narrow back at block 4, and
+    # the sparse column's distinct set changes at block 2 and comes back at
+    # block 3. The bytes are the oracle's; the scaffold is laid only when a
+    # width changes, and the sparse column is formatted only when its
+    # distinct set differs from the last one formatted
+    monkeypatch.setattr(cli, "TABLE_BLOCK_ROWS", 4)
+    ints = np.array([999_999_990 + i for i in range(8)]
+                    + [1_000_000_000 + i for i in range(14)], dtype=np.int64)
+    short, wide = [0.1, 0.2, 0.3, 0.4], [-1.2345678901234567e-300, 0.7, 0.8, 0.9]
+    dense = np.array(short * 3 + wide + short + short[:2])
+    c, d = 0.1 / 3, 0.2 / 3
+    sparse = np.array([0.0, 0.0, c, c,  c, c, 0.0, 0.0,  0.0, d, d, d,
+                       0.0, 0.0, 0.0, c,  c, 0.0, 0.0, 0.0,  c, c])
+    laid, formatted = [], []
+    lay, repr_cells = cli._NumericRows._lay, cli._repr_cells
+
+    def counted_lay(self, n, widths):
+        laid.append((n, widths))
+        return lay(self, n, widths)
+
+    def counted_repr(bits):
+        formatted.append(bits.view(np.float64).tolist())
+        return repr_cells(bits)
+
+    monkeypatch.setattr(cli._NumericRows, "_lay", counted_lay)
+    monkeypatch.setattr(cli, "_repr_cells", counted_repr)
+    _assert_same(tmp_path, fmt, ["n", "dense", "sparse"], [ints, dense, sparse])
+    # laid at blocks 0, 2, 3 and 4; blocks 1 and 5 (2 rows) reuse the scaffold
+    assert [n for n, _ in laid] == [4, 4, 4, 4]
+    assert [w[0] for _, w in laid] == [9, 10, 10, 10]
+    (narrow, _, widened, back) = [w[1] for _, w in laid]
+    assert narrow == laid[1][1][1] == back < widened
+    assert len({w[2] for _, w in laid}) == 1
+    assert [v for v in formatted if set(v) <= {0.0, c, d}] == [
+        [0.0, c], [0.0, d], [0.0, c], [c]]
+
+
+def test_staged_write_takes_bytes_and_uint8_arrays(tmp_path):
+    chunks = [b"head,", np.frombuffer(b"0123456789", dtype=np.uint8)[2:7], b"",
+              np.zeros(0, dtype=np.uint8), np.array([65, 66, 10], dtype=np.uint8)]
+    joined = b"".join(bytes(chunk) for chunk in chunks)
+    tmp, sha256, size = cli._staged_write(tmp_path / "t.csv", chunks)
+    assert joined == b"head,23456AB\n"
+    assert tmp.read_bytes() == joined
+    assert size == len(joined)
+    assert sha256 == hashlib.sha256(joined).hexdigest()
+
+
 def test_table_accepts_a_one_shot_iterable_of_columns(tmp_path):
     columns = [np.arange(5), [0.5] * 5]
     em = cli.Emitter(tmp_path, "csv")
@@ -347,9 +398,12 @@ def _float_bits(value: float) -> int:
 
 
 def _kernel_texts(values) -> list[str]:
-    """The kernel's text of each value: the NUL-free bytes of its row."""
+    """The kernel's text of each value: the NUL-free bytes of its row. The
+    first and the last column of the cells hold some value's text."""
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
     cells = cli._repr_cells(bits)
+    assert cells.shape[1] <= 32
+    assert cells[:, 0].any() and cells[:, -1].any()
     rows = np.zeros((cells.shape[0], cells.shape[1] + 1), dtype=np.uint8)
     rows[:, :-1] = cells
     rows[:, -1] = ord(",")

@@ -455,11 +455,49 @@ def test_zn_embedding_rolls():
 
 def test_measure_weights_are_a_read_only_copy():
     w = np.arange(5, dtype=np.float64)
-    f = Measure(5, w)
+    f = Measure(5, w.copy())  # w is written below, so the measure gets a copy
     w[0] = 9.0
     assert f.weights[0] == 0.0
     with pytest.raises(ValueError):
         f.weights[0] = 1.0
+
+
+def test_measure_takes_a_fresh_array_and_copies_the_rest():
+    # an owning C-contiguous float64 array is taken as it is, and its
+    # caller's later write raises; a view, a list or another dtype is copied
+    w = np.arange(6, dtype=np.float64) / 5
+    f = Measure(6, w)
+    assert np.shares_memory(f.weights, w)
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    base = np.arange(12, dtype=np.float64) / 11
+    for given in (base[::2], base[:6], base.reshape(2, 6)[0], np.linspace(0.0, 1.0, 6),
+                  np.linspace(0.0, 1.0, 6, dtype=np.float32),
+                  np.linspace(0.0, 1.0, 6).astype(">f8"), [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]):
+        g = Measure(6, given)
+        assert not np.shares_memory(g.weights, base)
+        assert g.weights.dtype == np.float64 and not g.weights.flags.writeable
+        assert g.weights.tolist() == np.asarray(given, dtype=np.float64).tolist()
+    base[:] = 7.0  # the views' base stays writable
+    # a refused array is left writable
+    w = np.array([0.1, -0.2, 0.3])
+    with pytest.raises(PreconditionError):
+        Measure(3, w)
+    w[0] = 0.0
+
+
+@pytest.mark.parametrize("weights", [
+    np.random.default_rng(5).standard_normal(1000),
+    -np.abs(np.random.default_rng(6).standard_normal(999)),
+    np.abs(np.random.default_rng(7).standard_normal(17)),
+    np.zeros(8), np.full(8, -0.0), np.array([0.0, -0.0, 0.0]), np.array([-0.0, 0.0]),
+    np.array([-3.0]), np.array([2.0, -2.0]), np.array([-5e-324, 0.0]),
+])
+def test_sup_norm_is_max_abs(weights):
+    want = float(np.max(np.abs(weights)))
+    got = Measure(weights.size, weights.copy(), signed=True).sup_norm()
+    assert type(got) is float
+    assert repr(got) == repr(want)
 
 
 @given(

@@ -612,7 +612,7 @@ def _defaulted_parameters(trees: dict[str, ast.Module]) -> set[str]:
 
 
 # the defaulted parameters of src besides _DEFAULT_EXCEPTIONS
-_DEFAULTED = {"cli._word(end)", "cli._numeric_rows(join)", "cli._emit_error(stage)",
+_DEFAULTED = {"cli._word(end)", "cli._emit_error(stage)",
               "measures.load_measure_csv(signed)", "measures.load_measure_csv(base)"}
 
 
