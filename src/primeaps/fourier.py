@@ -17,12 +17,12 @@ the rest is its exact conjugate mirror, so every spectrum is exactly
 Hermitian. `idft` inverts a Hermitian spectrum to real weights with one
 convolution of the same kind, reading only r <= N/2. Both use the chirp
 and kernel transform of `_chirp_plan`, built once per N. Counts on integer
-sets run at powers of two: `set_convolution` forms the linear convolution
-at the power of two >= 2 max(S) + 1, from which both the line count and
-the Z_N count (after folding mod N) are read. `self_triple_count` counts
-the 3APs of one real measure from the same padded self-convolution, at the
-power of two >= 2N - 1, folded mod N: it reads only the measure's weights,
-never a cached spectrum.
+sets run at powers of two: `set_convolution` forms the exact linear
+self-convolution of a set's indicator at the power of two >= 2 max(S) + 1,
+from which the line count is read. `self_triple_count` counts the 3APs of
+one real measure from the same padded self-convolution, at the power of
+two >= 2N - 1, folded mod N: it reads only the measure's weights, never a
+cached spectrum.
 
 The torus-grid path is separate. `wedge_grid` evaluates f^ on the grid j/M
 with one length-M rfft, completed by Hermitian symmetry, since the weights
@@ -410,21 +410,18 @@ def _self_convolution(u: np.ndarray) -> np.ndarray:
     return np.fft.irfft(FU, P)[:L]
 
 
-def set_convolution(S: np.ndarray, N: int) -> np.ndarray:
-    """(1_S * 1_S)(k) = #{(s, t) in S x S : s + t = k} for k = 0..2N-2,
-    exactly, for an integer set S inside [0, N).
+def set_convolution(S: np.ndarray) -> np.ndarray:
+    """(1_S * 1_S)(k) = #{(s, t) in S x S : s + t = k} for
+    k = 0..2 max(S), exactly, for a set S of integers >= 0.
 
     One zero-padded linear convolution (`_self_convolution`) of the
     indicator of S on [0, max S], at the power of two P >= 2 max(S) + 1;
-    the values past 2 max(S) are 0, and an empty S takes no transform.
-    Every value is rounded to an integer, and a value 0.25 or more away
-    from its integer raises StageError instead of being rounded away.
+    an empty S gives an empty array and takes no transform. Every value
+    is rounded to an integer, and a value 0.25 or more away from its
+    integer raises StageError instead of being rounded away.
     """
-    if N < 1:
-        raise ParameterError(f"N must be >= 1, got {N}")
-    out = np.zeros(2 * N - 1, dtype=np.int64)
     if len(S) == 0:
-        return out
+        return np.zeros(0, dtype=np.int64)
     u = np.zeros(int(np.max(S)) + 1, dtype=np.float64)
     u[S] = 1.0
     conv = _self_convolution(u)
@@ -436,8 +433,7 @@ def set_convolution(S: np.ndarray, N: int) -> np.ndarray:
             f"set convolution is {residual:.3g} from an integer "
             f"(length {conv.size}, tolerance {INTEGRALITY_TOL})",
         )
-    out[:conv.size] = rounded
-    return out
+    return rounded.astype(np.int64)
 
 
 def self_triple_count(f: Measure) -> float:

@@ -4,13 +4,12 @@ the set-like sup chain, exact 3AP counting, and the closing inequality,
 plus the base-3 progression-free set used as control input.
 
 Counts are ordered (x, d) pairs with d = 0 included in 'total'; the
-nontrivial count removes the diagonal. On integer sets both kinds are read
-from one exact linear convolution (1_A * 1_C)(k), since x, x+d, x+2d in
-A, B, C means x + z = 2y with y in B: the integer-line count sums it at
-k = 2y, the Z_N count sums it at k = 2y mod N after folding k mod N.
-A set that needs only its line count (the source) is counted on each
-parity class apart (`line_3aps`), since x + z = 2y forces x = z (mod 2).
-Every Z_N transform goes through `fourier`.
+nontrivial count removes the diagonal. An integer set is counted on the
+line by `line_3aps`, from exact linear convolutions: x, x+d, x+2d in S
+means x + z = 2y with y in S, and x = z (mod 2), so each parity class
+takes its own. The W-trick image A lies in [1, N/2] with N an odd prime,
+so its count in Z_N is that line count. Every Z_N transform goes through
+`fourier`.
 """
 
 from __future__ import annotations
@@ -127,6 +126,10 @@ def w_trick(A0, table: sieve.PrimeTable, W: int, n: int) -> WTrickResult:
     sel = A0[A0 % m == b]
     A = (sel - b) // m
     A = A[(A >= 1) & (A <= N // 2)]
+    if A.size == 0:
+        raise DegenerateInputError(
+            f"A is empty: no prime p <= n = {n} in the class b = {b} mod "
+            f"m = {m} has (p - b)/m in [1, floor(N/2)] = [1, {N // 2}]")
     return WTrickResult(
         A=A,
         b=b,
@@ -314,16 +317,10 @@ class Count3APs:
     nontrivial: float
 
 
-def _int_set(x) -> np.ndarray:
-    if isinstance(x, (set, frozenset)):
-        x = sorted(x)
-    return np.unique(np.asarray(x, dtype=np.int64))
-
-
 def count_3aps(a: Measure) -> Count3APs:
     """Count ordered triples (x, x+d, x+2d) in Z_N weighted by the measure
     a: the float total (d=0 included) and its nontrivial part. Integer sets
-    are counted by `count_set_3aps`.
+    are counted by `line_3aps`.
     """
     total = triple_count(a, a, a)
     return Count3APs(total=total, nontrivial=total - diagonal_cube_sum(a))
@@ -337,7 +334,7 @@ def line_3aps(S) -> Count3APs:
     takes its own `set_convolution`, at the power of two
     >= 2 max(S_c) + 1, about half the line of S.
     """
-    S = _int_set(S)
+    S = np.unique(np.asarray(S, dtype=np.int64))
     if S.size and S.min() < 0:
         raise ParameterError("set elements must be >= 0")
     line = 0
@@ -345,30 +342,10 @@ def line_3aps(S) -> Count3APs:
         half = (S[S % 2 == c] - c) // 2
         if half.size == 0:
             continue
-        top = int(half[-1])
-        conv = set_convolution(half, top + 1)
+        conv = set_convolution(half)
         k = S - c
-        line += int(conv[k[(k >= 0) & (k <= 2 * top)]].sum())
+        line += int(conv[k[(k >= 0) & (k < conv.size)]].sum())
     return Count3APs(total=line, nontrivial=line - S.size)
-
-
-def count_set_3aps(S, *, N: int) -> tuple[Count3APs, Count3APs]:
-    """The (Z_N, integer-line) 3AP counts of an integer set S in [0, N),
-    both read from one exact linear convolution 1_S * 1_S
-    (fourier.set_convolution, at the power of two >= 2 max(S) + 1) summed
-    over y in S: at 2y for the line, at 2y mod N after folding the
-    convolution mod N for Z_N.
-    """
-    S = _int_set(S)
-    if S.size and (S.min() < 0 or S.max() >= N):
-        raise ParameterError(f"set elements must lie in [0, {N})")
-    conv = set_convolution(S, N)
-    folded = conv[:N].copy()
-    folded[: N - 1] += conv[N:]
-    wrapped = int(folded[(2 * S) % N].sum())
-    line = int(conv[2 * S].sum())
-    return (Count3APs(total=wrapped, nontrivial=wrapped - S.size),
-            Count3APs(total=line, nontrivial=line - S.size))
 
 
 def diagonal_cube_sum(mu: Measure) -> float:
@@ -721,7 +698,11 @@ def density_experiment(
         terms *= defect
         spectral_diff = float(np.sum(terms).real / wt.N)
         del terms, defect
-        exact_wrapped, exact_line = count_set_3aps(wt.A, N=wt.N)
+        # A lies in [1, N/2] with N an odd prime (N = 2 needs n < m, which
+        # leaves A empty and w_trick refuses), so x + z and 2y lie in
+        # [2, N - 1], where congruence mod N is equality, and A's Z_N
+        # count is its line count
+        exact = line_3aps(wt.A)
         report["counts"] = {
             "triple_a": t_a.total,
             "triple_a_nontrivial": t_a.nontrivial,
@@ -730,10 +711,10 @@ def density_experiment(
             "spectral_difference": spectral_diff,
             "difference_residual": abs((t_a.total - t_a1.total) - spectral_diff),
             "diagonal_mu_cubed": diagonal_cube_sum(mu),
-            "A_3aps_wrapped_nontrivial": int(exact_wrapped.nontrivial),
-            "A_3aps_line_nontrivial": int(exact_line.nontrivial),
+            "A_3aps_wrapped_nontrivial": exact.nontrivial,
+            "A_3aps_line_nontrivial": exact.nontrivial,
             # on the line no triple is its own reversal
-            "A_3aps_unordered": exact_line.nontrivial // 2,
+            "A_3aps_unordered": exact.nontrivial // 2,
         }
     with _stage("bounds"):
         consts = report["params"]["constants"]

@@ -9,8 +9,10 @@ and by direct summation, Brun's truncated inclusion-exclusion, the
 exponential sum f^(theta) by compensated summation, the kernels tau and
 Fejer, the major-arc main term q^(-1) sigma_{a,q} tau(theta - a/q), the
 minor-arc bounds and the Weyl min-sum, the interpolated L^p bound of each
-dyadic piece, a brute-force 3AP test, and the greedy progression-free
-pass and Behrend digit-sphere search that the base-3 set is held to.
+dyadic piece, a brute-force 3AP test, the exact 3AP counts of an integer
+set in Z_N and on the line by direct summation (`count_set_3aps`), and the
+greedy progression-free pass and Behrend digit-sphere search that the
+base-3 set is held to.
 
 All bound formulas are evaluated with implicit constant 1; the tests check
 the formulas themselves (values, decay in their parameters, input
@@ -37,7 +39,7 @@ from primeaps.measures import (
     rough_prefactor,
 )
 from primeaps.numutil import e, fsum_real
-from primeaps.roth import BEHREND_MIN_N
+from primeaps.roth import BEHREND_MIN_N, Count3APs
 
 
 class DomainError(ValueError):
@@ -557,6 +559,24 @@ def has_3ap_line(S) -> bool:
                 if (x + z) // 2 != x and (x + z) // 2 != z:
                     return True
     return False
+
+
+def count_set_3aps(S, *, N: int) -> tuple[Count3APs, Count3APs]:
+    """The (Z_N, integer-line) 3AP counts of an integer set S in [0, N), by
+    direct summation: every pair sum s + t, from np.add.outer, is tallied
+    by bincount, on the line at k and in Z_N at k mod N, and summed over y
+    in S at 2y and at 2y mod N. No transform is taken, so it shares no code
+    with `roth.line_3aps`, the count the program takes."""
+    if isinstance(S, (set, frozenset)):
+        S = sorted(S)
+    S = np.unique(np.asarray(S, dtype=np.int64))
+    if S.size and (S.min() < 0 or S.max() >= N):
+        raise ParameterError(f"set elements must lie in [0, {N})")
+    sums = np.add.outer(S, S).ravel()
+    line = int(np.bincount(sums, minlength=2 * N - 1)[2 * S].sum())
+    wrapped = int(np.bincount(sums % N, minlength=N)[(2 * S) % N].sum())
+    return (Count3APs(total=wrapped, nontrivial=wrapped - S.size),
+            Count3APs(total=line, nontrivial=line - S.size))
 
 
 def greedy_free(values) -> list[int]:

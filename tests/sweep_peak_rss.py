@@ -51,6 +51,8 @@ SPANS = [
     (fourier, "mz_ratio"),
     (fourier, "spectrum"),
     (fourier, "idft"),
+    (fourier, "self_triple_count"),
+    (roth, "line_3aps"),
     (arcs, "sup_diff_scan"),
     (roth, "density_experiment"),
     (cli.Emitter, "table"),

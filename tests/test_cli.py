@@ -564,6 +564,24 @@ def test_stage_error_exit_3(tmp_path, capsys, monkeypatch):
     assert err["stage"] == "transform"
 
 
+@pytest.mark.parametrize("n, W", [("5", "3"), ("105", "7")])
+def test_empty_w_trick_image_exits_3_at_w_trick(n, W, tmp_path, capsys):
+    # N = 2, and no prime of the chosen class maps into [1, floor(N/2)]:
+    # the run stops at the w-trick stage, before a measure is built, and
+    # the set_A0 table it had handed to the writer is gone
+    out = tmp_path / "nested" / "out"
+    rc = cli.main(["roth-pipeline", "--N", n, "--W", W,
+                   "--output-dir", str(out)])
+    assert rc == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert (err["error"], err["stage"]) == ("compute", "w-trick")
+    assert err["type"] == "StageError"
+    assert "A is empty" in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_output_exit_4(tmp_path, capsys):
     target = tmp_path / "blocker"
     target.write_text("a file, not a directory\n")

@@ -616,8 +616,12 @@ def test_self_triple_count_matches_brute_and_spectral(N, transforms):
         assert abs(got - fourier.triple_count(f, f, f)) <= tol
 
 
-def _brute_set_convolution(S, N):
-    out = np.zeros(2 * N - 1, dtype=np.int64)
+def _brute_set_convolution(S, length=None):
+    """#{(s, t) in S x S : s + t = k} for k < length, by default
+    2 max(S) + 1 (0 for an empty S)."""
+    if length is None:
+        length = 2 * int(max(S)) + 1 if len(S) else 0
+    out = np.zeros(length, dtype=np.int64)
     for s in S:
         for t in S:
             out[s + t] += 1
@@ -629,32 +633,36 @@ def test_set_convolution_matches_brute(N):
     # 31 and 97 are prime; 2N-1 = 65 and 1025 sit just above 64 and 1024
     rng = np.random.default_rng(N)
     S = np.flatnonzero(rng.random(N) < 0.4)
-    assert np.array_equal(fourier.set_convolution(S, N),
-                          _brute_set_convolution(S, N))
+    assert np.array_equal(fourier.set_convolution(S),
+                          _brute_set_convolution(S))
 
 
 def test_set_convolution_runs_at_a_power_of_two(transforms):
-    # sized by the set, not by N: the power of two >= 2 max(S) + 1
+    # sized by the set: k runs to 2 max(S), at the power of two above it
     S = np.array([0, 3, 5, 6, 12])
-    assert fourier.set_convolution(S, 513).size == 2 * 513 - 1
-    assert fourier.set_convolution(S[:3], 512).size == 2 * 512 - 1
+    assert fourier.set_convolution(S).size == 2 * 12 + 1
+    assert fourier.set_convolution(S[:3]).size == 2 * 5 + 1
     assert transforms == [("rfft", 32), ("irfft", 32),
                           ("rfft", 16), ("irfft", 16)]
 
 
 @pytest.mark.parametrize("S, N, lengths", [
-    ([], 5, []),            # empty: all zeros, no transform
+    ([], 5, []),            # empty: no values, no transform
     ([], 1, []),
-    ([0], 1, [1]),          # N = 1
-    ([0], 4, [1]),          # S = {0}
-    ([0, 32], 33, [128]),   # max S = N - 1
+    ([0], 1, [1]),          # S = {0}
+    ([0], 4, [1]),
+    ([0, 32], 33, [128]),   # 2 max S + 1 = 65, just above 64
     ([32], 33, [128]),
 ])
 def test_set_convolution_edges(S, N, lengths, transforms):
+    # N is any bound above S: the sums past 2 max S, up to 2N - 2, are 0
     S = np.array(S, dtype=np.int64)
-    got = fourier.set_convolution(S, N)
+    got = fourier.set_convolution(S)
     assert got.dtype == np.int64
-    assert np.array_equal(got, _brute_set_convolution(S, N))
+    assert np.array_equal(got, _brute_set_convolution(S))
+    padded = _brute_set_convolution(S, 2 * N - 1)
+    assert np.array_equal(padded[:got.size], got)
+    assert not padded[got.size:].any()
     assert transforms == [(name, P) for P in lengths
                           for name in ("rfft", "irfft")]
 
@@ -665,16 +673,11 @@ def test_set_convolution_integrality_guard(monkeypatch):
     monkeypatch.setattr(np.fft, "irfft",
                         lambda *a, **k: original(*a, **k) + 0.3)
     with pytest.raises(StageError, match="integer"):
-        fourier.set_convolution(S, 8)
+        fourier.set_convolution(S)
     monkeypatch.setattr(np.fft, "irfft",
                         lambda *a, **k: original(*a, **k) + 0.2)
-    assert fourier.set_convolution(S, 8).tolist() == \
-        _brute_set_convolution(S, 8).tolist()
-
-
-def test_set_convolution_needs_positive_N():
-    with pytest.raises(ParameterError):
-        fourier.set_convolution(np.array([], dtype=np.int64), 0)
+    assert fourier.set_convolution(S).tolist() == \
+        _brute_set_convolution(S).tolist()
 
 
 # --- ratio diagnostics -------------------------------------------------------

@@ -104,6 +104,25 @@ def test_w_trick_rejections(small_table):
         roth.w_trick([3, 5], small_table, W=0, n=5)
 
 
+@pytest.mark.parametrize("n, W, b, m", [(5, 3, 5, 6), (105, 7, 103, 210)])
+def test_w_trick_refuses_an_empty_image(n, W, b, m, small_table):
+    # N = 2 here, and no prime of the class b mod m maps into [1, 1]
+    ps = small_table.primes_up_to(n)
+    with pytest.raises(DegenerateInputError) as err:
+        roth.w_trick(ps, small_table, W=W, n=n)
+    msg = str(err.value)
+    assert f"b = {b}" in msg and f"m = {m}" in msg and "[1, 1]" in msg
+    stash = {}
+    with pytest.raises(StageError) as err:
+        roth.density_experiment("primes", n, small_table,
+                                keep=stash.__setitem__, **_FLAGS | {"W": W})
+    assert err.value.stage == "w-trick"
+    assert isinstance(err.value.__cause__, DegenerateInputError)
+    # the source stage ran; no later stage did
+    assert list(stash) == ["A0"]
+    assert np.array_equal(stash["A0"], ps)
+
+
 def test_w_modulus_is_the_primorial(small_table):
     for W in range(-2, 40):
         want = 1
@@ -379,13 +398,13 @@ def test_line_count_halves_to_the_unordered_count(data, N):
     # density_experiment reports A_3aps_unordered as the line's
     # nontrivial // 2: on the line no progression is its own reversal
     S = data.draw(st.sets(st.integers(0, N - 1)))
-    _, line = roth.count_set_3aps(sorted(S), N=N)
+    _, line = paper.count_set_3aps(sorted(S), N=N)
     assert line.nontrivial % 2 == 0
     assert line.nontrivial // 2 == _brute_line_unordered(S)
 
 
 def test_count_3aps_worked_example():
-    c, line = roth.count_set_3aps({0, 1, 2}, N=7)
+    c, line = paper.count_set_3aps({0, 1, 2}, N=7)
     assert (c.total, c.nontrivial) == (5, 2)
     # one unordered progression, read off the line count
     assert (line.nontrivial, line.nontrivial // 2) == (2, 1)
@@ -396,7 +415,7 @@ def test_count_3aps_wrapped_matches_brute():
     for N in (7, 17, 101):
         for _ in range(8):
             S = set(int(v) for v in rng.choice(N, size=N // 3, replace=False))
-            c, _ = roth.count_set_3aps(sorted(S), N=N)
+            c, _ = paper.count_set_3aps(sorted(S), N=N)
             assert c.total == _brute_wrapped(S, N)
             assert c.nontrivial == c.total - len(S)
 
@@ -407,7 +426,7 @@ def test_count_3aps_line_matches_brute():
         for _ in range(8):
             S = set(int(v) for v in rng.choice(N, size=max(3, N // 3),
                                                replace=False))
-            _, c = roth.count_set_3aps(sorted(S), N=N)
+            _, c = paper.count_set_3aps(sorted(S), N=N)
             assert c.nontrivial == _brute_line_nontrivial(S)
             assert c.total == c.nontrivial + len(S)
 
@@ -417,7 +436,7 @@ def test_count_3aps_line_matches_brute():
 def test_count_3aps_padded_route_matches_brute(N):
     rng = np.random.default_rng(N)
     S = set(int(v) for v in rng.choice(N, size=N // 3, replace=False))
-    own_wrapped, own = roth.count_set_3aps(sorted(S), N=N)
+    own_wrapped, own = paper.count_set_3aps(sorted(S), N=N)
     if N <= 100:
         assert own_wrapped.total == _brute_wrapped(S, N)
     assert own.nontrivial == _brute_line_nontrivial(S)
@@ -427,21 +446,13 @@ def test_count_3aps_padded_route_matches_brute(N):
 
 
 @pytest.mark.parametrize("N", [8, 31, 64])
-def test_count_set_3aps_reads_both_counts_from_one_convolution(N, monkeypatch):
+def test_count_set_3aps_matches_brute_at_even_and_odd_N(N):
     rng = np.random.default_rng(N + 1)
     S = sorted(set(int(v) for v in rng.choice(N, size=N // 3, replace=False)))
-    calls = []
-    original = roth.set_convolution
-
-    def counted(*args):
-        calls.append(args[-1])
-        return original(*args)
-
-    monkeypatch.setattr(roth, "set_convolution", counted)
-    wrapped, line = roth.count_set_3aps(S, N=N)
-    assert calls == [N]
+    wrapped, line = paper.count_set_3aps(S, N=N)
     assert wrapped.total == _brute_wrapped(set(S), N)
     assert line.nontrivial == _brute_line_nontrivial(set(S))
+
 
 def _parity_sets():
     """Sets of every parity shape: with 0, with 2, all odd, all even, mixed."""
@@ -461,7 +472,7 @@ def test_line_3aps_matches_brute_on_each_parity_shape():
         assert c.nontrivial == _brute_line_nontrivial(set(S))
         assert c.total == c.nontrivial + len(S)
         if S:
-            _, line = roth.count_set_3aps(S, N=max(S) + 1)
+            _, line = paper.count_set_3aps(S, N=max(S) + 1)
             assert c == line
 
 
@@ -470,9 +481,9 @@ def test_line_3aps_takes_one_convolution_per_parity_class(monkeypatch):
     calls = []
     original = roth.set_convolution
 
-    def counted(S, N):
-        calls.append(N)
-        return original(S, N)
+    def counted(S):
+        calls.append(int(S.max()) + 1)
+        return original(S)
 
     monkeypatch.setattr(roth, "set_convolution", counted)
     roth.line_3aps([3, 5, 7, 11, 13])
@@ -487,8 +498,49 @@ def test_line_3aps_takes_one_convolution_per_parity_class(monkeypatch):
         roth.line_3aps([-1, 3])
 
 
+_ODD_PRIMES = [p for p in range(3, 501)
+               if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+# odd primes N <= 500, and sets inside [1, N/2] of sizes 0 to N // 2
+@given(data=st.data(), N=st.sampled_from(_ODD_PRIMES))
+@settings(max_examples=60, deadline=None)
+def test_zn_count_is_the_line_count_inside_half_of_n(data, N):
+    # x + z and 2y lie in [2, N - 1], where congruence mod N is equality,
+    # so the counts stage reads A's Z_N count off line_3aps
+    A = sorted(data.draw(st.sets(st.integers(1, N // 2))))
+    wrapped, line = paper.count_set_3aps(A, N=N)
+    assert wrapped == line == roth.line_3aps(A)
+
+
+def test_zn_count_exceeds_the_line_count_past_half_of_n():
+    # 5 > 7/2: 1, 5, 9 = 2 (mod 7) is a 3AP of Z_7 and not of the line
+    wrapped, line = paper.count_set_3aps([1, 2, 5], N=7)
+    assert line == roth.line_3aps([1, 2, 5])
+    assert line.nontrivial == 0 < wrapped.nontrivial
+
+
+@pytest.mark.filterwarnings("ignore::primeaps.errors.DeskScaleWarning")
+@pytest.mark.parametrize("source", roth.SOURCES)
+def test_pipeline_zn_count_is_the_line_count(source, small_table):
+    # the W-trick puts A inside [1, N/2] with N an odd prime, where the
+    # oracle's Z_N and line counts agree with the one count reported
+    for W in (1, 2, 3, 5):
+        stash = {}
+        rep = roth.density_experiment(source, 2000, small_table,
+                                      keep=stash.__setitem__, **_FLAGS | {"W": W})
+        N, A = rep["w_trick"]["N"], stash["A"]
+        assert N % 2 == 1 and 1 <= A.min() and A.max() <= N // 2
+        wrapped, line = paper.count_set_3aps(A, N=N)
+        counts = rep["counts"]
+        assert wrapped.nontrivial == line.nontrivial == \
+            counts["A_3aps_wrapped_nontrivial"] == \
+            counts["A_3aps_line_nontrivial"], (source, W)
+        assert counts["A_3aps_unordered"] == line.nontrivial // 2
+
+
 def test_count_3aps_even_modulus_self_paired():
-    c, _ = roth.count_set_3aps({0, 2}, N=4)
+    c, _ = paper.count_set_3aps({0, 2}, N=4)
     assert (c.total, c.nontrivial) == (4, 2)
 
 
@@ -510,7 +562,7 @@ def test_count_3aps_measure_route():
 
 def test_count_3aps_validation():
     with pytest.raises(ParameterError):
-        roth.count_set_3aps({0, 9}, N=9)
+        paper.count_set_3aps({0, 9}, N=9)
 
 
 def test_has_3ap_line():
@@ -548,7 +600,7 @@ def test_varnavides_alpha_one():
     assert vb.M == 2
     assert vb.z_lower == pytest.approx(64**2 / 32.0)
     # the full interval certainly meets the 3AP lower bound
-    _, c = roth.count_set_3aps(list(range(64)), N=64)
+    _, c = paper.count_set_3aps(list(range(64)), N=64)
     assert c.nontrivial >= vb.z_lower
 
 
@@ -867,11 +919,18 @@ def _pow2_above(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
+def _class_powers(S) -> list[int]:
+    """The power of two each nonempty parity class of S is counted at:
+    halved, (s - c) // 2 = s // 2, then >= 2 max + 1."""
+    return [_pow2_above(2 * int(h.max()) + 1)
+            for h in (S[S % 2 == c] // 2 for c in (0, 1)) if h.size]
+
+
 def test_density_experiment_transforms(small_table, monkeypatch, transforms):
     # one granularization; no transform at the prime N: one chirp plan,
     # then one convolution at its 5-smooth length L for each of a~, mu~,
     # beta~ and the inverse of a~ beta~^2; every count runs at a power of
-    # two, the source's one parity class at a time
+    # two, the source's and A's one parity class at a time
     grans = []
     original = roth.granularize
 
@@ -888,10 +947,7 @@ def test_density_experiment_transforms(small_table, monkeypatch, transforms):
     N = rep["w_trick"]["N"]
     assert len(grans) == 1
     A0 = stash["A0"]
-    # the parity classes of the source, halved: (s - c) // 2 = s // 2
-    classes = [A0[A0 % 2 == c] // 2 for c in (0, 1)]
-    source = [_pow2_above(2 * int(h.max()) + 1) for h in classes if h.size]
-    counts_A = _pow2_above(2 * int(stash["A"].max()) + 1)
+    source, counts_A = _class_powers(A0), _class_powers(stash["A"])
     count_a1 = _pow2_above(2 * N - 1)
     L = fourier._smooth_length(N + N // 2)
     assert transforms == [
@@ -903,11 +959,12 @@ def test_density_experiment_transforms(small_table, monkeypatch, transforms):
         ("fft", L), ("ifft", L),                    # beta~
         ("fft", L), ("ifft", L),                    # a1 = a * beta * beta
         ("rfft", count_a1), ("irfft", count_a1),    # a1's 3AP count
-        ("rfft", counts_A), ("irfft", counts_A),    # A's Z_N and line counts
+        # A's line count, which is its Z_N count, one parity class at a time
+        *((name, P) for P in counts_A for name in ("rfft", "irfft")),
     ]
     # 2 is in this source, so the even class is {1}; the odd class runs
     # at half the power of two the whole line would take
     assert source == [4, _pow2_above(2 * int(A0.max()) + 1) // 2]
-    # A sits inside [1, N/2], so its counts run below a1's
-    assert counts_A < count_a1
+    # A sits inside [1, N/2], so both its classes run below a1's count
+    assert len(counts_A) == 2 and max(counts_A) < count_a1
     assert stash["bohr"].beta() is stash["bohr"].beta()
