@@ -636,11 +636,13 @@ def _float_cells(values: np.ndarray, memo: dict) -> np.ndarray:
 
 
 def _numeric(block: list, finite: bool) -> list | None:
-    """The block, with float arrays as contiguous float64, if every
-    column is an int or float array (with only finite floats when
-    `finite`); None for any other block."""
+    """The block, with float arrays as contiguous float64 and a range as an
+    int64 array, if every column is a range or an int or float array (with
+    only finite floats when `finite`); None for any other block."""
     out = []
     for values in block:
+        if isinstance(values, range):
+            values = np.arange(values.start, values.stop, values.step, dtype=np.int64)
         kind = values.dtype.kind if isinstance(values, np.ndarray) else None
         if kind == "f":
             values = np.ascontiguousarray(values, dtype=np.float64)
@@ -851,8 +853,10 @@ class Emitter:
         self._write("manifest.json", [_json_bytes(obj)])
         self.commit()
 
-    def raw(self, name: str, data: bytes) -> None:
-        self._record(name, [data])
+    def raw(self, name: str, chunks) -> None:
+        """The file `name`, the chunks as they are, in order; see
+        _staged_write for what a chunk may be."""
+        self._record(name, chunks)
 
     def measure(self, stem: str, f: measures.Measure) -> None:
         self.table(stem, ["index", "weight"], [f.positions(), f.weights])
@@ -933,6 +937,9 @@ def _run_measure_build(cfg: argparse.Namespace, em: Emitter):
         lamq = measures.lambda_q_measure(params, Q, table)
         em.measure(f"measure_rough_Q{Q}", lamq)
         rough_totals[str(Q)] = lamq.total
+        # the loop variable would keep the last rough measure, N floats,
+        # alive through the split below
+        del lamq
     if rough_totals:
         results["rough_totals"] = rough_totals
     if K is not None:
@@ -951,9 +958,9 @@ def _run_measure_build(cfg: argparse.Namespace, em: Emitter):
         effective["A"] = measures.a_exponent(cfg.p_exponent)
         effective["K"] = K
         results["dyadic_pieces"] = len(norms)
-        results["reconstruction_max_err"] = float(
-            np.max(np.abs(recon - lam.weights))
-        )
+        # |recon - lambda| in recon's own buffer, which nothing reads after
+        np.subtract(recon, lam.weights, out=recon)
+        results["reconstruction_max_err"] = float(np.abs(recon, out=recon).max())
     return effective, results
 
 

@@ -85,11 +85,12 @@ class Measure:
         # Measure takes without a copy
         return np.roll(self.weights, 1, axis=0)
 
-    def positions(self) -> np.ndarray:
-        """The ambient point n (or residue x) held at each array index."""
+    def positions(self) -> range:
+        """The ambient point n (or residue x) held at each array index, as
+        a range, so that no N-long index array is made to name them."""
         if self.base == BASE_ONE:
-            return np.arange(1, self.N + 1, dtype=np.int64)
-        return np.arange(self.N, dtype=np.int64)
+            return range(1, self.N + 1)
+        return range(self.N)
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """(positions, weights) of the nonzero weights, positions ascending
@@ -277,8 +278,11 @@ def dyadic_pieces(
 
     Each piece goes to take(j, psi_j) as soon as it is made, in order of j,
     and none is kept, so the split holds one piece at a time whatever K is.
-    The pieces telescope back to lambda exactly (lambda^{(1)} = 0). The
-    rough supports are sieved incrementally, one pass over primes <= 2^K.
+    psi_j is written into the buffer of lambda^{(2^{j-1})}, which no later
+    level reads, so a level allocates only its rough measure, and the tail
+    piece none. The pieces telescope back to lambda exactly (lambda^{(1)}
+    = 0). The rough supports are sieved incrementally, one pass over primes
+    <= 2^K.
     """
     b, m, N = params.b, params.m, params.N
     K = dyadic_cutoff(N, p)
@@ -300,10 +304,12 @@ def dyadic_pieces(
             inv_mert /= 1.0 - 1.0 / p
         strike_divisible(keep, b, m, ps[ps <= cap])
         cur = np.where(keep[1:], inv_mert / N, 0.0)
-        take(j, Measure(N, cur - prev, signed=True, base=BASE_ONE))
+        take(j, Measure(N, np.subtract(cur, prev, out=prev), signed=True,
+                        base=BASE_ONE))
         prev = cur
         lo = hi
-    take(K + 1, Measure(N, lam.weights - prev, signed=True, base=BASE_ONE))
+    take(K + 1, Measure(N, np.subtract(lam.weights, prev, out=prev), signed=True,
+                        base=BASE_ONE))
     return K
 
 
@@ -384,21 +390,24 @@ def _checked_measure(N: int, w: np.ndarray, signed: bool, base: str) -> Measure:
     return measure
 
 
-def measure_to_bytes(measure: Measure) -> bytes:
-    """The `PMSR` binary form: magic, N (uint64 LE), signed flag, base
-    flag, then the weights as little-endian float64. The CLI writes these
-    bytes atomically through `cli.Emitter.raw`."""
+def measure_to_bytes(measure: Measure) -> tuple[bytes, np.ndarray]:
+    """The `PMSR` binary form, as two chunks whose concatenation is the
+    file: the header (magic, N as uint64 LE, signed flag, base flag) and
+    the weights as little-endian float64, given as a uint8 view of the
+    weights' own buffer (copied only on a big-endian machine). The CLI
+    writes the chunks atomically through `cli.Emitter.raw`."""
     base_code = 0 if measure.base == BASE_ONE else 1
     header = _BINARY_MAGIC + struct.pack(
         "<QBB", measure.N, int(measure.signed), base_code
     )
-    return header + measure.weights.astype("<f8").tobytes()
+    return header, measure.weights.astype("<f8", copy=False).view(np.uint8)
 
 
 def measure_from_bytes(blob: bytes) -> Measure:
-    """Inverse of measure_to_bytes. A wrong magic, a truncated header, a
-    flag byte other than 0 or 1, a payload of the wrong size or weights no
-    measure holds (see _checked_measure) raise ParameterError."""
+    """Inverse of measure_to_bytes, given its chunks joined. A wrong
+    magic, a truncated header, a flag byte other than 0 or 1, a payload of
+    the wrong size or weights no measure holds (see _checked_measure)
+    raise ParameterError."""
     head = len(_BINARY_MAGIC) + struct.calcsize("<QBB")
     if blob[: len(_BINARY_MAGIC)] != _BINARY_MAGIC:
         raise ParameterError("not a measure binary file")

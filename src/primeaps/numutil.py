@@ -4,6 +4,7 @@ seeded per-stage random streams."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -18,14 +19,22 @@ def e(x: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * frac)
 
 
+FSUM_CHUNK = 1 << 16  # values that fsum_real turns into Python floats at a time
+
+
 def fsum_real(values) -> float:
     """Exactly rounded sum of real values (compensated summation).
 
     Only the nonzero values are summed: a +-0.0 term adds nothing to
     math.fsum, and most weights of a measure on a sparse support are 0.
+    One math.fsum reads them in order, FSUM_CHUNK values at a time, so the
+    sum, and any OverflowError or ValueError, is that of math.fsum over
+    the whole list, while no more than one chunk is held as Python floats.
     """
-    arr = np.asarray(values, dtype=float)
-    return math.fsum(arr[arr != 0].tolist())
+    arr = np.asarray(values, dtype=float).ravel()
+    chunks = (arr[lo:lo + FSUM_CHUNK] for lo in range(0, arr.size, FSUM_CHUNK))
+    return math.fsum(itertools.chain.from_iterable(
+        chunk[chunk != 0].tolist() for chunk in chunks))
 
 
 def loglog_clamped(q: float) -> float:

@@ -349,8 +349,10 @@ def line_3aps(S) -> Count3APs:
 
 
 def diagonal_cube_sum(mu: Measure) -> float:
-    """sum_x mu(x)^3, the d=0 diagonal of the trilinear form."""
-    return fsum_real(mu.weights**3)
+    """sum_x mu(x)^3, the d=0 diagonal of the trilinear form. Only the
+    nonzero weights are cubed: a zero weight's cube adds nothing."""
+    nonzero = mu.weights[mu.weights != 0]
+    return fsum_real(np.power(nonzero, 3, out=nonzero))
 
 
 # ---------------------------------------------------------------------------

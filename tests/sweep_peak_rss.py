@@ -8,13 +8,15 @@ this process, while a thread reads the resident set size from
 /proc/self/statm every millisecond. Each `roth._stage` block and
 each library call of SPANS is a span: its peak is the largest size read
 while it was open, its entry and exit sizes included, and its rise is that
-peak less the size at its entry. Prints, per invocation, its exit code,
-wall time, the sampled peak and the process's `ru_maxrss` high-water mark
-(what a manifest's `timings.peak_rss_mb` and the benchmark's `peak_rss_mb`
-read), then each span's calls, largest peak and largest rise, in MB of
-10^6 bytes. The sampler runs only when the interpreter lock is free, as
-during an FFT or a file write, so a peak inside pure-numpy code that holds
-the lock shows only at the next boundary. Without `--output-dir` the files
+peak less the size at its entry; its faults are the process's minor page
+faults (`ru_minflt`, each a fresh page the kernel had to map) from its
+entry to its exit. Prints, per invocation, its exit code, wall time, the
+sampled peak, the process's `ru_maxrss` high-water mark (what a manifest's
+`timings.peak_rss_mb` and the benchmark's `peak_rss_mb` read) and its
+minor faults, then each span's calls, largest peak and largest rise, in MB
+of 10^6 bytes, and largest fault count. The sampler runs only when the interpreter lock is free, as during
+an FFT or a file write, so a peak inside pure-numpy code that holds the
+lock shows only at the next boundary. Without `--output-dir` the files
 go to a temporary directory that is removed afterwards. Linux only (it
 reads /proc); the name keeps pytest from collecting it.
 """
@@ -61,6 +63,11 @@ SPANS = [
 ]
 
 
+def minor_faults() -> int:
+    """The minor page faults of this process so far, all threads."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def rss() -> int:
     """The resident set size of this process, in bytes."""
     with open("/proc/self/statm") as fh:
@@ -73,7 +80,7 @@ class Sampler:
     def __init__(self) -> None:
         self.lock = threading.Lock()
         self.open: dict[int, list] = {}  # id -> [name, entry, peak]
-        self.stats: dict[str, list] = {}  # name -> [calls, peak, rise]
+        self.stats: dict[str, list] = {}  # name -> [calls, peak, rise, faults]
         self.ids = itertools.count()
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
@@ -102,14 +109,17 @@ class Sampler:
         with self.lock:
             key = next(self.ids)
             self.open[key] = [name, size, size]
+        faults = minor_faults()
         try:
             yield
         finally:
+            faults = minor_faults() - faults
             self._see(rss())
             with self.lock:
                 _, entry, peak = self.open.pop(key)
-                calls, top, rise = self.stats.get(name, (0, 0, 0))
-                self.stats[name] = [calls + 1, max(top, peak), max(rise, peak - entry)]
+                calls, top, rise, most = self.stats.get(name, (0, 0, 0, 0))
+                self.stats[name] = [calls + 1, max(top, peak), max(rise, peak - entry),
+                                    max(most, faults)]
 
 
 def install(sampler: Sampler) -> None:
@@ -155,13 +165,15 @@ def invoke(sampler: Sampler, argv: list[str]) -> None:
             code = cli.main(argv)
         wall = time.perf_counter() - t0
     maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    _, peak, rise = sampler.stats.pop("invocation")
+    _, peak, rise, faults = sampler.stats.pop("invocation")
     print(f"exit {code}  {wall:.2f} s  peak {peak / MB:.1f} MB "
-          f"(rise {rise / MB:.1f})  ru_maxrss {maxrss / MB:.1f} MB")
+          f"(rise {rise / MB:.1f})  ru_maxrss {maxrss / MB:.1f} MB  "
+          f"minor faults {faults}")
     width = max([len(name) for name in sampler.stats] + [4])
-    print(f"  {'span':<{width}}  calls  peak MB  rise MB")
-    for name, (calls, peak, rise) in sampler.stats.items():
-        print(f"  {name:<{width}}  {calls:5d}  {peak / MB:7.1f}  {rise / MB:7.1f}")
+    print(f"  {'span':<{width}}  calls  peak MB  rise MB   faults")
+    for name, (calls, peak, rise, faults) in sampler.stats.items():
+        print(f"  {name:<{width}}  {calls:5d}  {peak / MB:7.1f}  {rise / MB:7.1f}"
+              f"  {faults:7d}")
 
 
 def main() -> None:

@@ -298,7 +298,7 @@ def test_sup_diff_scan_profile_and_sup(small_table):
 def _complex_grid(f, M):
     """f^(j/M) for j = 0..M-1 from one complex ifft (the oracle)."""
     pad = np.zeros(M, dtype=np.complex128)
-    pad[f.positions() % M] = f.weights
+    pad[np.asarray(f.positions()) % M] = f.weights
     return M * np.fft.ifft(pad)
 
 

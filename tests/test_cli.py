@@ -1008,6 +1008,35 @@ def test_dyadic_split_holds_one_piece_at_a_time(tmp_path, monkeypatch):
     assert peaks[11] < peaks[1] + 8 * N
 
 
+def test_measure_build_split_holds_no_rough_measure(tmp_path, monkeypatch):
+    # no rough measure outlives its table and total, so --Q 16,256 raises
+    # the split's peak by less than half an array of N floats, where a kept
+    # one adds a whole array. Inside the split a level holds keep (N bytes),
+    # the rough measure of the level before, whose buffer takes psi_j, and
+    # its own: it rises by less than 2.5 arrays of N floats above its entry,
+    # where a fresh psi_j makes three
+    N = 50_000
+    original = measures.dyadic_pieces
+    split = []  # (peak, rise) of each call, as tracemalloc sees them
+
+    def traced(params, lam, p, table, take):
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        K = original(params, lam, p, table, take)
+        peak = tracemalloc.get_traced_memory()[1]
+        split.append((peak, peak - entry))
+        return K
+
+    monkeypatch.setattr(measures, "dyadic_pieces", traced)
+    args = ["measure-build", "--N", str(N), "--p", "3"]
+    _run(args, tmp_path / "first")  # what a process builds once is built
+    for name, flags in (("bare", []), ("rough", ["--Q", "16,256"])):
+        _traced_peak(lambda: _run(args + flags, tmp_path / name))
+    (bare, bare_rise), (rough, rough_rise) = split[1:]
+    assert rough < bare + 4 * N, (bare, rough, 8 * N)
+    assert max(bare_rise, rough_rise) < 2.5 * 8 * N, (bare_rise, rough_rise, 8 * N)
+
+
 def test_transform_scan_frees_its_grid_before_the_ladder(tmp_path):
     # the run's peak is the L^p ladder's own (at oversample 8, one rfft of
     # 16N points) plus less than the smaller grid array, mags, of 8N

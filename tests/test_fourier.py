@@ -93,7 +93,7 @@ def test_real_wedge_grid_matches_the_complex_grid(M, transforms):
     vals = fourier.wedge_grid(f, M)
     assert transforms == [("rfft", M)]
     pad = np.zeros(M, dtype=np.complex128)
-    pad[f.positions() % M] = f.weights
+    pad[np.asarray(f.positions()) % M] = f.weights
     want = M * np.fft.ifft(pad)
     tol = 1e-12 * float(np.max(np.abs(want)))
     assert vals.shape == (M,)
@@ -319,7 +319,7 @@ def test_lp_ladder_warns_when_still_inconsistent_at_the_cap(transforms):
     with pytest.warns(GridConvergenceWarning, match="oversample 16"):
         got = fourier.lp_norm_torus(f, 1.0, TorusGrid(oversample=2))
     calls = transforms.copy()
-    want, stop = _oracle_ladder(f.positions(), np.ones(N), N, 1.0, 2)
+    want, stop = _oracle_ladder(np.asarray(f.positions()), np.ones(N), N, 1.0, 2)
     assert stop == 32
     assert got == pytest.approx(want, rel=1e-12)
     assert _stop_oversample(calls, N) == stop
@@ -335,7 +335,7 @@ def test_even_p_inside_the_exact_bound_takes_one_transform(p, oversample,
         warnings.simplefilter("error", GridConvergenceWarning)
         got = fourier.lp_norm_torus(f, p, TorusGrid(oversample=oversample))
     assert transforms == [("rfft", oversample * N)]
-    want, _ = _oracle_ladder(f.positions(), f.weights, N, p, oversample)
+    want, _ = _oracle_ladder(np.asarray(f.positions()), f.weights, N, p, oversample)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -348,7 +348,7 @@ def test_even_p_outside_the_exact_bound_doubles_once(transforms):
     f = _random_measure(N, rng)
     got = fourier.lp_norm_torus(f, 6.0, TorusGrid(oversample=2))
     assert transforms == [("rfft", 4 * N)]
-    want, _ = _oracle_ladder(f.positions(), f.weights, N, 6.0, 4)
+    want, _ = _oracle_ladder(np.asarray(f.positions()), f.weights, N, 6.0, 4)
     assert got == pytest.approx(want, rel=1e-12)
 
 

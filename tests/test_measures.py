@@ -1,10 +1,11 @@
 import dataclasses
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primeaps.errors import (
@@ -16,7 +17,7 @@ from primeaps.errors import (
 from primeaps import cli, measures, sieve
 from primeaps.arcs import ArcParams
 from primeaps.measures import Measure, MeasureParams
-from primeaps.numutil import fsum_real
+from primeaps.numutil import FSUM_CHUNK, fsum_real
 
 import paper
 
@@ -414,7 +415,7 @@ def test_support_is_the_nonzero_positions(base):
     pos, weights = f.support()
     keep = w != 0
     assert pos.dtype == np.int64
-    assert pos.tolist() == f.positions()[keep].tolist()
+    assert pos.tolist() == np.asarray(f.positions())[keep].tolist()
     assert weights.tolist() == w[keep].tolist()
 
 
@@ -429,7 +430,7 @@ def _fsum_outcome(fn, values):
     try:
         return repr(fn(values))
     except (OverflowError, ValueError) as exc:
-        return type(exc).__name__
+        return f"{type(exc).__name__}: {exc}"
 
 
 @given(st.lists(st.tuples(_SUM_TERMS, st.integers(min_value=1, max_value=6)),
@@ -443,13 +444,39 @@ def test_fsum_real_equals_fsum_of_every_term(runs):
             == _fsum_outcome(math.fsum, values))
 
 
+_CANCELLING = st.sampled_from([2.0**53, -(2.0**53), 1.0, -1.0, 0.5])
+_NEAR_MAX = st.builds(lambda m, sign: sign * m,
+                      st.floats(min_value=1e307, max_value=sys.float_info.max),
+                      st.sampled_from([1.0, -1.0]))
+
+
+@given(size=st.integers(min_value=2 * FSUM_CHUNK - 1, max_value=3 * FSUM_CHUNK + 1),
+       fill=st.sampled_from([0.0, -0.0, 5e-324, -1.5]),
+       placed=st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                                 st.one_of(_SUM_TERMS, _NEAR_MAX, _CANCELLING)),
+                       max_size=10))
+@example(size=2 * FSUM_CHUNK, fill=0.0,
+         placed=[(0.0, 2.0**53), (0.25, 1.0), (0.75, -(2.0**53))])
+@settings(max_examples=40, deadline=None)
+def test_chunked_fsum_real_is_one_fsum_of_the_list(size, fill, placed):
+    # fsum_real hands math.fsum the nonzero values a chunk at a time; across
+    # the chunk ends the sum, and which sums overflow or meet both
+    # infinities, stay those of one math.fsum over the whole list. The
+    # example sums to 1.0, where a sum per chunk would round 2^53 + 1 away
+    values = np.full(size, fill)
+    for where, v in placed:
+        values[int(where * size)] = v
+    assert (_fsum_outcome(fsum_real, values)
+            == _fsum_outcome(math.fsum, values.tolist()))
+
+
 def test_zn_embedding_rolls():
     f = Measure(4, np.array([1.0, 2.0, 3.0, 4.0]))
     # n = 4 maps to x = 0 in Z_4
     assert f.zn_weights().tolist() == [4.0, 1.0, 2.0, 3.0]
     g = f.as_zn()
     assert g.base == measures.BASE_ZN
-    assert g.positions().tolist() == [0, 1, 2, 3]
+    assert g.positions() == range(4)
     assert g.total == f.total
 
 
@@ -564,10 +591,35 @@ def test_measure_io_roundtrip(tmp_path, small_table):
     assert back2.base == lam.base
     assert not back2.signed
 
-    blob = measures.measure_to_bytes(lam)
+    blob = b"".join(measures.measure_to_bytes(lam))
     assert measures.measure_from_bytes(blob).total == lam.total
     with pytest.raises(ParameterError):
         measures.measure_from_bytes(b"nope" + blob)
+
+
+@pytest.mark.parametrize("N", [0, 1, 6])
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("base", [measures.BASE_ONE, measures.BASE_ZN])
+def test_measure_to_bytes_hands_over_the_weights_own_buffer(N, signed, base, tmp_path):
+    # the header and the weights' own buffer, in the bytes that
+    # header + weights.astype("<f8").tobytes() gave, on disk the same
+    rng = np.random.default_rng(N)
+    w = rng.standard_normal(N) if signed else rng.random(N)
+    f = Measure(N, w, signed=signed, base=base)
+    header = b"PMSR" + struct.pack("<QBB", N, int(signed), int(base == measures.BASE_ZN))
+    want = header + f.weights.astype("<f8").tobytes()
+    chunks = measures.measure_to_bytes(f)
+    assert b"".join(chunks) == want
+    assert chunks[0] == header
+    assert np.shares_memory(chunks[1], f.weights) == bool(N)
+    em = cli.Emitter(tmp_path, "csv")
+    em.raw("m.bin", chunks)
+    em.commit()
+    assert (tmp_path / "m.bin").read_bytes() == want
+    assert em.outputs[0]["bytes"] == len(want)
+    back = measures.load_measure_binary(tmp_path / "m.bin")
+    assert (back.N, back.signed, back.base) == (N, signed, base)
+    assert back.weights.tobytes() == f.weights.tobytes()
 
 
 _GOOD_CSV = "index,weight\n1,0.5\n2,0.0\n3,0.25\n"
