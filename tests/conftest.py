@@ -1,4 +1,5 @@
 import argparse
+import math
 
 import numpy as np
 import pytest
@@ -44,21 +45,24 @@ _FFT_1D = ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft")
 
 @pytest.fixture
 def transforms(monkeypatch):
-    """The (name, length) of every 1-D numpy.fft transform taken while the
-    test runs, in call order. The length is the transform's: `n` when it
-    is given, else the input's length, or 2 (m - 1) for irfft and hfft of
-    m bins, as bench/tracing.py reads it. Clear the list to record one
-    call on its own."""
+    """The (name, length, rows) of every 1-D numpy.fft transform taken
+    while the test runs, in call order. The length is the transform's: `n`
+    when it is given, else the input's length along the call's axis, or
+    2 (m - 1) for irfft and hfft of m bins, as bench/tracing.py reads it.
+    The rows are how many transforms of that length one call batches: the
+    input's size over its length along the axis, 1 for a 1-D input. Clear
+    the list to record one call on its own."""
     calls = []
 
     def record(name, original):
         def transform(a, *args, **kwargs):
             n = args[0] if args else kwargs.get("n")
+            axis = args[1] if len(args) > 1 else kwargs.get("axis", -1)
+            shape = list(np.shape(a))
+            m = shape.pop(axis)
             if n is None:
-                axis = args[1] if len(args) > 1 else kwargs.get("axis", -1)
-                m = np.shape(a)[axis]
                 n = 2 * (m - 1) if name in ("irfft", "hfft") else m
-            calls.append((name, int(n)))
+            calls.append((name, int(n), math.prod(shape)))
             return original(a, *args, **kwargs)
         return transform
 

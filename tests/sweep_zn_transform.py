@@ -9,8 +9,11 @@ The N are `count` random lengths up to 2 * 10^6, the pipeline's
 N = 1,000,003, and 2^k - 1, 2^k and 2^k + 1 for k = 1..20. Prints the
 worst error of each against numpy, relative to ||f||_1 for the spectrum and
 to ||f||_1 / N for the inverse, with the N where it occurred; both are far
-below the 1e-13 the tier-1 tests allow. Needs numpy only; the name keeps
-pytest from collecting it.
+below the 1e-13 the tier-1 tests allow. With the four-step transforms, at
+`--count 20 --seed 0` (80 lengths up to 1,941,486; 2 vCPUs, numpy 2.4.6)
+the worst were 8.1e-16 ||f||_1 for the spectrum and 8.9e-15 ||f||_1 / N
+for the inverse, against 9.2e-16 and 8.3e-15 with one full-length FFT per
+transform. Needs numpy only; the name keeps pytest from collecting it.
 """
 
 from __future__ import annotations

@@ -1098,15 +1098,15 @@ def test_majorant_denominator_once_per_N(tmp_path, monkeypatch):
     # per measure: one rfft for the grid, one at twice its length for the
     # first comparison of the L^p ladder (p = 2.5, which agrees there)
     (["transform-scan", "--N", "2000", "--Q", "16", "--oversample", "8"],
-     [("rfft", 16000), ("rfft", 32000)]),
+     [("rfft", 16000, 1), ("rfft", 32000, 1)]),
     # one rfft of lambda - lambda_Q per Q
     (["arc-scan", "--N", "2000", "--Q", "16,256", "--B-override", "2",
       "--oversample", "4"],
-     [("rfft", 8000)] * 2),
+     [("rfft", 8000, 1)] * 2),
     # per draw, one rfft for the ladder's first comparison, which also holds
     # the sum over r/N; no length-N transform
     (["mz-check", "--N", "1000,2000", "--draws", "2", "--oversample", "2"],
-     [("rfft", 4000)] * 2 + [("rfft", 8000)] * 2),
+     [("rfft", 4000, 1)] * 2 + [("rfft", 8000, 1)] * 2),
 ], ids=["transform-scan", "arc-scan", "mz-check"])
 def test_torus_transform_budget(args, want, tmp_path, transforms):
     # real coefficients never take a complex transform

@@ -91,7 +91,7 @@ def test_real_wedge_grid_matches_the_complex_grid(M, transforms):
     rng = np.random.default_rng(6)
     f = _random_measure(37, rng)
     vals = fourier.wedge_grid(f, M)
-    assert transforms == [("rfft", M)]
+    assert transforms == [("rfft", M, 1)]
     pad = np.zeros(M, dtype=np.complex128)
     pad[np.asarray(f.positions()) % M] = f.weights
     want = M * np.fft.ifft(pad)
@@ -266,7 +266,7 @@ def _stop_oversample(calls, N):
     # real values: each rfft is taken at the length of the finest grid so
     # far; complex values: the first level is one fft at M = oversample * N,
     # and each doubling adds one fft at the length of the grid it doubles
-    name, length = calls[-1]
+    name, length, _ = calls[-1]
     if name == "rfft" or len(calls) == 1:
         return length // N
     return 2 * length // N
@@ -305,9 +305,10 @@ def test_lp_ladder_escalates_like_the_oracle(phase, transforms):
     assert stop == 16
     if phase == 1.0:
         # one rfft per comparison, at the finer grid: 28 holds 14 and 28
-        assert calls == [("rfft", 28), ("rfft", 56), ("rfft", 112)]
+        assert calls == [("rfft", 28, 1), ("rfft", 56, 1), ("rfft", 112, 1)]
     else:
-        assert calls == [("fft", 14), ("fft", 14), ("fft", 28), ("fft", 56)]
+        assert calls == [("fft", 14, 1), ("fft", 14, 1), ("fft", 28, 1),
+                         ("fft", 56, 1)]
     assert _stop_oversample(calls, N) == stop
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -334,7 +335,7 @@ def test_even_p_inside_the_exact_bound_takes_one_transform(p, oversample,
     with warnings.catch_warnings():
         warnings.simplefilter("error", GridConvergenceWarning)
         got = fourier.lp_norm_torus(f, p, TorusGrid(oversample=oversample))
-    assert transforms == [("rfft", oversample * N)]
+    assert transforms == [("rfft", oversample * N, 1)]
     want, _ = _oracle_ladder(np.asarray(f.positions()), f.weights, N, p, oversample)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -347,7 +348,7 @@ def test_even_p_outside_the_exact_bound_doubles_once(transforms):
     N = 300
     f = _random_measure(N, rng)
     got = fourier.lp_norm_torus(f, 6.0, TorusGrid(oversample=2))
-    assert transforms == [("rfft", 4 * N)]
+    assert transforms == [("rfft", 4 * N, 1)]
     want, _ = _oracle_ladder(np.asarray(f.positions()), f.weights, N, 6.0, 4)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -360,7 +361,7 @@ def test_even_p_at_the_exact_bound_is_not_exact(transforms):
     positions = np.array([0, 5])
     got = fourier._lp_norm_checked(positions, np.ones(2), 5, 4.0,
                                    TorusGrid(oversample=2))
-    assert transforms == [("rfft", 20)]
+    assert transforms == [("rfft", 20, 1)]
     assert got ** 4 == pytest.approx(6.0, rel=1e-12)
 
 
@@ -373,9 +374,9 @@ def test_majorant_takes_one_real_transform_per_ratio(small_table, transforms):
     n = small_table.primes_up_to(N).size
     signs = np.random.default_rng(24).integers(0, 2, size=n) * 2.0 - 1.0
     den = fourier.majorant_denominator(4.0, N, small_table, grid)
-    assert transforms == [("rfft", 2 * N)]
+    assert transforms == [("rfft", 2 * N, 1)]
     fourier.majorant_ratio(signs, 4.0, N, small_table, grid, den=den)
-    assert transforms == [("rfft", 2 * N)] * 2
+    assert transforms == [("rfft", 2 * N, 1)] * 2
 
 
 def _quadruple_count(positions, signs):
@@ -460,14 +461,33 @@ def _plan_length(N):
     return fourier._chirp_plan(N)[1].size
 
 
+def _passes(N, inverse=False):
+    """The two batched calls of one four-step transform at N's plan
+    length L = L1 L2: L2 ffts of length L1, then L1 of length L2; the
+    inverse takes iffts in the other order. Read off `_smooth_length` and
+    `_split`, so asking builds no plan."""
+    L = fourier._smooth_length(N + N // 2)
+    L1 = fourier._split(L)
+    forward = [("fft", L1, L // L1), ("fft", L // L1, L1)]
+    return [("ifft", n, rows) for _, n, rows in forward[::-1]] if inverse else forward
+
+
+def _convolution(N):
+    """The calls of one chirp convolution at N: a forward four-step
+    transform, then an inverse one."""
+    return _passes(N) + _passes(N, inverse=True)
+
+
 def test_spectrum_is_cached_and_read_only(transforms):
     rng = np.random.default_rng(12)
     f = _random_measure(101, rng)
     fourier._chirp_plan.cache_clear()
     first = fourier.spectrum(f)
     assert fourier.spectrum(f) is first
-    # the plan's kernel, then one convolution; N = 101 runs at L = 160
-    assert transforms == [("fft", 160)] * 2 + [("ifft", 160)]
+    # the plan's kernel, then one convolution; N = 101 runs at
+    # L = 160 = 10 x 16
+    assert _passes(101) == [("fft", 10, 16), ("fft", 16, 10)]
+    assert transforms == _passes(101) + _convolution(101)
     again = fourier.spectrum(Measure(101, f.weights, signed=True))
     assert np.array_equal(first, again)
     with pytest.raises(ValueError):
@@ -479,10 +499,13 @@ def test_triple_count_transforms_a_shared_measure_once(transforms):
     f, g = _random_measure(53, rng), _random_measure(53, rng)
     fourier._chirp_plan.cache_clear()
     fourier.triple_count(f, f, f)
-    # N = 53 runs at L = 80, the least 5-smooth length >= 53 + 27 - 1
-    assert transforms == [("fft", 80), ("fft", 80), ("ifft", 80)]
+    # N = 53 runs at L = 80 = 8 x 10, the least 5-smooth length
+    # >= 53 + 27 - 1
+    assert _convolution(53) == [("fft", 8, 10), ("fft", 10, 8),
+                                ("ifft", 10, 8), ("ifft", 8, 10)]
+    assert transforms == _passes(53) + _convolution(53)
     fourier.triple_count(f, g, f)
-    assert transforms == [("fft", 80)] + [("fft", 80), ("ifft", 80)] * 2
+    assert transforms == _passes(53) + _convolution(53) * 2
 
 
 def _direct_dft(w):
@@ -514,8 +537,7 @@ def test_spectrum_pair_matches_the_direct_dft(N, signed, transforms):
                     base=BASE_ZN) for _ in range(2))
     fourier._chirp_plan.cache_clear()
     F, G = fourier.spectrum(f), fourier.spectrum(g)
-    L = _plan_length(N)
-    assert transforms == [("fft", L)] + [("fft", L), ("ifft", L)] * 2
+    assert transforms == _passes(N) + _convolution(N) * 2
     assert fourier.spectrum(f) is F and fourier.spectrum(g) is G
     assert not F.flags.writeable and not G.flags.writeable
     for m, X in ((f, F), (g, G)):
@@ -532,14 +554,15 @@ def test_spectrum_pair_reuses_a_cached_spectrum(transforms):
     F = fourier.spectrum(f)
     assert fourier.spectrum(f) is F
     fourier.spectrum(g)
-    # N = 31 runs at L = 48; one plan, one convolution per measure
-    assert transforms == [("fft", 48)] + [("fft", 48), ("ifft", 48)] * 2
+    # N = 31 runs at L = 48 = 6 x 8; one plan, one convolution per measure
+    assert _passes(31) == [("fft", 6, 8), ("fft", 8, 6)]
+    assert transforms == _passes(31) + _convolution(31) * 2
     # one plan is kept: another N replaces it, and coming back rebuilds it
     transforms.clear()
     fourier.spectrum(_random_measure(30, rng))
     fourier.spectrum(_random_measure(31, rng))
-    assert transforms == [("fft", 45), ("fft", 45), ("ifft", 45),
-                          ("fft", 48), ("fft", 48), ("ifft", 48)]
+    assert transforms == (_passes(30) + _convolution(30)
+                          + _passes(31) + _convolution(31))
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 16, 97, 101, 120, 128])
@@ -551,8 +574,7 @@ def test_idft_inverts_spectrum(N, transforms):
     X = fourier.spectrum(f)
     transforms.clear()
     back = fourier.idft(X)
-    L = _plan_length(N)
-    assert transforms == [("fft", L), ("ifft", L)]
+    assert transforms == _convolution(N)
     assert back.dtype == np.float64 and back.shape == (N,)
     tol = 1e-13 * float(np.sum(np.abs(f.weights))) / N
     assert float(np.max(np.abs(back - f.weights))) <= tol
@@ -578,6 +600,62 @@ def test_chirp_plan_length_is_the_least_five_smooth():
         if N < 400:
             assert not any(_five_smooth(m) for m in range(low, L))
     assert fourier._smooth_length(1_000_003 + 500_001) == 1_518_750
+
+
+def test_split_is_the_largest_divisor_up_to_the_root():
+    for n in range(1, 2000):
+        d = fourier._split(n)
+        assert n % d == 0 and d * d <= n
+        assert not any(n % e == 0 for e in range(d + 1, math.isqrt(n) + 1))
+    L = fourier._smooth_length(1_000_003 + 500_001)
+    assert (fourier._split(L), fourier._split(L // fourier._split(L))) == (1215, 25)
+
+
+def _direct_idft(X):
+    """The real part of (1/N) sum_r X(r) e(rn/N), by the O(N^2) sum."""
+    return np.conj(_direct_dft(np.conj(X))).real / X.size
+
+
+@pytest.mark.parametrize("N, shape", [
+    (1, (1, 1)),          # L = 1
+    (2, (1, 3)),          # L prime: L1 = 1
+    (3, (2, 2)),          # L1 = L2
+    (24, (6, 6)),
+    (17, (5, 5)),         # L a prime power
+    (18, (3, 9)),
+    (21, (4, 8)),
+    (83, (5, 25)),
+    (60, (9, 10)),        # L = 2 3^b 5^c, the pipeline's kind of length
+    (100, (10, 15)),
+    (180, (15, 18)),
+    (997, (30, 50)),
+    (1_000_003, (1215, 1250)),
+])
+def test_four_step_transforms_match_numpy_and_the_direct_sum(N, shape):
+    # the Z_N transform and its inverse through each kind of (L1, L2)
+    # split of the plan's length, within 1e-13 ||f||_1 (and ||f||_1 / N)
+    # of numpy.fft, and below N = 1000 of the O(N^2) sums too
+    rng = np.random.default_rng(N + 3)
+    w = rng.standard_normal(N)
+    f = Measure(N, w, signed=True, base=BASE_ZN)
+    norm = float(np.sum(np.abs(w)))
+    X = fourier.spectrum(f)
+    _, kernel, twiddles = fourier._chirp_plan(N)
+    assert kernel.shape == shape
+    # w^(k1 n2), n2 = B a + b, as two small tables, not one of L1 x L2:
+    # 1.5 MB at N = 1,000,003 against 24 MB
+    L1, L2 = shape
+    B = fourier._split(L2)
+    assert [t.shape for t in twiddles] == [(L1, L2 // B, 1), (L1, 1, B)]
+    if N == 1_000_003:
+        assert sum(t.nbytes for t in twiddles) < 1.6e6
+    back = fourier.idft(X)
+    assert float(np.max(np.abs(X - np.fft.fft(w)))) <= 1e-13 * norm
+    assert float(np.max(np.abs(back - np.fft.ifft(X).real))) <= 1e-13 * norm / N
+    assert float(np.max(np.abs(back - w))) <= 1e-13 * norm / N
+    if N < 1000:
+        assert float(np.max(np.abs(X - _direct_dft(w)))) <= 1e-13 * norm
+        assert float(np.max(np.abs(back - _direct_idft(X)))) <= 1e-13 * norm / N
 
 
 @given(N=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
@@ -608,7 +686,7 @@ def test_self_triple_count_matches_brute_and_spectral(N, transforms):
         transforms.clear()
         got = fourier.self_triple_count(f)
         P = 1 << (2 * N - 2).bit_length()
-        assert transforms == [("rfft", P), ("irfft", P)]
+        assert transforms == [("rfft", P, 1), ("irfft", P, 1)]
         assert f._spectrum is None  # reads the weights, never a spectrum
         tol = 1e-13 * float(np.sum(np.abs(f.weights))) ** 3
         w = f.zn_weights()
@@ -642,8 +720,8 @@ def test_set_convolution_runs_at_a_power_of_two(transforms):
     S = np.array([0, 3, 5, 6, 12])
     assert fourier.set_convolution(S).size == 2 * 12 + 1
     assert fourier.set_convolution(S[:3]).size == 2 * 5 + 1
-    assert transforms == [("rfft", 32), ("irfft", 32),
-                          ("rfft", 16), ("irfft", 16)]
+    assert transforms == [("rfft", 32, 1), ("irfft", 32, 1),
+                          ("rfft", 16, 1), ("irfft", 16, 1)]
 
 
 @pytest.mark.parametrize("S, N, lengths", [
@@ -663,7 +741,7 @@ def test_set_convolution_edges(S, N, lengths, transforms):
     padded = _brute_set_convolution(S, 2 * N - 1)
     assert np.array_equal(padded[:got.size], got)
     assert not padded[got.size:].any()
-    assert transforms == [(name, P) for P in lengths
+    assert transforms == [(name, P, 1) for P in lengths
                           for name in ("rfft", "irfft")]
 
 
@@ -701,8 +779,8 @@ def test_mz_numerator_is_the_spectrum_power_sum(p, N, oversample, transforms):
     f = _random_measure(N, np.random.default_rng(N + oversample))
     grid = TorusGrid(oversample=oversample)
     ratio = fourier.mz_ratio(f, p, grid)
-    assert [name for name, _ in transforms] == ["rfft"] * len(transforms)
-    assert all(length >= oversample * N for _, length in transforms)
+    assert transforms == [("rfft", n, 1) for _, n, _ in transforms]
+    assert all(n >= oversample * N for _, n, _ in transforms)
     num = ratio * N * fourier.lp_norm_torus(f, p, grid) ** p
     want = math.fsum((np.abs(fourier.spectrum(f)) ** p).tolist())
     assert num == pytest.approx(want, rel=1e-12)

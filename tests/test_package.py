@@ -1,5 +1,6 @@
 """The package's shape, checked on its source: only `primeaps.fourier`
-may take transforms with numpy.fft, every parameter is read, every default
+may take transforms with numpy.fft, none of them an n-dimensional one
+into `out=`, every parameter is read, every default
 is both used and overridden by the package's own calls, every def is
 reached from the CLI and every field of a reached dataclass is read by
 reached code, each CLI handler reads only its own subcommand's flags, only
@@ -73,6 +74,80 @@ def test_fft_checker_flags(source):
 def test_fft_checker_passes_other_fft_names():
     assert _fft_uses(ast.parse("import numpy as np\nfrom . import fourier\n"
                                "fourier.fft(x)\nnp.linalg.norm(x)")) == []
+
+
+# numpy.fft's n-dimensional transforms. numpy 2.4.6's ifft2 drops its
+# `out=` (it hands out=None to the n-dimensional helper), so
+# ifft2(x, out=x) leaves x as it was and an in-place caller reads wrong
+# values; a transform along one axis at a time, fft(x, axis=0, out=x), is
+# right
+_ND_FFT = ("fft2", "ifft2", "fftn", "ifftn")
+
+
+def _nd_fft_out_calls(tree: ast.AST) -> list[int]:
+    """Line numbers of calls that pass `out=` (by keyword, or as the fifth
+    positional argument) to one of numpy.fft's _ND_FFT, however numpy,
+    numpy.fft or the function is imported."""
+    numpy_names, fft_names, func_names = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name == "numpy":
+                    numpy_names.add(a.asname or "numpy")
+                elif a.name == "numpy.fft":
+                    (fft_names if a.asname else numpy_names).add(a.asname or "numpy")
+        elif isinstance(node, ast.ImportFrom):
+            for a in node.names:
+                if node.module == "numpy" and a.name == "fft":
+                    fft_names.add(a.asname or "fft")
+                elif node.module == "numpy.fft" and a.name in _ND_FFT:
+                    func_names.add(a.asname or a.name)
+
+    def is_fft_module(expr: ast.AST) -> bool:
+        if isinstance(expr, ast.Name):
+            return expr.id in fft_names
+        return (isinstance(expr, ast.Attribute) and expr.attr == "fft"
+                and isinstance(expr.value, ast.Name)
+                and expr.value.id in numpy_names)
+
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        nd = ((isinstance(f, ast.Name) and f.id in func_names)
+              or (isinstance(f, ast.Attribute) and f.attr in _ND_FFT
+                  and is_fft_module(f.value)))
+        if nd and (len(node.args) >= 5
+                   or any(k.arg == "out" for k in node.keywords)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_n_dimensional_transform_writes_into_out():
+    found = {path.relative_to(SRC).as_posix():
+             _nd_fft_out_calls(ast.parse(path.read_text(), str(path)))
+             for path in sorted(SRC.rglob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+@pytest.mark.parametrize("source", [
+    "import numpy as np\nnp.fft.ifft2(x, out=x)",
+    "import numpy\nnumpy.fft.fftn(x, None, None, None, x)",
+    "import numpy.fft\nnumpy.fft.fft2(x, out=y)",
+    "import numpy.fft as nf\nnf.ifftn(x, axes=(0, 1), out=x)",
+    "from numpy import fft\nfft.ifft2(x, out=x)",
+    "from numpy.fft import ifft2 as i2\ni2(x, out=x)",
+])
+def test_nd_out_checker_flags(source):
+    assert _nd_fft_out_calls(ast.parse(source)) != []
+
+
+def test_nd_out_checker_passes_one_axis_and_no_out():
+    assert _nd_fft_out_calls(ast.parse(
+        "import numpy as np\nnp.fft.fft(x, axis=0, out=x)\n"
+        "np.fft.ifft2(x)\nnp.fft.fftn(x, axes=(0,))\nfrom . import fourier\n"
+        "fourier.ifft2(x, out=x)")) == []
 
 
 def _unread_parameters(tree: ast.AST) -> list[str]:

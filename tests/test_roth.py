@@ -928,9 +928,11 @@ def _class_powers(S) -> list[int]:
 
 def test_density_experiment_transforms(small_table, monkeypatch, transforms):
     # one granularization; no transform at the prime N: one chirp plan,
-    # then one convolution at its 5-smooth length L for each of a~, mu~,
-    # beta~ and the inverse of a~ beta~^2; every count runs at a power of
-    # two, the source's and A's one parity class at a time
+    # then one convolution at its 5-smooth length L = L1 L2 for each of
+    # a~, mu~, beta~ and the inverse of a~ beta~^2, each transform of
+    # them two batched passes (L2 ffts of length L1, L1 of length L2);
+    # every count runs at a power of two, the source's and A's one parity
+    # class at a time
     grans = []
     original = roth.granularize
 
@@ -950,17 +952,21 @@ def test_density_experiment_transforms(small_table, monkeypatch, transforms):
     source, counts_A = _class_powers(A0), _class_powers(stash["A"])
     count_a1 = _pow2_above(2 * N - 1)
     L = fourier._smooth_length(N + N // 2)
+    L1 = fourier._split(L)
+    L2 = L // L1
+    forward = [("fft", L1, L2), ("fft", L2, L1)]
+    convolution = forward + [("ifft", L2, L1), ("ifft", L1, L2)]
     assert transforms == [
         # the source's line count, one parity class at a time
-        *((name, P) for P in source for name in ("rfft", "irfft")),
-        ("fft", L),                                 # the chirp plan at N
-        ("fft", L), ("ifft", L),                    # a~
-        ("fft", L), ("ifft", L),                    # mu~
-        ("fft", L), ("ifft", L),                    # beta~
-        ("fft", L), ("ifft", L),                    # a1 = a * beta * beta
-        ("rfft", count_a1), ("irfft", count_a1),    # a1's 3AP count
+        *((name, P, 1) for P in source for name in ("rfft", "irfft")),
+        *forward,                                   # the chirp plan at N
+        *convolution,                               # a~
+        *convolution,                               # mu~
+        *convolution,                               # beta~
+        *convolution,                               # a1 = a * beta * beta
+        ("rfft", count_a1, 1), ("irfft", count_a1, 1),  # a1's 3AP count
         # A's line count, which is its Z_N count, one parity class at a time
-        *((name, P) for P in counts_A for name in ("rfft", "irfft")),
+        *((name, P, 1) for P in counts_A for name in ("rfft", "irfft")),
     ]
     # 2 is in this source, so the even class is {1}; the odd class runs
     # at half the power of two the whole line would take
