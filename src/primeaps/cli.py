@@ -766,11 +766,6 @@ def _json_text(header: list[str], columns: list, n: int):
     yield b"\n  ]\n}\n"
 
 
-def _transpose(rows, width: int) -> list:
-    """The columns of a few rows; `width` empty columns if there are none."""
-    return list(zip(*rows)) or [()] * width
-
-
 class Emitter:
     """Writes output files into outdir, which the first write creates, and
     records (path, sha256, bytes) of each output.
@@ -862,12 +857,6 @@ class Emitter:
         self.table(stem, ["index", "weight"], [f.positions(), f.weights])
 
 
-def emit_plotdata(emitter: Emitter, stem: str, rows) -> None:
-    """Long-form (x, series, value) rows, sorted for bit-stable output."""
-    ordered = sorted(rows, key=lambda r: (str(r[1]), float(r[0])))
-    emitter.table(stem, ["x", "series", "value"], _transpose(ordered, 3))
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (effective, results)
 
@@ -905,15 +894,13 @@ def _run_sieve_stats(cfg: argparse.Namespace, em: Emitter):
         "chebyshev_theta_over_N": theta / N,
         "largest_prime": int(ps[-1]) if ps.size else None,
     }
-    rows = []
-    for Q in cfg.Q or []:
-        prod = sieve.mertens_product(Q, 1, table)
-        rows.append((Q, "mertens_product", prod))
-        if Q >= 3:
-            rows.append((Q, "mertens_reference",
-                         math.exp(-np.euler_gamma) / math.log(Q)))
+    # long-form (x, series, value) rows, by series and then x
+    Qs = sorted(cfg.Q or [])
+    rows = [(Q, "mertens_product", sieve.mertens_product(Q, 1, table)) for Q in Qs]
+    rows += [(Q, "mertens_reference", math.exp(-np.euler_gamma) / math.log(Q))
+             for Q in Qs if Q >= 3]
     if rows:
-        emit_plotdata(em, "sieve_stats", rows)
+        em.table("sieve_stats", ["x", "series", "value"], list(zip(*rows)))
     return {"table_limit": table.limit}, results
 
 
@@ -954,7 +941,7 @@ def _run_measure_build(cfg: argparse.Namespace, em: Emitter):
 
         measures.dyadic_pieces(params, lam, cfg.p_exponent, table, take)
         em.table("dyadic_sup_norms", ["j", "sup", "reference"],
-                 _transpose([(n.j, n.sup, n.reference) for n in norms], 3))
+                 list(zip(*[(n.j, n.sup, n.reference) for n in norms])))
         effective["A"] = measures.a_exponent(cfg.p_exponent)
         effective["K"] = K
         results["dyadic_pieces"] = len(norms)
@@ -1013,7 +1000,6 @@ def _run_arc_scan(cfg: argparse.Namespace, em: Emitter):
         "grid_points": grid.points(N),
     }
     results = {}
-    summary_rows = []
     lam = measures.lambda_measure(params, table)
     for Q in cfg.Q:
         scan = arcs.sup_diff_scan(params, lam, Q, grid, table, arc_params=aparams,
@@ -1027,9 +1013,6 @@ def _run_arc_scan(cfg: argparse.Namespace, em: Emitter):
             "sup_major_profiled": scan.sup_major_profiled,
             "sup_minor_profiled": scan.sup_minor_profiled,
         }
-        summary_rows.append((Q, "sup", scan.sup))
-        summary_rows.append((Q, "reference", scan.reference))
-    emit_plotdata(em, "arc_summary", summary_rows)
     return effective, results
 
 
@@ -1037,9 +1020,8 @@ def _draw_sweep(cfg: argparse.Namespace, em: Emitter, name: str, setup) -> dict:
     """cfg.draws random ratios at each N of cfg.N, drawn from the stream
     rng_stream(cfg.seed, f"{name}-N{N}"). setup(N) returns (draw, extra):
     draw(rng) gives one ratio, extra the results kept beside max_ratio.
-    Writes {name}_draws and {name}_sweep; returns the results by N."""
+    Writes {name}_draws; returns the results by N."""
     results = {}
-    sweep_rows = []
     draw_rows = []
     for N in cfg.N:
         draw, extra = setup(N)
@@ -1047,9 +1029,7 @@ def _draw_sweep(cfg: argparse.Namespace, em: Emitter, name: str, setup) -> dict:
         ratios = [draw(rng) for _ in range(cfg.draws)]
         draw_rows.extend((N, d, ratio) for d, ratio in enumerate(ratios))
         results[str(N)] = {"max_ratio": max(ratios), **extra}
-        sweep_rows.append((N, "max_ratio", max(ratios)))
-    em.table(f"{name}_draws", ["N", "draw", "ratio"], _transpose(draw_rows, 3))
-    emit_plotdata(em, f"{name}_sweep", sweep_rows)
+    em.table(f"{name}_draws", ["N", "draw", "ratio"], list(zip(*draw_rows)))
     return results
 
 
@@ -1186,42 +1166,42 @@ def _run_roth_pipeline(cfg: argparse.Namespace, em: Emitter):
     if failed:
         raise failed[0]
     em.json_file("report", report)
+    holds = {c["name"]: c["holds"] for c in report["checks"]}
     wt = report["w_trick"]
-    effective = {"table_limit": table.limit,
-                 **{key: wt[key] for key in ("W", "m", "b", "N", "m_le_logN")}}
+    effective = {"table_limit": table.limit, "W": W, "m_le_logN": holds["m_le_logN"],
+                 **{key: wt[key] for key in ("m", "b", "N")}}
     results = {
-        "alpha": report["w_trick"]["alpha"],
+        "alpha": report["measure"]["mass_a"],
         "k": report["spectrum"]["k"],
         "bohr_size": report["bohr"]["size"],
         "sup_a1": report["setlike"]["sup_a1"],
-        "setlike": report["setlike"]["setlike"],
+        "setlike": holds["setlike"],
         "A_3aps_line_nontrivial": report["counts"]["A_3aps_line_nontrivial"],
-        "contradiction": report["bounds"]["contradiction"],
+        "contradiction": holds["contradiction"],
     }
     return effective, results
 
 
 def _run_behrend(cfg: argparse.Namespace, em: Emitter):
     results = {}
-    rows = []
     for N in cfg.N:
         S = roth.behrend_set(N)
         em.table(f"behrend_N{N}", ["value"], [S])
         size = int(S.size)
         fitted_c = -math.log(size / N) / math.sqrt(math.log(N))
         results[str(N)] = {"size": size, "fitted_c": fitted_c}
-        rows.append((N, "size", size))
-        rows.append((N, "fitted_c", fitted_c))
-    emit_plotdata(em, "behrend_sweep", rows)
     return {}, results
 
 
 def _run_varnavides(cfg: argparse.Namespace, em: Emitter):
     C1 = roth.closing_constants(cfg.constants)["C1"]
     vb = roth.varnavides_bound(cfg.alpha, cfg.N, C1=C1)
-    results = asdict(vb)
-    em.json_file("varnavides", results)
-    return {"C1": C1}, _clean(results)
+    report = asdict(vb)
+    em.json_file("varnavides", report)
+    # the manifest reads each check's verdict as vacuous or clamped
+    results = {key: value for key, value in report.items() if key != "checks"}
+    results |= {c.name.removeprefix("varnavides_"): c.holds for c in vb.checks}
+    return {"C1": C1}, results
 
 
 # subcommand -> (handler, its flags besides _COMMON)

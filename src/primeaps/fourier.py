@@ -405,7 +405,7 @@ def _lp_ladder(positions, values, N, p, grid: TorusGrid):
                 f"L^{p} grid norm not self-consistent at oversample {o} "
                 f"(rel diff {abs(cur - nxt) / scale:.2e})",
                 GridConvergenceWarning,
-                stacklevel=4,
+                stacklevel=3,  # the caller of the norm or ratio
             )
             return nxt, first
         o *= 2
@@ -414,15 +414,10 @@ def _lp_ladder(positions, values, N, p, grid: TorusGrid):
     return cur, first
 
 
-def _lp_norm_checked(positions, values, N, p, grid: TorusGrid) -> float:
-    """The norm of _lp_ladder."""
-    return _lp_ladder(positions, values, N, p, grid)[0]
-
-
 def lp_norm_torus(f: Measure, p: float, grid: TorusGrid) -> float:
     """(integral over the torus of |f^|^p)^(1/p) by uniform-grid quadrature."""
     pos, w = f.support()
-    return _lp_norm_checked(pos, w, f.N, p, grid)
+    return _lp_ladder(pos, w, f.N, p, grid)[0]
 
 
 def mz_ratio(f: Measure, p: float, grid: TorusGrid) -> float:
@@ -520,7 +515,7 @@ def majorant_denominator(p: float, N: int, table: PrimeTable, grid: TorusGrid) -
     primes = table.primes_up_to(N)
     if primes.size == 0:
         raise DegenerateInputError(f"no primes <= {N}")
-    return _lp_norm_checked(primes, np.ones(primes.size), N, p, grid)
+    return _lp_ladder(primes, np.ones(primes.size), N, p, grid)[0]
 
 
 def majorant_ratio(
@@ -545,7 +540,7 @@ def majorant_ratio(
         raise DegenerateInputError(f"no primes <= {N}")
     if float(np.max(np.abs(signs))) > 1.0 + 1e-12:
         raise PreconditionError("majorant coefficients must satisfy |a_n| <= 1")
-    return _lp_norm_checked(primes, signs, N, p, grid) / den
+    return _lp_ladder(primes, signs, N, p, grid)[0] / den
 
 
 def restriction_ratio(
@@ -572,5 +567,5 @@ def restriction_ratio(
     l2 = math.sqrt(fsum_real(np.abs(fvals) ** 2 * wsup))
     if l2 == 0.0:
         raise DegenerateInputError("f vanishes in L^2(d lambda)")
-    norm = _lp_norm_checked(pos, fvals * wsup, lam.N, p, grid)
+    norm = _lp_ladder(pos, fvals * wsup, lam.N, p, grid)[0]
     return norm * lam.N ** (1.0 / p) / l2

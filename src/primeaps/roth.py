@@ -3,6 +3,9 @@ of primes, large-spectrum Bohr sets, the convolution smoothing a -> a*b*b,
 the set-like sup chain, exact 3AP counting, and the closing inequality,
 plus the base-3 progression-free set used as control input.
 
+Every inequality the pipeline decides is one `Check` in the report's
+ledger, made by `check`, the one home of its slack rule.
+
 Counts are ordered (x, d) pairs with d = 0 included in 'total'; the
 nontrivial count removes the diagonal. An integer set is counted on the
 line by `line_3aps`, from exact linear convolutions: x, x+d, x+2d in S
@@ -16,8 +19,9 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -54,6 +58,48 @@ def closing_constants(overrides: dict | None) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# the check ledger
+
+CHECK_RTOL = 1e-9  # the slack of a side read off a transform, of the larger side
+_RELATIONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, "==": operator.eq}
+
+
+@dataclass(frozen=True)
+class Check:
+    """One inequality of the argument as the report records it: whether
+    `lhs relation rhs` holds at `stage`, allowing `slack`. margin is
+    log10 of the ratio of the sides, signed so that it is positive when
+    the relation holds with room (for "==", minus the distance from
+    equality); None unless both sides are positive."""
+
+    name: str
+    stage: str
+    lhs: float
+    relation: str
+    rhs: float
+    slack: float
+    holds: bool
+    margin: float | None
+
+
+def check(name: str, stage: str, lhs, relation: str, rhs, transform: bool) -> Check:
+    """The ledger entry of `lhs relation rhs`. The one slack rule: when a
+    side is read off a floating-point transform (`transform`), the sides
+    may miss the relation by CHECK_RTOL of the larger side; exact sides
+    allow none, so a tie of "<=", ">=" or "==" holds and one of "<" does
+    not."""
+    slack = CHECK_RTOL * max(abs(lhs), abs(rhs)) if transform else 0.0
+    holds = _RELATIONS[relation](lhs, rhs) or abs(lhs - rhs) < slack
+    margin = None
+    if lhs > 0 and rhs > 0:
+        # each difference is +0.0, not -0.0, at a tie
+        up = math.log10(lhs) - math.log10(rhs)
+        down = math.log10(rhs) - math.log10(lhs)
+        margin = {"<=": down, "<": down, ">=": up, "==": min(up, down)}[relation]
+    return Check(name, stage, lhs, relation, rhs, slack, bool(holds), margin)
+
+
+# ---------------------------------------------------------------------------
 # W-trick
 
 @dataclass
@@ -62,8 +108,6 @@ class WTrickResult:
     b: int
     m: int
     N: int
-    W: int
-    m_le_logN: bool
 
 
 def w_modulus(W: int) -> int:
@@ -130,14 +174,7 @@ def w_trick(A0, table: sieve.PrimeTable, W: int, n: int) -> WTrickResult:
         raise DegenerateInputError(
             f"A is empty: no prime p <= n = {n} in the class b = {b} mod "
             f"m = {m} has (p - b)/m in [1, floor(N/2)] = [1, {N // 2}]")
-    return WTrickResult(
-        A=A,
-        b=b,
-        m=m,
-        N=N,
-        W=W,
-        m_le_logN=(m <= math.log(N)),
-    )
+    return WTrickResult(A=A, b=b, m=m, N=N)
 
 
 # ---------------------------------------------------------------------------
@@ -247,18 +284,16 @@ class SetlikeReport:
             <=  N^-1 |mu~(0)| + |B|^-1 sup_{r!=0}|mu~|  (chain_sup)
             <=  N^-1 + 2 loglog(W) / (W |B|)            (chain_reference)
 
-    with the set-like verdict sup a1 <= 2/N and the Bohr-dimension gate
-    eps^k >= 2 loglog(W)/W stamped alongside. a1 itself is kept for reuse.
+    and its checks: the set-like verdict sup a1 <= 2/N, the first two
+    steps, and the Bohr-dimension gate eps^k >= 2 loglog(W)/W. a1 itself
+    is kept for reuse.
     """
 
     sup_a1: float
     chain_spectral: float
     chain_sup: float
     chain_reference: float
-    setlike: bool
-    step1_ok: bool
-    step2_ok: bool
-    gate_ok: bool
+    checks: tuple[Check, ...]
     a1: Measure = field(repr=False)
 
 
@@ -279,7 +314,7 @@ def mu_sup_offzero(mu: Measure, W: int):
 
 def setlike_check(a: Measure, mu: Measure, bohr: BohrSet, W: int) -> SetlikeReport:
     """Verify a <= mu pointwise, granularize, and evaluate the sup chain;
-    each comparison of the chain allows 1e-9 of float residue."""
+    its comparisons read transforms, the gate's sides do not."""
     if a.N != mu.N or a.N != bohr.N:
         raise ParameterError("a, mu and the Bohr set must share N")
     if float(np.max(a.zn_weights() - mu.zn_weights())) > 1e-12:
@@ -294,16 +329,17 @@ def setlike_check(a: Measure, mu: Measure, bohr: BohrSet, W: int) -> SetlikeRepo
     size = len(bohr)
     chain_sup = mass / a.N + sup_off / size
     ref = w_reference(W)
-    slack = 1e-9
     return SetlikeReport(
         sup_a1=sup_a1,
         chain_spectral=chain_spectral,
         chain_sup=chain_sup,
         chain_reference=1.0 / a.N + ref / size,
-        setlike=sup_a1 <= 2.0 / a.N + slack,
-        step1_ok=sup_a1 <= chain_spectral + slack,
-        step2_ok=chain_spectral <= chain_sup + slack,
-        gate_ok=bohr.eps**bohr.k >= ref,
+        checks=(
+            check("setlike", "granularize", sup_a1, "<=", 2.0 / a.N, True),
+            check("step1_ok", "granularize", sup_a1, "<=", chain_spectral, True),
+            check("step2_ok", "granularize", chain_spectral, "<=", chain_sup, True),
+            check("gate_ok", "granularize", bohr.eps**bohr.k, ">=", ref, False),
+        ),
         a1=a1,
     )
 
@@ -381,8 +417,7 @@ class VarnavidesBound:
     z_lower: float
     bound: float
     C2_effective: float | None
-    clamped: bool
-    vacuous: bool
+    checks: tuple[Check, ...]
 
 
 def varnavides_bound(alpha: float, N: int, C1: float) -> VarnavidesBound:
@@ -390,16 +425,16 @@ def varnavides_bound(alpha: float, N: int, C1: float) -> VarnavidesBound:
     with density alpha: progressions of length M = ceil(exp(C1 alpha^-2 L))
     give Z >= alpha N^2 / (8 M^2) three-term APs, each worth (alpha/2N)^3.
 
-    L = log(1/alpha) clamped below at log 2 (flagged). vacuous marks
-    M >= N, where the subprogression argument has no room at this N. An
-    exp(x) past the float range gives M = inf, one that underflows M = 1.
+    L = log(1/alpha) clamped below at log 2 (the check varnavides_clamped).
+    The check varnavides_vacuous is M >= N, where the subprogression
+    argument has no room at this N. An exp(x) past the float range gives
+    M = inf, one that underflows M = 1.
     """
     if not 0 < alpha <= 1:
         raise ParameterError(f"alpha must be in (0, 1], got {alpha}")
     if N < 3:
         raise ParameterError(f"N must be >= 3, got {N}")
     raw_L = math.log(1.0 / alpha)
-    clamped = raw_L < math.log(2.0)
     L = max(raw_L, math.log(2.0))
     x = _closing_exponent(C1, alpha, L)
     M = max(1, math.ceil(math.exp(x))) if x < 700 else math.inf
@@ -423,8 +458,10 @@ def varnavides_bound(alpha: float, N: int, C1: float) -> VarnavidesBound:
         z_lower=z_lower,
         bound=bound,
         C2_effective=C2_eff,
-        clamped=clamped,
-        vacuous=(M >= N),
+        checks=(
+            check("varnavides_vacuous", "bounds", M, ">=", N, False),
+            check("varnavides_clamped", "bounds", raw_L, "<", math.log(2.0), False),
+        ),
     )
 
 
@@ -432,15 +469,14 @@ def varnavides_bound(alpha: float, N: int, C1: float) -> VarnavidesBound:
 class FinalInequality:
     """The closing comparison C' N^(-1/2) + 2^12 eps^2 delta^(-5/2)
     + C delta^(1/2)  >=  exp(-C2 alpha^-2 log(1/alpha)); a 3AP-free dense
-    set forces it, so lhs < rhs would be the contradiction."""
+    set forces it, so lhs < rhs would be the contradiction (its check),
+    beside the Bohr-coefficient defects and their checks."""
 
     lhs: float
     rhs: float
-    contradiction: bool
     bohr_defect_linear: float
     bohr_defect_cubic: float
-    bohr_linear_ok: bool
-    bohr_cubic_ok: bool
+    checks: tuple[Check, ...]
 
 
 def final_inequality(
@@ -473,25 +509,23 @@ def final_inequality(
     lhs = c["C_prime"] * N**-0.5 + spectral + c["C"] * math.sqrt(delta)
     rhs = _exp(-_closing_exponent(c["C2"], alpha, L))
     R = bohr.R
+    lin = cub = 0.0
     if R.size:
         bt = spectrum(bohr.beta())
         br = bt[R % bohr.N]
         br2 = bt[(-2 * R) % bohr.N]
         lin = float(np.max(np.abs(1.0 - br)))
         cub = float(np.max(np.abs(1.0 - br**4 * br2**2)))
-        lin_ok = lin <= 16.0 * eps**2 + 1e-9
-        cub_ok = cub <= 2.0**12 * eps**2 + 1e-9
-    else:
-        lin = cub = 0.0
-        lin_ok = cub_ok = True
     return FinalInequality(
         lhs=lhs,
         rhs=rhs,
-        contradiction=(lhs < rhs),
         bohr_defect_linear=lin,
         bohr_defect_cubic=cub,
-        bohr_linear_ok=lin_ok,
-        bohr_cubic_ok=cub_ok,
+        checks=(
+            check("contradiction", "bounds", lhs, "<", rhs, False),
+            check("bohr_linear_ok", "bounds", lin, "<=", 16.0 * eps**2, True),
+            check("bohr_cubic_ok", "bounds", cub, "<=", 2.0**12 * eps**2, True),
+        ),
     )
 
 
@@ -581,7 +615,9 @@ def density_experiment(
 ) -> dict:
     """Run the full chain source -> W-trick -> measure -> spectrum -> Bohr
     -> granularize -> counts -> closing bounds and return a plain-JSON
-    report. Deterministic for a fixed seed. A failing stage raises
+    report: a block of numbers per stage, and under "checks" the ledger of
+    every inequality decided on the way, one `Check` each, in stage order.
+    Deterministic for a fixed seed. A failing stage raises
     StageError tagged source, w-trick, measure, transform, bohr,
     granularize, counts or bounds.
 
@@ -607,6 +643,7 @@ def density_experiment(
             "subset_density": SUBSET_DENSITY,
         }
     }
+    checks: list[Check] = []
     with _stage("source"):
         A0, ps = _build_source(source, n, table, seed)
         if A0.size == 0:
@@ -617,19 +654,14 @@ def density_experiment(
             "primes_below_n": int(ps.size),
             "alpha0": float(A0.size / ps.size),
             "line_3aps_nontrivial": int(src_counts.nontrivial),
-            "three_ap_free": bool(src_counts.nontrivial == 0),
         }
+        checks.append(check("three_ap_free", "source", int(src_counts.nontrivial),
+                            "==", 0, False))
         keep("A0", A0)
     with _stage("w-trick"):
         wt = w_trick(A0, table, W=W, n=n)
-        report["w_trick"] = {
-            "b": wt.b,
-            "m": wt.m,
-            "N": wt.N,
-            "W": wt.W,
-            "size_A": int(wt.A.size),
-            "m_le_logN": wt.m_le_logN,
-        }
+        report["w_trick"] = {"b": wt.b, "m": wt.m, "N": wt.N, "size_A": int(wt.A.size)}
+        checks.append(check("m_le_logN", "w-trick", wt.m, "<=", math.log(wt.N), False))
         keep("A", wt.A)
     with _stage("measure"):
         mparams = measures.MeasureParams(b=wt.b, m=wt.m, N=wt.N)
@@ -638,8 +670,8 @@ def density_experiment(
         aw[wt.A % wt.N] = mu.weights[wt.A % wt.N]
         a = Measure(wt.N, aw, signed=False, base=BASE_ZN)
         del aw  # a owns the array now, read-only
+        # mass_a is the W-trick's density alpha
         report["measure"] = {"mass_mu": mu.total, "mass_a": a.total}
-        report["w_trick"]["alpha"] = a.total
         keep("mu", mu)
         keep("a", a)
     with _stage("transform"):
@@ -647,9 +679,8 @@ def density_experiment(
         R = spectrum_threshold(at, delta)
         # how far the nearest |a~(r)| sits from the threshold
         margin = float(np.min(np.abs(np.abs(at) - delta)))
-        sup_off, arg_off, ref_off = mu_sup_offzero(mu, W=wt.W)
+        sup_off, arg_off, ref_off = mu_sup_offzero(mu, W=W)
         report["spectrum"] = {
-            "delta": delta,
             "k": int(R.size),
             "R_head": [int(r) for r in R[:32]],
             "delta_margin": margin,
@@ -660,26 +691,19 @@ def density_experiment(
         keep("spectrum", at)
     with _stage("bohr"):
         B = bohr_set(R, eps, wt.N)
-        report["bohr"] = {
-            "eps": eps,
-            "k": B.k,
-            "size": len(B),
-            "size_floor": float(eps**B.k * wt.N),
-            "size_ok": bool(len(B) >= eps**B.k * wt.N),
-        }
+        size_floor = float(eps**B.k * wt.N)
+        report["bohr"] = {"size": len(B), "size_floor": size_floor}
+        checks.append(check("size_ok", "bohr", len(B), ">=", size_floor, False))
         keep("bohr", B)
     with _stage("granularize"):
-        sl = setlike_check(a, mu, B, W=wt.W)
+        sl = setlike_check(a, mu, B, W=W)
         report["setlike"] = {
             "sup_a1": sl.sup_a1,
             "chain_spectral": sl.chain_spectral,
             "chain_sup": sl.chain_sup,
             "chain_reference": sl.chain_reference,
-            "setlike": sl.setlike,
-            "step1_ok": sl.step1_ok,
-            "step2_ok": sl.step2_ok,
-            "gate_ok": sl.gate_ok,
         }
+        checks.extend(sl.checks)
         keep("a1", sl.a1)
     with _stage("counts"):
         t_a = count_3aps(a)
@@ -715,27 +739,22 @@ def density_experiment(
             "diagonal_mu_cubed": diagonal_cube_sum(mu),
             "A_3aps_wrapped_nontrivial": exact.nontrivial,
             "A_3aps_line_nontrivial": exact.nontrivial,
-            # on the line no triple is its own reversal
-            "A_3aps_unordered": exact.nontrivial // 2,
         }
     with _stage("bounds"):
         consts = report["params"]["constants"]
-        alpha = min(report["w_trick"]["alpha"], 1.0)
+        alpha = min(a.total, 1.0)
         vb = varnavides_bound(alpha, wt.N, C1=consts["C1"])
         fi = final_inequality(alpha, delta, eps, wt.N,
                               constants=consts, bohr=B)
         report["bounds"] = {
-            "varnavides_M": vb.M if not math.isinf(vb.M) else "inf",
+            "varnavides_M": vb.M,
             "varnavides_z_lower": vb.z_lower,
             "varnavides_bound": vb.bound,
-            "varnavides_vacuous": vb.vacuous,
-            "varnavides_clamped": vb.clamped,
             "lhs": fi.lhs,
             "rhs": fi.rhs,
-            "contradiction": fi.contradiction,
             "bohr_defect_linear": fi.bohr_defect_linear,
             "bohr_defect_cubic": fi.bohr_defect_cubic,
-            "bohr_linear_ok": fi.bohr_linear_ok,
-            "bohr_cubic_ok": fi.bohr_cubic_ok,
         }
+        checks.extend(vb.checks + fi.checks)
+    report["checks"] = [asdict(c) for c in checks]
     return report

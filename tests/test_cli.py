@@ -91,11 +91,13 @@ def test_json_format(tmp_path):
 
 
 def test_behrend_plotdata_sorted(tmp_path):
-    _run(["behrend", "--N", "100,8"], tmp_path)
-    with (Path(tmp_path) / "behrend_sweep.csv").open() as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["x", "series", "value"]
-    keys = [(r[1], float(r[0])) for r in rows[1:]]
+    # the manifest's results are the plot data, one (x, series) pair per
+    # value, written in sorted order
+    man = _run(["behrend", "--N", "100,8"], tmp_path)
+    results = man["results"]
+    assert all(set(row) == {"size", "fitted_c"} for row in results.values())
+    keys = [(x, series) for x, row in results.items() for series in row]
+    assert sorted(results) == ["100", "8"]
     assert keys == sorted(keys)
 
 
@@ -188,7 +190,8 @@ def test_roth_pipeline_cli(tmp_path):
             "spectrum_a.csv", "measure_mu.csv", "measure_a.csv",
             "granular_a1.csv"} <= names
     report = json.loads((tmp_path / "report.json").read_text())
-    assert report["bounds"]["contradiction"] is False
+    (entry,) = [c for c in report["checks"] if c["name"] == "contradiction"]
+    assert entry["holds"] is False
     assert man["results"]["contradiction"] is False
     assert man["results"]["A_3aps_line_nontrivial"] > 0
     assert man["effective"]["m"] == 2
@@ -876,6 +879,32 @@ def test_readme_lists_every_declared_range():
         cells.setdefault(name, []).append(f"`{flag}` {kind} in {rng}")
     table = "\n".join(["| subcommand | declared ranges |", "|---|---|",
                        *(f"| `{name}` | {'; '.join(row)} |" for name, row in cells.items())])
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert table in readme, table
+
+
+def _output_pattern(path: str) -> str:
+    """An output's name with each --Q or --N value in it written <Q> or
+    <N>."""
+    return re.sub(r"_([QN])\d+", r"_\1<\1>", path)
+
+
+def test_readme_lists_every_output(tmp_path):
+    # the README's table of output files is what the golden configs write,
+    # row for row; under --format json each .csv table is a .json one
+    import test_golden
+
+    rows = {}
+    for case, args in test_golden.CASES.items():
+        names = {fmt: list(dict.fromkeys(
+            _output_pattern(o["path"])
+            for o in _run(args + ["--format", fmt], tmp_path / case / fmt)["outputs"]))
+            for fmt in ("csv", "json")}
+        assert names["json"] == [n.replace(".csv", ".json") for n in names["csv"]], case
+        assert rows.setdefault(args[0], names["csv"]) == names["csv"], case
+    table = "\n".join(["| subcommand | files written (`--format csv`) |", "|---|---|",
+                       *(f"| `{name}` | {', '.join(f'`{n}`' for n in row)} |"
+                         for name, row in rows.items())])
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     assert table in readme, table
 

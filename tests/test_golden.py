@@ -19,13 +19,15 @@ result moved.
 from __future__ import annotations
 
 import json
+import math
+import operator
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from primeaps import cli
+from primeaps import cli, roth
 
 GOLDEN = Path(__file__).with_name("golden_results.json")
 FORMATS = ("csv", "json")
@@ -150,6 +152,72 @@ def test_program_tables_stay_on_the_float_kernel(name, fmt, tmp_path, monkeypatc
     _record(CASES[name], fmt, tmp_path)
     assert sum(formatted) > 0
     assert sum(left) <= 0.01 * sum(formatted)
+
+
+# each ledger entry of the golden configs: its stage, its relation, whether
+# a side is read off a transform, and its verdict at each config, which is
+# the boolean the report (or varnavides.json) wrote before the ledger
+_ENTRIES = {
+    "three_ap_free": ("source", "==", False),
+    "m_le_logN": ("w-trick", "<=", False),
+    "size_ok": ("bohr", ">=", False),
+    "setlike": ("granularize", "<=", True),
+    "step1_ok": ("granularize", "<=", True),
+    "step2_ok": ("granularize", "<=", True),
+    "gate_ok": ("granularize", ">=", False),
+    "varnavides_vacuous": ("bounds", ">=", False),
+    "varnavides_clamped": ("bounds", "<", False),
+    "contradiction": ("bounds", "<", False),
+    "bohr_linear_ok": ("bounds", "<=", True),
+    "bohr_cubic_ok": ("bounds", "<=", True),
+}
+_PIPELINE_VERDICTS = dict.fromkeys(_ENTRIES, True) | {
+    "varnavides_clamped": False, "contradiction": False}
+_VERDICTS = {
+    "roth-pipeline": _PIPELINE_VERDICTS | {"three_ap_free": False, "gate_ok": False},
+    "roth-pipeline-behrend": _PIPELINE_VERDICTS,
+    "varnavides": {"varnavides_vacuous": False, "varnavides_clamped": True},
+}
+_RELATIONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, "==": operator.eq}
+
+
+def _side(value):
+    """A side as the ledger's JSON writes it: a non-finite float as text."""
+    return float(value) if isinstance(value, str) else value
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", sorted(_VERDICTS))
+def test_check_ledger_keeps_every_verdict(name, fmt, tmp_path):
+    _record(CASES[name], fmt, tmp_path)
+    doc = json.loads((tmp_path / ("varnavides.json" if name == "varnavides"
+                                  else "report.json")).read_text())
+    entries = {c["name"]: c for c in doc["checks"]}
+    assert list(entries) == list(_VERDICTS[name])
+    for key, c in entries.items():
+        stage, relation, transform = _ENTRIES[key]
+        lhs, rhs = _side(c["lhs"]), _side(c["rhs"])
+        assert (c["stage"], c["relation"], c["holds"]) == (
+            stage, relation, _VERDICTS[name][key]), key
+        # one slack rule: CHECK_RTOL of the larger side of a transformed
+        # pair, none for exact sides
+        assert c["slack"] == (roth.CHECK_RTOL * max(abs(lhs), abs(rhs))
+                              if transform else 0.0), key
+        assert c["holds"] is (_RELATIONS[relation](lhs, rhs)
+                              or abs(lhs - rhs) < c["slack"]), key
+        if lhs > 0 and rhs > 0:
+            up = math.log10(lhs) - math.log10(rhs)
+            room = {"<=": -up, "<": -up, ">=": up, "==": -abs(up)}[relation]
+            assert _side(c["margin"]) == pytest.approx(room, rel=1e-12, abs=1e-12), key
+        else:
+            assert c["margin"] is None, key
+    if name == "roth-pipeline-behrend":
+        # exact ties hold with no slack
+        assert [(entries[k]["lhs"], entries[k]["rhs"], entries[k]["slack"])
+                for k in ("gate_ok", "size_ok")] == [(1.0, 1.0, 0.0), (2003, 2003.0, 0.0)]
+    if name == "roth-pipeline":
+        # the closing comparison misses by about 17 orders of magnitude
+        assert round(entries["contradiction"]["margin"]) == -17
 
 
 if __name__ == "__main__":

@@ -27,40 +27,51 @@ def _uniform(N):
     return Measure(N, np.full(N, 1.0 / N), signed=False, base=BASE_ZN)
 
 
+def _holds(checks) -> dict:
+    """Each ledger entry's verdict by name, from Check records or from the
+    report's plain entries."""
+    return {c["name"]: c["holds"] for c in map(_entry, checks)}
+
+
+def _entry(c) -> dict:
+    return c if isinstance(c, dict) else dataclasses.asdict(c)
+
+
 # --- W-trick -----------------------------------------------------------------
 
-def _report_alpha(res, A0, table, W, n, monkeypatch):
-    """The alpha of density_experiment's w_trick block, run on the source
-    A0 at scale n, whose W-trick must be `res`: the lambda_{b,m,N} mass of
-    A, read off the measure stage."""
+def _report_of(res, A0, table, W, n, monkeypatch):
+    """density_experiment's report on the source A0 at scale n, whose
+    W-trick must be `res`. Its alpha is the measure block's mass_a, the
+    lambda_{b,m,N} mass of A."""
     monkeypatch.setattr(roth, "_build_source", lambda source, n, table, seed: (
         np.asarray(A0, dtype=np.int64), table.primes_up_to(n)))
-    block = roth.density_experiment("primes", n, table, keep=_ignore,
-                                    **_FLAGS | {"W": W})["w_trick"]
+    rep = roth.density_experiment("primes", n, table, keep=_ignore,
+                                  **_FLAGS | {"W": W})
+    block = rep["w_trick"]
     assert (block["b"], block["m"], block["N"], block["size_A"]) == (
         res.b, res.m, res.N, res.A.size)
-    return block["alpha"]
+    return rep
 
 
 def test_w_trick_three_primes(small_table, monkeypatch):
     res = roth.w_trick([3, 5, 7], small_table, W=2, n=7)
-    assert (res.b, res.m, res.N, res.W) == (1, 2, 11, 2)
+    assert (res.b, res.m, res.N) == (1, 2, 11)
     assert res.A.tolist() == [1, 2, 3]
     expect = math.fsum(math.log(v) / 22.0 for v in (3, 5, 7))
-    alpha = _report_alpha(res, [3, 5, 7], small_table, 2, 7, monkeypatch)
-    assert alpha == pytest.approx(expect, rel=1e-15)
+    rep = _report_of(res, [3, 5, 7], small_table, 2, 7, monkeypatch)
+    assert rep["measure"]["mass_a"] == pytest.approx(expect, rel=1e-15)
     # the window (2n/m, 4n/m] comes from the source scale n = 7
     assert 2 * 7 // res.m < res.N <= 4 * 7 // res.m
-    assert res.m_le_logN
+    assert _holds(rep["checks"])["m_le_logN"]
 
 
 def test_w_trick_primes_to_2000(small_table, monkeypatch):
     ps = small_table.primes_up_to(2000)
     res = roth.w_trick(ps, small_table, W=2, n=1999)
-    assert (res.b, res.m, res.N, res.W) == (1, 2, 2003, 2)
+    assert (res.b, res.m, res.N) == (1, 2, 2003)
     assert res.A.size == 302
-    alpha = _report_alpha(res, ps, small_table, 2, 1999, monkeypatch)
-    assert alpha == pytest.approx(0.4841, abs=5e-4)
+    rep = _report_of(res, ps, small_table, 2, 1999, monkeypatch)
+    assert rep["measure"]["mass_a"] == pytest.approx(0.4841, abs=5e-4)
 
 
 @pytest.mark.filterwarnings("ignore::primeaps.errors.DeskScaleWarning")
@@ -87,8 +98,8 @@ def test_w_trick_set_invariants(small_table, monkeypatch):
         expect = math.fsum(
             phi_m * math.log(int(v)) / (res.m * res.N) for v in vals
         )
-        alpha = _report_alpha(res, ps, small_table, W, n, monkeypatch)
-        assert alpha == pytest.approx(expect, rel=1e-12)
+        rep = _report_of(res, ps, small_table, W, n, monkeypatch)
+        assert rep["measure"]["mass_a"] == pytest.approx(expect, rel=1e-12)
 
 
 def test_w_trick_rejections(small_table):
@@ -327,9 +338,10 @@ def test_setlike_uniform_is_tight():
     assert rep.chain_reference == pytest.approx(1.0 / N + (2.0 / 4) / len(B))
     assert u.total == pytest.approx(1.0)
     assert roth.mu_sup_offzero(u, W=4)[0] == pytest.approx(0.0, abs=1e-12)
-    assert rep.setlike and rep.step1_ok and rep.step2_ok
+    holds = _holds(rep.checks)
+    assert holds["setlike"] and holds["step1_ok"] and holds["step2_ok"]
     # W=4 < 16 clamps loglog to 1: gate is eps^k >= 2/W = 0.5
-    assert rep.gate_ok is (0.1 >= 0.5)
+    assert holds["gate_ok"] is (0.1 >= 0.5)
 
 
 def test_setlike_chain_holds_on_random_instances():
@@ -344,14 +356,15 @@ def test_setlike_chain_holds_on_random_instances():
         k = int(rng.integers(1, 3))
         B = roth.bohr_set(rng.integers(1, N, size=k), 0.2, N)
         rep = roth.setlike_check(a, mu, B, W=4)
-        assert rep.step1_ok
-        assert rep.step2_ok
+        holds = _holds(rep.checks)
+        assert holds["step1_ok"]
+        assert holds["step2_ok"]
         # chain_sup = |mu~(0)| / N + sup_{r != 0} |mu~(r)| / |B|
         assert rep.chain_sup == pytest.approx(
             mu.total / N + roth.mu_sup_offzero(mu, W=4)[0] / len(B), rel=1e-12)
         # W=4 clamps loglog to 1: the reference is 2/W = 0.5
         assert rep.chain_reference == pytest.approx(1.0 / N + 0.5 / len(B))
-        assert rep.gate_ok is (0.2**B.k >= 0.5)
+        assert holds["gate_ok"] is (0.2**B.k >= 0.5)
 
 
 def test_setlike_rejects_undominated():
@@ -363,6 +376,77 @@ def test_setlike_rejects_undominated():
     B = roth.bohr_set([1], 0.2, N)
     with pytest.raises(PreconditionError):
         roth.setlike_check(a, mu, B, W=4)
+
+
+# --- the check ledger --------------------------------------------------------
+
+def test_check_exact_sides_allow_no_slack():
+    # ties hold for the non-strict relations and fail "<"; a miss by one
+    # ulp fails, however small the sides
+    assert roth.check("t", "s", 2003, ">=", 2003.0, False).holds
+    assert roth.check("t", "s", 1.0, ">=", 1.0, False).holds
+    assert roth.check("t", "s", 0, "==", 0, False).holds
+    assert not roth.check("t", "s", 1.0, "<", 1.0, False).holds
+    tiny = 2.0 / 1_000_003
+    assert not roth.check("t", "s", math.nextafter(tiny, 1.0), "<=", tiny, False).holds
+    entry = roth.check("t", "s", math.nextafter(1.0, 0.0), ">=", 1.0, False)
+    assert (entry.slack, entry.holds) == (0.0, False)
+
+
+@pytest.mark.parametrize("lhs, relation, rhs, margin", [
+    (1.0, "<=", 100.0, 2.0),
+    (100.0, "<=", 1.0, -2.0),
+    (1000.0, ">=", 1.0, 3.0),
+    (1.0, ">=", 1000.0, -3.0),
+    (1000.0, "<", 1.0, -3.0),
+    (10.0, "==", 1000.0, -2.0),
+    (1000.0, "==", 10.0, -2.0),
+    (2003, ">=", 2003.0, 0.0),
+    (1.0, "<=", 1.0, 0.0),
+    (3, "==", 3, 0.0),
+])
+def test_check_margin_is_positive_with_room(lhs, relation, rhs, margin):
+    # log10 of the ratio of the sides, by how many orders of magnitude the
+    # relation holds (positive) or misses (negative); a tie reads +0.0
+    got = roth.check("t", "s", lhs, relation, rhs, False).margin
+    assert got == pytest.approx(margin, abs=1e-15)
+    assert math.copysign(1.0, got) == math.copysign(1.0, margin)
+
+
+@pytest.mark.parametrize("lhs, rhs", [(0, 5), (5, 0), (0.0, 0.0), (-1.0, 2.0)])
+def test_check_margin_needs_two_positive_sides(lhs, rhs):
+    assert roth.check("t", "s", lhs, "<=", rhs, True).margin is None
+
+
+def test_check_slack_is_relative_to_the_larger_side():
+    # a transformed side may miss by CHECK_RTOL of the larger side, at
+    # any scale; an absolute slack would wave through any miss once the
+    # sides are small
+    for scale in (1e-12, 1.0, 1e12):
+        entry = roth.check("t", "s", scale * (1 + 5e-10), "<=", scale, True)
+        assert entry.slack == roth.CHECK_RTOL * entry.lhs
+        assert entry.holds
+        assert not roth.check("t", "s", scale * (1 + 2e-9), "<=", scale, True).holds
+        assert roth.check("t", "s", scale, ">=", scale * (1 + 5e-10), True).holds
+        assert not roth.check("t", "s", scale, ">=", scale * (1 + 2e-9), True).holds
+
+
+@pytest.mark.parametrize("excess, holds", [(0.0, True), (1e-12, True), (1e-6, False)])
+def test_setlike_slack_is_relative(excess, holds, monkeypatch):
+    # a planted sup a1 of (2/N)(1 + excess) at N = 10^6: a miss by 10^-6
+    # of the bound fails, which an absolute slack of 1e-9, 5 10^-4 of the
+    # bound 2/N, would have let hold
+    N = 10**6
+    u = _uniform(N)
+    sup = 2.0 / N * (1 + excess)
+    w = np.full(N, 1.0 / N)
+    w[7] = sup
+    monkeypatch.setattr(roth, "granularize", lambda a, bohr: Measure(
+        N, w, signed=False, base=BASE_ZN))
+    rep = roth.setlike_check(u, u, roth.bohr_set([], 0.5, N), W=4)
+    (entry,) = [c for c in rep.checks if c.name == "setlike"]
+    assert (entry.lhs, entry.rhs) == (sup, 2.0 / N)
+    assert entry.holds is holds
 
 
 # --- 3AP counting ------------------------------------------------------------
@@ -536,7 +620,6 @@ def test_pipeline_zn_count_is_the_line_count(source, small_table):
         assert wrapped.nontrivial == line.nontrivial == \
             counts["A_3aps_wrapped_nontrivial"] == \
             counts["A_3aps_line_nontrivial"], (source, W)
-        assert counts["A_3aps_unordered"] == line.nontrivial // 2
 
 
 def test_count_3aps_even_modulus_self_paired():
@@ -591,12 +674,13 @@ def test_varnavides_frozen_example():
     assert vb.z_lower == pytest.approx(1252.153125, rel=1e-12)
     assert vb.bound == pytest.approx(1.2146e-5, rel=1e-3)
     assert vb.C2_effective == pytest.approx(6.9725, rel=1e-3)
-    assert vb.clamped and not vb.vacuous
+    holds = _holds(vb.checks)
+    assert holds["varnavides_clamped"] and not holds["varnavides_vacuous"]
 
 
 def test_varnavides_alpha_one():
     vb = roth.varnavides_bound(1.0, 64, C1=1.0)
-    assert vb.clamped
+    assert _holds(vb.checks)["varnavides_clamped"]
     assert vb.M == 2
     assert vb.z_lower == pytest.approx(64**2 / 32.0)
     # the full interval certainly meets the 3AP lower bound
@@ -608,9 +692,9 @@ def test_varnavides_overflow_and_vacuous():
     vb = roth.varnavides_bound(0.05, 1000, C1=1.0)
     assert math.isinf(vb.M)
     assert vb.z_lower == 0.0 and vb.bound == 0.0
-    assert vb.vacuous and vb.C2_effective is None
+    assert _holds(vb.checks)["varnavides_vacuous"] and vb.C2_effective is None
     vb = roth.varnavides_bound(0.3, 100, C1=1.0)
-    assert math.isfinite(vb.M) and vb.vacuous
+    assert math.isfinite(vb.M) and _holds(vb.checks)["varnavides_vacuous"]
 
 
 def test_varnavides_huge_M_stays_finite():
@@ -620,7 +704,7 @@ def test_varnavides_huge_M_stays_finite():
     assert vb.M > 1e150
     assert 0.0 <= vb.z_lower < 1e-250
     assert vb.bound >= 0.0
-    assert vb.vacuous
+    assert _holds(vb.checks)["varnavides_vacuous"]
 
 
 def test_varnavides_validation():
@@ -642,8 +726,9 @@ def test_final_inequality_formula():
     tail = math.sqrt(0.04)
     assert fi.lhs == pytest.approx(count_error + spectral + tail)
     assert fi.rhs == pytest.approx(e(-(0.5**-2) * math.log(2.0)))
-    assert fi.contradiction is (fi.lhs < fi.rhs)
-    assert fi.bohr_defect_linear == 0.0 and fi.bohr_linear_ok
+    holds = _holds(fi.checks)
+    assert holds["contradiction"] is (fi.lhs < fi.rhs)
+    assert fi.bohr_defect_linear == 0.0 and holds["bohr_linear_ok"]
 
 
 @pytest.mark.parametrize("R, eps, W", [([1, 2], 0.01, 10), ([1], 0.5, 4)])
@@ -653,16 +738,16 @@ def test_bohr_dimension_gate(R, eps, W):
     u = _uniform(200)
     B = roth.bohr_set(R, eps, 200)
     rep = roth.setlike_check(u, u, B, W=W)
-    assert rep.gate_ok is (eps ** len(R) >= 2.0 / W)
+    assert _holds(rep.checks)["gate_ok"] is (eps ** len(R) >= 2.0 / W)
 
 
 def test_final_inequality_contradiction_flag():
     kw = dict(alpha=1.0, delta=0.01, eps=1e-6, N=10**6,
               bohr=roth.bohr_set([], 1e-6, 10**6))
     lo = roth.final_inequality(constants={"C2": 0.001}, **kw)
-    assert lo.contradiction
+    assert _holds(lo.checks)["contradiction"]
     hi = roth.final_inequality(constants={"C2": 100.0}, **kw)
-    assert not hi.contradiction
+    assert not _holds(hi.checks)["contradiction"]
 
 
 def test_final_inequality_bohr_defects():
@@ -673,12 +758,13 @@ def test_final_inequality_bohr_defects():
     bt = np.fft.fft(B.beta().weights)
     lin = max(abs(1.0 - bt[r % N]) for r in B.R)
     assert fi.bohr_defect_linear == pytest.approx(lin, rel=1e-12)
-    assert fi.bohr_linear_ok and fi.bohr_cubic_ok
+    holds = _holds(fi.checks)
+    assert holds["bohr_linear_ok"] and holds["bohr_cubic_ok"]
     assert fi.bohr_defect_linear <= 16 * eps**2 + 1e-9
     assert fi.bohr_defect_cubic <= 2**12 * eps**2 + 1e-9
     empty = roth.bohr_set([], 0.5, 100)
     fi = roth.final_inequality(0.5, 0.1, 0.2, 100, constants=None, bohr=empty)
-    assert fi.bohr_defect_linear == 0.0 and fi.bohr_cubic_ok
+    assert fi.bohr_defect_linear == 0.0 and _holds(fi.checks)["bohr_cubic_ok"]
 
 
 def test_final_inequality_validation():
@@ -786,39 +872,39 @@ def test_density_experiment_primes(small_table):
     # every block is computed; none is a cited formula
     assert _keys(rep) == {
         "params", "source", "w_trick", "measure", "spectrum", "bohr",
-        "setlike", "counts", "bounds",
+        "setlike", "counts", "bounds", "checks",
     }
-    assert rep["source"]["three_ap_free"] is False
+    assert _holds(rep["checks"])["three_ap_free"] is False
     assert rep["source"]["alpha0"] == pytest.approx(1.0)
     assert rep["w_trick"]["b"] == 1 and rep["w_trick"]["m"] == 2
     assert 0.9 < rep["measure"]["mass_mu"] < 1.1
     assert rep["counts"]["difference_residual"] <= 1e-8
     assert rep["counts"]["A_3aps_line_nontrivial"] > 0
-    assert rep["bounds"]["contradiction"] is False
+    assert _holds(rep["checks"])["contradiction"] is False
 
 
 @pytest.mark.filterwarnings("ignore::primeaps.errors.DeskScaleWarning")
 @pytest.mark.parametrize("source", roth.SOURCES)
 def test_w_trick_alpha_is_the_mass_of_a(source, small_table):
-    # alpha has one home, the measure: the w_trick block's alpha is the
-    # measure stage's mass of a, bit for bit, and the direct sum of the
-    # weight phi(m) log(m a + b) / (m N) over A
+    # alpha has one home, the measure: the W-trick's alpha is the measure
+    # stage's mass of a, the direct sum of the weight
+    # phi(m) log(m a + b) / (m N) over A, and no other block repeats it
     for W in (1, 2, 3, 5):
         stash = {}
         rep = roth.density_experiment(source, 2000, small_table,
                                       keep=stash.__setitem__, **_FLAGS | {"W": W})
         wt = rep["w_trick"]
-        assert wt["alpha"] == rep["measure"]["mass_a"], (source, W)
+        assert "alpha" not in wt, (source, W)
         phi_m = sieve.euler_phi(wt["m"])
         expect = math.fsum(phi_m * math.log(wt["m"] * int(x) + wt["b"])
                            / (wt["m"] * wt["N"]) for x in stash["A"])
-        assert wt["alpha"] == pytest.approx(expect, rel=1e-12), (source, W)
+        assert rep["measure"]["mass_a"] == pytest.approx(expect, rel=1e-12), (source, W)
 
 
 def test_density_experiment_behrend_source_is_free(small_table):
     rep = roth.density_experiment("behrend-in-primes", 400, small_table,
                                   keep=_ignore, **_FLAGS)
-    assert rep["source"]["three_ap_free"] is True
+    assert _holds(rep["checks"])["three_ap_free"] is True
     assert rep["source"]["line_3aps_nontrivial"] == 0
     assert 0 < rep["source"]["alpha0"] < 1
 
