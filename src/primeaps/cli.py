@@ -1194,12 +1194,12 @@ def _run_behrend(cfg: argparse.Namespace, em: Emitter):
 
 
 def _run_varnavides(cfg: argparse.Namespace, em: Emitter):
+    # writes no file: the bound and its two ledger entries (`checks`) are
+    # all in the manifest's results, which also reads each entry's verdict
+    # as vacuous or clamped
     C1 = roth.closing_constants(cfg.constants)["C1"]
     vb = roth.varnavides_bound(cfg.alpha, cfg.N, C1=C1)
-    report = asdict(vb)
-    em.json_file("varnavides", report)
-    # the manifest reads each check's verdict as vacuous or clamped
-    results = {key: value for key, value in report.items() if key != "checks"}
+    results = asdict(vb)
     results |= {c.name.removeprefix("varnavides_"): c.holds for c in vb.checks}
     return {"C1": C1}, results
 

@@ -32,16 +32,19 @@ The torus-grid path is separate. `wedge_grid` evaluates f^ on the grid j/M
 with one length-M rfft, completed by Hermitian symmetry, since the weights
 of a measure are real. The L^p norms come from one ladder, `_lp_ladder`,
 over the levels M = oversample * N, 2M, 4M, ..., which stops once two
-consecutive levels agree. Real coefficients take one rfft per comparison:
-the grid of 2M points holds the M grid as its even bins, so each rfft gives
-the finer level and the coarser one is already known. Complex coefficients
-(only `restriction_ratio` has them) take one fft at M, and each doubling
-adds the odd samples of the 2M grid with one length-M fft of twisted
+consecutive levels agree. Each grid of L = s N points is a four-step
+transform too, on the (L1, L2) view of its pad, L1 = s * `_split(N)`, with
+no full-length call. Real coefficients take one `_real_grid_powers` (an
+rfft down axis 0, the twiddle, an fft along axis 1: the rows k1 <= L1/2,
+whose conjugate mirrors are the rest) per comparison, since the grid of 2M
+points holds the M grid as its rows k1 = 0 mod 2. Complex coefficients
+(only `restriction_ratio` has them) take one transform of M points, and
+each doubling adds the odd samples of the 2M grid with one of twisted
 coefficients. At even integer p the M-point rule is exact once
 M > (p/2) * span, and the ladder stops at the first exact level; when that
-is the first, it costs one transform of length M. `mz_ratio` reads its
-discrete sum over r/N off every (L/N)-th bin of the ladder's first grid of
-L points, so it takes no length-N transform of its own.
+is the first, it costs one transform of M points. `mz_ratio` reads its
+discrete sum over r/N off the rows k1 = 0 mod s of the ladder's first
+grid, so it takes no length-N transform of its own.
 
 The ladder refuses, with ParameterError, a p outside [1, inf) and a p at
 which the grid mean of |f^|^p leaves the float range: infinite or NaN
@@ -117,6 +120,22 @@ def _split(n: int) -> int:
     return d
 
 
+def _twiddles(L1: int, L2: int, rows: int) -> tuple[np.ndarray, ...]:
+    """The twiddle w^(k1 n2), w = exp(-2 pi i / L), of the four-step
+    transform on the (L1, L2) view of a length-L buffer at its rows
+    k1 < rows, as two small tables: with n2 = B a + b, B = `_split(L2)`,
+    it is w^(k1 B a) (shape (rows, L2 / B, 1)) times w^(k1 b) (shape
+    (rows, 1, B)), about rows (L2 / B + B) values. k1 B a and k1 b lie
+    below L, so every phase is an exact integer and within one rounding
+    of its value. None is cached beyond `_chirp_plan`'s: a table held
+    between a ladder's large transient arrays keeps the heap from
+    shrinking back, which costs more peak memory than the tables save."""
+    B = _split(L2)
+    k1 = np.arange(rows, dtype=np.int64)[:, None, None]
+    phases = (k1 * (B * np.arange(L2 // B))[:, None], k1 * np.arange(B))
+    return tuple(np.exp((-2j * math.pi / (L1 * L2)) * m) for m in phases)
+
+
 @functools.lru_cache(maxsize=1)
 def _chirp_plan(N: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """The half-length Bluestein plan of Z_N: the chirp
@@ -127,33 +146,24 @@ def _chirp_plan(N: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]
     four-step transform at L (`_four_step`).
 
     The four-step transform runs on the (L1, L2) view of a length-L
-    buffer, L1 = `_split(L)` <= L2 = L / L1 (1215 x 1250 at
-    N = 1,000,003). Its twiddle w^(k1 n2), w = exp(-2 pi i / L), is kept
-    as two small tables: with n2 = B a + b, B = `_split(L2)`, it is
-    w^(k1 B a) (shape (L1, L2 / B, 1)) times w^(k1 b) (shape (L1, 1, B)),
-    about L1 (L2 / B + B) values in all, 1.5 MB at N = 1,000,003 against
-    24 MB for the full table. The kernel's transform is kept in the
-    transform's own (k1, k2) order, k = k1 + L1 k2, as an (L1, L2) array.
-
-    n^2 is reduced mod 2N in integers, and k1 B a and k1 b lie below L,
-    so every phase is an exact integer and within one rounding of its
-    value. One plan is kept: a run transforms at one N.
+    buffer, L1 = `_split(L)` <= L2 = L / L1 (1215 x 1250 at N = 1,000,003,
+    where its `_twiddles` take 1.5 MB against 24 MB for the full table).
+    The kernel's transform is kept in the transform's own (k1, k2) order,
+    k = k1 + L1 k2, as an (L1, L2) array. n^2 is reduced mod 2N in
+    integers, so every phase of the chirp is an exact integer too. One
+    plan is kept: a run transforms at one N.
     """
     R = N // 2 + 1
     L = _smooth_length(N + R - 1)
     L1 = _split(L)
-    L2 = L // L1
-    B = _split(L2)
     n = np.arange(N, dtype=np.int64)
     chirp = np.exp((-1j * math.pi / N) * (n * n % (2 * N)))
     del n
-    k1 = np.arange(L1, dtype=np.int64)[:, None, None]
-    phases = (k1 * (B * np.arange(L2 // B))[:, None], k1 * np.arange(B))
-    twiddles = tuple(np.exp((-2j * math.pi / L) * m) for m in phases)
+    twiddles = _twiddles(L1, L // L1, L1)
     kernel = np.zeros(L, dtype=np.complex128)
     np.conjugate(chirp[:R], out=kernel[:R])
     np.conjugate(chirp[:0:-1], out=kernel[L - N + 1:])
-    kernel = kernel.reshape(L1, L2)
+    kernel = kernel.reshape(L1, -1)
     _four_step(kernel, twiddles, inverse=False)
     for a in (chirp, kernel, *twiddles):
         a.setflags(write=False)
@@ -178,10 +188,16 @@ def _four_step(v: np.ndarray, twiddles: tuple[np.ndarray, ...],
     transform = np.fft.ifft if inverse else np.fft.fft
     first, last = (1, 0) if inverse else (0, 1)
     transform(v, axis=first, out=v)
+    _twiddle(v, twiddles, inverse)
+    transform(v, axis=last, out=v)
+
+
+def _twiddle(v: np.ndarray, twiddles: tuple[np.ndarray, ...],
+             inverse: bool) -> None:
+    """v *= the twiddle of `_twiddles` at v's rows (conjugate if inverse)."""
     view = v.reshape(v.shape[0], -1, twiddles[1].shape[2])
     for t in twiddles:
         view *= np.conjugate(t) if inverse else t
-    transform(v, axis=last, out=v)
 
 
 def _chirp_convolution(u: np.ndarray, kernel: np.ndarray,
@@ -292,36 +308,30 @@ def wedge_grid(f: Measure, M: int) -> np.ndarray:
     return vals
 
 
-def _half_powers(pad: np.ndarray, p: float) -> np.ndarray:
-    """|sum_n pad_n e(-nk/L)|^p at the bins k = 0..L//2 of a real pad of
-    length L, from one rfft; the grid's other bins mirror these. An
-    overflow to inf is left to _lp_ladder to refuse."""
-    mags = np.abs(np.fft.rfft(pad))
+def _powers(v: np.ndarray, p: float) -> np.ndarray:
+    """|v|^p, an overflow to inf left to _lp_ladder to refuse."""
+    mags = np.abs(v)
     with np.errstate(over="ignore"):
         mags **= p
     return mags
 
 
-def _hermitian_sum(half: np.ndarray, L: int) -> float:
-    """The sum over the L bins of a Hermitian grid, given its bins
-    0..L//2: every bin but 0 and (for even L) L/2 stands for two. Bins
-    of inf give inf or NaN, for _lp_ladder to refuse."""
-    with np.errstate(invalid="ignore"):
-        total = 2.0 * np.sum(half) - half[0]
-        if L % 2 == 0:
-            total -= half[-1]
-    return float(total)
-
-
-def _complex_power_sum(pad: np.ndarray, p: float) -> float:
-    """sum over j = 0..M-1 of |sum_n pad_n e(nj/M)|^p, with M = len(pad).
-
-    Over a full period the sign of the phase only permutes j, so one forward
-    transform serves."""
-    mags = np.abs(np.fft.fft(pad))
+def _real_grid_powers(v: np.ndarray, p: float) -> np.ndarray:
+    """|X(k)|^p, X(k) = sum_n pad_n e(-nk/L), for the real length-L pad
+    whose (L1, L2) view is v, at the rows k1 <= L1/2 of the (k1, k2) order
+    of `_four_step`, k = k1 + L1 k2: an rfft down axis 0, the twiddle on
+    those rows and an fft along axis 1. Row L1 - k1 mirrors row k1, since
+    X(L - k) = conj X(k), so each row is weighted by the rows it stands
+    for, 1 for row 0 and (for even L1) row L1/2 and 2 for the others: the
+    sum over the bins k = 0 mod t, t | L1, is that of the rows k1 = 0 mod t."""
+    L1, L2 = v.shape
+    v = np.fft.rfft(v, axis=0)
+    _twiddle(v, _twiddles(L1, L2, v.shape[0]), inverse=False)
+    np.fft.fft(v, axis=1, out=v)
+    powers = _powers(v, p)
     with np.errstate(over="ignore"):
-        mags **= p
-    return float(np.sum(mags))
+        powers[1:(L1 + 1) // 2] *= 2.0
+    return powers
 
 
 def _lp_ladder(positions, values, N, p, grid: TorusGrid):
@@ -334,27 +344,32 @@ def _lp_ladder(positions, values, N, p, grid: TorusGrid):
     still disagrees, a GridConvergenceWarning is issued and the finer value
     returned.
 
-    Real values take one rfft per comparison: the grid of 2M points holds
-    the M grid as its even bins, so the first pair costs one rfft of
-    length 2M, and each doubling after it one rfft at the new finer length.
-    Complex values take one fft of length M for the first level, and each
+    Each grid of L = s N points is one four-step transform of the (L1, L2)
+    view of its scattered pad, L1 = s * `_split(N)`, so its sub-grids of
+    every s-th and every 2nd bin are sets of rows k1. Real values take one
+    `_real_grid_powers` per comparison: the grid of 2M points holds the M
+    grid as its even bins, so the first pair costs one grid of 2M points,
+    and each doubling after it one at the new finer length. Complex values
+    take one `_four_step` of M points for the first level, in place and
+    summed over every bin, so its (k1, k2) order needs no reordering; each
     doubling keeps the sum over the M grid as the even samples of the 2M
     grid and adds the odd ones, f^((2j+1)/2M) = sum_n v_n e(n/2M) e(nj/M):
-    one length-M fft of the twisted values.
+    one more transform of M points, of the twisted values.
 
     For even integer p, |f^|^p is a trigonometric polynomial of degree at
     most (p/2) * span, span = max - min of the positions, so the M-point
     rule is exact once M > (p/2) * span: the first such level is returned,
-    and when the first level is exact it is one transform of length M. Every
-    L^p norm and ratio of this module comes here, so this is where p
+    and when the first level is exact it is one transform of M points.
+    Every L^p norm and ratio of this module comes here, so this is where p
     outside [1, inf), NaN included, is refused, and so is a p at which the
     grid mean of |f^|^p leaves the float range: infinite or NaN, or 0 for
     nonzero values.
 
-    Returns the norm and, for real values, (powers, L): the first rfft the
-    ladder took, as |sum_n v_n e(-nk/L)|^p at its bins k = 0..L//2, with L
-    = oversample * N when that level is exact and 2 * oversample * N
-    otherwise. For complex values the second item is None.
+    Returns the norm and, for real values, (powers, s): the first grid the
+    ladder took, as the weighted rows of `_real_grid_powers` for its
+    L = s N points, with s = oversample when that level is exact and
+    2 * oversample otherwise; the sum over its bins r s is that of the
+    rows powers[::s]. For complex values the second item is None.
     """
     if not 1 <= p < math.inf:
         raise ParameterError(f"p must lie in [1, inf), got {p}")
@@ -374,28 +389,38 @@ def _lp_ladder(positions, values, N, p, grid: TorusGrid):
                 f"|f^|^p over the grid of {M} points is {value!r}")
         return value
 
+    def view(v, L: int) -> np.ndarray:
+        # v scattered on the grid of L points, as its (L1, L2) view
+        return _scatter(positions, v, L).reshape(L // N * _split(N), -1)
+
+    def complex_sum(v, M: int) -> float:
+        pad = view(v, M)
+        L1, L2 = pad.shape
+        _four_step(pad, _twiddles(L1, L2, L1), inverse=False)
+        return float(np.sum(_powers(pad, p)))
+
     real = not np.iscomplexobj(values)
     o = grid.oversample
     M = o * N
     first = None
     if real:
-        # L is the length of the latest rfft, M or 2M
+        # L is the length of the latest grid, M or 2M
         L = M if exact(M) else 2 * M
-        half = _half_powers(_scatter(positions, values, L), p)
-        first = (half, L)
-        total = _hermitian_sum(half[::L // M], M)
+        powers = _real_grid_powers(view(values, L), p)
+        first = (powers, L // N)
+        total = float(np.sum(powers[::L // M]))
     else:
-        total = _complex_power_sum(_scatter(positions, values, M), p)
+        total = complex_sum(values, M)
     cur = mean(total, M) ** (1.0 / p)
     while not exact(M):
         if real:
             if L == M:
                 L = 2 * M
-                half = _half_powers(_scatter(positions, values, L), p)
-            total = _hermitian_sum(half, L)
+                powers = _real_grid_powers(view(values, L), p)
+            total = float(np.sum(powers))
         else:
             twisted = values * e(positions / (2 * M))  # the odd samples of 2M
-            total += _complex_power_sum(_scatter(positions, twisted, M), p)
+            total += complex_sum(twisted, M)
         nxt = mean(total, 2 * M) ** (1.0 / p)
         scale = max(abs(nxt), 1e-300)
         if abs(cur - nxt) / scale < REL_CONSISTENCY:
@@ -425,16 +450,18 @@ def mz_ratio(f: Measure, p: float, grid: TorusGrid) -> float:
 
     The discrete-to-continuous comparison behind the dual restriction
     estimates; equals 1 exactly at p=2 by Parseval on both sides. Both sums
-    come from one ladder: its first grid has L points, L a multiple of N,
-    and f~(r) = f^(-r/N) is its bin r * L/N, so the numerator is read off
-    every (L/N)-th bin (the weights are real, so |f~| is Hermitian).
+    come from one ladder: its first grid has L = s N points, and
+    f~(r) = f^(-r/N) is its bin r s, so the numerator is the sum of that
+    grid's every s-th bin, which are the rows k1 = 0 mod s of its
+    four-step (k1, k2) order, each weighted by its mirror row (the weights
+    are real, so |f~| is Hermitian).
     """
     pos, w = f.support()
-    norm, (half, L) = _lp_ladder(pos, w, f.N, p, grid)
+    norm, (powers, s) = _lp_ladder(pos, w, f.N, p, grid)
     den = f.N * norm ** p
     if den == 0.0:
         raise DegenerateInputError("zero measure has no mz ratio")
-    return _hermitian_sum(half[::L // f.N], f.N) / den
+    return float(np.sum(powers[::s])) / den
 
 
 def triple_count(f: Measure, g: Measure, h: Measure) -> float:

@@ -145,7 +145,12 @@ def test_varnavides_results(tmp_path):
     assert man["results"]["M"] == 2
     assert man["results"]["z_lower"] == pytest.approx(1252.153125)
     assert man["effective"]["C1"] == 0.1
-    assert json.loads((tmp_path / "varnavides.json").read_text())["M"] == 2
+    # the bound and its two ledger entries are in the manifest, no file
+    assert man["outputs"] == []
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "manifest.json"]
+    checks = {c["name"]: c["holds"] for c in man["results"]["checks"]}
+    assert checks == {"varnavides_vacuous": man["results"]["vacuous"],
+                      "varnavides_clamped": man["results"]["clamped"]}
 
 
 def test_constants_accept_known_finite_numbers(tmp_path):
@@ -980,9 +985,9 @@ def test_arc_cutoff_past_the_float_range_is_inf(extra, tmp_path):
     (["roth-pipeline", "--N", "300", "--constants", '{"C2": -1000}'], "rhs", "inf"),
 ], ids=["tiny-alpha", "C1-underflow", "tiny-delta", "C2-overflow"])
 def test_closing_bounds_past_the_float_range(args, key, want, tmp_path):
-    _run(args, tmp_path)
+    man = _run(args, tmp_path)
     if args[0] == "varnavides":
-        got = json.loads((tmp_path / "varnavides.json").read_text())
+        got = man["results"]
     else:
         got = json.loads((tmp_path / "report.json").read_text())["bounds"]
     assert got[key] == want
@@ -1123,24 +1128,33 @@ def test_majorant_denominator_once_per_N(tmp_path, monkeypatch):
     assert calls == [256, 300]
 
 
-@pytest.mark.parametrize("args, want", [
-    # per measure: one rfft for the grid, one at twice its length for the
-    # first comparison of the L^p ladder (p = 2.5, which agrees there)
+@pytest.mark.parametrize("args, want, grids", [
+    # per measure: one rfft for the grid, and one grid of twice its length
+    # for the first comparison of the L^p ladder (p = 2.5, which agrees
+    # there): the four-step passes on its (640, 50) view, an rfft down
+    # axis 0 and an fft along axis 1 of its 321 rows k1 <= 320
     (["transform-scan", "--N", "2000", "--Q", "16", "--oversample", "8"],
-     [("rfft", 16000, 1), ("rfft", 32000, 1)]),
+     [("rfft", 16000, 1), ("rfft", 640, 50), ("fft", 50, 321)], [32000]),
     # one rfft of lambda - lambda_Q per Q
     (["arc-scan", "--N", "2000", "--Q", "16,256", "--B-override", "2",
       "--oversample", "4"],
-     [("rfft", 8000, 1)] * 2),
-    # per draw, one rfft for the ladder's first comparison, which also holds
-    # the sum over r/N; no length-N transform
+     [("rfft", 8000, 1)] * 2, []),
+    # per draw, the two passes of the ladder's first grid of 4N points,
+    # which also holds the sum over r/N; no length-N transform
     (["mz-check", "--N", "1000,2000", "--draws", "2", "--oversample", "2"],
-     [("rfft", 4000, 1)] * 2 + [("rfft", 8000, 1)] * 2),
+     [("rfft", 100, 40), ("fft", 40, 51)] * 2
+     + [("rfft", 160, 50), ("fft", 50, 81)] * 2, [4000] * 2 + [8000] * 2),
 ], ids=["transform-scan", "arc-scan", "mz-check"])
-def test_torus_transform_budget(args, want, tmp_path, transforms):
+def test_torus_transform_budget(args, want, grids, tmp_path, transforms):
     # real coefficients never take a complex transform
     _run(args, tmp_path)
     assert transforms == want
+    # each ladder grid is two passes whose lengths multiply to its points,
+    # and neither transforms an axis of the grid's full length
+    ladder = transforms[len(transforms) - 2 * len(grids):]
+    pairs = list(zip(ladder[::2], ladder[1::2]))
+    assert [a[1] * b[1] for a, b in pairs] == grids
+    assert all(a[1] < L and b[1] < L for L, (a, b) in zip(grids, pairs))
 
 
 def test_tables_stream_in_blocks(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primeaps.errors import (
@@ -262,12 +262,30 @@ def _oracle_ladder(positions, values, N, p, oversample):
         cur = nxt
 
 
+def _ladder_grids(calls):
+    """(first pass, L) for each grid of L points a ladder took, from its
+    transforms: a grid is two batched passes on the (L1, L2) view of its
+    pad, an rfft (real values) or fft (complex values) of length L1 down
+    axis 0 over the L2 columns, then an fft of length L2 along axis 1 over
+    the rows k1 <= L1/2 (or all L1). Asserts that pairing, and that no
+    call transforms an axis of the grid's full length."""
+    assert len(calls) % 2 == 0
+    grids = []
+    for (name, L1, cols), (second, L2, rows) in zip(calls[::2], calls[1::2]):
+        assert (second, cols) == ("fft", L2)
+        assert rows == (L1 // 2 + 1 if name == "rfft" else L1)
+        assert max(L1, L2) < L1 * L2
+        grids.append((name, L1 * L2))
+    return grids
+
+
 def _stop_oversample(calls, N):
-    # real values: each rfft is taken at the length of the finest grid so
-    # far; complex values: the first level is one fft at M = oversample * N,
-    # and each doubling adds one fft at the length of the grid it doubles
-    name, length, _ = calls[-1]
-    if name == "rfft" or len(calls) == 1:
+    # real values: each grid is taken at the length of the finest so far;
+    # complex values: the first level is one grid of M = oversample * N
+    # points, and each doubling adds one at the length of the grid it doubles
+    grids = _ladder_grids(calls)
+    name, length = grids[-1]
+    if name == "rfft" or len(grids) == 1:
         return length // N
     return 2 * length // N
 
@@ -304,11 +322,13 @@ def test_lp_ladder_escalates_like_the_oracle(phase, transforms):
     want, stop = _oracle_ladder(positions, w, N, 1.0, 2)
     assert stop == 16
     if phase == 1.0:
-        # one rfft per comparison, at the finer grid: 28 holds 14 and 28
-        assert calls == [("rfft", 28, 1), ("rfft", 56, 1), ("rfft", 112, 1)]
+        # one grid per comparison, at the finer length: 28 holds 14 and 28
+        assert _ladder_grids(calls) == [("rfft", 28), ("rfft", 56), ("rfft", 112)]
+        # N = 7 is prime, so L1 = L/N: the passes run at L/7 and 7
+        assert calls[:2] == [("rfft", 4, 7), ("fft", 7, 3)]
     else:
-        assert calls == [("fft", 14, 1), ("fft", 14, 1), ("fft", 28, 1),
-                         ("fft", 56, 1)]
+        assert _ladder_grids(calls) == [("fft", 14), ("fft", 14), ("fft", 28),
+                                        ("fft", 56)]
     assert _stop_oversample(calls, N) == stop
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -335,7 +355,7 @@ def test_even_p_inside_the_exact_bound_takes_one_transform(p, oversample,
     with warnings.catch_warnings():
         warnings.simplefilter("error", GridConvergenceWarning)
         got = fourier.lp_norm_torus(f, p, TorusGrid(oversample=oversample))
-    assert transforms == [("rfft", oversample * N, 1)]
+    assert _ladder_grids(transforms) == [("rfft", oversample * N)]
     want, _ = _oracle_ladder(np.asarray(f.positions()), f.weights, N, p, oversample)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -343,12 +363,12 @@ def test_even_p_inside_the_exact_bound_takes_one_transform(p, oversample,
 def test_even_p_outside_the_exact_bound_doubles_once(transforms):
     # p = 6 at oversample 2: 2N <= 3 * span, so the first level is not
     # exact; 4N > 3 * span makes the doubled level exact, and it is
-    # returned. One rfft at 4N holds both levels, 2N as its even bins
+    # returned. One grid of 4N points holds both levels, 2N as its even bins
     rng = np.random.default_rng(23)
     N = 300
     f = _random_measure(N, rng)
     got = fourier.lp_norm_torus(f, 6.0, TorusGrid(oversample=2))
-    assert transforms == [("rfft", 4 * N, 1)]
+    assert _ladder_grids(transforms) == [("rfft", 4 * N)]
     want, _ = _oracle_ladder(np.asarray(f.positions()), f.weights, N, 6.0, 4)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -356,27 +376,27 @@ def test_even_p_outside_the_exact_bound_doubles_once(transforms):
 def test_even_p_at_the_exact_bound_is_not_exact(transforms):
     # f^ = 1 + e(5 theta): |f^|^4 has frequencies up to 10 = (p/2) * span,
     # which the 10-point rule aliases onto 0 (it gives 8, not the quadruple
-    # count 6); the doubled level is exact and is returned, and one rfft
-    # at 20 holds both levels
+    # count 6); the doubled level is exact and is returned, and one grid
+    # of 20 points holds both levels
     positions = np.array([0, 5])
     got, _ = fourier._lp_ladder(positions, np.ones(2), 5, 4.0,
                                 TorusGrid(oversample=2))
-    assert transforms == [("rfft", 20, 1)]
+    assert _ladder_grids(transforms) == [("rfft", 20)]
     assert got ** 4 == pytest.approx(6.0, rel=1e-12)
 
 
 def test_majorant_takes_one_real_transform_per_ratio(small_table, transforms):
     # the signs arrive as complex with zero imaginary part; the grid of real
-    # coefficients is Hermitian, so the first level is one rfft, and at
-    # p = 4 and 2N > 2 * span it is exact
+    # coefficients is Hermitian, so the first level is one real grid, and
+    # at p = 4 and 2N > 2 * span it is exact
     N = 2000
     grid = TorusGrid(oversample=2)
     n = small_table.primes_up_to(N).size
     signs = np.random.default_rng(24).integers(0, 2, size=n) * 2.0 - 1.0
     den = fourier.majorant_denominator(4.0, N, small_table, grid)
-    assert transforms == [("rfft", 2 * N, 1)]
+    assert _ladder_grids(transforms) == [("rfft", 2 * N)]
     fourier.majorant_ratio(signs, 4.0, N, small_table, grid, den=den)
-    assert transforms == [("rfft", 2 * N, 1)] * 2
+    assert _ladder_grids(transforms) == [("rfft", 2 * N)] * 2
 
 
 def _quadruple_count(positions, signs):
@@ -409,9 +429,94 @@ def test_l4_norm_is_the_exact_quadruple_count(small_table, N, oversample,
     w[primes - 1] = signs
     f = Measure(N, w, signed=True)
     got = fourier.lp_norm_torus(f, 4.0, TorusGrid(oversample=oversample))
-    assert len(transforms) == 1
+    assert _ladder_grids(transforms) == [("rfft", oversample * N)]
     want = _quadruple_count(primes, signs)
     assert got ** 4 == pytest.approx(want, rel=1e-12)
+
+
+# --- the ladder's four-step grids against full-length numpy.fft ----------
+#
+# Every grid the ladder takes is recorded as it is taken: a real grid as
+# the pad it was given and the weighted rows `_real_grid_powers` returned,
+# a complex one as the pad before and after `_four_step`. Each sum the
+# ladder can read off a real grid, over the bins k = 0 mod t for t = 1, 2
+# (the coarser level inside a grid of 2M points) and s = L/N (the r/N bins
+# of mz_ratio), is compared with the same sum over numpy's full-length
+# transform of the pad, as are a complex grid's sum, the norm with the
+# two-grid oracle and mz's numerator with the spectrum's power sum.
+
+_PRIMES = (2, 3, 7, 101, 1999, 2003, 2999)
+
+
+def _record_grids(monkeypatch):
+    grids = []
+    real_pass, four_step = fourier._real_grid_powers, fourier._four_step
+
+    def real(v, p):
+        pad = v.ravel().copy()
+        powers = real_pass(v, p)
+        grids.append(("real", pad, powers))
+        return powers
+
+    def complex_(v, twiddles, inverse):
+        pad = v.ravel().copy()
+        four_step(v, twiddles, inverse)
+        grids.append(("complex", pad, v.copy()))
+
+    monkeypatch.setattr(fourier, "_real_grid_powers", real)
+    monkeypatch.setattr(fourier, "_four_step", complex_)
+    return grids
+
+
+def _check_grid_sums(grids, N, p):
+    assert grids
+    for kind, pad, out in grids:
+        L = pad.size
+        full = np.abs(np.fft.fft(pad)) ** p  # every bin, mirrors included
+        if kind == "complex":
+            got, want = float(np.sum(np.abs(out) ** p)), float(np.sum(full))
+            assert got == pytest.approx(want, rel=1e-13, abs=0)
+            continue
+        s = L // N
+        for t in {1, s} | ({2} if s % 2 == 0 else set()):
+            got, want = float(np.sum(out[::t])), float(np.sum(full[::t]))
+            assert got == pytest.approx(want, rel=1e-13, abs=0), (L, t)
+
+
+@given(N=st.one_of(st.integers(2, 3000), st.sampled_from(_PRIMES)),
+       oversample=st.integers(2, 4), p=st.sampled_from([2.5, 3.0, 4.0]),
+       kind=st.sampled_from(["real", "complex"]), sparse=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(N=1999, oversample=3, p=4.0, kind="real", sparse=False, seed=0)  # L1 = s = 3
+@example(N=2025, oversample=3, p=4.0, kind="real", sparse=False, seed=1)  # L1 = 135
+@example(N=2003, oversample=2, p=2.5, kind="complex", sparse=True, seed=2)  # L1 = s
+@settings(max_examples=60, deadline=None)
+def test_ladder_grid_sums_match_full_length_numpy(N, oversample, p, kind, sparse,
+                                                 seed):
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(N)
+    if sparse:
+        w *= rng.random(N) < 0.05
+        w[rng.integers(N)] = 1.0
+    if kind == "complex":
+        w = w + 1j * rng.standard_normal(N) * (w != 0)
+    grid = TorusGrid(oversample=oversample)
+    positions = np.flatnonzero(w) + 1
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", GridConvergenceWarning)
+        grids = _record_grids(mp)
+        norm, _ = fourier._lp_ladder(positions, w[positions - 1], N, p, grid)
+        if kind == "real":
+            num = fourier.mz_ratio(Measure(N, w, signed=True), p, grid) * N * norm ** p
+    _check_grid_sums(grids, N, p)
+    want, _ = _oracle_ladder(positions, w[positions - 1], N, p, oversample)
+    assert norm == pytest.approx(want, rel=1e-13, abs=0)
+    if kind == "real":
+        # mz's numerator: sum_r |f~(r)|^p, f~ from one length-N numpy fft
+        zn = np.zeros(N)
+        zn[positions % N] = w[positions - 1]
+        spec = float(np.sum(np.abs(np.fft.fft(zn)) ** p))
+        assert num == pytest.approx(spec, rel=1e-13, abs=0)
 
 
 # --- trilinear form ----------------------------------------------------------
@@ -779,8 +884,9 @@ def test_mz_numerator_is_the_spectrum_power_sum(p, N, oversample, transforms):
     f = _random_measure(N, np.random.default_rng(N + oversample))
     grid = TorusGrid(oversample=oversample)
     ratio = fourier.mz_ratio(f, p, grid)
-    assert transforms == [("rfft", n, 1) for _, n, _ in transforms]
-    assert all(n >= oversample * N for _, n, _ in transforms)
+    grids = _ladder_grids(transforms)
+    assert grids == [("rfft", L) for _, L in grids]
+    assert all(L >= oversample * N for _, L in grids)
     num = ratio * N * fourier.lp_norm_torus(f, p, grid) ** p
     want = math.fsum((np.abs(fourier.spectrum(f)) ** p).tolist())
     assert num == pytest.approx(want, rel=1e-12)

@@ -156,7 +156,7 @@ def test_program_tables_stay_on_the_float_kernel(name, fmt, tmp_path, monkeypatc
 
 # each ledger entry of the golden configs: its stage, its relation, whether
 # a side is read off a transform, and its verdict at each config, which is
-# the boolean the report (or varnavides.json) wrote before the ledger
+# the boolean the report (or the varnavides output) wrote before the ledger
 _ENTRIES = {
     "three_ap_free": ("source", "==", False),
     "m_le_logN": ("w-trick", "<=", False),
@@ -189,9 +189,9 @@ def _side(value):
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name", sorted(_VERDICTS))
 def test_check_ledger_keeps_every_verdict(name, fmt, tmp_path):
-    _record(CASES[name], fmt, tmp_path)
-    doc = json.loads((tmp_path / ("varnavides.json" if name == "varnavides"
-                                  else "report.json")).read_text())
+    results = _record(CASES[name], fmt, tmp_path)["results"]
+    doc = (results if name == "varnavides"
+           else json.loads((tmp_path / "report.json").read_text()))
     entries = {c["name"]: c for c in doc["checks"]}
     assert list(entries) == list(_VERDICTS[name])
     for key, c in entries.items():

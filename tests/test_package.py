@@ -1,6 +1,7 @@
 """The package's shape, checked on its source: only `primeaps.fourier`
-may take transforms with numpy.fft, none of them an n-dimensional one
-into `out=`, every parameter is read, every default
+may take transforms with numpy.fft, and there only its four-step passes,
+its real grid pass, `wedge_grid` and `_self_convolution`, none of them an
+n-dimensional one into `out=`, every parameter is read, every default
 is both used and overridden by the package's own calls, every def is
 reached from the CLI and every field of a reached dataclass is read by
 reached code, each CLI handler reads only its own subcommand's flags, only
@@ -74,6 +75,40 @@ def test_fft_checker_flags(source):
 def test_fft_checker_passes_other_fft_names():
     assert _fft_uses(ast.parse("import numpy as np\nfrom . import fourier\n"
                                "fourier.fft(x)\nnp.linalg.norm(x)")) == []
+
+
+# the defs of fourier that call numpy.fft: the four-step passes, the real
+# grid pass of the L^p ladder, the torus grid of wedge_grid and the
+# power-of-two self-convolution. Every ladder grid goes through the first
+# two, so no full-length transform can come back into the ladder
+_FFT_CALLERS = {"_four_step", "_real_grid_powers", "wedge_grid", "_self_convolution"}
+
+
+def _fft_defs(tree: ast.Module) -> set[str]:
+    """The names of a module's top-level defs whose code (nested defs
+    included) uses numpy.fft as _fft_uses finds it, and "<module>" when
+    code outside them does."""
+    imports = [node for node in tree.body if isinstance(node, ast.Import)]
+    found = set()
+    for node in tree.body:
+        scope = [node] if node in imports else [*imports, node]
+        if _fft_uses(ast.Module(body=scope, type_ignores=[])):
+            found.add(node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      else "<module>")
+    return found
+
+
+def test_only_the_four_step_passes_and_two_grids_call_numpy_fft():
+    assert _fft_defs(_src_trees()["fourier"]) == _FFT_CALLERS
+
+
+def test_fft_def_checker_names_closures_and_module_code():
+    source = ("import numpy as np\n"
+              "def f(x):\n    def g():\n        return np.fft.fft(x)\n    return g\n"
+              "h = np.fft.rfft\n"
+              "def k(x):\n    return x\n"
+              "def m(x):\n    from numpy.fft import ifft\n    return ifft(x)\n")
+    assert _fft_defs(ast.parse(source)) == {"f", "<module>", "m"}
 
 
 # numpy.fft's n-dimensional transforms. numpy 2.4.6's ifft2 drops its
@@ -169,13 +204,19 @@ def _unread_parameters(tree: ast.AST) -> list[str]:
     return dead
 
 
+# every handler takes the (cfg, em) that cli.run and the benchmark's tracer
+# call it with; varnavides writes no file, so its handler reads no Emitter
+_UNREAD_PARAMETER_EXCEPTIONS = {"cli.py": ["_run_varnavides.em"]}
+
+
 def test_every_parameter_is_read():
     # a parameter nothing reads is an option that changes nothing, which
     # every caller and test must still consider
     found = {path.relative_to(SRC).as_posix():
              _unread_parameters(ast.parse(path.read_text(), str(path)))
              for path in sorted(SRC.rglob("*.py"))}
-    assert {name: dead for name, dead in found.items() if dead} == {}
+    assert {name: dead for name, dead in found.items() if dead} == \
+        _UNREAD_PARAMETER_EXCEPTIONS
 
 
 def test_parameter_checker_flags():
@@ -444,8 +485,8 @@ def _unread_fields(trees: dict[str, ast.Module], roots: set[str]) -> list[str]:
             and stmt.target.id not in loads]
 
 
-# cli._run_varnavides writes the first whole, and the report's ledger each
-# of the second, through dataclasses.asdict
+# cli._run_varnavides puts the first whole into the manifest, and the
+# report's ledger each of the second, through dataclasses.asdict
 _UNREAD_FIELD_EXCEPTIONS = {"roth.VarnavidesBound", "roth.Check"}
 
 
