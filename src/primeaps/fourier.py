@@ -21,12 +21,17 @@ transform of a convolution is a four-step one (`_four_step`): L = L1 L2
 with L1 ~ sqrt(L), so it is two batched calls of short FFTs on the
 (L1, L2) view of the buffer, in place, and never one call at the full
 length L, whose scratch pocketfft would allocate afresh. Counts on integer
-sets run at powers of two: `set_convolution` forms the exact linear
-self-convolution of a set's indicator at the power of two >= 2 max(S) + 1,
-from which the line count is read. `self_triple_count` counts the 3APs of
-one real measure from the same padded self-convolution, at the power of
-two >= 2N - 1, folded mod N: it reads only the measure's weights, never a
-cached spectrum.
+sets run at 5-smooth lengths too: `_self_convolution` takes the linear
+self-convolution of a real vector of n values at the least 5-smooth
+L >= 2n - 1 by the real four-step pass pair, `_real_forward` (an rfft down
+axis 0 of the pad's (L1, L2) view, L1 = `_split(L)`, the twiddle, an fft
+along axis 1: the rows k1 <= L1/2) and `_real_inverse` (an ifft along
+axis 1, the conjugate twiddle, an irfft down axis 0), squared in between.
+`set_convolution` forms from it the exact pair-sum counts of a set's
+indicator, L >= 2 max(S) + 1, from which the line count is read.
+`self_triple_count` counts the 3APs of one real measure from the same
+self-convolution, L >= 2N - 1, folded mod N: it reads only the measure's
+weights, never a cached spectrum.
 
 The torus-grid path is separate. `wedge_grid` evaluates f^ on the grid j/M
 with one length-M rfft, completed by Hermitian symmetry, since the weights
@@ -34,10 +39,10 @@ of a measure are real. The L^p norms come from one ladder, `_lp_ladder`,
 over the levels M = oversample * N, 2M, 4M, ..., which stops once two
 consecutive levels agree. Each grid of L = s N points is a four-step
 transform too, on the (L1, L2) view of its pad, L1 = s * `_split(N)`, with
-no full-length call. Real coefficients take one `_real_grid_powers` (an
-rfft down axis 0, the twiddle, an fft along axis 1: the rows k1 <= L1/2,
-whose conjugate mirrors are the rest) per comparison, since the grid of 2M
-points holds the M grid as its rows k1 = 0 mod 2. Complex coefficients
+no full-length call. Real coefficients take one `_real_grid_powers` (the
+powers of `_real_forward`'s rows k1 <= L1/2, whose conjugate mirrors are
+the rest) per comparison, since the grid of 2M points holds the M grid as
+its rows k1 = 0 mod 2. Complex coefficients
 (only `restriction_ratio` has them) take one transform of M points, and
 each doubling adds the odd samples of the 2M grid with one of twisted
 coefficients. At even integer p the M-point rule is exact once
@@ -316,19 +321,40 @@ def _powers(v: np.ndarray, p: float) -> np.ndarray:
     return mags
 
 
-def _real_grid_powers(v: np.ndarray, p: float) -> np.ndarray:
-    """|X(k)|^p, X(k) = sum_n pad_n e(-nk/L), for the real length-L pad
-    whose (L1, L2) view is v, at the rows k1 <= L1/2 of the (k1, k2) order
-    of `_four_step`, k = k1 + L1 k2: an rfft down axis 0, the twiddle on
-    those rows and an fft along axis 1. Row L1 - k1 mirrors row k1, since
-    X(L - k) = conj X(k), so each row is weighted by the rows it stands
-    for, 1 for row 0 and (for even L1) row L1/2 and 2 for the others: the
-    sum over the bins k = 0 mod t, t | L1, is that of the rows k1 = 0 mod t."""
+def _real_forward(v: np.ndarray) -> np.ndarray:
+    """X(k) = sum_n pad_n e(-nk/L) for the real length-L pad whose (L1, L2)
+    view is v, at the rows k1 <= L1/2 of the (k1, k2) order of
+    `_four_step`, k = k1 + L1 k2: an rfft down axis 0, the twiddle on those
+    rows and an fft along axis 1 in the rfft's own output. The pad is real,
+    so X(L - k) = conj X(k) and row L1 - k1 mirrors row k1: these rows are
+    the whole transform."""
     L1, L2 = v.shape
-    v = np.fft.rfft(v, axis=0)
-    _twiddle(v, _twiddles(L1, L2, v.shape[0]), inverse=False)
-    np.fft.fft(v, axis=1, out=v)
-    powers = _powers(v, p)
+    X = np.fft.rfft(v, axis=0)
+    _twiddle(X, _twiddles(L1, L2, X.shape[0]), inverse=False)
+    np.fft.fft(X, axis=1, out=X)
+    return X
+
+
+def _real_inverse(X: np.ndarray, L1: int) -> np.ndarray:
+    """The inverse of `_real_forward`: the real (L1, L2) view of the pad
+    whose transform has the rows X, for X the rows k1 <= L1/2 of a
+    Hermitian transform, X(L - k) = conj X(k). An ifft along axis 1 and the
+    conjugate twiddle, in X's own buffer, then an irfft of length L1 down
+    axis 0. After the twiddle each column's rows are Hermitian in k1, so
+    the irfft, which reads only those rows, is exact in form."""
+    np.fft.ifft(X, axis=1, out=X)
+    _twiddle(X, _twiddles(L1, X.shape[1], X.shape[0]), inverse=True)
+    return np.fft.irfft(X, L1, axis=0)
+
+
+def _real_grid_powers(v: np.ndarray, p: float) -> np.ndarray:
+    """|X(k)|^p at the rows k1 <= L1/2 of the transform X of the real pad
+    whose (L1, L2) view is v (`_real_forward`). Row L1 - k1 mirrors row k1,
+    so each row is weighted by the rows it stands for, 1 for row 0 and
+    (for even L1) row L1/2 and 2 for the others: the sum over the bins
+    k = 0 mod t, t | L1, is that of the rows k1 = 0 mod t."""
+    L1 = v.shape[0]
+    powers = _powers(_real_forward(v), p)
     with np.errstate(over="ignore"):
         powers[1:(L1 + 1) // 2] *= 2.0
     return powers
@@ -484,13 +510,21 @@ def triple_count(f: Measure, g: Measure, h: Measure) -> float:
 
 def _self_convolution(u: np.ndarray) -> np.ndarray:
     """(u * u)(k) for k = 0..2n-2, the linear self-convolution of a real
-    vector u of length n, from one rfft and one irfft at the power of two
-    P >= 2n-1, where no sum wraps around."""
-    L = 2 * u.size - 1
-    P = 1 << (L - 1).bit_length()
-    FU = np.fft.rfft(u, P)
-    FU *= FU
-    return np.fft.irfft(FU, P)[:L]
+    vector u of length n, at the least 5-smooth length L >= 2n-1, where no
+    sum wraps around: the real four-step pass pair on the (L1, L2) view of
+    u's zero pad, L1 = `_split(L)`, with the transform's rows squared in
+    place between the passes. The square of a Hermitian transform is
+    Hermitian, so the inverse pass is exact in form. The result is a view
+    of the pass's (L1, L2) output."""
+    n = u.size
+    L = _smooth_length(2 * n - 1)
+    L1 = _split(L)
+    pad = np.zeros(L, dtype=np.float64)
+    pad[:n] = u
+    X = _real_forward(pad.reshape(L1, -1))
+    del pad
+    X *= X
+    return _real_inverse(X, L1).reshape(-1)[:2 * n - 1]
 
 
 def set_convolution(S: np.ndarray) -> np.ndarray:
@@ -498,10 +532,11 @@ def set_convolution(S: np.ndarray) -> np.ndarray:
     k = 0..2 max(S), exactly, for a set S of integers >= 0.
 
     One zero-padded linear convolution (`_self_convolution`) of the
-    indicator of S on [0, max S], at the power of two P >= 2 max(S) + 1;
-    an empty S gives an empty array and takes no transform. Every value
-    is rounded to an integer, and a value 0.25 or more away from its
-    integer raises StageError instead of being rounded away.
+    indicator of S on [0, max S], at the least 5-smooth length
+    >= 2 max(S) + 1; an empty S gives an empty array and takes no
+    transform. Every value is rounded to an integer, and a value 0.25 or
+    more away from its integer raises StageError instead of being rounded
+    away.
     """
     if len(S) == 0:
         return np.zeros(0, dtype=np.int64)
@@ -522,18 +557,16 @@ def set_convolution(S: np.ndarray) -> np.ndarray:
 def self_triple_count(f: Measure) -> float:
     """triple_count(f, f, f), d = 0 included, as
     sum_y f(y) (f * f)(2y mod N): the Z_N self-convolution is the linear
-    one of f's weights (`_self_convolution`, at the power of two >= 2N-1)
-    folded mod N. It takes no length-N transform and reads only the
-    weights, never a cached spectrum, so it checks spectral counts
-    independently."""
+    one of f's weights (`_self_convolution`, at the least 5-smooth length
+    >= 2N-1) folded mod N in its own buffer. It takes no length-N
+    transform and reads only the weights, never a cached spectrum, so it
+    checks spectral counts independently."""
     N = f.N
     w = f.zn_weights()
     conv = _self_convolution(w)
-    folded = conv[:N].copy()
-    folded[:N - 1] += conv[N:]
-    del conv
+    conv[:N - 1] += conv[N:]  # folded mod N, in place
     twice = (2 * np.arange(N)) % N
-    return float(np.dot(w, folded[twice]))
+    return float(np.dot(w, conv[twice]))
 
 
 def majorant_denominator(p: float, N: int, table: PrimeTable, grid: TorusGrid) -> float:

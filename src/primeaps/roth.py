@@ -367,7 +367,7 @@ def line_3aps(S) -> Count3APs:
     counted on each parity class: x + z = 2y forces x = z (mod 2), so with
     S_c = {(s - c) / 2 : s in S, s = c (mod 2)}, the pairs of class c
     that meet at y are read off (1_{S_c} * 1_{S_c})(y - c). Each class
-    takes its own `set_convolution`, at the power of two
+    takes its own `set_convolution`, at the least 5-smooth length
     >= 2 max(S_c) + 1, about half the line of S.
     """
     S = np.unique(np.asarray(S, dtype=np.int64))

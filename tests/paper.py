@@ -10,8 +10,9 @@ exponential sum f^(theta) by compensated summation, the kernels tau and
 Fejer, the major-arc main term q^(-1) sigma_{a,q} tau(theta - a/q), the
 minor-arc bounds and the Weyl min-sum, the interpolated L^p bound of each
 dyadic piece, a brute-force 3AP test, the exact 3AP counts of an integer
-set in Z_N and on the line by direct summation (`count_set_3aps`), and the
-greedy progression-free pass and Behrend digit-sphere search that the
+set in Z_N and on the line by direct summation (`count_set_3aps`), the
+pair-sum counts of an integer set at a power of two (`pair_sum_counts`),
+and the greedy progression-free pass and Behrend digit-sphere search that the
 base-3 set is held to.
 
 All bound formulas are evaluated with implicit constant 1; the tests check
@@ -577,6 +578,29 @@ def count_set_3aps(S, *, N: int) -> tuple[Count3APs, Count3APs]:
     wrapped = int(np.bincount(sums % N, minlength=N)[(2 * S) % N].sum())
     return (Count3APs(total=wrapped, nontrivial=wrapped - S.size),
             Count3APs(total=line, nontrivial=line - S.size))
+
+
+def pair_sum_counts(S) -> tuple[np.ndarray, float]:
+    """(1_S * 1_S)(k) = #{(s, t) in S x S : s + t = k} for k = 0..2 max(S),
+    for a nonempty set S of integers >= 0, and the worst distance of the
+    float convolution from its rounded integers. One rfft and one irfft
+    at the power of two P >= 2 max(S) + 1, where no sum wraps around, each
+    one call at the full length P. `fourier.set_convolution` takes the
+    real four-step pass pair at its least 5-smooth length instead, so the
+    two share no transform call."""
+    S = np.asarray(S, dtype=np.int64)
+    n = int(S.max()) + 1
+    P = 1 << (2 * n - 2).bit_length()
+    u = np.zeros(n)
+    u[S] = 1.0
+    F = np.fft.rfft(u, P)
+    del u
+    F *= F
+    conv = np.fft.irfft(F, P)[:2 * n - 1]
+    del F
+    rounded = np.rint(conv)
+    residual = float(np.max(np.abs(conv - rounded)))
+    return rounded.astype(np.int64), residual
 
 
 def greedy_free(values) -> list[int]:

@@ -779,19 +779,59 @@ def test_spectrum_and_idft_match_numpy(N, seed, signed):
     assert float(np.max(np.abs(fourier.idft(X) - w))) <= 1e-13 * norm / N
 
 
+def _convolutions(calls):
+    """L for each self-convolution the calls took, in order: the real
+    four-step pass pair on the (L1, L2) view of a pad of L points,
+    L1 = `_split(L)`, four batched calls: an rfft of length L1 down axis 0
+    over the L2 columns and an fft of length L2 over the rows k1 <= L1/2,
+    then an ifft of length L2 over those rows and an irfft of length L1
+    back down axis 0. Asserts that pattern, and that no call transforms an
+    axis of the full length L unless L is 1 or a prime (L1 = 1)."""
+    assert len(calls) % 4 == 0
+    lengths = []
+    for i in range(0, len(calls), 4):
+        _, L1, L2 = calls[i]
+        rows = L1 // 2 + 1
+        assert calls[i:i + 4] == [("rfft", L1, L2), ("fft", L2, rows),
+                                  ("ifft", L2, rows), ("irfft", L1, L2)]
+        L = L1 * L2
+        assert L1 == fourier._split(L)
+        assert L1 == 1 or max(L1, L2) < L
+        lengths.append(L)
+    return lengths
+
+
+@given(n=st.integers(1, 3000), density=st.sampled_from([1.0, 0.3, 0.01]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=1, density=1.0, seed=0)     # L = 1: one point, 1 x 1
+@example(n=65, density=1.0, seed=1)    # L = 135 = 9 x 15: odd L1
+@example(n=64, density=1.0, seed=2)    # L = 128 = 8 x 16: even L1, whose
+@example(n=64, density=0.01, seed=3)   # row L1/2 stands for itself alone
+@settings(max_examples=100, deadline=None)
+def test_self_convolution_matches_numpy_convolve(n, density, seed):
+    # the real four-step pass pair against the direct sum of np.convolve,
+    # on dense and sparse nonnegative weights, within 1e-13 of the largest
+    # value
+    rng = np.random.default_rng(seed)
+    u = rng.random(n) * (rng.random(n) < density)
+    want = np.convolve(u, u)
+    got = fourier._self_convolution(u)
+    assert got.shape == want.shape
+    assert float(np.max(np.abs(got - want))) <= 1e-13 * float(np.max(want))
+
+
 @pytest.mark.parametrize("N", [1, 2, 7, 17, 64, 101])
 def test_self_triple_count_matches_brute_and_spectral(N, transforms):
-    # the linear self-convolution at the power of two >= 2N - 1, folded mod
-    # N; within 1e-13 ||f||_1^3 (the trivial bound on the form) of both the
-    # O(N^2) enumeration and the spectral triple_count
+    # the linear self-convolution at the least 5-smooth length >= 2N - 1,
+    # folded mod N; within 1e-13 ||f||_1^3 (the trivial bound on the form)
+    # of both the O(N^2) enumeration and the spectral triple_count
     rng = np.random.default_rng(N + 1)
     for signed in (False, True):
         f = Measure(N, _random_measure(N, rng, signed).weights, signed=signed,
                     base=BASE_ZN)
         transforms.clear()
         got = fourier.self_triple_count(f)
-        P = 1 << (2 * N - 2).bit_length()
-        assert transforms == [("rfft", P, 1), ("irfft", P, 1)]
+        assert _convolutions(transforms) == [fourier._smooth_length(2 * N - 1)]
         assert f._spectrum is None  # reads the weights, never a spectrum
         tol = 1e-13 * float(np.sum(np.abs(f.weights))) ** 3
         w = f.zn_weights()
@@ -820,22 +860,36 @@ def test_set_convolution_matches_brute(N):
                           _brute_set_convolution(S))
 
 
-def test_set_convolution_runs_at_a_power_of_two(transforms):
-    # sized by the set: k runs to 2 max(S), at the power of two above it
+@pytest.mark.parametrize("limit", [2, 1000, 20_000])
+def test_set_convolution_matches_the_power_of_two_oracle(small_table, limit):
+    # the primes' pair-sum counts equal the oracle's, which takes one full
+    # call each way at a power of two, integer for integer, and sum to |S|^2
+    S = small_table.primes_up_to(limit)
+    got = fourier.set_convolution(S)
+    want, residual = paper.pair_sum_counts(S)
+    assert np.array_equal(got, want)
+    assert int(got.sum()) == S.size ** 2
+    assert residual < fourier.INTEGRALITY_TOL
+
+
+def test_set_convolution_runs_at_a_smooth_length(transforms):
+    # sized by the set: k runs to 2 max(S), at the least 5-smooth length
+    # above it, 25 = 5 x 5 and 12 = 3 x 4, where the power of two would be
+    # 32 and 16
     S = np.array([0, 3, 5, 6, 12])
     assert fourier.set_convolution(S).size == 2 * 12 + 1
     assert fourier.set_convolution(S[:3]).size == 2 * 5 + 1
-    assert transforms == [("rfft", 32, 1), ("irfft", 32, 1),
-                          ("rfft", 16, 1), ("irfft", 16, 1)]
+    assert _convolutions(transforms) == [25, 12]
+    assert [call[1:] for call in transforms[::4]] == [(5, 5), (3, 4)]
 
 
 @pytest.mark.parametrize("S, N, lengths", [
     ([], 5, []),            # empty: no values, no transform
     ([], 1, []),
-    ([0], 1, [1]),          # S = {0}
+    ([0], 1, [1]),          # S = {0}: one point, 1 x 1
     ([0], 4, [1]),
-    ([0, 32], 33, [128]),   # 2 max S + 1 = 65, just above 64
-    ([32], 33, [128]),
+    ([0, 32], 33, [72]),    # 2 max S + 1 = 65, 72 = 8 x 9 (even L1)
+    ([32], 33, [72]),
 ])
 def test_set_convolution_edges(S, N, lengths, transforms):
     # N is any bound above S: the sums past 2 max S, up to 2N - 2, are 0
@@ -846,11 +900,12 @@ def test_set_convolution_edges(S, N, lengths, transforms):
     padded = _brute_set_convolution(S, 2 * N - 1)
     assert np.array_equal(padded[:got.size], got)
     assert not padded[got.size:].any()
-    assert transforms == [(name, P, 1) for P in lengths
-                          for name in ("rfft", "irfft")]
+    assert _convolutions(transforms) == lengths
 
 
-def test_set_convolution_integrality_guard(monkeypatch):
+def test_set_convolution_integrality_guard(monkeypatch, transforms):
+    # the offset is added to the output of the inverse pass's irfft down
+    # axis 0, the one real-valued call of the convolution
     S = np.array([0, 1, 2, 4])
     original = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft",
@@ -861,6 +916,8 @@ def test_set_convolution_integrality_guard(monkeypatch):
                         lambda *a, **k: original(*a, **k) + 0.2)
     assert fourier.set_convolution(S).tolist() == \
         _brute_set_convolution(S).tolist()
+    assert _convolutions(transforms) == [9, 9]
+    assert [call[1:] for call in transforms if call[0] == "irfft"] == [(3, 3)] * 2
 
 
 # --- ratio diagnostics -------------------------------------------------------

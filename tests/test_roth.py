@@ -1000,16 +1000,21 @@ def test_density_experiment_stage_errors(i, small_table, monkeypatch):
     assert set(stash) == set().union(*(s[3] for s in _STAGES[:i]))
 
 
-def _pow2_above(n: int) -> int:
-    """The smallest power of two >= n."""
-    return 1 << (n - 1).bit_length()
-
-
-def _class_powers(S) -> list[int]:
-    """The power of two each nonempty parity class of S is counted at:
+def _class_lengths(S) -> list[int]:
+    """The 5-smooth length each nonempty parity class of S is counted at:
     halved, (s - c) // 2 = s // 2, then >= 2 max + 1."""
-    return [_pow2_above(2 * int(h.max()) + 1)
+    return [fourier._smooth_length(2 * int(h.max()) + 1)
             for h in (S[S % 2 == c] // 2 for c in (0, 1)) if h.size]
+
+
+def _real_pass_pair(L: int) -> list[tuple[str, int, int]]:
+    """The calls of one self-convolution at L = L1 L2, L1 = `_split(L)`:
+    an rfft of length L1 down axis 0 and an fft of length L2 over the rows
+    k1 <= L1/2, then an ifft over those rows and an irfft back down axis 0."""
+    L1 = fourier._split(L)
+    L2, rows = L // L1, L1 // 2 + 1
+    return [("rfft", L1, L2), ("fft", L2, rows), ("ifft", L2, rows),
+            ("irfft", L1, L2)]
 
 
 def test_density_experiment_transforms(small_table, monkeypatch, transforms):
@@ -1017,8 +1022,8 @@ def test_density_experiment_transforms(small_table, monkeypatch, transforms):
     # then one convolution at its 5-smooth length L = L1 L2 for each of
     # a~, mu~, beta~ and the inverse of a~ beta~^2, each transform of
     # them two batched passes (L2 ffts of length L1, L1 of length L2);
-    # every count runs at a power of two, the source's and A's one parity
-    # class at a time
+    # every count is a real four-step pass pair at a 5-smooth length, the
+    # source's and A's one parity class at a time
     grans = []
     original = roth.granularize
 
@@ -1035,8 +1040,8 @@ def test_density_experiment_transforms(small_table, monkeypatch, transforms):
     N = rep["w_trick"]["N"]
     assert len(grans) == 1
     A0 = stash["A0"]
-    source, counts_A = _class_powers(A0), _class_powers(stash["A"])
-    count_a1 = _pow2_above(2 * N - 1)
+    source, counts_A = _class_lengths(A0), _class_lengths(stash["A"])
+    count_a1 = fourier._smooth_length(2 * N - 1)
     L = fourier._smooth_length(N + N // 2)
     L1 = fourier._split(L)
     L2 = L // L1
@@ -1044,19 +1049,25 @@ def test_density_experiment_transforms(small_table, monkeypatch, transforms):
     convolution = forward + [("ifft", L2, L1), ("ifft", L1, L2)]
     assert transforms == [
         # the source's line count, one parity class at a time
-        *((name, P, 1) for P in source for name in ("rfft", "irfft")),
+        *(call for P in source for call in _real_pass_pair(P)),
         *forward,                                   # the chirp plan at N
         *convolution,                               # a~
         *convolution,                               # mu~
         *convolution,                               # beta~
         *convolution,                               # a1 = a * beta * beta
-        ("rfft", count_a1, 1), ("irfft", count_a1, 1),  # a1's 3AP count
+        *_real_pass_pair(count_a1),                 # a1's 3AP count
         # A's line count, which is its Z_N count, one parity class at a time
-        *((name, P, 1) for P in counts_A for name in ("rfft", "irfft")),
+        *(call for P in counts_A for call in _real_pass_pair(P)),
     ]
-    # 2 is in this source, so the even class is {1}; the odd class runs
-    # at half the power of two the whole line would take
-    assert source == [4, _pow2_above(2 * int(A0.max()) + 1) // 2]
+    # 2 is in this source, so the even class is {1}, at L = 3; the odd
+    # class, halved, runs at the 5-smooth length >= 2 (top // 2) + 1 = top,
+    # about half the line's 2 top + 1
+    top = int(A0.max())
+    assert source == [3, fourier._smooth_length(top)]
+    # past the class {1}, no count takes a call at its full length
+    for P in source[1:] + counts_A + [count_a1]:
+        d = fourier._split(P)
+        assert max(d, P // d) < P
     # A sits inside [1, N/2], so both its classes run below a1's count
     assert len(counts_A) == 2 and max(counts_A) < count_a1
     assert stash["bohr"].beta() is stash["bohr"].beta()
