@@ -8,15 +8,17 @@ f~(r) = f^(-r/N) is an identity under the Z_N embedding of {1..N}.
 
 This module is the only place Z_N transforms are taken, and none runs at
 the (often prime) length N itself. `spectrum` computes a measure's
-transform once and caches it on the (read-only) measure, so a pipeline
-that reuses a, mu or beta pays one transform for each. The weights are
-real, so only the half r <= N/2 is computed, by Bluestein's chirp
-convolution (L. Bluestein, "A linear filtering approach to the computation
-of the discrete Fourier transform", 1970) at a 5-smooth length L ~ 1.5 N;
-the rest is its exact conjugate mirror, so every spectrum is exactly
-Hermitian. `idft` inverts a Hermitian spectrum to real weights with one
-convolution of the same kind, reading only r <= N/2. Both use the chirp,
-kernel transform and twiddles of `_chirp_plan`, built once per N. Each
+transform on each call and caches nothing: a pipeline that reads a, mu or
+beta more than once takes each spectrum once, holds it as a plain array
+and drops it after its last reader. The weights are real, so only the
+half r <= N/2 is computed, by Bluestein's chirp convolution (L.
+Bluestein, "A linear filtering approach to the computation of the
+discrete Fourier transform", 1970) at a 5-smooth length L ~ 1.5 N; the
+rest is its exact conjugate mirror, so every spectrum is exactly
+Hermitian. `idft` inverts a Hermitian spectrum, given as its half
+r <= N/2, to real weights with one convolution of the same kind. Both
+use the chirp, kernel transform and twiddles of `_chirp_plan`, built
+once per N. Each
 transform of a convolution is a four-step one (`_four_step`): L = L1 L2
 with L1 ~ sqrt(L), so it is two batched calls of short FFTs on the
 (L1, L2) view of the buffer, in place, and never one call at the full
@@ -31,7 +33,9 @@ axis 1, the conjugate twiddle, an irfft down axis 0), squared in between.
 indicator, L >= 2 max(S) + 1, from which the line count is read.
 `self_triple_count` counts the 3APs of one real measure from the same
 self-convolution, L >= 2N - 1, folded mod N: it reads only the measure's
-weights, never a cached spectrum.
+weights, never a spectrum. `triple_count` reads the same form off three
+spectra. Each full-length product of a count is built into one array a
+block of `BLOCK` points at a time (`index_blocks`), and then summed whole.
 
 The torus-grid path is separate. `wedge_grid` evaluates f^ on the grid j/M
 with one length-M rfft, completed by Hermitian symmetry, since the weights
@@ -220,10 +224,10 @@ def _chirp_convolution(u: np.ndarray, kernel: np.ndarray,
 def spectrum(f: Measure) -> np.ndarray:
     """f~(r) = sum_x f(x) e(-rx/N) for r = 0..N-1, as a read-only array.
 
-    Computed on first use, cached on f; the weights of a Measure are
-    read-only, so the cached coefficients cannot go stale. The weights are
-    real, so only r <= N/2 are transformed, by Bluestein's identity
-    rx = (r^2 + x^2 - (r - x)^2) / 2:
+    Each call takes the transform afresh: a caller that reads a spectrum
+    more than once holds it, and drops it after its last reader. The
+    weights are real, so only r <= N/2 are transformed, by Bluestein's
+    identity rx = (r^2 + x^2 - (r - x)^2) / 2:
 
         f~(r) = cbar(r) sum_x (f(x) cbar(x)) c(r - x),   c = conj cbar,
 
@@ -234,59 +238,61 @@ def spectrum(f: Measure) -> np.ndarray:
     f~(N - r) = conj f~(r) is filled in, so the spectrum is exactly
     Hermitian, bit for bit.
     """
-    coeffs = f._spectrum
-    if coeffs is None:
-        w = f.zn_weights()
-        N = w.size
-        R = N // 2 + 1
-        chirp, kernel, twiddles = _chirp_plan(N)
-        u = np.zeros(kernel.size, dtype=np.complex128)
-        np.multiply(w, chirp, out=u[:N])
-        _chirp_convolution(u, kernel, twiddles)
-        coeffs = np.empty(N, dtype=np.complex128)
-        np.multiply(u[:R], chirp[:R], out=coeffs[:R])
-        del u
-        coeffs[0] = coeffs[0].real
-        if N % 2 == 0:
-            coeffs[N // 2] = coeffs[N // 2].real
-        np.conjugate(coeffs[N - R:0:-1], out=coeffs[R:])
-        coeffs.setflags(write=False)
-        f._spectrum = coeffs
+    w = f.zn_weights()
+    N = w.size
+    R = N // 2 + 1
+    chirp, kernel, twiddles = _chirp_plan(N)
+    u = np.zeros(kernel.size, dtype=np.complex128)
+    np.multiply(w, chirp, out=u[:N])
+    _chirp_convolution(u, kernel, twiddles)
+    coeffs = np.empty(N, dtype=np.complex128)
+    np.multiply(u[:R], chirp[:R], out=coeffs[:R])
+    del u
+    coeffs[0] = coeffs[0].real
+    if N % 2 == 0:
+        coeffs[N // 2] = coeffs[N // 2].real
+    np.conjugate(coeffs[N - R:0:-1], out=coeffs[R:])
+    coeffs.setflags(write=False)
     return coeffs
 
 
-def idft(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of spectrum: the real Z_N weights whose transform is the
-    Hermitian coeffs, of which only r <= N/2 are read.
+def idft(half: np.ndarray, N: int) -> np.ndarray:
+    """Inverse of spectrum: the real Z_N weights whose transform is
+    Hermitian with the values half at r = 0..N//2.
 
-    w(n) = Re sum_{r <= N/2} om(r) conj(coeffs(r)) e(-rn/N) / N, with
+    w(n) = Re sum_{r <= N/2} om(r) conj(half(r)) e(-rn/N) / N, with
     om = 1 at r = 0 (and at N/2 for even N) and 2 elsewhere: a forward
     transform, by the same plan, kernel and four-step convolution as
     `spectrum`. The kernel is even, c(n - r) = c(r - n), so
-    u(r) = om(r) conj(coeffs(r)) cbar(r) is placed at -r mod L and output
-    n read at -n mod L. The reference to
-    coeffs is dropped once r <= N/2 are read, so a temporary passed in is
-    freed before the convolution's one buffer is allocated.
+    u(r) = om(r) conj(half(r)) cbar(r) is placed at -r mod L, and output n
+    is read at -n mod L and multiplied by cbar(n) in the convolution's own
+    buffer; the real part over N is the one array of N points allocated.
+    half is only read, and the reference to it is dropped once its
+    conjugate is taken, so a temporary passed in is freed before the
+    buffer is allocated.
     """
-    N = coeffs.size
     R = N // 2 + 1
+    if half.shape != (R,):
+        raise ParameterError(f"need the {R} coefficients r <= N/2 of N = {N}, "
+                             f"got shape {half.shape}")
     chirp, kernel, twiddles = _chirp_plan(N)
     L = kernel.size
-    half = np.conjugate(coeffs[:R])
-    del coeffs
-    half *= chirp[:R]
-    half[1:N - R + 1] *= 2.0
-    u = np.zeros(L, dtype=np.complex128)
-    u[0] = half[0]
-    u[L - R + 1:] = half[:0:-1]
+    v = np.conjugate(half)
     del half
+    v *= chirp[:R]
+    v[1:N - R + 1] *= 2.0  # om(r) = 2 at r = 1..N-R
+    u = np.zeros(L, dtype=np.complex128)
+    u[0] = v[0]
+    u[L - R + 1:] = v[:0:-1]
+    del v
     _chirp_convolution(u, kernel, twiddles)
-    z = np.empty(N, dtype=np.complex128)
-    z[0] = u[0]
-    z[1:] = u[L - 1:L - N:-1]
-    del u
-    z *= chirp
-    return z.real / N
+    w = np.empty(N, dtype=np.float64)
+    # n = 0 at 0, and n = 1..N-1 at L - n, a view that runs backwards;
+    # chirp[0] = 1, so the product at n = 0 is exact
+    for z, n in ((u[:1], slice(0, 1)), (u[L - 1:L - N:-1], slice(1, N))):
+        z *= chirp[n]
+        np.divide(z.real, N, out=w[n])
+    return w
 
 
 def _scatter(positions: np.ndarray, values: np.ndarray, M: int) -> np.ndarray:
@@ -490,20 +496,39 @@ def mz_ratio(f: Measure, p: float, grid: TorusGrid) -> float:
     return float(np.sum(powers[::s])) / den
 
 
-def triple_count(f: Measure, g: Measure, h: Measure) -> float:
-    """sum over x, d in Z_N of f(x) g(x+d) h(x+2d), d=0 included.
+BLOCK = 1 << 14  # points per block of a full-length product
 
-    Spectral form N^(-1) sum_r f~(r) g~(-2r) h~(r); all three measures
-    must share N. The spectra come from `spectrum`, so f = g = h costs one
-    transform.
+
+def index_blocks(N: int, c: int):
+    """The points r < N in consecutive blocks of BLOCK, each as its slice
+    and the residues c r mod N on it, so that a product reading an array
+    at c r is built one block at a time with no N-long index array.
+
+    A complex product built this way keeps the bits of the whole-array
+    one when every multiplication writes to an array other than its
+    inputs: numpy's in-place complex multiply of a view of one to three
+    points can round differently from the same points inside a longer
+    array, and a last block can be that short."""
+    for start in range(0, N, BLOCK):
+        r = np.arange(start, min(start + BLOCK, N), dtype=np.int64)
+        yield slice(start, start + r.size), (c * r) % N
+
+
+def triple_count(F: np.ndarray, G: np.ndarray, H: np.ndarray) -> float:
+    """sum over x, d in Z_N of f(x) g(x+d) h(x+2d), d=0 included, from
+    the spectra F = f~, G = g~, H = h~ (`spectrum`) of three measures on
+    one Z_N.
+
+    Spectral form N^(-1) sum_r f~(r) g~(-2r) h~(r). The product is built
+    block by block into one array (`index_blocks`), so it takes no
+    transform and no N-long temporary besides it.
     """
-    if not (f.N == g.N == h.N):
-        raise ParameterError("measures must share N")
-    N = f.N
-    F, G, H = spectrum(f), spectrum(g), spectrum(h)
-    idx = (-2 * np.arange(N)) % N
-    prod = F * H
-    prod *= G[idx]
+    N = F.size
+    if not (F.shape == G.shape == H.shape == (N,)):
+        raise ParameterError("spectra must share N")
+    prod = np.empty(N, dtype=np.complex128)
+    for block, minus_2r in index_blocks(N, -2):
+        np.multiply(F[block] * H[block], G[minus_2r], out=prod[block])
     val = np.sum(prod) / N
     return float(val.real)
 
@@ -555,18 +580,21 @@ def set_convolution(S: np.ndarray) -> np.ndarray:
 
 
 def self_triple_count(f: Measure) -> float:
-    """triple_count(f, f, f), d = 0 included, as
+    """triple_count(F, F, F) for F = f~, d = 0 included, as
     sum_y f(y) (f * f)(2y mod N): the Z_N self-convolution is the linear
     one of f's weights (`_self_convolution`, at the least 5-smooth length
-    >= 2N-1) folded mod N in its own buffer. It takes no length-N
-    transform and reads only the weights, never a cached spectrum, so it
-    checks spectral counts independently."""
+    >= 2N-1) folded mod N in its own buffer, read at 2y mod N one block
+    at a time (`index_blocks`). It takes no length-N transform and reads
+    only the weights, never a spectrum, so it checks spectral counts
+    independently."""
     N = f.N
     w = f.zn_weights()
     conv = _self_convolution(w)
     conv[:N - 1] += conv[N:]  # folded mod N, in place
-    twice = (2 * np.arange(N)) % N
-    return float(np.dot(w, conv[twice]))
+    at_twice = np.empty(N, dtype=np.float64)
+    for block, twice in index_blocks(N, 2):
+        np.take(conv, twice, out=at_twice[block])
+    return float(np.dot(w, at_twice))
 
 
 def majorant_denominator(p: float, N: int, table: PrimeTable, grid: TorusGrid) -> float:

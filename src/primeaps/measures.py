@@ -41,21 +41,18 @@ _BINARY_MAGIC = b"PMSR"
 class Measure:
     """A weighted function on {1..N} (base "one") or Z_N (base "zn").
 
-    The weights are read-only, so an instance is immutable: neither
-    `total`, summed on first read, nor the Z_N spectrum that
-    `fourier.spectrum` caches in _spectrum can go stale. A C-contiguous
-    float64 array that owns its data is taken as it is and set read-only
-    in place, so its caller writes to it no more; anything else (a view, a
-    list, another dtype) is copied.
+    The weights are read-only, so an instance is immutable: `total`,
+    summed on first read, cannot go stale. It caches no spectrum: a caller
+    that reads `fourier.spectrum` more than once holds the array. A
+    C-contiguous float64 array that owns its data is taken as it is and
+    set read-only in place, so its caller writes to it no more; anything
+    else (a view, a list, another dtype) is copied.
     """
 
     N: int
     weights: np.ndarray = field(repr=False)
     signed: bool = False
     base: str = BASE_ONE
-    _spectrum: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         w = self.weights

@@ -36,6 +36,7 @@ from .errors import (
 )
 from .fourier import (
     idft,
+    index_blocks,
     self_triple_count,
     set_convolution,
     spectrum,
@@ -261,16 +262,19 @@ def bohr_set(R, eps: float, N: int) -> BohrSet:
     return BohrSet(R=R, eps=eps, N=N, members=x)
 
 
-def granularize(a: Measure, bohr: BohrSet) -> Measure:
-    """a1 = a * beta * beta (Z_N convolution, FFT-backed).
+def granularize(a: Measure, at: np.ndarray, bt: np.ndarray) -> Measure:
+    """a1 = a * beta * beta (Z_N convolution), from a~ = `at` and
+    beta~ = `bt`: the inverse transform of a~ beta~^2, formed only at
+    r <= N/2, the half `idft` reads.
 
     Preserves total mass; never increases the sup norm. Tiny negative
     float residue is clipped for unsigned inputs.
     """
-    if a.N != bohr.N:
-        raise ParameterError(f"measure N={a.N} vs Bohr N={bohr.N}")
-    fb = spectrum(bohr.beta())
-    out = idft(spectrum(a) * fb * fb)
+    if not at.shape == bt.shape == (a.N,):
+        raise ParameterError(f"measure N={a.N} vs spectra of shapes "
+                             f"{at.shape} and {bt.shape}")
+    R = a.N // 2 + 1
+    out = idft(at[:R] * bt[:R] * bt[:R], a.N)
     if not a.signed:
         np.maximum(out, 0.0, out=out)
     return Measure(a.N, out, signed=a.signed, base=BASE_ZN)
@@ -303,32 +307,44 @@ def w_reference(W: int) -> float:
     return 2.0 * loglog_clamped(W) / W
 
 
-def mu_sup_offzero(mu: Measure, W: int):
-    """sup and argmax of |mu~(r)| over r != 0, with its w_reference(W)
-    reference."""
-    mags = np.abs(spectrum(mu))
-    mags[0] = -1.0
-    argmax = int(np.argmax(mags))
-    return float(mags[argmax]), argmax, w_reference(W)
+def mu_sup_offzero(mu_mags: np.ndarray, W: int):
+    """sup and argmax of |mu~(r)| over r != 0, read off the read-only
+    magnitudes |mu~(r)|, r = 0..N-1, with its w_reference(W) reference."""
+    argmax = 1 + int(np.argmax(mu_mags[1:]))
+    return float(mu_mags[argmax]), argmax, w_reference(W)
 
 
-def setlike_check(a: Measure, mu: Measure, bohr: BohrSet, W: int) -> SetlikeReport:
-    """Verify a <= mu pointwise, granularize, and evaluate the sup chain;
-    its comparisons read transforms, the gate's sides do not."""
+def setlike_check(a: Measure, mu: Measure, mu_mags: list[np.ndarray],
+                  bohr: BohrSet, at: np.ndarray, bt: np.ndarray,
+                  W: int) -> SetlikeReport:
+    """Verify a <= mu pointwise, evaluate the sup chain, granularize, and
+    check the chain against sup a1; its comparisons read transforms, the
+    gate's sides do not.
+
+    at and bt are a~ and beta~; mu_mags holds |mu~| as its one item,
+    which is taken out once the chain is read: when the caller holds no
+    other reference, the magnitudes are freed before the inverse
+    transform of `granularize`. a's weights are copies of mu's or 0, so
+    the domination is compared exactly.
+    """
     if a.N != mu.N or a.N != bohr.N:
         raise ParameterError("a, mu and the Bohr set must share N")
-    if float(np.max(a.zn_weights() - mu.zn_weights())) > 1e-12:
+    if np.any(np.greater(a.zn_weights(), mu.zn_weights())):
         raise PreconditionError("a must be dominated by mu pointwise")
-    a1 = granularize(a, bohr)
-    sup_a1 = float(np.max(a1.weights))
-    mut = np.abs(spectrum(mu))
-    bt2 = np.abs(spectrum(bohr.beta())) ** 2
-    chain_spectral = float(np.sum(mut * bt2)) / a.N
+    mut = mu_mags.pop()
+    products = np.abs(bt)
+    np.square(products, out=products)
+    np.multiply(mut, products, out=products)  # |mu~| |beta~|^2
+    chain_spectral = float(np.sum(products)) / a.N
+    del products
     mass = float(mut[0])
     sup_off = float(np.max(mut[1:])) if a.N > 1 else 0.0
+    del mut
     size = len(bohr)
     chain_sup = mass / a.N + sup_off / size
     ref = w_reference(W)
+    a1 = granularize(a, at, bt)
+    sup_a1 = float(np.max(a1.weights))
     return SetlikeReport(
         sup_a1=sup_a1,
         chain_spectral=chain_spectral,
@@ -353,13 +369,28 @@ class Count3APs:
     nontrivial: float
 
 
-def count_3aps(a: Measure) -> Count3APs:
+def count_3aps(a: Measure, at: np.ndarray) -> Count3APs:
     """Count ordered triples (x, x+d, x+2d) in Z_N weighted by the measure
-    a: the float total (d=0 included) and its nontrivial part. Integer sets
-    are counted by `line_3aps`.
+    a, whose spectrum is at: the float total (d=0 included), read off
+    at, and its nontrivial part. Integer sets are counted by `line_3aps`.
     """
-    total = triple_count(a, a, a)
+    total = triple_count(at, at, at)
     return Count3APs(total=total, nontrivial=total - diagonal_cube_sum(a))
+
+
+def spectral_difference(at: np.ndarray, bt: np.ndarray) -> float:
+    """T(a) - T(a1) for a1 = a * beta * beta, from a~ = at and
+    beta~ = bt: N^-1 sum_r a~(r)^2 a~(-2r) (1 - beta~(r)^4 beta~(-2r)^2).
+    The terms are built block by block into one array (`index_blocks`),
+    the products taken in that order, and summed whole."""
+    N = at.size
+    terms = np.empty(N, dtype=np.complex128)
+    for block, minus_2r in index_blocks(N, -2):
+        cubic = np.square(at[block]) * at[minus_2r]
+        defect = bt[block] ** 4 * np.square(bt[minus_2r])
+        np.subtract(1.0, defect, out=defect)
+        np.multiply(cubic, defect, out=terms[block])
+    return float(np.sum(terms).real / N)
 
 
 def line_3aps(S) -> Count3APs:
@@ -486,11 +517,12 @@ def final_inequality(
     N: int,
     constants: dict | None,
     bohr: BohrSet,
+    bt: np.ndarray,
 ) -> FinalInequality:
     """Evaluate both sides of the closing inequality and the coefficient
     bounds |1 - beta~(r)| <= 16 eps^2 and
     |1 - beta~(r)^4 beta~(-2r)^2| <= 2^12 eps^2 over the Bohr set's
-    frequency set (0 and met when it is empty).
+    frequency set (0 and met when it is empty), read off beta~ = bt.
     `constants` overrides entries of DEFAULT_CONSTANTS. A side past the
     float range is inf."""
     if not 0 < alpha <= 1:
@@ -511,7 +543,6 @@ def final_inequality(
     R = bohr.R
     lin = cub = 0.0
     if R.size:
-        bt = spectrum(bohr.beta())
         br = bt[R % bohr.N]
         br2 = bt[(-2 * R) % bohr.N]
         lin = float(np.max(np.abs(1.0 - br)))
@@ -675,11 +706,16 @@ def density_experiment(
         keep("mu", mu)
         keep("a", a)
     with _stage("transform"):
+        # each spectrum is taken once and held until its last reader: a~
+        # through counts, beta~ through bounds; mu~ is read only through
+        # |mu~|, which setlike_check takes out of its one-item list
         at = spectrum(a)
         R = spectrum_threshold(at, delta)
         # how far the nearest |a~(r)| sits from the threshold
         margin = float(np.min(np.abs(np.abs(at) - delta)))
-        sup_off, arg_off, ref_off = mu_sup_offzero(mu, W=W)
+        mu_mags = [np.abs(spectrum(mu))]
+        mu_mags[0].setflags(write=False)
+        sup_off, arg_off, ref_off = mu_sup_offzero(mu_mags[0], W=W)
         report["spectrum"] = {
             "k": int(R.size),
             "R_head": [int(r) for r in R[:32]],
@@ -696,7 +732,8 @@ def density_experiment(
         checks.append(check("size_ok", "bohr", len(B), ">=", size_floor, False))
         keep("bohr", B)
     with _stage("granularize"):
-        sl = setlike_check(a, mu, B, W=W)
+        bt = spectrum(B.beta())
+        sl = setlike_check(a, mu, mu_mags, B, at, bt, W=W)
         report["setlike"] = {
             "sup_a1": sl.sup_a1,
             "chain_spectral": sl.chain_spectral,
@@ -706,24 +743,14 @@ def density_experiment(
         checks.extend(sl.checks)
         keep("a1", sl.a1)
     with _stage("counts"):
-        t_a = count_3aps(a)
+        t_a = count_3aps(a, at)
         # a1's count reads its weights, not a~ beta~^2, so the difference
         # residual below stays an independent check
         a1_total = self_triple_count(sl.a1)
         t_a1 = Count3APs(total=a1_total,
                          nontrivial=a1_total - diagonal_cube_sum(sl.a1))
-        bt = spectrum(B.beta())
-        idx = (-2 * np.arange(wt.N)) % wt.N
-        # a~^2 a~(-2r) (1 - b~^4 b~(-2r)^2), its products taken in place
-        # in that order
-        terms = at**2
-        terms *= at[idx]
-        defect = bt**4
-        defect *= bt[idx] ** 2
-        np.subtract(1.0, defect, out=defect)
-        terms *= defect
-        spectral_diff = float(np.sum(terms).real / wt.N)
-        del terms, defect
+        spectral_diff = spectral_difference(at, bt)
+        del at
         # A lies in [1, N/2] with N an odd prime (N = 2 needs n < m, which
         # leaves A empty and w_trick refuses), so x + z and 2y lie in
         # [2, N - 1], where congruence mod N is equality, and A's Z_N
@@ -745,7 +772,7 @@ def density_experiment(
         alpha = min(a.total, 1.0)
         vb = varnavides_bound(alpha, wt.N, C1=consts["C1"])
         fi = final_inequality(alpha, delta, eps, wt.N,
-                              constants=consts, bohr=B)
+                              constants=consts, bohr=B, bt=bt)
         report["bounds"] = {
             "varnavides_M": vb.M,
             "varnavides_z_lower": vb.z_lower,

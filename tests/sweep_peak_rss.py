@@ -13,12 +13,14 @@ faults (`ru_minflt`, each a fresh page the kernel had to map) from its
 entry to its exit. Prints, per invocation, its exit code, wall time, the
 sampled peak, the process's `ru_maxrss` high-water mark (what a manifest's
 `timings.peak_rss_mb` and the benchmark's `peak_rss_mb` read) and its
-minor faults, then each span's calls, largest peak and largest rise, in MB
-of 10^6 bytes, and largest fault count. The sampler runs only when the interpreter lock is free, as during
-an FFT or a file write, so a peak inside pure-numpy code that holds the
-lock shows only at the next boundary. Without `--output-dir` the files
-go to a temporary directory that is removed afterwards. Linux only (it
-reads /proc); the name keeps pytest from collecting it.
+minor faults, for `roth-pipeline` that mark in bytes per point of its
+`--N`, then each span's calls, largest peak and largest rise, in MB of
+10^6 bytes, and largest fault count. The sampler runs only when the
+interpreter lock is free, as during an FFT or a file write, so a peak
+inside pure-numpy code that holds the lock shows only at the next
+boundary. Without `--output-dir` the files go to a temporary directory
+that is removed afterwards. Linux only (it reads /proc); the name keeps
+pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -53,7 +55,11 @@ SPANS = [
     (fourier, "mz_ratio"),
     (fourier, "spectrum"),
     (fourier, "idft"),
+    (fourier, "triple_count"),
     (fourier, "self_triple_count"),
+    (roth, "setlike_check"),
+    (roth, "granularize"),
+    (roth, "count_3aps"),
     (roth, "line_3aps"),
     (arcs, "sup_diff_scan"),
     (roth, "density_experiment"),
@@ -169,6 +175,9 @@ def invoke(sampler: Sampler, argv: list[str]) -> None:
     print(f"exit {code}  {wall:.2f} s  peak {peak / MB:.1f} MB "
           f"(rise {rise / MB:.1f})  ru_maxrss {maxrss / MB:.1f} MB  "
           f"minor faults {faults}")
+    if argv[0] == "roth-pipeline":
+        n = cli.build_parser().parse_args(argv).N
+        print(f"  ru_maxrss is {maxrss / n:.0f} bytes per point of --N {n}")
     width = max([len(name) for name in sampler.stats] + [4])
     print(f"  {'span':<{width}}  calls  peak MB  rise MB   faults")
     for name, (calls, peak, rise, faults) in sampler.stats.items():

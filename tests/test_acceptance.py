@@ -97,8 +97,8 @@ def test_c03_triple_count_matches_brute():
     for N in (7, 17, 101, 211):
         for _ in range(20):
             w = (rng.random(N) < 0.4).astype(np.float64)
-            f = Measure(N, w, base=BASE_ZN)
-            got = fourier.triple_count(f, f, f)
+            F = fourier.spectrum(Measure(N, w, base=BASE_ZN))
+            got = fourier.triple_count(F, F, F)
             if round(got) != round(_brute_triple(w, w, w)):
                 set_mismatches += 1
         for _ in range(20):
@@ -106,7 +106,7 @@ def test_c03_triple_count_matches_brute():
                 Measure(N, rng.standard_normal(N), signed=True, base=BASE_ZN)
                 for _ in range(3)
             ]
-            got = fourier.triple_count(*fs)
+            got = fourier.triple_count(*map(fourier.spectrum, fs))
             expect = _brute_triple(*(m.weights for m in fs))
             worst_real = max(worst_real, abs(got - expect))
     elapsed = time.perf_counter() - t0
@@ -232,7 +232,9 @@ def test_c10_setlike_chain():
         k = int(rng.integers(1, 4))
         eps = float(rng.uniform(0.1, 0.3))
         B = roth.bohr_set(rng.integers(1, N, size=k), eps, N)
-        rep = roth.setlike_check(a, mu, B, W=4)
+        mu_mags = np.abs(fourier.spectrum(mu))
+        rep = roth.setlike_check(a, mu, [mu_mags], B, fourier.spectrum(a),
+                                 fourier.spectrum(B.beta()), W=4)
         if rep.sup_a1 > rep.chain_spectral + 1e-9:
             violations += 1
     _verdict("C10", violations == 0,

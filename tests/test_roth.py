@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,23 @@ import paper
 
 def _uniform(N):
     return Measure(N, np.full(N, 1.0 / N), signed=False, base=BASE_ZN)
+
+
+def _mags(mu):
+    """|mu~|, read-only, as density_experiment holds it."""
+    mags = np.abs(spectrum(mu))
+    mags.setflags(write=False)
+    return mags
+
+
+def _granularize(a, B):
+    return roth.granularize(a, spectrum(a), spectrum(B.beta()))
+
+
+def _setlike(a, mu, B, W):
+    """setlike_check with the spectra density_experiment hands it."""
+    return roth.setlike_check(a, mu, [_mags(mu)], B, spectrum(a),
+                              spectrum(B.beta()), W=W)
 
 
 def _holds(checks) -> dict:
@@ -274,7 +292,7 @@ def test_granularize_full_bohr_is_flat():
     a = Measure(64, np.abs(rng.standard_normal(64)), base=BASE_ZN)
     B = roth.bohr_set([], 0.5, 64)
     assert len(B) == 64
-    a1 = roth.granularize(a, B)
+    a1 = _granularize(a, B)
     assert np.allclose(a1.weights, a.total / 64.0, atol=1e-12)
 
 
@@ -283,7 +301,7 @@ def test_granularize_point_bohr_is_identity():
     a = Measure(100, np.abs(rng.standard_normal(100)), base=BASE_ZN)
     B = roth.bohr_set([1], 0.004, 100)
     assert B.members.tolist() == [0]
-    a1 = roth.granularize(a, B)
+    a1 = _granularize(a, B)
     assert np.allclose(a1.weights, a.weights, atol=1e-12)
 
 
@@ -292,7 +310,7 @@ def test_granularize_matches_direct_convolution():
     N = 101
     a = Measure(N, np.abs(rng.standard_normal(N)), base=BASE_ZN)
     B = roth.bohr_set([1, 7], 0.25, N)
-    a1 = roth.granularize(a, B)
+    a1 = _granularize(a, B)
     size = len(B)
     expect = np.zeros(N)
     for u in B.members:
@@ -308,19 +326,19 @@ def test_granularize_needs_common_N():
     a = _uniform(10)
     B = roth.bohr_set([1], 0.2, 12)
     with pytest.raises(ParameterError):
-        roth.granularize(a, B)
+        _granularize(a, B)
 
 
 # --- set-likeness chain ------------------------------------------------------
 
 def test_mu_sup_offzero_uniform_and_point():
-    sup, _, ref = roth.mu_sup_offzero(_uniform(40), W=4)
+    sup, _, ref = roth.mu_sup_offzero(_mags(_uniform(40)), W=4)
     assert sup == pytest.approx(0.0, abs=1e-14)
     assert ref == roth.w_reference(4)
     w = np.zeros(40)
     w[3] = 1.0
     sup, argmax, ref = roth.mu_sup_offzero(
-        Measure(40, w, base=BASE_ZN), W=100
+        _mags(Measure(40, w, base=BASE_ZN)), W=100
     )
     assert sup == pytest.approx(1.0)
     assert 1 <= argmax < 40
@@ -331,13 +349,13 @@ def test_setlike_uniform_is_tight():
     N = 128
     u = _uniform(N)
     B = roth.bohr_set([1], 0.1, N)
-    rep = roth.setlike_check(u, u, B, W=4)
+    rep = _setlike(u, u, B, W=4)
     assert rep.sup_a1 == pytest.approx(1.0 / N)
     assert rep.chain_spectral == pytest.approx(1.0 / N)
     assert rep.chain_sup == pytest.approx(1.0 / N)
     assert rep.chain_reference == pytest.approx(1.0 / N + (2.0 / 4) / len(B))
     assert u.total == pytest.approx(1.0)
-    assert roth.mu_sup_offzero(u, W=4)[0] == pytest.approx(0.0, abs=1e-12)
+    assert roth.mu_sup_offzero(_mags(u), W=4)[0] == pytest.approx(0.0, abs=1e-12)
     holds = _holds(rep.checks)
     assert holds["setlike"] and holds["step1_ok"] and holds["step2_ok"]
     # W=4 < 16 clamps loglog to 1: gate is eps^k >= 2/W = 0.5
@@ -355,13 +373,14 @@ def test_setlike_chain_holds_on_random_instances():
         a = Measure(N, a_w, base=BASE_ZN)
         k = int(rng.integers(1, 3))
         B = roth.bohr_set(rng.integers(1, N, size=k), 0.2, N)
-        rep = roth.setlike_check(a, mu, B, W=4)
+        rep = _setlike(a, mu, B, W=4)
         holds = _holds(rep.checks)
         assert holds["step1_ok"]
         assert holds["step2_ok"]
         # chain_sup = |mu~(0)| / N + sup_{r != 0} |mu~(r)| / |B|
         assert rep.chain_sup == pytest.approx(
-            mu.total / N + roth.mu_sup_offzero(mu, W=4)[0] / len(B), rel=1e-12)
+            mu.total / N + roth.mu_sup_offzero(_mags(mu), W=4)[0] / len(B),
+            rel=1e-12)
         # W=4 clamps loglog to 1: the reference is 2/W = 0.5
         assert rep.chain_reference == pytest.approx(1.0 / N + 0.5 / len(B))
         assert holds["gate_ok"] is (0.2**B.k >= 0.5)
@@ -375,7 +394,47 @@ def test_setlike_rejects_undominated():
     a = Measure(N, w, base=BASE_ZN)
     B = roth.bohr_set([1], 0.2, N)
     with pytest.raises(PreconditionError):
-        roth.setlike_check(a, mu, B, W=4)
+        _setlike(a, mu, B, W=4)
+
+
+def test_setlike_domination_is_exact():
+    # a's weights are copies of mu's, so the sides compare exactly: an
+    # excess of 1e-13, which a slack of 1e-12 waved through, is refused,
+    # and a tie holds
+    N = 50
+    mu = _uniform(N)
+    w = np.array(mu.weights)
+    w[::2] = 0.0
+    B = roth.bohr_set([1], 0.2, N)
+    _setlike(Measure(N, w.copy(), base=BASE_ZN), mu, B, W=4)
+    w[7] += 1e-13
+    with pytest.raises(PreconditionError):
+        _setlike(Measure(N, w, base=BASE_ZN), mu, B, W=4)
+
+
+def test_mu_sup_and_chain_read_the_magnitudes_unmodified():
+    # |mu~| is read-only and shared by the sup and the chain: the sup
+    # takes its argmax over r >= 1 without writing r = 0, so the chain's
+    # mass is |mu~(0)| as transformed
+    rng = np.random.default_rng(37)
+    N = 61
+    mu = Measure(N, np.abs(rng.standard_normal(N)) / N, base=BASE_ZN)
+    a = Measure(N, np.where(rng.random(N) < 0.5, mu.weights, 0.0),
+                base=BASE_ZN)
+    mags = _mags(mu)
+    with pytest.raises(ValueError):
+        mags[0] = -1.0
+    before = mags.copy()
+    sup, argmax, _ = roth.mu_sup_offzero(mags, W=4)
+    assert np.array_equal(mags, before)
+    assert 1 <= argmax < N and sup == mags[argmax] == np.max(mags[1:])
+    B = roth.bohr_set([3], 0.2, N)
+    held = [mags]
+    rep = roth.setlike_check(a, mu, held, B, spectrum(a), spectrum(B.beta()),
+                             W=4)
+    assert held == [] and np.array_equal(mags, before)
+    assert rep.chain_sup == mags[0] / N + sup / len(B)
+    assert mags[0] == pytest.approx(mu.total, rel=1e-12)
 
 
 # --- the check ledger --------------------------------------------------------
@@ -441,9 +500,11 @@ def test_setlike_slack_is_relative(excess, holds, monkeypatch):
     sup = 2.0 / N * (1 + excess)
     w = np.full(N, 1.0 / N)
     w[7] = sup
-    monkeypatch.setattr(roth, "granularize", lambda a, bohr: Measure(
+    monkeypatch.setattr(roth, "granularize", lambda a, at, bt: Measure(
         N, w, signed=False, base=BASE_ZN))
-    rep = roth.setlike_check(u, u, roth.bohr_set([], 0.5, N), W=4)
+    B = roth.bohr_set([], 0.5, N)
+    ut = spectrum(u)
+    rep = roth.setlike_check(u, u, [np.abs(ut)], B, ut, spectrum(B.beta()), W=4)
     (entry,) = [c for c in rep.checks if c.name == "setlike"]
     assert (entry.lhs, entry.rhs) == (sup, 2.0 / N)
     assert entry.holds is holds
@@ -632,7 +693,7 @@ def test_count_3aps_measure_route():
     N = 53
     w = np.abs(rng.standard_normal(N))
     mu = Measure(N, w, base=BASE_ZN)
-    c = roth.count_3aps(mu)
+    c = roth.count_3aps(mu, spectrum(mu))
     brute = 0.0
     for x in range(N):
         for d in range(N):
@@ -717,8 +778,9 @@ def test_varnavides_validation():
 
 
 def test_final_inequality_formula():
+    B = roth.bohr_set([], 0.01, 10_000)
     fi = roth.final_inequality(0.5, 0.04, 0.01, 10_000, constants=None,
-                               bohr=roth.bohr_set([], 0.01, 10_000))
+                               bohr=B, bt=spectrum(B.beta()))
     e = math.exp
     # C' N^(-1/2) + 2^12 eps^2 delta^(-5/2) + C delta^(1/2), C = C' = 1
     count_error = 10_000**-0.5
@@ -737,13 +799,14 @@ def test_bohr_dimension_gate(R, eps, W):
     # clamps loglog to 1, so it reads eps^k >= 2/W
     u = _uniform(200)
     B = roth.bohr_set(R, eps, 200)
-    rep = roth.setlike_check(u, u, B, W=W)
+    rep = _setlike(u, u, B, W=W)
     assert _holds(rep.checks)["gate_ok"] is (eps ** len(R) >= 2.0 / W)
 
 
 def test_final_inequality_contradiction_flag():
-    kw = dict(alpha=1.0, delta=0.01, eps=1e-6, N=10**6,
-              bohr=roth.bohr_set([], 1e-6, 10**6))
+    B = roth.bohr_set([], 1e-6, 10**6)
+    kw = dict(alpha=1.0, delta=0.01, eps=1e-6, N=10**6, bohr=B,
+              bt=spectrum(B.beta()))
     lo = roth.final_inequality(constants={"C2": 0.001}, **kw)
     assert _holds(lo.checks)["contradiction"]
     hi = roth.final_inequality(constants={"C2": 100.0}, **kw)
@@ -754,7 +817,8 @@ def test_final_inequality_bohr_defects():
     N = 1000
     eps = 0.15
     B = roth.bohr_set([1, 13], eps, N)
-    fi = roth.final_inequality(0.5, 0.1, eps, N, constants=None, bohr=B)
+    fi = roth.final_inequality(0.5, 0.1, eps, N, constants=None, bohr=B,
+                               bt=spectrum(B.beta()))
     bt = np.fft.fft(B.beta().weights)
     lin = max(abs(1.0 - bt[r % N]) for r in B.R)
     assert fi.bohr_defect_linear == pytest.approx(lin, rel=1e-12)
@@ -763,12 +827,14 @@ def test_final_inequality_bohr_defects():
     assert fi.bohr_defect_linear <= 16 * eps**2 + 1e-9
     assert fi.bohr_defect_cubic <= 2**12 * eps**2 + 1e-9
     empty = roth.bohr_set([], 0.5, 100)
-    fi = roth.final_inequality(0.5, 0.1, 0.2, 100, constants=None, bohr=empty)
+    fi = roth.final_inequality(0.5, 0.1, 0.2, 100, constants=None, bohr=empty,
+                               bt=spectrum(empty.beta()))
     assert fi.bohr_defect_linear == 0.0 and _holds(fi.checks)["bohr_cubic_ok"]
 
 
 def test_final_inequality_validation():
-    kw = dict(constants=None, bohr=roth.bohr_set([], 0.5, 100))
+    B = roth.bohr_set([], 0.5, 100)
+    kw = dict(constants=None, bohr=B, bt=spectrum(B.beta()))
     with pytest.raises(ParameterError):
         roth.final_inequality(0.0, 0.1, 0.1, 100, **kw)
     with pytest.raises(ParameterError):
@@ -1027,9 +1093,9 @@ def test_density_experiment_transforms(small_table, monkeypatch, transforms):
     grans = []
     original = roth.granularize
 
-    def counted(a, bohr):
+    def counted(a, at, bt):
         grans.append(a.N)
-        return original(a, bohr)
+        return original(a, at, bt)
 
     monkeypatch.setattr(roth, "granularize", counted)
     stash = {}
@@ -1071,3 +1137,62 @@ def test_density_experiment_transforms(small_table, monkeypatch, transforms):
     # A sits inside [1, N/2], so both its classes run below a1's count
     assert len(counts_A) == 2 and max(counts_A) < count_a1
     assert stash["bohr"].beta() is stash["bohr"].beta()
+
+
+@pytest.mark.parametrize("N", [1, 2, 53, 64, 101])
+def test_blocked_counts_keep_every_bit(N, monkeypatch):
+    # the counts' full-length products, built a block at a time, sum to
+    # the same bits as the whole-array expressions with an N-long index
+    # that they replace, at any block size
+    rng = np.random.default_rng(N)
+    a = Measure(N, np.abs(rng.standard_normal(N)), base=BASE_ZN)
+    B = roth.bohr_set([1], 0.3, N)
+    at, bt = spectrum(a), spectrum(B.beta())
+    minus_2r = (-2 * np.arange(N)) % N
+    prod = at * at
+    prod *= at[minus_2r]
+    triple = float((np.sum(prod) / N).real)
+    terms = at**2
+    terms *= at[minus_2r]
+    defect = bt**4
+    defect *= bt[minus_2r] ** 2
+    np.subtract(1.0, defect, out=defect)
+    terms *= defect
+    difference = float(np.sum(terms).real / N)
+    conv = fourier._self_convolution(a.weights)
+    conv[:N - 1] += conv[N:]
+    self_triple = float(np.dot(a.weights, conv[(2 * np.arange(N)) % N]))
+    for block in (1, 7, fourier.BLOCK):
+        monkeypatch.setattr(fourier, "BLOCK", block)
+        assert fourier.triple_count(at, at, at) == triple
+        assert roth.spectral_difference(at, bt) == difference
+        assert fourier.self_triple_count(a) == self_triple
+
+
+# the traced peak of density_experiment at n = 2 * 10^5, per point of n:
+# the pipeline measured 142.5 bytes (28.5 MB at N = 200,003), with each
+# spectrum held once and freed after its last reader; when a, mu and beta
+# cached their full spectra, it was 179.6. The bound sits about 12% from
+# each.
+PEAK_BYTES_PER_POINT = 160
+
+
+@pytest.mark.filterwarnings("ignore::primeaps.errors.DeskScaleWarning")
+def test_density_experiment_peak_bytes_per_point(table):
+    # tracemalloc counts numpy's arrays, not pocketfft's own scratch. The
+    # chirp plan is built inside the run; a small run before it caches the
+    # table's prime list and imports what the stages import on first use,
+    # which the bound does not count
+    roth.density_experiment("random-subset-of-primes", 2000, table,
+                            keep=_ignore, **_FLAGS)
+    n = 200_000
+    fourier._chirp_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        rep = roth.density_experiment("random-subset-of-primes", n, table,
+                                      keep=_ignore, **_FLAGS | {"seed": 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["w_trick"]["N"] == 200_003
+    assert peak / n <= PEAK_BYTES_PER_POINT, f"{peak / n:.1f} bytes per point"
