@@ -144,15 +144,17 @@ def classify(theta: float, params: ArcParams) -> ArcLabel:
     return ArcLabel(kind=kind, a=approx.a, q=approx.q)
 
 
-def profile_indices(mags: np.ndarray, points: int) -> np.ndarray:
+def profile_indices(mags: np.ndarray, M: int, points: int) -> np.ndarray:
     """The grid indices a profile samples: every max(1, M // points)-th of
-    the M = len(mags) indices, plus the argmax of mags when the stride
-    misses it, in ascending order."""
+    the M indices j of a grid's points j/M, plus the first argmax of |f^|
+    when the stride misses it, in ascending order. mags are the magnitudes
+    of the grid's rows as `fourier.wedge_grid` gives them, and the argmax
+    is `fourier.grid_argmax`'s."""
     if points < 1:
         raise ParameterError(f"points must be >= 1, got {points}")
-    stride = max(1, mags.size // points)
-    idx = np.arange(0, mags.size, stride, dtype=np.int64)
-    j_star = int(np.argmax(mags))
+    stride = max(1, M // points)
+    idx = np.arange(0, M, stride, dtype=np.int64)
+    j_star = fourier.grid_argmax(mags, M)
     if j_star % stride:
         idx = np.insert(idx, j_star // stride + 1, j_star)
     return idx
@@ -188,8 +190,10 @@ def sup_diff_scan(
 
     Returns the grid sup at its argmax, the theta=0 mass mismatch, the
     loglog(Q)/Q reference, and the profile at
-    profile_indices(|diff|, profile_points), classified by arc_params
-    (classification is done per profiled point, not for all M).
+    profile_indices(|diff|, M, profile_points), classified by arc_params
+    (classification is done per profiled point, not for all M). The grid
+    is read only through `fourier.grid_values` and the argmax of its rows'
+    magnitudes.
     """
     N = mparams.N
     lamq = measures.lambda_q_measure(mparams, Q, table)
@@ -197,22 +201,22 @@ def sup_diff_scan(
     # and one grid
     signed = measures.Measure(N, lam.weights - lamq.weights, signed=True)
     M = grid.points(N)
-    diff = fourier.wedge_grid(signed, M)
-    absdiff = np.abs(diff)
-    idx = profile_indices(absdiff, profile_points)
-    mags = absdiff[idx]
+    rows = fourier.wedge_grid(signed, M)
+    idx = profile_indices(np.abs(rows), M, profile_points)
+    values = fourier.grid_values(rows, M, idx)
+    mags = np.abs(values)
     # the first maximum of the profile is the first maximum of the grid
-    j_star = int(idx[np.argmax(mags)])
+    j_star = int(np.argmax(mags))
     thetas = idx / M
     labels = [classify(theta, arc_params) for theta in thetas.tolist()]
     kinds = [lab.kind for lab in labels]
     major = np.array(kinds) == MAJOR
     return ScanResult(
-        sup=float(absdiff[j_star]),
-        argmax_theta=j_star / M,
-        theta0_mass_diff=float(absdiff[0]),
+        sup=float(mags[j_star]),
+        argmax_theta=int(idx[j_star]) / M,
+        theta0_mass_diff=float(np.abs(rows[0, 0])),
         reference=loglog_clamped(Q) / Q,
-        profile={"theta": thetas, "re": diff[idx].real, "im": diff[idx].imag,
+        profile={"theta": thetas, "re": values.real, "im": values.imag,
                  "abs": mags, "arc_kind": kinds,
                  "a": [lab.a for lab in labels], "q": [lab.q for lab in labels]},
         sup_major_profiled=float(mags[major].max()) if major.any() else None,

@@ -963,15 +963,18 @@ def _run_transform_scan(cfg: argparse.Namespace, em: Emitter):
     for Q in Qs:
         f = (measures.lambda_measure(params, table) if Q is None
              else measures.lambda_q_measure(params, Q, table))
-        vals = fourier.wedge_grid(f, M)
-        mags = np.abs(vals)
-        idx = arcs.profile_indices(mags, 4096)
+        rows = fourier.wedge_grid(f, M)
+        mags = np.abs(rows)
+        idx = arcs.profile_indices(mags, M, 4096)
+        vals = fourier.grid_values(rows, M, idx)
         tag = "lambda" if Q is None else f"rough_Q{Q}"
         em.table(f"transform_{tag}", ["theta", "re", "im", "abs"],
-                 [idx / M, vals[idx].real, vals[idx].imag, mags[idx]])
-        sup_offzero = float(np.max(mags[1:]))
+                 [idx / M, vals.real, vals.imag, np.abs(vals)])
+        # every j > 0 is a point of the rows or the mirror of one, of
+        # the same magnitude; the rows' first point is j = 0
+        sup_offzero = float(np.max(mags.reshape(-1)[1:]))
         # the grid is read; free it before the L^p ladder takes its own
-        del vals, mags
+        del rows, mags
         results[tag] = {
             "mass": f.total,
             "sup_offzero_grid": sup_offzero,

@@ -37,23 +37,30 @@ weights, never a spectrum. `triple_count` reads the same form off three
 spectra. Each full-length product of a count is built into one array a
 block of `BLOCK` points at a time (`index_blocks`), and then summed whole.
 
-The torus-grid path is separate. `wedge_grid` evaluates f^ on the grid j/M
-with one length-M rfft, completed by Hermitian symmetry, since the weights
-of a measure are real. The L^p norms come from one ladder, `_lp_ladder`,
-over the levels M = oversample * N, 2M, 4M, ..., which stops once two
-consecutive levels agree. Each grid of L = s N points is a four-step
-transform too, on the (L1, L2) view of its pad, L1 = s * `_split(N)`, with
-no full-length call. Real coefficients take one `_real_grid_powers` (the
-powers of `_real_forward`'s rows k1 <= L1/2, whose conjugate mirrors are
-the rest) per comparison, since the grid of 2M points holds the M grid as
-its rows k1 = 0 mod 2. Complex coefficients
-(only `restriction_ratio` has them) take one transform of M points, and
-each doubling adds the odd samples of the 2M grid with one of twisted
-coefficients. At even integer p the M-point rule is exact once
-M > (p/2) * span, and the ladder stops at the first exact level; when that
-is the first, it costs one transform of M points. `mz_ratio` reads its
-discrete sum over r/N off the rows k1 = 0 mod s of the ladder's first
-grid, so it takes no length-N transform of its own.
+The torus grids run on the same real pass. Positions lie below N, and a
+grid has L >= 2N points, so the (L1, L2) view of its pad is zero past row
+max(pos) // L2: `_pad` makes only the rows the support touches, and the
+rfft of length L1 down axis 0 zero-fills the rest. `wedge_grid` evaluates
+f^ on the grid j/M as `_real_forward`'s rows k1 <= L1/2, L1 = `_split(M)`,
+conjugated to the wedge sign: about half the grid, and no M-point complex
+array. Since the weights are real the grid is Hermitian, so the row
+L1 - k1 is row k1's mirror; `grid_values` reads the grid at natural
+indices j and `grid_argmax` gives the first maximum of |f^|. The L^p norms
+come from one ladder, `_lp_ladder`, over the levels M = oversample * N,
+2M, 4M, ..., which stops once two consecutive levels agree. Each grid of
+L = s N points is a four-step transform too, on the (L1, L2) view of its
+pad, L1 = s * `_split(N)`, with no full-length call. Real coefficients
+take one `_real_grid_powers` (the powers of `_real_forward`'s rows
+k1 <= L1/2, whose conjugate mirrors are the rest, written into the pass's
+own buffer) per comparison, since the grid of 2M points holds the M grid
+as its rows k1 = 0 mod 2. Complex coefficients
+(only `restriction_ratio` has them) take one transform of M points, in
+place on the whole pad, and each doubling adds the odd samples of the 2M
+grid with one of twisted coefficients. At even integer p the M-point rule
+is exact once M > (p/2) * span, and the ladder stops at the first exact
+level; when that is the first, it costs one transform of M points.
+`mz_ratio` reads its discrete sum over r/N off the rows k1 = 0 mod s of
+the ladder's first grid, so it takes no length-N transform of its own.
 
 The ladder refuses, with ParameterError, a p outside [1, inf) and a p at
 which the grid mean of |f^|^p leaves the float range: infinite or NaN
@@ -295,50 +302,93 @@ def idft(half: np.ndarray, N: int) -> np.ndarray:
     return w
 
 
-def _scatter(positions: np.ndarray, values: np.ndarray, M: int) -> np.ndarray:
-    """The length-M coefficient array holding values at positions mod M."""
-    pad = np.zeros(M, dtype=values.dtype)
-    pad[positions % M] = values
+def _pad(positions, values: np.ndarray, L2: int, end: int) -> np.ndarray:
+    """The zero pad of length L = L1 L2 holding values at positions, as the
+    rows of its (L1, L2) view that they touch: positions lie below end <= L,
+    so the rows are 0..(end - 1) // L2 and the rows past them, zero, are
+    not made. `_real_forward` zero-fills them in its rfft of length L1,
+    and pocketfft fills each column's buffer with the same values as from
+    the whole pad, so the transform keeps every bit. positions is an int
+    array or a slice."""
+    pad = np.zeros((-(-end // L2), L2), dtype=values.dtype)
+    pad.reshape(-1)[positions] = values
     return pad
 
 
-def wedge_grid(f: Measure, M: int) -> np.ndarray:
-    """Evaluate f^(j/M) = sum_n f(n) e(n * j/M) for j = 0..M-1 via one
-    length-M rfft.
-
-    The weights are real, so f^(j/M) is the conjugate of rfft bin j for
-    j <= M//2, and the rest of the grid is Hermitian:
-    f^((M - j)/M) = conj f^(j/M), so |f^| ties exactly at mirrored points.
-    The support points must be distinct mod M, which holds for M >= f.N.
-    """
-    pos, w = f.support()
-    half = np.fft.rfft(_scatter(pos, w, M))
-    vals = np.empty(M, dtype=np.complex128)
-    np.conjugate(half, out=vals[:half.size])
-    vals[half.size:] = half[(M + 1) // 2 - 1:0:-1]
-    return vals
-
-
-def _powers(v: np.ndarray, p: float) -> np.ndarray:
-    """|v|^p, an overflow to inf left to _lp_ladder to refuse."""
-    mags = np.abs(v)
-    with np.errstate(over="ignore"):
-        mags **= p
-    return mags
-
-
-def _real_forward(v: np.ndarray) -> np.ndarray:
+def _real_forward(v: np.ndarray, L1: int) -> np.ndarray:
     """X(k) = sum_n pad_n e(-nk/L) for the real length-L pad whose (L1, L2)
-    view is v, at the rows k1 <= L1/2 of the (k1, k2) order of
-    `_four_step`, k = k1 + L1 k2: an rfft down axis 0, the twiddle on those
-    rows and an fft along axis 1 in the rfft's own output. The pad is real,
-    so X(L - k) = conj X(k) and row L1 - k1 mirrors row k1: these rows are
-    the whole transform."""
-    L1, L2 = v.shape
-    X = np.fft.rfft(v, axis=0)
+    view begins with the rows v (`_pad`; the rest are zero), at the rows
+    k1 <= L1/2 of the (k1, k2) order of `_four_step`, k = k1 + L1 k2: an
+    rfft of length L1 down axis 0, the twiddle on those rows and an fft
+    along axis 1 in the rfft's own output. The reference to v is dropped
+    after the rfft, so a pad passed in as a temporary is freed before the
+    passes that follow. The pad is real, so X(L - k) = conj X(k) and row
+    L1 - k1 mirrors row k1: these rows are the whole transform."""
+    L2 = v.shape[1]
+    X = np.fft.rfft(v, L1, axis=0)
+    del v
     _twiddle(X, _twiddles(L1, L2, X.shape[0]), inverse=False)
     np.fft.fft(X, axis=1, out=X)
     return X
+
+
+def wedge_grid(f: Measure, M: int) -> np.ndarray:
+    """f^(j/M) = sum_n f(n) e(n * j/M) on the grid j = 0..M-1, as the rows
+    k1 <= L1/2 of its (k1, k2) order, j = k1 + L1 k2, L1 = `_split(M)`:
+    an array of shape (L1 // 2 + 1, M / L1), about half the grid.
+
+    The weights are real, so f^(j/M) is the conjugate of bin j of their
+    transform at length M, which `_real_forward` takes on the rows of the
+    pad that the support touches (the support's positions must lie below
+    M, as they do for M >= 2N). The grid is Hermitian,
+    f^((M - j)/M) = conj f^(j/M), so a row k1 > L1/2 is the conjugate of
+    row L1 - k1 read backwards (`grid_values`). Rows 0 and (for even L1)
+    L1/2 hold their own mirrors: their mirror halves are set to the exact
+    conjugates, and the self-mirrored points j = 0 and M/2 made real, so
+    |f^| ties exactly at mirrored points (`grid_argmax`). No M-point
+    complex array is made.
+    """
+    pos, w = f.support()
+    L1 = _split(M)
+    L2 = M // L1
+    grid = _real_forward(_pad(pos, w, L2, int(pos.max(initial=-1)) + 1), L1)
+    np.conjugate(grid, out=grid)
+    # row 0 mirrors k2 to -k2 mod L2, and holds j = 0 and, for even L2, M/2
+    head = grid[0]
+    np.conjugate(head[1:(L2 + 1) // 2], out=head[:L2 // 2:-1])
+    head.imag[0] = 0.0
+    if L2 % 2 == 0:
+        head.imag[L2 // 2] = 0.0
+    # row L1/2 mirrors k2 to L2 - 1 - k2, and holds M/2 for odd L2
+    if L1 % 2 == 0:
+        mid = grid[L1 // 2]
+        np.conjugate(mid[:L2 // 2], out=mid[:(L2 - 1) // 2:-1])
+        if L2 % 2:
+            mid.imag[L2 // 2] = 0.0
+    return grid
+
+
+def grid_values(grid: np.ndarray, M: int, j: np.ndarray) -> np.ndarray:
+    """f^(j/M) at the natural indices j, read off the rows of
+    `wedge_grid`: j = k1 + L1 k2 is the stored value at (k1, k2) when
+    k1 <= L1/2, and otherwise the conjugate of the value at
+    M - j = (L1 - k1) + L1 (L2 - 1 - k2)."""
+    R, L2 = grid.shape
+    L1 = M // L2
+    k2, k1 = np.divmod(np.asarray(j, dtype=np.int64), L1)
+    mirror = k1 >= R
+    vals = grid[np.where(mirror, L1 - k1, k1), np.where(mirror, L2 - 1 - k2, k2)]
+    np.conjugate(vals, out=vals, where=mirror)
+    return vals
+
+
+def grid_argmax(mags: np.ndarray, M: int) -> int:
+    """The first maximum of |f^(j/M)| over j = 0..M-1, from the magnitudes
+    mags of `wedge_grid`'s rows: the least natural index over every exact
+    tie, mirrors included, since |f^| at M - j is |f^| at j."""
+    k1, k2 = np.divmod(np.flatnonzero(mags == mags.max()), mags.shape[1])
+    j = k1 + M // mags.shape[1] * k2
+    return int(np.min(np.minimum(j, (M - j) % M)))
 
 
 def _real_inverse(X: np.ndarray, L1: int) -> np.ndarray:
@@ -353,15 +403,37 @@ def _real_inverse(X: np.ndarray, L1: int) -> np.ndarray:
     return np.fft.irfft(X, L1, axis=0)
 
 
-def _real_grid_powers(v: np.ndarray, p: float) -> np.ndarray:
-    """|X(k)|^p at the rows k1 <= L1/2 of the transform X of the real pad
-    whose (L1, L2) view is v (`_real_forward`). Row L1 - k1 mirrors row k1,
-    so each row is weighted by the rows it stands for, 1 for row 0 and
-    (for even L1) row L1/2 and 2 for the others: the sum over the bins
-    k = 0 mod t, t | L1, is that of the rows k1 = 0 mod t."""
-    L1 = v.shape[0]
-    powers = _powers(_real_forward(v), p)
+def _powers(v: np.ndarray, p: float) -> np.ndarray:
+    """|v|^p, an overflow to inf left to _lp_ladder to refuse."""
+    mags = np.abs(v)
     with np.errstate(over="ignore"):
+        mags **= p
+    return mags
+
+
+def _real_grid_powers(X: np.ndarray, L1: int, p: float) -> np.ndarray:
+    """|X(k)|^p at the rows X of `_real_forward` (rows k1 <= L1/2 of the
+    transform of a real pad), in X's own buffer: block by block, `BLOCK`
+    points at a time through one block-sized temporary, the powers are
+    written into the first half of X's float view, which is returned in
+    X's shape. The powers of points i < s + BLOCK land on the floats of
+    the points below (s + BLOCK) / 2, every one of them read by then, so
+    no value is overwritten before it is read; the values are those of
+    `_powers`, elementwise. Row L1 - k1 mirrors row k1, so each row is
+    weighted by the rows it stands for, 1 for row 0 and (for even L1) row
+    L1/2 and 2 for the others: the sum over the bins k = 0 mod t, t | L1,
+    is that of the rows k1 = 0 mod t."""
+    flat = X.reshape(-1)
+    n = flat.size
+    powers = X.view(np.float64).reshape(-1)[:n]
+    tmp = np.empty(min(BLOCK, n), dtype=np.float64)
+    with np.errstate(over="ignore"):
+        for start in range(0, n, BLOCK):
+            block = slice(start, min(start + BLOCK, n))
+            mags = np.abs(flat[block], out=tmp[:block.stop - start])
+            mags **= p
+            powers[block] = mags
+        powers = powers.reshape(X.shape)
         powers[1:(L1 + 1) // 2] *= 2.0
     return powers
 
@@ -408,6 +480,7 @@ def _lp_ladder(positions, values, N, p, grid: TorusGrid):
     positions = np.asarray(positions, dtype=np.int64)
     values = np.asarray(values)
     span = int(np.ptp(positions)) if positions.size else 0
+    end = int(positions.max(initial=-1)) + 1
     nonzero = bool(np.any(values))
 
     def exact(M: int) -> bool:
@@ -421,14 +494,17 @@ def _lp_ladder(positions, values, N, p, grid: TorusGrid):
                 f"|f^|^p over the grid of {M} points is {value!r}")
         return value
 
-    def view(v, L: int) -> np.ndarray:
-        # v scattered on the grid of L points, as its (L1, L2) view
-        return _scatter(positions, v, L).reshape(L // N * _split(N), -1)
+    def real_powers(L: int) -> np.ndarray:
+        # the positions lie below N <= L/2, so the pad's rows past row
+        # (N - 1) // L2 are zero and are not made
+        L1 = L // N * _split(N)
+        return _real_grid_powers(
+            _real_forward(_pad(positions, values, L // L1, end), L1), L1, p)
 
     def complex_sum(v, M: int) -> float:
-        pad = view(v, M)
-        L1, L2 = pad.shape
-        _four_step(pad, _twiddles(L1, L2, L1), inverse=False)
+        L1 = M // N * _split(N)
+        pad = _pad(positions, v, M // L1, M)
+        _four_step(pad, _twiddles(L1, M // L1, L1), inverse=False)
         return float(np.sum(_powers(pad, p)))
 
     real = not np.iscomplexobj(values)
@@ -438,7 +514,7 @@ def _lp_ladder(positions, values, N, p, grid: TorusGrid):
     if real:
         # L is the length of the latest grid, M or 2M
         L = M if exact(M) else 2 * M
-        powers = _real_grid_powers(view(values, L), p)
+        powers = real_powers(L)
         first = (powers, L // N)
         total = float(np.sum(powers[::L // M]))
     else:
@@ -448,7 +524,7 @@ def _lp_ladder(positions, values, N, p, grid: TorusGrid):
         if real:
             if L == M:
                 L = 2 * M
-                powers = _real_grid_powers(view(values, L), p)
+                powers = real_powers(L)
             total = float(np.sum(powers))
         else:
             twisted = values * e(positions / (2 * M))  # the odd samples of 2M
@@ -537,17 +613,15 @@ def _self_convolution(u: np.ndarray) -> np.ndarray:
     """(u * u)(k) for k = 0..2n-2, the linear self-convolution of a real
     vector u of length n, at the least 5-smooth length L >= 2n-1, where no
     sum wraps around: the real four-step pass pair on the (L1, L2) view of
-    u's zero pad, L1 = `_split(L)`, with the transform's rows squared in
+    u's zero pad, L1 = `_split(L)`, of which only the rows that u touches
+    are made (`_pad`), with the transform's rows squared in
     place between the passes. The square of a Hermitian transform is
     Hermitian, so the inverse pass is exact in form. The result is a view
     of the pass's (L1, L2) output."""
     n = u.size
     L = _smooth_length(2 * n - 1)
     L1 = _split(L)
-    pad = np.zeros(L, dtype=np.float64)
-    pad[:n] = u
-    X = _real_forward(pad.reshape(L1, -1))
-    del pad
+    X = _real_forward(_pad(slice(0, n), u, L // L1, n), L1)
     X *= X
     return _real_inverse(X, L1).reshape(-1)[:2 * n - 1]
 

@@ -6,7 +6,8 @@ tests/test_package.py::test_every_def_is_reached_from_the_cli keeps it so.
 Here are the arithmetic oracles (the smallest-prime-factor table and its
 factorizations, Moebius, Ramanujan sums, rough and smooth numbers), the local densities gamma_{r,q} and sigma_{a,q} in closed form
 and by direct summation, Brun's truncated inclusion-exclusion, the
-exponential sum f^(theta) by compensated summation, the kernels tau and
+exponential sum f^(theta) by compensated summation and the torus grid
+of f^ by one full-length rfft (`rfft_grid`), the kernels tau and
 Fejer, the major-arc main term q^(-1) sigma_{a,q} tau(theta - a/q), the
 minor-arc bounds and the Weyl min-sum, the interpolated L^p bound of each
 dyadic piece, a brute-force 3AP test, the exact 3AP counts of an integer
@@ -414,6 +415,23 @@ def exp_sum(f: Measure, theta: float) -> complex:
     """f^(theta) = sum over the support of f(n) e(n*theta), compensated."""
     pos, w = f.support()
     return fsum_complex(w * e(pos * theta))
+
+
+def rfft_grid(f: Measure, M: int) -> np.ndarray:
+    """f^(j/M) for j = 0..M-1 from one full-length rfft of the real
+    weights scattered mod M, completed by Hermitian symmetry: the
+    conjugate of bin j for j <= M/2, and f^((M - j)/M) = conj f^(j/M) for
+    the rest, so |f^| ties exactly at mirrored points. This is how
+    `fourier.wedge_grid` took the grid before it ran the real four-step
+    pass on the support's rows."""
+    pos, w = f.support()
+    pad = np.zeros(M)
+    pad[pos % M] = w
+    half = np.fft.rfft(pad)
+    vals = np.empty(M, dtype=np.complex128)
+    np.conjugate(half, out=vals[:half.size])
+    vals[half.size:] = half[(M + 1) // 2 - 1:0:-1]
+    return vals
 
 
 def tau(theta: float, N: int) -> complex:

@@ -1,5 +1,6 @@
 """Compare the sums the torus L^p ladder reads off its four-step grids
-with the same sums over numpy's full-length FFT.
+with the same sums over numpy's full-length FFT, and `fourier.wedge_grid`
+with the full-length rfft grid of `paper.rfft_grid`.
 
     PYTHONPATH=src python tests/sweep_grid_transform.py --count 40 --seed 0
 
@@ -18,7 +19,20 @@ sums, with the N, s and t where it occurred. At `--count 40 --seed 0`
 (133 lengths up to 200,003, 15 s on 2 vCPUs with numpy 2.4.6) the worst
 were 1.4e-15 for the real sums (N = 8193, s = 4, t = 2) and 1.5e-15 for
 the complex ones (N = 78,831), far below the 1e-13 the tier-1 test
-allows. Needs numpy only; the name keeps pytest from collecting it.
+allows.
+
+Then it draws `count` triples (N, M, kind): N up to 2 * 10^5, M = o N
+for an oversample o in 2..16 (every other triple) or any M in [2N, 16N],
+and weights on {1..N} that are dense and signed, sparse, positive, or one
+point. It reads the whole wedge grid at natural indices
+(`fourier.grid_values`) and prints the worst of max |grid - oracle| over
+max |oracle|, and how many `fourier.grid_argmax` differ from the oracle's
+first maximum where that maximum is one point and its mirror (one point
+mass has |f^| constant, an exact tie that rounding breaks). At
+`--count 40 --seed 0` (22 s in all) the worst was 3.2e-15 relative
+(N = 179,597, M = 1,347,532, a point mass), and the argmax matched at
+all 30 triples with one maximum. Needs numpy only; the name keeps
+pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -33,6 +47,9 @@ import numpy as np
 from primeaps import fourier
 from primeaps.errors import GridConvergenceWarning
 from primeaps.fourier import TorusGrid
+from primeaps.measures import Measure
+
+import paper
 
 
 def _is_prime(n: int) -> bool:
@@ -55,13 +72,19 @@ def lengths(count: int, rng: np.random.Generator) -> list[int]:
 def _recorded(positions, values, N, p, grid) -> list:
     """The grids one ladder takes: ("real", pad, weighted rows) or
     ("complex", pad, transform)."""
-    grids = []
-    real_pass, four_step = fourier._real_grid_powers, fourier._four_step
+    grids, pads = [], []
+    forward, real_pass = fourier._real_forward, fourier._real_grid_powers
+    four_step = fourier._four_step
 
-    def real(v, q):
-        pad = v.ravel().copy()
-        powers = real_pass(v, q)
-        grids.append(("real", pad, powers))
+    def real_forward(v, L1):
+        pad = np.zeros((L1, v.shape[1]))
+        pad[:v.shape[0]] = v
+        pads.append(pad.ravel())
+        return forward(v, L1)
+
+    def real(X, L1, q):
+        powers = real_pass(X, L1, q)
+        grids.append(("real", pads.pop(), powers))
         return powers
 
     def complex_(v, twiddles, inverse):
@@ -69,13 +92,15 @@ def _recorded(positions, values, N, p, grid) -> list:
         four_step(v, twiddles, inverse)
         grids.append(("complex", pad, v.copy()))
 
-    fourier._real_grid_powers, fourier._four_step = real, complex_
+    fourier._real_forward, fourier._real_grid_powers = real_forward, real
+    fourier._four_step = complex_
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridConvergenceWarning)
             fourier._lp_ladder(positions, values, N, p, grid)
     finally:
-        fourier._real_grid_powers, fourier._four_step = real_pass, four_step
+        fourier._real_forward, fourier._real_grid_powers = forward, real_pass
+        fourier._four_step = four_step
     return grids
 
 
@@ -106,6 +131,43 @@ def sweep(count: int, seed: int) -> dict:
     return {"lengths": len(Ns), "largest": Ns[-1], **worst}
 
 
+def wedge_sweep(count: int, rng: np.random.Generator) -> dict:
+    """Worst relative error of `wedge_grid` against `paper.rfft_grid`,
+    and the triples whose argmax differs from the oracle's."""
+    worst, moved, compared = (0.0, 0, 0, ""), [], 0
+    for i in range(count):
+        N = int(rng.integers(1, 2 * 10 ** 5, endpoint=True))
+        M = (N * int(rng.integers(2, 16, endpoint=True)) if i % 2 == 0
+             else int(rng.integers(2 * N, 16 * N, endpoint=True)))
+        kind = ("dense", "sparse", "positive", "point")[i % 4]
+        w = rng.standard_normal(N)
+        if kind == "sparse":
+            w *= rng.random(N) < 0.05
+            w[rng.integers(N)] = 1.0
+        elif kind == "positive":
+            w = np.abs(w)
+        elif kind == "point":
+            w[:] = 0.0
+            w[rng.integers(N)] = 1.0
+        f = Measure(N, w, signed=True)
+        rows = fourier.wedge_grid(f, M)
+        got = fourier.grid_values(rows, M, np.arange(M))
+        want = paper.rfft_grid(f, M)
+        mags = np.abs(want)
+        err = float(np.max(np.abs(got - want)) / np.max(mags))
+        worst = max(worst, (err, N, M, kind))
+        # the argmax is compared where the oracle's maximum is one point
+        # and its mirror, with no other point within rounding of it
+        first = int(np.argmax(mags))
+        near = set(np.flatnonzero(mags >= mags[first] * (1 - 1e-12)).tolist())
+        j_star = fourier.grid_argmax(np.abs(rows), M)
+        if near <= {first, -first % M}:
+            compared += 1
+            if j_star != first:
+                moved.append((N, M, kind, j_star, first))
+    return {"worst": worst, "compared": compared, "argmax_moved": moved}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--count", type=int, default=40)
@@ -120,6 +182,14 @@ def main() -> None:
         err, N, s, t = result[kind]
         print(f"{kind} grid sums vs numpy.fft.fft: worst {err:.3e} relative, "
               f"at N = {N}, s = {s}, bins k = 0 mod {t}")
+    t0 = time.perf_counter()
+    wedge = wedge_sweep(args.count, np.random.default_rng(args.seed))
+    err, N, M, kind = wedge["worst"]
+    print(f"wedge_grid vs paper.rfft_grid at {args.count} triples "
+          f"({time.perf_counter() - t0:.1f} s): worst {err:.3e} relative, at "
+          f"N = {N}, M = {M}, {kind}; argmax differs at "
+          f"{len(wedge['argmax_moved'])} of the {wedge['compared']} with one "
+          f"maximum: {wedge['argmax_moved']}")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,10 @@
 Runs `primeaps.cli.main` on the arguments after the sweep's own options, in
 this process, while a thread reads the resident set size from
 /proc/self/statm every millisecond. Each `roth._stage` block and
-each library call of SPANS is a span: its peak is the largest size read
+each library call of SPANS is a span, opened and closed by a profile hook
+(`sys.setprofile` and `threading.setprofile`) on the call's code object,
+so no wrapper holds the call's arguments and an argument the call frees
+is freed as in an untraced run: its peak is the largest size read
 while it was open, its entry and exit sizes included, and its rise is that
 peak less the size at its entry; its faults are the process's minor page
 faults (`ru_minflt`, each a fresh page the kernel had to map) from its
@@ -27,10 +30,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import itertools
 import os
 import resource
+import sys
 import tempfile
 import threading
 import time
@@ -108,29 +111,38 @@ class Sampler:
         self._stop.set()
         self._thread.join(timeout=10)
 
-    @contextlib.contextmanager
-    def span(self, name: str):
+    def begin(self, name: str) -> tuple:
+        """Open a span; the token it returns closes it (`end`)."""
         size = rss()
         self._see(size)
         with self.lock:
             key = next(self.ids)
             self.open[key] = [name, size, size]
-        faults = minor_faults()
+        return key, minor_faults()
+
+    def end(self, token: tuple) -> None:
+        key, faults = token
+        faults = minor_faults() - faults
+        self._see(rss())
+        with self.lock:
+            name, entry, peak = self.open.pop(key)
+            calls, top, rise, most = self.stats.get(name, (0, 0, 0, 0))
+            self.stats[name] = [calls + 1, max(top, peak), max(rise, peak - entry),
+                                max(most, faults)]
+
+    @contextlib.contextmanager
+    def span(self, name: str):
+        token = self.begin(name)
         try:
             yield
         finally:
-            faults = minor_faults() - faults
-            self._see(rss())
-            with self.lock:
-                _, entry, peak = self.open.pop(key)
-                calls, top, rise, most = self.stats.get(name, (0, 0, 0, 0))
-                self.stats[name] = [calls + 1, max(top, peak), max(rise, peak - entry),
-                                    max(most, faults)]
+            self.end(token)
 
 
 def install(sampler: Sampler) -> None:
-    """Open a span around every `roth._stage` block and every call of
-    SPANS, in each primeaps module that binds the same function."""
+    """Open a span around every `roth._stage` block, and a span on every
+    call of SPANS from a profile hook on its code object, in this thread
+    and in each thread started after."""
     stage = roth._stage
 
     @contextlib.contextmanager
@@ -139,25 +151,23 @@ def install(sampler: Sampler) -> None:
             yield
 
     roth._stage = traced_stage
-    modules = [sieve, measures, fourier, arcs, roth, cli]
+    names = {}
     for owner, attr in SPANS:
-        original = getattr(owner, attr)
         prefix = (owner.__name__ if isinstance(owner, types.ModuleType)
                   else f"{owner.__module__}.{owner.__qualname__}")
-        name = f"{prefix}.{attr}".removeprefix("primeaps.")
+        names[getattr(owner, attr).__code__] = f"{prefix}.{attr}".removeprefix("primeaps.")
+    tokens = {}  # id of a SPANS call's frame -> its span's token
 
-        def make(original=original, name=name):
-            @functools.wraps(original)
-            def traced(*args, **kwargs):
-                with sampler.span(name):
-                    return original(*args, **kwargs)
-            return traced
+    def hook(frame, event, arg):
+        if event == "call":
+            name = names.get(frame.f_code)
+            if name is not None:
+                tokens[id(frame)] = sampler.begin(name)
+        elif event == "return" and frame.f_code in names:
+            sampler.end(tokens.pop(id(frame)))
 
-        traced = make()
-        setattr(owner, attr, traced)
-        for module in modules:
-            if module is not owner and getattr(module, attr, None) is original:
-                setattr(module, attr, traced)
+    threading.setprofile(hook)
+    sys.setprofile(hook)
 
 
 def invoke(sampler: Sampler, argv: list[str]) -> None:

@@ -218,25 +218,45 @@ def test_prime_transform_decays_off_zero(table):
 
 # --- sup-difference scan -----------------------------------------------------
 
+def _grid_rows(M, natural):
+    """The rows k1 <= L1/2 of a grid of M points in `fourier.wedge_grid`'s
+    (k1, k2) layout, j = k1 + L1 k2, L1 = `_split(M)`, taken from the
+    values at the natural indices j."""
+    L1 = fourier._split(M)
+    return natural[np.arange(L1 // 2 + 1)[:, None] + L1 * np.arange(M // L1)]
+
+
+def _mirrored(M, peaks):
+    """Magnitudes at j = 0..M-1 that are 0 but at each j of peaks and at
+    its mirror M - j, as a real grid's are."""
+    mags = np.zeros(M)
+    for j, value in peaks.items():
+        mags[j] = mags[-j % M] = value
+    return mags
+
+
 def test_profile_indices_stride_and_argmax():
-    mags = np.zeros(100)
+    M = 100
     # the stride grid alone when the argmax lies on it: no duplicate
-    mags[30] = 1.0
-    assert arcs.profile_indices(mags, 10).tolist() == list(range(0, 100, 10))
-    # an argmax off the stride goes in once, in ascending order
-    mags[37] = 2.0
-    idx = arcs.profile_indices(mags, 10)
+    peaks = {30: 1.0}
+    got = arcs.profile_indices(_grid_rows(M, _mirrored(M, peaks)), M, 10)
+    assert got.tolist() == list(range(0, 100, 10))
+    # an argmax off the stride goes in once, in ascending order, whether
+    # the rows hold it or its mirror (63 = 100 - 37 lies in row 3 > 10/2)
+    peaks[37] = 2.0
+    idx = arcs.profile_indices(_grid_rows(M, _mirrored(M, peaks)), M, 10)
     assert idx.tolist() == sorted([*range(0, 100, 10), 37])
-    # the last index, past the final stride point
-    mags[99] = 3.0
-    assert arcs.profile_indices(mags, 10).tolist() == [*range(0, 100, 10), 99]
+    # the first maximum is the lesser of a point and its mirror: 99 ties 1
+    peaks[99] = 3.0
+    rows = _grid_rows(M, _mirrored(M, peaks))
+    assert arcs.profile_indices(rows, M, 10).tolist() == [0, 1, *range(10, 100, 10)]
     # stride M // points: 100 // 7 = 14
-    assert arcs.profile_indices(mags, 7).tolist() == [*range(0, 100, 14), 99]
+    assert arcs.profile_indices(rows, M, 7).tolist() == [0, 1, *range(14, 100, 14)]
     # every index once when points >= M
     for points in (100, 101, 10_000):
-        assert arcs.profile_indices(mags, points).tolist() == list(range(100))
+        assert arcs.profile_indices(rows, M, points).tolist() == list(range(100))
     with pytest.raises(ParameterError):
-        arcs.profile_indices(mags, 0)
+        arcs.profile_indices(rows, M, 0)
 
 
 @pytest.mark.parametrize("M, points", [(7, 3), (64, 5), (1000, 64), (4096, 4096)])
@@ -244,9 +264,10 @@ def test_profile_indices_matches_membership_rule(M, points):
     rng = np.random.default_rng(M)
     for _ in range(20):
         mags = rng.random(M)
+        mags += mags[-np.arange(M) % M]  # |f^| at M - j is |f^| at j
         stride = max(1, M // points)
         want = set(range(0, M, stride)) | {int(np.argmax(mags))}
-        idx = arcs.profile_indices(mags, points)
+        idx = arcs.profile_indices(_grid_rows(M, mags), M, points)
         assert idx.tolist() == sorted(want)
         assert idx.dtype == np.int64
 
@@ -274,10 +295,10 @@ def test_sup_diff_scan_profile_and_sup(small_table):
     assert res.argmax_theta in prof["theta"]
     # the profile samples the grid of the given oversample
     M = grid.points(2000)
-    diff = fourier.wedge_grid(
+    rows = fourier.wedge_grid(
         measures.Measure(2000, lam.weights - lamq.weights, signed=True), M)
     assert prof["theta"].tolist() == (
-        arcs.profile_indices(np.abs(diff), 64) / M).tolist()
+        arcs.profile_indices(np.abs(rows), M, 64) / M).tolist()
     assert len(prof["abs"]) <= 64 + 2
     for re, im, mag, kind in zip(prof["re"], prof["im"], prof["abs"],
                                  prof["arc_kind"]):
@@ -321,11 +342,13 @@ def test_sup_diff_scan_grid_is_the_difference_of_two_grids(
                              TorusGrid(oversample=oversample), small_table,
                              ArcParams(N=N, p_exponent=3.0), profile_points=64)
     M = oversample * N
-    assert [g.shape for g in grids] == [(M,)]
+    L1 = fourier._split(M)
+    assert [g.shape for g in grids] == [(L1 // 2 + 1, M // L1)]
     want = (_complex_grid(measures.lambda_measure(mp, small_table), M)
             - _complex_grid(measures.lambda_q_measure(mp, 16, small_table), M))
     tol = 1e-12 * res.sup
-    assert float(np.max(np.abs(grids[0] - want))) <= tol
+    got = fourier.grid_values(grids[0], M, np.arange(M))
+    assert float(np.max(np.abs(got - want))) <= tol
     assert abs(res.sup - float(np.max(np.abs(want)))) <= tol
     assert abs(res.theta0_mass_diff - abs(want[0])) <= tol
 

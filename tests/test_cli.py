@@ -1072,9 +1072,9 @@ def test_measure_build_split_holds_no_rough_measure(tmp_path, monkeypatch):
 
 
 def test_transform_scan_frees_its_grid_before_the_ladder(tmp_path):
-    # the run's peak is the L^p ladder's own (at oversample 8, one rfft of
-    # 16N points) plus less than the smaller grid array, mags, of 8N
-    # floats; the grid vals holds 8N complex values
+    # the run's peak is the L^p ladder's own (at oversample 8, one grid of
+    # 16N points) plus less than 8N floats; the grid's rows hold about 4N
+    # complex values, and their magnitudes 4N floats
     N = 20_000
     args = ["transform-scan", "--N", str(N), "--oversample", "8", "--p", "2.5"]
     _run(args, tmp_path / "first")  # what a process builds once is built
@@ -1084,6 +1084,25 @@ def test_transform_scan_frees_its_grid_before_the_ladder(tmp_path):
     ladder = _traced_peak(lambda: fourier.lp_norm_torus(lam, 2.5, grid))
     run = _traced_peak(lambda: _run(args, tmp_path / "traced"))
     assert run < ladder + 8 * 8 * N, (run / (8 * N), ladder / (8 * N))
+
+
+# the traced peak of transform-scan at N = 2 * 10^4 and --oversample 8,
+# per point of its grid of M = 8N points: 26.2 bytes with the grid taken
+# as the rows k1 <= L1/2 of the real four-step pass on the support's rows
+# and the ladder's powers in the pass's own buffer; 42.2 when the grid was
+# one full-length rfft and a full M-point complex copy, and the ladder
+# scattered a full pad and took its powers in a fresh array. The bound
+# sits about halfway.
+TRANSFORM_SCAN_PEAK_BYTES_PER_GRID_POINT = 34
+
+
+def test_transform_scan_peak_bytes_per_grid_point(tmp_path):
+    N = 20_000
+    args = ["transform-scan", "--N", str(N), "--oversample", "8", "--p", "2.5"]
+    _run(args, tmp_path / "first")  # what a process builds once is built
+    peak = _traced_peak(lambda: _run(args, tmp_path / "traced"))
+    assert peak / (8 * N) <= TRANSFORM_SCAN_PEAK_BYTES_PER_GRID_POINT, (
+        f"{peak / (8 * N):.1f} bytes per grid point")
 
 
 def test_output_files_follow_umask(tmp_path):
@@ -1129,16 +1148,19 @@ def test_majorant_denominator_once_per_N(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("args, want, grids", [
-    # per measure: one rfft for the grid, and one grid of twice its length
-    # for the first comparison of the L^p ladder (p = 2.5, which agrees
-    # there): the four-step passes on its (640, 50) view, an rfft down
-    # axis 0 and an fft along axis 1 of its 321 rows k1 <= 320
+    # per measure: the grid of 16,000 points by the real four-step passes
+    # on its (125, 128) view, an rfft down axis 0 and an fft along axis 1
+    # of its 63 rows k1 <= 62, and one grid of twice its length for the
+    # first comparison of the L^p ladder (p = 2.5, which agrees there):
+    # the passes on its (640, 50) view, of its 321 rows k1 <= 320
     (["transform-scan", "--N", "2000", "--Q", "16", "--oversample", "8"],
-     [("rfft", 16000, 1), ("rfft", 640, 50), ("fft", 50, 321)], [32000]),
-    # one rfft of lambda - lambda_Q per Q
+     [("rfft", 125, 128), ("fft", 128, 63), ("rfft", 640, 50), ("fft", 50, 321)],
+     [32000]),
+    # the passes of one grid of lambda - lambda_Q per Q, on its (80, 100)
+    # view
     (["arc-scan", "--N", "2000", "--Q", "16,256", "--B-override", "2",
       "--oversample", "4"],
-     [("rfft", 8000, 1)] * 2, []),
+     [("rfft", 80, 100), ("fft", 100, 41)] * 2, []),
     # per draw, the two passes of the ladder's first grid of 4N points,
     # which also holds the sum over r/N; no length-N transform
     (["mz-check", "--N", "1000,2000", "--draws", "2", "--oversample", "2"],

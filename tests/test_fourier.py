@@ -79,30 +79,142 @@ def test_wedge_grid_matches_exp_sum():
     rng = np.random.default_rng(6)
     f = _random_measure(37, rng)
     M = 128
-    vals = fourier.wedge_grid(f, M)
-    for j in (0, 1, 17, 64, 127):
-        assert abs(vals[j] - paper.exp_sum(f, j / M)) < 1e-10
+    js = np.array([0, 1, 17, 64, 127])
+    for j, v in zip(js, fourier.grid_values(fourier.wedge_grid(f, M), M, js)):
+        assert abs(v - paper.exp_sum(f, j / M)) < 1e-10
+
+
+def _full_complex_grid(f, M):
+    """f^(j/M) for j = 0..M-1 from one complex ifft of length M."""
+    pad = np.zeros(M, dtype=np.complex128)
+    pad[np.asarray(f.support()[0]) % M] = f.support()[1]
+    return M * np.fft.ifft(pad)
 
 
 @pytest.mark.parametrize("M", [127, 128])
 def test_real_wedge_grid_matches_the_complex_grid(M, transforms):
-    # the oracle is the whole grid from one complex ifft, as wedge_grid
-    # took it before it read the grid of real weights off one rfft
+    # the oracle is the whole grid from one complex ifft; wedge_grid takes
+    # the rows k1 <= L1/2 of the real four-step pass, L1 = _split(M) (1 at
+    # the prime 127, 8 at 128), and no transform of length M
     rng = np.random.default_rng(6)
     f = _random_measure(37, rng)
-    vals = fourier.wedge_grid(f, M)
-    assert transforms == [("rfft", M, 1)]
-    pad = np.zeros(M, dtype=np.complex128)
-    pad[np.asarray(f.positions()) % M] = f.weights
-    want = M * np.fft.ifft(pad)
+    rows = fourier.wedge_grid(f, M)
+    L1 = fourier._split(M)
+    L2 = M // L1
+    assert transforms == [("rfft", L1, L2), ("fft", L2, L1 // 2 + 1)]
+    assert rows.shape == (L1 // 2 + 1, L2)
+    vals = fourier.grid_values(rows, M, np.arange(M))
+    want = _full_complex_grid(f, M)
     tol = 1e-12 * float(np.max(np.abs(want)))
-    assert vals.shape == (M,)
     assert float(np.max(np.abs(vals - want))) <= tol
     for j in (0, 1, 17, M // 2, (M + 1) // 2, M - 1):
         assert abs(vals[j] - paper.exp_sum(f, j / M)) <= tol
-    # Hermitian bit for bit: |f^| ties at mirrored points
-    mags = np.abs(vals)
-    assert np.array_equal(mags[1:], mags[:0:-1])
+    # Hermitian bit for bit: |f^| ties at mirrored points, and f^(0) and
+    # f^(1/2) are real
+    assert np.array_equal(vals[1:], np.conjugate(vals[:0:-1]))
+    assert vals[0].imag == 0.0 and vals[M // 2].imag == (M % 2) * vals[M // 2].imag
+
+
+# grid lengths with L1 = _split(M) = 1 (primes), odd L1 and even L1, whose
+# row L1/2 holds its own mirror: 15 = 3 x 5, 99 = 9 x 11, 135 = 9 x 15,
+# 2025 = 45 x 45, 16 = 4 x 4, 72 = 8 x 9, 128 = 8 x 16, 2000 = 40 x 50
+_GRID_LENGTHS = (2, 3, 127, 1999, 15, 99, 135, 2025, 16, 72, 128, 2000)
+
+
+@given(M=st.sampled_from(_GRID_LENGTHS),
+       kind=st.sampled_from(["dense", "sparse", "point", "symmetric"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(M=2000, kind="point", seed=0)       # |f^| constant: the argmax is 0
+@example(M=72, kind="symmetric", seed=1)     # row L1/2 = 4
+@example(M=1999, kind="dense", seed=2)       # L1 = 1: one row
+@settings(max_examples=80, deadline=None)
+def test_wedge_grid_natural_reads_match_the_full_grid(M, kind, seed):
+    # every natural-order read of the rows matches the complex-ifft grid,
+    # and the argmax is the full grid's first maximum, mirrors included
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(1, M // 2 + 1))
+    if kind == "symmetric":  # at least the points 1 and 2 where M allows
+        N = max(N, min(3, M // 2))
+    w = rng.standard_normal(N)
+    base = measures.BASE_ONE
+    if kind == "sparse":
+        w *= rng.random(N) < 0.05
+        w[rng.integers(N)] = 1.0
+    elif kind == "point":  # one mass at 0, where every e(0 j/M) is 1
+        w[1:] = 0.0
+        base = BASE_ZN
+    elif kind == "symmetric":
+        # positive on {1..N-1}, w(n) = w(N - n): f^(theta) e(-N theta/2) is
+        # real, and with the points 1 and 2 the one maximum is at 0
+        w = np.abs(w)
+        w[:-1] += w[-2::-1]
+        w[-1] = 0.0
+    f = Measure(N, w, signed=True, base=base)
+    rows = fourier.wedge_grid(f, M)
+    vals = fourier.grid_values(rows, M, np.arange(M))
+    want = _full_complex_grid(f, M)
+    top = float(np.max(np.abs(want)))
+    assert float(np.max(np.abs(vals - want))) <= 1e-12 * top
+    # the first maximum of the exactly Hermitian oracle, and the points
+    # within rounding of it
+    oracle = np.abs(paper.rfft_grid(f, M))
+    first = int(np.argmax(oracle))
+    near = np.flatnonzero(oracle >= oracle[first] * (1 - 1e-12))
+    j_star = fourier.grid_argmax(np.abs(rows), M)
+    assert j_star in near
+    if set(near.tolist()) <= {first, -first % M} or (kind == "symmetric"
+                                                     and N >= 3):
+        assert j_star == first
+    if kind == "point" and fourier._smooth_length(M) == M:
+        # an exact tie at every point: at a 5-smooth M pocketfft takes no
+        # Bluestein step, so every value is w(0) exactly
+        assert np.all(vals == w[0]) and j_star == first == 0
+    # and the argmax is the first maximum of the natural-order reads
+    assert j_star == int(np.argmax(np.abs(vals)))
+
+
+@pytest.mark.parametrize("L1, L2, positions", [
+    (8, 16, range(0, 128, 3)),   # every row touched: no fill
+    (8, 16, range(0, 40, 3)),    # rows 0..2 of 8
+    (9, 11, range(5, 40, 2)),    # odd L1
+    (1, 13, range(0, 13)),       # one row
+    (25, 40, range(0, 300, 7)),
+    (9, 11, [0]),                # a support at 0 alone
+    (9, 11, []),                 # an empty support: no row at all
+])
+def test_real_forward_on_the_support_rows_keeps_every_bit(L1, L2, positions):
+    # the pass on the pad's rows that the support touches, with the rest
+    # zero-filled by the rfft, equals the pass on the whole zero pad
+    rng = np.random.default_rng(L1 * L2 + len(positions))
+    positions = np.asarray(positions, dtype=np.int64)
+    values = rng.standard_normal(positions.size)
+    end = int(positions.max(initial=-1)) + 1
+    rows = fourier._pad(positions, values, L2, end)
+    assert rows.shape == (-(-end // L2), L2)
+    full = np.zeros(L1 * L2)
+    full[positions] = values
+    want = fourier._real_forward(full.reshape(L1, L2), L1)
+    got = fourier._real_forward(rows, L1)
+    assert got.shape == want.shape == (L1 // 2 + 1, L2)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [2.5, 4.0])
+@pytest.mark.parametrize("L1, L2", [(8, 16), (9, 11), (1, 13), (250, 160)])
+def test_real_grid_powers_in_the_pass_buffer_keep_every_bit(L1, L2, p, monkeypatch):
+    # |X|^p written block by block into X's own float view equals |X|^p
+    # taken on a separate array, at any block size; (250, 160) has 20,160
+    # points, more than one block of 2^14
+    rng = np.random.default_rng(L1)
+    X = fourier._real_forward(rng.standard_normal((L1, L2)), L1)
+    want = fourier._powers(X.copy(), p)
+    want[1:(L1 + 1) // 2] *= 2.0
+    for block in (1, 7, fourier.BLOCK):
+        monkeypatch.setattr(fourier, "BLOCK", block)
+        Y = X.copy()
+        got = fourier._real_grid_powers(Y, L1, p)
+        assert np.shares_memory(got, Y) and got.shape == X.shape
+        assert got.tobytes() == want.tobytes(), block
 
 
 # --- tau and Fejer -----------------------------------------------------------
@@ -437,7 +549,8 @@ def test_l4_norm_is_the_exact_quadruple_count(small_table, N, oversample,
 # --- the ladder's four-step grids against full-length numpy.fft ----------
 #
 # Every grid the ladder takes is recorded as it is taken: a real grid as
-# the pad it was given and the weighted rows `_real_grid_powers` returned,
+# its whole pad (the rows `_real_forward` was given, zero-filled to L1)
+# and the weighted rows `_real_grid_powers` returned,
 # a complex one as the pad before and after `_four_step`. Each sum the
 # ladder can read off a real grid, over the bins k = 0 mod t for t = 1, 2
 # (the coarser level inside a grid of 2M points) and s = L/N (the r/N bins
@@ -449,13 +562,19 @@ _PRIMES = (2, 3, 7, 101, 1999, 2003, 2999)
 
 
 def _record_grids(monkeypatch):
-    grids = []
-    real_pass, four_step = fourier._real_grid_powers, fourier._four_step
+    grids, pads = [], []
+    forward, real_pass = fourier._real_forward, fourier._real_grid_powers
+    four_step = fourier._four_step
 
-    def real(v, p):
-        pad = v.ravel().copy()
-        powers = real_pass(v, p)
-        grids.append(("real", pad, powers))
+    def real_forward(v, L1):
+        pad = np.zeros((L1, v.shape[1]))
+        pad[:v.shape[0]] = v
+        pads.append(pad.ravel())
+        return forward(v, L1)
+
+    def real(X, L1, p):
+        powers = real_pass(X, L1, p)
+        grids.append(("real", pads.pop(), powers))
         return powers
 
     def complex_(v, twiddles, inverse):
@@ -463,6 +582,7 @@ def _record_grids(monkeypatch):
         four_step(v, twiddles, inverse)
         grids.append(("complex", pad, v.copy()))
 
+    monkeypatch.setattr(fourier, "_real_forward", real_forward)
     monkeypatch.setattr(fourier, "_real_grid_powers", real)
     monkeypatch.setattr(fourier, "_four_step", complex_)
     return grids

@@ -1,6 +1,6 @@
 """The package's shape, checked on its source: only `primeaps.fourier`
 may take transforms with numpy.fft, and there only its complex and real
-four-step passes and `wedge_grid`, none of them an n-dimensional one into
+four-step passes, none of them an n-dimensional one into
 `out=`, every parameter is read, every default is both used and
 overridden by the package's own calls, every def is reached from the CLI
 and every field of a reached dataclass is read by reached code, each CLI
@@ -76,11 +76,11 @@ def test_fft_checker_passes_other_fft_names():
                                "fourier.fft(x)\nnp.linalg.norm(x)")) == []
 
 
-# the defs of fourier that call numpy.fft: the complex four-step pass, the
-# real four-step pass pair and the torus grid of wedge_grid. Every Z_N
-# transform, ladder grid and set convolution goes through the passes, so
-# no full-length transform can come back into any of them
-_FFT_CALLERS = {"_four_step", "_real_forward", "_real_inverse", "wedge_grid"}
+# the defs of fourier that call numpy.fft: the complex four-step pass and
+# the real four-step pass pair. Every Z_N transform, torus grid, ladder
+# grid and set convolution goes through the passes, so no full-length
+# transform can come back into any of them
+_FFT_CALLERS = {"_four_step", "_real_forward", "_real_inverse"}
 
 
 def _fft_defs(tree: ast.Module) -> set[str]:
@@ -97,7 +97,7 @@ def _fft_defs(tree: ast.Module) -> set[str]:
     return found
 
 
-def test_only_the_four_step_passes_and_wedge_grid_call_numpy_fft():
+def test_only_the_four_step_passes_call_numpy_fft():
     assert _fft_defs(_src_trees()["fourier"]) == _FFT_CALLERS
 
 
